@@ -9,8 +9,6 @@ Interpretation:
 
 - ``serial`` quantifies the engine's partition/merge overhead (it runs
   the same work as sequential Fjord, plus bookkeeping);
-- ``threads`` is GIL-bound for these pure-Python operators — expect
-  parity at best, it is benchmarked as the no-shared-state proof;
 - ``processes`` is the backend that buys real parallel speed-up, on
   hardware with more than one core.
 """
@@ -95,7 +93,7 @@ def _run_sequential(sources, ticks):
     return len(sink.results)
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_throughput(benchmark, backend, shards):
     sources = _trace()

@@ -616,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=("serial", "threads", "processes"),
+        choices=("serial", "processes"),
         help="shard execution backend (default serial)",
     )
     run.add_argument(

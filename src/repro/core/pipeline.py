@@ -456,9 +456,8 @@ class ESPProcessor:
                 execution default (1 unless the CLI's ``--shards`` set
                 it). Live device streams are recorded once before
                 sharding so every shard count sees identical data.
-            backend: Shard execution backend (``"serial"``,
-                ``"threads"``, ``"processes"``); defaults like
-                ``shards``.
+            backend: Shard execution backend (``"serial"`` or
+                ``"processes"``); defaults like ``shards``.
             shard_key: Field to partition on. ``"spatial_granule"`` and
                 ``"proximity_group"`` partition whole device streams via
                 the registry (raw readings are not yet annotated); any

@@ -115,7 +115,7 @@ async def serve_cluster(
         supervisor: Optional :class:`repro.net.recovery.WorkerSupervisor`
             used to respawn dead workers before failing over.
     """
-    from repro.net.ops import OpsServer
+    from repro.net.ops import ops_plane
     from repro.net.router import ClusterRouter
     from repro.net.service import build_bundle
 
@@ -128,27 +128,20 @@ async def serve_cluster(
         checkpoint_interval=checkpoint_interval,
         supervisor=supervisor,
     )
-    ops_server = None
-    ops_address = None
-    if ops_port is not None:
-        ops_server = OpsServer(router, telemetry=telemetry)
-        ops_host, ops_bound = await ops_server.start(host, ops_port)
-        ops_address = f"{ops_host}:{ops_bound}"
-        if ops_ready is not None:
-            ops_ready(ops_host, ops_bound)
-    try:
-        bound_host, bound_port = await router.start(host, port)
-        await router.connect_workers(workers)
-        if ready is not None:
-            ready(bound_host, bound_port)
-        await router.run_until_complete()
-        output = router.result()
-    finally:
-        await router.close()
-        if ops_server is not None:
-            if ops_linger > 0:
+    async with ops_plane(
+        router, host, ops_port, telemetry, ops_ready
+    ) as ops_address:
+        try:
+            bound_host, bound_port = await router.start(host, port)
+            await router.connect_workers(workers)
+            if ready is not None:
+                ready(bound_host, bound_port)
+            await router.run_until_complete()
+            output = router.result()
+        finally:
+            await router.close()
+            if ops_address is not None and ops_linger > 0:
                 await asyncio.sleep(ops_linger)
-            await ops_server.close()
     return {
         "scenario": name,
         "address": f"{bound_host}:{bound_port}",

@@ -35,7 +35,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import Any, AsyncIterator, Awaitable, Callable, Iterable
+from typing import Any, AsyncIterator, Awaitable, Callable, Iterable, Sequence
 
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
@@ -80,6 +80,57 @@ class _SourceState:
         #: objects, so object identity is the correlation key — no
         #: ReorderBuffer API change needed.
         self.traces: dict[int, IngestTrace] = {}
+
+
+async def accept_hello(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    expected: Sequence[str],
+    role: str,
+    count: Callable[[str], None],
+) -> "tuple[list[str], int] | None":
+    """Read and validate a feeder's opening ``hello``.
+
+    The one feeder-facing handshake check, shared by the standalone
+    gateway and the cluster router (``role`` names which, for the
+    refusal text and the ``<role>.version_mismatch`` /
+    ``<role>.bad_hello`` counters bumped through ``count``). Accepts a
+    ``hello`` whose version is in
+    :data:`~repro.net.protocol.SUPPORTED_VERSIONS` and whose sources
+    are a non-empty subset of ``expected``.
+
+    Returns:
+        ``(sources, version)`` when accepted; ``None`` on EOF or after
+        refusing the peer with an ``error`` frame.
+    """
+    frame = await read_frame(reader)
+    if frame is None:
+        return None
+    if frame.get("type") != "hello":
+        await protocol.bail(
+            writer, f"expected hello, got {frame.get('type')!r}"
+        )
+        return None
+    version = frame.get("version")
+    if version not in protocol.SUPPORTED_VERSIONS:
+        count(f"{role}.version_mismatch")
+        await protocol.bail(
+            writer,
+            f"protocol version {version!r} unsupported; this {role} "
+            f"speaks {sorted(protocol.SUPPORTED_VERSIONS)}",
+        )
+        return None
+    names = frame.get("sources") or []
+    unknown = [n for n in names if n not in expected]
+    if unknown or not names:
+        count(f"{role}.bad_hello")
+        await protocol.bail(
+            writer,
+            f"unknown sources {unknown!r}; expected a non-empty subset "
+            f"of {list(expected)!r}",
+        )
+        return None
+    return names, version
 
 
 class IngestGateway:
@@ -216,7 +267,7 @@ class IngestGateway:
                 return
             await self._serve_frames(reader, writer, owned)
         except ProtocolError as error:
-            await self._bail(writer, str(error))
+            await protocol.bail(writer, str(error))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished; liveness eviction covers the fallout
         finally:
@@ -228,39 +279,51 @@ class IngestGateway:
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> "list[_SourceState] | None":
-        frame = await read_frame(reader)
-        if frame is None:
+        hello = await accept_hello(
+            reader, writer, self._expected, "gateway", self._count
+        )
+        if hello is None:
             return None
-        if frame.get("type") != "hello":
-            await self._bail(
-                writer, f"expected hello, got {frame.get('type')!r}"
-            )
-            return None
-        version = frame.get("version")
-        if version not in protocol.SUPPORTED_VERSIONS:
-            self._count("gateway.version_mismatch")
-            await self._bail(
-                writer,
-                f"protocol version {version!r} unsupported; this gateway "
-                f"speaks {sorted(protocol.SUPPORTED_VERSIONS)}",
-            )
-            return None
-        names = frame.get("sources") or []
-        unknown = [n for n in names if n not in self._expected]
-        if unknown or not names:
-            self._count("gateway.bad_hello")
-            await self._bail(
-                writer,
-                f"unknown sources {unknown!r}; expected a non-empty subset "
-                f"of {list(self._expected)!r}",
-            )
-            return None
+        names, version = hello
+        for name in names:
+            state = self._states.get(name)
+            if state is not None and state.owner is not None:
+                await protocol.bail(
+                    writer, f"source {name!r} is already connected"
+                )
+                return None
+        owned, credits = self._adopt(names, writer)
+        # Echo the client's (accepted) version so a v1 feeder keeps
+        # seeing the dialect it asked for.
+        await write_frame(writer, protocol.hello_ack(credits, version))
+        return owned
+
+    def _adopt(
+        self,
+        names: Iterable[str],
+        writer: "asyncio.StreamWriter | None",
+    ) -> "tuple[list[_SourceState], dict[str, int] | None]":
+        """Create or claim the per-source state for ``names``.
+
+        The one place a :class:`_SourceState` comes to exist: a feeder
+        connection's handshake, the router-fed :meth:`attach`, and a
+        pre-data :meth:`restore` (``writer=None`` — nobody owns the
+        sources yet). Existing state (a reconnecting source, or one a
+        restore installed) is kept, not rebuilt.
+
+        Returns:
+            ``(owned, credits)`` — the states in ``names`` order and
+            the initial credit grant (``None`` unless the policy is
+            ``block``). A reconnecting source's queue may still hold
+            items; only the remaining room is granted, so in-flight +
+            queued can never exceed the bound.
+        """
         now = self._clock()
         owned: list[_SourceState] = []
         for name in names:
             state = self._states.get(name)
             if state is None:
-                state = _SourceState(
+                state = self._states[name] = _SourceState(
                     name,
                     BoundedIngressQueue(
                         self.queue_bound, self.policy, label=name,
@@ -269,29 +332,17 @@ class IngestGateway:
                     ReorderBuffer(self.slack),
                     now,
                 )
-                self._states[name] = state
-            elif state.owner is not None:
-                await self._bail(
-                    writer, f"source {name!r} is already connected"
-                )
-                return None
             state.owner = writer
             state.last_seen = now
             owned.append(state)
         self._ever_connected = True
         credits = None
         if self.policy == "block":
-            # A reconnecting source's queue may still hold items; only
-            # the remaining room is granted, so in-flight + queued can
-            # never exceed the bound.
             credits = {
                 state.name: self.queue_bound - len(state.queue)
                 for state in owned
             }
-        # Echo the client's (accepted) version so a v1 feeder keeps
-        # seeing the dialect it asked for.
-        await write_frame(writer, protocol.hello_ack(credits, version))
-        return owned
+        return owned, credits
 
     async def _serve_frames(
         self,
@@ -376,12 +427,6 @@ class IngestGateway:
             self._work.set()
             await state.space.wait()
         self._work.set()
-
-    async def _bail(self, writer: asyncio.StreamWriter, reason: str) -> None:
-        try:
-            await write_frame(writer, protocol.error_frame(reason))
-        except (ConnectionError, RuntimeError):
-            pass
 
     # -- draining into the pipeline ------------------------------------------
 
@@ -536,25 +581,15 @@ class IngestGateway:
         deserialized tuple objects themselves, so identity-keyed trace
         pairing is rebuilt against them positionally.
         """
-        now = self._clock()
-        for name, entry in state["sources"].items():
+        for name in state["sources"]:
             if name not in self._expected:
                 raise NetError(
                     f"checkpoint names unexpected source {name!r}; this "
                     f"gateway expects {list(self._expected)!r}"
                 )
-            source = self._states.get(name)
-            if source is None:
-                source = _SourceState(
-                    name,
-                    BoundedIngressQueue(
-                        self.queue_bound, self.policy, label=name,
-                        telemetry=self._collector,
-                    ),
-                    ReorderBuffer(self.slack),
-                    now,
-                )
-                self._states[name] = source
+        owned, _credits = self._adopt(state["sources"], None)
+        for source in owned:
+            entry = state["sources"][source.name]
             source.reorder.restore(entry["reorder"])
             source.final_requested = bool(entry["final_requested"])
             source.final = bool(entry["final"])
@@ -567,7 +602,6 @@ class IngestGateway:
                 if trace is not None
             }
         self._ingest_seq = int(state["ingest_seq"])
-        self._ever_connected = True
         self._work.set()
 
     # -- liveness -------------------------------------------------------------

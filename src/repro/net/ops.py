@@ -32,8 +32,9 @@ involved anywhere on this path.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
-from typing import Any, Mapping
+from typing import Any, AsyncIterator, Callable, Mapping
 
 from repro.errors import NetError
 from repro.streams.telemetry import (
@@ -402,6 +403,36 @@ class OpsServer:
         )
         writer.write(head.encode("ascii") + payload)
         await writer.drain()
+
+
+@contextlib.asynccontextmanager
+async def ops_plane(
+    target: Any,
+    host: str,
+    port: "int | None",
+    telemetry: Any = None,
+    ready: "Callable[[str, int], None] | None" = None,
+) -> AsyncIterator["str | None"]:
+    """Serve the ops plane beside ``target`` for the body's duration.
+
+    How every ``serve_*`` entry point honours its ``ops_port`` /
+    ``ops_ready`` arguments: with ``port`` set, an :class:`OpsServer`
+    for ``target`` is bound on ``host`` (0 picks an ephemeral port),
+    ``ready`` is told the bound address, and the listener closes when
+    the block exits. Yields the bound ``"host:port"``, or ``None``
+    (and serves nothing) when ``port`` is ``None``.
+    """
+    if port is None:
+        yield None
+        return
+    server = OpsServer(target, telemetry=telemetry)
+    bound_host, bound_port = await server.start(host, port)
+    try:
+        if ready is not None:
+            ready(bound_host, bound_port)
+        yield f"{bound_host}:{bound_port}"
+    finally:
+        await server.close()
 
 
 # -- the `repro top` view ------------------------------------------------------

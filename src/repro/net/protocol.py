@@ -288,6 +288,15 @@ async def write_raw_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     await writer.drain()
 
 
+async def bail(writer: asyncio.StreamWriter, reason: str) -> None:
+    """Tell the peer why it is being refused (a terminal ``error``
+    frame), tolerating a peer that has already gone away."""
+    try:
+        await write_frame(writer, error_frame(reason))
+    except (ConnectionError, RuntimeError):
+        pass
+
+
 # -- frame constructors -----------------------------------------------------
 
 

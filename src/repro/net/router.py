@@ -55,17 +55,24 @@ worker's checkpoint actually covered and redistribute its span across
 the survivors). Checkpoint timing never changes output — snapshots are
 pure, restores resume the identical computation — only how much tail
 gets replayed; the differential fault suite pins this.
+
+**One link lifecycle.** Epoch open, rebalance, resume and failover all
+bring a worker link to life the same way: *open* (``_connect_link``) →
+*seed from checkpoint* → *replay past the cut* (``_replay``) → *live*.
+Every data frame, replayed or live, goes out through ``_forward``,
+which is what keeps the invariant the cut depends on: ``link.positions``
+counts every data frame written on the link, replayed or live.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from bisect import bisect_left
 from typing import Any, Callable
 
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
+from repro.net.gateway import accept_hello
 from repro.net.protocol import (
     read_frame,
     read_frame_raw,
@@ -80,6 +87,7 @@ from repro.net.recovery import (
 )
 from repro.net.ring import HashRing
 from repro.net.service import ScenarioBundle
+from repro.streams.fjord import sweep_end
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -151,6 +159,12 @@ def _traced_payload(
     return b'%s,"trace":{"id":%d,"recv":%d,"acq":%d,"fwd":%d%s}}' % (
         payload[:-1], ingest_id, recv, acq, time.perf_counter_ns(), flag,
     )
+
+
+def _copy_buckets(buckets: "dict[int, list]") -> "dict[int, list]":
+    """Tick → bucket mapping with every bucket list copied: a link's
+    live buckets and a checkpoint's snapshot of them never alias."""
+    return {tick: list(bucket) for tick, bucket in buckets.items()}
 
 
 class _WorkerLink:
@@ -491,23 +505,8 @@ class ClusterRouter:
                     raise self._fatal
                 if self._finished:
                     return
-                self._gate.clear()
-                if self._inflight:
-                    self._idle.clear()
-                    await self._idle.wait()
-                membership = {
-                    label: (link.host, link.port)
-                    for label, link in self._links.items()
-                }
-                boundary, lost = await self._close_epoch(len(self._ticks))
-                if boundary >= len(self._ticks):
-                    self._finished = True
-                    return
-                survivors = await self._recovered_membership(
-                    membership, lost
-                )
-                await self._open_epoch(survivors, boundary)
-                self._bump("failovers")
+                await self._freeze()
+                await self._failover(len(self._ticks))
 
     async def close(self) -> None:
         """Stop listening and tear down worker links."""
@@ -575,10 +574,7 @@ class ClusterRouter:
             membership.update(add or {})
             for label in remove or ():
                 membership.pop(label, None)
-            self._gate.clear()
-            if self._inflight:
-                self._idle.clear()
-                await self._idle.wait()
+            await self._freeze()
             boundary, lost = await self._close_epoch(self._boundary())
             # A worker that died during the handoff cannot join the new
             # epoch at its old address; drop it from the request.
@@ -603,15 +599,39 @@ class ClusterRouter:
                 watermark = float("-inf")
                 break
             watermark = min(watermark, seen - self.slack)
-        if watermark == float("inf"):
-            boundary = len(self._ticks)
-        else:
-            # Same strictly-below sweep rule (and float tolerance) as
-            # FjordSession.advance: ticks with tick + 2e-9 < watermark.
-            boundary = bisect_left(
-                [tick + 2e-9 for tick in self._ticks], watermark
-            )
-        return min(max(boundary, self._epoch_start), len(self._ticks))
+        # Ticks below the epoch start are already owned by closed
+        # epochs, so the scan for the first unswept tick starts there.
+        return sweep_end(self._ticks, watermark, self._epoch_start)
+
+    async def _freeze(self) -> None:
+        """Credit freeze: close the forwarding gate, then wait until
+        every in-flight forward has completed or aborted."""
+        self._gate.clear()
+        if self._inflight:
+            self._idle.clear()
+            await self._idle.wait()
+
+    async def _failover(self, target: int) -> None:
+        """Close the epoch at (no later than) tick index ``target`` and
+        re-run the rest on the survivors plus supervisor respawns.
+
+        Caller holds the rebalance lock with the gate frozen. A close
+        that covers the whole schedule once every source is final ends
+        the run instead — there is nothing left to re-run.
+        """
+        membership = {
+            label: (link.host, link.port)
+            for label, link in self._links.items()
+        }
+        boundary, lost = await self._close_epoch(target)
+        if boundary >= len(self._ticks) and len(self._final) == len(
+            self._expected
+        ):
+            self._finished = True
+            return
+        survivors = await self._recovered_membership(membership, lost)
+        await self._open_epoch(survivors, boundary)
+        self._bump("failovers")
 
     async def _close_epoch(self, boundary: int) -> "tuple[int, list[str]]":
         """Drain and settle the current epoch at ``boundary``.
@@ -663,10 +683,7 @@ class ClusterRouter:
             entry = self._store.latest(label)
             if entry is not None and entry.epoch == self._epoch:
                 results[label] = {
-                    "per_tick": {
-                        tick: list(bucket)
-                        for tick, bucket in entry.per_tick.items()
-                    },
+                    "per_tick": _copy_buckets(entry.per_tick),
                     "ticks": entry.ticks,
                     "stats": {},
                 }
@@ -791,13 +808,7 @@ class ClusterRouter:
         links: dict[str, _WorkerLink] = {}
         try:
             for label in sorted(membership):
-                host, port = membership[label]
-                link = _WorkerLink(label, host, port)
-                links[label] = link
-                link.reader, link.writer = await asyncio.open_connection(
-                    host, port
-                )
-                link.sources = tuple(assigned[label])
+                sources = tuple(assigned[label])
                 # A survivor whose assignment is unchanged from the
                 # previous epoch sees an identical input stream, so its
                 # last checkpoint resumes it here too: bounded state
@@ -810,128 +821,186 @@ class ClusterRouter:
                     entry = self._store.latest(label)
                     if entry is not None and not (
                         entry.epoch == self._epoch - 1
-                        and tuple(entry.sources) == link.sources
+                        and tuple(entry.sources) == sources
                     ):
                         entry = None
-                await write_frame(link.writer, protocol.worker_hello(label))
-                await write_frame(
-                    link.writer,
-                    protocol.route(
-                        self._epoch,
-                        start_tick,
-                        link.sources,
-                        resume=entry is not None,
-                    ),
+                links[label] = await self._connect_link(
+                    label,
+                    membership[label],
+                    sources,
+                    start_tick,
+                    entry,
+                    resume=entry is not None,
                 )
-                if entry is not None:
-                    await write_frame(
-                        link.writer,
-                        protocol.resume(
-                            self._epoch,
-                            entry.ticks,
-                            entry.state,
-                            entry.checkpoint_id,
-                        ),
-                    )
-                ack = await read_frame(link.reader)
-                if ack is None or ack.get("type") != "hello_ack":
-                    reason = (
-                        (ack or {}).get("reason", "connection closed")
-                        if ack is None or ack.get("type") == "error"
-                        else f"unexpected {ack.get('type')!r}"
-                    )
-                    raise NetError(
-                        f"worker {label!r} rejected the epoch: {reason}"
-                    )
-                link.credits = dict(ack.get("credits") or {})
-                if entry is not None:
-                    link.positions = dict(entry.positions)
-                    link.per_tick = {
-                        tick: list(bucket)
-                        for tick, bucket in entry.per_tick.items()
-                    }
-                    link.span_buckets = {
-                        tick: list(bucket)
-                        for tick, bucket in entry.spans.items()
-                    }
-                self._wire_link(link)
-                link.task = asyncio.ensure_future(link.read_loop())
             self._links = links
-            await self._replay(ring)
+            await self._replay(links)
         except Exception:
             for link in links.values():
                 await link.close()
             self._links = {}
             raise
 
-    async def _replay(self, ring: HashRing) -> None:
-        # Resumed links carry per-source positions from their
-        # checkpoint cut: that many owned frames are already inside the
-        # snapshot and must be skipped, not redelivered.
-        skip = {
-            label: dict(link.positions)
-            for label, link in self._links.items()
-        }
+    async def _connect_link(
+        self,
+        label: str,
+        address: "tuple[str, int]",
+        sources: "tuple[str, ...]",
+        start_tick: int,
+        entry: "WorkerCheckpoint | None",
+        *,
+        resume: bool,
+    ) -> _WorkerLink:
+        """Open ``label``'s link for the current epoch — the only way a
+        worker connection comes to exist.
+
+        Every link goes through the same lifecycle: connect, handshake
+        (``worker_hello`` + ``route``, plus a ``resume`` frame when
+        ``resume`` is set — carrying ``entry``'s state blob, or
+        ``null`` for "start fresh"), seed ``positions`` / ``per_tick``
+        / ``span_buckets`` from ``entry``, wire the detector callbacks,
+        start the read loop. The caller then replays the history past
+        the seeded positions (:meth:`_replay`) before the link goes
+        live.
+
+        Raises:
+            OSError, NetError: When the worker cannot be reached or
+                rejects the epoch; the half-open link is closed first.
+        """
+        link = _WorkerLink(label, *address)
+        link.sources = sources
+        try:
+            link.reader, link.writer = await asyncio.open_connection(
+                *address
+            )
+            await write_frame(link.writer, protocol.worker_hello(label))
+            await write_frame(
+                link.writer,
+                protocol.route(
+                    self._epoch, start_tick, sources, resume=resume
+                ),
+            )
+            if entry is not None:
+                await write_frame(
+                    link.writer,
+                    protocol.resume(
+                        self._epoch,
+                        entry.ticks,
+                        entry.state,
+                        entry.checkpoint_id,
+                    ),
+                )
+            elif resume:
+                await write_frame(
+                    link.writer, protocol.resume(self._epoch, 0, None)
+                )
+            ack = await read_frame(link.reader)
+            if ack is None or ack.get("type") != "hello_ack":
+                reason = (
+                    (ack or {}).get("reason", "connection closed")
+                    if ack is None or ack.get("type") == "error"
+                    else f"unexpected {ack.get('type')!r}"
+                )
+                raise NetError(
+                    f"worker {label!r} rejected the epoch: {reason}"
+                )
+        except Exception:
+            await link.close()
+            raise
+        link.credits = dict(ack.get("credits") or {})
+        if entry is not None:
+            link.positions = dict(entry.positions)
+            link.per_tick = _copy_buckets(entry.per_tick)
+            link.span_buckets = _copy_buckets(entry.spans)
+        link.on_frame = self._detector.seen
+        link.on_checkpoint_ack = self._on_checkpoint_ack
+        link.on_failure = self._on_link_failure
+        self._detector.register(label)
+        link.task = asyncio.ensure_future(link.read_loop())
+        return link
+
+    async def _replay(self, links: "dict[str, _WorkerLink]") -> None:
+        """Bring freshly opened ``links`` up to date with the retained
+        history: every link of a new epoch, or the one link a recovery
+        resumed into the current epoch.
+
+        Links seeded from a checkpoint carry per-source positions from
+        its cut: that many owned frames are already inside the snapshot
+        and are skipped, not redelivered. A link that dies mid-replay
+        is marked dead and skipped from there on — its owner (the
+        scheduled recovery, or :meth:`_recover` checking the link it
+        just opened) takes it from there.
+        """
+        skip = {label: dict(link.positions) for label, link in links.items()}
         retained = [
             frame
             for frames in self._history.values()
             for frame in frames
         ]
         retained.sort(key=lambda f: (f.arrival, f.source, f.seq))
+        assert self._ring is not None
         for frame in retained:
-            link = self._links[ring.owner(frame.key)]
+            link = links.get(self._ring.owner(frame.key))
+            if link is None:
+                continue
             pending = skip[link.label]
             if pending.get(frame.source, 0) > 0:
                 pending[frame.source] -= 1
                 continue
             try:
-                await link.acquire(frame.source)
-                link.positions[frame.source] = (
-                    link.positions.get(frame.source, 0) + 1
-                )
-                link.since_checkpoint += 1
-                assert link.writer is not None
-                await write_raw_frame(
-                    link.writer, self._replay_payload(frame)
-                )
+                await self._forward(link, frame, replayed=True)
             except _LinkDead:
-                continue  # its recovery task will replay for it
+                continue
             except (ConnectionError, RuntimeError):
                 self._on_link_failure(link)
                 continue
             self._bump("replayed_frames")
             await self._maybe_checkpoint(link)
         for name in sorted(self._final):
-            await self._forward_bye(name)
+            await self._forward_bye(name, links)
 
-    def _replay_payload(self, frame: _RetainedFrame) -> bytes:
-        """The wire payload for replaying one retained frame.
+    async def _forward(
+        self, link: _WorkerLink, frame: _RetainedFrame, replayed: bool
+    ) -> None:
+        """Write one retained data frame on ``link`` — the only place a
+        data frame reaches a worker, live or replayed.
 
-        Untraced, the original bytes are relayed verbatim. Traced, the
-        frame is re-stamped with fresh acquire/forward instants under
-        its *original* ingest id and receive stamp, flagged
+        Invariant: ``link.positions`` counts every data frame written
+        on the link, replayed or live. The count moves *before* the
+        write and with no await between, so a concurrent checkpoint's
+        positions snapshot is always consistent with wire order
+        (``writer.write`` is synchronous at the head of
+        :func:`write_raw_frame`).
+
+        Untraced, the feeder's bytes are relayed verbatim. Traced, the
+        frame is stamped with fresh acquire/forward instants under its
+        *original* ingest id and receive stamp; a replay is flagged
         ``replayed`` — re-run tuples then close a second span record
         whose commit the epoch-ownership rule dedupes, and failover
         latency lands attributably in their ``router.queue`` phase.
+
+        Raises:
+            _LinkDead: The link is (or while blocked on a credit
+                became) dead; nothing was written or counted.
+            ConnectionError, RuntimeError: The write itself failed.
         """
-        if not self._tracing:
-            return frame.payload
-        return _traced_payload(
-            frame.payload,
-            frame.ingest_id,
-            frame.recv,
-            time.perf_counter_ns(),
-            replayed=True,
+        await link.acquire(frame.source)
+        link.positions[frame.source] = (
+            link.positions.get(frame.source, 0) + 1
         )
+        link.since_checkpoint += 1
+        payload = frame.payload
+        if self._tracing:
+            payload = _traced_payload(
+                payload,
+                frame.ingest_id,
+                frame.recv,
+                time.perf_counter_ns(),
+                replayed,
+            )
+        assert link.writer is not None
+        await write_raw_frame(link.writer, payload)
 
     # -- fault tolerance -----------------------------------------------------
-
-    def _wire_link(self, link: _WorkerLink) -> None:
-        """Attach detector/checkpoint/failure callbacks to a new link."""
-        link.on_frame = self._detector.seen
-        link.on_checkpoint_ack = self._on_checkpoint_ack
-        link.on_failure = self._on_link_failure
-        self._detector.register(link.label)
 
     def _bump(self, key: str, n: int = 1) -> None:
         self.recovery[key] += n
@@ -958,15 +1027,9 @@ class ClusterRouter:
                 int(frame.get("ticks", 0)),
                 frame.get("state"),
                 positions,
-                {
-                    tick: list(bucket)
-                    for tick, bucket in link.per_tick.items()
-                },
+                _copy_buckets(link.per_tick),
                 sources=link.sources,
-                spans={
-                    tick: list(bucket)
-                    for tick, bucket in link.span_buckets.items()
-                },
+                spans=_copy_buckets(link.span_buckets),
             ),
         )
         self._bump("checkpoints_acked")
@@ -997,11 +1060,13 @@ class ClusterRouter:
 
     def _on_link_failure(self, link: _WorkerLink) -> None:
         """Link-death signal (read loop, failed forward): start recovery."""
+        link.dead = True
         if self._finished or self._fatal is not None:
             return
         if self._links.get(link.label) is not link:
-            return  # an old epoch's link dying during teardown
-        link.dead = True
+            # An old epoch's link dying during teardown, or a resume
+            # attempt dying before _recover installed it.
+            return
         self._detector.mark_dead(link.label)
         self._schedule_recovery(link)
 
@@ -1031,47 +1096,24 @@ class ClusterRouter:
                     return  # superseded by a rebalance/failover already
                 if self._finished or self._fatal is not None:
                     return
-                self._gate.clear()
-                if self._inflight:
-                    self._idle.clear()
-                    await self._idle.wait()
+                await self._freeze()
                 await link.close()
-                entry = self._store.latest(link.label)
-                if entry is not None and entry.epoch != self._epoch:
-                    entry = None  # stale snapshot from a closed epoch
-                replacement = await self._open_resume_link(
-                    link.label, link.host, link.port, link.sources, entry
+                replacement = await self._resume(
+                    link, (link.host, link.port)
                 )
                 if replacement is None and self._supervisor is not None:
                     self._detector.mark_restarting(link.label)
                     self._bump("restarts")
                     address = await self._supervisor.restart(link.label)
                     if address is not None:
-                        replacement = await self._open_resume_link(
-                            link.label,
-                            address[0],
-                            address[1],
-                            link.sources,
-                            entry,
-                        )
+                        replacement = await self._resume(link, address)
                 if replacement is not None:
                     self._links[link.label] = replacement
                     self._bump("resumes")
-                    self._gate.set()
-                    return
-                # Failover: close the epoch at a boundary the dead
-                # worker's checkpoint actually covers and re-run the
-                # rest on whatever membership survives (plus respawns).
-                membership = {
-                    label: (live.host, live.port)
-                    for label, live in self._links.items()
-                }
-                boundary, lost = await self._close_epoch(self._boundary())
-                survivors = await self._recovered_membership(
-                    membership, lost
-                )
-                await self._open_epoch(survivors, boundary)
-                self._bump("failovers")
+                else:
+                    # Close the epoch at a boundary the dead worker's
+                    # checkpoint actually covers; the rest re-runs.
+                    await self._failover(self._boundary())
                 self._gate.set()
         except Exception as error:
             # Recovery itself failed (e.g. every worker lost, none
@@ -1080,94 +1122,36 @@ class ClusterRouter:
             self._fatal = error
             self._all_final.set()
 
-    async def _open_resume_link(
-        self,
-        label: str,
-        host: str,
-        port: int,
-        sources: "tuple[str, ...]",
-        entry: "WorkerCheckpoint | None",
+    async def _resume(
+        self, dead: _WorkerLink, address: "tuple[str, int]"
     ) -> "_WorkerLink | None":
-        """Reconnect ``label`` into the current epoch, resuming from
-        ``entry`` (or from scratch when ``None``); ``None`` on failure."""
-        link = _WorkerLink(label, host, port)
+        """Reopen ``dead``'s link into the current epoch at ``address``.
+
+        Resumes from the label's last acked checkpoint of this epoch
+        (from scratch when there is none) and replays the history past
+        its cut. Returns the caught-up link for the caller to install,
+        or ``None`` when the worker is unreachable, rejects the resume,
+        or dies again mid-replay.
+        """
+        entry = self._store.latest(dead.label)
+        if entry is not None and entry.epoch != self._epoch:
+            entry = None  # stale snapshot from a closed epoch
         try:
-            link.reader, link.writer = await asyncio.open_connection(
-                host, port
+            link = await self._connect_link(
+                dead.label,
+                address,
+                dead.sources,
+                self._epoch_start,
+                entry,
+                resume=True,
             )
-            link.sources = sources
-            await write_frame(link.writer, protocol.worker_hello(label))
-            await write_frame(
-                link.writer,
-                protocol.route(
-                    self._epoch, self._epoch_start, sources, resume=True
-                ),
-            )
-            if entry is not None:
-                await write_frame(
-                    link.writer,
-                    protocol.resume(
-                        self._epoch,
-                        entry.ticks,
-                        entry.state,
-                        entry.checkpoint_id,
-                    ),
-                )
-            else:
-                await write_frame(
-                    link.writer, protocol.resume(self._epoch, 0, None)
-                )
-            ack = await read_frame(link.reader)
-            if ack is None or ack.get("type") != "hello_ack":
-                raise NetError(f"worker {label!r} rejected the resume")
-            link.credits = dict(ack.get("credits") or {})
-            if entry is not None:
-                link.positions = dict(entry.positions)
-                link.per_tick = {
-                    tick: list(bucket)
-                    for tick, bucket in entry.per_tick.items()
-                }
-                link.span_buckets = {
-                    tick: list(bucket)
-                    for tick, bucket in entry.spans.items()
-                }
-            self._wire_link(link)
-            link.task = asyncio.ensure_future(link.read_loop())
-            await self._replay_tail(link)
-            return link
-        except (
-            OSError,
-            NetError,
-            ProtocolError,
-            asyncio.IncompleteReadError,
-            _LinkDead,
-        ):
+        except (OSError, NetError):
+            return None
+        await self._replay({link.label: link})
+        if link.dead:
             await link.close()
             return None
-
-    async def _replay_tail(self, link: _WorkerLink) -> None:
-        """Replay this link's owned history past its checkpoint cut."""
-        skip = dict(link.positions)
-        retained = [
-            frame
-            for frames in self._history.values()
-            for frame in frames
-        ]
-        retained.sort(key=lambda f: (f.arrival, f.source, f.seq))
-        assert self._ring is not None
-        for frame in retained:
-            if self._ring.owner(frame.key) != link.label:
-                continue
-            if skip.get(frame.source, 0) > 0:
-                skip[frame.source] -= 1
-                continue
-            await link.acquire(frame.source)
-            assert link.writer is not None
-            await write_raw_frame(link.writer, self._replay_payload(frame))
-            self._bump("replayed_frames")
-        for name in sorted(self._final):
-            if name in link.sources:
-                await write_frame(link.writer, protocol.bye(name))
+        return link
 
     async def _recovered_membership(
         self,
@@ -1234,7 +1218,7 @@ class ClusterRouter:
                 return
             await self._serve_feeder(reader, writer, owned)
         except ProtocolError as error:
-            await self._bail(writer, str(error))
+            await protocol.bail(writer, str(error))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -1246,36 +1230,15 @@ class ClusterRouter:
     async def _feeder_handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> list[str]:
-        frame = await read_frame(reader)
-        if frame is None:
+        hello = await accept_hello(
+            reader, writer, self._expected, "router", self._count
+        )
+        if hello is None:
             return []
-        if frame.get("type") != "hello":
-            await self._bail(
-                writer, f"expected hello, got {frame.get('type')!r}"
-            )
-            return []
-        version = frame.get("version")
-        if version not in protocol.SUPPORTED_VERSIONS:
-            self._count("router.version_mismatch")
-            await self._bail(
-                writer,
-                f"protocol version {version!r} unsupported; this router "
-                f"speaks {sorted(protocol.SUPPORTED_VERSIONS)}",
-            )
-            return []
-        names = frame.get("sources") or []
-        unknown = [n for n in names if n not in self._expected]
-        if unknown or not names:
-            self._count("router.bad_hello")
-            await self._bail(
-                writer,
-                f"unknown sources {unknown!r}; expected a non-empty subset "
-                f"of {list(self._expected)!r}",
-            )
-            return []
+        names, version = hello
         taken = [n for n in names if n in self._owners]
         if taken:
-            await self._bail(
+            await protocol.bail(
                 writer, f"sources already connected: {taken!r}"
             )
             return []
@@ -1328,7 +1291,6 @@ class ClusterRouter:
                 await self._gate.wait()
                 self._inflight += 1
                 self._idle.clear()
-                link = None
                 try:
                     retained = _RetainedFrame(
                         arrival,
@@ -1347,26 +1309,7 @@ class ClusterRouter:
                     assert self._ring is not None
                     link = self._links[self._ring.owner(key)]
                     try:
-                        await link.acquire(source)
-                        # Count the forward *before* the write and with
-                        # no await between: a concurrent checkpoint's
-                        # positions snapshot is then always consistent
-                        # with wire order (writer.write is synchronous
-                        # at the head of write_raw_frame).
-                        link.positions[source] = (
-                            link.positions.get(source, 0) + 1
-                        )
-                        link.since_checkpoint += 1
-                        assert link.writer is not None
-                        out = payload
-                        if self._tracing:
-                            out = _traced_payload(
-                                payload,
-                                ingest_id,
-                                recv,
-                                time.perf_counter_ns(),
-                            )
-                        await write_raw_frame(link.writer, out)
+                        await self._forward(link, retained, replayed=False)
                     except _LinkDead:
                         # Already retained; recovery's replay delivers
                         # it. Skip, return the feeder's credit below.
@@ -1376,8 +1319,7 @@ class ClusterRouter:
                         self._bump("forwards_skipped_dead")
                 finally:
                     self._release_inflight()
-                if link is not None and not link.dead:
-                    await self._maybe_checkpoint(link)
+                await self._maybe_checkpoint(link)
                 self.data_frames += 1
                 self._offered[source] = self._offered.get(source, 0) + 1
                 if self._frame_waiters:
@@ -1407,7 +1349,7 @@ class ClusterRouter:
                 try:
                     if source not in self._final:
                         self._final.add(source)
-                        await self._forward_bye(source)
+                        await self._forward_bye(source, self._links)
                 finally:
                     self._release_inflight()
                 await write_frame(writer, protocol.bye_ack(source))
@@ -1416,9 +1358,11 @@ class ClusterRouter:
             else:
                 raise ProtocolError(f"unexpected frame type {kind!r}")
 
-    async def _forward_bye(self, source: str) -> None:
-        for label in sorted(self._links):
-            link = self._links[label]
+    async def _forward_bye(
+        self, source: str, links: "dict[str, _WorkerLink]"
+    ) -> None:
+        for label in sorted(links):
+            link = links[label]
             if source in link.sources and not link.dead:
                 try:
                     assert link.writer is not None
@@ -1430,12 +1374,6 @@ class ClusterRouter:
         self._inflight -= 1
         if self._inflight == 0:
             self._idle.set()
-
-    async def _bail(self, writer: asyncio.StreamWriter, reason: str) -> None:
-        try:
-            await write_frame(writer, protocol.error_frame(reason))
-        except (ConnectionError, RuntimeError):
-            pass
 
     def _count(self, key: str) -> None:
         if self._collector.enabled:

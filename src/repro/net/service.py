@@ -16,6 +16,7 @@ from typing import Any, Callable
 from repro.errors import NetError
 from repro.net.feeder import ReplayFeeder
 from repro.net.gateway import IngestGateway
+from repro.net.ops import ops_plane
 from repro.streams.telemetry import TelemetryCollector
 from repro.streams.tuples import StreamTuple
 
@@ -178,25 +179,14 @@ async def serve_scenario(
         liveness_timeout=liveness_timeout,
         liveness_interval=liveness_interval,
     )
-    ops_server = None
-    ops_address = None
-    if ops_port is not None:
-        from repro.net.ops import OpsServer
-
-        ops_server = OpsServer(gateway, telemetry=telemetry)
-        ops_host, ops_bound = await ops_server.start(host, ops_port)
-        ops_address = f"{ops_host}:{ops_bound}"
-        if ops_ready is not None:
-            ops_ready(ops_host, ops_bound)
-    try:
+    async with ops_plane(
+        gateway, host, ops_port, telemetry, ops_ready
+    ) as ops_address:
         bound_host, bound_port = await gateway.start(host, port)
         if ready is not None:
             ready(bound_host, bound_port)
         await gateway.run_until_drained()
         run = await gateway.close()
-    finally:
-        if ops_server is not None:
-            await ops_server.close()
     return {
         "scenario": name,
         "address": f"{bound_host}:{bound_port}",

@@ -25,13 +25,13 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Iterable
 
-from repro.errors import NetError
+from repro.errors import NetError, ProtocolError
 from repro.net import protocol
-from repro.net.gateway import IngestGateway, _SourceState
-from repro.net.overload import BoundedIngressQueue
+from repro.net.gateway import IngestGateway
+from repro.net.ops import ops_plane
 from repro.net.protocol import read_frame, write_frame
 from repro.net.service import ScenarioBundle, build_bundle
-from repro.streams.reorder import ReorderBuffer
+from repro.streams.fjord import sweep_end
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -47,10 +47,10 @@ class TickLedger:
     the gateway drives (``receptor_ids`` / ``push`` / ``advance`` /
     ``safe_time`` / ``close``) but performs every multi-tick sweep as a
     sequence of single-tick sweeps, capturing the sink's delta after
-    each one into :attr:`per_tick`. The sweep *condition* — tick
-    strictly below the watermark, with the Fjord session's float
-    tolerance — is replicated exactly, so the swept set (and therefore
-    the output) is byte-identical to driving the session directly.
+    each one into :attr:`per_tick`. The sweep *condition* is the Fjord
+    session's own (:func:`repro.streams.fjord.sweep_end`), so the swept
+    set (and therefore the output) is byte-identical to driving the
+    session directly.
     """
 
     def __init__(self, session: Any) -> None:
@@ -89,16 +89,12 @@ class TickLedger:
 
     def advance(self, watermark: float) -> list[float]:
         swept: list[float] = []
-        while True:
-            index = len(self.per_tick)
-            # Mirror FjordSession.advance's sweep condition (including
-            # its 2e-9 tolerance) one tick at a time.
-            if index >= len(self._ticks):
-                break
-            tick = self._ticks[index]
-            if not tick + 2e-9 < watermark:
-                break
+        start = len(self.per_tick)
+        end = sweep_end(self._ticks, watermark, start)
+        for tick in self._ticks[start:end]:
             before = len(self._session.emitted)
+            # A watermark just past this tick's tolerance and below the
+            # next tick's: the session sweeps exactly this one.
             swept.extend(self._session.advance(tick + 3e-9))
             self.per_tick.append(list(self._session.emitted[before:]))
             self.spans_per_tick.append(self._closing)
@@ -254,32 +250,8 @@ class WorkerGateway(IngestGateway):
         alongside :meth:`run_until_drained`. Source states that a
         pre-attach :meth:`restore` installed are kept, not rebuilt.
         """
-        now = self._clock()
-        owned: list[_SourceState] = []
-        for name in sources:
-            state = self._states.get(name)
-            if state is None:
-                state = _SourceState(
-                    name,
-                    BoundedIngressQueue(
-                        self.queue_bound, self.policy, label=name,
-                        telemetry=self._collector,
-                    ),
-                    ReorderBuffer(self.slack),
-                    now,
-                )
-                self._states[name] = state
-            state.owner = writer
-            state.last_seen = now
-            owned.append(state)
-        self._ever_connected = True
+        owned, credits = self._adopt(sources, writer)
         self._started = True
-        credits = None
-        if self.policy == "block":
-            credits = {
-                state.name: self.queue_bound - len(state.queue)
-                for state in owned
-            }
         await write_frame(writer, protocol.hello_ack(credits))
         self._drainer = asyncio.ensure_future(self._drain_loop())
         try:
@@ -435,7 +407,21 @@ class ClusterWorker:
         if task is not None:
             self._handlers.add(task)
         try:
-            await self._serve_epoch(reader, writer)
+            if await self._serve_epoch(reader, writer):
+                # Results are shipped. Hang up second, not first: the
+                # router may still have a frame in flight to us (the
+                # drain of an epoch that finished on its own, a relayed
+                # heartbeat), and data landing on a closed socket makes
+                # the kernel answer RST — which discards whatever of a
+                # large result_end has not left this host yet. So read
+                # (and ignore) until the router closes the link.
+                try:
+                    while await reader.read(1 << 16):
+                        pass
+                except ConnectionError:
+                    pass  # a broken tail changes nothing now
+                self._epochs_served += 1
+                self._epoch_done.set()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # router vanished; the next epoch gets a fresh connection
         except asyncio.CancelledError:
@@ -449,14 +435,14 @@ class ClusterWorker:
 
     async def _serve_epoch(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> bool:
+        """Serve one epoch; ``True`` once its results are shipped."""
         opened = await self._open_epoch(reader, writer)
         if opened is None:
-            return
+            return False
         epoch, label, sources, resume = opened
         if not sources:
-            await self._serve_idle_epoch(reader, writer, epoch, label)
-            return
+            return await self._serve_idle_epoch(reader, writer, epoch, label)
         collector = self._collector.spawn()
         session = self._bundle.processor.open_session(
             until=self._bundle.until,
@@ -497,13 +483,12 @@ class ClusterWorker:
                 # Connection died before the epoch finished: the epoch's
                 # partial state is discarded — the router's retained
                 # history makes the next epoch whole again.
-                return
+                return False
             await gateway.close()
             await self._ship_results(
                 writer, epoch, label, ledger, gateway, collector
             )
-            self._epochs_served += 1
-            self._epoch_done.set()
+            return True
         finally:
             for task in (serve, drained):
                 task.cancel()
@@ -522,7 +507,7 @@ class ClusterWorker:
         if hello is None:
             return None
         if hello.get("type") != "worker_hello":
-            await self._bail(
+            await protocol.bail(
                 writer, f"expected worker_hello, got {hello.get('type')!r}"
             )
             return None
@@ -532,7 +517,7 @@ class ClusterWorker:
             # cannot fall back the way the feeder path does.
             if self._collector.enabled:
                 self._collector.count("worker.version_mismatch")
-            await self._bail(
+            await protocol.bail(
                 writer,
                 f"cluster dialect requires protocol "
                 f"{protocol.PROTOCOL_VERSION}, got {version!r}",
@@ -543,14 +528,14 @@ class ClusterWorker:
         if route is None:
             return None
         if route.get("type") != "route":
-            await self._bail(
+            await protocol.bail(
                 writer, f"expected route, got {route.get('type')!r}"
             )
             return None
         sources = sorted(route.get("sources") or [])
         unknown = [name for name in sources if name not in self._expected]
         if unknown:
-            await self._bail(
+            await protocol.bail(
                 writer,
                 f"unroutable sources {unknown!r}; this worker serves "
                 f"{list(self._expected)!r}",
@@ -563,12 +548,12 @@ class ClusterWorker:
             if resume is None:
                 return None
             if resume.get("type") != "resume":
-                await self._bail(
+                await protocol.bail(
                     writer, f"expected resume, got {resume.get('type')!r}"
                 )
                 return None
             if int(resume.get("epoch", -1)) != epoch:
-                await self._bail(
+                await protocol.bail(
                     writer,
                     f"resume epoch {resume.get('epoch')!r} does not match "
                     f"route epoch {epoch}",
@@ -582,29 +567,27 @@ class ClusterWorker:
         writer: asyncio.StreamWriter,
         epoch: int,
         label: str,
-    ) -> None:
+    ) -> bool:
         # No sources this epoch (more workers than shard keys): ack,
         # then wait for the drain that closes the epoch.
         await write_frame(writer, protocol.hello_ack({}))
         while True:
             frame = await read_frame(reader)
             if frame is None:
-                return
+                return False
             if frame.get("type") == "drain":
                 await write_frame(
                     writer,
                     protocol.result_end(epoch, label, 0, self._empty_stats()),
                 )
-                self._epochs_served += 1
-                self._epoch_done.set()
-                return
+                return True
             if frame.get("type") not in ("heartbeat",):
-                await self._bail(
+                await protocol.bail(
                     writer,
                     f"unexpected frame {frame.get('type')!r} on an idle "
                     f"epoch",
                 )
-                return
+                return False
 
     async def _ship_results(
         self,
@@ -625,18 +608,30 @@ class ClusterWorker:
             # worker's /metrics shows); the router labels the same
             # snapshot with the worker name for the cluster-wide view.
             self._collector.absorb(snapshot)
-        await write_frame(
-            writer,
-            protocol.result_end(
-                epoch, label, len(ledger.per_tick), gateway.stats(), snapshot
-            ),
+        end = protocol.result_end(
+            epoch, label, len(ledger.per_tick), gateway.stats(), snapshot
         )
-
-    async def _bail(self, writer: asyncio.StreamWriter, reason: str) -> None:
         try:
-            await write_frame(writer, protocol.error_frame(reason))
-        except (ConnectionError, RuntimeError):
-            pass
+            await write_frame(writer, end)
+        except ProtocolError:
+            if snapshot is None:
+                raise
+            # The epoch snapshot pushed result_end past the frame limit
+            # (nothing was written: encoding fails before the write).
+            # The event and span logs are what grow with run length, so
+            # they are what goes; operators, sources, counters and span
+            # histograms — the bounded part — still reach the router,
+            # with the loss counted in both rollups.
+            key = "worker.telemetry_logs_dropped"
+            dropped = len(snapshot["events"]) + len(snapshot["span_log"])
+            self._collector.count(key, dropped)
+            end["telemetry"] = {
+                **snapshot,
+                "counters": {**snapshot["counters"], key: dropped},
+                "events": [],
+                "span_log": [],
+            }
+            await write_frame(writer, end)
 
     def _empty_stats(self) -> dict[str, Any]:
         return {
@@ -701,30 +696,21 @@ async def serve_worker(
         label=label,
         mode=mode,
     )
-    ops_server = None
-    ops_address = None
-    if ops_port is not None:
-        from repro.net.ops import OpsServer
-
-        ops_server = OpsServer(worker, telemetry=telemetry)
-        ops_host, ops_bound = await ops_server.start(host, ops_port)
-        ops_address = f"{ops_host}:{ops_bound}"
-        if ops_ready is not None:
-            ops_ready(ops_host, ops_bound)
-    try:
-        bound_host, bound_port = await worker.start(host, port)
-        if ready is not None:
-            ready(bound_host, bound_port)
-        if max_epochs is None:
-            await asyncio.Event().wait()  # serve until cancelled
-        else:
-            await worker.wait_epochs(max_epochs)
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await worker.close()
-        if ops_server is not None:
-            await ops_server.close()
+    async with ops_plane(
+        worker, host, ops_port, telemetry, ops_ready
+    ) as ops_address:
+        try:
+            bound_host, bound_port = await worker.start(host, port)
+            if ready is not None:
+                ready(bound_host, bound_port)
+            if max_epochs is None:
+                await asyncio.Event().wait()  # serve until cancelled
+            else:
+                await worker.wait_epochs(max_epochs)
+        except asyncio.CancelledError:
+            pass
+        finally:
+            await worker.close()
     return {
         "scenario": worker._bundle.name,
         "address": f"{bound_host}:{bound_port}",

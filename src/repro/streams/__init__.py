@@ -23,7 +23,7 @@ HiFi / TelegraphCQ ecosystem:
   tuples and time punctuations through an operator DAG, with row,
   columnar and fused (stateless-operator fusion) execution modes.
 - :mod:`repro.streams.shard` — a sharded, batch-pipelined execution engine
-  running N independent Fjords (serial, threads or processes backend) with
+  running N independent Fjords (serial or processes backend) with
   a deterministic time-axis merge.
 - :mod:`repro.streams.telemetry` — zero-dependency runtime instrumentation:
   per-operator metrics, latency/batch-size histograms, queue-depth gauges

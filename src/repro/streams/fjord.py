@@ -776,6 +776,28 @@ class Fjord:
         collector.count_tick()
 
 
+def sweep_end(
+    ticks: Sequence[float], watermark: float, start: int = 0
+) -> int:
+    """Index of the first tick at or after ``start`` that ``watermark``
+    does not yet allow sweeping (``len(ticks)`` when it allows all).
+
+    The sweep rule, defined once: a tick is swept only when it lies
+    *strictly* below the watermark, with 2 ns of float tolerance —
+    ``tick + 2e-9 < watermark``. :meth:`FjordSession.advance`, the
+    cluster worker's per-tick ledger and the router's epoch boundary
+    must all agree on it exactly, or a cluster epoch would own a
+    different tick set than the session swept. Scans forward from
+    ``start`` because callers sit at a cursor and a watermark rarely
+    clears more than a tick or two past it.
+    """
+    end = start
+    count = len(ticks)
+    while end < count and ticks[end] + 2e-9 < watermark:
+        end += 1
+    return end
+
+
 class FjordSession:
     """Incremental-push execution of a Fjord dataflow.
 
@@ -935,10 +957,8 @@ class FjordSession:
         if self._closed:
             raise OperatorError("advance on a closed FjordSession")
         swept: list[float] = []
-        while (
-            self._cursor < len(self._ticks)
-            and self._ticks[self._cursor] + 2e-9 < watermark
-        ):
+        end = sweep_end(self._ticks, watermark, self._cursor)
+        while self._cursor < end:
             swept.append(self._step())
         return swept
 

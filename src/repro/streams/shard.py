@@ -13,8 +13,6 @@ punctuation ticks, via a pluggable backend:
 
 - ``serial`` — shards run one after another in-process; the
   deterministic reference implementation.
-- ``threads`` — a thread pool; bounded by the GIL for pure-Python
-  operators, but proves the engine is free of shared mutable state.
 - ``processes`` — forked worker processes with batched tuple transport
   back to the parent (operators are CPU-bound pure Python, so this is
   the backend that actually buys parallel speed-up).
@@ -57,7 +55,7 @@ from repro.streams.telemetry import (
 from repro.streams.tuples import StreamTuple
 
 #: Supported execution backends, in increasing order of parallelism.
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 #: Tuples per transport message from a worker process to the merger.
 DEFAULT_BATCH_SIZE = 512
@@ -90,24 +88,11 @@ def set_default_execution(
     options through.
     """
     if shards is not None:
-        if int(shards) < 1:
-            _invalid_execution("shards", shards)
-            raise OperatorError(f"shards must be >= 1, got {shards}")
-        _DEFAULT_EXECUTION["shards"] = int(shards)
+        _DEFAULT_EXECUTION["shards"] = _check_shards(shards)
     if backend is not None:
-        if backend not in BACKENDS:
-            _invalid_execution("backend", backend)
-            raise OperatorError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        _DEFAULT_EXECUTION["backend"] = backend
+        _DEFAULT_EXECUTION["backend"] = _check_backend(backend)
     if mode is not None:
-        if mode not in MODES:
-            _invalid_execution("mode", mode)
-            raise OperatorError(
-                f"unknown execution mode {mode!r}; expected one of {MODES}"
-            )
-        _DEFAULT_EXECUTION["mode"] = mode
+        _DEFAULT_EXECUTION["mode"] = _check_mode(mode)
 
 
 def default_execution() -> tuple[int, str]:
@@ -122,26 +107,49 @@ def default_mode() -> str:
 
 def resolve_mode(mode: str | None) -> str:
     """Fill an unset execution mode from the process-wide default."""
-    if mode is None:
-        return default_mode()
-    if mode not in MODES:
-        _invalid_execution("mode", mode)
-        raise OperatorError(
-            f"unknown execution mode {mode!r}; expected one of {MODES}"
-        )
-    return mode
+    return default_mode() if mode is None else _check_mode(mode)
 
 
-def _invalid_execution(option: str, value: Any) -> None:
-    """Record a shard/backend validation failure as a trace event.
+def _reject_execution(option: str, value: Any, message: str) -> OperatorError:
+    """The error for a rejected execution option, for the caller to raise.
 
-    Emitted to the process-wide default collector just before the
-    matching :class:`OperatorError` is raised, so post-mortem trace
-    logs show rejected CLI/API execution options alongside the run.
+    Also records the rejection as a ``validation_error`` trace event
+    on the process-wide default collector, so post-mortem trace logs
+    show rejected CLI/API execution options alongside the run.
     """
     default_telemetry().event(
         "validation_error", option=option, value=str(value)
     )
+    return OperatorError(message)
+
+
+def _check_shards(shards: Any) -> int:
+    count = int(shards)
+    if count < 1:
+        raise _reject_execution(
+            "shards", shards, f"shards must be >= 1, got {shards}"
+        )
+    return count
+
+
+def _check_backend(backend: str) -> str:
+    if backend not in BACKENDS:
+        raise _reject_execution(
+            "backend",
+            backend,
+            f"unknown backend {backend!r}; expected one of {BACKENDS}",
+        )
+    return backend
+
+
+def _check_mode(mode: str) -> str:
+    if mode not in MODES:
+        raise _reject_execution(
+            "mode",
+            mode,
+            f"unknown execution mode {mode!r}; expected one of {MODES}",
+        )
+    return mode
 
 
 def resolve_execution(
@@ -149,17 +157,10 @@ def resolve_execution(
 ) -> tuple[int, str]:
     """Fill unset execution options from the process-wide defaults."""
     default_shards, default_backend = default_execution()
-    shards = default_shards if shards is None else int(shards)
-    backend = default_backend if backend is None else backend
-    if shards < 1:
-        _invalid_execution("shards", shards)
-        raise OperatorError(f"shards must be >= 1, got {shards}")
-    if backend not in BACKENDS:
-        _invalid_execution("backend", backend)
-        raise OperatorError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return shards, backend
+    return (
+        default_shards if shards is None else _check_shards(shards),
+        default_backend if backend is None else _check_backend(backend),
+    )
 
 
 # -- partitioning --------------------------------------------------------------
@@ -319,17 +320,6 @@ def _run_serial(builders, ticks, telemetry, mode) -> list[ShardResult]:
     return [_run_shard(build, ticks, telemetry, mode) for build in builders]
 
 
-def _run_threads(builders, ticks, telemetry, mode) -> list[ShardResult]:
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(builders)) as pool:
-        futures = [
-            pool.submit(_run_shard, build, ticks, telemetry, mode)
-            for build in builders
-        ]
-        return [future.result() for future in futures]
-
-
 def _process_worker(
     connection, build, ticks, batch_size, telemetry, mode="row"
 ) -> None:
@@ -375,7 +365,7 @@ def _run_processes(
         raise OperatorError(
             "the 'processes' backend needs the fork start method, which "
             "this platform does not provide; pipelines hold unpicklable "
-            "operator closures, so use backend='threads' or 'serial'"
+            "operator closures, so use backend='serial'"
         )
     context = multiprocessing.get_context("fork")
     workers = []
@@ -442,18 +432,12 @@ def run_shard_jobs(
     run's (the same argument as :func:`merge_stats`).
     """
     collector = resolve_telemetry(telemetry)
-    if backend not in BACKENDS:
-        _invalid_execution("backend", backend)
-        raise OperatorError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
+    _check_backend(backend)
     if batch_size < 1:
         raise OperatorError(f"batch_size must be >= 1, got {batch_size}")
     mode = resolve_mode(mode)
     ticks = list(ticks)
-    if backend == "threads":
-        results = _run_threads(builders, ticks, collector, mode)
-    elif backend == "processes":
+    if backend == "processes":
         results = _run_processes(builders, ticks, batch_size, collector, mode)
     else:
         results = _run_serial(builders, ticks, collector, mode)

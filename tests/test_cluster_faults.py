@@ -265,6 +265,72 @@ class TestFailover:
         asyncio.run(asyncio.wait_for(scenario(), WAIT * 2))
 
 
+class TestRepeatedResume:
+    """A link resumed from a checkpoint must itself checkpoint exactly."""
+
+    def test_double_reset_on_one_worker_stays_byte_identical(self):
+        # ``link.positions`` counts every data frame written on a link,
+        # replayed or live. If the resume-time tail replay skips that
+        # count, every checkpoint the resumed link takes records a cut
+        # that is too early, and the *second* resume redelivers frames
+        # the restored state already holds: same tuple count, silently
+        # different output, no error anywhere.
+        reference = in_memory_output("shelf", 12.0)
+
+        async def scenario():
+            bundle = build_bundle("shelf", 12.0, SEED)
+            workers = [
+                ClusterWorker(build_bundle("shelf", 12.0, SEED))
+                for _ in range(2)
+            ]
+            router = ClusterRouter(
+                build_bundle("shelf", 12.0, SEED), checkpoint_interval=20
+            )
+            proxy = None
+            try:
+                host, port = await workers[0].start()
+                # c2s frames: connection 0 opens with worker_hello +
+                # route, connection 1 (the first resume) adds a resume
+                # frame and the replayed tail before live frames flow.
+                proxy = ChaosProxy(host, port, [
+                    FaultEvent("reset", connection=0, at_frame=200),
+                    FaultEvent("reset", connection=1, at_frame=250),
+                ])
+                specs = [("w0", *await proxy.start())]
+                specs.append(("w1", *await workers[1].start()))
+                host, port = await router.start()
+                await router.connect_workers(specs)
+                feeder = ReplayFeeder(host, port, bundle.streams)
+                feed_task = asyncio.ensure_future(feeder.run())
+                await asyncio.wait_for(
+                    router.wait_for_recovery("resumes", 1), WAIT
+                )
+                acked_at_first = router.recovery["checkpoints_acked"]
+                await asyncio.wait_for(
+                    router.wait_for_recovery("resumes", 2), WAIT
+                )
+                acked_at_second = router.recovery["checkpoints_acked"]
+                await asyncio.wait_for(feed_task, WAIT)
+                await asyncio.wait_for(router.run_until_complete(), WAIT)
+                return router, proxy, acked_at_first, acked_at_second
+            finally:
+                await router.close()
+                if proxy is not None:
+                    await proxy.close()
+                for worker in workers:
+                    await worker.close()
+
+        router, proxy, acked_at_first, acked_at_second = asyncio.run(
+            asyncio.wait_for(scenario(), WAIT * 3)
+        )
+        assert [fault["connection"] for fault in proxy.injected] == [0, 1]
+        # The second resume restored a checkpoint the *resumed* link took.
+        assert acked_at_second > acked_at_first
+        assert router.recovery["resumes"] == 2
+        assert router.recovery["failovers"] == 0
+        assert router.result() == reference
+
+
 class ScriptedWorker:
     """Speaks just enough worker dialect to script credit behaviour.
 

@@ -165,3 +165,52 @@ class TestClusterTracing:
             assert sum(record[key] for key in PHASE_KEYS) == (
                 record["e2e_ns"]
             )
+
+
+class TestOversizedWorkerSnapshot:
+    """An instrumented worker's epoch snapshot grows with run length
+    (its event and span logs gain an entry or more per tuple) and on a
+    long run no longer fits ``result_end``'s one frame. The worker
+    sheds the logs — counted — rather than dying on the encode and
+    taking the whole run down with "every worker is lost"."""
+
+    def test_long_instrumented_run_completes_with_logs_dropped(self):
+        collector = InMemoryCollector()
+
+        async def scenario():
+            return await cluster_run(
+                "shelf", 2, 120.0,
+                telemetry=collector, instrument_workers=True,
+            )
+
+        output, _router = asyncio.run(scenario())
+        assert output == in_memory_output("shelf", 120.0)
+        snapshot = collector.snapshot()
+        dropped = {
+            key: value
+            for key, value in snapshot["counters"].items()
+            if key.endswith(".worker.telemetry_logs_dropped")
+        }
+        assert dropped and all(value > 0 for value in dropped.values())
+        fed = sum(
+            len(items)
+            for items in build_bundle("shelf", 120.0, SEED).streams.values()
+        )
+        # Only the worker-side logs went: every worker's operator
+        # counters, gateway accounting and span histograms still rolled
+        # up, and the router's own per-tuple span log is complete.
+        assert snapshot["operators"]
+        for worker in ("w0", "w1"):
+            assert snapshot["spans"][f"{worker}:ingest.e2e"]["count"] > 0
+        assert sum(
+            entry["count"]
+            for name, entry in snapshot["spans"].items()
+            if name.endswith(":ingest.e2e")
+        ) == fed
+        assert len(cluster_spans(snapshot)) == fed
+        for worker in dropped:
+            label = worker.split(".", 1)[0]
+            assert not any(
+                record.get("node") == label
+                for record in snapshot["span_log"]
+            )

@@ -395,7 +395,7 @@ if HAVE_HYPOTHESIS:
             sources=traces(),
             mode=st.sampled_from(("columnar", "fused")),
             shards=st.sampled_from(SHARD_COUNTS),
-            backend=st.sampled_from(("serial", "threads")),
+            backend=st.sampled_from(BACKENDS),
         )
         def test_modes_and_shards_equal_row(
             self, sources, mode, shards, backend
@@ -455,7 +455,7 @@ else:  # pragma: no cover - exercised only without hypothesis installed
                 build_five_stage,
                 ticks,
                 shards=rng.choice(SHARD_COUNTS),
-                backend=rng.choice(("serial", "threads")),
+                backend=rng.choice(BACKENDS),
                 mode=mode,
             )
             assert sharded.output == reference

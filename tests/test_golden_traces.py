@@ -82,7 +82,7 @@ class TestGoldenTraces:
         shard_key = "tag_id" if case.startswith("rfid") else "spatial_granule"
         fresh = tmp_path / "sharded.jsonl"
         _serialize(
-            CASES[case](shards=3, backend="threads", shard_key=shard_key),
+            CASES[case](shards=3, backend="processes", shard_key=shard_key),
             fresh,
         )
         assert fresh.read_bytes() == golden.read_bytes()
@@ -105,7 +105,7 @@ class TestGoldenTraces:
         fresh = tmp_path / f"sharded_{mode}.jsonl"
         _serialize(
             CASES[case](
-                shards=3, backend="threads", shard_key=shard_key, mode=mode
+                shards=3, backend="processes", shard_key=shard_key, mode=mode
             ),
             fresh,
         )

@@ -104,7 +104,7 @@ class TestLoopbackDifferential:
         )
         sharded = factory().run(
             until=until, tick=tick, sources=streams,
-            shards=3, backend="threads", shard_key=shard_key,
+            shards=3, backend="processes", shard_key=shard_key,
         )
 
         run, gateway, report = asyncio.run(
@@ -362,6 +362,31 @@ class TestHandshakeRejections:
         frame = asyncio.run(scenario())
         assert frame["type"] == "error"
         assert "already connected" in frame["reason"]
+
+    def test_refused_hello_claims_none_of_its_sources(self):
+        async def scenario():
+            gateway, _streams = self._gateway_case()
+            host, port = await gateway.start()
+            r1, w1 = await asyncio.open_connection(host, port)
+            await write_frame(w1, protocol.hello(["reader1"]))
+            assert (await read_frame(r1))["type"] == "hello_ack"
+            # reader1 is live, so this hello is refused as a whole...
+            r2, w2 = await asyncio.open_connection(host, port)
+            await write_frame(w2, protocol.hello(["reader0", "reader1"]))
+            refused = await read_frame(r2)
+            # ...and must not leave reader0 owned by the refused peer.
+            r3, w3 = await asyncio.open_connection(host, port)
+            await write_frame(w3, protocol.hello(["reader0"]))
+            accepted = await read_frame(r3)
+            for writer in (w1, w2, w3):
+                writer.close()
+            await gateway.close()
+            return refused, accepted
+
+        refused, accepted = asyncio.run(scenario())
+        assert refused["type"] == "error"
+        assert "already connected" in refused["reason"]
+        assert accepted["type"] == "hello_ack"
 
     def test_misconfigured_gateway_rejected(self):
         factory, _streams, until, tick = shelf_case(duration=3.0)

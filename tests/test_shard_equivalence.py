@@ -314,7 +314,7 @@ if HAVE_HYPOTHESIS:
         @given(
             sources=traces(),
             shards=st.sampled_from(SHARD_COUNTS),
-            backend=st.sampled_from(("serial", "threads")),
+            backend=st.sampled_from(BACKENDS),
         )
         def test_sharded_equals_sequential(self, sources, shards, backend):
             ticks = trace_ticks(sources)
@@ -352,7 +352,7 @@ else:  # pragma: no cover - exercised only without hypothesis installed
                 build_five_stage,
                 ticks,
                 shards=rng.choice(SHARD_COUNTS),
-                backend=rng.choice(("serial", "threads")),
+                backend=rng.choice(BACKENDS),
             )
             assert sharded.output == seq_output
             assert sharded.stats == seq_stats
@@ -363,7 +363,7 @@ else:  # pragma: no cover - exercised only without hypothesis installed
 
 class TestBackendInvariance:
     def test_all_backends_identical_outputs(self):
-        """serial/threads/processes agree bit-for-bit at every N."""
+        """serial/processes agree bit-for-bit at every N."""
         rng = random.Random(17)
         sources = make_trace(rng, n_tuples=100)
         ticks = trace_ticks(sources)
