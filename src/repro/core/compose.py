@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from repro.core.pipeline import ESPProcessor
 from repro.errors import PipelineError
-from repro.streams.operators import Operator
+from repro.streams.operators import Operator, run_operator
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -126,17 +126,10 @@ def hierarchical_run(
         if collector.enabled:
             collector.event("site_run", site=site.name, tuples=len(cleaned))
         merged.extend(cleaned)
-    merged.sort(key=lambda item: item.timestamp)
     step = parent_tick if parent_tick is not None else tick
     if step <= 0:
         raise PipelineError(f"parent tick must be positive, got {step}")
-    out: list[StreamTuple] = []
-    index = 0
     ticks = int(round(until / step))
-    for tick_index in range(ticks + 1):
-        now = tick_index * step
-        while index < len(merged) and merged[index].timestamp <= now + 1e-9:
-            out.extend(parent.on_tuple(merged[index]))
-            index += 1
-        out.extend(parent.on_time(now))
-    return out
+    return run_operator(
+        parent, merged, [index * step for index in range(ticks + 1)]
+    )

@@ -28,6 +28,7 @@ from repro.core.stages import Stage, StageContext, StageKind
 from repro.errors import PipelineError
 from repro.receptors.base import Receptor
 from repro.receptors.registry import DeviceRegistry
+from repro.streams import shard as shard_engine
 from repro.streams.columnar import AddFields, SetStream
 from repro.streams.fjord import Fjord
 from repro.streams.operators import MapOp, UnionOp
@@ -479,20 +480,10 @@ class ESPProcessor:
             An :class:`ESPRun` with the cleaned output, flow stats and
             any taps.
         """
-        from repro.streams.shard import resolve_execution, resolve_mode
-
-        devices = self.registry.devices
-        if not devices:
-            raise PipelineError("no devices registered")
-        if tick is None:
-            tick = min(device.sample_period for device in devices)
-        if tick <= 0:
-            raise PipelineError(f"tick must be positive, got {tick}")
-        shards, backend = resolve_execution(shards, backend)
-        mode = resolve_mode(mode)
+        ticks = self.punctuation_ticks(until, tick, start)
+        shards, backend = shard_engine.resolve_execution(shards, backend)
+        mode = shard_engine.resolve_mode(mode)
         collector = resolve_telemetry(telemetry)
-        count = int(round((until - start) / tick))
-        ticks = [start + i * tick for i in range(count + 1)]
         if shards <= 1 and backend == "serial":
             return self._run_single(
                 ticks, until, start, taps, sources, collector, mode
@@ -533,23 +524,20 @@ class ESPProcessor:
             telemetry: Collector for the session's metrics and events;
                 defaults like :meth:`run`.
             mode: Execution mode for the session's sweeps, one of
-                :data:`~repro.streams.fjord.MODES` (``None`` means
-                ``row``). A pure performance knob, exactly as for
+                :data:`~repro.streams.fjord.MODES`; defaults like
+                :meth:`run`. A pure performance knob, exactly as for
                 :meth:`run`: every mode produces bit-identical output.
         """
-        devices = self.registry.devices
-        if not devices:
-            raise PipelineError("no devices registered")
-        collector = resolve_telemetry(telemetry)
         ticks = self.punctuation_ticks(until, tick, start)
+        devices = self.registry.devices
+        mode = shard_engine.resolve_mode(mode)
+        collector = resolve_telemetry(telemetry)
         result = ESPRun()
         empty: dict[str, list[StreamTuple]] = {
             device.receptor_id: [] for device in devices
         }
         fjord, sink = self._build_dataflow(until, start, set(), result, empty)
-        session = fjord.open_session(
-            ticks, telemetry=collector, mode=mode or "row"
-        )
+        session = fjord.open_session(ticks, telemetry=collector, mode=mode)
         source_names = {
             device.receptor_id: f"src:{device.receptor_id}"
             for device in devices
@@ -573,10 +561,10 @@ class ESPProcessor:
                 sample period, as in :meth:`run`.
             start: Simulation start time.
         """
+        devices = self.registry.devices
+        if not devices:
+            raise PipelineError("no devices registered")
         if tick is None:
-            devices = self.registry.devices
-            if not devices:
-                raise PipelineError("no devices registered")
             tick = min(device.sample_period for device in devices)
         if tick <= 0:
             raise PipelineError(f"tick must be positive, got {tick}")
@@ -624,44 +612,27 @@ class ESPProcessor:
         the tuples they would see sequentially. Shard outputs are merged
         per tick in shard-key order — byte-identical to the sequential
         run for pipelines whose terminal stage emits key-sorted (all the
-        ESP Merge/Arbitrate terminals; see :mod:`repro.streams.shard`).
+        ESP Merge/Arbitrate terminals; see :mod:`repro.streams.shard`,
+        whose :func:`~repro.streams.shard.run_sharded` does the
+        partition, execution and merge).
         """
-        from repro.streams import shard as shard_engine
-
-        feeds = self._record_feeds(until, start, sources)
-        key_fn = self._shard_key_fn(shard_key)
-        shard_feeds = shard_engine.partition_sources(feeds, key_fn, shards)
-        if collector.enabled:
-            collector.event(
-                "shard_partition",
-                shards=shards,
-                backend=backend,
-                shard_key=shard_key,
-                per_shard=[
-                    sum(len(items) for items in slices.values())
-                    for slices in shard_feeds
-                ],
-            )
-
-        def build(slices: Mapping[str, list[StreamTuple]]):
-            return self._build_dataflow(until, start, set(), ESPRun(), slices)
-
-        builders = [
-            (lambda slices=slices: build(slices)) for slices in shard_feeds
-        ]
-        results = shard_engine.run_shard_jobs(
-            builders, ticks, backend=backend, telemetry=collector, mode=mode
+        sharded = shard_engine.run_sharded(
+            self._record_feeds(until, start, sources),
+            lambda slices: self._build_dataflow(
+                until, start, set(), ESPRun(), slices
+            ),
+            ticks,
+            key=self.shard_key_fn(shard_key),
+            shards=shards,
+            backend=backend,
+            order_key=lambda item: str(item.get(shard_key)),
+            telemetry=collector,
+            mode=mode,
         )
         result = ESPRun()
-        result.output = shard_engine.merge_outputs(
-            results,
-            order_key=lambda item, _field=shard_key: str(item.get(_field)),
-        )
-        result.stats = shard_engine.merge_stats(results)
+        result.output = sharded.output
+        result.stats = sharded.stats
         if collector.enabled:
-            collector.event(
-                "shard_merge", shards=shards, tuples=len(result.output)
-            )
             result.telemetry = collector.snapshot()
         return result
 
@@ -691,12 +662,10 @@ class ESPProcessor:
         the keys that must share stateful stages. The second argument
         only needs a ``.get(field)`` surface, so both
         :class:`~repro.streams.tuples.StreamTuple` readings and decoded
-        wire records work.
+        wire records work. The callable names the field it stands for
+        in a ``shard_key`` attribute, which the sharded engine's
+        ``shard_partition`` event records.
         """
-        return self._shard_key_fn(shard_key)
-
-    def _shard_key_fn(self, shard_key: str):
-        """Shard-key extractor over (device id, raw tuple) pairs."""
         if shard_key in ("spatial_granule", "proximity_group"):
             # Raw readings are not annotated yet; the registry knows each
             # device's group, and a device's whole stream shares one key.
@@ -708,8 +677,18 @@ class ESPProcessor:
                     if shard_key == "spatial_granule"
                     else group.name
                 )
-            return lambda source, item: names[source]
-        return lambda source, item: item.get(shard_key)
+
+            def key_fn(source, item):
+                return names[source]
+        else:
+
+            def key_fn(source, item):
+                return item.get(shard_key)
+
+        # setattr, not assignment: type checkers reject new attributes
+        # on a plain function.
+        setattr(key_fn, "shard_key", shard_key)
+        return key_fn
 
     def _build_dataflow(
         self,

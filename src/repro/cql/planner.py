@@ -43,6 +43,7 @@ from repro.streams.operators import (
     Operator,
     UnionOp,
     WindowedGroupByOp,
+    run_operator,
 )
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import WindowSpec
@@ -314,6 +315,24 @@ class CompiledQuery(Operator):
 
     # -- Operator protocol ------------------------------------------------------
 
+    def checkpoint(self) -> "dict[str, Any] | None":
+        # Per plan node: the operator's own snapshot plus input routed
+        # to it but not yet drained (the shape ChainOp uses, plus the
+        # queues a mini-DAG has and a chain does not).
+        nodes = [
+            (node.op.checkpoint(), list(node.pending)) for node in self._nodes
+        ]
+        if all(sub is None and not pending for sub, pending in nodes):
+            return None
+        return {"nodes": nodes}
+
+    def restore(self, state: "Mapping[str, Any] | None") -> None:
+        if state is None:
+            return
+        for node, (sub, pending) in zip(self._nodes, state["nodes"]):
+            node.op.restore(sub)
+            node.pending[:] = pending
+
     def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
         routes = self._entries.get(item.stream)
         if routes is None:
@@ -426,15 +445,7 @@ class CompiledQuery(Operator):
         merged: list[StreamTuple] = []
         for name, items in sources.items():
             merged.extend(t.derive(stream=name) for t in items)
-        merged.sort(key=lambda t: t.timestamp)
-        out: list[StreamTuple] = []
-        index = 0
-        for tick in ticks:
-            while index < len(merged) and merged[index].timestamp <= tick + 1e-9:
-                out.extend(self.on_tuple(merged[index]))
-                index += 1
-            out.extend(self.on_time(tick))
-        return out
+        return run_operator(self, merged, ticks)
 
     def __repr__(self) -> str:
         label = self.text.strip().split("\n")[0] if self.text else "<ast>"
@@ -488,6 +499,8 @@ class _StreamifyOp(Operator):
         self._mode = mode
         self._previous: dict[frozenset, StreamTuple] = {}
         self._current: dict[frozenset, StreamTuple] = {}
+
+    STATE_ATTRS = ("_previous", "_current")
 
     @staticmethod
     def _key(item: StreamTuple) -> frozenset:
@@ -968,6 +981,8 @@ class _OuterCombineOp(Operator):
         self._buffers: list[list[StreamTuple]] = [[] for _ in bindings]
         self._output_stream = output_stream
 
+    STATE_ATTRS = ("_buffers",)
+
     def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
         self._buffers[port].append(item)
         return []
@@ -1026,6 +1041,8 @@ class _InstantJoinOp(Operator):
         self._right_binding = right_binding
         self._predicate = predicate
         self._output_stream = output_stream
+
+    STATE_ATTRS = ("_left", "_right")
 
     def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
         if port == 0:

@@ -59,6 +59,20 @@ from repro.streams.tuples import StreamTuple
 MODES = ("row", "columnar", "fused")
 
 
+def _check_mode(mode: str) -> str:
+    """Return ``mode`` if it is one of :data:`MODES`, else raise.
+
+    The one place a mode string is validated: the executor's entry
+    points and :mod:`repro.streams.shard`'s option resolution both call
+    it.
+    """
+    if mode not in MODES:
+        raise OperatorError(
+            f"unknown execution mode {mode!r}; expected one of {MODES}"
+        )
+    return mode
+
+
 class _Node:
     """Internal DAG node: an operator plus its downstream edges."""
 
@@ -403,12 +417,7 @@ class Fjord:
 
     def _resolve_mode(self, mode: "str | None") -> bool:
         """Validate ``mode``, apply fusion if asked; True if columnar."""
-        if mode is None:
-            mode = "row"
-        if mode not in MODES:
-            raise OperatorError(
-                f"unknown execution mode {mode!r}; expected one of {MODES}"
-            )
+        mode = _check_mode("row" if mode is None else mode)
         if mode == "fused":
             self.fuse()
         return mode != "row"
@@ -478,67 +487,33 @@ class Fjord:
         node: _Node,
         collector: TelemetryCollector = NULL_COLLECTOR,
         now: float = 0.0,
+        columnar: bool = False,
     ) -> None:
-        """Process a node's pending tuples, fanning outputs downstream.
+        """Process a node's pending input, fanning outputs downstream.
 
-        Pending input is consumed in maximal runs of same-port tuples, one
-        :meth:`on_batch` call per run; output order is identical to
-        tuple-at-a-time delivery because ``on_batch`` concatenates
-        per-tuple outputs in input order. Flow counters account each run
-        by its length, so batched and tuple-at-a-time delivery produce
-        identical counters by construction; when telemetry is enabled the
-        same run lengths feed the collector's batch-size histograms.
+        Pending input is consumed in maximal runs of same-port entries
+        (payload boundaries don't matter, only ports), one kernel call
+        per run. Row execution hands the run's tuples to
+        :meth:`on_batch` and delivers the output per tuple; ``columnar``
+        coalesces the run into one :class:`ColumnBatch`, hands it to
+        :meth:`on_column_batch` and delivers the output batch whole.
+        Those three points are the only difference between the modes,
+        and each is decided per run, never per tuple.
+
+        Output order is identical to tuple-at-a-time delivery because
+        ``on_batch`` concatenates per-tuple outputs in input order and
+        column kernels emit exactly the row kernels' tuples. Flow
+        counters account each run by its length, so batched,
+        tuple-at-a-time and columnar delivery produce identical
+        counters by construction; when telemetry is enabled the same
+        run lengths feed the collector's batch-size histograms and
+        ``batch_drain`` events — only the wall-clock busy-ns can differ
+        between modes.
         """
         enabled = collector.enabled
-        while node.pending:
-            batch, node.pending = node.pending, []
-            start = 0
-            while start < len(batch):
-                port = batch[start][1]
-                stop = start + 1
-                while stop < len(batch) and batch[stop][1] == port:
-                    stop += 1
-                run = [item for item, _port in batch[start:stop]]
-                node.tuples_in += len(run)
-                if enabled:
-                    began = clock_ns()
-                    out = node.op.on_batch(run, port)
-                    collector.record_batch(
-                        node.name, len(run), len(out), clock_ns() - began
-                    )
-                    collector.event(
-                        "batch_drain",
-                        node=node.name,
-                        t=now,
-                        n_in=len(run),
-                        n_out=len(out),
-                    )
-                else:
-                    out = node.op.on_batch(run, port)
-                node.tuples_out += len(out)
-                for target, tport in node.downstream:
-                    for item in out:
-                        self._deliver(item, target, tport)
-                start = stop
-
-    def _drain_node_columnar(
-        self,
-        node: _Node,
-        collector: TelemetryCollector = NULL_COLLECTOR,
-        now: float = 0.0,
-    ) -> None:
-        """Columnar twin of :meth:`_drain_node`.
-
-        Pending input is partitioned into the *same* maximal same-port
-        runs as the row path (payload boundaries don't matter, only
-        ports), each run is coalesced into one :class:`ColumnBatch`,
-        and the node's column kernel handles it whole. Because run
-        partitioning is identical and kernels emit exactly the row
-        kernels' tuples, flow counters, batch-size histograms and
-        ``batch_drain`` events match the row path exactly — only the
-        wall-clock busy-ns can differ.
-        """
-        enabled = collector.enabled
+        kernel: Callable[..., "list[StreamTuple] | ColumnBatch"] = (
+            node.op.on_column_batch if columnar else node.op.on_batch
+        )
         while node.pending:
             entries, node.pending = node.pending, []
             start = 0
@@ -547,12 +522,13 @@ class Fjord:
                 stop = start + 1
                 while stop < len(entries) and entries[stop][1] == port:
                     stop += 1
-                run = coalesce([payload for payload, _port in entries[start:stop]])
+                payloads = [payload for payload, _port in entries[start:stop]]
+                run = coalesce(payloads) if columnar else payloads
                 n_in = len(run)
                 node.tuples_in += n_in
                 if enabled:
                     began = clock_ns()
-                    out = node.op.on_column_batch(run, port)
+                    out = kernel(run, port)
                     collector.record_batch(
                         node.name, n_in, len(out), clock_ns() - began
                     )
@@ -564,10 +540,14 @@ class Fjord:
                         n_out=len(out),
                     )
                 else:
-                    out = node.op.on_column_batch(run, port)
+                    out = kernel(run, port)
                 n_out = len(out)
                 node.tuples_out += n_out
-                if n_out:
+                if not columnar:
+                    for target, tport in node.downstream:
+                        for item in out:
+                            self._deliver(item, target, tport)
+                elif n_out:
                     for target, tport in node.downstream:
                         self._nodes[target].pending.append((out, tport))
                 start = stop
@@ -734,7 +714,7 @@ class Fjord:
         otherwise). Punctuation output is delivered per tuple in both
         modes — the columnar drain coalesces mixed pending payloads.
         """
-        drain = self._drain_node_columnar if columnar else self._drain_node
+        drain = self._drain_node
         if not enabled:
             # Fast path: a passive node (base no-op ``on_time``) with an
             # empty queue contributes nothing to this sweep — skip it
@@ -745,7 +725,7 @@ class Fjord:
             for name in order:
                 node = self._nodes[name]
                 if node.pending:
-                    drain(node, collector, now)
+                    drain(node, collector, now, columnar)
                 if node.passive:
                     continue
                 out = node.op.on_time(now)
@@ -757,11 +737,11 @@ class Fjord:
             for name in order:
                 node = self._nodes[name]
                 if node.pending:
-                    drain(node, collector, now)
+                    drain(node, collector, now, columnar)
             return
         for name in order:
             node = self._nodes[name]
-            drain(node, collector, now)
+            drain(node, collector, now, columnar)
             began = clock_ns()
             out = node.op.on_time(now)
             collector.record_punctuation(
@@ -772,7 +752,7 @@ class Fjord:
                 for item in out:
                     self._deliver(item, target, tport)
         for name in order:
-            drain(self._nodes[name], collector, now)
+            drain(self._nodes[name], collector, now, columnar)
         collector.count_tick()
 
 

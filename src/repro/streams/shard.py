@@ -4,8 +4,7 @@ The ESP pipeline is embarrassingly parallel across shard keys: once a
 stream is partitioned on a key that the pipeline's stateful operators
 group by (the spatial granule for Merge pipelines, the tag id for
 Arbitrate pipelines), each partition cleans independently — Bleach-style
-stream partitioning [Tian et al. 2016], with DataX-style batched tuple
-transport between the workers and the merger [Coviello et al. 2021].
+stream partitioning [Tian et al. 2016].
 
 This module runs N independent :class:`~repro.streams.fjord.Fjord`
 sub-pipelines — one per shard of the key space — over the same
@@ -13,9 +12,10 @@ punctuation ticks, via a pluggable backend:
 
 - ``serial`` — shards run one after another in-process; the
   deterministic reference implementation.
-- ``processes`` — forked worker processes with batched tuple transport
-  back to the parent (operators are CPU-bound pure Python, so this is
-  the backend that actually buys parallel speed-up).
+- ``processes`` — forked worker processes, each sending its finished
+  shard result back to the parent in one message (operators are
+  CPU-bound pure Python, so this is the backend that actually buys
+  parallel speed-up).
 
 **Determinism guarantee.** Backends differ only in *where* shards run;
 every shard's computation is a pure function of its input slice, and the
@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import OperatorError
 from repro.streams.columnar import ColumnBatch
-from repro.streams.fjord import MODES, Fjord
+from repro.streams.fjord import Fjord, _check_mode as _check_fjord_mode
 from repro.streams.operators import SinkOp
 from repro.streams.telemetry import (
     NULL_COLLECTOR,
@@ -56,9 +56,6 @@ from repro.streams.tuples import StreamTuple
 
 #: Supported execution backends, in increasing order of parallelism.
 BACKENDS = ("serial", "processes")
-
-#: Tuples per transport message from a worker process to the merger.
-DEFAULT_BATCH_SIZE = 512
 
 #: A shard builder: given its slice of every source, wire a fresh
 #: pipeline and return the Fjord plus the sink carrying its output.
@@ -143,13 +140,10 @@ def _check_backend(backend: str) -> str:
 
 
 def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise _reject_execution(
-            "mode",
-            mode,
-            f"unknown execution mode {mode!r}; expected one of {MODES}",
-        )
-    return mode
+    try:
+        return _check_fjord_mode(mode)
+    except OperatorError as error:
+        raise _reject_execution("mode", mode, str(error)) from None
 
 
 def resolve_execution(
@@ -320,33 +314,17 @@ def _run_serial(builders, ticks, telemetry, mode) -> list[ShardResult]:
     return [_run_shard(build, ticks, telemetry, mode) for build in builders]
 
 
-def _process_worker(
-    connection, build, ticks, batch_size, telemetry, mode="row"
-) -> None:
-    """Forked worker: run one shard, stream results back in batches.
+def _process_worker(connection, build, ticks, telemetry, mode="row") -> None:
+    """Forked worker: run one shard, send the finished result back.
 
-    Transport protocol (one tuple per message): ``("batch", [(tick_index,
-    [tuples...]), ...])`` chunks of at least ``batch_size`` tuples, then
-    ``("done", (stats, telemetry_snapshot))`` — or ``("error",
-    formatted_traceback)``. The telemetry snapshot rides the final
-    message: counters are tiny next to the tuple payload, and sending
-    them once avoids interleaving metrics with data batches.
+    Transport protocol (one message): ``("done", (per_tick, stats,
+    telemetry_snapshot))`` — or ``("error", formatted_traceback)``.
     """
     try:
         result = _run_shard(build, ticks, telemetry, mode)
-        chunk: list[tuple[int, list[StreamTuple]]] = []
-        pending = 0
-        for tick_index, tuples in enumerate(result.per_tick):
-            if not tuples:
-                continue
-            chunk.append((tick_index, tuples))
-            pending += len(tuples)
-            if pending >= batch_size:
-                connection.send(("batch", chunk))
-                chunk, pending = [], 0
-        if chunk:
-            connection.send(("batch", chunk))
-        connection.send(("done", (result.stats, result.telemetry)))
+        connection.send(
+            ("done", (result.per_tick, result.stats, result.telemetry))
+        )
     except BaseException:
         try:
             connection.send(("error", traceback.format_exc()))
@@ -356,9 +334,7 @@ def _process_worker(
         connection.close()
 
 
-def _run_processes(
-    builders, ticks, batch_size, telemetry, mode
-) -> list[ShardResult]:
+def _run_processes(builders, ticks, telemetry, mode) -> list[ShardResult]:
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -373,7 +349,7 @@ def _run_processes(
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(
             target=_process_worker,
-            args=(sender, build, ticks, batch_size, telemetry, mode),
+            args=(sender, build, ticks, telemetry, mode),
         )
         process.start()
         sender.close()
@@ -381,28 +357,18 @@ def _run_processes(
     results: list[ShardResult] = []
     failure: str | None = None
     for process, receiver in workers:
-        per_tick: list[list[StreamTuple]] = [[] for _ in ticks]
-        stats: dict[str, tuple[int, int]] = {}
-        shard_telemetry: "dict[str, Any] | None" = None
         try:
-            while True:
-                kind, payload = receiver.recv()
-                if kind == "batch":
-                    for tick_index, tuples in payload:
-                        per_tick[tick_index].extend(tuples)
-                elif kind == "done":
-                    stats, shard_telemetry = payload
-                    break
-                else:  # "error"
-                    failure = failure or payload
-                    break
+            kind, payload = receiver.recv()
+            if kind == "done":
+                results.append(ShardResult(*payload))
+            else:  # "error"
+                failure = failure or payload
         except EOFError:
             failure = failure or (
                 "shard worker exited without reporting a result"
             )
         finally:
             receiver.close()
-        results.append(ShardResult(per_tick, stats, shard_telemetry))
     for process, _receiver in workers:
         process.join()
     if failure is not None:
@@ -414,7 +380,6 @@ def run_shard_jobs(
     builders: Sequence[Callable[[], "tuple[Fjord, SinkOp]"]],
     ticks: Sequence[float],
     backend: str = "serial",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     telemetry: TelemetryCollector | None = None,
     mode: str | None = None,
 ) -> list[ShardResult]:
@@ -433,12 +398,10 @@ def run_shard_jobs(
     """
     collector = resolve_telemetry(telemetry)
     _check_backend(backend)
-    if batch_size < 1:
-        raise OperatorError(f"batch_size must be >= 1, got {batch_size}")
     mode = resolve_mode(mode)
     ticks = list(ticks)
     if backend == "processes":
-        results = _run_processes(builders, ticks, batch_size, collector, mode)
+        results = _run_processes(builders, ticks, collector, mode)
     else:
         results = _run_serial(builders, ticks, collector, mode)
     if collector.enabled:
@@ -537,7 +500,6 @@ def run_sharded(
     key: "str | Callable[[str, StreamTuple], Any]" = "spatial_granule",
     shards: int = 2,
     backend: str = "serial",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     order_key: Callable[[StreamTuple], Any] | None = None,
     telemetry: TelemetryCollector | None = None,
     mode: str | None = None,
@@ -551,10 +513,12 @@ def run_sharded(
             must wire a *fresh* Fjord (operators are stateful) and return
             ``(fjord, sink)``.
         ticks: Punctuation times, shared by every shard.
-        key: Shard key — field name or ``key(source_name, tuple)``.
+        key: Shard key — field name or ``key(source_name, tuple)``. A
+            callable that stands for a field says so in a ``shard_key``
+            attribute (as :meth:`ESPProcessor.shard_key_fn`'s do); the
+            ``shard_partition`` event records the name, or ``None``.
         shards: Number of independent sub-pipelines.
         backend: One of :data:`BACKENDS`.
-        batch_size: Tuples per transport batch (``processes`` backend).
         order_key: Override for the merge order; defaults to the string
             form of the shard key read off each output tuple.
         telemetry: Instrumentation sink; ``None`` uses the process-wide
@@ -586,6 +550,9 @@ def run_sharded(
             "shard_partition",
             shards=shards,
             backend=backend,
+            shard_key=(
+                key if isinstance(key, str) else getattr(key, "shard_key", None)
+            ),
             per_shard=tuples_per_shard,
         )
     builders = [
@@ -595,7 +562,6 @@ def run_sharded(
         builders,
         list(ticks),
         backend=backend,
-        batch_size=batch_size,
         telemetry=collector,
         mode=mode,
     )

@@ -255,9 +255,82 @@ def _empty_operator_entry() -> dict[str, Any]:
     }
 
 
+def _empty_source_entry() -> dict[str, Any]:
+    return {"tuples": 0, "max_watermark_lag": 0.0}
+
+
+def _empty_span_entry() -> dict[str, Any]:
+    return {
+        "count": 0,
+        "total_ns": 0,
+        "latency_ns": [0] * (len(LATENCY_BUCKETS_NS) + 1),
+    }
+
+
+def _entry(section: dict[str, Any], name: str, make) -> dict[str, Any]:
+    """``section[name]``, created with ``make()`` on first use."""
+    entry = section.get(name)
+    if entry is None:
+        entry = section[name] = make()
+    return entry
+
+
 _SUMMED_OP_FIELDS = (
     "tuples_in", "tuples_out", "batches", "punctuations", "busy_ns",
 )
+
+
+def _add_counts(target: list[int], counts: Sequence[int]) -> None:
+    for index, count in enumerate(counts):
+        target[index] += count
+
+
+def _merge_into(
+    out: dict[str, Any],
+    snapshot: Mapping[str, Any],
+    shard: int | None = None,
+    node: str | None = None,
+) -> None:
+    """Fold ``snapshot`` into ``out`` in place, section by section.
+
+    The one merge: :func:`merge_snapshots` folds onto a fresh
+    :func:`empty_snapshot`, :meth:`InMemoryCollector.absorb` onto the
+    collector's live state. Counters and histogram buckets are summed,
+    gauges (queue depth, watermark lag) are max'ed, and the event and
+    span logs are appended (as copies) with ``seq`` continuing ``out``'s
+    numbering. ``shard`` / ``node`` apply the tagging
+    :meth:`InMemoryCollector.absorb` documents.
+    """
+    dotted, coloned = ("", "") if node is None else (f"{node}.", f"{node}:")
+    for name, entry in snapshot.get("operators", {}).items():
+        target = _entry(out["operators"], name, _empty_operator_entry)
+        for field in _SUMMED_OP_FIELDS:
+            target[field] += entry[field]
+        _add_counts(target["latency_ns"], entry["latency_ns"])
+        _add_counts(target["batch_sizes"], entry["batch_sizes"])
+        if entry["max_queue_depth"] > target["max_queue_depth"]:
+            target["max_queue_depth"] = entry["max_queue_depth"]
+    for name, entry in snapshot.get("sources", {}).items():
+        target = _entry(out["sources"], coloned + name, _empty_source_entry)
+        target["tuples"] += entry["tuples"]
+        if entry["max_watermark_lag"] > target["max_watermark_lag"]:
+            target["max_watermark_lag"] = entry["max_watermark_lag"]
+    counters = out["counters"]
+    for key, value in snapshot.get("counters", {}).items():
+        counters[dotted + key] = counters.get(dotted + key, 0) + value
+    for name, entry in snapshot.get("spans", {}).items():
+        target = _entry(out["spans"], coloned + name, _empty_span_entry)
+        target["count"] += entry["count"]
+        target["total_ns"] += entry["total_ns"]
+        _add_counts(target["latency_ns"], entry["latency_ns"])
+    span_tags = {} if node is None else {"node": node}
+    event_tags = span_tags if shard is None else {"shard": shard, **span_tags}
+    for log, tags in (("events", event_tags), ("span_log", span_tags)):
+        records = out[log]
+        for record in snapshot.get(log, []):
+            record = {**record, **tags}
+            record["seq"] = len(records)
+            records.append(record)
 
 
 def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
@@ -272,54 +345,7 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
     """
     out = empty_snapshot()
     for snapshot in snapshots:
-        for name, entry in snapshot.get("operators", {}).items():
-            target = out["operators"].setdefault(
-                name, _empty_operator_entry()
-            )
-            for field in _SUMMED_OP_FIELDS:
-                target[field] += entry[field]
-            for field in ("latency_ns", "batch_sizes"):
-                counts = entry[field]
-                merged = target[field]
-                for index, count in enumerate(counts):
-                    merged[index] += count
-            target["max_queue_depth"] = max(
-                target["max_queue_depth"], entry["max_queue_depth"]
-            )
-        for name, entry in snapshot.get("sources", {}).items():
-            target = out["sources"].setdefault(
-                name, {"tuples": 0, "max_watermark_lag": 0.0}
-            )
-            target["tuples"] += entry["tuples"]
-            target["max_watermark_lag"] = max(
-                target["max_watermark_lag"], entry["max_watermark_lag"]
-            )
-        for key, value in snapshot.get("counters", {}).items():
-            out["counters"][key] = out["counters"].get(key, 0) + value
-        out["events"].extend(
-            dict(event) for event in snapshot.get("events", [])
-        )
-        for name, entry in snapshot.get("spans", {}).items():
-            target = out["spans"].setdefault(
-                name,
-                {
-                    "count": 0,
-                    "total_ns": 0,
-                    "latency_ns": [0] * (len(LATENCY_BUCKETS_NS) + 1),
-                },
-            )
-            target["count"] += entry["count"]
-            target["total_ns"] += entry["total_ns"]
-            merged = target["latency_ns"]
-            for index, count in enumerate(entry["latency_ns"]):
-                merged[index] += count
-        out["span_log"].extend(
-            dict(span) for span in snapshot.get("span_log", [])
-        )
-    for seq, event in enumerate(out["events"]):
-        event["seq"] = seq
-    for seq, span in enumerate(out["span_log"]):
-        span["seq"] = seq
+        _merge_into(out, snapshot)
     return out
 
 
@@ -421,125 +447,87 @@ class TelemetryCollector:
 NULL_COLLECTOR = TelemetryCollector()
 
 
-class _OpMetrics:
-    """Mutable per-operator accumulators (one per DAG node)."""
-
-    __slots__ = (
-        "tuples_in", "tuples_out", "batches", "punctuations", "busy_ns",
-        "latency", "batch_sizes", "max_queue_depth",
-    )
-
-    def __init__(self) -> None:
-        self.tuples_in = 0
-        self.tuples_out = 0
-        self.batches = 0
-        self.punctuations = 0
-        self.busy_ns = 0
-        self.latency = Histogram(LATENCY_BUCKETS_NS)
-        self.batch_sizes = Histogram(BATCH_SIZE_BUCKETS)
-        self.max_queue_depth = 0
-
-
-class _SpanMetrics:
-    """Mutable per-span-name accumulators (count, total, histogram)."""
-
-    __slots__ = ("count", "total_ns", "latency")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_ns = 0
-        self.latency = Histogram(LATENCY_BUCKETS_NS)
-
-
 class InMemoryCollector(TelemetryCollector):
     """The standard collector: accumulates everything in memory.
 
     One instance may span several runs (the CLI reuses one collector
     across an experiment's internal ``ESPProcessor.run`` calls); use
     :meth:`snapshot` to read the accumulated state at any point.
+
+    The live state *is* a snapshot-schema dict (see
+    :func:`empty_snapshot`): the record hooks bump its entries,
+    :meth:`absorb` merges into it in place and :meth:`snapshot` copies
+    it — there is no second representation to convert to or from.
     """
 
     enabled = True
 
     def __init__(self) -> None:
-        self._ops: dict[str, _OpMetrics] = {}
-        self._sources: dict[str, dict[str, Any]] = {}
-        self._counters: dict[str, int] = {}
-        self._events: list[dict[str, Any]] = []
-        self._spans: dict[str, _SpanMetrics] = {}
-        self._span_log: list[dict[str, Any]] = []
+        self._state = empty_snapshot()
 
     # -- executor hooks --------------------------------------------------------
 
-    def _op(self, name: str) -> _OpMetrics:
-        metrics = self._ops.get(name)
-        if metrics is None:
-            metrics = self._ops[name] = _OpMetrics()
-        return metrics
+    def _op(self, name: str) -> dict[str, Any]:
+        return _entry(self._state["operators"], name, _empty_operator_entry)
 
     def record_batch(
         self, name: str, n_in: int, n_out: int, elapsed_ns: int
     ) -> None:
-        metrics = self._op(name)
-        metrics.tuples_in += n_in
-        metrics.tuples_out += n_out
-        metrics.batches += 1
-        metrics.busy_ns += elapsed_ns
-        metrics.latency.record(elapsed_ns)
-        metrics.batch_sizes.record(n_in)
+        entry = self._op(name)
+        entry["tuples_in"] += n_in
+        entry["tuples_out"] += n_out
+        entry["batches"] += 1
+        entry["busy_ns"] += elapsed_ns
+        entry["latency_ns"][bisect_left(LATENCY_BUCKETS_NS, elapsed_ns)] += 1
+        entry["batch_sizes"][bisect_left(BATCH_SIZE_BUCKETS, n_in)] += 1
 
     def record_punctuation(
         self, name: str, n_out: int, elapsed_ns: int
     ) -> None:
-        metrics = self._op(name)
-        metrics.tuples_out += n_out
-        metrics.punctuations += 1
-        metrics.busy_ns += elapsed_ns
-        metrics.latency.record(elapsed_ns)
+        entry = self._op(name)
+        entry["tuples_out"] += n_out
+        entry["punctuations"] += 1
+        entry["busy_ns"] += elapsed_ns
+        entry["latency_ns"][bisect_left(LATENCY_BUCKETS_NS, elapsed_ns)] += 1
 
     def sample_queue_depth(self, name: str, depth: int) -> None:
-        metrics = self._op(name)
-        if depth > metrics.max_queue_depth:
-            metrics.max_queue_depth = depth
+        entry = self._op(name)
+        if depth > entry["max_queue_depth"]:
+            entry["max_queue_depth"] = depth
+
+    def _source(self, source: str) -> dict[str, Any]:
+        return _entry(self._state["sources"], source, _empty_source_entry)
 
     def sample_watermark(self, source: str, lag: float) -> None:
         entry = self._source(source)
         if lag > entry["max_watermark_lag"]:
             entry["max_watermark_lag"] = lag
 
-    def _source(self, source: str) -> dict[str, Any]:
-        entry = self._sources.get(source)
-        if entry is None:
-            entry = self._sources[source] = {
-                "tuples": 0, "max_watermark_lag": 0.0,
-            }
-        return entry
-
     def count_source(self, source: str, n: int = 1) -> None:
         self._source(source)["tuples"] += n
 
     def count_tick(self) -> None:
-        self._counters["ticks"] = self._counters.get("ticks", 0) + 1
+        self.count("ticks")
 
     def count(self, key: str, n: int = 1) -> None:
-        self._counters[key] = self._counters.get(key, 0) + n
+        counters = self._state["counters"]
+        counters[key] = counters.get(key, 0) + n
 
     def event(self, kind: str, **fields: Any) -> None:
-        record = {"seq": len(self._events), "kind": kind, **fields}
-        self._events.append(record)
+        events = self._state["events"]
+        events.append({"seq": len(events), "kind": kind, **fields})
 
     def record_span(self, name: str, duration_ns: int) -> None:
-        metrics = self._spans.get(name)
-        if metrics is None:
-            metrics = self._spans[name] = _SpanMetrics()
-        metrics.count += 1
-        metrics.total_ns += duration_ns
-        metrics.latency.record(duration_ns)
+        entry = _entry(self._state["spans"], name, _empty_span_entry)
+        entry["count"] += 1
+        entry["total_ns"] += duration_ns
+        entry["latency_ns"][bisect_left(LATENCY_BUCKETS_NS, duration_ns)] += 1
 
     def span(self, **fields: Any) -> None:
-        record = {"seq": len(self._span_log), **fields}
+        span_log = self._state["span_log"]
+        record = {"seq": len(span_log), **fields}
         record.setdefault("kind", "span")
-        self._span_log.append(record)
+        span_log.append(record)
 
     # -- aggregation -----------------------------------------------------------
 
@@ -552,11 +540,14 @@ class InMemoryCollector(TelemetryCollector):
         shard: int | None = None,
         node: str | None = None,
     ) -> None:
-        """Merge a shard's snapshot, tagging its events with the shard.
+        """Merge a shard's snapshot in place, tagging its events with
+        the shard.
 
         Shards are absorbed in shard order by the engine, so the merged
         event log — like everything else here — depends only on the data
-        and the shard count, never on the backend.
+        and the shard count, never on the backend. The result equals
+        :func:`merge_snapshots` of this collector's snapshot and the
+        tagged one, without copying what was already collected.
 
         ``node`` labels a cluster worker's snapshot: counters become
         ``<node>.<key>``, source entries and span names ``<node>:<name>``
@@ -566,93 +557,10 @@ class InMemoryCollector(TelemetryCollector):
         field, and operator metrics merge unprefixed — the cluster-wide
         stage rollup.
         """
-        if shard is not None or node is not None:
-            snapshot = dict(snapshot)
-            events = snapshot.get("events", [])
-            if shard is not None:
-                events = [{**event, "shard": shard} for event in events]
-            if node is not None:
-                events = [{**event, "node": node} for event in events]
-                snapshot["counters"] = {
-                    f"{node}.{key}": value
-                    for key, value in snapshot.get("counters", {}).items()
-                }
-                snapshot["sources"] = {
-                    f"{node}:{name}": entry
-                    for name, entry in snapshot.get("sources", {}).items()
-                }
-                snapshot["spans"] = {
-                    f"{node}:{name}": entry
-                    for name, entry in snapshot.get("spans", {}).items()
-                }
-                snapshot["span_log"] = [
-                    {**record, "node": node}
-                    for record in snapshot.get("span_log", [])
-                ]
-            snapshot["events"] = events
-        merged = merge_snapshots(self.snapshot(), snapshot)
-        self._load(merged)
-
-    def _load(self, snapshot: Mapping[str, Any]) -> None:
-        self._ops = {}
-        for name, entry in snapshot["operators"].items():
-            metrics = self._op(name)
-            metrics.tuples_in = entry["tuples_in"]
-            metrics.tuples_out = entry["tuples_out"]
-            metrics.batches = entry["batches"]
-            metrics.punctuations = entry["punctuations"]
-            metrics.busy_ns = entry["busy_ns"]
-            metrics.latency = Histogram(
-                LATENCY_BUCKETS_NS, entry["latency_ns"]
-            )
-            metrics.batch_sizes = Histogram(
-                BATCH_SIZE_BUCKETS, entry["batch_sizes"]
-            )
-            metrics.max_queue_depth = entry["max_queue_depth"]
-        self._sources = {
-            name: dict(entry)
-            for name, entry in snapshot["sources"].items()
-        }
-        self._counters = dict(snapshot["counters"])
-        self._events = [dict(event) for event in snapshot["events"]]
-        self._spans = {}
-        for name, entry in snapshot.get("spans", {}).items():
-            metrics = self._spans[name] = _SpanMetrics()
-            metrics.count = entry["count"]
-            metrics.total_ns = entry["total_ns"]
-            metrics.latency = Histogram(
-                LATENCY_BUCKETS_NS, entry["latency_ns"]
-            )
-        self._span_log = [
-            dict(span) for span in snapshot.get("span_log", [])
-        ]
+        _merge_into(self._state, snapshot, shard, node)
 
     def snapshot(self) -> dict[str, Any]:
-        out = empty_snapshot()
-        for name, metrics in self._ops.items():
-            out["operators"][name] = {
-                "tuples_in": metrics.tuples_in,
-                "tuples_out": metrics.tuples_out,
-                "batches": metrics.batches,
-                "punctuations": metrics.punctuations,
-                "busy_ns": metrics.busy_ns,
-                "latency_ns": list(metrics.latency.counts),
-                "batch_sizes": list(metrics.batch_sizes.counts),
-                "max_queue_depth": metrics.max_queue_depth,
-            }
-        out["sources"] = {
-            name: dict(entry) for name, entry in self._sources.items()
-        }
-        out["counters"] = dict(self._counters)
-        out["events"] = [dict(event) for event in self._events]
-        for name, span_metrics in self._spans.items():
-            out["spans"][name] = {
-                "count": span_metrics.count,
-                "total_ns": span_metrics.total_ns,
-                "latency_ns": list(span_metrics.latency.counts),
-            }
-        out["span_log"] = [dict(span) for span in self._span_log]
-        return out
+        return merge_snapshots(self._state)
 
 
 # -- timing helper -------------------------------------------------------------

@@ -10,6 +10,8 @@ facade, and the wire codec the blob rides in.
 
 import pytest
 
+from repro.core.pipeline import ESPPipeline, ESPProcessor
+from repro.core.stages import Stage, StageKind
 from repro.errors import OperatorError
 from repro.net.recovery import (
     STATE_BLOB_BUDGET,
@@ -25,7 +27,31 @@ SEED = 3
 #: (scenario, duration) — shelf is record-sharded RFID cleaning,
 #: redwood is source-sharded mote calibration; between them every
 #: stateful operator family holds a checkpointable mid-window state.
-CASES = [("shelf", 12.0), ("redwood", None)]
+#: shelf_cql swaps the shelf pipeline for a declarative Smooth (paper
+#: Query 2 as text), so the state to carry sits inside a CompiledQuery's
+#: plan nodes rather than in a top-level operator.
+CASES = [("shelf", 12.0), ("redwood", None), ("shelf_cql", 12.0)]
+
+CQL_SMOOTH = """
+    SELECT spatial_granule, tag_id, count(*) AS reads
+    FROM rfid_input [Range By '5 sec']
+    GROUP BY spatial_granule, tag_id
+"""
+
+
+def make_bundle(name, duration):
+    if name != "shelf_cql":
+        return build_bundle(name, duration, SEED)
+    bundle = build_bundle("shelf", duration, SEED)
+    processor = ESPProcessor(bundle.processor.registry)
+    processor.add_pipeline(
+        ESPPipeline(
+            "rfid",
+            sequence=[Stage.from_query(StageKind.SMOOTH, CQL_SMOOTH)],
+        )
+    )
+    bundle.processor = processor
+    return bundle
 
 
 def arrival_schedule(bundle):
@@ -54,7 +80,7 @@ class TestSessionCheckpoint:
     @pytest.mark.parametrize("name,duration", CASES)
     @pytest.mark.parametrize("fraction", [0.25, 0.6])
     def test_restore_resumes_identical_output(self, name, duration, fraction):
-        bundle = build_bundle(name, duration, SEED)
+        bundle = make_bundle(name, duration)
         schedule = arrival_schedule(bundle)
         cut = max(1, int(len(schedule) * fraction))
 
@@ -65,7 +91,7 @@ class TestSessionCheckpoint:
         blob, size = encode_state(baseline.checkpoint())
         assert blob is not None and 0 < size <= STATE_BLOB_BUDGET
 
-        resumed = build_bundle(name, duration, SEED).processor.open_session(
+        resumed = make_bundle(name, duration).processor.open_session(
             until=bundle.until, tick=bundle.tick
         )
         resumed.restore(decode_state(blob))

@@ -10,10 +10,11 @@ from repro.core.operators.smooth_ops import presence_smoother
 from repro.core.operators.virtualize_ops import voting_detector
 from repro.core.pipeline import ESPPipeline, ESPProcessor
 from repro.core.stages import Stage, StageKind
-from repro.errors import PipelineError
+from repro.errors import OperatorError, PipelineError
 from repro.receptors.motes import Mote
 from repro.receptors.registry import DeviceRegistry
 from repro.receptors.rfid import DetectionField, RFIDReader, TagPlacement
+from repro.streams.shard import default_mode, set_default_execution
 from repro.streams.tuples import StreamTuple
 
 
@@ -292,7 +293,7 @@ class TestStreamSession:
             "reader1": [reading(t, "reader1") for t in (0.0, 1.5, 2.5)],
         }
 
-    def _processor(self):
+    def _processor(self, **stages):
         registry = build_rfid_registry(2)
         processor = ESPProcessor(registry)
         processor.add_pipeline(
@@ -300,6 +301,7 @@ class TestStreamSession:
                 "rfid",
                 temporal_granule=TemporalGranule(2.0),
                 smooth=presence_smoother(),
+                **stages,
             )
         )
         return processor
@@ -338,3 +340,37 @@ class TestStreamSession:
         assert session.safe_time == float("-inf")
         session.advance(1.5)
         assert session.safe_time == 1.0
+
+    def test_mode_defaults_like_run(self):
+        recorded = self._recorded()
+        # A pass-through Point stage gives fusion a stateless run
+        # (annotate → point → rename) to collapse.
+        point = Stage.from_function(StageKind.POINT, lambda item: item)
+
+        def drive(**kwargs):
+            session = self._processor(point=point).open_session(
+                until=4.0, tick=1.0, **kwargs
+            )
+            for name, items in recorded.items():
+                for item in items:
+                    session.push(name, item)
+            return set(session._fjord._nodes), session.close().output
+
+        row_nodes, row_output = drive()
+        fused_nodes, fused_output = drive(mode="fused")
+        assert fused_nodes < row_nodes  # fusion really collapsed stages
+        previous = default_mode()
+        set_default_execution(mode="fused")
+        try:
+            assert drive() == (fused_nodes, fused_output)
+        finally:
+            set_default_execution(mode=previous)
+        assert fused_output == row_output and row_output
+        for entry in (
+            lambda: self._processor().run(until=1.0, tick=1.0, mode="simd"),
+            lambda: self._processor().open_session(
+                until=1.0, tick=1.0, mode="simd"
+            ),
+        ):
+            with pytest.raises(OperatorError, match="unknown execution mode"):
+                entry()

@@ -268,7 +268,7 @@ def random_snapshot(rng: random.Random) -> dict:
     col = InMemoryCollector()
     for _ in range(rng.randrange(0, 20)):
         op = f"op{rng.randrange(3)}"
-        action = rng.randrange(5)
+        action = rng.randrange(7)
         if action == 0:
             col.record_batch(
                 op,
@@ -283,18 +283,70 @@ def random_snapshot(rng: random.Random) -> dict:
         elif action == 3:
             col.count_source(f"src{rng.randrange(2)}", rng.randrange(1, 5))
             col.sample_watermark(f"src{rng.randrange(2)}", rng.random())
-        else:
+        elif action == 4:
             col.event("e", node=op, n=rng.randrange(100))
+        elif action == 5:
+            col.record_span(
+                f"ingest.{rng.choice(['queue', 'e2e'])}", rng.randrange(10**7)
+            )
+            col.span(ingest_id=rng.randrange(100), e2e_ns=rng.randrange(10**7))
+        else:
+            col.count(f"gateway.{rng.choice(['offered', 'dropped'])}",
+                      rng.randrange(1, 9))
     for _ in range(rng.randrange(0, 3)):
         col.count_tick()
     return col.snapshot()
 
 
-def assert_merge_associative(a: dict, b: dict, c: dict) -> None:
+#: (shard, node) tag pairs an absorb may carry: the batch engine tags
+#: shards, the cluster rollup tags workers, plain absorbs tag nothing.
+ABSORB_TAGS = [(None, None), (0, None), (3, None), (None, "w0"), (None, "w1"),
+               (2, "w0")]
+
+
+def tagged(snapshot: dict, shard, node) -> dict:
+    """Reference tagging: the snapshot ``absorb(shard=, node=)`` merges."""
+    out = dict(snapshot)
+    events = [dict(event) for event in snapshot["events"]]
+    if shard is not None:
+        for event in events:
+            event["shard"] = shard
+    if node is not None:
+        for event in events:
+            event["node"] = node
+        out["counters"] = {
+            f"{node}.{key}": value
+            for key, value in snapshot["counters"].items()
+        }
+        for section in ("sources", "spans"):
+            out[section] = {
+                f"{node}:{name}": entry
+                for name, entry in snapshot[section].items()
+            }
+        out["span_log"] = [
+            {**record, "node": node} for record in snapshot["span_log"]
+        ]
+    out["events"] = events
+    return out
+
+
+def assert_merge_associative(
+    a: dict, b: dict, c: dict, tags=((None, None),) * 3
+) -> None:
     left = merge_snapshots(merge_snapshots(a, b), c)
     right = merge_snapshots(a, merge_snapshots(b, c))
     flat = merge_snapshots(a, b, c)
     assert left == right == flat
+    # Absorbing in place is the pure merge of the tagged snapshots,
+    # seq numbering included; the absorbed snapshots stay untouched.
+    before = json.dumps([a, b, c], sort_keys=True)
+    collector = InMemoryCollector()
+    for snapshot, (shard, node) in zip((a, b, c), tags):
+        collector.absorb(snapshot, shard=shard, node=node)
+    assert collector.snapshot() == merge_snapshots(
+        *(tagged(snap, *tag) for snap, tag in zip((a, b, c), tags))
+    )
+    assert json.dumps([a, b, c], sort_keys=True) == before
 
 
 class TestMergeSnapshots:
@@ -342,10 +394,11 @@ class TestMergeSnapshots:
         @settings(max_examples=50, deadline=None)
         @given(seeds=st.tuples(st.integers(0, 2**32 - 1),
                                st.integers(0, 2**32 - 1),
-                               st.integers(0, 2**32 - 1)))
-        def test_associative(self, seeds):
+                               st.integers(0, 2**32 - 1)),
+               tags=st.tuples(*[st.sampled_from(ABSORB_TAGS)] * 3))
+        def test_associative(self, seeds, tags):
             a, b, c = (random_snapshot(random.Random(s)) for s in seeds)
-            assert_merge_associative(a, b, c)
+            assert_merge_associative(a, b, c, tags)
 
     else:  # pragma: no cover - exercised only without hypothesis
 
@@ -353,7 +406,9 @@ class TestMergeSnapshots:
         def test_associative(self, seed):
             rng = random.Random(seed)
             a, b, c = (random_snapshot(rng) for _ in range(3))
-            assert_merge_associative(a, b, c)
+            assert_merge_associative(
+                a, b, c, [rng.choice(ABSORB_TAGS) for _ in range(3)]
+            )
 
 
 # -- shard-aware aggregation ---------------------------------------------------
