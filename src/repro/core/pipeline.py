@@ -285,16 +285,19 @@ class ESPStreamSession:
         """The session's full punctuation tick schedule."""
         return self._session.ticks
 
-    @property
-    def emitted(self) -> list[StreamTuple]:
-        """Live view of the tuples the terminal sink has emitted so far.
+    def take_emitted(self) -> list[StreamTuple]:
+        """Remove and return what the terminal sink holds: everything
+        emitted since the last take, the sink left empty.
 
-        Grows as ticks are swept; the cluster worker reads it between
-        single-tick advances to attribute output to punctuation ticks
-        (see :class:`repro.net.worker.TickLedger`). Callers must not
-        mutate it.
+        For a driver that hands output on as ticks are swept (the
+        cluster worker's :class:`repro.net.worker.TickLedger`): the
+        sink then never holds output a second time, so
+        :meth:`checkpoint` stays bounded by operator state. Taken
+        tuples are gone from the run :meth:`close` returns.
         """
-        return self._sink.results
+        taken = self._sink.results
+        self._sink.results = []
+        return taken
 
     def push(
         self,

@@ -1,11 +1,12 @@
 """Deterministic fault injection for the cluster's wire links.
 
-:class:`ChaosProxy` is a TCP proxy that understands the protocol's
-4-byte length prefix just enough to count *frame boundaries* — never
-payloads — so faults land at scripted, reproducible points in the
-stream rather than at arbitrary byte offsets. Park it between the
-router and a worker (or a feeder and the router) and give it a list of
-:class:`FaultEvent` triggers:
+:class:`ChaosProxy` is a TCP proxy that reads the stream through the
+protocol's own :class:`~repro.net.protocol.FrameReader` just far enough
+to count *frame boundaries* — payloads are never parsed — so faults
+land at scripted, reproducible points in the stream rather than at
+arbitrary byte offsets, however many frames share a TCP segment. Park
+it between the router and a worker (or a feeder and the router) and
+give it a list of :class:`FaultEvent` triggers:
 
 - ``reset``   — drop the triggering frame and abort both directions
   (the peer sees a connection reset, possibly mid-stream).
@@ -40,7 +41,13 @@ import asyncio
 import random
 from typing import Any
 
-from repro.errors import NetError
+from repro.errors import NetError, ProtocolError
+from repro.net.protocol import (
+    HEADER_BYTES,
+    FrameReader,
+    frame_bytes,
+    write_raw_frame,
+)
 
 #: Fault kinds understood by :class:`ChaosProxy`.
 FAULT_KINDS = ("reset", "truncate", "corrupt", "stall", "slow")
@@ -208,13 +215,15 @@ class ChaosProxy:
     ) -> None:
         frames = 0
         delay = 0.0
+        upstream = FrameReader(reader)
         while True:
             try:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "big")
-                payload = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                # EOF or reset upstream: propagate the close downstream.
+                payload = await upstream.read_payload()
+            except (ProtocolError, ConnectionError, OSError):
+                payload = None
+            if payload is None:
+                # EOF, reset or a cut frame upstream: propagate the
+                # close downstream.
                 writer.close()
                 return
             frames += 1
@@ -228,7 +237,8 @@ class ChaosProxy:
                     return
                 if event.kind == "truncate":
                     try:
-                        writer.write(header + payload[: event.keep_bytes])
+                        cut = HEADER_BYTES + event.keep_bytes
+                        writer.write(frame_bytes(payload)[:cut])
                         await writer.drain()
                     except (ConnectionError, OSError):
                         pass
@@ -247,8 +257,7 @@ class ChaosProxy:
             if delay:
                 await asyncio.sleep(delay)
             try:
-                writer.write(header + payload)
-                await writer.drain()
+                await write_raw_frame(writer, payload)
             except (ConnectionError, OSError):
                 return
 

@@ -11,9 +11,17 @@ number (the gateway's reorder buffers use both to reconstruct the
 original stream, ties included).
 
 Robustness mirrors a field data-collection agent: exponential-backoff
-reconnection when the gateway drops mid-stream (at-least-once resend of
-the in-doubt frame), credit-gated sending under the gateway's ``block``
-policy, optional heartbeats, and a clean per-source ``bye`` handshake.
+reconnection when the gateway drops mid-stream (at-least-once: a
+connection that ends before every ``bye`` is acknowledged is in doubt
+as a whole, so the next one replays the recording from the start),
+credit-gated sending under the gateway's ``block`` policy, optional
+heartbeats, and a clean per-source ``bye`` handshake.
+
+Data frames leave in bursts: the send loop appends encoded frames to
+the connection's :class:`~repro.net.protocol.FrameWriter` and hands the
+socket one write whenever it is about to suspend — a pacing sleep, a
+wait for credits, the end of the recording — so a paced feeder never
+sleeps on an unsent frame and a blocked one has nothing pending.
 The event-loop primitives (``sleep``, ``clock``) are injectable so the
 test suite replays instantly with a fake clock — no real sleeps.
 """
@@ -27,7 +35,12 @@ from typing import Any, Awaitable, Callable, Mapping, Sequence
 
 from repro.errors import FrameTruncated, NetError
 from repro.net import protocol
-from repro.net.protocol import read_frame, write_frame
+from repro.net.protocol import (
+    FrameReader,
+    FrameWriter,
+    read_frame,
+    write_frame,
+)
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -70,8 +83,9 @@ class ReplayFeeder:
         telemetry: Collector mirroring the replay accounting onto
             ``feeder.*`` counters (``feeder.<source>.sent`` /
             ``.lost``, ``feeder.reconnects``, ``feeder.blocked_waits``,
-            ``feeder.credit_frames``, ``feeder.pacing_stalls``);
-            defaults to the process-wide default (usually a no-op).
+            ``feeder.credit_frames`` — frames, each granting one or
+            more credits — and ``feeder.pacing_stalls``); defaults to
+            the process-wide default (usually a no-op).
     """
 
     def __init__(
@@ -127,6 +141,7 @@ class ReplayFeeder:
         self.reconnects = 0
         self.blocked_waits = 0
         self.credit_frames = 0
+        self.credits_received = {name: 0 for name in self.streams}
         self.pacing_stalls = 0
         # per-connection shared state (sender ⇄ read loop)
         self._credits: "dict[str, int] | None" = None
@@ -170,7 +185,6 @@ class ReplayFeeder:
                 failures, or when the gateway rejects the handshake.
         """
         schedule = self._build_schedule()
-        index = 0
         attempts = 0
         while True:
             try:
@@ -190,13 +204,14 @@ class ReplayFeeder:
             tasks: list[asyncio.Task] = []
             try:
                 await self._handshake(reader, writer)
+                out = FrameWriter(writer)
                 tasks.append(asyncio.ensure_future(self._read_loop(reader)))
                 if self.heartbeat_interval is not None:
                     tasks.append(
-                        asyncio.ensure_future(self._heartbeat_loop(writer))
+                        asyncio.ensure_future(self._heartbeat_loop(out))
                     )
-                index = await self._send_from(writer, schedule, index)
-                await self._finish(writer)
+                await self._send_from(out, schedule)
+                await self._finish(out)
                 return self.report()
             except (
                 ConnectionError,
@@ -241,20 +256,24 @@ class ReplayFeeder:
         self._error = None
 
     async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        frames = FrameReader(reader)
         try:
             while True:
-                frame = await read_frame(reader)
+                frame = await frames.read_frame()
                 if frame is None:
                     break
                 kind = frame.get("type")
                 if kind == "credit":
+                    source = frame.get("source")
+                    granted = int(frame.get("credits", 0))
                     self.credit_frames += 1
+                    self.credits_received[source] = (
+                        self.credits_received.get(source, 0) + granted
+                    )
                     self._count("feeder.credit_frames")
                     if self._credits is not None:
-                        source = frame.get("source")
                         self._credits[source] = (
-                            self._credits.get(source, 0)
-                            + int(frame.get("credits", 0))
+                            self._credits.get(source, 0) + granted
                         )
                     self._credit_event.set()
                 elif kind == "bye_ack":
@@ -274,38 +293,39 @@ class ReplayFeeder:
             self._dead = True
             self._credit_event.set()
 
-    async def _heartbeat_loop(self, writer: asyncio.StreamWriter) -> None:
+    async def _heartbeat_loop(self, out: FrameWriter) -> None:
         while True:
             await self._sleep(self.heartbeat_interval)
-            await write_frame(writer, protocol.heartbeat(self.streams))
+            out.add(protocol.heartbeat(self.streams))
+            await out.drain()
 
     async def _send_from(
         self,
-        writer: asyncio.StreamWriter,
+        out: FrameWriter,
         schedule: list[tuple[float, str, int, StreamTuple]],
-        index: int,
-    ) -> int:
+    ) -> None:
+        """Send the whole schedule, a burst at a time: ``out`` is
+        flushed before every sleep and credit wait, and on return."""
         wall_start = self._clock()
-        sim_start = schedule[index][0] if index < len(schedule) else 0.0
-        while index < len(schedule):
-            arrival, source, seq, item = schedule[index]
+        sim_start = schedule[0][0] if schedule else 0.0
+        for arrival, source, seq, item in schedule:
             if self.rate is not None:
                 target = wall_start + (arrival - sim_start) / self.rate
                 pause = target - self._clock()
                 if pause > 0:
                     self.pacing_stalls += 1
                     self._count("feeder.pacing_stalls")
+                    out.flush()
                     await self._sleep(pause)
-            await self._acquire_credit(source)
-            await write_frame(
-                writer, protocol.data_frame(source, seq, arrival, item)
-            )
+            await self._acquire_credit(source, out)
+            out.add(protocol.data_frame(source, seq, arrival, item))
             self.sent[source] += 1
             self._count(f"feeder.{source}.sent")
-            index += 1
-        return index
+            if out.full:
+                await out.drain()
+        out.flush()
 
-    async def _acquire_credit(self, source: str) -> None:
+    async def _acquire_credit(self, source: str, out: FrameWriter) -> None:
         if self._credits is None:
             return
         while self._credits.get(source, 0) <= 0:
@@ -316,14 +336,17 @@ class ReplayFeeder:
             self.blocked_waits += 1
             self._count("feeder.blocked_waits")
             self._credit_event.clear()
+            # The credits being waited for answer frames still pending.
+            out.flush()
             await self._credit_event.wait()
         self._credits[source] -= 1
 
-    async def _finish(self, writer: asyncio.StreamWriter) -> None:
+    async def _finish(self, out: FrameWriter) -> None:
         """Send per-source byes and wait for every acknowledgement."""
         for name in sorted(self.streams):
             if name not in self._acked:
-                await write_frame(writer, protocol.bye(name))
+                out.add(protocol.bye(name))
+        out.flush()
         while not set(self.streams) <= self._acked:
             if self._dead:
                 if self._error is not None:
@@ -344,6 +367,7 @@ class ReplayFeeder:
             "reconnects": self.reconnects,
             "blocked_waits": self.blocked_waits,
             "credit_frames": self.credit_frames,
+            "credits_received": dict(self.credits_received),
             "pacing_stalls": self.pacing_stalls,
             "reconnect_backoff_ms": round(self.last_backoff * 1000, 3),
         }

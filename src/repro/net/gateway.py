@@ -40,7 +40,7 @@ from typing import Any, AsyncIterator, Awaitable, Callable, Iterable, Sequence
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
 from repro.net.overload import BLOCKED, BoundedIngressQueue, OVERLOAD_POLICIES
-from repro.net.protocol import read_frame, write_frame
+from repro.net.protocol import FrameReader, read_frame, write_frame
 from repro.streams.reorder import ReorderBuffer
 from repro.streams.telemetry import (
     IngestTrace,
@@ -351,8 +351,9 @@ class IngestGateway:
         owned: list[_SourceState],
     ) -> None:
         states = {state.name: state for state in owned}
+        frames = FrameReader(reader)
         while True:
-            frame = await read_frame(reader)
+            frame = await frames.read_frame()
             if frame is None:
                 # EOF without bye: the source stays open — the feeder
                 # may reconnect, or liveness eviction will finish it.

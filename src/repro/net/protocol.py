@@ -79,7 +79,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import FrameTruncated, ProtocolError
 from repro.streams.traceio import STREAM_COLUMN, TIMESTAMP_COLUMN
@@ -101,6 +101,16 @@ MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct(">I")
 
+#: Size of the length prefix in front of every frame's JSON payload.
+HEADER_BYTES = _HEADER.size
+
+#: Bytes asked of the socket per read, and the size past which pending
+#: writes are handed to the transport mid-burst. One socket read is one
+#: *burst*: every frame it completes is served before the socket is
+#: awaited again, and every fixed cost of the wire path (read and send
+#: syscalls, credit grants) is paid once per burst, not once per frame.
+BURST_BYTES = 64 << 10
+
 
 def encode_frame(frame: Mapping[str, Any]) -> bytes:
     """Serialize one frame: 4-byte big-endian length + JSON payload."""
@@ -110,6 +120,11 @@ def encode_frame(frame: Mapping[str, Any]) -> bytes:
             f"frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
+    return frame_bytes(payload)
+
+
+def frame_bytes(payload: bytes) -> bytes:
+    """An already-encoded JSON payload behind a fresh length header."""
     return _HEADER.pack(len(payload)) + payload
 
 
@@ -118,7 +133,10 @@ class FrameDecoder:
 
     Feed arbitrary chunks (TCP segments split frames wherever they
     like); complete frames come back in order. State between calls is
-    the undecoded remainder.
+    the undecoded remainder. This class is the one place the header,
+    length-cap and truncation rules live: :class:`FrameReader` (hence
+    every serve loop, the one-shot :func:`read_frame` helpers and the
+    chaos proxy) reads through it.
 
     The length prefix is checked against ``max_frame_bytes`` *before*
     any payload is buffered, so a hostile prefix (say ``0xFFFFFFFF``)
@@ -159,23 +177,55 @@ class FrameDecoder:
             ProtocolError: On an oversized length prefix or a payload
                 that is not a JSON object.
         """
-        self._buffer.extend(data)
+        self.extend(data)
         frames: list[dict[str, Any]] = []
-        while len(self._buffer) >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > self._max_frame_bytes:
-                raise ProtocolError(
-                    f"frame length {length} exceeds the "
-                    f"{self._max_frame_bytes}-byte limit"
-                )
-            if len(self._buffer) < _HEADER.size + length:
-                break
-            payload = bytes(
-                self._buffer[_HEADER.size:_HEADER.size + length]
-            )
-            del self._buffer[:_HEADER.size + length]
+        payload = self.take()
+        while payload is not None:
             frames.append(_parse_payload(payload))
+            payload = self.take()
         return frames
+
+    def extend(self, data: bytes) -> None:
+        """Absorb ``data`` without decoding; :meth:`take` serves it."""
+        self._buffer.extend(data)
+
+    def _frame_end(self) -> "int | None":
+        """Buffer offset one past the frame in progress (header
+        included); ``None`` while its header is incomplete.
+
+        Raises:
+            ProtocolError: On an oversized length prefix.
+        """
+        if len(self._buffer) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(self._buffer)
+        if length > self._max_frame_bytes:
+            raise ProtocolError(
+                f"frame length {length} exceeds the "
+                f"{self._max_frame_bytes}-byte limit"
+            )
+        return _HEADER.size + length
+
+    def take(self) -> "bytes | None":
+        """Remove and return the next complete frame's raw JSON payload;
+        ``None`` while the buffered bytes stop short of one.
+
+        Raises:
+            ProtocolError: On an oversized length prefix.
+        """
+        end = self._frame_end()
+        if end is None or len(self._buffer) < end:
+            return None
+        payload = bytes(self._buffer[_HEADER.size:end])
+        del self._buffer[:end]
+        return payload
+
+    @property
+    def missing(self) -> int:
+        """Bytes the frame in progress still lacks: the rest of its
+        header first, then the rest of its payload."""
+        end = self._frame_end()
+        return (_HEADER.size if end is None else end) - len(self._buffer)
 
     def eof(self) -> None:
         """Declare end-of-stream: raise if a frame was cut mid-flight.
@@ -190,15 +240,16 @@ class FrameDecoder:
         """
         if not self._buffer:
             return
-        if len(self._buffer) < _HEADER.size:
+        end = self._frame_end()
+        if end is None:
             raise FrameTruncated(
                 f"connection closed mid-header ({len(self._buffer)} of "
                 f"{_HEADER.size} bytes)"
             )
-        (length,) = _HEADER.unpack_from(self._buffer)
-        got = len(self._buffer) - _HEADER.size
         raise FrameTruncated(
-            f"connection closed mid-frame ({got} of {length} bytes)"
+            f"connection closed mid-frame "
+            f"({len(self._buffer) - _HEADER.size} of "
+            f"{end - _HEADER.size} bytes)"
         )
 
     def __len__(self) -> int:
@@ -216,6 +267,141 @@ def _parse_payload(payload: bytes) -> dict[str, Any]:
             f"{frame!r:.80}"
         )
     return frame
+
+
+class FrameReader:
+    """Frames off an :class:`asyncio.StreamReader`, a burst at a time.
+
+    Each socket read asks for up to ``chunk`` bytes, and every frame
+    those bytes complete is served from memory before the socket is
+    awaited again. A parse error surfaces at the frame that carries
+    it: the frames ahead of it in the same chunk are served first.
+
+    Args:
+        reader: The connection's stream.
+        max_frame_bytes: Per-frame payload cap.
+        chunk: Bytes asked of the socket per read. ``None`` asks only
+            for what the frame in progress still lacks, leaving every
+            later byte in ``reader`` — what the one-shot
+            :func:`read_frame` helpers need.
+        before_wait: Called each time no buffered frame is left and
+            the socket is about to be awaited — the end of a burst,
+            where a serve loop's flush rule applies (see
+            :class:`FrameWriter`).
+    """
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        max_frame_bytes: int = MAX_FRAME_BYTES,
+        chunk: "int | None" = BURST_BYTES,
+        before_wait: "Callable[[], None] | None" = None,
+    ) -> None:
+        self._reader = reader
+        self._decoder = FrameDecoder(max_frame_bytes)
+        self._chunk = chunk
+        self._before_wait = before_wait
+
+    async def read_payload(self) -> "bytes | None":
+        """The next frame's raw JSON payload; ``None`` on clean EOF.
+
+        Raises:
+            FrameTruncated: EOF or reset inside a frame.
+            ProtocolError: Oversized length prefix.
+        """
+        decoder = self._decoder
+        while True:
+            payload = decoder.take()
+            if payload is not None:
+                return payload
+            if self._before_wait is not None:
+                self._before_wait()
+            try:
+                data = await self._reader.read(self._chunk or decoder.missing)
+            except ConnectionResetError as error:
+                raise FrameTruncated(
+                    f"connection reset mid-stream: {error}"
+                ) from None
+            if not data:
+                decoder.eof()
+                return None
+            decoder.extend(data)
+
+    async def read_frame(self) -> "dict[str, Any] | None":
+        """The next frame, parsed; ``None`` on clean EOF.
+
+        Raises:
+            ProtocolError: As :meth:`read_payload`, or a payload that
+                is not a JSON object with a ``type``.
+        """
+        payload = await self.read_payload()
+        return None if payload is None else _parse_payload(payload)
+
+    async def read_frame_raw(self) -> "tuple[dict[str, Any], bytes] | None":
+        """:meth:`read_frame` with the raw payload beside the parsed
+        frame — ``(frame, payload)`` — for a tier that relays it."""
+        payload = await self.read_payload()
+        return None if payload is None else (_parse_payload(payload), payload)
+
+
+class FrameWriter:
+    """One connection's outbound frames, written a burst at a time.
+
+    Frames join an ordered pending list and reach the transport as one
+    ``write`` per burst, so a loop that forwards a whole socket read's
+    worth of frames pays one ``send`` syscall, not one per frame.
+
+    **The flush rule** every user follows: pending bytes are written
+    before the task awaits anything that can suspend it, before
+    :meth:`close`, and — with a ``drain``, so transport flow control
+    still bites — once they pass :data:`BURST_BYTES` (:attr:`full`).
+    Coalescing therefore adds at most "until the current task next
+    suspends" to a frame, and the list is empty whenever another task
+    runs: frames from several tasks on one connection keep the order
+    in which they were added.
+    """
+
+    __slots__ = ("_writer", "_pending", "_size")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self._writer = writer
+        self._pending: list[bytes] = []
+        self._size = 0
+
+    def add(self, frame: Mapping[str, Any]) -> None:
+        """Encode ``frame`` and give it the next place in wire order."""
+        self._add(encode_frame(frame))
+
+    def add_payload(self, payload: bytes) -> None:
+        """:meth:`add` for an already-encoded JSON payload (verbatim
+        relay: the router's hot path never re-encodes)."""
+        self._add(frame_bytes(payload))
+
+    def _add(self, data: bytes) -> None:
+        self._pending.append(data)
+        self._size += len(data)
+
+    @property
+    def full(self) -> bool:
+        """Pending bytes have passed :data:`BURST_BYTES`: :meth:`drain`."""
+        return self._size > BURST_BYTES
+
+    def flush(self) -> None:
+        """Hand every pending frame to the transport in one write."""
+        if self._pending:
+            self._writer.write(b"".join(self._pending))
+            self._pending.clear()
+            self._size = 0
+
+    async def drain(self) -> None:
+        """:meth:`flush`, then wait out the transport's flow control."""
+        self.flush()
+        await self._writer.drain()
+
+    def close(self) -> None:
+        """Flush what is pending, then close the connection."""
+        self.flush()
+        self._writer.close()
 
 
 async def read_frame(
@@ -238,53 +424,35 @@ async def read_frame_raw(
 
     The raw JSON payload (without the length header) lets a forwarding
     tier relay the frame verbatim via :func:`write_raw_frame` without
-    paying to re-encode it — the router's hot path.
+    paying to re-encode it. Consumes exactly the frame's bytes: what
+    follows stays in ``reader`` for the next call, or for the
+    :class:`FrameReader` a serve loop opens after its handshake.
 
     Raises:
         ProtocolError: On a truncated frame, oversized length, or
             undecodable payload.
     """
-    try:
-        header = await reader.readexactly(_HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise FrameTruncated(
-            f"connection closed mid-header ({len(error.partial)} of "
-            f"{_HEADER.size} bytes)"
-        ) from None
-    except ConnectionResetError as error:
-        raise FrameTruncated(f"connection reset mid-stream: {error}") from None
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame_bytes:
-        raise ProtocolError(
-            f"frame length {length} exceeds the {max_frame_bytes}-byte limit"
-        )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameTruncated(
-            f"connection closed mid-frame ({len(error.partial)} of "
-            f"{length} bytes)"
-        ) from None
-    except ConnectionResetError as error:
-        raise FrameTruncated(
-            f"connection reset mid-frame (0 of {length} bytes): {error}"
-        ) from None
-    return _parse_payload(payload), payload
+    return await FrameReader(
+        reader, max_frame_bytes, chunk=None
+    ).read_frame_raw()
 
 
 async def write_frame(
     writer: asyncio.StreamWriter, frame: Mapping[str, Any]
 ) -> None:
-    """Encode ``frame``, write it, and drain the transport."""
+    """Encode ``frame``, write it, and drain the transport.
+
+    One-shot and immediate: the frame is in the transport when the
+    call returns, so a peer may write and close at once. Loops that
+    send many frames per burst use a :class:`FrameWriter` instead.
+    """
     writer.write(encode_frame(frame))
     await writer.drain()
 
 
 async def write_raw_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
     """Write an already-encoded JSON payload with a fresh length header."""
-    writer.write(_HEADER.pack(len(payload)) + payload)
+    writer.write(frame_bytes(payload))
     await writer.drain()
 
 

@@ -8,8 +8,17 @@ owning its *shard key* on a consistent-hash ring
 batch-sharding key (:attr:`repro.net.service.ScenarioBundle.shard_key`),
 so keys whose tuples must share stateful pipeline stages always land on
 one worker. Forwarding relays the frame's raw JSON payload verbatim
-(:func:`repro.net.protocol.write_raw_frame`) — the router's hot path
-never re-encodes.
+(:meth:`repro.net.protocol.FrameWriter.add_payload`) — the router's hot
+path never re-encodes.
+
+**Bursts.** Whatever one socket read delivered is served as one burst:
+forwarded frames join their link's ordered pending list
+(:class:`~repro.net.protocol.FrameWriter`) and the feeder credits they
+earn are added up per source, and both reach their sockets — one write
+per link, one ``credit`` frame per source — when the serving task is
+about to suspend: no decoded frame left, a closed rebalance gate, a
+worker with no credit in hand (``_flush``). Nothing stays pending, and
+no credit stays owed, while another task runs.
 
 **Epochs and rebalance.** Worker membership is versioned by *epoch*.
 Every membership change (join or leave) runs the same handoff:
@@ -74,10 +83,10 @@ from repro.errors import NetError, ProtocolError
 from repro.net import protocol
 from repro.net.gateway import accept_hello
 from repro.net.protocol import (
+    FrameReader,
+    FrameWriter,
     read_frame,
-    read_frame_raw,
     write_frame,
-    write_raw_frame,
 )
 from repro.net.recovery import (
     CheckpointStore,
@@ -151,9 +160,10 @@ def _traced_payload(
     re-encode on the forwarding hot path (feeders never send a
     ``trace`` key, so the splice cannot collide; the traced-cluster
     overhead gate in ``benchmarks/test_bench_telemetry.py`` is why this
-    is a splice and not a ``json.dumps``). ``fwd`` is stamped here,
-    immediately before the write — any serialization cost lands in the
-    (cross-clock-domain) ``wire.transit`` span, not ``router.forward``.
+    is a splice and not a ``json.dumps``). ``fwd`` is stamped here, as
+    the frame joins its link's pending list — serialization and the
+    wait for the burst's flush land in the (cross-clock-domain)
+    ``wire.transit`` span, not ``router.forward``.
     """
     flag = b',"replayed":true' if replayed else b""
     return b'%s,"trace":{"id":%d,"recv":%d,"acq":%d,"fwd":%d%s}}' % (
@@ -170,12 +180,21 @@ def _copy_buckets(buckets: "dict[int, list]") -> "dict[int, list]":
 class _WorkerLink:
     """The router's live connection to one worker for one epoch."""
 
-    def __init__(self, label: str, host: str, port: int):
+    def __init__(
+        self,
+        label: str,
+        host: str,
+        port: int,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ):
         self.label = label
         self.host = host
         self.port = port
-        self.reader: "asyncio.StreamReader | None" = None
-        self.writer: "asyncio.StreamWriter | None" = None
+        self.reader = reader
+        #: Every router→worker frame goes through this one ordered
+        #: list, so wire order is the order of ``add`` calls.
+        self.out = FrameWriter(writer)
         self.sources: tuple[str, ...] = ()
         self.credits: dict[str, int] = {}
         self.granted = asyncio.Condition()
@@ -215,12 +234,26 @@ class _WorkerLink:
         ) = None
         self.on_failure: "Callable[[_WorkerLink], None] | None" = None
 
-    async def acquire(self, source: str) -> None:
+    async def acquire(
+        self, source: str, before_wait: Callable[[], None]
+    ) -> None:
         """Take one worker credit for ``source`` (block until granted).
+
+        A credit in hand is taken on the spot (one event loop: the
+        condition is for waiting). Otherwise the link's pending frames
+        — what the awaited credits answer — are written and
+        ``before_wait`` is called, then the task blocks.
 
         Raises:
             _LinkDead: When the link is (or while blocked becomes) dead.
         """
+        if self.dead:
+            raise _LinkDead(self.label)
+        if self.credits.get(source, 0) > 0:
+            self.credits[source] -= 1
+            return
+        self.out.flush()
+        before_wait()
         async with self.granted:
             await self.granted.wait_for(
                 lambda: self.dead or self.credits.get(source, 0) > 0
@@ -231,10 +264,10 @@ class _WorkerLink:
 
     async def read_loop(self) -> None:
         """Consume worker→router frames: credits, acks, results."""
-        assert self.reader is not None
+        frames = FrameReader(self.reader)
         try:
             while True:
-                frame = await read_frame(self.reader)
+                frame = await frames.read_frame()
                 if frame is None:
                     break
                 if self.on_frame is not None:
@@ -311,8 +344,7 @@ class _WorkerLink:
                 pass
         async with self.granted:
             self.granted.notify_all()
-        if self.writer is not None:
-            self.writer.close()
+        self.out.close()
         if not self.end.done():
             # Nobody will resolve it now; keep await-ers from hanging.
             self.end.set_exception(NetError("worker link closed"))
@@ -391,7 +423,11 @@ class ClusterRouter:
         }
         self._max_arrival: dict[str, float] = {}
         self._final: set[str] = set()
-        self._owners: dict[str, asyncio.StreamWriter] = {}
+        #: Source → its feeder connection's writer.
+        self._owners: dict[str, FrameWriter] = {}
+        #: Source → feeder credits earned by forwarded (or skipped)
+        #: frames and not granted yet; emptied by every :meth:`_flush`.
+        self._owed: dict[str, int] = {}
         self._gate = asyncio.Event()
         self._inflight = 0
         self._idle = asyncio.Event()
@@ -653,13 +689,9 @@ class ClusterRouter:
         lost: list[str] = []
         for label in sorted(self._links):
             link = self._links[label]
-            if link.dead:
-                continue
-            try:
-                assert link.writer is not None
-                await write_frame(link.writer, protocol.drain())
-            except (ConnectionError, RuntimeError):
-                pass  # already completing; result_end settles it either way
+            if not link.dead:
+                link.out.add(protocol.drain())
+                link.out.flush()
         for label in sorted(self._links):
             link = self._links[label]
             end = None
@@ -866,33 +898,29 @@ class ClusterRouter:
             OSError, NetError: When the worker cannot be reached or
                 rejects the epoch; the half-open link is closed first.
         """
-        link = _WorkerLink(label, *address)
+        link = _WorkerLink(
+            label, *address, *await asyncio.open_connection(*address)
+        )
         link.sources = sources
         try:
-            link.reader, link.writer = await asyncio.open_connection(
-                *address
-            )
-            await write_frame(link.writer, protocol.worker_hello(label))
-            await write_frame(
-                link.writer,
+            link.out.add(protocol.worker_hello(label))
+            link.out.add(
                 protocol.route(
                     self._epoch, start_tick, sources, resume=resume
-                ),
+                )
             )
             if entry is not None:
-                await write_frame(
-                    link.writer,
+                link.out.add(
                     protocol.resume(
                         self._epoch,
                         entry.ticks,
                         entry.state,
                         entry.checkpoint_id,
-                    ),
+                    )
                 )
             elif resume:
-                await write_frame(
-                    link.writer, protocol.resume(self._epoch, 0, None)
-                )
+                link.out.add(protocol.resume(self._epoch, 0, None))
+            await link.out.drain()
             ack = await read_frame(link.reader)
             if ack is None or ack.get("type") != "hello_ack":
                 reason = (
@@ -954,9 +982,11 @@ class ClusterRouter:
                 self._on_link_failure(link)
                 continue
             self._bump("replayed_frames")
-            await self._maybe_checkpoint(link)
+            self._maybe_checkpoint(link)
         for name in sorted(self._final):
-            await self._forward_bye(name, links)
+            self._forward_bye(name, links)
+        for link in links.values():
+            link.out.flush()
 
     async def _forward(
         self, link: _WorkerLink, frame: _RetainedFrame, replayed: bool
@@ -965,11 +995,11 @@ class ClusterRouter:
         data frame reaches a worker, live or replayed.
 
         Invariant: ``link.positions`` counts every data frame written
-        on the link, replayed or live. The count moves *before* the
-        write and with no await between, so a concurrent checkpoint's
-        positions snapshot is always consistent with wire order
-        (``writer.write`` is synchronous at the head of
-        :func:`write_raw_frame`).
+        on the link, replayed or live. The count moves in the same
+        no-await window in which the frame takes its place in the
+        link's pending list — its place in wire order — so a
+        concurrent checkpoint's positions snapshot is always consistent
+        with wire order.
 
         Untraced, the feeder's bytes are relayed verbatim. Traced, the
         frame is stamped with fresh acquire/forward instants under its
@@ -981,9 +1011,10 @@ class ClusterRouter:
         Raises:
             _LinkDead: The link is (or while blocked on a credit
                 became) dead; nothing was written or counted.
-            ConnectionError, RuntimeError: The write itself failed.
+            ConnectionError, RuntimeError: Draining an over-long burst
+                found the connection gone.
         """
-        await link.acquire(frame.source)
+        await link.acquire(frame.source, self._flush)
         link.positions[frame.source] = (
             link.positions.get(frame.source, 0) + 1
         )
@@ -997,8 +1028,35 @@ class ClusterRouter:
                 time.perf_counter_ns(),
                 replayed,
             )
-        assert link.writer is not None
-        await write_raw_frame(link.writer, payload)
+        link.out.add_payload(payload)
+        if link.out.full:
+            self._flush()
+            await link.out.drain()
+
+    def _flush(self) -> None:
+        """The flush rule: a task calls this before it awaits anything
+        that can suspend it.
+
+        Every link's pending frames are written (one write each), then
+        every owed feeder credit is granted, one ``credit`` frame per
+        source. In that order, so a credit never reaches the wire
+        before the frame that earned it, and both before the
+        suspension, so a stalled worker or a frozen gate leaves the
+        router owing only the frame it is blocked on.
+        """
+        for link in self._links.values():
+            link.out.flush()
+        self._grant_credits()
+        for out in set(self._owners.values()):
+            out.flush()
+
+    def _grant_credits(self) -> None:
+        """Queue the owed feeder credits on their connections."""
+        for source, credits in self._owed.items():
+            out = self._owners.get(source)
+            if out is not None:  # else: gone; a reconnect re-grants
+                out.add(protocol.credit_frame(source, credits))
+        self._owed.clear()
 
     # -- fault tolerance -----------------------------------------------------
 
@@ -1027,14 +1085,14 @@ class ClusterRouter:
                 int(frame.get("ticks", 0)),
                 frame.get("state"),
                 positions,
-                _copy_buckets(link.per_tick),
+                link.per_tick,
                 sources=link.sources,
-                spans=_copy_buckets(link.span_buckets),
+                spans=link.span_buckets,
             ),
         )
         self._bump("checkpoints_acked")
 
-    async def _maybe_checkpoint(self, link: _WorkerLink) -> None:
+    def _maybe_checkpoint(self, link: _WorkerLink) -> None:
         """Request a checkpoint when the link's interval has elapsed."""
         if (
             self.checkpoint_interval is None
@@ -1045,18 +1103,12 @@ class ClusterRouter:
         link.since_checkpoint = 0
         self._checkpoint_seq += 1
         checkpoint_id = self._checkpoint_seq
-        # Snapshot *before* the write, in the same no-await window as
-        # the forwards' increments: TCP FIFO then makes this the exact
-        # per-source cut the worker's snapshot will reflect.
+        # Snapshot as the frame takes its place in the link's wire
+        # order, in the same no-await window as the forwards'
+        # increments: TCP FIFO then makes this the exact per-source cut
+        # the worker's snapshot will reflect.
         link.pending_checkpoints[checkpoint_id] = dict(link.positions)
-        try:
-            assert link.writer is not None
-            await write_frame(
-                link.writer, protocol.checkpoint(checkpoint_id)
-            )
-        except (ConnectionError, RuntimeError):
-            link.pending_checkpoints.pop(checkpoint_id, None)
-            self._on_link_failure(link)
+        link.out.add(protocol.checkpoint(checkpoint_id))
 
     def _on_link_failure(self, link: _WorkerLink) -> None:
         """Link-death signal (read loop, failed forward): start recovery."""
@@ -1212,23 +1264,30 @@ class ClusterRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         owned: list[str] = []
+        out = FrameWriter(writer)
         try:
-            owned = await self._feeder_handshake(reader, writer)
+            owned = await self._feeder_handshake(reader, writer, out)
             if not owned:
                 return
-            await self._serve_feeder(reader, writer, owned)
+            await self._serve_feeder(reader, out, owned)
         except ProtocolError as error:
+            self._flush()  # what the burst had queued ahead of the error
             await protocol.bail(writer, str(error))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            # Nothing stays pending behind a serve loop that has ended.
+            self._flush()
             for name in owned:
-                if self._owners.get(name) is writer:
+                if self._owners.get(name) is out:
                     del self._owners[name]
-            writer.close()
+            out.close()
 
     async def _feeder_handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        out: FrameWriter,
     ) -> list[str]:
         hello = await accept_hello(
             reader, writer, self._expected, "router", self._count
@@ -1243,10 +1302,10 @@ class ClusterRouter:
             )
             return []
         for name in names:
-            self._owners[name] = writer
+            self._owners[name] = out
         self._ever_connected = True
         # The router always runs credit (block-style) flow control
-        # toward feeders: a credit is returned only after the frame is
+        # toward feeders: a credit is owed only once the frame has been
         # forwarded downstream, so worker backpressure reaches feeders.
         credits = {name: self.queue_bound for name in names}
         await write_frame(writer, protocol.hello_ack(credits, version))
@@ -1255,12 +1314,17 @@ class ClusterRouter:
     async def _serve_feeder(
         self,
         reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        out: FrameWriter,
         owned: list[str],
     ) -> None:
+        """Serve one feeder connection, a burst at a time: every frame
+        one socket read completed is served before the socket is
+        awaited again, and :meth:`_flush` runs before each wait — the
+        read itself, a closed gate, a worker out of credits."""
         names = set(owned)
+        frames = FrameReader(reader, before_wait=self._flush)
         while True:
-            read = await read_frame_raw(reader)
+            read = await frames.read_frame_raw()
             if read is None:
                 return  # EOF; sources stay open for a reconnect
             frame, payload = read
@@ -1288,7 +1352,7 @@ class ClusterRouter:
                     recv = time.perf_counter_ns()
                     self._trace_seq += 1
                     ingest_id = self._trace_seq
-                await self._gate.wait()
+                await self._pass_gate()
                 self._inflight += 1
                 self._idle.clear()
                 try:
@@ -1312,30 +1376,25 @@ class ClusterRouter:
                         await self._forward(link, retained, replayed=False)
                     except _LinkDead:
                         # Already retained; recovery's replay delivers
-                        # it. Skip, return the feeder's credit below.
+                        # it. Skip; the feeder's credit is owed below.
                         self._bump("forwards_skipped_dead")
                     except (ConnectionError, RuntimeError):
                         self._on_link_failure(link)
                         self._bump("forwards_skipped_dead")
                 finally:
                     self._release_inflight()
-                await self._maybe_checkpoint(link)
+                self._maybe_checkpoint(link)
                 self.data_frames += 1
                 self._offered[source] = self._offered.get(source, 0) + 1
                 if self._frame_waiters:
                     for event in self._frame_waiters:
                         event.set()
-                await write_frame(
-                    writer, protocol.credit_frame(source, 1)
-                )
+                self._owed[source] = self._owed.get(source, 0) + 1
             elif kind == "heartbeat":
                 if self._gate.is_set():
                     for link in self._links.values():
-                        try:
-                            assert link.writer is not None
-                            await write_raw_frame(link.writer, payload)
-                        except (ConnectionError, RuntimeError):
-                            pass
+                        if not link.dead:
+                            link.out.add_payload(payload)
             elif kind == "bye":
                 source = frame.get("source")
                 if source not in names:
@@ -1343,32 +1402,36 @@ class ClusterRouter:
                         f"bye for source {source!r} not owned by this "
                         f"connection"
                     )
-                await self._gate.wait()
+                await self._pass_gate()
                 self._inflight += 1
                 self._idle.clear()
                 try:
                     if source not in self._final:
                         self._final.add(source)
-                        await self._forward_bye(source, self._links)
+                        self._forward_bye(source, self._links)
                 finally:
                     self._release_inflight()
-                await write_frame(writer, protocol.bye_ack(source))
+                # Credits first: a feeder stops reading at its last ack.
+                self._grant_credits()
+                out.add(protocol.bye_ack(source))
                 if len(self._final) == len(self._expected):
                     self._all_final.set()
             else:
                 raise ProtocolError(f"unexpected frame type {kind!r}")
 
-    async def _forward_bye(
+    async def _pass_gate(self) -> None:
+        """Wait out a rebalance freeze, flushing first (:meth:`_flush`)."""
+        if not self._gate.is_set():
+            self._flush()
+            await self._gate.wait()
+
+    def _forward_bye(
         self, source: str, links: "dict[str, _WorkerLink]"
     ) -> None:
         for label in sorted(links):
             link = links[label]
             if source in link.sources and not link.dead:
-                try:
-                    assert link.writer is not None
-                    await write_frame(link.writer, protocol.bye(source))
-                except (ConnectionError, RuntimeError):
-                    pass
+                link.out.add(protocol.bye(source))
 
     def _release_inflight(self) -> None:
         self._inflight -= 1

@@ -16,8 +16,9 @@ rebalance), the worker streams its cleaned output back as per-tick
 *per punctuation tick* (the unit :func:`repro.streams.shard.merge_outputs`
 merges on), but a session's ``advance`` may sweep many ticks in one
 call. :class:`TickLedger` wraps the session and re-issues the sweep one
-tick at a time, recording the sink delta after each — same sweeps, same
-output, now attributable.
+tick at a time, taking the sink's output after each — same sweeps, same
+output, now attributable, and the session's sink holds nothing between
+ticks, so a checkpoint never carries output the router already has.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ from repro.errors import NetError, ProtocolError
 from repro.net import protocol
 from repro.net.gateway import IngestGateway
 from repro.net.ops import ops_plane
-from repro.net.protocol import read_frame, write_frame
+from repro.net.protocol import (
+    FrameReader,
+    FrameWriter,
+    read_frame,
+    write_frame,
+)
 from repro.net.service import ScenarioBundle, build_bundle
 from repro.streams.fjord import sweep_end
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
@@ -46,7 +52,7 @@ class TickLedger:
     Presents the :class:`~repro.core.pipeline.ESPStreamSession` surface
     the gateway drives (``receptor_ids`` / ``push`` / ``advance`` /
     ``safe_time`` / ``close``) but performs every multi-tick sweep as a
-    sequence of single-tick sweeps, capturing the sink's delta after
+    sequence of single-tick sweeps, taking the sink's output after
     each one into :attr:`per_tick`. The sweep *condition* is the Fjord
     session's own (:func:`repro.streams.fjord.sweep_end`), so the swept
     set (and therefore the output) is byte-identical to driving the
@@ -92,11 +98,10 @@ class TickLedger:
         start = len(self.per_tick)
         end = sweep_end(self._ticks, watermark, start)
         for tick in self._ticks[start:end]:
-            before = len(self._session.emitted)
             # A watermark just past this tick's tolerance and below the
             # next tick's: the session sweeps exactly this one.
             swept.extend(self._session.advance(tick + 3e-9))
-            self.per_tick.append(list(self._session.emitted[before:]))
+            self.per_tick.append(self._session.take_emitted())
             self.spans_per_tick.append(self._closing)
             self._closing = []
         return swept
@@ -136,10 +141,12 @@ class TickLedger:
         """Snapshot the ledger (and its session) for later :meth:`restore`.
 
         Tick buckets already shipped to the router are *not* captured —
-        the router snapshots its received copy at ack time — so the
-        blob stays bounded by operator state plus unreported output,
-        not run length. Capture inside the gateway's quiesced window,
-        after shipping, and serialize synchronously.
+        the router snapshots its received copy at ack time — and the
+        session's sink is empty (:meth:`advance` takes each tick's
+        output out of it), so the blob is bounded by operator state
+        plus unreported output, not run length. Capture inside the
+        gateway's quiesced window, after shipping, and serialize
+        synchronously.
         """
         return {
             "session": self._session.checkpoint(),
@@ -155,9 +162,9 @@ class TickLedger:
         """Install a :meth:`checkpoint` snapshot into this fresh ledger.
 
         Reported ticks come back as empty placeholder buckets (their
-        contents live in the router's checkpoint store); indexing and
-        the session's emitted-delta bookkeeping continue exactly where
-        the snapshot left off.
+        contents live in the router's checkpoint store) and the
+        session's sink comes back empty, as it was captured; indexing
+        continues exactly where the snapshot left off.
         """
         if self.per_tick or self.reported:
             raise NetError("restore needs a fresh TickLedger")
@@ -183,11 +190,13 @@ async def ship_ticks(
     """Ship the ledger's not-yet-reported tick buckets as ``result``
     frames; returns how many ticks were shipped.
 
-    Chunked at :data:`RESULT_CHUNK` records per frame. Advances
+    Chunked at :data:`RESULT_CHUNK` records per frame, and the frames
+    of one call reach the socket as one burst. Advances
     ``ledger.reported`` so shipping is incremental: mid-epoch
     checkpoints ship their delta, and the final drain ships only what
     no checkpoint already delivered.
     """
+    out = FrameWriter(writer)
     start = ledger.reported
     for index in range(start, len(ledger.per_tick)):
         bucket = ledger.per_tick[index]
@@ -202,10 +211,11 @@ async def ship_ticks(
                 for item in bucket[offset:offset + RESULT_CHUNK]
             ]
             chunk = spans[offset:offset + RESULT_CHUNK]
-            await write_frame(
-                writer, protocol.result(epoch, index, records, chunk)
-            )
+            out.add(protocol.result(epoch, index, records, chunk))
+            if out.full:
+                await out.drain()
             offset += RESULT_CHUNK
+    await out.drain()
     ledger.reported = len(ledger.per_tick)
     return ledger.reported - start
 
@@ -571,8 +581,9 @@ class ClusterWorker:
         # No sources this epoch (more workers than shard keys): ack,
         # then wait for the drain that closes the epoch.
         await write_frame(writer, protocol.hello_ack({}))
+        frames = FrameReader(reader)
         while True:
-            frame = await read_frame(reader)
+            frame = await frames.read_frame()
             if frame is None:
                 return False
             if frame.get("type") == "drain":

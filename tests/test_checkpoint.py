@@ -19,6 +19,7 @@ from repro.net.recovery import (
     encode_state,
 )
 from repro.net.service import build_bundle
+from repro.net.worker import TickLedger
 from repro.streams.reorder import ReorderBuffer
 from repro.streams.tuples import StreamTuple
 
@@ -144,6 +145,57 @@ class TestSessionCheckpoint:
         )
         with pytest.raises(OperatorError):
             other.restore(state)
+
+
+class TestLedgerCheckpoint:
+    """A worker checkpoint costs what the operators hold, not what the
+    epoch has emitted: the ledger takes each tick's output out of the
+    session's sink, and shipped ticks live at the router."""
+
+    INTERVAL = 300  # data frames between checkpoints, as the bench twin
+
+    @staticmethod
+    def open_ledger(bundle):
+        session = bundle.processor.open_session(
+            until=bundle.until, tick=bundle.tick, mode="fused"
+        )
+        return session, TickLedger(session)
+
+    def test_blob_is_bounded_and_last_checkpoint_resumes(self):
+        bundle = build_bundle("shelf", 120.0, SEED)
+        reference = bundle.processor.run(
+            bundle.until, bundle.tick, sources=bundle.streams
+        ).output
+        schedule = arrival_schedule(bundle)
+        session, ledger = self.open_ledger(bundle)
+        shipped = []  # the router's copy of the reported ticks
+        sizes = []
+        for index, (timestamp, name, item) in enumerate(schedule, 1):
+            ledger.push(name, item)
+            ledger.advance(timestamp)
+            assert session.take_emitted() == []  # the ledger took it all
+            if index % self.INTERVAL == 0:
+                # What ship_ticks does ahead of every checkpoint.
+                shipped.extend(ledger.per_tick[ledger.reported:])
+                ledger.reported = len(ledger.per_tick)
+                blob, size = encode_state({"ledger": ledger.checkpoint()})
+                sizes.append(size)
+                cut, held = index, len(shipped)
+        assert len(sizes) == len(schedule) // self.INTERVAL >= 20
+        steady = sizes[2:]  # the 5 s Smooth windows are full by then
+        assert max(steady) <= 2 * min(steady), sizes
+
+        _session, resumed = self.open_ledger(
+            build_bundle("shelf", 120.0, SEED)
+        )
+        resumed.restore(decode_state(blob)["ledger"])
+        assert resumed.reported == held
+        for timestamp, name, item in schedule[cut:]:
+            resumed.push(name, item)
+            resumed.advance(timestamp)
+        resumed.close()
+        buckets = shipped[:held] + resumed.per_tick[held:]
+        assert [t for bucket in buckets for t in bucket] == reference
 
 
 class TestReorderBufferCheckpoint:

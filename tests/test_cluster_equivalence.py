@@ -67,12 +67,14 @@ async def cluster_run(
     delay_model=None,
     telemetry=None,
     instrument_workers=False,
+    feeder_reports=None,
 ):
-    """Drive a full in-process cluster; returns (output, router, workers).
+    """Drive a full in-process cluster; returns (output, router).
 
     ``events`` is a list of ``(fraction, action, label)`` rebalance
     triggers: once ``fraction`` of the recording's frames have been
-    forwarded, ``join``/``leave`` the labelled worker.
+    forwarded, ``join``/``leave`` the labelled worker. The feeder's
+    delivery report is appended to ``feeder_reports`` when given.
     """
     bundle = build_bundle(name, duration, SEED)
     total_frames = sum(len(items) for items in bundle.streams.values())
@@ -109,7 +111,9 @@ async def cluster_run(
                 await asyncio.wait_for(router.add_worker(*spec), WAIT)
             else:
                 await asyncio.wait_for(router.remove_worker(label), WAIT)
-        await asyncio.wait_for(feed_task, WAIT)
+        report = await asyncio.wait_for(feed_task, WAIT)
+        if feeder_reports is not None:
+            feeder_reports.append(report)
         await asyncio.wait_for(router.run_until_complete(), WAIT)
         output = router.result()
     finally:
@@ -159,6 +163,24 @@ class TestClusterEquivalence:
 
         clustered, router = asyncio.run(scenario())
         assert clustered == reference
+
+
+class TestCreditFlow:
+    """Feeder credits ride bursts: conserved per source, few frames."""
+
+    def test_credits_conserved_per_source_and_batched(self):
+        reports = []
+        clustered, router = asyncio.run(
+            cluster_run("shelf", 2, 12.0, feeder_reports=reports)
+        )
+        assert clustered == in_memory_output("shelf", 12.0)
+        (report,) = reports
+        sent = sum(report["sent"].values())
+        assert sent == router.stats()["data_frames"] > 500
+        # One credit per data frame accepted, source by source ...
+        assert report["credits_received"] == report["sent"]
+        # ... granted a burst at a time, not a frame at a time.
+        assert report["credit_frames"] * 4 < sent
 
 
 class TestRebalance:

@@ -516,10 +516,67 @@ class TestCreditDebtOnLeave:
         )
         # No deadlock (we got here) and no double-grant: exactly one
         # credit came back per data frame sent, dead-worker debt
-        # included.
-        assert report["credit_frames"] == sum(report["sent"].values())
+        # included (however many frames carried them).
+        assert report["credits_received"] == report["sent"]
         assert router.recovery["forwards_skipped_dead"] >= 1
         assert members == {"w2"}
+
+
+class TestCreditDebtWhileBlocked:
+    """The flush rule at the router: blocked on a worker that grants
+    nothing more, it holds no forwarded frame back from the worker and
+    owes the feeder exactly the one frame it is blocked on."""
+
+    def test_blocked_router_owes_one_credit(self):
+        async def scenario():
+            bundle = build_bundle("shelf", 6.0, SEED)
+            staller = ScriptedWorker(
+                initial_credits=3, stall_first_connection=True
+            )
+            router = ClusterRouter(build_bundle("shelf", 6.0, SEED))
+            worker_host, worker_port = await staller.start()
+            host, port = await router.start()
+            await router.connect_workers([("w0", worker_host, worker_port)])
+            feeder = ReplayFeeder(host, port, bundle.streams)
+            feed_task = asyncio.ensure_future(feeder.run())
+            try:
+                await asyncio.wait_for(router.wait_for_data_frames(3), WAIT)
+
+                def settled():
+                    return (
+                        sum(feeder.credits_received.values())
+                        == router.data_frames
+                        == staller.data_frames
+                    )
+
+                previous = -1
+                while router.data_frames != previous or not settled():
+                    previous = router.data_frames
+                    await asyncio.sleep(0.05)
+                assert not feed_task.done()
+                return (
+                    router.data_frames,
+                    router.stats()["retained_frames"],
+                    dict(feeder.credits_received),
+                )
+            finally:
+                feed_task.cancel()
+                try:
+                    await feed_task
+                except (asyncio.CancelledError, Exception):
+                    pass
+                await router.close()
+                await staller.close()
+
+        forwarded, retained, credits = asyncio.run(
+            asyncio.wait_for(scenario(), WAIT)
+        )
+        # Every forwarded frame reached the worker and earned its
+        # credit before the router blocked; the frame it is blocked on
+        # is retained, unforwarded and uncredited.
+        assert 3 <= forwarded <= 6  # 3 credits on each of 2 sources
+        assert max(credits.values()) == 3
+        assert retained - sum(credits.values()) == 1
 
 
 class TestLivenessOpsPlane:

@@ -244,6 +244,128 @@ class TestPacing:
         assert fake.sleeps == []
 
 
+class ScriptedGateway:
+    """A gateway stand-in: acks the hello with ``credits``, records
+    data frames, acks byes; ``on_data(gateway, writer)`` runs after
+    each data frame."""
+
+    def __init__(self, credits, on_data=None):
+        self.credits = credits
+        self.on_data = on_data
+        self.received = []
+        self._arrived = asyncio.Event()
+        self._server = None
+
+    async def start(self):
+        self._server = await asyncio.start_server(
+            self._handle, "127.0.0.1", 0
+        )
+        return self._server.sockets[0].getsockname()[1]
+
+    async def close(self):
+        self._server.close()
+        await self._server.wait_closed()
+
+    async def wait_received(self, n):
+        while len(self.received) < n:
+            self._arrived.clear()
+            await asyncio.wait_for(self._arrived.wait(), timeout=5)
+
+    async def _handle(self, reader, writer):
+        try:
+            await read_frame(reader)
+            await write_frame(writer, protocol.hello_ack(self.credits))
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    break
+                if frame["type"] == "data":
+                    self.received.append(frame["seq"])
+                    self._arrived.set()
+                    if self.on_data is not None:
+                        await self.on_data(self, writer)
+                elif frame["type"] == "bye":
+                    await write_frame(
+                        writer, protocol.bye_ack(frame["source"])
+                    )
+        finally:
+            writer.close()
+
+
+class TestFlushRule:
+    """Frames leave in bursts, and a burst is on the socket before the
+    feeder suspends: it never sleeps, or waits for credits, on a frame
+    it has counted as sent."""
+
+    def test_paced_feeder_never_sleeps_on_an_unsent_frame(self):
+        """Three polls of readings, paced: whenever ``sleep`` is
+        awaited the gateway can read every frame of the polls so far
+        (a frame still pending would time the wait out)."""
+        fake = FakeTime()
+        polls = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0]
+        streams = {"a": [tup(ts, v=i) for i, ts in enumerate(polls)]}
+        seen_at_sleep = []
+
+        async def scenario():
+            gateway = ScriptedGateway(None)
+            port = await gateway.start()
+
+            async def sleep(seconds):
+                await gateway.wait_received(feeder.sent["a"])
+                seen_at_sleep.append(len(gateway.received))
+                await fake.sleep(seconds)
+
+            feeder = ReplayFeeder(
+                "127.0.0.1", port, streams,
+                rate=1.0, sleep=sleep, clock=fake.clock,
+            )
+            try:
+                report = await asyncio.wait_for(feeder.run(), timeout=20)
+            finally:
+                await gateway.close()
+            return report, gateway.received
+
+        report, received = asyncio.run(scenario())
+        assert fake.sleeps == [1.0, 2.0]
+        assert seen_at_sleep == [3, 6]
+        assert report["sent"] == {"a": 8}
+        assert received == list(range(8))
+
+    def test_feeder_out_of_credits_has_nothing_pending(self):
+        """Two credits at a time: each time the gateway has read two
+        more frames the feeder is blocked, and everything it counts as
+        sent has arrived — were a frame still pending, the credits it
+        waits for would never come."""
+        window = 2
+        streams = {"a": [tup(float(i), v=i) for i in range(6)]}
+        counted = []
+
+        async def scenario():
+            async def on_data(gateway, writer):
+                if len(gateway.received) % window == 0:
+                    counted.append(
+                        (feeder.sent["a"], len(gateway.received))
+                    )
+                    await write_frame(
+                        writer, protocol.credit_frame("a", window)
+                    )
+
+            gateway = ScriptedGateway({"a": window}, on_data)
+            port = await gateway.start()
+            feeder = ReplayFeeder("127.0.0.1", port, streams)
+            try:
+                return await asyncio.wait_for(feeder.run(), timeout=20)
+            finally:
+                await gateway.close()
+
+        report = asyncio.run(scenario())
+        assert counted == [(2, 2), (4, 4), (6, 6)]
+        assert report["sent"] == {"a": 6}
+        assert report["credits_received"] == {"a": 6}
+        assert report["credit_frames"] == 3
+        assert report["blocked_waits"] >= 2
+
+
 class TestHeartbeat:
     def test_heartbeats_sent_during_replay(self):
         """A paced replay with a heartbeat interval emits heartbeat

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
+from repro.errors import FrameTruncated, ProtocolError
 from repro.net import protocol
 from repro.net.protocol import (
     FrameDecoder,
@@ -72,6 +72,150 @@ class TestFraming:
         wire = len(payload).to_bytes(4, "big") + payload
         with pytest.raises(ProtocolError):
             FrameDecoder().feed(wire)
+
+
+class ScriptedStream:
+    """The one method :class:`FrameReader` asks of a stream: ``read``
+    hands out the scripted chunks in turn, then EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.reads = 0
+
+    async def read(self, n):
+        self.reads += 1
+        if not self.chunks:
+            return b""
+        assert len(self.chunks[0]) <= n
+        return self.chunks.pop(0)
+
+
+async def read_all(frames):
+    """Everything ``frames`` (a FrameReader, or its reference
+    :class:`OneAtATime`) serves, and how it ended:
+    ``None`` for a clean EOF, else the error."""
+    out = []
+    try:
+        while True:
+            read = await frames.read_frame_raw()
+            if read is None:
+                return out, None
+            out.append(read)
+    except ProtocolError as error:
+        return out, error
+
+
+class OneAtATime:
+    """The reference reading: the one-shot ``read_frame_raw`` helper,
+    frame after frame, off a real stream holding ``wire``."""
+
+    def __init__(self, wire):
+        self.reader = asyncio.StreamReader()
+        self.reader.feed_data(wire)
+        self.reader.feed_eof()
+
+    async def read_frame_raw(self):
+        return await protocol.read_frame_raw(self.reader)
+
+
+def one_at_a_time(wire):
+    async def scenario():
+        return await read_all(OneAtATime(wire))
+
+    return asyncio.run(scenario())
+
+
+FRAMES = st.lists(
+    st.one_of(
+        st.builds(protocol.bye, st.text(max_size=6)),
+        st.builds(protocol.credit_frame, st.text(max_size=6),
+                  st.integers(0, 99)),
+        st.builds(protocol.heartbeat, st.lists(st.text(max_size=4),
+                                               max_size=3)),
+        st.just(protocol.drain()),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+class TestFrameReader:
+    """Burst reading: any chunking of the stream serves the frames
+    one-at-a-time reading serves, and ends the way it ends."""
+
+    @given(frames=FRAMES, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_chunking_matches_one_frame_at_a_time(self, frames, data):
+        wire = b"".join(encode_frame(frame) for frame in frames)
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(wire)), max_size=8), label="cuts"
+        ))
+        chunks = [
+            wire[a:b] for a, b in zip([0] + cuts, cuts + [len(wire)])
+            if a < b
+        ]
+        served, error = asyncio.run(
+            read_all(protocol.FrameReader(ScriptedStream(chunks)))
+        )
+        assert error is None
+        assert (served, None) == one_at_a_time(wire)
+        assert [frame for frame, _payload in served] == frames
+        assert b"".join(
+            protocol.frame_bytes(payload) for _frame, payload in served
+        ) == wire
+
+    def test_cut_anywhere_raises_frame_truncated(self):
+        first, second = protocol.bye("a"), protocol.hello(["a", "b"])
+        head, wire = encode_frame(first), encode_frame(second)
+        body = len(wire) - 4
+        for cut in range(1, len(wire)):
+            expected = (
+                f"mid-header ({cut} of 4 bytes)" if cut < 4
+                else f"mid-frame ({cut - 4} of {body} bytes)"
+            )
+            stream = head + wire[:cut]
+            for served, error in (
+                asyncio.run(read_all(protocol.FrameReader(
+                    ScriptedStream([stream[:7], stream[7:]])
+                ))),
+                one_at_a_time(stream),
+            ):
+                assert [frame for frame, _payload in served] == [first]
+                assert isinstance(error, FrameTruncated)
+                assert expected in str(error)
+
+    def test_oversized_prefix_refused_before_its_payload_is_read(self):
+        header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        stream = ScriptedStream([header, b"x" * 1024, b"x" * 1024])
+        served, error = asyncio.run(
+            read_all(protocol.FrameReader(stream))
+        )
+        assert served == []
+        assert type(error) is ProtocolError and "limit" in str(error)
+        assert stream.reads == 1  # the header alone decided it
+
+    def test_corrupt_frame_is_served_after_the_good_ones_before_it(self):
+        good = [protocol.bye("a"), protocol.drain(), protocol.bye("b")]
+        garbage = b"\xff\xfe not json"
+        wire = b"".join(encode_frame(frame) for frame in good)
+        wire += protocol.frame_bytes(garbage) + encode_frame(protocol.drain())
+        served, error = asyncio.run(
+            read_all(protocol.FrameReader(ScriptedStream([wire])))
+        )
+        assert [frame for frame, _payload in served] == good
+        assert type(error) is ProtocolError
+
+    def test_before_wait_runs_once_per_burst(self):
+        wire = b"".join(
+            encode_frame(protocol.bye(f"s{i}")) for i in range(5)
+        )
+        waits = []
+        frames = protocol.FrameReader(
+            ScriptedStream([wire[:40], wire[40:]]),
+            before_wait=lambda: waits.append(len(waits)),
+        )
+        served, error = asyncio.run(read_all(frames))
+        assert len(served) == 5 and error is None
+        assert len(waits) == 3  # two chunks and the EOF, not five frames
 
 
 class TestFrameSizeGuard:
