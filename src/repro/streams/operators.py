@@ -25,7 +25,7 @@ from repro.errors import OperatorError
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.columnar import ColumnBatch
 from repro.streams.typedcols import to_list
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, relabel
 from repro.streams.windows import BaseWindow, WindowSpec
 
 #: Extracts a grouping key component or aggregate argument from a tuple.
@@ -99,6 +99,14 @@ class Operator:
         adds or reorders tuples would skew every counter downstream.
         ``tests/test_observability.py`` pins this equivalence
         differentially for the overriding operators.
+
+        **Borrowing rule.** ``items`` is borrowed: it may be the very
+        list an upstream kernel returned, and the executor may have
+        handed the same list to a sibling consumer (a tap, a fan-out
+        edge). A kernel therefore neither mutates ``items`` nor keeps a
+        reference to it past the call — copying out of it (``extend``)
+        is fine. The list a kernel *returns* belongs to the executor
+        from then on: the kernel must not touch it again.
         """
         out: list[StreamTuple] = []
         for item in items:
@@ -179,6 +187,9 @@ class MapOp(Operator):
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
         fn = self._fn
+        rows = getattr(fn, "rows", None)
+        if rows is not None:
+            return rows(items)
         out: list[StreamTuple] = []
         for item in items:
             result = fn(item)
@@ -216,10 +227,12 @@ class UnionOp(Operator):
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
-        if self._output_stream is None:
-            return list(items)
         stream = self._output_stream
-        return [item.derive(stream=stream) for item in items]
+        if stream is None:
+            # Pass-through: hand the borrowed run on as this kernel's
+            # output (nothing downstream may mutate it either).
+            return items if isinstance(items, list) else list(items)
+        return relabel(items, stream)
 
     def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
         if self._output_stream is None:
@@ -311,6 +324,19 @@ class GroupKey:
         return f"GroupKey({self.name})"
 
 
+def emission_order(groups: Iterable[tuple]) -> list[tuple]:
+    """Group keys in the order a windowed group-by emits them.
+
+    Component-wise ``str`` order, not insertion order: the output order
+    must be a function of the live key set alone so sharded and cluster
+    execution can reproduce it (:mod:`repro.streams.shard`). The
+    group-by operators cache the result and drop it whenever a group is
+    created or deleted, so a slide over an unchanged key set sorts
+    nothing.
+    """
+    return sorted(groups, key=lambda key: tuple(str(c) for c in key))
+
+
 class WindowedGroupByOp(Operator):
     """Windowed GROUP BY with aggregates and an optional HAVING filter.
 
@@ -357,8 +383,16 @@ class WindowedGroupByOp(Operator):
         self._emit_every = emit_every
         self._output_stream = output_stream
         self._windows: dict[tuple, BaseWindow] = {}
+        #: Live keys in emission order — derived from ``_windows``,
+        #: rebuilt by :meth:`on_time` after the key set changed (``None``),
+        #: never checkpointed.
+        self._order: list[tuple] | None = None
 
     STATE_ATTRS = ("_windows",)
+
+    def restore(self, state: "Mapping[str, Any] | None") -> None:
+        super().restore(state)
+        self._order = None
 
     def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
         key = tuple(k.extractor(item) for k in self._keys)
@@ -366,6 +400,7 @@ class WindowedGroupByOp(Operator):
         if window is None:
             window = self._window_spec.make_window()
             self._windows[key] = window
+            self._order = None
         window.insert(item)
         return []
 
@@ -380,6 +415,7 @@ class WindowedGroupByOp(Operator):
             if window is None:
                 window = self._window_spec.make_window()
                 windows[key] = window
+                self._order = None
             window.insert(item)
         return []
 
@@ -408,6 +444,7 @@ class WindowedGroupByOp(Operator):
                 if window is None:
                     window = spec.make_window()
                     windows[key] = window
+                    self._order = None
                 window.insert(item)
         else:
             self.on_batch(batch.tuples(), port)
@@ -423,26 +460,30 @@ class WindowedGroupByOp(Operator):
                 return []
         rows: list[StreamTuple] = []
         empty_keys = []
-        # Emit groups in component-wise sorted key order, not insertion
-        # order: the output order must be a function of the data alone so
-        # sharded execution can reproduce it (repro.streams.shard).
-        for key, window in sorted(
-            self._windows.items(),
-            key=lambda kv: tuple(str(c) for c in kv[0]),
-        ):
+        windows = self._windows
+        order = self._order
+        if order is None:
+            order = self._order = emission_order(windows)
+        names = [k.name for k in self._keys]
+        aggregates = self._aggregates
+        stream = self._output_stream
+        from_parts = StreamTuple._from_parts
+        stamp = float(now)
+        for key in order:
+            window = windows[key]
             window.advance(now)
             contents = window.contents()
             if not contents:
                 empty_keys.append(key)
                 continue
-            values: dict[str, Any] = {
-                k.name: component for k, component in zip(self._keys, key)
-            }
-            for spec in self._aggregates:
+            values: dict[str, Any] = dict(zip(names, key))
+            for spec in aggregates:
                 values[spec.output] = spec.evaluate(contents)
-            rows.append(StreamTuple(now, values, self._output_stream))
-        for key in empty_keys:
-            del self._windows[key]
+            rows.append(from_parts(stamp, values, stream))
+        if empty_keys:
+            for key in empty_keys:
+                del windows[key]
+            self._order = None
         if self._having is not None:
             rows = [row for row in rows if self._having(row, rows)]
         return rows

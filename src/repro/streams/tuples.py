@@ -20,7 +20,7 @@ serializability of every value it put in.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 
@@ -62,8 +62,10 @@ class StreamTuple:
         """Hot-path constructor taking ownership of ``values``.
 
         Skips the defensive ``dict`` copy and ``float`` coercion of
-        ``__init__``; callers (columnar batch decoding) guarantee the
-        dict is freshly built and the timestamp is already a float.
+        ``__init__``; callers (columnar batch decoding, relabels, window
+        emission) guarantee the timestamp is already a float and the
+        dict is either freshly built or the ``_values`` of another
+        tuple — which nothing ever mutates, so tuples may share it.
         """
         item = cls.__new__(cls)
         item.timestamp = timestamp
@@ -123,17 +125,27 @@ class StreamTuple:
             values: Fields to add or overwrite.
             stream: Replacement stream name, or ``None`` to keep this one.
             drop: Field names to remove from the derived tuple.
+
+        A derivation that changes no field and no timestamp (a pure
+        relabel, ``stream=`` alone) shares this tuple's value mapping
+        instead of copying it — tuples have no mutating API, so the
+        sharing is unobservable; every other derivation copies the
+        mapping exactly once.
         """
+        if stream is None:
+            stream = self.stream
+        if timestamp is None:
+            timestamp = self.timestamp
+            if not values and not drop:
+                return StreamTuple._from_parts(timestamp, self._values, stream)
+        else:
+            timestamp = float(timestamp)
         new_values = dict(self._values)
         for field in drop:
             new_values.pop(field, None)
         if values:
             new_values.update(values)
-        return StreamTuple(
-            self.timestamp if timestamp is None else timestamp,
-            new_values,
-            self.stream if stream is None else stream,
-        )
+        return StreamTuple._from_parts(timestamp, new_values, stream)
 
     def project(self, fields: tuple[str, ...]) -> "StreamTuple":
         """Return a new tuple containing only ``fields`` (in any order)."""
@@ -163,3 +175,13 @@ class StreamTuple:
         fields = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         origin = f" stream={self.stream!r}" if self.stream else ""
         return f"StreamTuple(t={self.timestamp:g}{origin} {{{fields}}})"
+
+
+def relabel(items: Iterable[StreamTuple], stream: str) -> list[StreamTuple]:
+    """``[t.derive(stream=stream) for t in items]`` in one comprehension.
+
+    The whole-run form of a relabel: each result shares its source's
+    value mapping (see :meth:`StreamTuple.derive`).
+    """
+    from_parts = StreamTuple._from_parts
+    return [from_parts(t.timestamp, t._values, stream) for t in items]

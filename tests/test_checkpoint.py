@@ -8,6 +8,10 @@ composes: the reorder buffer, the Fjord session, the ESP session
 facade, and the wire codec the blob rides in.
 """
 
+import hashlib
+import pickle
+from collections import deque
+
 import pytest
 
 from repro.core.pipeline import ESPPipeline, ESPProcessor
@@ -266,3 +270,93 @@ class TestStateCodec:
         blob, size = encode_state(huge)
         assert blob is None
         assert size > STATE_BLOB_BUDGET
+
+
+def canonical(value):
+    """A checkpoint state as plain data: what equality of two decoded
+    states means, independent of object identity and pickle memo order."""
+    if isinstance(value, StreamTuple):
+        return ("tuple", value.timestamp, value.stream,
+                sorted((k, canonical(v)) for k, v in value.items()))
+    if isinstance(value, dict):
+        return sorted(
+            ((repr(k), canonical(v)) for k, v in value.items()),
+            key=lambda pair: pair[0],
+        )
+    if isinstance(value, (list, tuple, deque)):
+        return [canonical(v) for v in value]
+    slots = [
+        name for klass in type(value).__mro__
+        for name in getattr(klass, "__slots__", ())
+    ]
+    if slots or hasattr(value, "__dict__"):
+        fields = {name: getattr(value, name) for name in slots}
+        fields.update(getattr(value, "__dict__", {}))
+        return (type(value).__name__, canonical(fields))
+    return value
+
+
+class TestCheckpointContents:
+    """Maintained emission order and shared value mappings are derived
+    or incidental — neither may show in what a checkpoint holds."""
+
+    #: sha256 of ``repr(canonical(state))`` and the size of the state's
+    #: pickle (what the blob compresses; the zlib'd size depends on the
+    #: zlib build), recorded before the emission order was cached and
+    #: relabels shared mappings.
+    STATE_DIGEST = (
+        "fe164a1b253b68315baa956301b1b109e5deab9f1e4e76fd7ea846a52914af04"
+    )
+    PICKLE_SIZE = 298542
+
+    def test_pinned_shelf_session_state_is_unchanged_and_no_larger(self):
+        bundle = build_bundle("shelf", 60.0, SEED)
+        schedule = arrival_schedule(bundle)
+        session = bundle.processor.open_session(
+            until=bundle.until, tick=bundle.tick
+        )
+        drive(session, schedule, 0, len(schedule) * 2 // 3)
+        snapshot = session.checkpoint()
+        blob, _size = encode_state(snapshot)
+        state = canonical(decode_state(blob))
+        digest = hashlib.sha256(repr(state).encode()).hexdigest()
+        assert digest == self.STATE_DIGEST
+        pickled = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(pickled) <= self.PICKLE_SIZE
+        session.close()
+
+    def test_restore_between_expiry_and_reappearance(self):
+        """A tag's Smooth group expires, the session is checkpointed and
+        restored elsewhere, the tag reappears: its rows must come back
+        in the position the uninterrupted run gives them."""
+        bundle = build_bundle("shelf", 40.0, SEED)
+        present = sorted(
+            {item["tag_id"] for stream in bundle.streams.values()
+             for item in stream if item.timestamp < 8.0}
+        )
+        tag = present[len(present) // 2]  # mid-order: a reorder would show
+        for name, stream in bundle.streams.items():
+            bundle.streams[name] = [
+                item for item in stream
+                if item["tag_id"] != tag or not 8.0 <= item.timestamp < 24.0
+            ]
+        reference = bundle.processor.run(
+            bundle.until, bundle.tick, sources=bundle.streams
+        ).output
+        seen = [t.timestamp for t in reference if t["tag_id"] == tag]
+        assert any(ts < 8.0 for ts in seen) and any(ts >= 24.0 for ts in seen)
+        assert not any(15.0 <= ts < 24.0 for ts in seen)  # expired by then
+
+        schedule = arrival_schedule(bundle)
+        cut = next(i for i, entry in enumerate(schedule) if entry[0] >= 20.0)
+        session = bundle.processor.open_session(
+            until=bundle.until, tick=bundle.tick
+        )
+        drive(session, schedule, 0, cut, advance_every=1)
+        blob, _size = encode_state(session.checkpoint())
+        resumed = build_bundle("shelf", 40.0, SEED).processor.open_session(
+            until=bundle.until, tick=bundle.tick
+        )
+        resumed.restore(decode_state(blob))
+        drive(resumed, schedule, cut, len(schedule), advance_every=1)
+        assert resumed.close().output == reference

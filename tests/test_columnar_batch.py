@@ -203,15 +203,20 @@ class TestSliceViews:
         assert merged.tuples() == a.tuples() + b.tuples()
 
     def test_coalesce_mixed_payloads(self):
-        rows = make_rows(6)
+        rows = make_rows(9)
+        listed = rows[5:7]  # a row-list payload (on_time output)
         run = [
             rows[0],
             rows[1],
             ColumnBatch.from_tuples(rows[2:4]),
             rows[4],
-            ColumnBatch.from_tuples(rows[5:]),
+            listed,
+            ColumnBatch.from_tuples(rows[7:8]),
+            rows[8:],
         ]
         assert coalesce(run).tuples() == rows
+        assert listed == rows[5:7]  # borrowed, not extended in place
+        assert coalesce([listed]).tuples() is not listed
 
     def test_coalesce_single_batch_is_identity(self):
         batch = ColumnBatch.from_tuples(make_rows(3))

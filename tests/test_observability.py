@@ -234,7 +234,11 @@ class TestBatchFastPathAccounting:
         return streams
 
     def _build(self, wrap):
-        from repro.streams.operators import MapOp, StaticJoinOp
+        from repro.core.operators.arbitrate_ops import MaxCountArbitrator
+        from repro.streams.aggregates import AggregateSpec
+        from repro.streams.incremental import IncrementalWindowedGroupByOp
+        from repro.streams.operators import GroupKey, MapOp, StaticJoinOp
+        from repro.streams.windows import WindowSpec
 
         sources = self._sources()
         fjord = Fjord()
@@ -248,13 +252,25 @@ class TestBatchFastPathAccounting:
                 on=lambda item, row: item["v"] == row["v"],
             ),
             "u": UnionOp(output_stream="merged"),
+            # Query 2's operator (per-stream window counts of each v)
+            # feeding Query 3's (which stream saw a v the most).
+            "g": IncrementalWindowedGroupByOp(
+                WindowSpec.range_by(2.0),
+                keys=[GroupKey("v"), GroupKey("src", lambda t: t.stream)],
+                aggregates=[AggregateSpec("count", output="count")],
+            ),
+            "arb": MaxCountArbitrator(
+                id_field="v", granule_field="src", tie_break="all"
+            ),
         }
         if wrap:
             ops = {name: _TupleAtATime(op) for name, op in ops.items()}
         fjord.add_operator("f", ops["f"], inputs=["a", "b"])
         fjord.add_operator("m", ops["m"], inputs=["f"])
         fjord.add_operator("j", ops["j"], inputs=["m"])
-        fjord.add_operator("u", ops["u"], inputs=["j"])
+        fjord.add_operator("g", ops["g"], inputs=["f"])
+        fjord.add_operator("arb", ops["arb"], inputs=["g"])
+        fjord.add_operator("u", ops["u"], inputs=["j", "arb"])
         sink = fjord.add_sink("out", inputs=["u"])
         return fjord, sink
 

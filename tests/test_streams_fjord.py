@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import OperatorError
 from repro.streams.aggregates import AggregateSpec
+from repro.streams.columnar import SetStream
 from repro.streams.fjord import Fjord
 from repro.streams.operators import (
     FilterOp,
@@ -289,3 +290,140 @@ class TestFjordSession:
         fjord, _sink = self._windowed({"a": [], "b": []})
         with pytest.raises(OperatorError, match="ascending"):
             fjord.open_session([2.0, 1.0])
+
+
+class TestWholeRunDelivery:
+    """A kernel's output list is queued whole at every consumer; what
+    each consumer sees, the flow counters and the ``batch_drain``
+    sequence are those of tuple-at-a-time delivery, in every mode."""
+
+    MODES = ("row", "columnar", "fused")
+
+    def _fan_out_with_reinjection(self):
+        """``agg`` feeds a stage, a tap and a sink whose callback
+        re-injects every row into ``echo`` — a node the sweep has
+        already passed, so only the final drain pass reaches it."""
+        fjord = Fjord()
+        fjord.add_source(
+            "a", [tup(0.5 * i, "a", v=i % 3) for i in range(6)]
+        )
+        fjord.add_source(
+            "b", [tup(0.75 * i, "b", v=i % 2) for i in range(4)]
+        )
+        fjord.add_operator(
+            "agg",
+            WindowedGroupByOp(
+                WindowSpec.range_by(1.0),
+                keys=[GroupKey("v")],
+                aggregates=[AggregateSpec("count", output="n")],
+            ),
+            inputs=["a", "b"],
+        )
+        fjord.add_operator("stage", MapOp(SetStream("clean")), inputs=["agg"])
+        sinks = {
+            "out": fjord.add_sink("out", inputs=["stage"]),
+            "tap": fjord.add_sink("tap", inputs=["agg"]),
+        }
+        fjord.add_operator("echo", FilterOp(lambda t: t["n"] > 1), inputs=[])
+        sinks["echoed"] = fjord.add_sink("echoed", inputs=["echo"])
+        fjord.add_sink(
+            "loop",
+            inputs=["agg"],
+            callback=lambda item: fjord._deliver(
+                item.derive(stream="again"), "echo", 0
+            ),
+        )
+        return fjord, sinks
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fan_out_and_callback_reinjection_match_per_tuple_delivery(
+        self, mode
+    ):
+        from repro.streams.telemetry import InMemoryCollector
+
+        fjord, sinks = self._fan_out_with_reinjection()
+        collector = InMemoryCollector()
+        fjord.run([0.0, 1.0, 2.0, 3.0], telemetry=collector, mode=mode)
+        # Every literal below was recorded from per-tuple delivery.
+        rows = [(0.0, 0, 2), (1.0, 0, 2), (1.0, 1, 2), (1.0, 2, 1),
+                (2.0, 0, 2), (2.0, 1, 1), (2.0, 2, 1), (3.0, 1, 2),
+                (3.0, 2, 1)]
+        seen = {
+            name: [(t.timestamp, t.stream, t["v"], t["n"])
+                   for t in sink.results]
+            for name, sink in sinks.items()
+        }
+        assert seen == {
+            "out": [(ts, "clean", v, n) for ts, v, n in rows],
+            "tap": [(ts, "", v, n) for ts, v, n in rows],
+            "echoed": [(ts, "again", v, n) for ts, v, n in rows if n > 1],
+        }
+        assert fjord.stats() == {
+            "agg": (10, 9), "stage": (9, 9), "out": (9, 0), "tap": (9, 0),
+            "echo": (9, 5), "echoed": (5, 0), "loop": (9, 0),
+        }
+        per_tick = {0.0: (2, 1, 1), 1.0: (3, 3, 2), 2.0: (3, 3, 1),
+                    3.0: (2, 2, 1)}
+        expected = []
+        for now, (injected, emitted, echoed) in per_tick.items():
+            expected += [
+                ("agg", now, injected, 0),
+                ("loop", now, emitted, 0),
+                ("stage", now, emitted, emitted),
+                ("out", now, emitted, 0),
+                ("tap", now, emitted, 0),
+                ("echo", now, emitted, echoed),  # the final drain pass
+                ("echoed", now, echoed, 0),
+            ]
+        drains = [
+            (e["node"], e["t"], e["n_in"], e["n_out"])
+            for e in collector.snapshot()["events"]
+            if e["kind"] == "batch_drain"
+        ]
+        assert drains == expected
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stage_tap_sees_what_the_next_stage_sees(self, mode, small_shelf):
+        """The processor's ``taps=("smooth",)`` sink and Arbitrate share
+        every Smooth output run."""
+        from repro.pipelines.rfid_shelf import build_shelf_processor
+
+        def run(**kwargs):
+            return build_shelf_processor(small_shelf, "smooth+arbitrate").run(
+                until=small_shelf.duration,
+                tick=small_shelf.poll_period,
+                sources=small_shelf.recorded_streams(),
+                **kwargs,
+            )
+
+        plain = run()
+        tapped = run(taps=("smooth",), mode=mode)
+        assert tapped.output == plain.output
+        assert {k: v for k, v in tapped.stats.items()
+                if not k.startswith("tap:")} == plain.stats
+        smoothed = tapped.tap("rfid", "smooth")
+        assert len(smoothed) == tapped.stats["tap:rfid/smooth"][0]
+        assert len(smoothed) == sum(
+            out for name, (_in, out) in plain.stats.items()
+            if name.endswith(":rename") and ":smooth:" in name
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pass_through_kernel_does_not_couple_siblings(self, mode):
+        """``UnionOp()`` may return the very list it was handed; the
+        sibling that was handed the same list must not see what happens
+        to it downstream (here: concatenation with another run)."""
+        run = [tup(0.0, v=1), tup(0.0, v=2)]
+        assert UnionOp().on_batch(run) is run
+
+        fjord = Fjord()
+        fjord.add_source("src", [tup(0.0, v=1), tup(0.0, v=2), tup(0.0, v=3)])
+        fjord.add_operator("x", FilterOp(lambda t: t["v"] < 3), inputs=["src"])
+        fjord.add_operator("u", UnionOp(), inputs=["x"])
+        sibling = fjord.add_sink("sibling", inputs=["x"])
+        fjord.add_operator("y", FilterOp(lambda t: t["v"] > 2), inputs=["src"])
+        merged = fjord.add_sink("zz_merged", inputs=["u", "y"])
+        fjord.run([0.0, 1.0], mode=mode)
+        assert [t["v"] for t in sibling.results] == [1, 2]
+        assert [t["v"] for t in merged.results] == [1, 2, 3]
+        assert fjord.stats()["zz_merged"] == (3, 0)

@@ -1,5 +1,7 @@
 """Tests: incremental group-by is equivalent to the recompute operator."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,3 +146,94 @@ class TestValidation:
         )
         run_operator(op, [StreamTuple(0.0, {"g": 0})], [0.0, 10.0])
         assert op._states == {}
+
+
+def component_order(keys):
+    return sorted(keys, key=lambda key: tuple(str(c) for c in key))
+
+
+def order_ops(window=2.0):
+    """Recompute and incremental twins over a two-component key whose
+    ``str`` order differs from its natural order (10 < 2, "b" < 3)."""
+    shared = dict(
+        keys=[GroupKey("g"), GroupKey("site")],
+        aggregates=[AggregateSpec("count", output="n")],
+    )
+    return (
+        WindowedGroupByOp(WindowSpec.range_by(window), **shared),
+        IncrementalWindowedGroupByOp(WindowSpec.range_by(window), **shared),
+    )
+
+
+def live_keys(op):
+    groups = op._states if hasattr(op, "_states") else op._windows
+    return list(groups)
+
+
+#: One step per punctuation: the readings that arrive before it. Gaps
+#: of several ticks (empty steps) are what make groups expire and, when
+#: their key shows up again, reappear.
+STEPS = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 10, 11, "b"]),
+            st.sampled_from(["x", "y"]),
+        ),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestEmissionOrder:
+    """The emission order is maintained, not recomputed — and must stay
+    the pure function of the live key set that sharded execution relies
+    on, across expiry, reappearance and restore."""
+
+    def drive(self, op, steps, first_tick=0):
+        """Feed ``steps`` tick by tick; returns each tick's emitted keys."""
+        emitted = []
+        for tick, readings in enumerate(steps, first_tick):
+            now = float(tick)
+            if readings:
+                op.on_batch(
+                    [StreamTuple(now, {"g": g, "site": site})
+                     for g, site in readings]
+                )
+            rows = op.on_time(now)
+            assert [(r["g"], r["site"]) for r in rows] == component_order(
+                live_keys(op)
+            )
+            emitted.append([(r["g"], r["site"], r["n"]) for r in rows])
+        return emitted
+
+    @given(STEPS)
+    @settings(max_examples=80, deadline=None)
+    def test_order_is_sorted_live_keys_and_twins_agree(self, steps):
+        reference, incremental = order_ops()
+        assert self.drive(reference, steps) == self.drive(incremental, steps)
+
+    @given(STEPS, st.integers(min_value=0, max_value=24))
+    @settings(max_examples=80, deadline=None)
+    def test_restore_mid_sequence_keeps_the_order(self, steps, cut):
+        cut = min(cut, len(steps))
+        for original, fresh in zip(order_ops(), order_ops()):
+            expected = self.drive(original, steps[:cut])
+            fresh.restore(pickle.loads(pickle.dumps(original.checkpoint())))
+            expected += self.drive(original, steps[cut:], first_tick=cut)
+            resumed = self.drive(fresh, steps[cut:], first_tick=cut)
+            assert expected[cut:] == resumed
+
+    def test_expired_group_reappears_in_sorted_position(self):
+        for op in order_ops(window=1.0):
+            steps = [[(2, "x"), (10, "x")], [], [], [(10, "x")], [(2, "x")]]
+            emitted = self.drive(op, steps)
+            assert emitted[2] == []  # both groups expired
+            assert emitted[4] == [(10, "x", 1), (2, "x", 1)]
+
+    def test_checkpoint_holds_only_the_group_state(self):
+        reference, incremental = order_ops()
+        for op, attr in ((reference, "_windows"), (incremental, "_states")):
+            self.drive(op, [[(1, "x")], [(2, "y")]])
+            assert list(op.checkpoint()) == [attr]

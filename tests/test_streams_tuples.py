@@ -1,6 +1,8 @@
 """Unit tests for the StreamTuple data model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.streams.tuples import StreamTuple
@@ -114,3 +116,53 @@ class TestEquality:
     def test_repr_mentions_fields(self):
         text = repr(make(tag_id="t7"))
         assert "tag_id" in text and "t7" in text
+
+
+_FIELDS = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "tag_id", "count"]),
+    st.one_of(st.none(), st.integers(-5, 5), st.text(max_size=3)),
+    max_size=5,
+)
+_STAMPS = st.one_of(
+    st.integers(0, 100),
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+)
+
+
+class TestRelabelSharesValues:
+    """``derive(stream=…)`` shares the value mapping; nothing any tuple
+    derived from a relabel does may show through to the original or to
+    its other relabels."""
+
+    @given(_STAMPS, _FIELDS, st.text(max_size=4), st.text(max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_relabel_equals_rebuilt_tuple(self, ts, fields, old, new):
+        item = StreamTuple(ts, fields, old)
+        relabelled = item.derive(stream=new)
+        assert relabelled == StreamTuple(item.timestamp, item.as_dict(), new)
+        assert type(relabelled.timestamp) is float
+
+    @given(_STAMPS, _FIELDS, _FIELDS, st.lists(st.sampled_from("abc")))
+    @settings(max_examples=80, deadline=None)
+    def test_deriving_from_a_relabel_touches_nothing_else(
+        self, ts, fields, update, dropped
+    ):
+        item = StreamTuple(ts, fields, "s")
+        sibling = item.derive(stream="x")
+        relabelled = item.derive(stream="y")
+        before = [
+            StreamTuple(t.timestamp, t.as_dict(), t.stream)
+            for t in (item, sibling, relabelled)
+        ]
+        changed = relabelled.derive(values=update)
+        assert changed.as_dict() == {**fields, **update}
+        pruned = relabelled.derive(drop=tuple(dropped))
+        assert set(pruned) == set(fields) - set(dropped)
+        kept = tuple(sorted(fields))[:2]
+        assert relabelled.project(kept).as_dict() == {f: fields[f] for f in kept}
+        assert [item, sibling, relabelled] == before
+
+    def test_replacement_timestamp_is_coerced_to_float(self):
+        moved = make(a=1).derive(timestamp=3)
+        assert moved.timestamp == 3.0 and type(moved.timestamp) is float
+        assert type(make(a=1).derive(timestamp=3, stream="x").timestamp) is float

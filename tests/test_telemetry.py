@@ -628,6 +628,64 @@ class TestColumnarAccounting:
         assert _golden_shelf_events(mode="columnar") == golden
 
 
+class _DepthLog(InMemoryCollector):
+    """Keeps every queue-depth sample, not just the maximum."""
+
+    def __init__(self):
+        super().__init__()
+        self.depths = []
+
+    def sample_queue_depth(self, name, depth):
+        super().sample_queue_depth(name, depth)
+        self.depths.append((name, depth))
+
+
+class TestQueueDepthGauge:
+    """``sample_queue_depth`` means *tuples* waiting, whatever shape the
+    pending entries have in the mode at hand."""
+
+    def test_depth_counts_tuples_not_entries(self):
+        from repro.streams.columnar import ColumnBatch
+        from repro.streams.fjord import Fjord
+        from repro.streams.tuples import StreamTuple
+
+        rows = [StreamTuple(0.0, {"v": i}) for i in range(5)]
+        fjord = Fjord()
+        fjord.add_source("src", [])
+        fjord.add_sink("out", inputs=["src"])
+        node = fjord._nodes["out"]
+        node.pending.append((rows[0], 0))
+        node.pending.append((rows[1:3], 0))
+        node.pending.append((ColumnBatch.from_tuples(rows[3:]), 0))
+        collector = _DepthLog()
+        fjord._sample_tick(["out"], 0.0, {}, collector)
+        assert collector.depths == [("out", 5)]
+
+    def test_golden_scenario_samples_are_mode_blind(self):
+        from repro.pipelines.rfid_shelf import build_shelf_processor
+        from repro.scenarios.shelf import ShelfScenario
+
+        scenario = ShelfScenario(duration=12.0, seed=3)
+        samples = {}
+        for mode in ("row", "columnar", "fused"):
+            collector = _DepthLog()
+            build_shelf_processor(scenario, "smooth+arbitrate").run(
+                until=scenario.duration,
+                tick=scenario.poll_period,
+                sources=scenario.recorded_streams(),
+                telemetry=collector,
+                mode=mode,
+            )
+            samples[mode] = collector.depths
+        assert samples["row"]
+        assert samples["row"] == samples["columnar"]
+        # Fusion renames the sampled node (annot → the tail of its fused
+        # run); the depths, tick for tick, are the same.
+        assert [depth for _node, depth in samples["fused"]] == [
+            depth for _node, depth in samples["row"]
+        ]
+
+
 # -- presentation --------------------------------------------------------------
 
 
