@@ -2,7 +2,7 @@
 
 Times the full multi-process path — feeder subprocess, router process
 (consistent-hash forwarding, credit flow), N worker processes (each a
-full gateway + fused streaming session), egress merge — on the
+full gateway + streaming session), egress merge — on the
 ``shelf_chain`` scenario, whose deep Point chain makes per-tuple
 pipeline cost visible against per-tuple routing cost.
 
@@ -11,10 +11,8 @@ Each case records sustained throughput in the CI benchmark artifact via
 speed-up over the 1-worker run from the same session. Wall-clock
 scale-out needs real cores: ``extra_info["cpus"]`` is recorded so a
 reviewer can read a flat ratio on a 1-CPU runner for what it is. The
-committed scale-out gate lives in ``scripts/bench_snapshot.py``
-(``cluster_scaleout`` workload), which applies
-:data:`CLUSTER_SCALEOUT_FLOOR` to snapshots taken on machines with at
-least :data:`CLUSTER_SCALEOUT_MIN_CPUS` CPUs.
+ratio is reported, not gated: a scale-out gate needs a workload with
+real worker processes in the repo benchmark (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -22,13 +20,6 @@ from __future__ import annotations
 import os
 
 from repro.net.cluster import run_cluster_processes
-
-#: Committed 4-worker-vs-1-worker throughput floor for the
-#: ``cluster_scaleout`` snapshot workload.
-CLUSTER_SCALEOUT_FLOOR = 2.0
-#: Fewer cores than this cannot run 4 workers + router + feeder in
-#: parallel at all, so the floor is recorded but not enforced.
-CLUSTER_SCALEOUT_MIN_CPUS = 4
 
 #: Scenario duration: ~2k frames over the wire, seconds per soak run.
 SOAK_DURATION = 30.0

@@ -177,18 +177,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _run_experiment(args: argparse.Namespace) -> int:
-    if (
-        args.shards is not None
-        or args.backend is not None
-        or args.mode is not None
-    ):
+    if args.shards is not None or args.backend is not None:
         # Every experiment drives ESPProcessor.run internally; the
         # process-wide execution default is how the flags reach them.
         from repro.streams.shard import set_default_execution
 
-        set_default_execution(
-            shards=args.shards, backend=args.backend, mode=args.mode
-        )
+        set_default_execution(shards=args.shards, backend=args.backend)
     if args.experiment == "all":
         from repro.experiments.runner import format_report, run_all
 
@@ -389,7 +383,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 label=args.label,
                 max_epochs=args.max_epochs,
-                mode=args.mode,
                 telemetry=collector,
                 ready=ready,
                 ops_port=args.ops_port,
@@ -620,15 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard execution backend (default serial)",
     )
     run.add_argument(
-        "--mode",
-        choices=("row", "columnar", "fused"),
-        help=(
-            "batch execution mode: per-tuple row path, columnar batch "
-            "kernels, or columnar with operator fusion (default row; "
-            "all modes produce identical output)"
-        ),
-    )
-    run.add_argument(
         "--stats",
         action="store_true",
         help="print a per-operator telemetry table to stderr after the run",
@@ -783,13 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         metavar="N",
         help="exit after completing N epochs (default: run until killed)",
-    )
-    worker.add_argument(
-        "--mode",
-        choices=("row", "columnar", "fused"),
-        default="fused",
-        help="execution mode for epoch sessions (bit-identical output; "
-        "fused keeps punctuation sweeps cheap on deep pipelines)",
     )
     worker.add_argument(
         "--ops-port",

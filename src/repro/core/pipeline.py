@@ -30,7 +30,7 @@ from repro.receptors.base import Receptor
 from repro.receptors.registry import DeviceRegistry
 from repro.streams import shard as shard_engine
 from repro.streams.columnar import AddFields, SetStream
-from repro.streams.fjord import Fjord
+from repro.streams.fjord import Fjord, _check_mode
 from repro.streams.operators import MapOp, UnionOp
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
@@ -473,11 +473,10 @@ class ESPProcessor:
                 defaults to the process-wide default (a no-op unless the
                 CLI's ``--stats``/``--trace-out`` installed one). The
                 snapshot lands on :attr:`ESPRun.telemetry`.
-            mode: Execution mode (``"row"``, ``"columnar"`` or
-                ``"fused"``, see :data:`repro.streams.fjord.MODES`);
-                defaults to the process-wide default (``"row"`` unless
-                the CLI's ``--mode`` set it). All modes produce
-                bit-identical cleaned output.
+            mode: Deprecated and ignored: there is one execution path
+                (see :mod:`repro.streams.fjord`). Still validated
+                (``None`` or one of :data:`repro.streams.fjord.MODES`);
+                the keyword goes away with ``MODES``.
 
         Returns:
             An :class:`ESPRun` with the cleaned output, flow stats and
@@ -485,11 +484,11 @@ class ESPProcessor:
         """
         ticks = self.punctuation_ticks(until, tick, start)
         shards, backend = shard_engine.resolve_execution(shards, backend)
-        mode = shard_engine.resolve_mode(mode)
+        _check_mode(mode)
         collector = resolve_telemetry(telemetry)
         if shards <= 1 and backend == "serial":
             return self._run_single(
-                ticks, until, start, taps, sources, collector, mode
+                ticks, until, start, taps, sources, collector
             )
         if taps:
             raise PipelineError(
@@ -498,7 +497,7 @@ class ESPProcessor:
             )
         return self._run_sharded(
             ticks, until, start, sources, shards, backend, shard_key,
-            collector, mode,
+            collector,
         )
 
     def open_session(
@@ -526,21 +525,18 @@ class ESPProcessor:
             start: Simulation start time.
             telemetry: Collector for the session's metrics and events;
                 defaults like :meth:`run`.
-            mode: Execution mode for the session's sweeps, one of
-                :data:`~repro.streams.fjord.MODES`; defaults like
-                :meth:`run`. A pure performance knob, exactly as for
-                :meth:`run`: every mode produces bit-identical output.
+            mode: Deprecated and ignored, as on :meth:`run`.
         """
         ticks = self.punctuation_ticks(until, tick, start)
         devices = self.registry.devices
-        mode = shard_engine.resolve_mode(mode)
+        _check_mode(mode)
         collector = resolve_telemetry(telemetry)
         result = ESPRun()
         empty: dict[str, list[StreamTuple]] = {
             device.receptor_id: [] for device in devices
         }
         fjord, sink = self._build_dataflow(until, start, set(), result, empty)
-        session = fjord.open_session(ticks, telemetry=collector, mode=mode)
+        session = fjord.open_session(ticks, telemetry=collector)
         source_names = {
             device.receptor_id: f"src:{device.receptor_id}"
             for device in devices
@@ -582,14 +578,13 @@ class ESPProcessor:
         taps: Sequence[str],
         sources: Mapping[str, Sequence[StreamTuple]] | None,
         collector: TelemetryCollector,
-        mode: str = "row",
     ) -> ESPRun:
         """The single-threaded reference execution path."""
         result = ESPRun()
         fjord, sink = self._build_dataflow(
             until, start, set(taps), result, sources
         )
-        fjord.run(ticks, telemetry=collector, mode=mode)
+        fjord.run(ticks, telemetry=collector)
         result.output = sink.results
         result.stats = fjord.stats()
         if collector.enabled:
@@ -606,7 +601,6 @@ class ESPProcessor:
         backend: str,
         shard_key: str,
         collector: TelemetryCollector,
-        mode: str = "row",
     ) -> ESPRun:
         """Partition device streams and run one pipeline per shard.
 
@@ -630,7 +624,6 @@ class ESPProcessor:
             backend=backend,
             order_key=lambda item: str(item.get(shard_key)),
             telemetry=collector,
-            mode=mode,
         )
         result = ESPRun()
         result.output = sharded.output
@@ -786,7 +779,7 @@ class ESPProcessor:
 
     def _annotator(self, device: Receptor):
         group = self.registry.group_of(device.receptor_id)
-        # AddFields is columnar-aware: in columnar execution the two
+        # AddFields has a column kernel: on a long run the two
         # annotation fields become shared constant columns instead of a
         # per-tuple dict copy.
         return AddFields(

@@ -337,13 +337,6 @@ class ClusterWorker:
             ``result_end`` (for the cluster-wide rollup).
         label: Default worker label; the router's ``worker_hello``
             overrides it per epoch.
-        mode: Execution mode for the epoch sessions, one of
-            :data:`~repro.streams.fjord.MODES`. Defaults to ``fused``:
-            punctuation sweeps then cost O(active operators), which
-            keeps the worker's credit grants prompt even on deep
-            pipelines — modes are bit-identical, so this is purely a
-            latency knob (and the cluster differential suite pins
-            fused workers against the row-mode reference).
     """
 
     def __init__(
@@ -356,7 +349,6 @@ class ClusterWorker:
         queue_bound: int = 64,
         telemetry: "TelemetryCollector | None" = None,
         label: str = "worker",
-        mode: str = "fused",
     ):
         if isinstance(scenario, ScenarioBundle):
             self._bundle = scenario
@@ -365,7 +357,6 @@ class ClusterWorker:
         self.slack = float(slack)
         self.queue_bound = int(queue_bound)
         self.label = label
-        self.mode = mode
         self._collector = resolve_telemetry(telemetry)
         self._expected = tuple(sorted(self._bundle.streams))
         self._server: "asyncio.base_events.Server | None" = None
@@ -458,7 +449,6 @@ class ClusterWorker:
             until=self._bundle.until,
             tick=self._bundle.tick,
             telemetry=collector,
-            mode=self.mode,
         )
         ledger = TickLedger(session)
         gateway = WorkerGateway(
@@ -681,7 +671,6 @@ async def serve_worker(
     seed: "int | None" = None,
     label: str = "worker",
     max_epochs: "int | None" = None,
-    mode: str = "fused",
     telemetry: "TelemetryCollector | None" = None,
     ready: "Callable[[str, int], None] | None" = None,
     ops_port: "int | None" = None,
@@ -705,7 +694,6 @@ async def serve_worker(
         queue_bound=queue_bound,
         telemetry=telemetry,
         label=label,
-        mode=mode,
     )
     async with ops_plane(
         worker, host, ops_port, telemetry, ops_ready

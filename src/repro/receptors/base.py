@@ -12,9 +12,10 @@ that experiments are reproducible; none touches global random state.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from repro.errors import ReceptorError
 from repro.streams.tuples import StreamTuple
@@ -84,6 +85,10 @@ class Receptor:
 def require_rng(rng: "np.random.Generator | int | None") -> np.random.Generator:
     """Normalize an RNG argument: Generator passthrough, int seed, or None
     (fresh nondeterministic generator — discouraged outside exploration)."""
+    # The simulators' one use of numpy, imported here so that the
+    # package (and every pipeline fed recorded streams) imports without it.
+    import numpy as np
+
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)

@@ -15,9 +15,10 @@ network. Two failure behaviours from the paper are modelled:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: importing a receptor needs no numpy
+    import numpy as np
 
 from repro.errors import ReceptorError
 from repro.receptors.base import Receptor, ReceptorKind, require_rng

@@ -16,7 +16,10 @@ delivery probability, with geometric sojourn times in each.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # annotations only: importing a receptor needs no numpy
+    import numpy as np
 
 from repro.errors import ReceptorError
 from repro.receptors.base import require_rng

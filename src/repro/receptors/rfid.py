@@ -21,9 +21,10 @@ each reader is supplied by the scenario's ground truth.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: importing a receptor needs no numpy
+    import numpy as np
 
 from repro.errors import ReceptorError
 from repro.receptors.base import Receptor, ReceptorKind, require_rng

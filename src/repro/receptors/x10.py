@@ -12,9 +12,10 @@ its Figure 9(d) raw traces:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: importing a receptor needs no numpy
+    import numpy as np
 
 from repro.errors import ReceptorError
 from repro.receptors.base import Receptor, ReceptorKind, require_rng

@@ -13,15 +13,15 @@ HiFi / TelegraphCQ ecosystem:
 - :mod:`repro.streams.operators` — relational operators over streams
   (filter, map, windowed group-by, join, union, static-relation join).
 - :mod:`repro.streams.columnar` — the columnar ``ColumnBatch`` encoding
-  (parallel columns, lazy tuple materialization) behind the ``columnar``
-  and ``fused`` execution modes, plus vectorizable callables.
+  (parallel columns, lazy tuple materialization) the column kernels of
+  stateless operators consume, plus vectorizable callables.
 - :mod:`repro.streams.typedcols` — numpy-typed column storage for
   homogeneous numeric columns (int64/float64, detected at encode time),
   with the pure-list fallback that keeps every result bit-identical
   when numpy is absent.
 - :mod:`repro.streams.fjord` — a Fjord-style pipelined executor that pushes
-  tuples and time punctuations through an operator DAG, with row,
-  columnar and fused (stateless-operator fusion) execution modes.
+  tuples and time punctuations through an operator DAG, picking each
+  run's kernel (row or column) from the node and the run length.
 - :mod:`repro.streams.shard` — a sharded, batch-pipelined execution engine
   running N independent Fjords (serial or processes backend) with
   a deterministic time-axis merge.
@@ -45,7 +45,7 @@ from repro.streams.columnar import (
     FieldCompare,
     SetStream,
 )
-from repro.streams.fjord import MODES, Fjord, FusedStatelessOp
+from repro.streams.fjord import MODES, Fjord
 from repro.streams.operators import (
     FilterOp,
     MapOp,
@@ -101,7 +101,6 @@ __all__ = [
     "FieldCompare",
     "FilterOp",
     "Fjord",
-    "FusedStatelessOp",
     "Histogram",
     "InMemoryCollector",
     "IncrementalWindowedGroupByOp",

@@ -57,7 +57,7 @@ class Aggregate:
 
         The contract is strict: only reduce when the result is
         **bit-identical** to the sequential loop — the golden traces
-        pin outputs byte-for-byte across execution modes and across
+        pin outputs byte-for-byte across both kernels and across
         the numpy/no-numpy CI legs. Anything whose IEEE-754 rounding
         could differ (notably float summation: numpy sums pairwise,
         :meth:`add` accumulates sequentially) must return

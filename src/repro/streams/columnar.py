@@ -54,11 +54,11 @@ Row-path callables can opt into columnar execution by exposing:
 - ``.mask(batch) -> sequence of truthy`` on predicates
   (:class:`FieldCompare`, :class:`ColumnPredicate`).
 
-Kernels fall back to lazy row materialization when the hook is absent,
-so arbitrary lambdas keep working unchanged. A map function may also
-expose ``.rows(items) -> list`` (:class:`SetStream`), the row path's
-whole-run form: exactly the non-``None`` results of calling it per
-tuple, in order.
+An operator whose callable lacks the hook has no column kernel and is
+handed rows, so arbitrary lambdas keep working unchanged. A map
+function may also expose ``.rows(items) -> list`` (:class:`SetStream`),
+the row path's whole-run form: exactly the non-``None`` results of
+calling it per tuple, in order.
 """
 
 from __future__ import annotations
@@ -345,16 +345,6 @@ class ColumnBatch:
         return self._tuples
 
     @property
-    def is_encoded(self) -> bool:
-        """Whether :attr:`columns` has already been (or came pre-) built.
-
-        Kernels that merely *prefer* columns (the windowed group-by's
-        key fast path) check this so reading them never forces an
-        encode the batch would not otherwise pay for.
-        """
-        return self._columns is not None
-
-    @property
     def is_materialized(self) -> bool:
         """Whether :meth:`tuples` has already been (or came pre-) built."""
         return self._tuples is not None
@@ -369,15 +359,6 @@ class ColumnBatch:
             raise OperatorError(
                 f"column batch has no field {field!r}"
             ) from None
-
-    def has_full_column(self, field: str) -> bool:
-        """True when every row carries ``field`` (no MISSING cells)."""
-        col = self.columns.get(field)
-        if col is None:
-            return False
-        if is_typed(col):
-            return True  # typed columns cannot hold MISSING
-        return self._dense or not any(v is MISSING for v in col)
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Rows at ``indices`` (ascending, unique), as a new batch.
@@ -556,20 +537,25 @@ class ColumnBatch:
 
 
 def flatten(
-    payloads: Iterable["StreamTuple | list[StreamTuple]"],
+    payloads: Iterable["ColumnBatch | StreamTuple | list[StreamTuple]"],
 ) -> list[StreamTuple]:
-    """One fresh list of the rows in a run of tuple and list payloads.
+    """One fresh list of the rows in a run of pending payloads.
 
-    Always a new list — list payloads are borrowed (see
+    Always a new list — list payloads and a batch's cached rows are
+    borrowed (see
     :meth:`Operator.on_batch <repro.streams.operators.Operator.on_batch>`)
-    and may sit in a sibling consumer's queue too.
+    and may sit in a sibling consumer's queue too. This is where a
+    batch becomes rows: once, at its first row-only consumer (the
+    decoded rows stay cached on the batch for any sibling).
     """
     rows: list[StreamTuple] = []
     for payload in payloads:
-        if isinstance(payload, list):
+        if isinstance(payload, StreamTuple):  # most runs are source tuples
+            rows.append(payload)
+        elif isinstance(payload, list):
             rows.extend(payload)
         else:
-            rows.append(payload)
+            rows.extend(payload.tuples())
     return rows
 
 
@@ -579,27 +565,27 @@ def coalesce(
     """Fold a same-port run of pending payloads into one batch.
 
     The executor's pending queues hold a mix of per-tuple source
-    deliveries, row lists (punctuation output) and whole-batch operator
-    outputs; a drain pass coalesces each maximal same-port run before
-    invoking the columnar kernel. Rows between two batches become one
-    lazily encoded batch (the single-pass twin of :func:`flatten`: the
-    source-tuple run of a stateless chain's first node comes through
-    here once per tick).
+    deliveries, row lists (row-kernel and punctuation output) and
+    whole-batch column-kernel outputs; the drain coalesces a run that
+    is long enough for a node's column kernel. Rows between two
+    batches become one lazily encoded batch (the single-pass twin of
+    :func:`flatten`: the source-tuple run of a stateless chain's first
+    node comes through here once per tick).
     """
     if len(payloads) == 1 and isinstance(payloads[0], ColumnBatch):
         return payloads[0]
     parts: list[ColumnBatch] = []
     loose: list[StreamTuple] = []  # fresh: row-list payloads are borrowed
     for payload in payloads:
-        if isinstance(payload, ColumnBatch):
+        if isinstance(payload, StreamTuple):  # most runs are source tuples
+            loose.append(payload)
+        elif isinstance(payload, list):
+            loose.extend(payload)
+        else:
             if loose:
                 parts.append(ColumnBatch.from_tuples(loose))
                 loose = []
             parts.append(payload)
-        elif isinstance(payload, list):
-            loose.extend(payload)
-        else:
-            loose.append(payload)
     if loose:
         parts.append(ColumnBatch.from_tuples(loose))
     return ColumnBatch.concat(parts)
@@ -765,14 +751,3 @@ class ColumnPredicate:
 
     def mask(self, batch: ColumnBatch) -> Sequence[Any]:
         return self._mask_fn(batch)
-
-
-def _iter_tuples(
-    items: "Iterable[StreamTuple] | ColumnBatch",
-) -> Sequence[StreamTuple]:
-    """Rows of either representation, without copying lists."""
-    if isinstance(items, ColumnBatch):
-        return items.tuples()
-    if isinstance(items, list):
-        return items
-    return list(items)

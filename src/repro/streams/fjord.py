@@ -25,12 +25,18 @@ with one :meth:`~repro.streams.operators.Operator.on_batch` call per run
 of same-port entries rather than one Python call per tuple, which is
 where most of the executor's time used to go.
 
-In ``columnar``/``fused`` mode the same drain coalesces each run into a
+There is one execution path. Operators whose work is per-column (a
+filter with a mask predicate, a map with a columnar function, union,
+chains of those) also carry a column kernel, and the drain picks per
+run — from whether the node has one and how long the run is, see
+:data:`COLUMN_MIN_ROWS` — which of the two kernels to call. A long run
+at such a node is coalesced into a
 :class:`~repro.streams.columnar.ColumnBatch`, whose homogeneous numeric
-columns are numpy-backed when available (:mod:`repro.streams.typedcols`).
-The executor is agnostic to the storage class: typed and list columns
-flow through the same nodes, and every mode (and both storage classes)
-produces bit-identical output — mode is a pure performance knob.
+columns are numpy-backed when available (:mod:`repro.streams.typedcols`);
+the batch flows on as it is through further column kernels and becomes
+rows once, at its first row-only consumer. Both kernels of an operator
+emit the same tuples, so the choice (and the column storage class) is
+invisible in the output.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import OperatorError
 from repro.streams.columnar import ColumnBatch, coalesce, flatten
-from repro.streams.operators import FilterOp, MapOp, Operator, SinkOp, UnionOp
+from repro.streams.operators import Operator, SinkOp
 from repro.streams.telemetry import (
     NULL_COLLECTOR,
     IngestTrace,
@@ -50,47 +56,71 @@ from repro.streams.telemetry import (
 )
 from repro.streams.tuples import StreamTuple
 
-#: Execution modes accepted by :meth:`Fjord.run` and friends. ``row``
-#: is the original per-tuple-object path; ``columnar`` drains pending
-#: input through :meth:`Operator.on_column_batch` column kernels;
-#: ``fused`` additionally collapses linear runs of stateless operators
-#: into single fused kernels (see :meth:`Fjord.fuse`). All three
-#: produce bit-identical sink output — the differential suite in
-#: ``tests/test_columnar_equivalence.py`` pins it.
+#: The values the deprecated ``mode`` keyword still accepts. They used
+#: to select among three executors; they now select nothing (see
+#: :func:`_check_mode`) and go away with the keyword.
 MODES = ("row", "columnar", "fused")
 
+#: Rows a run needs before a node's column kernel is worth an encode.
+#: The drain hands a run to the column kernel iff the node has one and
+#: the run is a single ColumnBatch already or at least this long.
+#: Run lengths at nodes that have a kernel, one bench pass each:
+#:
+#: ===========  =======  ===================  =================
+#: workload     runs     rows p50 / p99 / max  rows in runs >= 64
+#: ===========  =======  ===================  =================
+#: shelf_mem     31,499   12 /  32 /  34      0.000
+#: redwood_mem   68,638    1 /  15 /  16      0.000
+#: home_mem      95,824    1 /   6 /   6      0.000
+#: chain_mem      4,914  140 / 161 / 169      1.000
+#: ===========  =======  ===================  =================
+#:
+#: Not fragile: 32 reads within 2 % of 64 on ``shelf_mem``, 8 costs it
+#: 12-14 %, and every ``chain_mem`` run is far above either.
+#: Read at call time, so tests may patch it.
+COLUMN_MIN_ROWS = 64
 
-def _check_mode(mode: str) -> str:
-    """Return ``mode`` if it is one of :data:`MODES`, else raise.
 
-    The one place a mode string is validated: the executor's entry
-    points and :mod:`repro.streams.shard`'s option resolution both call
-    it.
+def _check_mode(mode: "str | None") -> None:
+    """Reject a ``mode`` that is neither ``None`` nor one of :data:`MODES`.
+
+    All that is left of the ``mode`` keyword: the entry points that
+    still accept it validate it here and otherwise ignore it.
     """
-    if mode not in MODES:
+    if mode is not None and mode not in MODES:
         raise OperatorError(
             f"unknown execution mode {mode!r}; expected one of {MODES}"
         )
-    return mode
+
+
+def _row_count(payloads: Iterable[object]) -> int:
+    """Tuples in a run of pending payloads (a list or batch counts by
+    its length)."""
+    rows = 0
+    for payload in payloads:
+        rows += 1 if isinstance(payload, StreamTuple) else len(payload)  # type: ignore[arg-type]
+    return rows
 
 
 class _Node:
     """Internal DAG node: an operator plus its downstream edges."""
 
-    __slots__ = ("name", "op", "downstream", "pending", "tuples_in",
-                 "tuples_out", "passive")
+    __slots__ = ("name", "op", "kernel", "downstream", "pending",
+                 "tuples_in", "tuples_out", "passive")
 
     def __init__(self, name: str, op: Operator):
         self.name = name
         self.op = op
+        #: the operator's column kernel, or None for a row-only node
+        self.kernel = op.column_kernel()
         #: (target node name, port on target)
         self.downstream: list[tuple[str, int]] = []
         #: input delivered but not yet processed, as (payload, port);
         #: a payload is a single tuple (source injection) or whatever an
-        #: upstream kernel returned, whole: a list of tuples (row-mode
-        #: ``on_batch`` output, ``on_time`` output in every mode) or a
-        #: ColumnBatch (columnar-mode output). List payloads are shared
-        #: with sibling consumers and never mutated.
+        #: upstream kernel returned, whole: a list of tuples (``on_batch``
+        #: and ``on_time`` output) or a ColumnBatch (column-kernel
+        #: output). Payloads are shared with sibling consumers and
+        #: never mutated.
         self.pending: list[
             tuple["StreamTuple | list[StreamTuple] | ColumnBatch", int]
         ] = []
@@ -102,82 +132,6 @@ class _Node:
         #: its input queue is empty (any ``on_time`` override — even one
         #: that happens to return [] — disables the skip)
         self.passive = type(op).on_time is Operator.on_time
-
-
-class FusedStatelessOp(Operator):
-    """Several stateless operators collapsed into one DAG node.
-
-    Produced by :meth:`Fjord.fuse`: a linear run of filter/map/union
-    nodes becomes one node that applies the constituent kernels back to
-    back without the executor's per-node delivery, queueing and
-    accounting between them. Per-stage flow counters are kept so
-    :meth:`Fjord.stats` can report the constituent nodes exactly as an
-    unfused run would.
-
-    Unlike :class:`~repro.streams.operators.ChainOp` this is an
-    executor-internal artifact: stages keep their original node names
-    for accounting, and only stateless (punctuation-free) operators are
-    ever fused, so ``on_time`` is trivially empty.
-    """
-
-    #: The fused stages themselves are stateless by construction; the
-    #: per-stage flow counters are the only data state to checkpoint
-    #: (so restored stats match an uninterrupted run exactly).
-    STATE_ATTRS = ("stage_counts",)
-
-    def __init__(self, stages: Sequence[tuple[str, Operator]]):
-        self.stages = list(stages)
-        #: node name → [tuples_in, tuples_out], matching what the
-        #: unfused executor's per-node counters would have recorded
-        self.stage_counts: dict[str, list[int]] = {
-            name: [0, 0] for name, _ in self.stages
-        }
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        return self.on_batch([item], port)
-
-    def on_batch(
-        self, items: Sequence[StreamTuple], port: int = 0
-    ) -> list[StreamTuple]:
-        pending: Sequence[StreamTuple] = items
-        for name, op in self.stages:
-            counts = self.stage_counts[name]
-            counts[0] += len(pending)
-            if not pending:
-                return []
-            pending = op.on_batch(pending, port)
-            counts[1] += len(pending)
-            port = 0  # only the first stage sees the original port
-        return pending if isinstance(pending, list) else list(pending)
-
-    def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        pending = batch
-        for name, op in self.stages:
-            counts = self.stage_counts[name]
-            n = len(pending)
-            counts[0] += n
-            if not n:
-                return pending
-            pending = op.on_column_batch(pending, port)
-            counts[1] += len(pending)
-            port = 0  # only the first stage sees the original port
-        return pending
-
-
-#: Operator types safe to fuse: stateless, single-output-per-input-run,
-#: and punctuation-free. Windowed operators hold cross-call state keyed
-#: to their own node identity and must stay unfused.
-_FUSABLE_TYPES = (FilterOp, MapOp, UnionOp, FusedStatelessOp)
-
-
-def _fusable(op: Operator) -> bool:
-    return isinstance(op, _FUSABLE_TYPES)
-
-
-def _stages_of(name: str, op: Operator) -> list[tuple[str, Operator]]:
-    if isinstance(op, FusedStatelessOp):
-        return op.stages
-    return [(name, op)]
 
 
 class Fjord:
@@ -203,7 +157,6 @@ class Fjord:
         self._sources: dict[str, Iterable[StreamTuple]] = {}
         self._source_edges: dict[str, list[tuple[str, int]]] = {}
         self._order: list[str] | None = None
-        self._fused = False
 
     # -- graph construction ----------------------------------------------------
 
@@ -272,21 +225,11 @@ class Fjord:
         spotting where a deployment's data volume collapses (Point-stage
         early elimination, §3.2) or silently explodes (a join gone
         quadratic).
-
-        After :meth:`fuse`, fused nodes are expanded back into their
-        constituent stages (per-stage counters are tracked inside
-        :class:`FusedStatelessOp`), so the mapping is keyed by the same
-        node names — with the same counts — as an unfused run.
         """
-        out: dict[str, tuple[int, int]] = {}
-        for name, node in self._nodes.items():
-            op = node.op
-            if isinstance(op, FusedStatelessOp):
-                for stage_name, counts in op.stage_counts.items():
-                    out[stage_name] = (counts[0], counts[1])
-            else:
-                out[name] = (node.tuples_in, node.tuples_out)
-        return out
+        return {
+            name: (node.tuples_in, node.tuples_out)
+            for name, node in self._nodes.items()
+        }
 
     def describe(self) -> str:
         """A human-readable wiring description of the dataflow.
@@ -343,89 +286,6 @@ class Fjord:
             raise OperatorError(f"operator graph has a cycle involving {cyclic}")
         self._order = order
         return order
-
-    def fuse(self) -> int:
-        """Collapse linear runs of stateless operators into fused kernels.
-
-        A node is absorbed into its successor when (a) both operators
-        are stateless (filter/map/union or already fused), (b) the node
-        has exactly one downstream edge, on port 0, and (c) the
-        successor has exactly one inbound edge overall (so no other
-        producer interleaves with the fused stream). The pass repeats
-        to a fixed point, so chains of any length collapse into one
-        node.
-
-        **Order preservation.** Fusion renames nodes (the fused node
-        keeps the *tail* node's name), which could perturb the
-        lexicographic-Kahn execution order and thereby the interleaving
-        of same-tick emissions at downstream merge points. To keep
-        fused output bit-identical, the pre-fusion topological order is
-        computed first and the post-fusion order is that same order
-        restricted to surviving nodes — a valid topological order of
-        the fused graph (contracting a single-in/single-out edge cannot
-        invert any precedence), with every surviving node in its
-        original relative position.
-
-        Idempotent; returns the number of nodes eliminated. Fusion is
-        sticky: it rewrites the graph in place, and later row-mode runs
-        execute the fused graph (still bit-identically).
-        """
-        if self._fused:
-            return 0
-        original_order = list(self._topological_order())
-        eliminated = 0
-        changed = True
-        while changed:
-            changed = False
-            for name in list(self._nodes):
-                node = self._nodes.get(name)
-                if node is None or len(node.downstream) != 1:
-                    continue
-                target, port = node.downstream[0]
-                if port != 0 or target == name:
-                    continue
-                tnode = self._nodes[target]
-                if not (_fusable(node.op) and _fusable(tnode.op)):
-                    continue
-                inbound = sum(
-                    1
-                    for other in self._nodes.values()
-                    for t, _p in other.downstream
-                    if t == target
-                )
-                inbound += sum(
-                    1
-                    for edges in self._source_edges.values()
-                    for t, _p in edges
-                    if t == target
-                )
-                if inbound != 1:
-                    continue
-                tnode.op = FusedStatelessOp(
-                    _stages_of(name, node.op) + _stages_of(target, tnode.op)
-                )
-                for other in self._nodes.values():
-                    other.downstream = [
-                        (target if t == name else t, p)
-                        for t, p in other.downstream
-                    ]
-                for edges in self._source_edges.values():
-                    edges[:] = [
-                        (target if t == name else t, p) for t, p in edges
-                    ]
-                del self._nodes[name]
-                eliminated += 1
-                changed = True
-        self._order = [n for n in original_order if n in self._nodes]
-        self._fused = True
-        return eliminated
-
-    def _resolve_mode(self, mode: "str | None") -> bool:
-        """Validate ``mode``, apply fusion if asked; True if columnar."""
-        mode = _check_mode("row" if mode is None else mode)
-        if mode == "fused":
-            self.fuse()
-        return mode != "row"
 
     def _checked(
         self,
@@ -503,35 +363,38 @@ class Fjord:
         node: _Node,
         collector: TelemetryCollector = NULL_COLLECTOR,
         now: float = 0.0,
-        columnar: bool = False,
     ) -> None:
         """Process a node's pending input, fanning outputs downstream.
 
         Pending input is consumed in maximal runs of same-port entries
         (payload boundaries don't matter, only ports), one kernel call
-        per run. Row execution flattens the run's payloads into one
-        list for :meth:`on_batch` — the common run, a single list
-        payload, is handed over as it is; ``columnar`` coalesces the
-        run into one :class:`ColumnBatch` for :meth:`on_column_batch`.
-        Those two points are the only difference between the modes,
-        decided per run, never per tuple; either way the kernel's
-        output is delivered whole, one pending entry per downstream
-        edge (see the borrowing rule on :meth:`Operator.on_batch`).
+        per run, and which kernel is the one decision made per run,
+        from what the drain can see. The common run — a single list
+        payload, short or bound for a row-only node — is handed to
+        :meth:`on_batch` as it is. At a node with a column kernel, a
+        run that is one :class:`ColumnBatch` already goes to the kernel
+        as it is (so a batch flows through consecutive column kernels
+        untouched), and any other run of at least
+        :data:`COLUMN_MIN_ROWS` rows is coalesced into a batch for it.
+        Every other run is flattened into one list for :meth:`on_batch`,
+        which is where a batch becomes rows again. Either way the
+        kernel's output is delivered whole, one pending entry per
+        downstream edge (see the borrowing rule on
+        :meth:`Operator.on_batch`).
 
         Output order is identical to tuple-at-a-time delivery because
         ``on_batch`` concatenates per-tuple outputs in input order and
         column kernels emit exactly the row kernels' tuples. Flow
-        counters account each run by its length, so batched,
-        tuple-at-a-time and columnar delivery produce identical
-        counters by construction; when telemetry is enabled the same
-        run lengths feed the collector's batch-size histograms and
-        ``batch_drain`` events — only the wall-clock busy-ns can differ
-        between modes.
+        counters account each run by its length, so the counters — and,
+        when telemetry is enabled, the collector's batch-size
+        histograms and ``batch_drain`` events — do not depend on which
+        kernel ran; only the wall-clock busy-ns can.
         """
         enabled = collector.enabled
-        kernel: Callable[..., "list[StreamTuple] | ColumnBatch"] = (
-            node.op.on_column_batch if columnar else node.op.on_batch
-        )
+        on_batch = node.op.on_batch
+        column_kernel = node.kernel
+        nodes = self._nodes
+        downstream = node.downstream
         while node.pending:
             entries, node.pending = node.pending, []
             start = 0
@@ -541,12 +404,32 @@ class Fjord:
                 stop = start + 1
                 while stop < count and entries[stop][1] == port:
                     stop += 1
+                kernel: Callable[..., "list[StreamTuple] | ColumnBatch"] = on_batch
                 run: "list[StreamTuple] | ColumnBatch"
-                if stop - start == 1 and type(payload) is list and not columnar:
+                single = stop - start == 1
+                if (
+                    single
+                    and type(payload) is list
+                    and (column_kernel is None or len(payload) < COLUMN_MIN_ROWS)
+                ):
                     run = payload
+                elif (
+                    single
+                    and column_kernel is not None
+                    and isinstance(payload, ColumnBatch)
+                ):
+                    run, kernel = payload, column_kernel
                 else:
                     payloads = [entry[0] for entry in entries[start:stop]]
-                    run = coalesce(payloads) if columnar else flatten(payloads)
+                    # Every payload holds a row, so a run of enough
+                    # entries (source tuples, mostly) needs no count.
+                    if column_kernel is not None and (
+                        len(payloads) >= COLUMN_MIN_ROWS
+                        or _row_count(payloads) >= COLUMN_MIN_ROWS
+                    ):
+                        run, kernel = coalesce(payloads), column_kernel
+                    else:
+                        run = flatten(payloads)
                 n_in = len(run)
                 node.tuples_in += n_in
                 if enabled:
@@ -567,14 +450,15 @@ class Fjord:
                 n_out = len(out)
                 if n_out:
                     node.tuples_out += n_out
-                    self._emit(node, out)
+                    for target, tport in downstream:  # _emit, inlined
+                        nodes[target].pending.append((out, tport))
                 start = stop
 
     def run(
         self,
         ticks: Iterable[float],
         telemetry: TelemetryCollector | None = None,
-        mode: str = "row",
+        mode: "str | None" = None,
     ) -> None:
         """Execute the dataflow over the given punctuation times.
 
@@ -587,9 +471,9 @@ class Fjord:
             telemetry: Instrumentation sink (see
                 :mod:`repro.streams.telemetry`); ``None`` uses the
                 process-wide default, which is a no-op unless installed.
-            mode: Execution mode, one of :data:`MODES`. ``columnar``
-                and ``fused`` run the column-kernel fast path and
-                produce bit-identical sink output to ``row``.
+            mode: Deprecated and ignored: there is one execution path.
+                Still validated (``None`` or one of :data:`MODES`);
+                the keyword goes away with :data:`MODES`.
 
         Raises:
             OperatorError: If a source yields out-of-order timestamps,
@@ -602,7 +486,7 @@ class Fjord:
         self,
         ticks: Iterable[float],
         telemetry: TelemetryCollector | None = None,
-        mode: str = "row",
+        mode: "str | None" = None,
     ) -> "FjordSession":
         """Open an incremental-push execution session over ``ticks``.
 
@@ -614,18 +498,17 @@ class Fjord:
         the pull-based run.
 
         Sources must already be registered (with empty feeds, typically)
-        so their edges exist; pushes are routed by source name.
+        so their edges exist; pushes are routed by source name. ``mode``
+        is deprecated and ignored, as on :meth:`run`.
         """
-        columnar = self._resolve_mode(mode)
-        return FjordSession(
-            self, ticks, resolve_telemetry(telemetry), columnar=columnar
-        )
+        _check_mode(mode)
+        return FjordSession(self, ticks, resolve_telemetry(telemetry))
 
     def run_stepped(
         self,
         ticks: Iterable[float],
         telemetry: TelemetryCollector | None = None,
-        mode: str = "row",
+        mode: "str | None" = None,
     ) -> Iterator[float]:
         """Like :meth:`run`, but yield after each punctuation sweep.
 
@@ -639,11 +522,12 @@ class Fjord:
         each node's pending-queue depth (the backpressure gauge) plus
         each source's watermark lag (tick time minus the newest injected
         timestamp). The no-op collector skips all of it behind one flag
-        check per call site.
+        check per call site. ``mode`` is deprecated and ignored, as on
+        :meth:`run`.
         """
+        _check_mode(mode)
         collector = resolve_telemetry(telemetry)
         enabled = collector.enabled
-        columnar = self._resolve_mode(mode)
         order = self._topological_order()
         if enabled:
             self._emit_run_start(order, collector)
@@ -663,7 +547,7 @@ class Fjord:
                 lookahead = next(feed, None)
             if enabled:
                 self._sample_tick(order, now, newest, collector)
-            self._sweep(order, now, collector, enabled, columnar)
+            self._sweep(order, now, collector, enabled)
             tick_count += 1
             yield now
         if enabled:
@@ -713,15 +597,10 @@ class Fjord:
         for name in order:
             pending = self._nodes[name].pending
             if pending:
-                # Tuples waiting, not entries: a list or batch payload
-                # counts by its length, so the gauge means the same in
-                # every mode.
+                # Tuples waiting, not entries, so the gauge does not
+                # depend on how upstream output was packaged.
                 collector.sample_queue_depth(
-                    name,
-                    sum(
-                        1 if isinstance(payload, StreamTuple) else len(payload)
-                        for payload, _port in pending
-                    ),
+                    name, _row_count(payload for payload, _port in pending)
                 )
 
     def _sweep(
@@ -730,7 +609,6 @@ class Fjord:
         now: float,
         collector: TelemetryCollector,
         enabled: bool,
-        columnar: bool = False,
     ) -> None:
         """One punctuation sweep at time ``now`` over already-injected input.
 
@@ -739,8 +617,8 @@ class Fjord:
         sweep. A final drain pass catches anything a terminal node's
         user callback injected (topological order makes it a no-op
         otherwise). Punctuation output is delivered as the list
-        ``on_time`` returned in every mode — the drain flattens or
-        coalesces mixed pending payloads.
+        ``on_time`` returned — the drain flattens or coalesces mixed
+        pending payloads.
         """
         drain = self._drain_node
         if not enabled:
@@ -753,7 +631,7 @@ class Fjord:
             for name in order:
                 node = self._nodes[name]
                 if node.pending:
-                    drain(node, collector, now, columnar)
+                    drain(node, collector, now)
                 if node.passive:
                     continue
                 out = node.op.on_time(now)
@@ -763,11 +641,11 @@ class Fjord:
             for name in order:
                 node = self._nodes[name]
                 if node.pending:
-                    drain(node, collector, now, columnar)
+                    drain(node, collector, now)
             return
         for name in order:
             node = self._nodes[name]
-            drain(node, collector, now, columnar)
+            drain(node, collector, now)
             began = clock_ns()
             out = node.op.on_time(now)
             collector.record_punctuation(
@@ -777,7 +655,7 @@ class Fjord:
                 node.tuples_out += len(out)
                 self._emit(node, out)
         for name in order:
-            drain(self._nodes[name], collector, now, columnar)
+            drain(self._nodes[name], collector, now)
         collector.count_tick()
 
 
@@ -833,12 +711,10 @@ class FjordSession:
         fjord: Fjord,
         ticks: Iterable[float],
         collector: TelemetryCollector,
-        columnar: bool = False,
     ):
         self._fjord = fjord
         self._collector = collector
         self._enabled = collector.enabled
-        self._columnar = columnar
         self._order = fjord._topological_order()
         self._ticks = [float(t) for t in ticks]
         if any(a > b for a, b in zip(self._ticks, self._ticks[1:])):
@@ -991,9 +867,7 @@ class FjordSession:
                     injected.append(trace)
         if enabled:
             fjord._sample_tick(self._order, now, self._newest, self._collector)
-        fjord._sweep(
-            self._order, now, self._collector, enabled, self._columnar
-        )
+        fjord._sweep(self._order, now, self._collector, enabled)
         if injected is not None:
             self._finish_spans(injected, now)
         self._cursor += 1

@@ -24,7 +24,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.errors import OperatorError
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.columnar import ColumnBatch
-from repro.streams.typedcols import to_list
 from repro.streams.tuples import StreamTuple, relabel
 from repro.streams.windows import BaseWindow, WindowSpec
 
@@ -113,19 +112,23 @@ class Operator:
             out.extend(self.on_tuple(item, port))
         return out
 
-    def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        """Handle a columnar batch that arrived on ``port``.
+    def column_kernel(
+        self,
+    ) -> "Callable[[ColumnBatch, int], ColumnBatch] | None":
+        """This operator's column kernel, or ``None`` when it has none.
 
-        Must emit exactly the batch :meth:`on_batch` would emit for
-        ``batch.tuples()`` — the same tuples, in the same order — so the
-        columnar execution mode stays bit-identical to the row path.
-        This default materializes rows and delegates; hot stateless
-        operators override it with column kernels that never touch
-        per-tuple dicts. The same accounting contract as
-        :meth:`on_batch` applies: the executor counts input and output
-        lengths of every call.
+        Asked once, when the operator joins a dataflow; the executor
+        then hands the kernel the runs worth encoding (see
+        :data:`repro.streams.fjord.COLUMN_MIN_ROWS`) and :meth:`on_batch`
+        the rest. A kernel — by convention a method named
+        ``on_column_batch(batch, port)`` — must emit exactly the batch
+        :meth:`on_batch` would emit for ``batch.tuples()``: the same
+        tuples, in the same order, under the same accounting contract.
+        Only operators whose work is per-column have one (a filter
+        with a mask predicate, a map with a columnar function, union,
+        and chains of those); everything stateful consumes rows.
         """
-        return ColumnBatch.from_tuples(self.on_batch(batch.tuples(), port))
+        return None
 
     def on_time(self, now: float) -> list[StreamTuple]:
         """Handle a time punctuation; return output tuples for ``now``."""
@@ -156,12 +159,11 @@ class FilterOp(Operator):
         predicate = self._predicate
         return [item for item in items if predicate(item)]
 
+    def column_kernel(self):
+        return self.on_column_batch if hasattr(self._predicate, "mask") else None
+
     def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        mask_fn = getattr(self._predicate, "mask", None)
-        if mask_fn is not None:
-            return batch.where(mask_fn(batch))
-        predicate = self._predicate
-        return batch.where([predicate(item) for item in batch.tuples()])
+        return batch.where(self._predicate.mask(batch))  # type: ignore[attr-defined]
 
 
 class MapOp(Operator):
@@ -201,11 +203,11 @@ class MapOp(Operator):
                 out.extend(result)
         return out
 
+    def column_kernel(self):
+        return self.on_column_batch if hasattr(self._fn, "columnar") else None
+
     def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        columnar = getattr(self._fn, "columnar", None)
-        if columnar is not None:
-            return columnar(batch)
-        return ColumnBatch.from_tuples(self.on_batch(batch.tuples(), port))
+        return self._fn.columnar(batch)  # type: ignore[attr-defined]
 
 
 class UnionOp(Operator):
@@ -233,6 +235,9 @@ class UnionOp(Operator):
             # output (nothing downstream may mutate it either).
             return items if isinstance(items, list) else list(items)
         return relabel(items, stream)
+
+    def column_kernel(self):
+        return self.on_column_batch
 
     def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
         if self._output_stream is None:
@@ -310,15 +315,11 @@ class GroupKey:
             to reading the field called ``name``.
     """
 
-    __slots__ = ("name", "extractor", "field")
+    __slots__ = ("name", "extractor")
 
     def __init__(self, name: str, extractor: Extractor | None = None):
         self.name = name
         self.extractor = extractor or (lambda t, _n=name: t[_n])
-        # Column-kernel fast path: when the extractor is the default
-        # field read, the key component can be pulled straight from the
-        # batch's column without materializing tuples.
-        self.field: str | None = None if extractor is not None else name
 
     def __repr__(self) -> str:
         return f"GroupKey({self.name})"
@@ -418,37 +419,6 @@ class WindowedGroupByOp(Operator):
                 self._order = None
             window.insert(item)
         return []
-
-    def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        # Windows buffer whole tuples, so rows must materialize either
-        # way; the columnar win here is hoisting key extraction to a
-        # per-column read when every key is a plain field present in
-        # all rows. A batch that was never encoded stays row-wise (its
-        # cached tuples are free; encoding just to read keys is not),
-        # and partial or absent key columns fall back to the row
-        # extractors so SchemaError ordering matches the row path.
-        fields = [k.field for k in self._keys]
-        if batch.is_encoded and all(
-            f is not None and batch.has_full_column(f) for f in fields
-        ):
-            items = batch.tuples()
-            # to_list: key components must be native Python values
-            # (typed columns would otherwise leak numpy scalars into
-            # the emitted group-key fields).
-            cols = [to_list(batch.columns[f]) for f in fields]  # type: ignore[index]
-            windows = self._windows
-            spec = self._window_spec
-            for i, item in enumerate(items):
-                key = tuple(col[i] for col in cols)
-                window = windows.get(key)
-                if window is None:
-                    window = spec.make_window()
-                    windows[key] = window
-                    self._order = None
-                window.insert(item)
-        else:
-            self.on_batch(batch.tuples(), port)
-        return ColumnBatch.empty()
 
     def on_time(self, now: float) -> list[StreamTuple]:
         if self._emit_every is not None:
@@ -575,13 +545,6 @@ class SinkOp(Operator):
                 self._callback(item)
         return []
 
-    def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        # The sink is the row/column boundary: collected results are
-        # always row tuples so downstream consumers (merge, traceio,
-        # session callbacks) never see batch objects.
-        self.on_batch(batch.tuples(), port)
-        return ColumnBatch.empty()
-
 
 class ChainOp(Operator):
     """Run several operators as one sequential mini-pipeline.
@@ -644,6 +607,10 @@ class ChainOp(Operator):
         if pending is items:
             return list(pending)
         return pending if isinstance(pending, list) else list(pending)
+
+    def column_kernel(self):
+        every = all(stage.column_kernel() for stage in self._stages)
+        return self.on_column_batch if every else None
 
     def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
         # Columnar stages short-circuit structurally: a stage that

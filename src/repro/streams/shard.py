@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import OperatorError
 from repro.streams.columnar import ColumnBatch
-from repro.streams.fjord import Fjord, _check_mode as _check_fjord_mode
+from repro.streams.fjord import Fjord
 from repro.streams.operators import SinkOp
 from repro.streams.telemetry import (
     NULL_COLLECTOR,
@@ -68,43 +68,28 @@ ShardBuilder = Callable[
 _DEFAULT_EXECUTION: dict[str, Any] = {
     "shards": 1,
     "backend": "serial",
-    "mode": "row",
 }
 
 
 def set_default_execution(
     shards: int | None = None,
     backend: str | None = None,
-    mode: str | None = None,
 ) -> None:
     """Set process-wide defaults used when a run() omits execution options.
 
-    The CLI's ``--shards``/``--backend``/``--mode`` flags call this so
-    that every experiment's internal :meth:`ESPProcessor.run` picks the
-    requested execution mode without each experiment threading the
-    options through.
+    The CLI's ``--shards``/``--backend`` flags call this so that every
+    experiment's internal :meth:`ESPProcessor.run` picks them up
+    without each experiment threading the options through.
     """
     if shards is not None:
         _DEFAULT_EXECUTION["shards"] = _check_shards(shards)
     if backend is not None:
         _DEFAULT_EXECUTION["backend"] = _check_backend(backend)
-    if mode is not None:
-        _DEFAULT_EXECUTION["mode"] = _check_mode(mode)
 
 
 def default_execution() -> tuple[int, str]:
     """The current process-wide (shards, backend) defaults."""
     return _DEFAULT_EXECUTION["shards"], _DEFAULT_EXECUTION["backend"]
-
-
-def default_mode() -> str:
-    """The current process-wide execution mode default."""
-    return _DEFAULT_EXECUTION["mode"]
-
-
-def resolve_mode(mode: str | None) -> str:
-    """Fill an unset execution mode from the process-wide default."""
-    return default_mode() if mode is None else _check_mode(mode)
 
 
 def _reject_execution(option: str, value: Any, message: str) -> OperatorError:
@@ -137,13 +122,6 @@ def _check_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}",
         )
     return backend
-
-
-def _check_mode(mode: str) -> str:
-    try:
-        return _check_fjord_mode(mode)
-    except OperatorError as error:
-        raise _reject_execution("mode", mode, str(error)) from None
 
 
 def resolve_execution(
@@ -287,7 +265,6 @@ def _run_shard(
     build: Callable[[], "tuple[Fjord, SinkOp]"],
     ticks: Sequence[float],
     telemetry: TelemetryCollector = NULL_COLLECTOR,
-    mode: str = "row",
 ) -> ShardResult:
     """Build and run one shard, attributing sink output to its tick.
 
@@ -299,7 +276,7 @@ def _run_shard(
     fjord, sink = build()
     per_tick: list[list[StreamTuple]] = []
     mark = 0
-    for _now in fjord.run_stepped(ticks, telemetry=child, mode=mode):
+    for _now in fjord.run_stepped(ticks, telemetry=child):
         results = sink.results
         per_tick.append(results[mark:])
         mark = len(results)
@@ -310,18 +287,18 @@ def _run_shard(
     )
 
 
-def _run_serial(builders, ticks, telemetry, mode) -> list[ShardResult]:
-    return [_run_shard(build, ticks, telemetry, mode) for build in builders]
+def _run_serial(builders, ticks, telemetry) -> list[ShardResult]:
+    return [_run_shard(build, ticks, telemetry) for build in builders]
 
 
-def _process_worker(connection, build, ticks, telemetry, mode="row") -> None:
+def _process_worker(connection, build, ticks, telemetry) -> None:
     """Forked worker: run one shard, send the finished result back.
 
     Transport protocol (one message): ``("done", (per_tick, stats,
     telemetry_snapshot))`` — or ``("error", formatted_traceback)``.
     """
     try:
-        result = _run_shard(build, ticks, telemetry, mode)
+        result = _run_shard(build, ticks, telemetry)
         connection.send(
             ("done", (result.per_tick, result.stats, result.telemetry))
         )
@@ -334,7 +311,7 @@ def _process_worker(connection, build, ticks, telemetry, mode="row") -> None:
         connection.close()
 
 
-def _run_processes(builders, ticks, telemetry, mode) -> list[ShardResult]:
+def _run_processes(builders, ticks, telemetry) -> list[ShardResult]:
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -349,7 +326,7 @@ def _run_processes(builders, ticks, telemetry, mode) -> list[ShardResult]:
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(
             target=_process_worker,
-            args=(sender, build, ticks, telemetry, mode),
+            args=(sender, build, ticks, telemetry),
         )
         process.start()
         sender.close()
@@ -381,7 +358,6 @@ def run_shard_jobs(
     ticks: Sequence[float],
     backend: str = "serial",
     telemetry: TelemetryCollector | None = None,
-    mode: str | None = None,
 ) -> list[ShardResult]:
     """Run pre-partitioned shard builders on the chosen backend.
 
@@ -398,12 +374,11 @@ def run_shard_jobs(
     """
     collector = resolve_telemetry(telemetry)
     _check_backend(backend)
-    mode = resolve_mode(mode)
     ticks = list(ticks)
     if backend == "processes":
-        results = _run_processes(builders, ticks, collector, mode)
+        results = _run_processes(builders, ticks, collector)
     else:
-        results = _run_serial(builders, ticks, collector, mode)
+        results = _run_serial(builders, ticks, collector)
     if collector.enabled:
         for index, result in enumerate(results):
             if result.telemetry is not None:
@@ -502,7 +477,6 @@ def run_sharded(
     backend: str = "serial",
     order_key: Callable[[StreamTuple], Any] | None = None,
     telemetry: TelemetryCollector | None = None,
-    mode: str | None = None,
 ) -> ShardedRun:
     """Partition, execute and merge one sharded dataflow run.
 
@@ -525,9 +499,6 @@ def run_sharded(
             default. The partition and the final merge are recorded as
             ``shard_partition`` / ``shard_merge`` trace events, and
             per-shard collector snapshots are absorbed in shard order.
-        mode: Execution mode for every shard (one of
-            :data:`repro.streams.fjord.MODES`); ``None`` uses the
-            process-wide default. All modes merge bit-identically.
 
     Returns:
         A :class:`ShardedRun`.
@@ -563,7 +534,6 @@ def run_sharded(
         list(ticks),
         backend=backend,
         telemetry=collector,
-        mode=mode,
     )
     output = merge_outputs(results, order_key)
     if collector.enabled:

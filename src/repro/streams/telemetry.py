@@ -25,17 +25,15 @@ Three design rules keep the instrumentation honest:
   golden artifact (``tests/golden/rfid_shelf_trace_events.jsonl``).
   Wall-clock durations live only in the histograms and busy counters.
 
-**Execution-mode independence.** The executor accounts every drain by
-the lengths of its input run and output batch, and the columnar/fused
-modes (:mod:`repro.streams.columnar`, :data:`repro.streams.fjord.MODES`)
-partition pending input into the *same* maximal same-port runs as the
-row path — so per-operator tuple totals, batch counts, batch-size
-histograms, punctuation counts and trace events are identical across
-``row`` and ``columnar`` execution of the same data; only wall-clock
-busy-ns differ. (``fused`` collapses nodes, so its per-node *telemetry*
-is keyed by fused node names, while :meth:`repro.streams.fjord.Fjord.stats`
-still reports exact per-stage flow counters.) The columnar-accounting
-test in ``tests/test_telemetry.py`` pins this exactness.
+**Kernel independence.** The executor accounts every drain by the
+lengths of its input run and output batch, and a run is the same
+maximal same-port run whichever of an operator's two kernels (row or
+column, see :data:`repro.streams.fjord.COLUMN_MIN_ROWS`) it is handed
+to — so per-operator tuple totals, batch counts, batch-size histograms,
+punctuation counts and trace events do not depend on the choice; only
+wall-clock busy-ns does. Node names are the built names everywhere,
+single-node and cluster. The columnar-accounting test in
+``tests/test_telemetry.py`` pins this exactness.
 
 Snapshots are plain JSON-friendly dicts (see :func:`empty_snapshot` for
 the schema), which is also what crosses the process boundary from forked
@@ -639,7 +637,7 @@ def format_table(
 
     ``storage`` rides on the rendered table only: the snapshot itself
     must stay free of storage counters, because snapshots and trace
-    events are pinned byte-identical across execution modes and across
+    events are pinned byte-identical across both kernels and across
     the numpy/no-numpy CI legs — typed storage is an
     environment-dependent detail that may never leak into them.
     """

@@ -161,7 +161,7 @@ class TestLedgerCheckpoint:
     @staticmethod
     def open_ledger(bundle):
         session = bundle.processor.open_session(
-            until=bundle.until, tick=bundle.tick, mode="fused"
+            until=bundle.until, tick=bundle.tick
         )
         return session, TickLedger(session)
 

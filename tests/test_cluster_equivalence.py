@@ -271,6 +271,31 @@ class TestClusterSmoke:
         readiness = router.readiness()
         assert isinstance(readiness["ready"], bool)
 
+    def test_rollup_is_keyed_by_the_single_node_run_s_node_names(self):
+        """Workers run the pipeline as built, so the cluster-wide
+        operator rollup (worker snapshots merge unprefixed) has exactly
+        the in-memory run's nodes, beside the gateways' own entries."""
+        bundle = build_bundle("shelf", 8.0, SEED)
+        single = bundle.processor.run(
+            bundle.until, bundle.tick, sources=bundle.streams,
+            telemetry=InMemoryCollector(),
+        )
+        collector = InMemoryCollector()
+
+        async def scenario():
+            return await cluster_run(
+                "shelf", 2, 8.0, telemetry=collector,
+                instrument_workers=True,
+            )
+
+        clustered, _router = asyncio.run(scenario())
+        assert clustered == single.output
+        rollup = collector.snapshot()["operators"]
+        nodes = {key for key in rollup if not key.startswith("gateway:")}
+        assert nodes == set(single.telemetry["operators"])
+        for name, entry in single.telemetry["operators"].items():
+            assert rollup[name]["tuples_out"] == entry["tuples_out"], name
+
     def test_serve_cluster_summary(self):
         # The service-level wrapper (what `repro cluster` runs).
         async def scenario():

@@ -3,7 +3,7 @@
 Covers the ColumnBatch encoding itself — round-trips, lazy
 materialization, slice views, schema union, out-of-order detection —
 plus the vectorizable callables and the ChainOp zero-copy regression.
-The cross-mode *execution* equivalence lives in
+The row-kernel ≡ column-kernel equivalence lives in
 ``tests/test_columnar_equivalence.py``.
 """
 
@@ -129,8 +129,8 @@ class TestLazyMaterialization:
         rows = make_rows(5)
         batch = ColumnBatch.from_tuples(rows)
         relabeled = batch.with_stream("other")
-        assert not batch.is_encoded  # relabeling never forces an encode
-        assert not relabeled.is_encoded
+        assert batch._columns is None  # relabeling never forces an encode
+        assert relabeled._columns is None
         assert [t.stream for t in relabeled.tuples()] == ["other"] * 5
         # The relabeled rows share the originals' value dicts outright.
         assert relabeled.tuples()[0]._values is rows[0]._values
@@ -149,8 +149,8 @@ class TestLazyMaterialization:
     def test_with_columns_unencoded_stays_lazy(self):
         batch = ColumnBatch.from_tuples(make_rows(5))
         extended = batch.with_columns({"granule": "g0"})
-        assert not batch.is_encoded  # adding constants derives rows
-        assert not extended.is_encoded
+        assert batch._columns is None  # adding constants derives rows
+        assert extended._columns is None
         expected = [
             t.derive(values={"granule": "g0"}) for t in batch.tuples()
         ]
@@ -325,8 +325,6 @@ class TestVectorizableCallables:
         batch = ColumnBatch.from_tuples(make_rows(2))
         with pytest.raises(OperatorError, match="no field"):
             batch.column("nope")
-        assert batch.has_full_column("tag_id")
-        assert not batch.has_full_column("nope")
 
 
 # -- ChainOp zero-copy regression ----------------------------------------------
@@ -342,15 +340,20 @@ class CountingBatch(ColumnBatch):
         super().__init__(*args, **kwargs)
 
 
+def masked(row_fn):
+    """A predicate with a column kernel: the row function, per row."""
+    return ColumnPredicate(row_fn, lambda b: [row_fn(t) for t in b.tuples()])
+
+
 class TestChainOpShortCircuit:
     def test_all_pass_chain_builds_no_new_batches(self):
         """A chain whose stages reject nothing must forward the input
         batch object itself — zero per-stage re-wrapping."""
         chain = ChainOp(
             [
-                FilterOp(lambda t: True),
+                FilterOp(masked(lambda t: True)),
                 UnionOp(),  # no relabel: identity on batches
-                FilterOp(lambda t: t.timestamp >= 0.0),
+                FilterOp(masked(lambda t: t.timestamp >= 0.0)),
             ]
         )
         CountingBatch.constructed = 0
@@ -362,7 +365,10 @@ class TestChainOpShortCircuit:
 
     def test_rejecting_stage_still_filters(self):
         chain = ChainOp(
-            [FilterOp(lambda t: True), FilterOp(lambda t: t.timestamp < 3.0)]
+            [
+                FilterOp(masked(lambda t: True)),
+                FilterOp(masked(lambda t: t.timestamp < 3.0)),
+            ]
         )
         rows = make_rows(8)
         out = chain.on_column_batch(ColumnBatch.from_tuples(rows))
@@ -389,7 +395,7 @@ class TestChainOpShortCircuit:
         assert out is not rows  # caller's list is never aliased back
 
     def test_empty_chain_input_short_circuits(self):
-        chain = ChainOp([FilterOp(lambda t: True)])
+        chain = ChainOp([FilterOp(masked(lambda t: True))])
         empty = ColumnBatch.empty()
         assert chain.on_column_batch(empty) is empty
         assert chain.on_batch([]) == []

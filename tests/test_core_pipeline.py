@@ -14,7 +14,7 @@ from repro.errors import OperatorError, PipelineError
 from repro.receptors.motes import Mote
 from repro.receptors.registry import DeviceRegistry
 from repro.receptors.rfid import DetectionField, RFIDReader, TagPlacement
-from repro.streams.shard import default_mode, set_default_execution
+from repro.streams.fjord import MODES
 from repro.streams.tuples import StreamTuple
 
 
@@ -341,10 +341,10 @@ class TestStreamSession:
         session.advance(1.5)
         assert session.safe_time == 1.0
 
-    def test_mode_defaults_like_run(self):
+    def test_mode_is_validated_then_ignored(self):
+        """The deprecated keyword selects nothing on either entry point:
+        every accepted value wires the same graph and cleans the same."""
         recorded = self._recorded()
-        # A pass-through Point stage gives fusion a stateless run
-        # (annotate → point → rename) to collapse.
         point = Stage.from_function(StageKind.POINT, lambda item: item)
 
         def drive(**kwargs):
@@ -356,16 +356,17 @@ class TestStreamSession:
                     session.push(name, item)
             return set(session._fjord._nodes), session.close().output
 
-        row_nodes, row_output = drive()
-        fused_nodes, fused_output = drive(mode="fused")
-        assert fused_nodes < row_nodes  # fusion really collapsed stages
-        previous = default_mode()
-        set_default_execution(mode="fused")
-        try:
-            assert drive() == (fused_nodes, fused_output)
-        finally:
-            set_default_execution(mode=previous)
-        assert fused_output == row_output and row_output
+        nodes, output = drive()
+        assert output
+        ref = self._processor(point=point).run(
+            until=4.0, tick=1.0, sources=recorded
+        )
+        for mode in MODES:
+            assert drive(mode=mode) == (nodes, output)
+            run = self._processor(point=point).run(
+                until=4.0, tick=1.0, sources=recorded, mode=mode
+            )
+            assert run.output == ref.output and run.stats == ref.stats
         for entry in (
             lambda: self._processor().run(until=1.0, tick=1.0, mode="simd"),
             lambda: self._processor().open_session(

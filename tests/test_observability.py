@@ -3,7 +3,7 @@
 
 from repro.cql import compile_query
 from repro.streams.fjord import Fjord
-from repro.streams.operators import FilterOp, UnionOp
+from repro.streams.operators import FilterOp, Operator, UnionOp
 from repro.streams.tuples import StreamTuple
 
 
@@ -187,25 +187,20 @@ class TestFlowCountersMultiOperatorDag:
         assert total_in > 0
 
 
-class _TupleAtATime:
+class _TupleAtATime(Operator):
     """Shim hiding an operator's ``on_batch`` fast path.
 
     Forwards ``on_tuple``/``on_time`` but inherits the base protocol's
-    per-tuple ``on_batch`` loop, so a run through the shim is the
-    tuple-at-a-time reference semantics for the wrapped operator.
+    per-tuple ``on_batch`` loop (and its lack of a column kernel), so a
+    run through the shim is the tuple-at-a-time reference semantics for
+    the wrapped operator.
     """
 
     def __init__(self, inner):
-        from repro.streams.operators import Operator
-
         self._inner = inner
-        self._fallback = Operator.on_batch
 
     def on_tuple(self, item, port=0):
         return self._inner.on_tuple(item, port)
-
-    def on_batch(self, items, port=0):
-        return self._fallback(self, items, port)
 
     def on_time(self, timestamp):
         return self._inner.on_time(timestamp)

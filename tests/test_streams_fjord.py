@@ -295,9 +295,10 @@ class TestFjordSession:
 class TestWholeRunDelivery:
     """A kernel's output list is queued whole at every consumer; what
     each consumer sees, the flow counters and the ``batch_drain``
-    sequence are those of tuple-at-a-time delivery, in every mode."""
+    sequence are those of tuple-at-a-time delivery, whichever kernel
+    the drain picks (see ``kernel_regime`` in conftest.py)."""
 
-    MODES = ("row", "columnar", "fused")
+    REGIMES = ("row", "columnar", "fused")
 
     def _fan_out_with_reinjection(self):
         """``agg`` feeds a stage, a tap and a sink whose callback
@@ -335,15 +336,16 @@ class TestWholeRunDelivery:
         )
         return fjord, sinks
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("regime", REGIMES)
     def test_fan_out_and_callback_reinjection_match_per_tuple_delivery(
-        self, mode
+        self, regime, kernel_regime
     ):
         from repro.streams.telemetry import InMemoryCollector
 
+        kernel_regime(regime)
         fjord, sinks = self._fan_out_with_reinjection()
         collector = InMemoryCollector()
-        fjord.run([0.0, 1.0, 2.0, 3.0], telemetry=collector, mode=mode)
+        fjord.run([0.0, 1.0, 2.0, 3.0], telemetry=collector)
         # Every literal below was recorded from per-tuple delivery.
         rows = [(0.0, 0, 2), (1.0, 0, 2), (1.0, 1, 2), (1.0, 2, 1),
                 (2.0, 0, 2), (2.0, 1, 1), (2.0, 2, 1), (3.0, 1, 2),
@@ -382,11 +384,15 @@ class TestWholeRunDelivery:
         ]
         assert drains == expected
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_stage_tap_sees_what_the_next_stage_sees(self, mode, small_shelf):
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_stage_tap_sees_what_the_next_stage_sees(
+        self, regime, kernel_regime, small_shelf
+    ):
         """The processor's ``taps=("smooth",)`` sink and Arbitrate share
         every Smooth output run."""
         from repro.pipelines.rfid_shelf import build_shelf_processor
+
+        kernel_regime(regime)
 
         def run(**kwargs):
             return build_shelf_processor(small_shelf, "smooth+arbitrate").run(
@@ -397,7 +403,7 @@ class TestWholeRunDelivery:
             )
 
         plain = run()
-        tapped = run(taps=("smooth",), mode=mode)
+        tapped = run(taps=("smooth",))
         assert tapped.output == plain.output
         assert {k: v for k, v in tapped.stats.items()
                 if not k.startswith("tap:")} == plain.stats
@@ -408,14 +414,17 @@ class TestWholeRunDelivery:
             if name.endswith(":rename") and ":smooth:" in name
         )
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_pass_through_kernel_does_not_couple_siblings(self, mode):
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_pass_through_kernel_does_not_couple_siblings(
+        self, regime, kernel_regime
+    ):
         """``UnionOp()`` may return the very list it was handed; the
         sibling that was handed the same list must not see what happens
         to it downstream (here: concatenation with another run)."""
         run = [tup(0.0, v=1), tup(0.0, v=2)]
         assert UnionOp().on_batch(run) is run
 
+        kernel_regime(regime)
         fjord = Fjord()
         fjord.add_source("src", [tup(0.0, v=1), tup(0.0, v=2), tup(0.0, v=3)])
         fjord.add_operator("x", FilterOp(lambda t: t["v"] < 3), inputs=["src"])
@@ -423,7 +432,7 @@ class TestWholeRunDelivery:
         sibling = fjord.add_sink("sibling", inputs=["x"])
         fjord.add_operator("y", FilterOp(lambda t: t["v"] > 2), inputs=["src"])
         merged = fjord.add_sink("zz_merged", inputs=["u", "y"])
-        fjord.run([0.0, 1.0], mode=mode)
+        fjord.run([0.0, 1.0])
         assert [t["v"] for t in sibling.results] == [1, 2]
         assert [t["v"] for t in merged.results] == [1, 2, 3]
         assert fjord.stats()["zz_merged"] == (3, 0)

@@ -11,9 +11,10 @@ Four layers of guarantees:
 - **Shard-aware aggregation** — per-shard collectors absorbed in shard
   order produce the same per-operator tuple totals as the sequential
   run, on every backend at shard counts 1 and 4.
-- **Execution-mode independence** — row and columnar runs of the same
-  pipeline produce identical snapshots up to wall-clock fields (tuple
-  and batch counters exactly, trace events byte-for-byte).
+- **Kernel independence** — a run of the same pipeline with no run on
+  a column kernel and one with every eligible run on it produce
+  identical snapshots up to wall-clock fields (tuple and batch counters
+  exactly, trace events byte-for-byte).
 - **Surfacing** — the CLI's ``--stats``/``--trace-out`` round-trip and
   a golden trace-event log for the RFID shelf pipeline, pinned
   byte-for-byte (regenerate with
@@ -566,22 +567,22 @@ class TestExecutorIntegration:
         assert any(e["kind"] == "validation_error" for e in events)
 
 
-# -- execution-mode accounting -------------------------------------------------
+# -- kernel-choice accounting --------------------------------------------------
 
 
-def _mode_snapshot(mode: str) -> dict:
-    """Instrumented five-stage run over a fixed trace in ``mode``."""
+def _five_stage_snapshot() -> dict:
+    """Instrumented five-stage run over a fixed trace."""
     rng = random.Random(41)
     sources = make_trace(rng, n_tuples=120)
     ticks = trace_ticks(sources)
     collector = InMemoryCollector()
     fjord, _sink = build_five_stage(sources)
-    fjord.run(ticks, telemetry=collector, mode=mode)
+    fjord.run(ticks, telemetry=collector)
     return collector.snapshot()
 
 
 def _scrub_wall_clock(snapshot: dict) -> dict:
-    """Drop the wall-clock fields; everything left must be mode-blind."""
+    """Drop the wall-clock fields; everything left must be kernel-blind."""
     scrubbed = json.loads(json.dumps(snapshot))
     for entry in scrubbed["operators"].values():
         assert entry.pop("busy_ns") > 0
@@ -594,18 +595,22 @@ def _scrub_wall_clock(snapshot: dict) -> dict:
 
 
 class TestColumnarAccounting:
-    """Row and columnar execution account identically.
+    """Row and column kernels account identically.
 
-    The columnar drain partitions pending entries into the same maximal
-    same-port runs as the row drain, so per-operator tuple counts are
-    exact, batch counts are exact, and the trace-event log is
-    byte-identical across modes; only the wall-clock accumulators
-    (busy-ns and the latency histogram) may differ.
+    The drain partitions pending entries into maximal same-port runs
+    before it picks a kernel, so per-operator tuple counts are exact,
+    batch counts are exact, and the trace-event log is byte-identical
+    whether no run reaches a column kernel (``row``) or every run at a
+    node that has one does (``columnar``, see ``kernel_regime`` in
+    conftest.py); only the wall-clock accumulators (busy-ns and the
+    latency histogram) may differ.
     """
 
-    def test_columnar_counters_match_row_exactly(self):
-        row = _mode_snapshot("row")
-        columnar = _mode_snapshot("columnar")
+    def test_columnar_counters_match_row_exactly(self, kernel_regime):
+        kernel_regime("row")
+        row = _five_stage_snapshot()
+        kernel_regime("columnar")
+        columnar = _five_stage_snapshot()
         assert set(row["operators"]) == set(columnar["operators"])
         for name, entry in row["operators"].items():
             other = columnar["operators"][name]
@@ -619,13 +624,15 @@ class TestColumnarAccounting:
             assert other["busy_ns"] > 0  # present, but wall-clock
         assert _scrub_wall_clock(row) == _scrub_wall_clock(columnar)
 
-    def test_golden_scenario_events_are_mode_blind(self):
-        """The columnar run of the golden shelf scenario replays the
-        exact row-path trace-event log (the pinned golden file)."""
+    def test_golden_scenario_events_are_mode_blind(self, kernel_regime):
+        """With every run at the shelf pipeline's annotate, rename and
+        union nodes on the column kernel, the golden scenario replays
+        the pinned trace-event log exactly."""
         from repro.streams.traceio import read_trace_events
 
+        kernel_regime("columnar")
         golden = read_trace_events(GOLDEN_DIR / "rfid_shelf_trace_events.jsonl")
-        assert _golden_shelf_events(mode="columnar") == golden
+        assert _golden_shelf_events() == golden
 
 
 class _DepthLog(InMemoryCollector):
@@ -642,7 +649,7 @@ class _DepthLog(InMemoryCollector):
 
 class TestQueueDepthGauge:
     """``sample_queue_depth`` means *tuples* waiting, whatever shape the
-    pending entries have in the mode at hand."""
+    pending entries have."""
 
     def test_depth_counts_tuples_not_entries(self):
         from repro.streams.columnar import ColumnBatch
@@ -661,29 +668,24 @@ class TestQueueDepthGauge:
         fjord._sample_tick(["out"], 0.0, {}, collector)
         assert collector.depths == [("out", 5)]
 
-    def test_golden_scenario_samples_are_mode_blind(self):
+    def test_golden_scenario_samples_are_mode_blind(self, kernel_regime):
         from repro.pipelines.rfid_shelf import build_shelf_processor
         from repro.scenarios.shelf import ShelfScenario
 
         scenario = ShelfScenario(duration=12.0, seed=3)
         samples = {}
-        for mode in ("row", "columnar", "fused"):
+        for regime in ("row", "columnar"):
+            kernel_regime(regime)
             collector = _DepthLog()
             build_shelf_processor(scenario, "smooth+arbitrate").run(
                 until=scenario.duration,
                 tick=scenario.poll_period,
                 sources=scenario.recorded_streams(),
                 telemetry=collector,
-                mode=mode,
             )
-            samples[mode] = collector.depths
+            samples[regime] = collector.depths
         assert samples["row"]
         assert samples["row"] == samples["columnar"]
-        # Fusion renames the sampled node (annot → the tail of its fused
-        # run); the depths, tick for tick, are the same.
-        assert [depth for _node, depth in samples["fused"]] == [
-            depth for _node, depth in samples["row"]
-        ]
 
 
 # -- presentation --------------------------------------------------------------
@@ -726,7 +728,7 @@ class TestFormatTable:
 # -- surfacing: CLI and golden trace events ------------------------------------
 
 
-def _golden_shelf_events(mode: str | None = None) -> list[dict]:
+def _golden_shelf_events() -> list[dict]:
     from repro.pipelines.rfid_shelf import build_shelf_processor
     from repro.scenarios.shelf import ShelfScenario
 
@@ -738,7 +740,6 @@ def _golden_shelf_events(mode: str | None = None) -> list[dict]:
         tick=scenario.poll_period,
         sources=scenario.recorded_streams(),
         telemetry=collector,
-        mode=mode,
     )
     assert run.output  # the pipeline actually ran
     return run.telemetry["events"]
