@@ -26,8 +26,10 @@ Three workloads:
   paper's Smooth+Arbitrate pipeline at its native tick hands its
   annotate/rename/union nodes ≈12-row runs: below the threshold, so a
   pass must perform zero rows→columns encodes — while the chain
-  encodes every long run exactly once. Counts, not clocks: they repeat
-  exactly on any host.
+  encodes every long run exactly once. Likewise one redwood and one
+  digital-home pass leave ``typedcols.storage_stats()`` empty: their
+  window aggregates read rows, so no column is ever built for them.
+  Counts, not clocks: they repeat exactly on any host.
 """
 
 from __future__ import annotations
@@ -229,6 +231,30 @@ def test_shelf_pipeline_at_its_native_tick_never_encodes(shelf, encodes):
     assert runs and max(runs) < fjord_module.COLUMN_MIN_ROWS
     assert encodes == []
     assert typedcols.storage_stats() == cells
+
+
+def test_redwood_and_home_passes_build_no_typed_arrays(
+    redwood, office, encodes
+):
+    """The paper's two windowed-average pipelines at their native ticks:
+    no run reaches the encode threshold and the window aggregates read
+    rows, so nothing is detected, converted or counted as a column."""
+    from repro.pipelines.digital_home import build_digital_home_processor
+    from repro.pipelines.sensornet import build_redwood_processor
+
+    typedcols.reset_storage_stats()
+    for processor, scenario, tick in (
+        (build_redwood_processor(redwood), redwood, redwood.epoch),
+        (build_digital_home_processor(office), office, 0.5),
+    ):
+        run = processor.run(
+            until=scenario.duration,
+            tick=tick,
+            sources=scenario.recorded_streams(),
+        )
+        assert run.output
+    assert encodes == []
+    assert typedcols.storage_stats() == {}
 
 
 def test_chain_encodes_every_long_run_once(shelf, encodes):

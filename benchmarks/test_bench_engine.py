@@ -16,6 +16,7 @@ from repro.streams.operators import (
     GroupKey,
     MapOp,
     WindowedGroupByOp,
+    run_operator,
 )
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import WindowSpec
@@ -54,13 +55,10 @@ def test_engine_filter_map_throughput(benchmark):
     ]
 
     def run():
-        count = 0
-        for item in items:
-            out = [item]
-            for op in pipeline:
-                out = [o for i in out for o in op.on_tuple(i)]
-            count += len(out)
-        return count
+        out = items
+        for op in pipeline:
+            out = op.on_batch(out)
+        return len(out)
 
     kept = benchmark(run)
     assert 0 < kept < len(items)
@@ -76,14 +74,7 @@ def test_engine_windowed_groupby_throughput(benchmark):
             keys=[GroupKey("tag_id"), GroupKey("spatial_granule")],
             aggregates=[AggregateSpec("count", output="count")],
         )
-        emitted = 0
-        index = 0
-        for tick in ticks:
-            while index < len(items) and items[index].timestamp <= tick:
-                op.on_tuple(items[index])
-                index += 1
-            emitted += len(op.on_time(tick))
-        return emitted
+        return len(run_operator(op, items, ticks))
 
     emitted = benchmark(run)
     assert emitted > 0
@@ -130,14 +121,7 @@ def test_engine_incremental_groupby_throughput(benchmark):
             keys=[GroupKey("tag_id"), GroupKey("spatial_granule")],
             aggregates=[AggregateSpec("count", output="count")],
         )
-        emitted = 0
-        index = 0
-        for tick in ticks:
-            while index < len(items) and items[index].timestamp <= tick:
-                op.on_tuple(items[index])
-                index += 1
-            emitted += len(op.on_time(tick))
-        return emitted
+        return len(run_operator(op, items, ticks))
 
     emitted = benchmark(run)
     assert emitted > 0
@@ -173,14 +157,7 @@ def test_engine_groupby_scaling_with_tag_population(benchmark, n_tags):
             keys=[GroupKey("tag_id")],
             aggregates=[AggregateSpec("count", output="n")],
         )
-        emitted = 0
-        index = 0
-        for tick in ticks:
-            while index < len(items) and items[index].timestamp <= tick:
-                op.on_tuple(items[index])
-                index += 1
-            emitted += len(op.on_time(tick))
-        return emitted
+        return len(run_operator(op, items, ticks))
 
     assert benchmark(run) > 0
 

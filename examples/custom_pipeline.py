@@ -12,8 +12,6 @@ Run:
 
 import math
 
-import numpy as np
-
 from repro.core.granules import SpatialGranule, TemporalGranule
 from repro.core.pipeline import ESPPipeline, ESPProcessor
 from repro.core.stages import MergeStage, PointStage, SmoothStage, Stage, StageKind
@@ -21,7 +19,6 @@ from repro.receptors.motes import Mote
 from repro.receptors.registry import DeviceRegistry
 from repro.streams.aggregates import Aggregate, register_aggregate
 from repro.streams.operators import Operator
-from repro.streams.tuples import StreamTuple
 
 
 # --- a user-defined aggregate (model 2: UDFs/UDAs) ---------------------------
@@ -59,8 +56,8 @@ class AnomalyScorer(Operator):
         self._seen = 0
         self._pending = []
 
-    def on_tuple(self, item, port=0):
-        self._pending.append(item)
+    def on_batch(self, items, port=0):
+        self._pending.extend(items)
         return []
 
     def on_time(self, now):

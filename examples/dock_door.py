@@ -89,13 +89,14 @@ class DirectionInfer(Operator):
         self._traces = {}
         self._last_seen = {}
 
-    def on_tuple(self, item, port=0):
-        tag = item.get("tag_id")
-        side = item.get("spatial_granule")
-        if tag is None or side is None:
-            return []
-        self._traces.setdefault(tag, []).append((item.timestamp, side))
-        self._last_seen[tag] = item.timestamp
+    def on_batch(self, items, port=0):
+        for item in items:
+            tag = item.get("tag_id")
+            side = item.get("spatial_granule")
+            if tag is None or side is None:
+                continue
+            self._traces.setdefault(tag, []).append((item.timestamp, side))
+            self._last_seen[tag] = item.timestamp
         return []
 
     def on_time(self, now):

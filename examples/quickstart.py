@@ -32,7 +32,10 @@ def main() -> None:
 
     raw_error = shelf_error(raw, truth)
     clean_error = shelf_error(cleaned, truth)
-    flat = lambda series: np.concatenate([series["shelf0"], series["shelf1"]])
+
+    def flat(series):
+        return np.concatenate([series["shelf0"], series["shelf1"]])
+
     raw_alerts = alert_rate(flat(raw), flat(truth), 5.0, scenario.duration)
 
     print(f"{'':24s}{'raw':>10s}{'ESP-cleaned':>14s}")

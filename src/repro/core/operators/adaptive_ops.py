@@ -109,15 +109,21 @@ class AdaptiveSmoother(Operator):
 
     # -- event handling ---------------------------------------------------------
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        identifier = item.get(self._id_field)
-        if identifier is None:
-            return []
-        self._pending[identifier] = self._pending.get(identifier, 0) + 1
-        if identifier not in self._pending_carry:
-            self._pending_carry[identifier] = {
-                field: item.get(field) for field in self._carry
-            }
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        id_field = self._id_field
+        pending = self._pending
+        pending_carry = self._pending_carry
+        for item in items:
+            identifier = item.get(id_field)
+            if identifier is None:
+                continue
+            pending[identifier] = pending.get(identifier, 0) + 1
+            if identifier not in pending_carry:
+                pending_carry[identifier] = {
+                    field: item.get(field) for field in self._carry
+                }
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:
@@ -278,13 +284,19 @@ class HorvitzThompsonCounter(Operator):
 
     STATE_ATTRS = ("_reads", "_pending")
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        tag = item.get(self._id_field)
-        group = item.get(self._group_field)
-        if tag is None or group is None:
-            return []
-        key = (group, tag)
-        self._pending[key] = self._pending.get(key, 0) + 1
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        id_field = self._id_field
+        group_field = self._group_field
+        pending = self._pending
+        for item in items:
+            tag = item.get(id_field)
+            group = item.get(group_field)
+            if tag is None or group is None:
+                continue
+            key = (group, tag)
+            pending[key] = pending.get(key, 0) + 1
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:

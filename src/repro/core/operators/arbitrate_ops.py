@@ -72,10 +72,6 @@ class MaxCountArbitrator(Operator):
 
     STATE_ATTRS = ("_pending",)
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        self._pending.append(item)
-        return []
-
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:

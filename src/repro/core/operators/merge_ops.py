@@ -78,17 +78,6 @@ class _RobustGroupAverage(Operator):
 
     STATE_ATTRS = ("_windows",)
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        if self._value_field not in item:
-            return []
-        key = item.get(self._granule_field)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._window_spec.make_window()
-            self._windows[key] = window
-        window.insert(item)
-        return []
-
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
@@ -279,10 +268,14 @@ class _VoteWindow(Operator):
 
     STATE_ATTRS = ("_window", "_granule")
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        if self._granule is None:
-            self._granule = item.get(self._granule_field)
-        self._window.insert(item)
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        if self._granule is None and items:
+            self._granule = items[0].get(self._granule_field)
+        insert = self._window.insert
+        for item in items:
+            insert(item)
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:

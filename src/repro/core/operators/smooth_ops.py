@@ -18,8 +18,10 @@ from typing import Sequence
 from repro.core.stages import Stage, StageContext, StageKind
 from repro.errors import PipelineError
 from repro.streams.aggregates import AggregateSpec
+from repro.streams.incremental import IncrementalWindowedGroupByOp
 from repro.streams.operators import (
     ChainOp,
+    FilterOp,
     GroupKey,
     MapOp,
     Operator,
@@ -54,7 +56,6 @@ def presence_smoother(
     id_field: str = "tag_id",
     carry: Sequence[str] = ("spatial_granule",),
     count_field: str = "count",
-    incremental: bool = True,
     name: str = "",
 ) -> Stage:
     """Interpolate lost ID readings within the temporal granule.
@@ -71,37 +72,22 @@ def presence_smoother(
         carry: Fields carried into the output (grouped on; constant per
             stream in practice).
         count_field: Output field holding the window read count.
-        incremental: Maintain the count in O(1) per tuple
-            (:class:`repro.streams.incremental.IncrementalWindowedGroupByOp`)
-            rather than recomputing per slide. Equivalent results
-            (property-tested); disable only when debugging the engine.
+
+    The count is maintained in O(1) per tuple
+    (:class:`repro.streams.incremental.IncrementalWindowedGroupByOp`);
+    the property tests pin it to the recompute operator.
     """
 
     def factory(ctx: StageContext) -> Operator:
         seconds = _resolve_window(window, ctx, "presence_smoother")
-        keys = [GroupKey(id_field)] + _carry_keys(carry)
-        aggregates = [AggregateSpec("count", output=count_field)]
-        if incremental:
-            from repro.streams.incremental import (
-                IncrementalWindowedGroupByOp,
-            )
-
-            group: Operator = IncrementalWindowedGroupByOp(
-                WindowSpec.range_by(seconds),
-                keys=keys,
-                aggregates=aggregates,
-            )
-        else:
-            group = WindowedGroupByOp(
-                WindowSpec.range_by(seconds),
-                keys=keys,
-                aggregates=aggregates,
-            )
+        group = IncrementalWindowedGroupByOp(
+            WindowSpec.range_by(seconds),
+            keys=[GroupKey(id_field)] + _carry_keys(carry),
+            aggregates=[AggregateSpec("count", output=count_field)],
+        )
         # Malformed readings without the identifier are dropped rather
         # than crashing the stage or forming a junk None-group: dirty
         # data is this framework's normal input.
-        from repro.streams.operators import ChainOp, FilterOp
-
         return ChainOp(
             [FilterOp(lambda t: t.get(id_field) is not None), group]
         )
@@ -179,17 +165,10 @@ def event_smoother(
         def stamp(item: StreamTuple) -> StreamTuple:
             return item.derive(values={value_field: on_value})
 
-        return ChainOp([_OnOnly(value_field, on_value), group, MapOp(stamp)])
+        def is_on(item: StreamTuple) -> bool:
+            # Only the configured event value enters the smoothing window.
+            return item.get(value_field) == on_value
+
+        return ChainOp([FilterOp(is_on), group, MapOp(stamp)])
 
     return Stage(StageKind.SMOOTH, factory, name=name or "event_smoother")
-
-
-class _OnOnly(Operator):
-    """Admit only the configured event value into the smoothing window."""
-
-    def __init__(self, value_field: str, on_value: str):
-        self._value_field = value_field
-        self._on_value = on_value
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        return [item] if item.get(self._value_field) == self._on_value else []

@@ -8,7 +8,7 @@ RFID, sound motes and X10 detectors (§6.2, Query 6).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.core.stages import Stage, StageContext, StageKind
 from repro.errors import OperatorError
@@ -59,12 +59,17 @@ class VotingDetector(Operator):
 
     STATE_ATTRS = ("_seen",)
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        predicate = self._votes.get(item.stream, _ABSENT)
-        if predicate is _ABSENT:
-            return []
-        if predicate is None or predicate(item):
-            self._seen[item.stream] = True
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        votes = self._votes
+        seen = self._seen
+        for item in items:
+            predicate = votes.get(item.stream, _ABSENT)
+            if predicate is _ABSENT:
+                continue
+            if predicate is None or predicate(item):
+                seen[item.stream] = True
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:
@@ -200,22 +205,30 @@ class CorrelationModelCleaner(Operator):
         """Conditional expectation of the target given the predictor."""
         return self._mean_y + self._slope() * (x - self._mean_x)
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        x = item.get(self._predictor)
-        y = item.get(self._target)
-        if x is None or y is None:
-            return [item]  # nothing to validate against
-        x, y = float(x), float(y)
-        if self._n < self._warmup:
-            self._update(x, y)
-            return [item]
-        sigma = max(self._min_residual, self._resid_var**0.5)
-        residual = y - self.predict(x)
-        if abs(residual) > self._k * sigma:
-            return []  # model-rejected reading
-        if abs(residual) <= self._k_learn * sigma:
-            self._update(x, y)  # only clearly-consistent readings learn
-        return [item]
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        predictor, target = self._predictor, self._target
+        out: list[StreamTuple] = []
+        for item in items:
+            x = item.get(predictor)
+            y = item.get(target)
+            if x is None or y is None:
+                out.append(item)  # nothing to validate against
+                continue
+            x, y = float(x), float(y)
+            if self._n < self._warmup:
+                self._update(x, y)
+                out.append(item)
+                continue
+            sigma = max(self._min_residual, self._resid_var**0.5)
+            residual = y - self.predict(x)
+            if abs(residual) > self._k * sigma:
+                continue  # model-rejected reading
+            if abs(residual) <= self._k_learn * sigma:
+                self._update(x, y)  # only clearly-consistent readings learn
+            out.append(item)
+        return out
 
 
 def correlation_model_cleaner(

@@ -36,15 +36,18 @@ from repro.cql.functions import get_function
 from repro.cql.parser import parse
 from repro.errors import PlanError
 from repro.streams.aggregates import AggregateSpec, aggregate_names
+from repro.streams.fjord import Fjord
 from repro.streams.operators import (
     FilterOp,
     GroupKey,
     MapOp,
     Operator,
+    SinkOp,
     UnionOp,
     WindowedGroupByOp,
     run_operator,
 )
+from repro.streams.telemetry import NULL_COLLECTOR
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import WindowSpec
 
@@ -271,126 +274,103 @@ def _compile_binary(
 # ---------------------------------------------------------------------------
 
 
-class _PlanNode:
-    """One operator in a compiled query's internal mini-DAG."""
-
-    __slots__ = ("op", "downstream", "pending")
-
-    def __init__(self, op: Operator):
-        self.op = op
-        #: (node index, port)
-        self.downstream: list[tuple[int, int]] = []
-        self.pending: list[tuple[StreamTuple, int]] = []
-
-
 class CompiledQuery(Operator):
     """An executable continuous query, usable as a stream operator.
 
-    Input tuples are routed to the query's stream references by their
-    ``stream`` attribute; punctuations drive windows exactly as in the
-    Fjord executor. Use :meth:`run` for one-shot evaluation over in-memory
-    streams, or plug the instance into a pipeline/Fjord for online use.
+    The plan is a nested :class:`~repro.streams.fjord.Fjord` whose
+    sources are the streams the query reads and whose last node is a
+    sink; this operator feeds it and hands on what reaches the sink.
+    Input tuples are routed to the plan's sources by their ``stream``
+    attribute; punctuations sweep the plan exactly as the Fjord executor
+    sweeps any dataflow. Use :meth:`run` for one-shot evaluation over
+    in-memory streams, or plug the instance into a pipeline/Fjord for
+    online use. Plan nodes are not reported to telemetry: the
+    surrounding executor accounts this operator as one node.
+
+    **Delivery order.** A compiled plan emits exactly what the same
+    operators hand-wired into a Fjord emit. Each run of input is queued
+    whole at the nodes subscribed to its stream and the plan is drained
+    node by node, so two stateless branches that both reach the output
+    (``SELECT ... FROM s WHERE a UNION SELECT ... FROM s WHERE b``)
+    emit branch by branch within a run — all of the first branch's
+    rows for the run, then all of the second's — not interleaved tuple
+    by tuple. That is the one plan shape whose output order shows how
+    the input was cut into runs, as it would for any Fjord with a
+    fan-out that rejoins; every single-route plan is chunking-invariant
+    (see :meth:`Operator.on_batch
+    <repro.streams.operators.Operator.on_batch>`).
 
     Attributes:
         text: Original query text, when compiled from text.
         input_streams: The stream names this query subscribes to.
     """
 
-    def __init__(
-        self,
-        nodes: list[_PlanNode],
-        entries: Mapping[str, Sequence[tuple[int, int]]],
-        output_index: int,
-        text: str | None = None,
-    ):
-        self._nodes = nodes
-        self._entries = {k: list(v) for k, v in entries.items()}
-        self._output_index = output_index
+    def __init__(self, fjord: Fjord, sink: SinkOp, text: str | None = None):
+        self._fjord = fjord
+        self._sink = sink
+        #: plan node names in execution (= plan index) order
+        self._order = fjord._topological_order()
         self.text = text
 
     @property
     def input_streams(self) -> list[str]:
         """Names of the streams this query reads."""
-        return sorted(self._entries)
+        return sorted(self._fjord._sources)
 
     # -- Operator protocol ------------------------------------------------------
 
     def checkpoint(self) -> "dict[str, Any] | None":
-        # Per plan node: the operator's own snapshot plus input routed
-        # to it but not yet drained (the shape ChainOp uses, plus the
-        # queues a mini-DAG has and a chain does not).
-        nodes = [
-            (node.op.checkpoint(), list(node.pending)) for node in self._nodes
-        ]
-        if all(sub is None and not pending for sub, pending in nodes):
-            return None
-        return {"nodes": nodes}
+        nodes = self._fjord._checkpoint_nodes()
+        # The sink (last in order) is emptied before every return.
+        stateless = all(
+            nodes[name]["state"] is None and not nodes[name]["pending"]
+            for name in self._order[:-1]
+        )
+        return None if stateless else {"nodes": nodes}
 
     def restore(self, state: "Mapping[str, Any] | None") -> None:
-        if state is None:
-            return
-        for node, (sub, pending) in zip(self._nodes, state["nodes"]):
-            node.op.restore(sub)
-            node.pending[:] = pending
+        if state is not None:
+            self._fjord._restore_nodes(state["nodes"])
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        routes = self._entries.get(item.stream)
-        if routes is None:
-            if len(self._entries) == 1:
-                # Single-stream queries accept any input stream: the ESP
-                # processor renames streams as it wires stages together.
-                routes = next(iter(self._entries.values()))
-            else:
-                return []
-        outputs: list[StreamTuple] = []
-        queue: list[tuple[int, StreamTuple, int]] = [
-            (idx, item, in_port) for idx, in_port in routes
-        ]
-        self._cascade(queue, outputs)
-        return outputs
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        fjord = self._fjord
+        edges = fjord._source_edges
+        nodes = fjord._nodes
+        # (routes of the stream, sub-run) pairs; queued payloads are
+        # lists, borrowed like ``items``: drained before we return.
+        runs: list[tuple["list[tuple[str, int]] | None", list[StreamTuple]]]
+        if len(edges) == 1:
+            # Single-stream queries accept any input stream: the ESP
+            # processor renames streams as it wires stages together.
+            (only,) = edges.values()
+            runs = [(only, items if isinstance(items, list) else list(items))]
+        else:
+            runs = []
+            for item in items:  # maximal same-stream sub-runs, in order
+                routes = edges.get(item.stream)
+                if runs and runs[-1][0] is routes:
+                    runs[-1][1].append(item)
+                else:
+                    runs.append((routes, [item]))
+        for routes, run in runs:
+            for target, tport in routes or ():
+                nodes[target].pending.append((run, tport))
+        for name in self._order:
+            node = nodes[name]
+            if node.pending:
+                fjord._drain_node(node)
+        return self._take()
 
     def on_time(self, now: float) -> list[StreamTuple]:
-        outputs: list[StreamTuple] = []
-        for index, node in enumerate(self._nodes):
-            self._drain(index, node, outputs)
-            for out in node.op.on_time(now):
-                self._route(index, out, outputs)
-        for index, node in enumerate(self._nodes):
-            self._drain(index, node, outputs)
-        return outputs
+        self._fjord._sweep(self._order, now, NULL_COLLECTOR, False)
+        return self._take()
 
-    # -- internals ----------------------------------------------------------------
-
-    def _route(
-        self, index: int, item: StreamTuple, outputs: list[StreamTuple]
-    ) -> None:
-        if index == self._output_index:
-            outputs.append(item)
-            return
-        for target, port in self._nodes[index].downstream:
-            self._nodes[target].pending.append((item, port))
-
-    def _drain(
-        self, index: int, node: _PlanNode, outputs: list[StreamTuple]
-    ) -> None:
-        while node.pending:
-            item, port = node.pending.pop(0)
-            for out in node.op.on_tuple(item, port):
-                self._route(index, out, outputs)
-
-    def _cascade(
-        self,
-        queue: list[tuple[int, StreamTuple, int]],
-        outputs: list[StreamTuple],
-    ) -> None:
-        while queue:
-            index, item, port = queue.pop(0)
-            for out in self._nodes[index].op.on_tuple(item, port):
-                if index == self._output_index:
-                    outputs.append(out)
-                    continue
-                for target, tport in self._nodes[index].downstream:
-                    queue.append((target, out, tport))
+    def _take(self) -> list[StreamTuple]:
+        """Everything that reached the sink since the last take."""
+        out, self._sink.results = self._sink.results, []
+        return out
 
     # -- convenience ----------------------------------------------------------------
 
@@ -404,24 +384,24 @@ class CompiledQuery(Operator):
         Example output for ``SELECT * FROM s WHERE v > 1``::
 
             plan for: SELECT * FROM s WHERE v > 1
-              [0] _Identity <- stream 's'
-              [1] FilterOp  -> output
+              [0] FilterOp <- stream 's'
+              [1] SinkOp  -> output
         """
-        subscriptions: dict[int, list[str]] = {}
-        for stream, routes in self._entries.items():
-            for index, _port in routes:
-                subscriptions.setdefault(index, []).append(stream)
-        lines = []
+        subscriptions: dict[str, list[str]] = {}
+        for stream, routes in self._fjord._source_edges.items():
+            for target, _port in routes:
+                subscriptions.setdefault(target, []).append(stream)
         label = (self.text or "<ast>").strip().replace("\n", " ")
-        lines.append(f"plan for: {label}")
-        for index, node in enumerate(self._nodes):
-            parts = [f"  [{index}] {type(node.op).__name__}"]
-            if index in subscriptions:
+        lines = [f"plan for: {label}"]
+        for index, name in enumerate(self._order):
+            op = self._fjord._nodes[name].op
+            parts = [f"  [{index}] {type(op).__name__}"]
+            if name in subscriptions:
                 streams = ", ".join(
-                    f"{name!r}" for name in sorted(subscriptions[index])
+                    f"{stream!r}" for stream in sorted(set(subscriptions[name]))
                 )
                 parts.append(f" <- stream {streams}")
-            if index == self._output_index:
+            if op is self._sink:
                 parts.append("  -> output")
             lines.append("".join(parts))
         return "\n".join(lines)
@@ -458,29 +438,29 @@ class CompiledQuery(Operator):
 
 
 class _Builder:
-    """Accumulates plan nodes while compiling one query."""
+    """Accumulates one query's plan as a Fjord.
+
+    Operator nodes are named by their zero-padded plan index, so the
+    Fjord's lexicographic topological order is plan order (every node
+    is added after its inputs); sources are named by the stream they
+    stand for.
+    """
 
     def __init__(self):
-        self.nodes: list[_PlanNode] = []
-        self.entries: dict[str, list[tuple[int, int]]] = {}
+        self.fjord = Fjord()
 
-    def add(self, op: Operator, upstream: Sequence[tuple[int, int]] = ()) -> int:
-        """Add an operator fed by ``upstream`` (node index, output port)."""
-        index = len(self.nodes)
-        self.nodes.append(_PlanNode(op))
-        for up_index, port in upstream:
-            self.nodes[up_index].downstream.append((index, port))
-        return index
+    def add(self, op: Operator, upstream: Sequence[tuple[str, int]]) -> str:
+        """Add an operator fed by ``upstream`` (node or stream name,
+        input port on ``op``); returns the new node's name."""
+        name = f"{len(self.fjord._nodes):04d}"
+        self.fjord.add_operator(name, op, inputs=upstream)
+        return name
 
-    def subscribe(self, stream: str, node: int, port: int = 0) -> None:
-        self.entries.setdefault(stream, []).append((node, port))
-
-
-class _Identity(Operator):
-    """Pass-through node (used as plan entry/exit points)."""
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        return [item]
+    def subscribe(self, stream: str) -> str:
+        """The source node standing for ``stream`` (added on first use)."""
+        if stream not in self.fjord._sources:
+            self.fjord.add_source(stream, ())
+        return stream
 
 
 class _StreamifyOp(Operator):
@@ -502,12 +482,12 @@ class _StreamifyOp(Operator):
 
     STATE_ATTRS = ("_previous", "_current")
 
-    @staticmethod
-    def _key(item: StreamTuple) -> frozenset:
-        return frozenset(item.items())
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        self._current[self._key(item)] = item
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        current = self._current
+        for item in items:
+            current[frozenset(item.items())] = item
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:
@@ -542,14 +522,16 @@ def compile_query(
     text = query if isinstance(query, str) else None
     tree = parse(query) if isinstance(query, str) else query
     builder = _Builder()
-    output_index = _plan_select(tree, builder, output_stream)
-    return CompiledQuery(builder.nodes, builder.entries, output_index, text=text)
+    output = _plan_select(tree, builder, output_stream)
+    sink = SinkOp()
+    builder.add(sink, upstream=[(output, 0)])
+    return CompiledQuery(builder.fjord, sink, text=text)
 
 
 def _plan_select(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> int:
-    """Plan a select (with union chain); returns the output node index."""
+) -> str:
+    """Plan a select (with union chain); returns the output node's name."""
     if select.union_with is None:
         return _plan_single_select(select, builder, output_stream)
     branch_outputs = []
@@ -557,16 +539,15 @@ def _plan_select(
     while node is not None:
         branch_outputs.append(_plan_single_select(node, builder, output_stream))
         node = node.union_with
-    union_index = builder.add(
+    return builder.add(
         UnionOp(output_stream or None),
-        upstream=[(idx, 0) for idx in branch_outputs],
+        upstream=[(name, 0) for name in branch_outputs],
     )
-    return union_index
 
 
 def _plan_single_select(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> int:
+) -> str:
     if not select.sources:
         raise PlanError("FROM clause is required")
     if len(select.sources) == 1:
@@ -585,37 +566,32 @@ def _plan_single_select(
 
 def _plan_one_source(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> int:
+) -> str:
     source = select.sources[0]
     scope = Scope([_binding_of(source)])
-    upstream_index, window = _plan_source_input(source, builder)
+    upstream, window = _plan_source_input(source, builder)
     aggregates = _collect_aggregates(select)
     if not aggregates and not select.group_by:
-        return _plan_stateless(
-            select, builder, scope, upstream_index, output_stream
-        )
+        return _plan_stateless(select, builder, scope, upstream, output_stream)
     if window is None:
         raise PlanError(
             "aggregation requires a window on the stream "
             "(e.g. [Range By '5 sec'])"
         )
     return _plan_aggregation(
-        select, builder, scope, upstream_index, window, aggregates, output_stream
+        select, builder, scope, upstream, window, aggregates, output_stream
     )
 
 
 def _plan_source_input(
     source: "ast.StreamRef | ast.SubquerySource", builder: _Builder
-) -> tuple[int, WindowSpec | None]:
+) -> tuple[str, WindowSpec | None]:
     """Plan a FROM source; returns (node feeding its tuples, its window)."""
     if isinstance(source, ast.StreamRef):
-        entry = builder.add(_Identity())
-        builder.subscribe(source.name, entry)
-        return entry, source.window
+        return builder.subscribe(source.name), source.window
     # Derived table: plan the subquery; its rows are instant-valid.
     sub_output = _plan_select(source.select, builder, output_stream="")
-    passthrough = builder.add(_Identity(), upstream=[(sub_output, 0)])
-    return passthrough, WindowSpec.now()
+    return sub_output, WindowSpec.now()
 
 
 def _binding_of(source: "ast.StreamRef | ast.SubquerySource") -> str:
@@ -629,9 +605,9 @@ def _plan_stateless(
     select: ast.Select,
     builder: _Builder,
     scope: Scope,
-    upstream: int,
+    upstream: str,
     output_stream: str,
-) -> int:
+) -> str:
     index = upstream
     if select.having is not None:
         raise PlanError("HAVING requires GROUP BY or aggregates")
@@ -702,7 +678,8 @@ def _aggregate_spec(
         ):
             # A bare column reference over non-join rows reads exactly
             # ``row.get(name)`` — declare it as ``field=`` so the
-            # windowed evaluation can vectorize over typed columns.
+            # windowed evaluation reads the field inline instead of
+            # calling a compiled closure per row.
             # Qualified references (join scopes) keep the compiled
             # closure: their dotted-key resolution has no field= analog.
             return AggregateSpec(
@@ -721,11 +698,11 @@ def _plan_aggregation(
     select: ast.Select,
     builder: _Builder,
     scope: Scope,
-    upstream: int,
+    upstream: str,
     window: WindowSpec,
     aggregate_calls: list[ast.FuncCall],
     output_stream: str,
-) -> int:
+) -> str:
     index = upstream
     if select.where is not None:
         predicate = compile_expr(select.where, scope)
@@ -922,10 +899,10 @@ def _extract_correlation(
 def _plan_post_projection(
     select: ast.Select,
     builder: _Builder,
-    group_index: int,
+    group_index: str,
     agg_fields: Mapping[ast.FuncCall, str],
     output_stream: str,
-) -> int:
+) -> str:
     """Project grouped rows onto the SELECT list."""
     if select.star:
         return group_index
@@ -983,8 +960,10 @@ class _OuterCombineOp(Operator):
 
     STATE_ATTRS = ("_buffers",)
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        self._buffers[port].append(item)
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        self._buffers[port].extend(items)
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:
@@ -1044,11 +1023,12 @@ class _InstantJoinOp(Operator):
 
     STATE_ATTRS = ("_left", "_right")
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        if port == 0:
-            self._left.insert(item)
-        else:
-            self._right.insert(item)
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        insert = (self._left if port == 0 else self._right).insert
+        for item in items:
+            insert(item)
         return []
 
     def _combine(
@@ -1082,7 +1062,7 @@ class _InstantJoinOp(Operator):
 
 def _plan_join(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> int:
+) -> str:
     bindings = []
     for source in select.sources:
         binding = source.binding
@@ -1104,18 +1084,17 @@ def _plan_join(
         inputs = [
             _plan_source_input(source, builder)[0] for source in select.sources
         ]
-        combine_index = builder.add(
+        index = builder.add(
             _OuterCombineOp(bindings),
-            upstream=[(idx, port) for port, idx in enumerate(inputs)],
+            upstream=[(name, port) for port, name in enumerate(inputs)],
         )
-        index = combine_index
         if where_fn is not None:
             index = builder.add(
                 FilterOp(lambda t, _p=where_fn: _as_bool(_p(t))),
                 upstream=[(index, 0)],
             )
     else:
-        index = _plan_inner_join_cascade(
+        index = _plan_inner_joins(
             select, builder, bindings, where_fn
         )
     aggregates = _collect_aggregates(select)
@@ -1143,19 +1122,19 @@ def _plan_join(
     )
 
 
-def _plan_inner_join_cascade(
+def _plan_inner_joins(
     select: ast.Select,
     builder: _Builder,
     bindings: list[str],
     where_fn: Callable[[StreamTuple], Any] | None,
-) -> int:
+) -> str:
     """Left-fold the FROM sources through binary instant joins.
 
     The full WHERE predicate is evaluated on the final join's combined
     rows (earlier joins emit unfiltered combinations; at the paper's data
     rates the quadratic instant is tiny).
     """
-    planned: list[tuple[int, WindowSpec, str]] = []
+    planned: list[tuple[str, WindowSpec, str]] = []
     for binding, source in zip(bindings, select.sources):
         node, window = _plan_source_input(source, builder)
         if window is None:

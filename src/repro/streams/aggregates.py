@@ -9,6 +9,11 @@ eviction (no retraction logic to get wrong) at O(window) cost per slide —
 the right trade-off at the data rates of the paper's deployments (5 Hz
 RFID polls, 5-minute sensor epochs).
 
+There is one evaluation, :meth:`AggregateSpec.evaluate`: a fresh
+accumulator is fed every row's argument in window order. An aggregate's
+numerical meaning (a float sum's rounding, which zero ``min`` keeps) is
+therefore its accumulator's and nothing else's.
+
 User-defined aggregates (UDAs, paper §3.3) are supported through
 :func:`register_aggregate`.
 """
@@ -19,12 +24,6 @@ import math
 from typing import Any, Callable, Iterable
 
 from repro.errors import AggregateError
-from repro.streams import typedcols as _tc
-from repro.streams.typedcols import EXACT_INT_BOUND
-
-#: Sentinel returned by :meth:`Aggregate.reduce_typed` when the array
-#: reduction cannot reproduce the sequential result bit-for-bit.
-NO_REDUCE = object()
 
 
 class Aggregate:
@@ -45,26 +44,6 @@ class Aggregate:
     def result(self) -> Any:
         """Return the aggregate of everything added so far."""
         raise NotImplementedError
-
-    def reduce_typed(self, values: Any) -> Any:
-        """Reduce a typed (numpy) value array, or signal fallback.
-
-        ``values`` is a non-empty ``int64``/``float64`` array with no
-        ``None`` cells (:func:`repro.streams.typedcols.typed_from_values`
-        guarantees both). Return the aggregate result, or
-        :data:`NO_REDUCE` to make the caller feed :meth:`add`
-        sequentially instead.
-
-        The contract is strict: only reduce when the result is
-        **bit-identical** to the sequential loop — the golden traces
-        pin outputs byte-for-byte across both kernels and across
-        the numpy/no-numpy CI legs. Anything whose IEEE-754 rounding
-        could differ (notably float summation: numpy sums pairwise,
-        :meth:`add` accumulates sequentially) must return
-        :data:`NO_REDUCE`. The base implementation always falls back,
-        so user-defined aggregates are unaffected by typed columns.
-        """
-        return NO_REDUCE
 
     @classmethod
     def over(cls, values: Iterable[Any], *args: Any, **kwargs: Any) -> Any:
@@ -90,10 +69,6 @@ class Count(Aggregate):
     def result(self) -> int:
         return self._n
 
-    def reduce_typed(self, values: Any) -> int:
-        # A typed array has no None cells, so every row counts.
-        return len(values)
-
 
 class CountDistinct(Aggregate):
     """``count(distinct expr)`` — number of distinct non-None inputs."""
@@ -111,25 +86,6 @@ class CountDistinct(Aggregate):
         return len(self._seen)
 
 
-def _exact_int_sum(values: Any) -> Any:
-    """Float sum of an int64 array, iff provably bit-exact; else NO_REDUCE.
-
-    The sequential accumulator computes ``0.0 + v0 + v1 + ...`` in
-    float64. When ``max(|v|) * n <= 2**53`` every partial sum stays
-    within the exactly-representable integer range, so the array sum
-    (computed in int64, which the same bound keeps overflow-free) casts
-    to the identical float. Float arrays always fall back: numpy's
-    pairwise summation rounds differently from sequential addition.
-    """
-    if values.dtype.kind != "i" or not len(values):
-        return NO_REDUCE
-    lo = int(values.min())
-    hi = int(values.max())
-    if max(abs(lo), abs(hi)) * len(values) > EXACT_INT_BOUND:
-        return NO_REDUCE
-    return float(int(values.sum()))
-
-
 class Sum(Aggregate):
     """``sum(expr)`` — sum of non-None inputs; None when empty."""
 
@@ -144,9 +100,6 @@ class Sum(Aggregate):
 
     def result(self) -> float | None:
         return self._total if self._n else None
-
-    def reduce_typed(self, values: Any) -> Any:
-        return _exact_int_sum(values)
 
 
 class Avg(Aggregate):
@@ -163,12 +116,6 @@ class Avg(Aggregate):
 
     def result(self) -> float | None:
         return self._total / self._n if self._n else None
-
-    def reduce_typed(self, values: Any) -> Any:
-        total = _exact_int_sum(values)
-        if total is NO_REDUCE:
-            return NO_REDUCE
-        return total / len(values)
 
 
 class Stdev(Aggregate):
@@ -201,27 +148,6 @@ class Stdev(Aggregate):
         return math.sqrt(self._m2 / (self._n - 1))
 
 
-def _exact_extremum(values: Any, minimum: bool) -> Any:
-    """min/max of a typed array, iff identical to the sequential scan.
-
-    Int arrays are always exact. Float arrays fall back in two corner
-    cases: any NaN (the sequential ``<``/``>`` scan propagates a
-    leading NaN but skips an interior one, which no array reduction
-    reproduces) and a ±0.0 result (the scan keeps the first-seen zero's
-    sign bit; ``np.min`` does not guarantee which zero it returns).
-    """
-    if not len(values):
-        return NO_REDUCE
-    if values.dtype.kind == "i":
-        return int(values.min() if minimum else values.max())
-    if _tc.np.isnan(values).any():
-        return NO_REDUCE
-    best = float(values.min() if minimum else values.max())
-    if best == 0.0:
-        return NO_REDUCE
-    return best
-
-
 class Min(Aggregate):
     """``min(expr)`` — minimum non-None input; None when empty."""
 
@@ -234,9 +160,6 @@ class Min(Aggregate):
 
     def result(self) -> Any:
         return self._best
-
-    def reduce_typed(self, values: Any) -> Any:
-        return _exact_extremum(values, minimum=True)
 
 
 class Max(Aggregate):
@@ -251,9 +174,6 @@ class Max(Aggregate):
 
     def result(self) -> Any:
         return self._best
-
-    def reduce_typed(self, values: Any) -> Any:
-        return _exact_extremum(values, minimum=False)
 
 
 class Median(Aggregate):
@@ -315,9 +235,6 @@ class First(Aggregate):
     def result(self) -> Any:
         return self._value
 
-    def reduce_typed(self, values: Any) -> Any:
-        return values[0].item() if len(values) else NO_REDUCE
-
 
 class Last(Aggregate):
     """``last(expr)`` — latest non-None input; None when empty."""
@@ -331,9 +248,6 @@ class Last(Aggregate):
 
     def result(self) -> Any:
         return self._value
-
-    def reduce_typed(self, values: Any) -> Any:
-        return values[-1].item() if len(values) else NO_REDUCE
 
 
 #: Registry of aggregate factories, keyed by lowercase name.
@@ -419,12 +333,8 @@ class AggregateSpec:
         output: Field name for the result in the output tuple.
         field: Plain-field shorthand for ``argument``: the input value
             is ``row.get(field)`` (absent → ``None``, skipped SQL-style,
-            exactly like the ``lambda t: t.get(f)`` idiom it replaces).
-            Declaring the field *by name* also lets :meth:`evaluate`
-            vectorize: the extracted window column goes through typed
-            detection and, for the reductions whose array result is
-            provably bit-identical to the sequential loop
-            (:meth:`Aggregate.reduce_typed`), reduces in C. Mutually
+            exactly like the ``lambda t: t.get(f)`` idiom it replaces)
+            and the default output name carries the field. Mutually
             exclusive with ``argument``.
 
     Example:
@@ -469,24 +379,15 @@ class AggregateSpec:
     def evaluate(self, rows: Iterable[Any]) -> Any:
         """Evaluate this aggregate over an iterable of tuples.
 
-        Specs bound to a plain field extract the window's value column
-        once; when it is homogeneous numeric and the aggregate supports
-        an exact array reduction, the whole evaluation is a single C
-        call. Every other case feeds the accumulator row by row — same
-        inputs, same order, same result.
+        One way, whatever the spec: a fresh accumulator is fed every
+        row's argument in window order, so the result's meaning
+        (float rounding included) is the accumulator's alone.
         """
         agg = get_aggregate(self.name, distinct=self.distinct)
         field = self.field
         if field is not None:
-            values = [row.get(field) for row in rows]
-            if not self.distinct:
-                typed = _tc.typed_from_values(values)
-                if typed is not None:
-                    result = agg.reduce_typed(typed)
-                    if result is not NO_REDUCE:
-                        return result
-            for value in values:
-                agg.add(value)
+            for row in rows:
+                agg.add(row.get(field))
             return agg.result()
         for row in rows:
             agg.add(1 if self.argument is None else self.argument(row))

@@ -382,13 +382,14 @@ class Fjord:
         downstream edge (see the borrowing rule on
         :meth:`Operator.on_batch`).
 
-        Output order is identical to tuple-at-a-time delivery because
-        ``on_batch`` concatenates per-tuple outputs in input order and
-        column kernels emit exactly the row kernels' tuples. Flow
-        counters account each run by its length, so the counters — and,
-        when telemetry is enabled, the collector's batch-size
-        histograms and ``batch_drain`` events — do not depend on which
-        kernel ran; only the wall-clock busy-ns can.
+        Output order does not depend on where the runs fall because
+        ``on_batch`` is chunking-invariant (see
+        :meth:`Operator.on_batch`) and column kernels emit exactly the
+        row kernels' tuples. Flow counters account each run by its
+        length, so the counters — and, when telemetry is enabled, the
+        collector's batch-size histograms and ``batch_drain`` events —
+        do not depend on which kernel ran; only the wall-clock busy-ns
+        can.
         """
         enabled = collector.enabled
         on_batch = node.op.on_batch
@@ -554,6 +555,41 @@ class Fjord:
             self._emit_run_stop(order, tick_count, collector)
 
     # -- shared run/session machinery -------------------------------------------
+
+    def _checkpoint_nodes(self) -> dict[str, dict]:
+        """Per node, in execution order: the operator's data state (via
+        :meth:`~repro.streams.operators.Operator.checkpoint`), its flow
+        counters and any pending input — live references."""
+        nodes: dict[str, dict] = {}
+        for name in self._topological_order():
+            node = self._nodes[name]
+            nodes[name] = {
+                "state": node.op.checkpoint(),
+                "tuples_in": node.tuples_in,
+                "tuples_out": node.tuples_out,
+                "pending": list(node.pending),
+            }
+        return nodes
+
+    def _restore_nodes(self, nodes: Mapping[str, Mapping]) -> None:
+        """Install a :meth:`_checkpoint_nodes` snapshot.
+
+        Raises:
+            OperatorError: When the snapshot references a node this
+                dataflow does not have (a configuration mismatch — the
+                pipelines are not identical).
+        """
+        for name, entry in nodes.items():
+            node = self._nodes.get(name)
+            if node is None:
+                raise OperatorError(
+                    f"checkpoint names unknown node {name!r}; the restored "
+                    f"pipeline does not match the one checkpointed"
+                )
+            node.op.restore(entry["state"])
+            node.tuples_in = entry["tuples_in"]
+            node.tuples_out = entry["tuples_out"]
+            node.pending[:] = entry["pending"]
 
     def _emit_run_start(
         self, order: Sequence[str], collector: TelemetryCollector
@@ -921,15 +957,6 @@ class FjordSession:
         advance. Configuration (the graph, ticks, lambdas) is *not*
         captured — restore targets a freshly built identical pipeline.
         """
-        nodes: dict[str, dict] = {}
-        for name in self._order:
-            node = self._fjord._nodes[name]
-            nodes[name] = {
-                "state": node.op.checkpoint(),
-                "tuples_in": node.tuples_in,
-                "tuples_out": node.tuples_out,
-                "pending": list(node.pending),
-            }
         return {
             "cursor": self._cursor,
             "heap": list(self._heap),
@@ -937,7 +964,7 @@ class FjordSession:
             "last": dict(self._last),
             "newest": dict(self._newest),
             "traces": dict(self._traces),
-            "nodes": nodes,
+            "nodes": self._fjord._checkpoint_nodes(),
         }
 
     def restore(self, state: Mapping) -> None:
@@ -956,17 +983,7 @@ class FjordSession:
             raise OperatorError("restore on a closed FjordSession")
         if self._cursor or self._heap or self._push_seq:
             raise OperatorError("restore needs a fresh session")
-        for name, entry in state["nodes"].items():
-            node = self._fjord._nodes.get(name)
-            if node is None:
-                raise OperatorError(
-                    f"checkpoint names unknown node {name!r}; the restored "
-                    f"pipeline does not match the one checkpointed"
-                )
-            node.op.restore(entry["state"])
-            node.tuples_in = entry["tuples_in"]
-            node.tuples_out = entry["tuples_out"]
-            node.pending[:] = entry["pending"]
+        self._fjord._restore_nodes(state["nodes"])
         self._cursor = int(state["cursor"])
         # A copy of a valid heap list is itself a valid heap: no heapify.
         self._heap = list(state["heap"])

@@ -107,24 +107,6 @@ class IncrementalWindowedGroupByOp(Operator):
 
     # -- maintenance ------------------------------------------------------------
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        key = tuple(k.extractor(item) for k in self._keys)
-        state = self._states.get(key)
-        if state is None:
-            state = _IncrementalState(len(self._specs))
-            self._states[key] = state
-            self._order = None
-        arguments = []
-        for index, spec in enumerate(self._specs):
-            value = (
-                1 if spec.argument is None else spec.argument(item)
-            )
-            arguments.append(value)
-            self._apply(state, index, spec, value, +1)
-        state.count += 1
-        state.buffer.append((item.timestamp, item, arguments))
-        return []
-
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:

@@ -3,14 +3,19 @@
 Operators follow a push-based, punctuated protocol. The executor
 (:mod:`repro.streams.fjord`) delivers two kinds of events to an operator:
 
-- :meth:`Operator.on_tuple` — a data tuple arrived on an input port;
+- :meth:`Operator.on_batch` — a run of data tuples arrived on an input
+  port (the one data entry point: it is what an operator implements and
+  the only data method an executor calls);
 - :meth:`Operator.on_time` — a *time punctuation*: every tuple with
   timestamp ``<= now`` has been delivered; windowed operators slide and
   emit their results for time ``now``.
 
 Both methods return the (possibly empty) list of output tuples to push
-downstream. Stateless operators (filter, map) emit from ``on_tuple``;
-windowed operators buffer in ``on_tuple`` and emit from ``on_time``.
+downstream. Stateless operators (filter, map) emit from ``on_batch``;
+windowed operators buffer in ``on_batch`` and emit from ``on_time``.
+:meth:`Operator.on_tuple` is a convenience defined once on the base
+(``on_batch([item], port)``) for tests and interactive use; operators do
+not override it.
 
 This split mirrors the Fjord execution model the paper cites [22]: data is
 pushed through the pipeline as it arrives, while window semantics are
@@ -43,8 +48,12 @@ class Operator:
     STATE_ATTRS: tuple[str, ...] = ()
 
     def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        """Handle one input tuple on ``port``; return output tuples."""
-        raise NotImplementedError
+        """Handle one input tuple on ``port``: ``on_batch([item], port)``.
+
+        A convenience for tests and interactive use. Executors never
+        call it and operators never override it.
+        """
+        return self.on_batch([item], port)
 
     def checkpoint(self) -> "dict[str, Any] | None":
         """Snapshot this operator's data state, or ``None`` if stateless.
@@ -83,21 +92,21 @@ class Operator:
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
-        """Handle a batch of input tuples that arrived on ``port``.
+        """Handle a run of input tuples that arrived on ``port``.
 
-        Semantically identical to calling :meth:`on_tuple` per item and
-        concatenating the outputs in input order — which is exactly what
-        this default does. Hot operators override it to amortize the
-        per-tuple Python call overhead; the executor delivers pending
-        input through this method.
+        The data entry point every operator implements: the executor
+        delivers pending input through this method, one call per run.
 
-        The executor accounts flow counters and telemetry (batch-size
-        histograms, per-call latency) by the lengths of the input and
-        output sequences, so an override must emit exactly the
-        concatenation of the per-tuple outputs — a fast path that drops,
-        adds or reorders tuples would skew every counter downstream.
-        ``tests/test_observability.py`` pins this equivalence
-        differentially for the overriding operators.
+        **Chunking invariance.** How the executor cuts a port's input
+        into runs is not observable: ``on_batch(a + b)`` must emit
+        exactly ``on_batch(a) + on_batch(b)`` (and leave the same
+        state). The executor accounts flow counters and telemetry
+        (batch-size histograms, per-call latency) by the lengths of the
+        input and output sequences, so a kernel that drops, adds or
+        reorders tuples depending on the cut would skew every counter
+        downstream. ``tests/test_observability.py`` pins the invariance
+        differentially (whole runs against one tuple at a time) for
+        every operator.
 
         **Borrowing rule.** ``items`` is borrowed: it may be the very
         list an upstream kernel returned, and the executor may have
@@ -107,10 +116,9 @@ class Operator:
         is fine. The list a kernel *returns* belongs to the executor
         from then on: the kernel must not touch it again.
         """
-        out: list[StreamTuple] = []
-        for item in items:
-            out.extend(self.on_tuple(item, port))
-        return out
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement on_batch"
+        )
 
     def column_kernel(
         self,
@@ -150,9 +158,6 @@ class FilterOp(Operator):
     def __init__(self, predicate: Callable[[StreamTuple], bool]):
         self._predicate = predicate
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        return [item] if self._predicate(item) else []
-
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
@@ -176,14 +181,6 @@ class MapOp(Operator):
 
     def __init__(self, fn: Callable[[StreamTuple], "StreamTuple | list[StreamTuple] | None"]):
         self._fn = fn
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        out = self._fn(item)
-        if out is None:
-            return []
-        if isinstance(out, StreamTuple):
-            return [out]
-        return list(out)
 
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
@@ -220,11 +217,6 @@ class UnionOp(Operator):
 
     def __init__(self, output_stream: str | None = None):
         self._output_stream = output_stream
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        if self._output_stream is None:
-            return [item]
-        return [item.derive(stream=self._output_stream)]
 
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
@@ -272,16 +264,6 @@ class StaticJoinOp(Operator):
         self._table = [dict(row) for row in table]
         self._on = on
         self._how = how
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        matches = [row for row in self._table if self._on(item, row)]
-        if self._how == "semi":
-            return [item] if matches else []
-        if self._how == "anti":
-            return [] if matches else [item]
-        return [
-            item.derive(values={**row, **item.as_dict()}) for row in matches
-        ]
 
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
@@ -395,16 +377,6 @@ class WindowedGroupByOp(Operator):
         super().restore(state)
         self._order = None
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        key = tuple(k.extractor(item) for k in self._keys)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._window_spec.make_window()
-            self._windows[key] = window
-            self._order = None
-        window.insert(item)
-        return []
-
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
@@ -492,13 +464,14 @@ class WindowJoinOp(Operator):
 
     STATE_ATTRS = ("_left", "_right")
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        if port == 0:
-            self._left.insert(item)
-        elif port == 1:
-            self._right.insert(item)
-        else:
+    def on_batch(
+        self, items: Sequence[StreamTuple], port: int = 0
+    ) -> list[StreamTuple]:
+        if port not in (0, 1):
             raise OperatorError(f"join has two ports, got port {port}")
+        insert = (self._left if port == 0 else self._right).insert
+        for item in items:
+            insert(item)
         return []
 
     def on_time(self, now: float) -> list[StreamTuple]:
@@ -530,12 +503,6 @@ class SinkOp(Operator):
         self.results: list[StreamTuple] = []
         self._callback = callback
 
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        self.results.append(item)
-        if self._callback is not None:
-            self._callback(item)
-        return []
-
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
@@ -553,7 +520,7 @@ class ChainOp(Operator):
     operators as a single DAG node.
 
     Args:
-        stages: Operators applied in order. Each stage's ``on_tuple``
+        stages: Operators applied in order. Each stage's ``on_batch``
             outputs feed the next stage; at punctuations, each stage's
             ``on_time`` outputs are delivered to the next stage *before*
             that stage's own ``on_time`` fires, preserving same-instant
@@ -576,18 +543,6 @@ class ChainOp(Operator):
             return
         for stage, sub in zip(self._stages, state["stages"]):
             stage.restore(sub)
-
-    def on_tuple(self, item: StreamTuple, port: int = 0) -> list[StreamTuple]:
-        pending = [item]
-        for stage in self._stages:
-            next_pending: list[StreamTuple] = []
-            for tup in pending:
-                next_pending.extend(stage.on_tuple(tup, port))
-            pending = next_pending
-            port = 0  # only the first stage sees the original port
-            if not pending:
-                return []
-        return pending
 
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0

@@ -4,9 +4,8 @@ PR 5 landed the columnar batch representation on parallel Python
 lists.  This module is the next rung on the tuples/sec ladder: at
 encode time a column whose cells are *homogeneously* ``int`` or
 ``float`` is backed by a numpy array (``int64`` / ``float64``), so the
-hot kernels — ``FieldCompare.mask``, batch slicing, the window
-aggregate arguments — run as single C-level array operations instead
-of per-element Python loops.
+hot kernels — ``FieldCompare.mask``, batch slicing — run as single
+C-level array operations instead of per-element Python loops.
 
 Lists remain the universal fallback.  A column stays a plain list when
 
@@ -19,7 +18,9 @@ Lists remain the universal fallback.  A column stays a plain list when
   deliberately not ``int`` here), or
 - an ``int`` cell falls outside the exact ``int64`` range.
 
-Every decision is observable via :func:`storage_stats`.  The counters
+Every decision is observable via :func:`storage_stats`; detection runs
+only where a batch is encoded for a column kernel, so the counters
+count columns a kernel actually consumed.  The counters
 are module-global and *deliberately not* part of per-run telemetry
 snapshots: snapshots and trace events are pinned byte-identical across
 execution modes and across the numpy/no-numpy CI legs
@@ -30,10 +31,11 @@ not leak into them.
 **Exactness contract.** Typed storage is invisible to results:
 ``arr.tolist()`` round-trips ``int64``/``float64`` cells bit-exactly
 (NaN included), so ``row ≡ columnar ≡ fused`` holds with and without
-numpy.  Kernels only vectorize operations whose IEEE-754 result is
-identical to the sequential Python loop; anything else (notably float
-summation, where numpy's pairwise summation differs from sequential
-accumulation) stays on the loop path.  See ``docs/columnar.md``.
+numpy.  Kernels only vectorize operations whose result is identical
+to the sequential Python loop; anything else stays on the loop path.
+Window aggregates never read typed columns: they evaluate one way,
+over rows (:meth:`repro.streams.aggregates.AggregateSpec.evaluate`).
+See ``docs/columnar.md``.
 """
 
 from __future__ import annotations

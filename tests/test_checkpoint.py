@@ -22,8 +22,10 @@ from repro.net.recovery import (
     decode_state,
     encode_state,
 )
-from repro.net.service import build_bundle
+from repro.net.service import ScenarioBundle, build_bundle
 from repro.net.worker import TickLedger
+from repro.pipelines.digital_home import build_declarative_home_processor
+from repro.scenarios.office import OfficeScenario
 from repro.streams.reorder import ReorderBuffer
 from repro.streams.tuples import StreamTuple
 
@@ -34,8 +36,14 @@ SEED = 3
 #: stateful operator family holds a checkpointable mid-window state.
 #: shelf_cql swaps the shelf pipeline for a declarative Smooth (paper
 #: Query 2 as text), so the state to carry sits inside a CompiledQuery's
-#: plan nodes rather than in a top-level operator.
-CASES = [("shelf", 12.0), ("redwood", None), ("shelf_cql", 12.0)]
+#: plan nodes rather than in a top-level operator; home is the
+#: declarative digital home, whose Virtualize is paper Query 6 compiled
+#: over three streams (an outer combine of three windowed subqueries).
+CASES = [
+    ("shelf", 12.0), ("redwood", None), ("shelf_cql", 12.0), ("home", 150.0),
+]
+#: The cases whose checkpoint must carry compiled-plan state.
+CQL_CASES = ("shelf_cql", "home")
 
 CQL_SMOOTH = """
     SELECT spatial_granule, tag_id, count(*) AS reads
@@ -45,6 +53,16 @@ CQL_SMOOTH = """
 
 
 def make_bundle(name, duration):
+    if name == "home":
+        scenario = OfficeScenario(duration=duration, seed=SEED)
+        return ScenarioBundle(
+            "home",
+            build_declarative_home_processor(scenario),
+            scenario.recorded_streams(),
+            scenario.duration,
+            0.5,
+            shard_key="spatial_granule",
+        )
     if name != "shelf_cql":
         return build_bundle(name, duration, SEED)
     bundle = build_bundle("shelf", duration, SEED)
@@ -93,7 +111,16 @@ class TestSessionCheckpoint:
             until=bundle.until, tick=bundle.tick
         )
         drive(baseline, schedule, 0, cut)
-        blob, size = encode_state(baseline.checkpoint())
+        state = baseline.checkpoint()
+        # Mid-run: pushed tuples still wait for their tick, and a
+        # compiled plan's state rides as its nodes' snapshots.
+        assert state["heap"]
+        carries_plan = any(
+            "nodes" in (entry["state"] or ())
+            for entry in state["nodes"].values()
+        )
+        assert carries_plan == (name in CQL_CASES)
+        blob, size = encode_state(state)
         assert blob is not None and 0 < size <= STATE_BLOB_BUDGET
 
         resumed = make_bundle(name, duration).processor.open_session(

@@ -47,7 +47,7 @@ class TestExplain:
         node_lines = [
             line for line in plan.splitlines() if line.startswith("  [")
         ]
-        assert len(node_lines) == len(query._nodes)
+        assert len(node_lines) == len(query._fjord.stats())
 
 
 class TestFjordStats:
@@ -188,28 +188,32 @@ class TestFlowCountersMultiOperatorDag:
 
 
 class _TupleAtATime(Operator):
-    """Shim hiding an operator's ``on_batch`` fast path.
+    """Shim that cuts every run into one-tuple runs.
 
-    Forwards ``on_tuple``/``on_time`` but inherits the base protocol's
-    per-tuple ``on_batch`` loop (and its lack of a column kernel), so a
-    run through the shim is the tuple-at-a-time reference semantics for
-    the wrapped operator.
+    ``on_batch(items)`` is the concatenation of the wrapped operator's
+    ``on_batch([item])`` outputs (and the shim has no column kernel), so
+    a run through it is the finest chunking an executor could choose —
+    the reference the whole-run delivery is compared against.
     """
 
     def __init__(self, inner):
         self._inner = inner
 
-    def on_tuple(self, item, port=0):
-        return self._inner.on_tuple(item, port)
+    def on_batch(self, items, port=0):
+        out = []
+        for item in items:
+            out.extend(self._inner.on_batch([item], port))
+        return out
 
     def on_time(self, timestamp):
         return self._inner.on_time(timestamp)
 
 
 class TestBatchFastPathAccounting:
-    """Differential proof that ``on_batch`` fast paths emit exactly the
-    concatenation of per-tuple outputs — same results, same flow
-    counters — which is what keeps telemetry honest under batching."""
+    """Chunking invariance, differentially: delivering whole runs emits
+    exactly what delivering the same input one tuple at a time emits —
+    same results, same flow counters — which is what keeps telemetry
+    honest whatever run lengths the executor happens to produce."""
 
     def _sources(self):
         import random
@@ -229,43 +233,131 @@ class TestBatchFastPathAccounting:
         return streams
 
     def _build(self, wrap):
+        from repro.core.operators.adaptive_ops import (
+            AdaptiveSmoother,
+            HorvitzThompsonCounter,
+        )
         from repro.core.operators.arbitrate_ops import MaxCountArbitrator
+        from repro.core.operators.merge_ops import _VoteWindow
+        from repro.core.operators.virtualize_ops import (
+            CorrelationModelCleaner,
+            VotingDetector,
+        )
         from repro.streams.aggregates import AggregateSpec
         from repro.streams.incremental import IncrementalWindowedGroupByOp
-        from repro.streams.operators import GroupKey, MapOp, StaticJoinOp
+        from repro.streams.operators import (
+            GroupKey,
+            MapOp,
+            StaticJoinOp,
+            WindowJoinOp,
+        )
         from repro.streams.windows import WindowSpec
 
         sources = self._sources()
         fjord = Fjord()
         for name, items in sources.items():
             fjord.add_source(name, items)
-        ops = {
-            "f": FilterOp(lambda t: t["v"] % 3 != 0),
-            "m": MapOp(lambda t: t.derive(values={"d": t["v"] * 2})),
-            "j": StaticJoinOp(
-                [{"v": v, "label": f"L{v % 5}"} for v in range(40)],
-                on=lambda item, row: item["v"] == row["v"],
+        # name -> (operator, inputs); every node also feeds the union.
+        graph = {
+            "f": (FilterOp(lambda t: t["v"] % 3 != 0), ["a", "b"]),
+            "m": (
+                MapOp(
+                    lambda t: t.derive(
+                        values={"d": t["v"] * 2 + (t["v"] % 7) * 3}
+                    )
+                ),
+                ["f"],
             ),
-            "u": UnionOp(output_stream="merged"),
+            "j": (
+                StaticJoinOp(
+                    [{"v": v, "label": f"L{v % 5}"} for v in range(40)],
+                    on=lambda item, row: item["v"] == row["v"],
+                ),
+                ["m"],
+            ),
             # Query 2's operator (per-stream window counts of each v)
             # feeding Query 3's (which stream saw a v the most).
-            "g": IncrementalWindowedGroupByOp(
-                WindowSpec.range_by(2.0),
-                keys=[GroupKey("v"), GroupKey("src", lambda t: t.stream)],
-                aggregates=[AggregateSpec("count", output="count")],
+            "g": (
+                IncrementalWindowedGroupByOp(
+                    WindowSpec.range_by(2.0),
+                    keys=[GroupKey("v"), GroupKey("src", lambda t: t.stream)],
+                    aggregates=[AggregateSpec("count", output="count")],
+                ),
+                ["f"],
             ),
-            "arb": MaxCountArbitrator(
-                id_field="v", granule_field="src", tie_break="all"
+            "arb": (
+                MaxCountArbitrator(
+                    id_field="v", granule_field="src", tie_break="all"
+                ),
+                ["g"],
+            ),
+            "adapt": (AdaptiveSmoother(id_field="v", carry=()), ["f"]),
+            "ht": (
+                HorvitzThompsonCounter(
+                    4, id_field="v", group_field="label"
+                ),
+                ["j"],
+            ),
+            "vote": (
+                _VoteWindow(WindowSpec.range_by(2.0), 2, "v", "label", "ON"),
+                ["j"],
+            ),
+            "detect": (
+                VotingDetector(
+                    {"a": None, "b": lambda t: t["v"] > 20}, threshold=2
+                ),
+                ["f"],
+            ),
+            "model": (
+                CorrelationModelCleaner("v", "d", k=1.0, k_learn=0.5, warmup=5),
+                ["m"],
+            ),
+            "wjoin": (
+                WindowJoinOp(
+                    WindowSpec.range_by(0.5),
+                    WindowSpec.range_by(0.5),
+                    predicate=lambda lhs, rhs: lhs["v"] == rhs["v"],
+                ),
+                [("f", 0), ("m", 1)],
+            ),
+            # Compiled plans with one route from each stream to the
+            # output, covering the planner's own operators.
+            "q_select": (
+                compile_query("SELECT v, v * 2 AS d FROM s WHERE v > 5"),
+                ["f"],
+            ),
+            "q_istream": (
+                compile_query(
+                    "SELECT ISTREAM v, count(*) AS n "
+                    "FROM s [Range By '2 sec'] GROUP BY v"
+                ),
+                ["f"],
+            ),
+            "q_join": (
+                compile_query(
+                    "SELECT l.v AS x FROM a l [Range By '1 sec'], "
+                    "b r [Range By '1 sec'] WHERE l.v = r.v"
+                ),
+                ["f"],
+            ),
+            "q_outer": (
+                compile_query(
+                    "SELECT 'seen' AS event FROM "
+                    "(SELECT count(*) AS c FROM a [Range By 'NOW']) p, "
+                    "(SELECT count(*) AS c FROM b [Range By 'NOW']) q "
+                    "WHERE coalesce(p.c, 0) + coalesce(q.c, 0) >= 2"
+                ),
+                ["f"],
             ),
         }
-        if wrap:
-            ops = {name: _TupleAtATime(op) for name, op in ops.items()}
-        fjord.add_operator("f", ops["f"], inputs=["a", "b"])
-        fjord.add_operator("m", ops["m"], inputs=["f"])
-        fjord.add_operator("j", ops["j"], inputs=["m"])
-        fjord.add_operator("g", ops["g"], inputs=["f"])
-        fjord.add_operator("arb", ops["arb"], inputs=["g"])
-        fjord.add_operator("u", ops["u"], inputs=["j", "arb"])
+        for name, (op, inputs) in graph.items():
+            fjord.add_operator(
+                name, _TupleAtATime(op) if wrap else op, inputs=inputs
+            )
+        union = UnionOp(output_stream="merged")
+        fjord.add_operator(
+            "u", _TupleAtATime(union) if wrap else union, inputs=list(graph)
+        )
         sink = fjord.add_sink("out", inputs=["u"])
         return fjord, sink
 
@@ -293,3 +385,32 @@ class TestBatchFastPathAccounting:
                 for name, entry in snapshot["operators"].items()
             })
         assert totals[0] == totals[1]
+
+
+class TestOneDataEntryPoint:
+    """Structure: ``on_batch`` is what operators implement, ``on_tuple``
+    exists once (on the base) — checked over every ``repro`` module."""
+
+    def _operator_classes(self):
+        import importlib
+        import pkgutil
+
+        import repro
+
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not info.name.endswith("__main__"):
+                importlib.import_module(info.name)
+        found, stack = set(), [Operator]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                if cls.__module__.startswith("repro."):
+                    found.add(cls)
+                stack.append(cls)
+        return sorted(found, key=lambda cls: cls.__qualname__)
+
+    def test_no_operator_overrides_on_tuple_and_all_define_on_batch(self):
+        classes = self._operator_classes()
+        assert len(classes) >= 20
+        for cls in classes:
+            assert "on_tuple" not in vars(cls), cls
+            assert cls.on_batch is not Operator.on_batch, cls

@@ -60,8 +60,8 @@ class TestWiring:
             def __init__(self):
                 self.seen = []
 
-            def on_tuple(self, item, port=0):
-                self.seen.append((port, item["v"]))
+            def on_batch(self, items, port=0):
+                self.seen.extend((port, item["v"]) for item in items)
                 return []
 
         recorder = PortRecorder()

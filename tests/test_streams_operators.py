@@ -9,6 +9,7 @@ from repro.streams.operators import (
     FilterOp,
     GroupKey,
     MapOp,
+    Operator,
     SinkOp,
     StaticJoinOp,
     UnionOp,
@@ -277,3 +278,20 @@ class TestRunOperator:
         op = FilterOp(lambda t: True)
         out = run_operator(op, [tup(2.0, v=2), tup(1.0, v=1)], [2.0])
         assert [t.timestamp for t in out] == [1.0, 2.0]
+
+
+class TestOneDataEntryPoint:
+    """``on_batch`` is what operators implement; ``on_tuple`` exists
+    once, on the base, as ``on_batch([item], port)``."""
+
+    def test_on_tuple_is_a_one_tuple_batch(self):
+        op = FilterOp(lambda t: t["v"] > 1)
+        assert op.on_tuple(tup(0, v=2)) == op.on_batch([tup(0, v=2)])
+        assert op.on_tuple(tup(0, v=1)) == []
+
+    def test_base_on_batch_names_the_class(self):
+        class Bare(Operator):
+            pass
+
+        with pytest.raises(NotImplementedError, match="Bare"):
+            Bare().on_batch([tup(0, v=1)])

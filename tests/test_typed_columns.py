@@ -268,8 +268,8 @@ class TestAggregateEquivalence:
         [0.5, 1.5, -2.5, 3.5],
         [math.nan, 1.0, 2.0],
         [-0.0, 0.0, 1.0],
-        [2**53, 2**53, 2**53],  # int sum bound exceeded → loop path
-        [1, 2.0, 3],  # mixed → list storage → loop path
+        [2**53, 2**53, 2**53],  # partial sums leave the exact-int range
+        [1, 2.0, 3],  # mixed int/float
     ]
 
     @pytest.mark.parametrize("name", NAMES)
@@ -286,8 +286,8 @@ class TestAggregateEquivalence:
             assert type(got) is type(want)
 
     def test_nan_min_max_match_loop(self):
-        """NaN poisons numpy min/max differently from Python's — the
-        typed path must defer, not disagree."""
+        """A leading NaN propagates through the ``<``/``>`` scan, an
+        interior one is skipped — ``field=`` must scan the same way."""
         values = [2.0, math.nan, 1.0]
         rows = rows_of("v", values)
         for name in ("min", "max"):
@@ -318,18 +318,20 @@ class TestAggregateEquivalence:
 
 
 def assert_typed_equals_list(values):
-    """One trace, both storage classes: masks and reductions agree."""
+    """One trace, both storage classes: masks and decoded rows agree.
+
+    (Window aggregates are not part of the sweep: they evaluate one
+    way, over rows, whatever the column storage.)
+    """
     rows = rows_of("v", values)
     preds = [
         FieldCompare("v", "<", 2),
         FieldCompare("v", ">=", 0.5),
         FieldCompare("v", "==", 1),
     ]
-    specs = [AggregateSpec(n, field="v") for n in ("sum", "min", "max", "avg")]
 
     typed_batch = ColumnBatch.from_tuples(rows)
     typed_masks = [[bool(m) for m in p.mask(typed_batch)] for p in preds]
-    typed_aggs = [s.evaluate(rows) for s in specs]
 
     previous = typedcols.set_typed_columns(False)
     try:
@@ -338,18 +340,10 @@ def assert_typed_equals_list(values):
             isinstance(col, list) for col in list_batch.columns.values()
         )
         list_masks = [list(p.mask(list_batch)) for p in preds]
-        list_aggs = [s.evaluate(rows) for s in specs]
     finally:
         typedcols.set_typed_columns(*previous)
 
     assert typed_masks == list_masks
-    for got, want in zip(typed_aggs, list_aggs):
-        if isinstance(want, float) and math.isnan(want):
-            assert math.isnan(got)
-        elif isinstance(want, float):
-            assert float_bits(got) == float_bits(want)
-        else:
-            assert got == want
     assert typed_batch.tuples() == list_batch.tuples()
 
 
