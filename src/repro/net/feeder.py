@@ -175,6 +175,32 @@ class ReplayFeeder:
         schedule.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
         return schedule
 
+    @staticmethod
+    def _low_marks(
+        schedule: list[tuple[float, str, int, StreamTuple]],
+    ) -> "list[float | None]":
+        """The promise each schedule entry's data frame declares.
+
+        The schedule is fixed before the first send, so what a live
+        receptor can only bound (``timestamp + sample_period``) is
+        exact here: after a frame, the lowest timestamp its source can
+        still send is the least among that source's later entries. One
+        reverse pass finds it. A frame declares it only where that
+        tells the gateway something new — its own timestamp lies
+        strictly below every later one, which is exactly where the
+        bound rises — and never on a source's last frame (``None``):
+        the ``bye`` says that.
+        """
+        lows: "list[float | None]" = [None] * len(schedule)
+        least: dict[str, float] = {}
+        for index in range(len(schedule) - 1, -1, -1):
+            _arrival, source, _seq, item = schedule[index]
+            later = least.get(source)
+            if later is None or item.timestamp < later:
+                lows[index] = later
+                least[source] = item.timestamp
+        return lows
+
     # -- the replay loop ------------------------------------------------------
 
     async def run(self) -> dict[str, Any]:
@@ -185,6 +211,7 @@ class ReplayFeeder:
                 failures, or when the gateway rejects the handshake.
         """
         schedule = self._build_schedule()
+        lows = self._low_marks(schedule)
         attempts = 0
         while True:
             try:
@@ -210,7 +237,7 @@ class ReplayFeeder:
                     tasks.append(
                         asyncio.ensure_future(self._heartbeat_loop(out))
                     )
-                await self._send_from(out, schedule)
+                await self._send_from(out, schedule, lows)
                 await self._finish(out)
                 return self.report()
             except (
@@ -303,12 +330,14 @@ class ReplayFeeder:
         self,
         out: FrameWriter,
         schedule: list[tuple[float, str, int, StreamTuple]],
+        lows: "list[float | None]",
     ) -> None:
         """Send the whole schedule, a burst at a time: ``out`` is
-        flushed before every sleep and credit wait, and on return."""
+        flushed before every sleep and credit wait, and on return.
+        ``lows`` is the schedule's :meth:`_low_marks`."""
         wall_start = self._clock()
         sim_start = schedule[0][0] if schedule else 0.0
-        for arrival, source, seq, item in schedule:
+        for (arrival, source, seq, item), low in zip(schedule, lows):
             if self.rate is not None:
                 target = wall_start + (arrival - sim_start) / self.rate
                 pause = target - self._clock()
@@ -318,7 +347,7 @@ class ReplayFeeder:
                     out.flush()
                     await self._sleep(pause)
             await self._acquire_credit(source, out)
-            out.add(protocol.data_frame(source, seq, arrival, item))
+            out.add(protocol.data_frame(source, seq, arrival, item, low))
             self.sent[source] += 1
             self._count(f"feeder.{source}.sent")
             if out.full:

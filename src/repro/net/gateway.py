@@ -21,7 +21,16 @@ time exists only for liveness (an injectable ``clock`` so tests never
 sleep). Punctuation advances by the watermark rule: a tick is swept
 only once every non-final source's reorder-buffer watermark has passed
 it, which is exactly the promise that makes the network-fed output
-byte-identical to the in-memory batch run.
+byte-identical to the in-memory batch run. A source's watermark rises
+on its arrivals (newest arrival less the slack) and on the low
+watermark the source itself declares: a data frame's optional ``low``
+key ("every later frame of this source carries a timestamp ≥ ``low``")
+is applied to the source's buffer right after the frame's own tuple
+(:meth:`~repro.streams.reorder.ReorderBuffer.promise`), so a tick is
+swept in the drain that took its last reading instead of waiting for
+the next poll to arrive. A source that declares nothing holds
+punctuation exactly as before; one that sends under its own promise
+loses those readings to the lateness rule (``dropped_late``), alone.
 
 **Lifecycle.** ``await start()`` → feeders connect, stream, and say
 ``bye`` per source (or go silent and get evicted via
@@ -367,8 +376,8 @@ class IngestGateway:
                         f"not declared in this connection's hello"
                     )
                 state.last_seen = self._clock()
-                item = protocol.record_to_tuple(frame.get("record") or {})
-                arrival = float(frame.get("arrival", item.timestamp))
+                seq, arrival, low, record = protocol.data_fields(frame)
+                item = protocol.record_to_tuple(record)
                 trace = None
                 ctx = frame.get("trace")
                 if self._collector.enabled or ctx is not None:
@@ -381,8 +390,9 @@ class IngestGateway:
                         # router; t_ingest doubles as the worker-clock
                         # receive stamp for the wire.transit span.
                         trace.ctx = ctx
-                entry = (int(frame.get("seq", 0)), arrival, item, trace)
-                await self._offer(state, entry)
+                # The promise rides behind its tuple: an overload policy
+                # that sheds the entry sheds the promise with it.
+                await self._offer(state, (seq, arrival, item, trace, low))
             elif kind == "heartbeat":
                 now = self._clock()
                 for name in frame.get("sources") or states:
@@ -463,11 +473,14 @@ class IngestGateway:
             while len(state.queue):
                 if self._throttle is not None:
                     await self._throttle()
-                seq, arrival, item, trace = state.queue.take()
+                seq, arrival, item, trace, low = state.queue.take()
                 state.space.set()
                 if trace is not None:
                     trace.t_queued = clock_ns()
                 self._inject(state, arrival, item, seq, trace)
+                if low is not None:
+                    for released in state.reorder.promise(low):
+                        self._push_released(state, released)
                 granted[name] = granted.get(name, 0) + 1
             if state.final_requested and not state.final:
                 for released in state.reorder.flush():

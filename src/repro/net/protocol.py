@@ -18,7 +18,12 @@ hello_ack   → client   accepts: negotiated ``version`` and, under the
                        ``credits`` (``null`` means uncredited)
 data        client →   one reading: ``source``, per-source ``seq``,
                        simulated ``arrival`` time, and the ``record``
-                       (:func:`tuple_to_record` encoding); a tracing
+                       (:func:`tuple_to_record` encoding); optionally
+                       ``low``, the sender's promise that every later
+                       frame of this ``source`` carries a record
+                       timestamp ≥ ``low`` (omitted when there is
+                       nothing new to promise; a peer that predates the
+                       key ignores it); a tracing
                        router adds a ``trace`` context (ingest ``id``,
                        integer-ns ``recv``/``acq``/``fwd`` hop stamps,
                        ``replayed`` flag) before forwarding — feeders
@@ -79,6 +84,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from math import isfinite
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import FrameTruncated, ProtocolError
@@ -485,16 +491,86 @@ def hello_ack(
 
 
 def data_frame(
-    source: str, seq: int, arrival: float, item: StreamTuple
+    source: str,
+    seq: int,
+    arrival: float,
+    item: StreamTuple,
+    low: "float | None" = None,
 ) -> dict:
-    """One reading: who sent it, its rank, and when it 'arrived'."""
-    return {
+    """One reading: who sent it, its rank, and when it 'arrived'.
+
+    ``low`` is the sender's promise that every later frame of
+    ``source`` carries a record timestamp of at least that (see
+    :meth:`repro.streams.reorder.ReorderBuffer.promise`). The key is
+    omitted entirely without one, so the wire bytes of a plain ``data``
+    frame are unchanged.
+    """
+    frame = {
         "type": "data",
         "source": source,
         "seq": int(seq),
         "arrival": float(arrival),
         "record": tuple_to_record(item),
     }
+    if low is not None:
+        frame["low"] = float(low)
+    return frame
+
+
+def _finite(frame: Mapping[str, Any], key: str, value: Any) -> float:
+    """``value`` as a float, if it is a finite JSON number."""
+    kind = type(value)
+    if kind is float:
+        if isfinite(value):
+            return value
+    elif kind is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ProtocolError(
+        f"data frame for source {frame.get('source')!r} carries "
+        f"{key}={value!r:.40}; expected a finite number"
+    )
+
+
+def data_fields(
+    frame: Mapping[str, Any],
+) -> "tuple[int, float, float | None, dict[str, Any]]":
+    """Validate a received ``data`` frame; ``(seq, arrival, low, record)``.
+
+    The one place a front door (gateway or router) turns a peer's
+    numbers into floats: ``seq`` must be an integer, ``arrival``,
+    ``low`` and the record's timestamp column finite numbers
+    (``json.loads`` accepts ``NaN`` and ``Infinity``, and a non-finite
+    stamp would poison a watermark), and ``record`` an object. An
+    absent ``arrival`` (a v1-style frame) defaults to the record's
+    timestamp, an absent ``seq`` to 0; an absent or ``null`` ``low``
+    is no promise (``None``).
+
+    Raises:
+        ProtocolError: On any wrong-shaped or non-finite field.
+    """
+    record = frame.get("record")
+    if type(record) is not dict:
+        raise ProtocolError(
+            f"data frame for source {frame.get('source')!r} carries a "
+            f"record that is not an object: {record!r:.40}"
+        )
+    timestamp = _finite(
+        frame, TIMESTAMP_COLUMN, record.get(TIMESTAMP_COLUMN)
+    )
+    seq = frame.get("seq", 0)
+    if type(seq) is not int:
+        raise ProtocolError(
+            f"data frame for source {frame.get('source')!r} carries "
+            f"seq={seq!r:.40}; expected an integer"
+        )
+    arrival = _finite(frame, "arrival", frame.get("arrival", timestamp))
+    low = frame.get("low")
+    if low is not None:
+        low = _finite(frame, "low", low)
+    return seq, arrival, low, record
 
 
 def heartbeat(sources: Iterable[str]) -> dict:

@@ -1340,10 +1340,9 @@ class ClusterRouter:
                     raise ProtocolError(
                         f"data frame for source {source!r} after its bye"
                     )
-                record = frame.get("record") or {}
-                arrival = float(
-                    frame.get("arrival", record.get("ts", 0.0))
-                )
+                # Same check as the gateway behind us: a frame the
+                # worker would refuse is refused here, to the feeder.
+                seq, arrival, _low, record = protocol.data_fields(frame)
                 key = str(self._key_fn(source, record))
                 ingest_id = recv = 0
                 if self._tracing:
@@ -1358,7 +1357,7 @@ class ClusterRouter:
                 try:
                     retained = _RetainedFrame(
                         arrival,
-                        int(frame.get("seq", 0)),
+                        seq,
                         source,
                         key,
                         payload,

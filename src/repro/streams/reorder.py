@@ -30,12 +30,15 @@ class ReorderBuffer:
     Args:
         slack: How long (in seconds of *arrival* time) a tuple may be
             held waiting for stragglers. A tuple is released once the
-            newest arrival's time exceeds its timestamp by ``slack``.
+            newest arrival's time exceeds its timestamp by ``slack`` —
+            or sooner, once the sender promises nothing older is coming
+            (:meth:`promise`).
 
     Attributes:
         dropped: Tuples discarded because they arrived after their
-            release horizon had already passed (late beyond slack), or
-            behind the highest already-released timestamp.
+            release horizon had already passed (late beyond slack, or
+            under their sender's own promise), or behind the highest
+            already-released timestamp.
         released: Count of tuples released in order.
 
     **Tie-breaking.** Tuples with equal timestamps release in ascending
@@ -49,13 +52,21 @@ class ReorderBuffer:
 
     **Lateness.** An arrival is dropped when its timestamp lies strictly
     below the highest released timestamp (the frontier), or more than
-    1 ns below the current release horizon
-    (``newest arrival time - slack``). A tuple arriving *exactly at* the
-    horizon is admitted and released immediately. The strict frontier
-    comparison preserves the sorted-output guarantee downstream windows
-    rely on; the toleranced horizon comparison keeps a delay equal to
-    the slack from being dropped over float rounding, and makes
-    :attr:`watermark` a promise a consumer can punctuate on.
+    1 ns below the current release horizon (``newest arrival time -
+    slack``, or the sender's newest promise where that is higher). A
+    tuple arriving *exactly at* the horizon is admitted and released
+    immediately. The strict frontier comparison preserves the
+    sorted-output guarantee downstream windows rely on; the toleranced
+    horizon comparison keeps a delay equal to the slack from being
+    dropped over float rounding, and makes :attr:`watermark` a promise
+    a consumer can punctuate on.
+
+    **Promises.** Slack only lets the horizon rise when a *later*
+    reading arrives, so a buffer fed by a quiet source holds its
+    consumer back however complete its data is. A sender that knows the
+    lowest timestamp it can still send says so with :meth:`promise`,
+    which moves the same horizon without an arrival: one horizon, one
+    lateness rule, whichever of the two raised it last.
 
     Example:
         >>> buffer = ReorderBuffer(slack=2.0)
@@ -73,7 +84,9 @@ class ReorderBuffer:
         self._heap: list[tuple[float, int, StreamTuple]] = []
         self._sequence = 0
         self._frontier = float("-inf")  # highest released timestamp
-        self._horizon = float("-inf")  # newest arrival time - slack
+        #: Newest arrival time - slack, or the newest promise (less its
+        #: 2 ns guard), whichever is higher.
+        self._horizon = float("-inf")
 
     @property
     def watermark(self) -> float:
@@ -82,10 +95,10 @@ class ReorderBuffer:
         ``max(frontier, horizon)``: no tuple released after this call
         can carry a timestamp more than 1e-9 below the returned value —
         later arrivals under that bound are dropped, and buffered tuples
-        are above it by construction. :meth:`flush` raises it to
-        ``+inf``. Consumers that punctuate on time (the ingestion
-        gateway's pipeline session) may safely process every instant
-        more than 2 ns below it.
+        are above it by construction. Arrivals and :meth:`promise` raise
+        it; :meth:`flush` raises it to ``+inf``. Consumers that
+        punctuate on time (the ingestion gateway's pipeline session)
+        may safely process every instant more than 2 ns below it.
         """
         return max(self._frontier, self._horizon)
 
@@ -130,6 +143,28 @@ class ReorderBuffer:
         heapq.heappush(self._heap, (item.timestamp, int(sequence), item))
         self._sequence += 1
         return self._release(self._horizon)
+
+    def promise(self, low: float) -> list[StreamTuple]:
+        """Accept the sender's word that every later arrival carries a
+        timestamp of at least ``low``; return the tuples that makes
+        releasable.
+
+        Equivalent to a tuple-less arrival whose ``arrival_time - slack``
+        is ``low`` less 2 ns: the horizon rises to there (never falls,
+        so a repeated or replayed promise is a no-op), and everything
+        the ordinary rules then allow follows. Buffered tuples strictly
+        below ``low`` release; one *at* ``low`` stays, because its
+        equal-timestamp, lower-sequence twins may still be in flight.
+        :attr:`watermark` lets a consumer sweep exactly the instants
+        strictly below ``low``. A sender that breaks its word loses what
+        it sends under the promise to the lateness rule — counted in
+        :attr:`dropped`, never released out of order.
+        """
+        horizon = low - 2e-9
+        if horizon <= self._horizon:
+            return []
+        self._horizon = horizon
+        return self._release(horizon)
 
     def checkpoint(self) -> dict:
         """Snapshot the buffer's state for later :meth:`restore`.

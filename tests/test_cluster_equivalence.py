@@ -12,9 +12,11 @@ hang insurance only.
 """
 
 import asyncio
+import contextlib
 
 import pytest
 
+from repro.net import protocol
 from repro.net.cluster import merge_epochs, serve_cluster
 from repro.net.feeder import ReplayFeeder
 from repro.net.gateway import IngestGateway
@@ -23,6 +25,8 @@ from repro.net.service import build_bundle
 from repro.net.worker import ClusterWorker
 from repro.receptors.network import DelayModel
 from repro.streams.telemetry import InMemoryCollector
+
+from tests.test_net_gateway import MALFORMED, RawFeeder
 
 WAIT = 30.0  # hang guard for awaits; never approached on a healthy run
 
@@ -240,6 +244,106 @@ class TestRebalance:
 
         clustered, _router = asyncio.run(scenario())
         assert clustered == reference
+
+
+@contextlib.asynccontextmanager
+async def one_worker_cluster(name, duration):
+    """A router over one worker, for hand-driven feeder connections;
+    yields ``(router, host, port)``."""
+    worker = ClusterWorker(build_bundle(name, duration, SEED), slack=0.0)
+    router = ClusterRouter(build_bundle(name, duration, SEED), slack=0.0)
+    try:
+        spec = ("w0", *await worker.start())
+        host, port = await router.start()
+        await router.connect_workers([spec])
+        yield router, host, port
+    finally:
+        await router.close()
+        await worker.close()
+
+
+class TestRouterFrontDoor:
+    """The router reads a data frame exactly as the gateway behind it
+    does: same defaults, same refusals."""
+
+    def test_arrival_less_frames_are_stamped_with_their_timestamp(self):
+        """A v1-style frame has no ``arrival``; the gateway takes the
+        record's timestamp, and so must the router (it once read a
+        ``ts`` column no record has, and retained every frame at 0.0).
+        Router + 1 worker ≡ bare gateway on the same frames."""
+        bundle = build_bundle("shelf", 6.0, SEED)
+
+        async def through_gateway():
+            session = bundle.processor.open_session(
+                until=bundle.until, tick=bundle.tick
+            )
+            gateway = IngestGateway(session, slack=0.0)
+            host, port = await gateway.start()
+            feeder = await RawFeeder.open(host, port, bundle.streams)
+            await feeder.replay(bundle.streams, strip=["arrival"])
+            await asyncio.wait_for(gateway.run_until_drained(), WAIT)
+            return (await gateway.close()).output
+
+        async def through_router():
+            async with one_worker_cluster("shelf", 6.0) as (router, host, port):
+                feeder = await RawFeeder.open(host, port, bundle.streams)
+                await feeder.replay(bundle.streams, strip=["arrival"])
+                await asyncio.wait_for(router.run_until_complete(), WAIT)
+                retained = [
+                    (frame.arrival, item.timestamp)
+                    for name, items in bundle.streams.items()
+                    for frame, item in zip(router._history[name], items)
+                ]
+                return router.result(), retained
+
+        single = asyncio.run(through_gateway())
+        clustered, retained = asyncio.run(through_router())
+        assert single == clustered == in_memory_output("shelf", 6.0)
+        assert len(retained) > 300 and retained[-1][1] > 5.0
+        assert all(arrival == stamp for arrival, stamp in retained)
+
+    @pytest.mark.parametrize(
+        "overrides,named", MALFORMED.values(), ids=MALFORMED
+    )
+    def test_malformed_numbers_are_refused_at_the_router(
+        self, overrides, named
+    ):
+        """The feeder that sent the frame is told why; nothing of it is
+        retained or forwarded, the neighbour connection carries on, and
+        the refused source finishes on a fresh connection."""
+        bundle = build_bundle("shelf", 3.0, SEED)
+        streams = bundle.streams
+        first = streams["reader1"][0]
+
+        async def scenario():
+            async with one_worker_cluster("shelf", 3.0) as (router, host, port):
+                good = await RawFeeder.open(host, port, ["reader0"])
+                for seq, item in enumerate(streams["reader0"][:5]):
+                    await good.send(protocol.data_frame(
+                        "reader0", seq, item.timestamp, item
+                    ))
+                bad = await RawFeeder.open(host, port, ["reader1"])
+                frame = protocol.data_frame(
+                    "reader1", 0, first.timestamp, first
+                )
+                reason = await bad.send_refused({**frame, **overrides})
+                stats = router.stats()
+                assert stats["data_frames"] == stats["retained_frames"] == 5
+                assert stats["sources"]["reader1"]["offered"] == 0
+                for seq, item in enumerate(streams["reader0"][5:], start=5):
+                    await good.send(protocol.data_frame(
+                        "reader0", seq, item.timestamp, item
+                    ))
+                await good.bye("reader0")
+                again = await RawFeeder.open(host, port, ["reader1"])
+                await again.replay({"reader1": streams["reader1"]})
+                await asyncio.wait_for(router.run_until_complete(), WAIT)
+                good.writer.close()
+                return reason, router.result()
+
+        reason, clustered = asyncio.run(scenario())
+        assert named in reason
+        assert clustered == in_memory_output("shelf", 3.0)
 
 
 class TestClusterSmoke:

@@ -27,6 +27,7 @@ imported from there.
 import asyncio
 
 from repro.net.service import build_bundle
+from repro.streams.reorder import ReorderBuffer
 from repro.streams.telemetry import InMemoryCollector
 
 from tests.test_cluster_equivalence import (
@@ -101,6 +102,36 @@ class TestClusterTracing:
         """Tracing must be observationally free: same egress bytes."""
         output, _snapshot, _fed = traced_cluster()
         assert output == in_memory_output("shelf", 8.0)
+        assert output  # non-vacuous
+
+    def test_traced_redwood_workers_sweep_on_relayed_promises(
+        self, monkeypatch
+    ):
+        """Source-keyed routing with the trace splice live: the feeder's
+        ``low`` key survives ``_traced_payload`` (spliced *around* the
+        relayed bytes), reaches the owning worker's reorder buffers and
+        moves their watermarks — and the egress is still the untraced,
+        single-node output."""
+        raised = []
+        promise = ReorderBuffer.promise
+
+        def counting(buffer, low):
+            before = buffer.watermark
+            released = promise(buffer, low)
+            raised.append(buffer.watermark > before)
+            return released
+
+        monkeypatch.setattr(ReorderBuffer, "promise", counting)
+        half_day = 0.5 * 86400.0
+        output, snapshot, fed = traced_cluster("redwood", half_day)
+        sources = len(build_bundle("redwood", half_day, SEED).streams)
+        # Redwood is in order: every frame but a mote's last declares.
+        assert len(raised) == fed - sources and all(raised)
+        assert len(cluster_spans(snapshot)) == fed  # the splice was live
+        raised.clear()
+        untraced, _router = asyncio.run(cluster_run("redwood", 2, half_day))
+        assert len(raised) == fed - sources and all(raised)
+        assert output == untraced == in_memory_output("redwood", half_day)
         assert output  # non-vacuous
 
     def test_every_tuple_closes_exactly_one_e2e_span(self):

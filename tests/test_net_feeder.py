@@ -8,6 +8,8 @@ import asyncio
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetError
 from repro.net import protocol
@@ -111,6 +113,112 @@ class TestSchedule:
             ReplayFeeder("h", 1, self._streams(1), rate=0)
         with pytest.raises(NetError, match="max_attempts"):
             ReplayFeeder("h", 1, self._streams(1), max_attempts=0)
+
+
+class TestLowMarks:
+    """The promise a data frame declares: the least timestamp its
+    source can still send, where that rises."""
+
+    def test_one_promise_per_poll_and_none_on_the_last_frame(self):
+        polls = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0]
+        feeder = ReplayFeeder(
+            "h", 1, {"a": [tup(ts, v=i) for i, ts in enumerate(polls)]}
+        )
+        lows = feeder._low_marks(feeder._build_schedule())
+        assert lows == [None, None, 1.0, None, None, 3.0, None, None]
+
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 15), min_size=1, max_size=25),
+            min_size=1, max_size=3,
+        ),
+        st.integers(0, 2**16),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_declared_lows_are_exact_rising_and_never_last(
+        self, grids, seed, delayed, lossy
+    ):
+        """Random streams × delay × loss against a brute-force oracle:
+        a declared ``low`` is the least timestamp among its source's
+        later frames, it is declared exactly where that bound rises,
+        and a source's last frame carries none."""
+        streams = {
+            f"s{n}": [tup(float(ts), v=i) for i, ts in enumerate(sorted(grid))]
+            for n, grid in enumerate(grids)
+        }
+        feeder = ReplayFeeder(
+            "h", 1, streams,
+            delay_model=(
+                DelayModel(mean_delay=1.5, max_delay=6.0, rng=seed)
+                if delayed else None
+            ),
+            channel=(
+                GilbertElliottChannel(
+                    0.3, 0.3, deliver_good=0.9, deliver_bad=0.2, rng=seed
+                )
+                if lossy else None
+            ),
+        )
+        schedule = feeder._build_schedule()
+        lows = feeder._low_marks(schedule)
+        assert len(lows) == len(schedule)
+        for name in streams:
+            own = [
+                (item.timestamp, low)
+                for (_a, source, _q, item), low in zip(schedule, lows)
+                if source == name
+            ]
+            for index, (timestamp, low) in enumerate(own):
+                later = [ts for ts, _low in own[index + 1:]]
+                if not later:
+                    assert low is None  # the bye covers the last frame
+                    continue
+                bound = min(later)
+                # The bound before this frame also covered the frame
+                # itself; it rises here iff the frame lay below ``bound``.
+                if min(timestamp, bound) < bound:
+                    assert low == bound
+                else:
+                    assert low is None
+            declared = [low for _ts, low in own if low is not None]
+            assert declared == sorted(set(declared))  # strictly rising
+
+    def test_frames_on_the_wire_carry_the_schedule_s_lows(self):
+        polls = [0.0, 0.0, 1.0, 1.0, 3.0]
+        streams = {"a": [tup(ts, v=i) for i, ts in enumerate(polls)]}
+        seen = []
+
+        async def handle(reader, writer):
+            await read_frame(reader)
+            await write_frame(writer, protocol.hello_ack(None))
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    break
+                if frame["type"] == "data":
+                    seen.append(("low" in frame, frame.get("low")))
+                elif frame["type"] == "bye":
+                    await write_frame(
+                        writer, protocol.bye_ack(frame["source"])
+                    )
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            feeder = ReplayFeeder("127.0.0.1", port, streams)
+            await asyncio.wait_for(feeder.run(), timeout=20)
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())
+        # The key is absent, not null, where there is nothing to say.
+        assert seen == [
+            (False, None), (True, 1.0), (False, None), (True, 3.0),
+            (False, None),
+        ]
 
 
 class TestBackoff:

@@ -13,6 +13,7 @@ scenario, on both the serial and the sharded reference backends.
 """
 
 import asyncio
+import statistics
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.net import protocol
 from repro.net.feeder import ReplayFeeder
 from repro.net.gateway import IngestGateway
 from repro.net.protocol import read_frame, write_frame
-from repro.receptors.network import DelayModel
+from repro.receptors.network import DelayModel, GilbertElliottChannel
 from repro.streams.telemetry import InMemoryCollector
 from repro.streams.tuples import StreamTuple
 
@@ -41,17 +42,124 @@ def shelf_case(duration=12.0):
     return factory, streams, scenario.duration, scenario.poll_period
 
 
-def redwood_case():
+def redwood_case(days=0.05):
     from repro.pipelines.sensornet import build_redwood_processor
     from repro.scenarios.redwood import RedwoodScenario
 
-    scenario = RedwoodScenario(duration=0.05 * 86400.0, n_groups=2, seed=3)
+    scenario = RedwoodScenario(duration=days * 86400.0, n_groups=2, seed=3)
     streams = scenario.recorded_streams()
 
     def factory():
         return build_redwood_processor(scenario)
 
     return factory, streams, scenario.duration, None
+
+
+def redwood_half_day():
+    """Long enough for the lossy motes to fall silent for hours."""
+    return redwood_case(days=0.5)
+
+
+def home_case():
+    from repro.pipelines.digital_home import build_digital_home_processor
+    from repro.scenarios.office import OfficeScenario
+
+    scenario = OfficeScenario(duration=300.0, seed=3)
+
+    def factory():
+        return build_digital_home_processor(scenario)
+
+    return factory, scenario.recorded_streams(), scenario.duration, 0.5
+
+
+class SilentFeeder(ReplayFeeder):
+    """A feeder that predates the ``low`` key: it never declares one.
+    The frames it sends are also what a gateway that predates the key
+    makes of a declaring feeder's (it would read past the key)."""
+
+    @staticmethod
+    def _low_marks(schedule):
+        return [None] * len(schedule)
+
+
+class RawFeeder:
+    """A hand-driven feeder connection against a gateway or router.
+
+    :meth:`send` writes one data frame and waits for its credit, so on
+    return the drain (or forward) that took the frame is over and
+    nothing later has been sent: what the server did with exactly that
+    frame can be read off deterministically.
+    """
+
+    def __init__(self, reader, writer):
+        self.reader = reader
+        self.writer = writer
+
+    @classmethod
+    async def open(cls, host, port, sources):
+        reader, writer = await asyncio.open_connection(host, port)
+        await write_frame(writer, protocol.hello(sources))
+        ack = await asyncio.wait_for(read_frame(reader), WAIT)
+        assert ack["type"] == "hello_ack", ack
+        return cls(reader, writer)
+
+    async def _read_until(self, kind):
+        while True:
+            frame = await asyncio.wait_for(read_frame(self.reader), WAIT)
+            assert frame is not None, f"EOF while waiting for {kind}"
+            assert kind == "error" or frame["type"] != "error", frame
+            if frame["type"] == kind:
+                return frame
+
+    async def send(self, frame):
+        await write_frame(self.writer, frame)
+        await self._read_until("credit")
+
+    async def send_refused(self, frame):
+        """Write a frame the server must refuse; returns the reason
+        once the ``error`` frame *and* the hang-up have arrived."""
+        await write_frame(self.writer, frame)
+        error = await self._read_until("error")
+        assert await asyncio.wait_for(self.reader.read(), WAIT) == b""
+        self.writer.close()
+        return error["reason"]
+
+    async def bye(self, source):
+        await write_frame(self.writer, protocol.bye(source))
+        await self._read_until("bye_ack")
+
+    async def replay(self, streams, on_frame=None, strip=()):
+        """Replay ``streams`` in a feeder's own order, a frame at a
+        time, without the keys in ``strip``; then say bye for each."""
+        planner = ReplayFeeder("unused", 0, streams)
+        schedule = planner._build_schedule()
+        lows = planner._low_marks(schedule)
+        for (arrival, source, seq, item), low in zip(schedule, lows):
+            frame = protocol.data_frame(source, seq, arrival, item, low)
+            for key in strip:
+                frame.pop(key, None)
+            await self.send(frame)
+            if on_frame is not None:
+                on_frame(arrival)
+        for name in sorted(streams):
+            await self.bye(name)
+        self.writer.close()
+
+
+class SweepLog:
+    """A session proxy remembering every tick the gateway swept."""
+
+    def __init__(self, session):
+        self._session = session
+        self.swept = []
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+    def advance(self, watermark):
+        swept = self._session.advance(watermark)
+        self.swept.extend(swept)
+        return swept
 
 
 async def loopback(
@@ -67,6 +175,7 @@ async def loopback(
     telemetry=None,
     throttle=None,
     feeder_kwargs=None,
+    feeder_class=ReplayFeeder,
 ):
     """Serve ``factory()``'s pipeline, replay ``streams`` into it."""
     session = factory().open_session(
@@ -81,7 +190,7 @@ async def loopback(
         throttle=throttle,
     )
     host, port = await gateway.start()
-    feeder = ReplayFeeder(
+    feeder = feeder_class(
         host, port, streams,
         delay_model=delay_model,
         **(feeder_kwargs or {}),
@@ -137,6 +246,246 @@ class TestLoopbackDifferential:
         assert run.output == ref.output
         stats = gateway.stats()["sources"]
         assert all(s["dropped_late"] == 0 for s in stats.values())
+
+
+class TestPromises:
+    """Sources declare their low watermark: same output, swept sooner."""
+
+    @pytest.mark.parametrize(
+        "case,delay,slack",
+        [
+            (shelf_case, (0.3, 1.2), 1.2),
+            (redwood_half_day, (60.0, 280.0), 280.0),
+        ],
+    )
+    def test_on_stripped_and_in_memory_agree_under_delay_and_loss(
+        self, case, delay, slack
+    ):
+        """Promises on ≡ promises stripped (either peer predates the
+        key) ≡ the in-memory run over the readings the channel let
+        through — with the reorder buffers doing real work under both
+        the slack rule and the promise rule at once."""
+        factory, streams, until, tick = case()
+
+        def impairments():
+            return {
+                "delay_model": DelayModel(*delay, rng=5),
+                "feeder_kwargs": {
+                    "channel": GilbertElliottChannel(
+                        0.1, 0.4, deliver_good=0.95, deliver_bad=0.3, rng=9
+                    )
+                },
+            }
+
+        planner = ReplayFeeder(
+            "unused", 0, streams, **impairments()["feeder_kwargs"]
+        )
+        survivors = {name: [] for name in streams}
+        for _arrival, name, _seq, item in sorted(
+            planner._build_schedule(), key=lambda entry: entry[1:3]
+        ):
+            survivors[name].append(item)
+        assert sum(planner.lost.values()) > 0  # the channel really lost
+        ref = factory().run(until=until, tick=tick, sources=survivors)
+        assert ref.output  # non-vacuous
+
+        for feeder_class in (ReplayFeeder, SilentFeeder):
+            run, gateway, report = asyncio.run(
+                loopback(
+                    factory, streams, until, tick, slack=slack,
+                    feeder_class=feeder_class, **impairments(),
+                )
+            )
+            assert run.output == ref.output, feeder_class.__name__
+            assert report["lost"] == planner.lost
+            stats = gateway.stats()["sources"]
+            assert all(s["dropped_late"] == 0 for s in stats.values())
+
+    @staticmethod
+    async def _sweep_lags(factory, streams, until, tick, strip=()):
+        """The freshness oracle: replay in order, slack 0, one frame
+        per drain; per tick swept before the byes, the sensor-time
+        stamp of the frame whose drain swept it, minus the tick (0 when
+        the tick was swept no later than its own last reading)."""
+        session = SweepLog(factory().open_session(until=until, tick=tick))
+        gateway = IngestGateway(session, slack=0.0)
+        host, port = await gateway.start()
+        feeder = await RawFeeder.open(host, port, streams)
+        lags = []
+
+        def on_frame(stamp):
+            lags.extend(
+                max(0.0, stamp - swept) for swept in session.swept[len(lags):]
+            )
+
+        await feeder.replay(streams, on_frame, strip)
+        await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
+        run = await gateway.close()
+        return run, lags, len(session.ticks)
+
+    def test_in_order_shelf_sweeps_each_tick_with_its_own_last_reading(self):
+        """Every tick but the last (which waits for the byes, as no
+        frame can promise past a source's end) is swept in the drain of
+        its own last reading; without promises none is — each waits one
+        poll period for the next poll to arrive."""
+        factory, streams, until, tick = shelf_case()
+        ref = factory().run(until=until, tick=tick, sources=streams)
+        run, lags, n_ticks = asyncio.run(
+            self._sweep_lags(factory, streams, until, tick)
+        )
+        assert run.output == ref.output
+        assert lags == [0.0] * (n_ticks - 1)
+        run, lags, n_ticks = asyncio.run(
+            self._sweep_lags(factory, streams, until, tick, strip=["low"])
+        )
+        assert run.output == ref.output
+        assert len(lags) == n_ticks - 1
+        assert min(lags) == pytest.approx(tick)
+
+    @pytest.mark.parametrize("case", [redwood_half_day, home_case])
+    def test_a_quiet_source_no_longer_sets_everyone_s_staleness(self, case):
+        """Redwood's lossy motes and the home's silent X10 detectors
+        held every tick until *they* next reported; declared promises
+        bring the median sweep lag to zero, output unchanged."""
+        factory, streams, until, tick = case()
+        ref = factory().run(until=until, tick=tick, sources=streams)
+        run, lags, _n = asyncio.run(
+            self._sweep_lags(factory, streams, until, tick)
+        )
+        assert run.output == ref.output
+        assert len(lags) > 100  # non-vacuous
+        assert statistics.median(lags) == 0.0
+        run, stale, _n = asyncio.run(
+            self._sweep_lags(factory, streams, until, tick, strip=["low"])
+        )
+        assert run.output == ref.output
+        assert len(stale) == len(lags)
+        assert statistics.median(stale) > 0.0
+        assert all(now <= then for now, then in zip(lags, stale))
+
+    def test_broken_promise_is_a_counted_late_drop_for_that_source_only(self):
+        """A source that sends under its own promise loses exactly that
+        reading to the lateness rule: counted, the run completes, and
+        the neighbour source is untouched."""
+        a = [StreamTuple(float(ts), {"v": ts}) for ts in (1, 2, 3, 6)]
+        b = [StreamTuple(float(ts), {"v": ts}) for ts in (1, 2, 3, 4)]
+
+        class Session:
+            receptor_ids = ("a", "b")
+            safe_time = float("-inf")
+
+            def __init__(self):
+                self.pushed = []
+
+            def push(self, source, item):
+                self.pushed.append((source, item.timestamp))
+
+            def advance(self, watermark):
+                return []
+
+            def close(self):
+                return self
+
+        async def scenario():
+            session = Session()
+            gateway = IngestGateway(session, slack=0.0)
+            host, port = await gateway.start()
+            feeder = await RawFeeder.open(host, port, ["a", "b"])
+            for seq, item in enumerate(a[:2]):
+                low = 5.0 if seq == 1 else None  # the lie: a[2] is at 3.0
+                await feeder.send(protocol.data_frame(
+                    "a", seq, item.timestamp, item, low
+                ))
+            for seq, item in enumerate(b):
+                await feeder.send(protocol.data_frame(
+                    "b", seq, item.timestamp, item
+                ))
+            for seq, item in enumerate(a[2:], start=2):
+                await feeder.send(protocol.data_frame(
+                    "a", seq, item.timestamp, item
+                ))
+            await feeder.bye("a")
+            await feeder.bye("b")
+            await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
+            feeder.writer.close()
+            await gateway.close()
+            return session, gateway.stats()["sources"]
+
+        session, stats = asyncio.run(scenario())
+        assert stats["a"]["dropped_late"] == 1
+        assert stats["b"]["dropped_late"] == 0
+        assert [ts for name, ts in session.pushed if name == "a"] == [
+            1.0, 2.0, 6.0
+        ]
+        assert [ts for name, ts in session.pushed if name == "b"] == [
+            1.0, 2.0, 3.0, 4.0
+        ]
+
+
+#: Case id → (keys overridden on a good data frame, the field the
+#: refusal must name). ``json.loads`` accepts ``NaN`` and ``Infinity``.
+MALFORMED = {
+    "arrival-string": ({"arrival": "x"}, "arrival"),
+    "arrival-nan": ({"arrival": float("nan")}, "arrival"),
+    "seq-string": ({"seq": "seven"}, "seq"),
+    "low-infinity": ({"low": float("inf")}, "low"),
+    "low-list": ({"low": [1.0]}, "low"),
+    "record-list": ({"record": [1, 2]}, "record"),
+    "timestamp-nan": ({"record": {"_ts": float("nan"), "v": 1}}, "_ts"),
+}
+
+
+class TestMalformedNumbers:
+    """Numbers that are not numbers end in a typed refusal the peer is
+    told about — never a bare exception, never a neighbour's state."""
+
+    @pytest.mark.parametrize(
+        "overrides,named", MALFORMED.values(), ids=MALFORMED
+    )
+    def test_peer_gets_an_error_frame_and_the_neighbour_is_untouched(
+        self, overrides, named
+    ):
+        factory, streams, until, tick = shelf_case(duration=3.0)
+        ref = factory().run(until=until, tick=tick, sources=streams)
+        first = streams["reader1"][0]
+
+        async def scenario():
+            session = factory().open_session(until=until, tick=tick)
+            gateway = IngestGateway(session, slack=0.0)
+            host, port = await gateway.start()
+            good = await RawFeeder.open(host, port, ["reader0"])
+            head = streams["reader0"][:5]
+            for seq, item in enumerate(head):
+                await good.send(protocol.data_frame(
+                    "reader0", seq, item.timestamp, item
+                ))
+            before = gateway.stats()["sources"]["reader0"]
+            mark = gateway._states["reader0"].reorder.watermark
+
+            bad = await RawFeeder.open(host, port, ["reader1"])
+            frame = protocol.data_frame("reader1", 0, first.timestamp, first)
+            reason = await bad.send_refused({**frame, **overrides})
+
+            assert gateway.stats()["sources"]["reader0"] == before
+            assert gateway._states["reader0"].reorder.watermark == mark
+            assert gateway.stats()["sources"]["reader1"]["offered"] == 0
+            # Both sources carry on: the neighbour on its connection,
+            # the refused one on a fresh one.
+            for seq, item in enumerate(streams["reader0"][5:], start=5):
+                await good.send(protocol.data_frame(
+                    "reader0", seq, item.timestamp, item
+                ))
+            await good.bye("reader0")
+            again = await RawFeeder.open(host, port, ["reader1"])
+            await again.replay({"reader1": streams["reader1"]})
+            await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
+            good.writer.close()
+            run = await gateway.close()
+            return reason, run
+
+        reason, run = asyncio.run(scenario())
+        assert named in reason
+        assert run.output == ref.output
 
 
 class TestBlockPolicyBackpressure:

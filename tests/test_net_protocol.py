@@ -301,6 +301,106 @@ class TestConstructors:
         assert record_to_tuple(frame["record"]) == item
 
 
+    def test_data_frame_pinned_bytes_with_and_without_low(self):
+        # The promise is one optional key: without it the frame is, to
+        # the byte, what every earlier build sent.
+        item = StreamTuple(2.5, {"v": 1}, stream="rfid")
+        assert encode_frame(protocol.data_frame("reader0", 9, 3.25, item)) == (
+            b'\x00\x00\x00s{"arrival": 3.25, "record": {"_stream": "rfid", '
+            b'"_ts": 2.5, "v": 1}, "seq": 9, "source": "reader0", '
+            b'"type": "data"}'
+        )
+        assert encode_frame(
+            protocol.data_frame("reader0", 9, 3.25, item, low=2.75)
+        ) == (
+            b'\x00\x00\x00\x80{"arrival": 3.25, "low": 2.75, "record": '
+            b'{"_stream": "rfid", "_ts": 2.5, "v": 1}, "seq": 9, '
+            b'"source": "reader0", "type": "data"}'
+        )
+
+    def test_peer_that_predates_low_reads_the_same_reading(self):
+        # Such a peer reads the keys it knows through ``frame.get``; the
+        # extra key changes none of them.
+        item = StreamTuple(2.5, {"v": 1}, stream="rfid")
+        plain = protocol.data_frame("reader0", 9, 3.25, item)
+        (promised,) = FrameDecoder().feed(
+            encode_frame(protocol.data_frame("reader0", 9, 3.25, item, 2.75))
+        )
+        assert promised.pop("low") == 2.75
+        assert promised == plain
+
+
+class TestDataFields:
+    """The one validation both front doors run on a data frame."""
+
+    ITEM = StreamTuple(2.5, {"v": 1}, stream="rfid")
+
+    def frame(self, **overrides):
+        frame = protocol.data_frame("reader0", 9, 3.25, self.ITEM, 2.75)
+        frame.update(overrides)
+        return frame
+
+    def test_well_formed_frame(self):
+        seq, arrival, low, record = protocol.data_fields(self.frame())
+        assert (seq, arrival, low) == (9, 3.25, 2.75)
+        assert record_to_tuple(record) == self.ITEM
+
+    def test_defaults_of_a_v1_style_frame(self):
+        frame = self.frame()
+        del frame["arrival"], frame["seq"], frame["low"]
+        seq, arrival, low, _record = protocol.data_fields(frame)
+        assert (seq, arrival, low) == (0, 2.5, None)  # arrival = its _ts
+
+    def test_integers_are_numbers(self):
+        _seq, arrival, low, _record = protocol.data_fields(
+            self.frame(arrival=3, low=2)
+        )
+        assert (arrival, low) == (3.0, 2.0)
+        assert type(arrival) is float and type(low) is float
+
+    @pytest.mark.parametrize("key", ["arrival", "low", "_ts"])
+    @pytest.mark.parametrize(
+        "value",
+        ["x", [1.0], {"a": 1}, True, float("nan"), float("inf"),
+         float("-inf"), 10**400],
+        ids=repr,
+    )
+    def test_bad_number_is_a_protocol_error(self, key, value):
+        frame = self.frame()
+        if key == "_ts":
+            frame["record"] = {**frame["record"], "_ts": value}
+        else:
+            frame[key] = value
+        # As it would arrive: json.loads accepts NaN, Infinity, 1e400.
+        (decoded,) = FrameDecoder().feed(encode_frame(frame))
+        with pytest.raises(ProtocolError, match=key):
+            protocol.data_fields(decoded)
+
+    def test_null_arrival_or_timestamp_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="arrival"):
+            protocol.data_fields(self.frame(arrival=None))
+        with pytest.raises(ProtocolError, match="_ts"):
+            protocol.data_fields(self.frame(record={"_ts": None}))
+
+    @pytest.mark.parametrize("seq", ["7", 7.0, None, True, [7]], ids=repr)
+    def test_bad_seq_is_a_protocol_error(self, seq):
+        with pytest.raises(ProtocolError, match="seq"):
+            protocol.data_fields(self.frame(seq=seq))
+
+    @pytest.mark.parametrize("record", [None, [1, 2], "r", 3], ids=repr)
+    def test_bad_record_is_a_protocol_error(self, record):
+        frame = self.frame(record=record)
+        with pytest.raises(ProtocolError, match="record"):
+            protocol.data_fields(frame)
+        del frame["record"]
+        with pytest.raises(ProtocolError, match="record"):
+            protocol.data_fields(frame)
+
+    def test_record_without_a_timestamp_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="_ts"):
+            protocol.data_fields(self.frame(record={"v": 1}))
+
+
 class TestClusterDialect:
     """Round-trips and pinned bytes for the protocol-2 cluster frames."""
 

@@ -131,6 +131,173 @@ class TestReorderProperties:
         assert len(ordered) + dropped == len(pairs)
 
 
+@st.composite
+def promised_traces(draw):
+    """Arrivals in wire order with the sender's exact promises.
+
+    Sense times sit on a coarse grid so equal timestamps are common;
+    ``seq`` is the sense-order rank. Each entry is ``(arrival, tuple,
+    seq, low)`` where ``low`` is the least timestamp among the *later*
+    arrivals (``None`` after the last) — what an honest sender that
+    knows its whole schedule can promise.
+    """
+    n = draw(st.integers(min_value=1, max_value=30))
+    sense = sorted(
+        float(t)
+        for t in draw(
+            st.lists(st.integers(0, 12), min_size=n, max_size=n)
+        )
+    )
+    delays = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    wire = sorted(
+        (ts + delay, seq, tup(ts, seq=seq))
+        for seq, (ts, delay) in enumerate(zip(sense, delays))
+    )
+    entries = []
+    for index, (arrival, seq, item) in enumerate(wire):
+        later = [t.timestamp for _a, _s, t in wire[index + 1:]]
+        entries.append((arrival, item, seq, min(later) if later else None))
+    return entries, max(delays) + 0.01
+
+
+def run_promised(entries, slack, lie_at=None, lie=None):
+    """Push ``entries`` with their promises; returns the buffer, the
+    released tuples and the push index at which each one left."""
+    buffer = ReorderBuffer(slack)
+    out, left_at = [], {}
+    mark = buffer.watermark
+    for index, (arrival, item, seq, low) in enumerate(entries):
+        released = buffer.push(arrival, item, sequence=seq)
+        if index == lie_at:
+            low = lie
+        if low is not None:
+            released += buffer.promise(low)
+            # Everything the promise proves complete has left.
+            assert all(ts >= low - 1e-9 for ts, _s, _i in buffer._heap)
+        assert buffer.watermark >= mark  # monotone
+        mark = buffer.watermark
+        for gone in released:
+            left_at[gone["seq"]] = index
+        out.extend(released)
+    out.extend(buffer.flush())
+    return buffer, out, left_at
+
+
+class TestPromises:
+    """``promise(low)``: the sender moves the horizon, not the next
+    arrival."""
+
+    def test_promise_releases_strictly_below_low_only(self):
+        buffer = ReorderBuffer(slack=10.0)
+        for seq, ts in enumerate((1.0, 2.0, 2.0, 3.0)):
+            assert buffer.push(ts, tup(ts, seq=seq), sequence=seq) == []
+        out = buffer.promise(2.0)
+        # The tuples *at* 2.0 stay: a lower-seq twin may be in flight.
+        assert [t.timestamp for t in out] == [1.0]
+        assert buffer.watermark == pytest.approx(2.0, abs=1e-8)
+        assert buffer.watermark < 2.0
+        assert [t.timestamp for t in buffer.promise(3.0)] == [2.0, 2.0]
+
+    def test_late_twin_at_low_still_leaves_in_seq_order(self):
+        buffer = ReorderBuffer(slack=10.0)
+        buffer.push(0.0, tup(2.0, v="second"), sequence=1)
+        assert buffer.promise(2.0) == []
+        assert buffer.push(0.1, tup(2.0, v="first"), sequence=0) == []
+        out = buffer.promise(2.5)
+        assert [t["v"] for t in out] == ["first", "second"]
+        assert buffer.dropped == 0
+
+    def test_repeated_or_stale_promise_is_a_no_op(self):
+        buffer = ReorderBuffer(slack=10.0)
+        buffer.push(0.0, tup(1.0))
+        buffer.push(0.0, tup(5.0))
+        assert [t.timestamp for t in buffer.promise(3.0)] == [1.0]
+        mark = buffer.watermark
+        assert buffer.promise(3.0) == []
+        assert buffer.promise(-4.0) == []
+        assert buffer.watermark == mark
+        assert buffer.released == 1 and len(buffer) == 1
+
+    def test_arrival_under_own_promise_is_late(self):
+        buffer = ReorderBuffer(slack=10.0)
+        buffer.push(0.0, tup(1.0))
+        buffer.promise(4.0)
+        assert buffer.push(0.5, tup(3.0)) == []  # broke its word
+        assert buffer.dropped == 1
+        assert buffer.push(0.6, tup(4.0)) == []  # at low: admitted
+        assert buffer.dropped == 1
+        assert [t.timestamp for t in buffer.flush()] == [4.0]
+
+    def test_checkpoint_carries_the_promise_with_no_new_field(self):
+        buffer = ReorderBuffer(slack=10.0)
+        buffer.push(0.0, tup(6.0))
+        buffer.promise(5.0)
+        state = buffer.checkpoint()
+        assert sorted(state) == [
+            "dropped", "frontier", "heap", "horizon", "released", "sequence",
+        ]
+        resumed = ReorderBuffer(slack=10.0)
+        resumed.restore(state)
+        assert resumed.watermark == buffer.watermark
+        assert resumed.push(0.1, tup(4.0)) == []  # still under the promise
+        assert resumed.dropped == 1
+
+    @given(promised_traces())
+    @settings(max_examples=120)
+    def test_exact_promises_change_when_not_what(self, trace):
+        """With the sender's exact promises the released sequence is the
+        promise-free one (sufficient slack on both sides), nothing is
+        dropped, equal timestamps leave in ``seq`` order, and no tuple
+        leaves later than it would have without them."""
+        entries, slack = trace
+        plain = [(a, i, s, None) for a, i, s, _low in entries]
+        _buffer, expected, plain_left = run_promised(plain, slack)
+        buffer, out, left_at = run_promised(entries, slack)
+        assert buffer.dropped == 0
+        assert out == expected
+        assert [(t.timestamp, t["seq"]) for t in out] == sorted(
+            (t.timestamp, t["seq"]) for _a, t, _s, _low in entries
+        )
+        never = len(entries)  # left at the final flush
+        assert all(
+            left_at.get(seq, never) <= plain_left.get(seq, never)
+            for _a, _i, seq, _low in entries
+        )
+
+    @given(
+        promised_traces(),
+        st.integers(min_value=0, max_value=29),
+        st.integers(min_value=0, max_value=13),
+    )
+    @settings(max_examples=120)
+    def test_lying_promise_costs_exactly_the_tuples_under_it(
+        self, trace, lie_at, lie
+    ):
+        """A promise the sender then breaks: every later arrival under
+        it is dropped and counted, nothing else is, and the output is
+        still sorted."""
+        entries, slack = trace
+        lie_at %= len(entries)
+        lie += 0.5  # off the timestamp grid: no tolerance-edge cases
+        buffer, out, _left = run_promised(entries, slack, lie_at, lie)
+        under = [
+            item
+            for _a, item, _s, _low in entries[lie_at + 1:]
+            if item.timestamp < lie
+        ]
+        assert buffer.dropped == len(under)
+        assert len(out) + buffer.dropped == len(entries)
+        times = [t.timestamp for t in out]
+        assert times == sorted(times)
+        assert not {t["seq"] for t in out} & {t["seq"] for t in under}
+
+
 class TestDelayModel:
     def test_samples_bounded(self):
         model = DelayModel(mean_delay=2.0, max_delay=10.0, rng=0)
