@@ -844,9 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--checkpoint-interval",
         type=_positive_int,
-        metavar="FRAMES",
-        help="ask each worker for a state checkpoint every FRAMES "
-        "forwarded data frames (off by default; enables bounded-state "
+        metavar="READINGS",
+        help="ask each worker for a state checkpoint every READINGS "
+        "forwarded readings (off by default; enables bounded-state "
         "recovery instead of full-history replay)",
     )
 
@@ -873,14 +873,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.4,
         help="position of the fault trigger within the recording's "
-        "frame count (default: 0.4)",
+        "reading count (default: 0.4)",
     )
     chaos.add_argument(
         "--checkpoint-interval",
         type=_positive_int,
         default=24,
-        metavar="FRAMES",
-        help="worker checkpoint cadence in forwarded frames "
+        metavar="READINGS",
+        help="worker checkpoint cadence in forwarded readings "
         "(default: 24)",
     )
     chaos.add_argument(

@@ -1,10 +1,12 @@
 """Deterministic fault injection for the cluster's wire links.
 
 :class:`ChaosProxy` is a TCP proxy that reads the stream through the
-protocol's own :class:`~repro.net.protocol.FrameReader` just far enough
-to count *frame boundaries* — payloads are never parsed — so faults
-land at scripted, reproducible points in the stream rather than at
-arbitrary byte offsets, however many frames share a TCP segment. Park
+protocol's own :class:`~repro.net.protocol.FrameReader` and counts
+*readings* at frame boundaries — a ``block`` frame advances the count by
+the rows it carries, any other frame by one — so faults land at
+scripted, reproducible points in the stream rather than at arbitrary
+byte offsets, however many frames share a TCP segment and however many
+readings share a frame. Park
 it between the router and a worker (or a feeder and the router) and
 give it a list of :class:`FaultEvent` triggers:
 
@@ -23,10 +25,13 @@ give it a list of :class:`FaultEvent` triggers:
 Triggers are addressed by ``(connection, direction, at_frame)``:
 connections are numbered in accept order (the router opens one worker
 connection per epoch, so connection 0 is epoch 0's link and connection
-1 is the first resume/recovery link), and frames are counted per
-direction within a connection. Because the protocol is a deterministic
-function of the scenario seed, the same schedule hits the same frame
-every run — which is what lets the differential suite assert
+1 is the first resume/recovery link), and the count runs per direction
+within a connection; a fault fires on the frame in which the count
+reaches ``at_frame`` (on a stream of one-reading frames — any v1/v2
+stream — that is simply frame number ``at_frame``). Because the
+protocol is a deterministic function of the scenario seed, the same
+schedule hits the same reading every run (and takes the rest of its
+block with it) — which is what lets the differential suite assert
 crash-then-recover output byte-for-byte against a single-node run.
 
 :func:`chaos_run` is the packaged experiment (also the ``repro chaos``
@@ -38,6 +43,7 @@ reference.
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 from typing import Any
 
@@ -65,8 +71,9 @@ class FaultEvent:
         connection: Accept-order index of the proxied connection the
             fault applies to.
         direction: ``"c2s"`` (client → server) or ``"s2c"``.
-        at_frame: 1-based frame index, counted per direction within
-            the connection, the fault triggers on.
+        at_frame: 1-based position, counted in readings per direction
+            within the connection (a ``block`` frame counts its rows,
+            any other frame one), the fault triggers on.
         keep_bytes: For ``truncate`` — payload bytes forwarded before
             the cut.
         seconds: For ``stall``/``slow`` — the injected delay.
@@ -184,14 +191,16 @@ class ChaosProxy:
                 self._tasks.discard(task)
 
     def _match(
-        self, connection: int, direction: str, frame: int
+        self, connection: int, direction: str, before: int, position: int
     ) -> "FaultEvent | None":
+        """The unfired event the frame that moved the direction's count
+        from ``before`` to ``position`` reaches, if any."""
         for event in self.schedule:
             if (
                 not event.fired
                 and event.connection == connection
                 and event.direction == direction
-                and event.at_frame == frame
+                and before < event.at_frame <= position
             ):
                 event.fired = True
                 self.injected.append(
@@ -199,7 +208,7 @@ class ChaosProxy:
                         "kind": event.kind,
                         "connection": connection,
                         "direction": direction,
-                        "frame": frame,
+                        "frame": position,
                     }
                 )
                 return event
@@ -226,8 +235,9 @@ class ChaosProxy:
                 # close downstream.
                 writer.close()
                 return
-            frames += 1
-            event = self._match(connection, direction, frames)
+            before = frames
+            frames += _readings(payload)
+            event = self._match(connection, direction, before, frames)
             if event is not None:
                 if event.kind == "reset":
                     for side in writers:
@@ -260,6 +270,20 @@ class ChaosProxy:
                 await write_raw_frame(writer, payload)
             except (ConnectionError, OSError):
                 return
+
+
+def _readings(payload: bytes) -> int:
+    """How far a frame advances the proxy's position count: the rows
+    of a ``block``, 1 for any other (or undecodable) frame."""
+    try:
+        frame = json.loads(payload)
+    except ValueError:
+        return 1
+    if isinstance(frame, dict) and frame.get("type") == "block":
+        rows = frame.get("rows")
+        if isinstance(rows, list):
+            return max(1, len(rows))
+    return 1
 
 
 def _latency_stats(values: "list[int]") -> dict[str, Any]:
@@ -324,7 +348,7 @@ async def chaos_run(
     checked against the in-memory reference run.
 
     Faults (all aimed at worker ``w0``; ``fraction`` positions the
-    trigger within the recording's frame count):
+    trigger within the recording's reading count):
 
     - ``kill``     — stop the worker process outright; the supervisor
       respawns it and the router resumes it from its last checkpoint.
@@ -371,7 +395,8 @@ async def chaos_run(
     schedule: list[FaultEvent] = []
     if fault == "reset":
         # Connection 0, client(router)→server(worker): the handshake is
-        # 2 frames, so the cut lands ~`trigger` data frames in.
+        # 2 frames, so the cut lands on the block that carries about
+        # the `trigger`-th reading.
         schedule = [FaultEvent("reset", at_frame=2 + trigger)]
     elif fault == "truncate":
         # Server→client cuts a frame toward the router. That direction

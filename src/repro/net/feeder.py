@@ -5,8 +5,8 @@ a scenario recording (receptor id → sense-time readings), pushes it
 through the :mod:`repro.receptors.network` impairment models — bursty
 loss via a Gilbert–Elliott channel, delivery delay via the truncated
 exponential — and streams the surviving readings to an
-:class:`~repro.net.gateway.IngestGateway` in *arrival* order, each data
-frame stamped with its simulated arrival time and per-source sequence
+:class:`~repro.net.gateway.IngestGateway` in *arrival* order, each
+reading stamped with its simulated arrival time and per-source sequence
 number (the gateway's reorder buffers use both to reconstruct the
 original stream, ties included).
 
@@ -17,11 +17,14 @@ as a whole, so the next one replays the recording from the start),
 credit-gated sending under the gateway's ``block`` policy, optional
 heartbeats, and a clean per-source ``bye`` handshake.
 
-Data frames leave in bursts: the send loop appends encoded frames to
-the connection's :class:`~repro.net.protocol.FrameWriter` and hands the
-socket one write whenever it is about to suspend — a pacing sleep, a
-wait for credits, the end of the recording — so a paced feeder never
-sleeps on an unsent frame and a blocked one has nothing pending.
+Readings leave in bursts, and a burst is one ``block`` frame: the send
+loop appends rows to the connection's
+:class:`~repro.net.protocol.FrameWriter`, which seals them into a frame
+and hands the socket one write whenever the loop is about to suspend —
+a pacing sleep, a wait for credits, the end of the recording — so a
+paced feeder never sleeps on an unsent reading and a blocked one has
+nothing pending. Credits, sequence numbers and the pacing clock stay
+per reading.
 The event-loop primitives (``sleep``, ``clock``) are injectable so the
 test suite replays instantly with a fake clock — no real sleeps.
 """
@@ -179,16 +182,16 @@ class ReplayFeeder:
     def _low_marks(
         schedule: list[tuple[float, str, int, StreamTuple]],
     ) -> "list[float | None]":
-        """The promise each schedule entry's data frame declares.
+        """The promise each schedule entry's row declares.
 
         The schedule is fixed before the first send, so what a live
         receptor can only bound (``timestamp + sample_period``) is
-        exact here: after a frame, the lowest timestamp its source can
-        still send is the least among that source's later entries. One
-        reverse pass finds it. A frame declares it only where that
+        exact here: after a reading, the lowest timestamp its source
+        can still send is the least among that source's later entries.
+        One reverse pass finds it. A row declares it only where that
         tells the gateway something new — its own timestamp lies
         strictly below every later one, which is exactly where the
-        bound rises — and never on a source's last frame (``None``):
+        bound rises — and never on a source's last reading (``None``):
         the ``bye`` says that.
         """
         lows: "list[float | None]" = [None] * len(schedule)
@@ -277,6 +280,13 @@ class ReplayFeeder:
             raise NetError(f"gateway rejected session: {ack.get('reason')}")
         if ack.get("type") != "hello_ack":
             raise NetError(f"expected hello_ack, got {ack.get('type')!r}")
+        if ack.get("version") != protocol.PROTOCOL_VERSION:
+            # Readings leave as block frames, which older dialects lack.
+            raise NetError(
+                f"gateway acknowledged protocol version "
+                f"{ack.get('version')!r}; this feeder speaks "
+                f"{protocol.PROTOCOL_VERSION} only"
+            )
         credits = ack.get("credits")
         self._credits = dict(credits) if credits is not None else None
         self._acked = set()
@@ -347,7 +357,7 @@ class ReplayFeeder:
                     out.flush()
                     await self._sleep(pause)
             await self._acquire_credit(source, out)
-            out.add(protocol.data_frame(source, seq, arrival, item, low))
+            out.add_row(source, seq, arrival, low, item)
             self.sent[source] += 1
             self._count(f"feeder.{source}.sent")
             if out.full:
@@ -365,7 +375,7 @@ class ReplayFeeder:
             self.blocked_waits += 1
             self._count("feeder.blocked_waits")
             self._credit_event.clear()
-            # The credits being waited for answer frames still pending.
+            # The credits being waited for answer rows still pending.
             out.flush()
             await self._credit_event.wait()
         self._credits[source] -= 1

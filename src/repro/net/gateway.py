@@ -15,7 +15,7 @@ maintains:
   be evicted rather than stalling punctuation forever.
 
 **Time.** Two independent axes, never mixed: *simulation* time rides on
-the wire (data frames carry the arrival stamps the feeder's delay model
+the wire (readings carry the arrival stamps the feeder's delay model
 produced; ordering, slack and punctuation all live here), while *wall*
 time exists only for liveness (an injectable ``clock`` so tests never
 sleep). Punctuation advances by the watermark rule: a tick is swept
@@ -23,9 +23,10 @@ only once every non-final source's reorder-buffer watermark has passed
 it, which is exactly the promise that makes the network-fed output
 byte-identical to the in-memory batch run. A source's watermark rises
 on its arrivals (newest arrival less the slack) and on the low
-watermark the source itself declares: a data frame's optional ``low``
-key ("every later frame of this source carries a timestamp ≥ ``low``")
-is applied to the source's buffer right after the frame's own tuple
+watermark the source itself declares: a reading's optional ``low``
+("every later reading of this source carries a timestamp ≥ ``low``" —
+a ``block`` row's cell, a ``data`` frame's key)
+is applied to the source's buffer right after the reading's own tuple
 (:meth:`~repro.streams.reorder.ReorderBuffer.promise`), so a tick is
 swept in the drain that took its last reading instead of waiting for
 the next poll to arrive. A source that declares nothing holds
@@ -104,9 +105,9 @@ async def accept_hello(
     gateway and the cluster router (``role`` names which, for the
     refusal text and the ``<role>.version_mismatch`` /
     ``<role>.bad_hello`` counters bumped through ``count``). Accepts a
-    ``hello`` whose version is in
+    ``hello`` whose version is an integer in
     :data:`~repro.net.protocol.SUPPORTED_VERSIONS` and whose sources
-    are a non-empty subset of ``expected``.
+    are a list of strings, a non-empty subset of ``expected``.
 
     Returns:
         ``(sources, version)`` when accepted; ``None`` on EOF or after
@@ -121,7 +122,7 @@ async def accept_hello(
         )
         return None
     version = frame.get("version")
-    if version not in protocol.SUPPORTED_VERSIONS:
+    if type(version) is not int or version not in protocol.SUPPORTED_VERSIONS:
         count(f"{role}.version_mismatch")
         await protocol.bail(
             writer,
@@ -129,15 +130,17 @@ async def accept_hello(
             f"speaks {sorted(protocol.SUPPORTED_VERSIONS)}",
         )
         return None
-    names = frame.get("sources") or []
-    unknown = [n for n in names if n not in expected]
-    if unknown or not names:
+    try:
+        names = protocol.source_names(frame)
+        unknown = [n for n in names if n not in expected]
+        if unknown or not names:
+            raise ProtocolError(
+                f"unknown sources {unknown!r}; expected a non-empty "
+                f"subset of {list(expected)!r}"
+            )
+    except ProtocolError as error:
         count(f"{role}.bad_hello")
-        await protocol.bail(
-            writer,
-            f"unknown sources {unknown!r}; expected a non-empty subset "
-            f"of {list(expected)!r}",
-        )
+        await protocol.bail(writer, str(error))
         return None
     return names, version
 
@@ -271,23 +274,24 @@ class IngestGateway:
     ) -> None:
         owned: list[_SourceState] = []
         try:
-            owned = await self._handshake(reader, writer)
-            if owned is None:
+            opened = await self._handshake(reader, writer)
+            if opened is None:
                 return
-            await self._serve_frames(reader, writer, owned)
+            owned, version = opened
+            await self._serve_frames(reader, writer, owned, version)
         except ProtocolError as error:
             await protocol.bail(writer, str(error))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished; liveness eviction covers the fallout
         finally:
-            for state in owned or ():
+            for state in owned:
                 if state.owner is writer:
                     state.owner = None
             writer.close()
 
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> "list[_SourceState] | None":
+    ) -> "tuple[list[_SourceState], int] | None":
         hello = await accept_hello(
             reader, writer, self._expected, "gateway", self._count
         )
@@ -305,7 +309,7 @@ class IngestGateway:
         # Echo the client's (accepted) version so a v1 feeder keeps
         # seeing the dialect it asked for.
         await write_frame(writer, protocol.hello_ack(credits, version))
-        return owned
+        return owned, version
 
     def _adopt(
         self,
@@ -358,6 +362,7 @@ class IngestGateway:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         owned: list[_SourceState],
+        version: int,
     ) -> None:
         states = {state.name: state for state in owned}
         frames = FrameReader(reader)
@@ -368,41 +373,20 @@ class IngestGateway:
                 # may reconnect, or liveness eviction will finish it.
                 return
             kind = frame.get("type")
-            if kind == "data":
-                state = states.get(frame.get("source"))
-                if state is None:
-                    raise ProtocolError(
-                        f"data frame for source {frame.get('source')!r} "
-                        f"not declared in this connection's hello"
-                    )
-                state.last_seen = self._clock()
-                seq, arrival, low, record = protocol.data_fields(frame)
-                item = protocol.record_to_tuple(record)
-                trace = None
-                ctx = frame.get("trace")
-                if self._collector.enabled or ctx is not None:
-                    self._ingest_seq += 1
-                    trace = IngestTrace(
-                        self._ingest_seq, state.name, item.timestamp
-                    )
-                    if ctx is not None:
-                        # Cluster hop context stamped by a tracing
-                        # router; t_ingest doubles as the worker-clock
-                        # receive stamp for the wire.transit span.
-                        trace.ctx = ctx
-                # The promise rides behind its tuple: an overload policy
-                # that sheds the entry sheds the promise with it.
-                await self._offer(state, (seq, arrival, item, trace, low))
+            rows = protocol.frame_rows(frame, version)
+            if rows is not None:
+                await self._take_rows(states, rows)
             elif kind == "heartbeat":
                 now = self._clock()
-                for name in frame.get("sources") or states:
+                for name in protocol.source_names(frame) or states:
                     if name in states:
                         states[name].last_seen = now
             elif kind == "bye":
-                state = states.get(frame.get("source"))
+                source = protocol.source_name(frame)
+                state = states.get(source)
                 if state is None:
                     raise ProtocolError(
-                        f"bye for source {frame.get('source')!r} not owned "
+                        f"bye for source {source!r} not owned "
                         f"by this connection"
                     )
                 state.final_requested = True
@@ -410,6 +394,47 @@ class IngestGateway:
                 await write_frame(writer, protocol.bye_ack(state.name))
             elif not await self._handle_extra(frame, writer, states):
                 raise ProtocolError(f"unexpected frame type {kind!r}")
+
+    async def _take_rows(
+        self, states: dict[str, _SourceState], rows: Iterable[tuple]
+    ) -> None:
+        """Queue readings as they came off the wire — the rows of a
+        ``block`` frame, or a ``data`` frame as the one row it spells
+        (entries as :func:`repro.net.protocol.block_rows` yields them).
+
+        Raises:
+            ProtocolError: A malformed row, or one for a source this
+                connection's hello did not declare; the rows ahead of
+                it are queued.
+        """
+        now = self._clock()
+        tracing = self._collector.enabled
+        try:
+            for source, seq, arrival, low, item, ctx in rows:
+                state = states.get(source)
+                if state is None:
+                    raise ProtocolError(
+                        f"reading for source {source!r} not declared "
+                        f"in this connection's hello"
+                    )
+                state.last_seen = now
+                trace = None
+                if tracing or ctx is not None:
+                    self._ingest_seq += 1
+                    # Under a cluster hop context (stamped by a tracing
+                    # router) t_ingest doubles as the worker-clock
+                    # receive stamp for the wire.transit span.
+                    trace = IngestTrace(
+                        self._ingest_seq, source, item.timestamp
+                    )
+                    trace.ctx = ctx
+                # The promise rides behind its tuple: an overload policy
+                # that sheds the entry sheds the promise with it.
+                entry = (seq, arrival, item, trace, low)
+                if state.queue.offer(entry) == BLOCKED:
+                    await self._wait_for_room(state, entry)
+        finally:
+            self._work.set()
 
     async def _handle_extra(
         self,
@@ -425,19 +450,20 @@ class IngestGateway:
         """
         return False
 
-    async def _offer(self, state: _SourceState, entry: tuple) -> None:
+    async def _wait_for_room(self, state: _SourceState, entry: tuple) -> None:
+        """Queue ``entry`` once the drain has made room for it.
+
+        Queue full under the block policy (a well-behaved sender never
+        gets here — credits stop it first). Stalling this read loop is
+        the enforcement: TCP backpressure reaches a sender that ignores
+        credits.
+        """
         while True:
-            outcome = state.queue.offer(entry)
-            if outcome != BLOCKED:
-                break
-            # Queue full under the block policy (a well-behaved sender
-            # never gets here — credits stop it first). Stalling this
-            # read loop is the enforcement: TCP backpressure reaches a
-            # sender that ignores credits.
             state.space.clear()
             self._work.set()
             await state.space.wait()
-        self._work.set()
+            if state.queue.offer(entry) != BLOCKED:
+                return
 
     # -- draining into the pipeline ------------------------------------------
 

@@ -516,7 +516,7 @@ def format_top(
         if epoch is not None:
             lines.append(
                 f"cluster: epoch {epoch}, "
-                f"{gateway.get('data_frames', 0)} frames routed on "
+                f"{gateway.get('data_frames', 0)} readings routed on "
                 f"{gateway.get('shard_key', '?')!r}"
             )
         lines.append(

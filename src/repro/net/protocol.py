@@ -16,25 +16,44 @@ hello       client →   opens a session: protocol ``version`` plus the
 hello_ack   → client   accepts: negotiated ``version`` and, under the
                        ``block`` overload policy, the initial per-source
                        ``credits`` (``null`` means uncredited)
-data        client →   one reading: ``source``, per-source ``seq``,
+block       client →   a burst of readings (protocol ≥ 3; what every
+                       sender in this package emits): ``schemas``, a
+                       list of field-name lists, and ``rows``, one
+                       positional array per reading (layout below);
+                       a tracing router adds ``traces``, one
+                       ``[id, recv, acq, fwd, replayed]`` array per row
+                       (ingest id, integer-ns hop stamps, 0/1 flag) —
+                       feeders never send one
+data        client →   the one-row spelling of ``block`` that v1/v2
+                       peers send: ``source``, per-source ``seq``,
                        simulated ``arrival`` time, and the ``record``
                        (:func:`tuple_to_record` encoding); optionally
-                       ``low``, the sender's promise that every later
-                       frame of this ``source`` carries a record
-                       timestamp ≥ ``low`` (omitted when there is
-                       nothing new to promise; a peer that predates the
-                       key ignores it); a tracing
-                       router adds a ``trace`` context (ingest ``id``,
-                       integer-ns ``recv``/``acq``/``fwd`` hop stamps,
-                       ``replayed`` flag) before forwarding — feeders
-                       never send one
+                       ``low`` (omitted when there is nothing new to
+                       promise; a peer that predates the key ignores
+                       it)
 heartbeat   client →   liveness signal for ``sources`` between readings
-credit      → client   grants ``credits`` more in-flight frames for
+credit      → client   grants ``credits`` more in-flight readings for
                        ``source`` (backpressure release)
 error       → client   terminal protocol failure; ``reason`` explains
 bye         client →   no more data for ``source`` (clean close)
 bye_ack     → client   acknowledges the ``bye`` for ``source``
 =========== ========== =================================================
+
+A ``block`` row is ``[k, source, seq, arrival, low, timestamp, stream,
+*values]``: ``k`` indexes ``schemas`` and ``values`` are the reading's
+field values in that schema's order, so ``dict(zip(schemas[k], values))``
+rebuilds the reading's mapping exactly. A schema is simply the field
+order of the readings that use it — receptors of different kinds share a
+block, each under its own schema, and no field name is reserved (a
+``data`` record keeps its timestamp and stream under ``_ts`` /
+``_stream``, so a field of that name cannot travel in one:
+:func:`tuple_to_record` refuses it). ``source``, ``seq`` and ``arrival``
+are a ``data`` frame's; ``low`` is the sender's promise that every later
+reading of ``source`` carries a timestamp ≥ ``low`` (``null`` when there
+is nothing new to promise), and it takes effect right after its own row.
+Rows are validated one by one with the rules of :func:`data_fields`
+(:func:`block_rows`); flow control, sequence numbers and every counter
+stay per reading — a block is framing, not a unit of delivery.
 
 Version 2 adds the cluster dialect spoken between the front-tier router
 and its workers (:mod:`repro.net.router` / :mod:`repro.net.worker`). A
@@ -84,21 +103,33 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from itertools import repeat
 from math import isfinite
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import FrameTruncated, ProtocolError
-from repro.streams.traceio import STREAM_COLUMN, TIMESTAMP_COLUMN
+from repro.streams.traceio import (
+    STREAM_COLUMN,
+    TIMESTAMP_COLUMN,
+    has_reserved_column,
+)
 from repro.streams.tuples import StreamTuple
 
 #: Protocol revision spoken by this build. Version 2 added the cluster
-#: dialect (worker_hello/route/drain/result frames); the data-plane
-#: frames are unchanged from version 1, so v1 feeders still work.
-PROTOCOL_VERSION = 2
+#: dialect (worker_hello/route/drain/result frames), version 3 the
+#: ``block`` frame; every v1/v2 frame is unchanged, so v1 and v2 feeders
+#: still work.
+PROTOCOL_VERSION = 3
 
 #: Protocol revisions a server accepts in a ``hello``; the ``hello_ack``
 #: echoes the client's version so both sides speak the older dialect.
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (1, 2, 3)
+
+#: First revision whose connections may carry ``block`` frames.
+BLOCK_VERSION = 3
+
+#: Rows after which a :class:`FrameWriter` seals its pending block.
+BLOCK_ROWS = 256
 
 #: Default upper bound on a single frame's JSON payload, in bytes. A
 #: length prefix above this is treated as a framing error rather than an
@@ -118,9 +149,13 @@ HEADER_BYTES = _HEADER.size
 BURST_BYTES = 64 << 10
 
 
+def _dumps(frame: Mapping[str, Any]) -> bytes:
+    return json.dumps(frame, sort_keys=True).encode("utf-8")
+
+
 def encode_frame(frame: Mapping[str, Any]) -> bytes:
     """Serialize one frame: 4-byte big-endian length + JSON payload."""
-    payload = json.dumps(frame, sort_keys=True).encode("utf-8")
+    payload = _dumps(frame)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -289,7 +324,7 @@ class FrameReader:
         chunk: Bytes asked of the socket per read. ``None`` asks only
             for what the frame in progress still lacks, leaving every
             later byte in ``reader`` — what the one-shot
-            :func:`read_frame` helpers need.
+            :func:`read_frame` helper needs.
         before_wait: Called each time no buffered frame is left and
             the socket is about to be awaited — the end of a burst,
             where a serve loop's flush rule applies (see
@@ -343,12 +378,6 @@ class FrameReader:
         payload = await self.read_payload()
         return None if payload is None else _parse_payload(payload)
 
-    async def read_frame_raw(self) -> "tuple[dict[str, Any], bytes] | None":
-        """:meth:`read_frame` with the raw payload beside the parsed
-        frame — ``(frame, payload)`` — for a tier that relays it."""
-        payload = await self.read_payload()
-        return None if payload is None else (_parse_payload(payload), payload)
-
 
 class FrameWriter:
     """One connection's outbound frames, written a burst at a time.
@@ -356,6 +385,9 @@ class FrameWriter:
     Frames join an ordered pending list and reach the transport as one
     ``write`` per burst, so a loop that forwards a whole socket read's
     worth of frames pays one ``send`` syscall, not one per frame.
+    Readings (:meth:`add_row`) go further: they wait as rows and are
+    *sealed* into one ``block`` frame, so a burst of readings is one
+    frame too.
 
     **The flush rule** every user follows: pending bytes are written
     before the task awaits anything that can suspend it, before
@@ -364,24 +396,50 @@ class FrameWriter:
     Coalescing therefore adds at most "until the current task next
     suspends" to a frame, and the list is empty whenever another task
     runs: frames from several tasks on one connection keep the order
-    in which they were added.
+    in which they were added. Pending rows are sealed by the same
+    events — :meth:`flush`, :meth:`drain`, :meth:`close` — and by
+    an :meth:`add` of another frame (wire order is the order of
+    ``add`` / ``add_row`` calls), and at :data:`BLOCK_ROWS` rows.
     """
 
-    __slots__ = ("_writer", "_pending", "_size")
+    __slots__ = ("_writer", "_pending", "_size", "_rows")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
         self._pending: list[bytes] = []
         self._size = 0
+        self._rows: list[tuple] = []
 
     def add(self, frame: Mapping[str, Any]) -> None:
         """Encode ``frame`` and give it the next place in wire order."""
+        self._seal()
         self._add(encode_frame(frame))
 
-    def add_payload(self, payload: bytes) -> None:
-        """:meth:`add` for an already-encoded JSON payload (verbatim
-        relay: the router's hot path never re-encodes)."""
-        self._add(frame_bytes(payload))
+    def add_row(
+        self,
+        source: str,
+        seq: int,
+        arrival: float,
+        low: "float | None",
+        item: StreamTuple,
+        trace: "list[int] | None" = None,
+    ) -> None:
+        """Give one reading the next place in wire order, as the next
+        row of the pending block (:func:`block_frame` has the layout).
+
+        Raises:
+            ProtocolError: When this row seals the block and a single
+                row of it exceeds :data:`MAX_FRAME_BYTES`.
+        """
+        rows = self._rows
+        rows.append((source, seq, arrival, low, item, trace))
+        if len(rows) >= BLOCK_ROWS:
+            self._seal()
+
+    def _seal(self) -> None:
+        if self._rows:
+            rows, self._rows = self._rows, []
+            self._add(encode_block(rows))
 
     def _add(self, data: bytes) -> None:
         self._pending.append(data)
@@ -389,11 +447,12 @@ class FrameWriter:
 
     @property
     def full(self) -> bool:
-        """Pending bytes have passed :data:`BURST_BYTES`: :meth:`drain`."""
+        """Sealed bytes have passed :data:`BURST_BYTES`: :meth:`drain`."""
         return self._size > BURST_BYTES
 
     def flush(self) -> None:
         """Hand every pending frame to the transport in one write."""
+        self._seal()
         if self._pending:
             self._writer.write(b"".join(self._pending))
             self._pending.clear()
@@ -415,32 +474,15 @@ async def read_frame(
 ) -> "dict[str, Any] | None":
     """Read one frame from ``reader``; ``None`` on clean EOF.
 
-    Raises:
-        ProtocolError: On a truncated frame, oversized length, or
-            undecodable payload.
-    """
-    result = await read_frame_raw(reader, max_frame_bytes)
-    return None if result is None else result[0]
-
-
-async def read_frame_raw(
-    reader: asyncio.StreamReader, max_frame_bytes: int = MAX_FRAME_BYTES
-) -> "tuple[dict[str, Any], bytes] | None":
-    """Read one frame, returning ``(frame, payload_bytes)``.
-
-    The raw JSON payload (without the length header) lets a forwarding
-    tier relay the frame verbatim via :func:`write_raw_frame` without
-    paying to re-encode it. Consumes exactly the frame's bytes: what
-    follows stays in ``reader`` for the next call, or for the
-    :class:`FrameReader` a serve loop opens after its handshake.
+    Consumes exactly the frame's bytes: what follows stays in
+    ``reader`` for the next call, or for the :class:`FrameReader` a
+    serve loop opens after its handshake.
 
     Raises:
         ProtocolError: On a truncated frame, oversized length, or
             undecodable payload.
     """
-    return await FrameReader(
-        reader, max_frame_bytes, chunk=None
-    ).read_frame_raw()
+    return await FrameReader(reader, max_frame_bytes, chunk=None).read_frame()
 
 
 async def write_frame(
@@ -499,8 +541,10 @@ def data_frame(
 ) -> dict:
     """One reading: who sent it, its rank, and when it 'arrived'.
 
-    ``low`` is the sender's promise that every later frame of
-    ``source`` carries a record timestamp of at least that (see
+    The one-row spelling of a ``block`` (:func:`block_frame`), which
+    v1/v2 peers send; nothing in this package does. ``low`` is the
+    sender's promise that every later reading of
+    ``source`` carries a timestamp of at least that (see
     :meth:`repro.streams.reorder.ReorderBuffer.promise`). The key is
     omitted entirely without one, so the wire bytes of a plain ``data``
     frame are unchanged.
@@ -517,7 +561,7 @@ def data_frame(
     return frame
 
 
-def _finite(frame: Mapping[str, Any], key: str, value: Any) -> float:
+def _finite(where: str, source: Any, key: str, value: Any) -> float:
     """``value`` as a float, if it is a finite JSON number."""
     kind = type(value)
     if kind is float:
@@ -529,7 +573,7 @@ def _finite(frame: Mapping[str, Any], key: str, value: Any) -> float:
         except OverflowError:
             pass
     raise ProtocolError(
-        f"data frame for source {frame.get('source')!r} carries "
+        f"{where} for source {source!r:.40} carries "
         f"{key}={value!r:.40}; expected a finite number"
     )
 
@@ -539,38 +583,283 @@ def data_fields(
 ) -> "tuple[int, float, float | None, dict[str, Any]]":
     """Validate a received ``data`` frame; ``(seq, arrival, low, record)``.
 
-    The one place a front door (gateway or router) turns a peer's
-    numbers into floats: ``seq`` must be an integer, ``arrival``,
-    ``low`` and the record's timestamp column finite numbers
-    (``json.loads`` accepts ``NaN`` and ``Infinity``, and a non-finite
-    stamp would poison a watermark), and ``record`` an object. An
-    absent ``arrival`` (a v1-style frame) defaults to the record's
-    timestamp, an absent ``seq`` to 0; an absent or ``null`` ``low``
-    is no promise (``None``).
+    The rules a front door (gateway or router) reads a peer's numbers
+    by, here for the ``data`` spelling and in :func:`block_rows` for a
+    ``block``'s rows: ``seq`` must be an integer, ``arrival``, ``low``
+    and the record's timestamp column finite numbers (``json.loads``
+    accepts ``NaN`` and ``Infinity``, and a non-finite stamp would
+    poison a watermark), and ``record`` an object. An absent
+    ``arrival`` (a v1-style frame) defaults to the record's timestamp,
+    an absent ``seq`` to 0; an absent or ``null`` ``low`` is no promise
+    (``None``).
 
     Raises:
         ProtocolError: On any wrong-shaped or non-finite field.
     """
+    source = frame.get("source")
     record = frame.get("record")
     if type(record) is not dict:
         raise ProtocolError(
-            f"data frame for source {frame.get('source')!r} carries a "
+            f"data frame for source {source!r:.40} carries a "
             f"record that is not an object: {record!r:.40}"
         )
     timestamp = _finite(
-        frame, TIMESTAMP_COLUMN, record.get(TIMESTAMP_COLUMN)
+        "data frame", source, TIMESTAMP_COLUMN, record.get(TIMESTAMP_COLUMN)
     )
     seq = frame.get("seq", 0)
     if type(seq) is not int:
         raise ProtocolError(
-            f"data frame for source {frame.get('source')!r} carries "
+            f"data frame for source {source!r:.40} carries "
             f"seq={seq!r:.40}; expected an integer"
         )
-    arrival = _finite(frame, "arrival", frame.get("arrival", timestamp))
+    arrival = _finite(
+        "data frame", source, "arrival", frame.get("arrival", timestamp)
+    )
     low = frame.get("low")
     if low is not None:
-        low = _finite(frame, "low", low)
+        low = _finite("data frame", source, "low", low)
     return seq, arrival, low, record
+
+
+def data_row(frame: Mapping[str, Any]) -> tuple:
+    """A received ``data`` frame as the one-row ``block`` it spells:
+    the same entry :func:`block_rows` yields, so a front door has one
+    per-reading handler whichever frame a peer sent.
+
+    Raises:
+        ProtocolError: As :func:`data_fields`, or a ``source`` that is
+            not a string.
+    """
+    source = source_name(frame)
+    seq, arrival, low, record = data_fields(frame)
+    return source, seq, arrival, low, record_to_tuple(record), None
+
+
+def block_frame(entries: Iterable[tuple]) -> dict:
+    """A burst of readings as one frame.
+
+    ``entries`` are ``(source, seq, arrival, low, item, trace)``:
+    the fields of :func:`data_frame` (``low`` is ``None`` without a
+    promise) and ``trace``, ``None`` or a tracing router's positional
+    ``[id, recv, acq, fwd, replayed]`` context — for every entry or for
+    none. Each becomes the row ``[k, source, seq, arrival, low,
+    timestamp, stream, *values]`` under ``schemas[k]``, the item's own
+    field order; schemas are numbered in order of first use.
+    """
+    index: dict[tuple, int] = {}
+    rows: list[list] = []
+    traces: list = []
+    for source, seq, arrival, low, item, trace in entries:
+        # The tuple's own mapping, read in place (as the column
+        # encoder does): a copy per reading is what a block avoids.
+        values = item._values
+        schema = tuple(values)
+        k = index.get(schema)
+        if k is None:
+            k = index[schema] = len(index)
+        rows.append([
+            k, source, seq, arrival, low, item.timestamp, item.stream,
+            *values.values(),
+        ])
+        if trace is not None:
+            traces.append(trace)
+    frame = {
+        "type": "block",
+        "schemas": [list(schema) for schema in index],
+        "rows": rows,
+    }
+    if traces:
+        if len(traces) != len(rows):
+            raise ProtocolError(
+                f"block of {len(rows)} rows carries {len(traces)} trace "
+                f"contexts; expected one per row or none"
+            )
+        frame["traces"] = traces
+    return frame
+
+
+def encode_block(entries: "Sequence[tuple]") -> bytes:
+    """Serialize ``entries`` (:func:`block_frame`) as one ``block``
+    frame — or, when that would exceed :data:`MAX_FRAME_BYTES`, as the
+    frames of its two halves, in order.
+
+    Raises:
+        ProtocolError: When a single row exceeds the limit.
+    """
+    payload = _dumps(block_frame(entries))
+    if len(payload) <= MAX_FRAME_BYTES:
+        return frame_bytes(payload)
+    if len(entries) == 1:
+        raise ProtocolError(
+            f"block row of {len(payload)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    half = len(entries) // 2
+    return encode_block(entries[:half]) + encode_block(entries[half:])
+
+
+#: Cell types of a row's ``traces`` entry.
+_TRACE_CELLS = [int] * 5
+
+
+def block_rows(frame: Mapping[str, Any]) -> "Iterator[tuple]":
+    """Validate a received ``block`` frame row by row; yields the
+    entries :func:`block_frame` took — ``(source, seq, arrival, low,
+    item, trace)`` — as each row passes.
+
+    The rules are :func:`data_fields`' own: ``seq`` an integer,
+    ``arrival`` / ``timestamp`` / ``low`` finite numbers (``low`` may be
+    ``null``), ``source`` and ``stream`` strings; beyond them ``k`` must
+    index ``schemas``, a row be as wide as its schema, schema names be
+    distinct strings, and ``traces`` (when present) hold one array of
+    five integers per row. Field *values* are the reading's own and are
+    not inspected. Rows ahead of a malformed one are yielded first, as
+    frames ahead of a malformed frame are served first.
+
+    Raises:
+        ProtocolError: On the first violation, naming the row.
+    """
+    schemas = frame.get("schemas")
+    rows = frame.get("rows")
+    traces = frame.get("traces")
+    if type(schemas) is not list or type(rows) is not list:
+        raise ProtocolError(
+            f"block frame needs 'schemas' and 'rows' lists, got "
+            f"{schemas!r:.40} and {rows!r:.40}"
+        )
+    for schema in schemas:
+        if (
+            type(schema) is not list
+            or any(type(name) is not str for name in schema)
+            or len(set(schema)) != len(schema)
+        ):
+            raise ProtocolError(
+                f"block schema {schema!r:.60} is not a list of distinct "
+                f"field names"
+            )
+    if traces is None:
+        traces = repeat(None)
+    elif type(traces) is not list or len(traces) != len(rows):
+        raise ProtocolError(
+            f"block frame of {len(rows)} rows carries traces "
+            f"{traces!r:.40}; expected one per row"
+        )
+    count = len(schemas)
+    from_parts = StreamTuple._from_parts
+    for index, (row, trace) in enumerate(zip(rows, traces)):
+        if type(row) is not list or len(row) < 7:
+            raise ProtocolError(
+                f"block row {index} is not a list of at least 7 cells: "
+                f"{row!r:.60}"
+            )
+        k, source, seq, arrival, low, timestamp, stream, *cells = row
+        if type(source) is not str or type(stream) is not str:
+            raise ProtocolError(
+                f"block row {index} names source {source!r:.40} and "
+                f"stream {stream!r:.40}; expected strings"
+            )
+        if type(k) is not int or not 0 <= k < count:
+            raise ProtocolError(
+                f"block row {index} for source {source!r:.40} carries "
+                f"k={k!r:.40}; expected an index into {count} schemas"
+            )
+        if type(seq) is not int:
+            raise ProtocolError(
+                f"block row {index} for source {source!r:.40} carries "
+                f"seq={seq!r:.40}; expected an integer"
+            )
+        if not (
+            type(arrival) is float
+            and type(timestamp) is float
+            and isfinite(arrival)
+            and isfinite(timestamp)
+            and (low is None or (type(low) is float and isfinite(low)))
+        ):
+            # Integers are numbers too; anything else names its field.
+            where = f"block row {index}"
+            arrival = _finite(where, source, "arrival", arrival)
+            timestamp = _finite(where, source, "timestamp", timestamp)
+            if low is not None:
+                low = _finite(where, source, "low", low)
+        schema = schemas[k]
+        if len(cells) != len(schema):
+            raise ProtocolError(
+                f"block row {index} for source {source!r:.40} carries "
+                f"{len(cells)} values under a schema of {len(schema)}"
+            )
+        if trace is not None and (
+            type(trace) is not list
+            or [type(cell) for cell in trace] != _TRACE_CELLS
+        ):
+            raise ProtocolError(
+                f"block row {index} carries trace {trace!r:.60}; "
+                f"expected [id, recv, acq, fwd, replayed] integers"
+            )
+        yield (
+            source, seq, arrival, low,
+            from_parts(timestamp, dict(zip(schema, cells)), stream), trace,
+        )
+
+
+def frame_rows(
+    frame: Mapping[str, Any], version: int
+) -> "Iterable[tuple] | None":
+    """The readings ``frame`` carries, as :func:`block_rows` entries —
+    a ``block``'s rows, a ``data`` frame's one (:func:`data_row`) —
+    or ``None`` for a frame of any other type. What a front door hands
+    its one per-reading handler, whichever spelling the peer sent.
+
+    Raises:
+        ProtocolError: A ``block`` on a connection whose handshake
+            negotiated a ``version`` below :data:`BLOCK_VERSION`; a
+            malformed ``data`` frame (a ``block``'s rows are checked
+            as they are iterated).
+    """
+    kind = frame.get("type")
+    if kind == "block":
+        if version < BLOCK_VERSION:
+            raise ProtocolError(
+                f"block frame on a connection that negotiated protocol "
+                f"{version}; blocks need {BLOCK_VERSION}"
+            )
+        return block_rows(frame)
+    if kind == "data":
+        return (data_row(frame),)
+    return None
+
+
+def source_name(frame: Mapping[str, Any]) -> str:
+    """The ``source`` a ``data`` or ``bye`` frame names.
+
+    Raises:
+        ProtocolError: Unless it is a string — checked before a front
+            door uses it as a key.
+    """
+    source = frame.get("source")
+    if type(source) is not str:
+        raise ProtocolError(
+            f"{frame.get('type')} frame names source {source!r:.40}; "
+            f"expected a string"
+        )
+    return source
+
+
+def source_names(frame: Mapping[str, Any]) -> "list[str]":
+    """The ``sources`` a ``hello`` or ``heartbeat`` frame lists
+    (absent or ``null``: none).
+
+    Raises:
+        ProtocolError: Unless they are a list of strings.
+    """
+    names = frame.get("sources")
+    if names is None:
+        return []
+    if type(names) is not list or any(type(n) is not str for n in names):
+        raise ProtocolError(
+            f"{frame.get('type')} frame lists sources {names!r:.60}; "
+            f"expected a list of strings"
+        )
+    return names
 
 
 def heartbeat(sources: Iterable[str]) -> dict:
@@ -579,7 +868,7 @@ def heartbeat(sources: Iterable[str]) -> dict:
 
 
 def credit_frame(source: str, credits: int) -> dict:
-    """Grant ``credits`` more in-flight data frames for ``source``."""
+    """Grant ``credits`` more in-flight readings for ``source``."""
     return {"type": "credit", "source": source, "credits": int(credits)}
 
 
@@ -645,7 +934,7 @@ def result(
     """Cleaned output for one punctuation tick index of ``epoch``.
 
     ``spans`` carries the tick's completed hop-span records when the
-    cluster trace context is live (see the ``trace`` field on data
+    cluster trace context is live (see ``traces`` on ``block``
     frames): positional arrays ``[ingest_id, source, sim_ts, recv,
     acq, fwd, wrecv, queued, released, done, replayed]`` — the trace
     context's router stamps, then the worker-clock stamps, all integer
@@ -691,9 +980,9 @@ def checkpoint(checkpoint_id: int) -> dict:
     """Router→worker: snapshot your operator state *now*.
 
     TCP FIFO makes the cut exact: the worker has received precisely the
-    data frames the router sent before this frame, so the positions the
-    router recorded at send time name the first frame *not* covered by
-    the snapshot. The worker quiesces (drains its ingress queues into
+    readings the router sent before this frame, so the positions the
+    router recorded at send time name the first reading *not* covered
+    by the snapshot. The worker quiesces (drains its ingress queues into
     the session), ships ``result`` frames for any newly swept ticks,
     then answers with :func:`checkpoint_ack`.
     """
@@ -752,7 +1041,19 @@ def resume(
 
 
 def tuple_to_record(item: StreamTuple) -> dict[str, Any]:
-    """Encode a tuple as the traceio JSONL record convention."""
+    """Encode a tuple as the traceio JSONL record convention.
+
+    Raises:
+        ProtocolError: When the tuple has a field named like a reserved
+            column: in a record it would overwrite the tuple's own
+            timestamp or stream (``block`` rows reserve no name).
+    """
+    if has_reserved_column(item):
+        raise ProtocolError(
+            f"tuple from stream {item.stream!r} has a field named "
+            f"{TIMESTAMP_COLUMN!r} or {STREAM_COLUMN!r}, which a record "
+            f"reserves for the tuple's own timestamp and stream"
+        )
     return {
         TIMESTAMP_COLUMN: item.timestamp,
         STREAM_COLUMN: item.stream,

@@ -2,23 +2,25 @@
 
 :class:`ClusterRouter` accepts ordinary feeder connections — the exact
 versioned wire protocol a standalone gateway speaks, so every existing
-feeder works unchanged — and forwards each data frame to the worker
+feeder works unchanged — and forwards each reading to the worker
 owning its *shard key* on a consistent-hash ring
 (:class:`repro.net.ring.HashRing`). The shard key is the scenario's
 batch-sharding key (:attr:`repro.net.service.ScenarioBundle.shard_key`),
 so keys whose tuples must share stateful pipeline stages always land on
-one worker. Forwarding relays the frame's raw JSON payload verbatim
-(:meth:`repro.net.protocol.FrameWriter.add_payload`) — the router's hot
-path never re-encodes.
+one worker. A reading arrives as a row of a feeder's ``block`` frame (or
+as a v1/v2 feeder's ``data`` frame, its one-row spelling), is validated
+and retained decoded, and leaves as a row of the owning link's next
+block (:meth:`repro.net.protocol.FrameWriter.add_row`): an inbound burst
+is re-blocked per link, never re-framed per reading.
 
 **Bursts.** Whatever one socket read delivered is served as one burst:
-forwarded frames join their link's ordered pending list
+forwarded readings join their link's ordered pending list
 (:class:`~repro.net.protocol.FrameWriter`) and the feeder credits they
-earn are added up per source, and both reach their sockets — one write
-per link, one ``credit`` frame per source — when the serving task is
-about to suspend: no decoded frame left, a closed rebalance gate, a
-worker with no credit in hand (``_flush``). Nothing stays pending, and
-no credit stays owed, while another task runs.
+earn are added up per source, and both reach their sockets — one block
+and one write per link, one ``credit`` frame per source — when the
+serving task is about to suspend: no decoded frame left, a closed
+rebalance gate, a worker with no credit in hand (``_flush``). Nothing
+stays pending, and no credit stays owed, while another task runs.
 
 **Epochs and rebalance.** Worker membership is versioned by *epoch*.
 Every membership change (join or leave) runs the same handoff:
@@ -36,7 +38,7 @@ Every membership change (join or leave) runs the same handoff:
    flush, punctuation swept to the end, per-tick results shipped back.
    Only ticks in ``[epoch start, B)`` will be taken from this epoch.
 4. **Remap + replay** — the ring is rebuilt over the new membership
-   and the router replays its retained input history (every data frame
+   and the router replays its retained input history (every reading
    since the run began, per source in arrival order) to the new
    epoch's fresh sessions, followed by byes for already-final sources.
    Ticks from ``B`` on will be taken from the new epoch, whose workers
@@ -58,7 +60,7 @@ gate, quiesces in-flight forwards (blocked forwards to the dead link
 abort and still return their feeder credit), and recovers in order of
 preference: *resume* (reconnect to the same address, or a
 :class:`~repro.net.recovery.WorkerSupervisor` respawn, shipping the
-checkpoint blob plus only the post-checkpoint frame tail), else
+checkpoint blob plus only the post-checkpoint tail of readings), else
 *failover* (close the epoch at a boundary clamped to what the dead
 worker's checkpoint actually covered and redistribute its span across
 the survivors). Checkpoint timing never changes output — snapshots are
@@ -68,16 +70,19 @@ gets replayed; the differential fault suite pins this.
 **One link lifecycle.** Epoch open, rebalance, resume and failover all
 bring a worker link to life the same way: *open* (``_connect_link``) →
 *seed from checkpoint* → *replay past the cut* (``_replay``) → *live*.
-Every data frame, replayed or live, goes out through ``_forward``,
+Every reading, replayed or live, goes out through ``_forward``,
 which is what keeps the invariant the cut depends on: ``link.positions``
-counts every data frame written on the link, replayed or live.
+counts every reading written on the link, replayed or live. Positions,
+``checkpoint_interval``, ``data_frames`` and ``retained_frames`` all
+count readings (the names date from one frame per reading); how rows
+fall into blocks changes none of them.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
@@ -118,10 +123,11 @@ class _LinkDead(Exception):
 
 
 class _RetainedFrame:
-    """One data frame kept for epoch replay."""
+    """One reading kept, decoded, for epoch replay."""
 
     __slots__ = (
-        "arrival", "seq", "source", "key", "payload", "ingest_id", "recv",
+        "arrival", "seq", "source", "key", "low", "item", "ingest_id",
+        "recv",
     )
 
     def __init__(
@@ -130,7 +136,8 @@ class _RetainedFrame:
         seq: int,
         source: str,
         key: str,
-        payload: bytes,
+        low: "float | None",
+        item: StreamTuple,
         ingest_id: int = 0,
         recv: int = 0,
     ):
@@ -138,7 +145,8 @@ class _RetainedFrame:
         self.seq = seq
         self.source = source
         self.key = key
-        self.payload = payload
+        self.low = low
+        self.item = item
         #: Cluster trace identity assigned at first receipt (0 when the
         #: router runs untraced). A replay re-stamps fresh forward
         #: timestamps but keeps the original id and receive instant, so
@@ -147,28 +155,6 @@ class _RetainedFrame:
         #: mystery spike.
         self.ingest_id = ingest_id
         self.recv = recv
-
-
-def _traced_payload(
-    payload: bytes, ingest_id: int, recv: int, acq: int,
-    replayed: bool = False,
-) -> bytes:
-    """Splice the cluster trace context into a data frame's payload.
-
-    The feeder's JSON object bytes are kept verbatim and the ``trace``
-    member is appended just before the closing brace — no parse or
-    re-encode on the forwarding hot path (feeders never send a
-    ``trace`` key, so the splice cannot collide; the traced-cluster
-    overhead gate in ``benchmarks/test_bench_telemetry.py`` is why this
-    is a splice and not a ``json.dumps``). ``fwd`` is stamped here, as
-    the frame joins its link's pending list — serialization and the
-    wait for the burst's flush land in the (cross-clock-domain)
-    ``wire.transit`` span, not ``router.forward``.
-    """
-    flag = b',"replayed":true' if replayed else b""
-    return b'%s,"trace":{"id":%d,"recv":%d,"acq":%d,"fwd":%d%s}}' % (
-        payload[:-1], ingest_id, recv, acq, time.perf_counter_ns(), flag,
-    )
 
 
 def _copy_buckets(buckets: "dict[int, list]") -> "dict[int, list]":
@@ -218,12 +204,12 @@ class _WorkerLink:
         self.dead = False
         #: A recovery task has been scheduled for this link already.
         self.recovering = False
-        #: Source → data frames forwarded on this link. Snapshotted when a
+        #: Source → readings forwarded on this link. Snapshotted when a
         #: ``checkpoint`` frame is sent (TCP FIFO makes that the exact cut)
-        #: and seeded from the store on resume, it names the first frame
-        #: of the post-checkpoint tail per source.
+        #: and seeded from the store on resume, it names the first
+        #: reading of the post-checkpoint tail per source.
         self.positions: dict[str, int] = {}
-        #: Data frames since the last checkpoint request (scheduling).
+        #: Readings since the last checkpoint request (scheduling).
         self.since_checkpoint = 0
         #: Checkpoint id → positions snapshot, awaiting the worker's ack.
         self.pending_checkpoints: dict[int, dict[str, int]] = {}
@@ -366,14 +352,14 @@ class ClusterRouter:
             per worker connection.
         telemetry: Cluster-wide rollup collector; absorbs every worker
             epoch snapshot under its worker label. Also switches on
-            cluster tracing: the router stamps a trace context on every
-            forwarded data frame, workers ship completed hop records
+            cluster tracing: the router stamps a trace context beside
+            every forwarded row, workers ship completed hop records
             back on ``result`` frames, and epoch close commits the
             per-worker span set (``router.queue`` … ``cluster.e2e``)
             plus one ``cluster_span`` log entry per delivered tuple.
         clock: Wall-clock source (injectable for tests).
         checkpoint_interval: Ask a worker for a state checkpoint every
-            this many data frames forwarded on its link; ``None``
+            this many readings forwarded on its link; ``None``
             (default) disables checkpointing — recovery then always
             falls back to fresh sessions with full-history replay.
         supervisor: Optional :class:`~repro.net.recovery.WorkerSupervisor`
@@ -442,8 +428,7 @@ class ClusterRouter:
         self._frame_waiters: list[asyncio.Event] = []
         # -- cluster tracing --------------------------------------------------
         #: With an enabled collector the router stamps a trace context
-        #: on every forwarded data frame (one re-encode per frame);
-        #: untraced, the hot path relays the raw payload untouched.
+        #: (five positional integers) beside every forwarded row.
         self._tracing = self._collector.enabled
         self._trace_seq = 0
         # -- fault tolerance --------------------------------------------------
@@ -952,8 +937,8 @@ class ClusterRouter:
         resumed into the current epoch.
 
         Links seeded from a checkpoint carry per-source positions from
-        its cut: that many owned frames are already inside the snapshot
-        and are skipped, not redelivered. A link that dies mid-replay
+        its cut: that many owned readings are already inside the
+        snapshot and are skipped, not redelivered. A link that dies mid-replay
         is marked dead and skipped from there on — its owner (the
         scheduled recovery, or :meth:`_recover` checking the link it
         just opened) takes it from there.
@@ -991,22 +976,26 @@ class ClusterRouter:
     async def _forward(
         self, link: _WorkerLink, frame: _RetainedFrame, replayed: bool
     ) -> None:
-        """Write one retained data frame on ``link`` — the only place a
-        data frame reaches a worker, live or replayed.
+        """Write one retained reading on ``link``, as the next row of
+        its pending block — the only place a reading reaches a worker,
+        live or replayed.
 
-        Invariant: ``link.positions`` counts every data frame written
-        on the link, replayed or live. The count moves in the same
-        no-await window in which the frame takes its place in the
-        link's pending list — its place in wire order — so a
-        concurrent checkpoint's positions snapshot is always consistent
-        with wire order.
+        Invariant: ``link.positions`` counts every reading written on
+        the link, replayed or live. The count moves in the same
+        no-await window in which the row takes its place in the link's
+        pending list — its place in wire order — so a concurrent
+        checkpoint's positions snapshot is always consistent with wire
+        order (the ``checkpoint`` frame seals the rows ahead of it).
 
-        Untraced, the feeder's bytes are relayed verbatim. Traced, the
-        frame is stamped with fresh acquire/forward instants under its
-        *original* ingest id and receive stamp; a replay is flagged
-        ``replayed`` — re-run tuples then close a second span record
-        whose commit the epoch-ownership rule dedupes, and failover
-        latency lands attributably in their ``router.queue`` phase.
+        Traced, the row is stamped with fresh acquire/forward instants
+        under its *original* ingest id and receive stamp (``fwd`` as
+        the row joins the pending list: serialization and the wait for
+        the burst's flush land in the cross-clock-domain
+        ``wire.transit`` span, not ``router.forward``); a replay is
+        flagged ``replayed`` — re-run tuples then close a second span
+        record whose commit the epoch-ownership rule dedupes, and
+        failover latency lands attributably in their ``router.queue``
+        phase.
 
         Raises:
             _LinkDead: The link is (or while blocked on a credit
@@ -1019,16 +1008,19 @@ class ClusterRouter:
             link.positions.get(frame.source, 0) + 1
         )
         link.since_checkpoint += 1
-        payload = frame.payload
+        trace = None
         if self._tracing:
-            payload = _traced_payload(
-                payload,
+            trace = [
                 frame.ingest_id,
                 frame.recv,
                 time.perf_counter_ns(),
-                replayed,
-            )
-        link.out.add_payload(payload)
+                time.perf_counter_ns(),
+                1 if replayed else 0,
+            ]
+        link.out.add_row(
+            frame.source, frame.seq, frame.arrival, frame.low, frame.item,
+            trace,
+        )
         if link.out.full:
             self._flush()
             await link.out.drain()
@@ -1104,7 +1096,8 @@ class ClusterRouter:
         self._checkpoint_seq += 1
         checkpoint_id = self._checkpoint_seq
         # Snapshot as the frame takes its place in the link's wire
-        # order, in the same no-await window as the forwards'
+        # order (``add`` seals the rows forwarded so far into a block
+        # ahead of it), in the same no-await window as the forwards'
         # increments: TCP FIFO then makes this the exact per-source cut
         # the worker's snapshot will reflect.
         link.pending_checkpoints[checkpoint_id] = dict(link.positions)
@@ -1266,10 +1259,11 @@ class ClusterRouter:
         owned: list[str] = []
         out = FrameWriter(writer)
         try:
-            owned = await self._feeder_handshake(reader, writer, out)
-            if not owned:
+            opened = await self._feeder_handshake(reader, writer, out)
+            if opened is None:
                 return
-            await self._serve_feeder(reader, out, owned)
+            owned, version = opened
+            await self._serve_feeder(reader, out, owned, version)
         except ProtocolError as error:
             self._flush()  # what the burst had queued ahead of the error
             await protocol.bail(writer, str(error))
@@ -1288,34 +1282,36 @@ class ClusterRouter:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         out: FrameWriter,
-    ) -> list[str]:
+    ) -> "tuple[list[str], int] | None":
         hello = await accept_hello(
             reader, writer, self._expected, "router", self._count
         )
         if hello is None:
-            return []
+            return None
         names, version = hello
         taken = [n for n in names if n in self._owners]
         if taken:
             await protocol.bail(
                 writer, f"sources already connected: {taken!r}"
             )
-            return []
+            return None
         for name in names:
             self._owners[name] = out
         self._ever_connected = True
         # The router always runs credit (block-style) flow control
-        # toward feeders: a credit is owed only once the frame has been
-        # forwarded downstream, so worker backpressure reaches feeders.
+        # toward feeders: a credit is owed only once the reading has
+        # been forwarded downstream, so worker backpressure reaches
+        # feeders.
         credits = {name: self.queue_bound for name in names}
         await write_frame(writer, protocol.hello_ack(credits, version))
-        return list(names)
+        return list(names), version
 
     async def _serve_feeder(
         self,
         reader: asyncio.StreamReader,
         out: FrameWriter,
         owned: list[str],
+        version: int,
     ) -> None:
         """Serve one feeder connection, a burst at a time: every frame
         one socket read completed is served before the socket is
@@ -1324,78 +1320,23 @@ class ClusterRouter:
         names = set(owned)
         frames = FrameReader(reader, before_wait=self._flush)
         while True:
-            read = await frames.read_frame_raw()
-            if read is None:
+            frame = await frames.read_frame()
+            if frame is None:
                 return  # EOF; sources stay open for a reconnect
-            frame, payload = read
             kind = frame.get("type")
-            if kind == "data":
-                source = frame.get("source")
-                if source not in names:
-                    raise ProtocolError(
-                        f"data frame for source {source!r} not declared "
-                        f"in this connection's hello"
-                    )
-                if source in self._final:
-                    raise ProtocolError(
-                        f"data frame for source {source!r} after its bye"
-                    )
-                # Same check as the gateway behind us: a frame the
-                # worker would refuse is refused here, to the feeder.
-                seq, arrival, _low, record = protocol.data_fields(frame)
-                key = str(self._key_fn(source, record))
-                ingest_id = recv = 0
-                if self._tracing:
-                    # The receive stamp precedes the gate wait so a
-                    # frozen rebalance gate shows up in router.queue.
-                    recv = time.perf_counter_ns()
-                    self._trace_seq += 1
-                    ingest_id = self._trace_seq
-                await self._pass_gate()
-                self._inflight += 1
-                self._idle.clear()
-                try:
-                    retained = _RetainedFrame(
-                        arrival,
-                        seq,
-                        source,
-                        key,
-                        payload,
-                        ingest_id=ingest_id,
-                        recv=recv,
-                    )
-                    self._history[source].append(retained)
-                    previous = self._max_arrival.get(
-                        source, float("-inf")
-                    )
-                    self._max_arrival[source] = max(previous, arrival)
-                    assert self._ring is not None
-                    link = self._links[self._ring.owner(key)]
-                    try:
-                        await self._forward(link, retained, replayed=False)
-                    except _LinkDead:
-                        # Already retained; recovery's replay delivers
-                        # it. Skip; the feeder's credit is owed below.
-                        self._bump("forwards_skipped_dead")
-                    except (ConnectionError, RuntimeError):
-                        self._on_link_failure(link)
-                        self._bump("forwards_skipped_dead")
-                finally:
-                    self._release_inflight()
-                self._maybe_checkpoint(link)
-                self.data_frames += 1
-                self._offered[source] = self._offered.get(source, 0) + 1
-                if self._frame_waiters:
-                    for event in self._frame_waiters:
-                        event.set()
-                self._owed[source] = self._owed.get(source, 0) + 1
+            rows = protocol.frame_rows(frame, version)
+            if rows is not None:
+                await self._route_rows(names, rows)
             elif kind == "heartbeat":
+                # Checked here, as the gateway behind us would: a frame
+                # the worker would refuse is refused to the feeder.
+                protocol.source_names(frame)
                 if self._gate.is_set():
                     for link in self._links.values():
                         if not link.dead:
-                            link.out.add_payload(payload)
+                            link.out.add(frame)
             elif kind == "bye":
-                source = frame.get("source")
+                source = protocol.source_name(frame)
                 if source not in names:
                     raise ProtocolError(
                         f"bye for source {source!r} not owned by this "
@@ -1417,6 +1358,68 @@ class ClusterRouter:
                     self._all_final.set()
             else:
                 raise ProtocolError(f"unexpected frame type {kind!r}")
+
+    async def _route_rows(self, names: set[str], rows: Iterable[tuple]) -> None:
+        """Retain and forward readings as they came off the wire — the
+        rows of a ``block`` frame, or a ``data`` frame as the one row
+        it spells (entries as :func:`repro.net.protocol.block_rows`
+        yields them, already checked as the gateway behind us checks
+        them: a reading the worker would refuse is refused here, to
+        the feeder).
+
+        Raises:
+            ProtocolError: A malformed row, or one for a source this
+                connection does not own or has byed; the rows ahead of
+                it are retained and forwarded.
+        """
+        for source, seq, arrival, low, item, _trace in rows:
+            if source not in names:
+                raise ProtocolError(
+                    f"reading for source {source!r} not declared "
+                    f"in this connection's hello"
+                )
+            if source in self._final:
+                raise ProtocolError(
+                    f"reading for source {source!r} after its bye"
+                )
+            key = str(self._key_fn(source, item))
+            ingest_id = recv = 0
+            if self._tracing:
+                # The receive stamp precedes the gate wait so a
+                # frozen rebalance gate shows up in router.queue.
+                recv = time.perf_counter_ns()
+                self._trace_seq += 1
+                ingest_id = self._trace_seq
+            await self._pass_gate()
+            self._inflight += 1
+            self._idle.clear()
+            try:
+                retained = _RetainedFrame(
+                    arrival, seq, source, key, low, item, ingest_id, recv
+                )
+                self._history[source].append(retained)
+                previous = self._max_arrival.get(source, float("-inf"))
+                self._max_arrival[source] = max(previous, arrival)
+                assert self._ring is not None
+                link = self._links[self._ring.owner(key)]
+                try:
+                    await self._forward(link, retained, replayed=False)
+                except _LinkDead:
+                    # Already retained; recovery's replay delivers
+                    # it. Skip; the feeder's credit is owed below.
+                    self._bump("forwards_skipped_dead")
+                except (ConnectionError, RuntimeError):
+                    self._on_link_failure(link)
+                    self._bump("forwards_skipped_dead")
+            finally:
+                self._release_inflight()
+            self._maybe_checkpoint(link)
+            self.data_frames += 1
+            self._offered[source] = self._offered.get(source, 0) + 1
+            if self._frame_waiters:
+                for event in self._frame_waiters:
+                    event.set()
+            self._owed[source] = self._owed.get(source, 0) + 1
 
     async def _pass_gate(self) -> None:
         """Wait out a rebalance freeze, flushing first (:meth:`_flush`)."""
@@ -1444,7 +1447,7 @@ class ClusterRouter:
     # -- test/ops affordances ------------------------------------------------
 
     async def wait_for_data_frames(self, n: int) -> None:
-        """Resolve once ``n`` data frames have been forwarded (tests)."""
+        """Resolve once ``n`` readings have been forwarded (tests)."""
         while self.data_frames < n:
             event = asyncio.Event()
             self._frame_waiters.append(event)

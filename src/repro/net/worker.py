@@ -2,8 +2,8 @@
 
 A :class:`ClusterWorker` serves epochs. Each epoch is one TCP
 connection from the router (:mod:`repro.net.router`) speaking the
-protocol-2 cluster dialect: ``worker_hello`` + ``route`` open the
-epoch, then the ordinary data-plane frames (``data`` / ``heartbeat`` /
+cluster dialect: ``worker_hello`` + ``route`` open the
+epoch, then the ordinary data-plane frames (``block`` / ``heartbeat`` /
 ``bye``, credit backpressure included) flow exactly as they would into
 a standalone gateway — the worker literally wraps today's
 :class:`~repro.net.gateway.IngestGateway` over a fresh
@@ -66,7 +66,7 @@ class TickLedger:
         self.per_tick: list[list[StreamTuple]] = []
         #: Completed hop-span records attributed to each swept tick —
         #: strictly parallel to :attr:`per_tick`. Populated only when
-        #: the router stamped a trace context on forwarded data frames;
+        #: the router stamped a trace context on the rows it forwarded;
         #: each record is the positional array documented on
         #: :func:`repro.net.protocol.result`.
         self.spans_per_tick: list[list[list]] = []
@@ -118,19 +118,19 @@ class TickLedger:
         keeps the per-tuple wire and capture cost inside the traced
         cluster's overhead budget.
         """
-        ctx = trace.ctx
+        ingest_id, recv, acq, fwd, replayed = trace.ctx
         self._closing.append([
-            ctx["id"],
+            ingest_id,
             trace.source,
             trace.sim_ts,
-            ctx["recv"],
-            ctx["acq"],
-            ctx["fwd"],
+            recv,
+            acq,
+            fwd,
             trace.t_ingest,
             trace.t_queued,
             trace.t_released,
             done,
-            1 if ctx.get("replayed") else 0,
+            replayed,
         ])
 
     def close(self) -> Any:
@@ -265,7 +265,11 @@ class WorkerGateway(IngestGateway):
         await write_frame(writer, protocol.hello_ack(credits))
         self._drainer = asyncio.ensure_future(self._drain_loop())
         try:
-            await self._serve_frames(reader, writer, owned)
+            # The router opened with this build's version (_open_epoch
+            # accepts no other), so its readings arrive as blocks.
+            await self._serve_frames(
+                reader, writer, owned, protocol.PROTOCOL_VERSION
+            )
         finally:
             for state in owned:
                 if state.owner is writer:
@@ -513,8 +517,9 @@ class ClusterWorker:
             return None
         version = hello.get("version")
         if version != protocol.PROTOCOL_VERSION:
-            # The cluster dialect itself is the v2 feature, so a worker
-            # cannot fall back the way the feeder path does.
+            # Router and workers are one deployment: the router sends
+            # this build's frames (blocks included), so a worker cannot
+            # fall back the way the feeder path does.
             if self._collector.enabled:
                 self._collector.count("worker.version_mismatch")
             await protocol.bail(

@@ -195,11 +195,12 @@ class IngestTrace:
         self.t_queued = self.t_ingest
         self.t_released = self.t_ingest
         self.t_injected = self.t_ingest
-        #: Cluster trace context: the ``trace`` mapping a tracing router
-        #: stamped onto the forwarded data frame (``None`` off-cluster).
-        #: When set, the owning session hands the finished trace to its
-        #: ``span_sink`` so the hop record can ship back upstream.
-        self.ctx: "dict[str, Any] | None" = None
+        #: Cluster trace context: the positional ``[id, recv, acq, fwd,
+        #: replayed]`` cells a tracing router stamped beside the
+        #: forwarded row (``None`` off-cluster). When set, the owning
+        #: session hands the finished trace to its ``span_sink`` so the
+        #: hop record can ship back upstream.
+        self.ctx: "list[int] | None" = None
 
 
 # -- snapshot schema -----------------------------------------------------------

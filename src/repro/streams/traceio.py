@@ -11,7 +11,9 @@ with data from actual hardware. Two formats:
   read (int, then float, then string) unless overridden.
 
 Both formats carry the tuple timestamp and stream name in reserved
-columns (``_ts``, ``_stream``).
+columns (``_ts``, ``_stream``); a tuple with a field of either name
+cannot be written (the field would come back as the tuple's own
+timestamp or stream) and is refused.
 """
 
 from __future__ import annotations
@@ -29,11 +31,27 @@ TIMESTAMP_COLUMN = "_ts"
 STREAM_COLUMN = "_stream"
 
 
+def has_reserved_column(names: Any) -> bool:
+    """Whether ``names`` (a tuple, or a column list) holds a field a
+    trace would read back as the tuple's own timestamp or stream."""
+    return TIMESTAMP_COLUMN in names or STREAM_COLUMN in names
+
+
 def write_jsonl(tuples: Iterable[StreamTuple], path: "str | Path") -> int:
-    """Write tuples as JSON lines; returns the number written."""
+    """Write tuples as JSON lines; returns the number written.
+
+    Raises:
+        ReproError: On a tuple with a field named like a reserved column.
+    """
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for item in tuples:
+            if has_reserved_column(item):
+                raise ReproError(
+                    f"tuple at {item.timestamp} from stream "
+                    f"{item.stream!r} has a field named {TIMESTAMP_COLUMN!r} "
+                    f"or {STREAM_COLUMN!r}; both are reserved trace columns"
+                )
             record = {
                 TIMESTAMP_COLUMN: item.timestamp,
                 STREAM_COLUMN: item.stream,
@@ -86,6 +104,9 @@ def write_csv(
         path: Output file.
         fields: Column order; defaults to the union of all field names,
             sorted. Tuples missing a column write an empty cell.
+
+    Raises:
+        ReproError: On a column named like a reserved one.
     """
     items = list(tuples)
     if fields is None:
@@ -93,6 +114,11 @@ def write_csv(
         for item in items:
             names.update(item.keys())
         fields = sorted(names)
+    if has_reserved_column(fields):
+        raise ReproError(
+            f"CSV trace has a field named {TIMESTAMP_COLUMN!r} or "
+            f"{STREAM_COLUMN!r}; both are reserved trace columns"
+        )
     header = [TIMESTAMP_COLUMN, STREAM_COLUMN, *fields]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)

@@ -247,11 +247,13 @@ class TestRebalance:
 
 
 @contextlib.asynccontextmanager
-async def one_worker_cluster(name, duration):
+async def one_worker_cluster(name, duration, telemetry=None):
     """A router over one worker, for hand-driven feeder connections;
     yields ``(router, host, port)``."""
     worker = ClusterWorker(build_bundle(name, duration, SEED), slack=0.0)
-    router = ClusterRouter(build_bundle(name, duration, SEED), slack=0.0)
+    router = ClusterRouter(
+        build_bundle(name, duration, SEED), slack=0.0, telemetry=telemetry
+    )
     try:
         spec = ("w0", *await worker.start())
         host, port = await router.start()

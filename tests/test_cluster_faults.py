@@ -29,6 +29,8 @@ from repro.net.router import ClusterRouter
 from repro.net.service import build_bundle
 from repro.net.worker import ClusterWorker
 
+from tests.test_net_feeder import rows_of
+
 WAIT = 30.0
 SEED = 3
 
@@ -289,9 +291,10 @@ class TestRepeatedResume:
             proxy = None
             try:
                 host, port = await workers[0].start()
-                # c2s frames: connection 0 opens with worker_hello +
+                # c2s positions, counted in readings (a block counts
+                # its rows): connection 0 opens with worker_hello +
                 # route, connection 1 (the first resume) adds a resume
-                # frame and the replayed tail before live frames flow.
+                # frame and the replayed tail before live rows flow.
                 proxy = ChaosProxy(host, port, [
                     FaultEvent("reset", connection=0, at_frame=200),
                     FaultEvent("reset", connection=1, at_frame=250),
@@ -328,6 +331,80 @@ class TestRepeatedResume:
         assert acked_at_second > acked_at_first
         assert router.recovery["resumes"] == 2
         assert router.recovery["failovers"] == 0
+        assert router.result() == reference
+
+
+class TestCheckpointCutInsideABlock:
+    """Checkpoints are scheduled in readings, blocks are framing: a cut
+    may fall between two rows of one inbound block, and a resume from
+    it is exact."""
+
+    def test_cut_between_two_rows_of_one_inbound_block_resumes_exactly(self):
+        from tests.test_net_gateway import RawFeeder
+
+        reference = in_memory_output("shelf", 6.0)
+        bundle = build_bundle("shelf", 6.0, SEED)
+        planner = ReplayFeeder("unused", 0, bundle.streams)
+        schedule = planner._build_schedule()
+        entries = [
+            (source, seq, arrival, low, item, None)
+            for (arrival, source, seq, item), low in zip(
+                schedule, planner._low_marks(schedule)
+            )
+        ]
+        head, tail = entries[:50], entries[50:]
+
+        async def scenario():
+            worker = ClusterWorker(build_bundle("shelf", 6.0, SEED))
+            router = ClusterRouter(
+                build_bundle("shelf", 6.0, SEED), checkpoint_interval=20
+            )
+            proxy = None
+            try:
+                # Connection 0, router → worker, positions in readings:
+                # 2 handshake frames, the head's 50 rows and the 2
+                # checkpoint frames among them, then the tail — whose
+                # first block the reset takes out.
+                proxy = ChaosProxy(
+                    *await worker.start(),
+                    [FaultEvent("reset", at_frame=2 + 50 + 2 + 5)],
+                )
+                await router.start()
+                await router.connect_workers([("w0", *await proxy.start())])
+                feeder = await RawFeeder.open(
+                    *router._server.sockets[0].getsockname()[:2],
+                    sorted(bundle.streams),
+                )
+                # One inbound block of 50 rows: checkpoints fall due
+                # after its 20th and its 40th.
+                await feeder.send_rows(head)
+                await asyncio.wait_for(
+                    router.wait_for_recovery("checkpoints_acked", 2), WAIT
+                )
+                cut = dict(router._store.latest("w0").positions)
+                for offset in range(0, len(tail), 64):
+                    await feeder.send_rows(tail[offset:offset + 64])
+                for name in sorted(bundle.streams):
+                    await feeder.bye(name)
+                await asyncio.wait_for(router.run_until_complete(), WAIT)
+                feeder.writer.close()
+                return router, proxy, cut
+            finally:
+                await router.close()
+                if proxy is not None:
+                    await proxy.close()
+                await worker.close()
+
+        router, proxy, cut = asyncio.run(
+            asyncio.wait_for(scenario(), WAIT * 2)
+        )
+        assert sum(cut.values()) == 40  # rows 41–50 lie past the cut
+        assert [fault["kind"] for fault in proxy.injected] == ["reset"]
+        assert router.recovery["resumes"] == 1
+        assert router.recovery["failovers"] == 0
+        # Resumed from that cut or a later one: the tail replayed is
+        # short of the history, which a fresh session would need whole.
+        assert 0 < router.recovery["replayed_frames"] < len(entries) - 40
         assert router.result() == reference
 
 
@@ -395,14 +472,13 @@ class ScriptedWorker:
                     if frame is None:
                         return
                     kind = frame.get("type")
-                    if kind == "data":
-                        self.data_frames += 1
+                    for source, *_rest in rows_of(frame):
+                        self.data_frames += 1  # readings, as the router's
                         if not stalled:
                             await write_frame(
-                                writer,
-                                protocol.credit_frame(frame["source"], 1),
+                                writer, protocol.credit_frame(source, 1)
                             )
-                    elif kind == "bye":
+                    if kind == "bye":
                         await write_frame(
                             writer, protocol.bye_ack(frame["source"])
                         )
@@ -670,6 +746,61 @@ class TestChaosProxyUnit:
             assert proxy.connections == 1
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
+
+    def test_a_block_advances_the_position_by_its_rows(self):
+        """Positions count readings: the fault fires on the frame in
+        which the count reaches ``at_frame``, here the block that
+        carries readings 2–6, and takes the whole frame."""
+        from repro.streams.tuples import StreamTuple
+
+        block = protocol.block_frame([
+            ("a", seq, 0.0, None, StreamTuple(0.0, {"v": seq}), None)
+            for seq in range(5)
+        ])
+
+        async def scenario():
+            received = []
+            sink_done = asyncio.Event()
+
+            async def sink(reader, writer):
+                try:
+                    while (frame := await read_frame(reader)) is not None:
+                        received.append(frame["type"])
+                except NetError:
+                    pass  # the reset, seen as a reset rather than EOF
+                sink_done.set()
+                writer.close()
+
+            server = await asyncio.start_server(sink, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            proxy = ChaosProxy(host, port, [
+                FaultEvent("slow", at_frame=4, seconds=0.0),
+                FaultEvent("reset", at_frame=8),
+            ])
+            proxy_host, proxy_port = await proxy.start()
+            _reader, writer = await asyncio.open_connection(
+                proxy_host, proxy_port
+            )
+            for frame in (
+                protocol.bye("a"), block, protocol.bye("b"),  # 1, 2–6, 7
+                block,                                        # 8–12
+                protocol.bye("c"),
+            ):
+                await write_frame(writer, frame)
+            await asyncio.wait_for(sink_done.wait(), WAIT)
+            writer.close()
+            await proxy.close()
+            server.close()
+            await server.wait_closed()
+            return received, proxy.injected
+
+        received, injected = asyncio.run(
+            asyncio.wait_for(scenario(), WAIT)
+        )
+        assert received == ["bye", "block", "bye"]
+        assert [(f["kind"], f["frame"]) for f in injected] == [
+            ("slow", 6), ("reset", 12)
+        ]
 
     def test_truncate_surfaces_frame_truncated_at_receiver(self):
         from repro.errors import FrameTruncated

@@ -1,7 +1,7 @@
 """Cluster-wide distributed tracing: exact per-hop phase accounting.
 
 The tentpole contract of PR 10: with tracing enabled the router stamps
-a trace context onto every routed data frame, workers ship hop stamps
+a trace context beside every routed reading, workers ship hop stamps
 back on ``result`` frames, and the router closes one ``cluster.e2e``
 span per delivered tuple whose seven per-hop phases — ``router.queue``,
 ``router.forward``, ``wire.transit``, ``worker.queue``,
@@ -107,9 +107,10 @@ class TestClusterTracing:
     def test_traced_redwood_workers_sweep_on_relayed_promises(
         self, monkeypatch
     ):
-        """Source-keyed routing with the trace splice live: the feeder's
-        ``low`` key survives ``_traced_payload`` (spliced *around* the
-        relayed bytes), reaches the owning worker's reorder buffers and
+        """Source-keyed routing with trace cells live: a feeder row's
+        ``low`` is retained with the reading and re-emitted in the
+        owning link's block (the ``traces`` list rides beside the rows,
+        not inside them), reaches that worker's reorder buffers and
         moves their watermarks — and the egress is still the untraced,
         single-node output."""
         raised = []
@@ -127,7 +128,7 @@ class TestClusterTracing:
         sources = len(build_bundle("redwood", half_day, SEED).streams)
         # Redwood is in order: every frame but a mote's last declares.
         assert len(raised) == fed - sources and all(raised)
-        assert len(cluster_spans(snapshot)) == fed  # the splice was live
+        assert len(cluster_spans(snapshot)) == fed  # traces were live
         raised.clear()
         untraced, _router = asyncio.run(cluster_run("redwood", 2, half_day))
         assert len(raised) == fed - sources and all(raised)

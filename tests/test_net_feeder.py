@@ -24,6 +24,13 @@ def tup(ts, **fields):
     return StreamTuple(ts, fields, stream="s")
 
 
+def rows_of(frame):
+    """The readings a frame carries, as ``(source, seq, arrival, low,
+    item, trace)`` entries: a block's rows, a data frame's one, none
+    for anything else."""
+    return list(protocol.frame_rows(frame, protocol.PROTOCOL_VERSION) or ())
+
+
 class FakeSession:
     """The minimal pipeline-session surface the gateway drives."""
 
@@ -188,7 +195,7 @@ class TestLowMarks:
     def test_frames_on_the_wire_carry_the_schedule_s_lows(self):
         polls = [0.0, 0.0, 1.0, 1.0, 3.0]
         streams = {"a": [tup(ts, v=i) for i, ts in enumerate(polls)]}
-        seen = []
+        seen, kinds = [], []
 
         async def handle(reader, writer):
             await read_frame(reader)
@@ -197,9 +204,9 @@ class TestLowMarks:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                if frame["type"] == "data":
-                    seen.append(("low" in frame, frame.get("low")))
-                elif frame["type"] == "bye":
+                kinds.append(frame["type"])
+                seen.extend(row[3] for row in rows_of(frame))
+                if frame["type"] == "bye":
                     await write_frame(
                         writer, protocol.bye_ack(frame["source"])
                     )
@@ -214,11 +221,9 @@ class TestLowMarks:
             await server.wait_closed()
 
         asyncio.run(scenario())
-        # The key is absent, not null, where there is nothing to say.
-        assert seen == [
-            (False, None), (True, 1.0), (False, None), (True, 3.0),
-            (False, None),
-        ]
+        assert seen == [None, 1.0, None, 3.0, None]
+        # One unpaced, uncredited replay is one burst: one block.
+        assert kinds == ["block", "bye"]
 
 
 class TestBackoff:
@@ -272,9 +277,8 @@ class TestReconnect:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                if frame["type"] == "data":
-                    received.append(frame["seq"])
-                elif frame["type"] == "bye":
+                received.extend(row[1] for row in rows_of(frame))
+                if frame["type"] == "bye":
                     await write_frame(
                         writer, protocol.bye_ack(frame["source"])
                     )
@@ -353,14 +357,17 @@ class TestPacing:
 
 
 class ScriptedGateway:
-    """A gateway stand-in: acks the hello with ``credits``, records
-    data frames, acks byes; ``on_data(gateway, writer)`` runs after
-    each data frame."""
+    """A gateway stand-in: acks the hello with ``credits`` (echoing
+    ``version``, or the hello's own), records readings and the types
+    of the frames that carried them, acks byes; ``on_data(gateway,
+    writer)`` runs after each reading."""
 
-    def __init__(self, credits, on_data=None):
+    def __init__(self, credits, on_data=None, version=None):
         self.credits = credits
         self.on_data = on_data
+        self.version = version
         self.received = []
+        self.frames = []
         self._arrived = asyncio.Event()
         self._server = None
 
@@ -381,18 +388,21 @@ class ScriptedGateway:
 
     async def _handle(self, reader, writer):
         try:
-            await read_frame(reader)
-            await write_frame(writer, protocol.hello_ack(self.credits))
+            hello = await read_frame(reader)
+            await write_frame(writer, protocol.hello_ack(
+                self.credits, self.version or hello["version"]
+            ))
             while True:
                 frame = await read_frame(reader)
                 if frame is None:
                     break
-                if frame["type"] == "data":
-                    self.received.append(frame["seq"])
+                self.frames.append(frame["type"])
+                for _source, seq, *_rest in rows_of(frame):
+                    self.received.append(seq)
                     self._arrived.set()
                     if self.on_data is not None:
                         await self.on_data(self, writer)
-                elif frame["type"] == "bye":
+                if frame["type"] == "bye":
                     await write_frame(
                         writer, protocol.bye_ack(frame["source"])
                     )
@@ -401,9 +411,10 @@ class ScriptedGateway:
 
 
 class TestFlushRule:
-    """Frames leave in bursts, and a burst is on the socket before the
-    feeder suspends: it never sleeps, or waits for credits, on a frame
-    it has counted as sent."""
+    """Readings leave in bursts — one block each — and a burst is on
+    the socket before the feeder suspends: it never sleeps, or waits
+    for credits, on a reading it has counted as sent (an unsealed row
+    would be exactly that)."""
 
     def test_paced_feeder_never_sleeps_on_an_unsent_frame(self):
         """Three polls of readings, paced: whenever ``sleep`` is
@@ -431,13 +442,16 @@ class TestFlushRule:
                 report = await asyncio.wait_for(feeder.run(), timeout=20)
             finally:
                 await gateway.close()
-            return report, gateway.received
+            return report, gateway.received, gateway.frames
 
-        report, received = asyncio.run(scenario())
+        report, received, frames = asyncio.run(scenario())
         assert fake.sleeps == [1.0, 2.0]
         assert seen_at_sleep == [3, 6]
         assert report["sent"] == {"a": 8}
         assert received == list(range(8))
+        # A poll is a burst is a frame: sealed by each sleep, and by
+        # the end of the recording.
+        assert frames == ["block", "block", "block", "bye"]
 
     def test_feeder_out_of_credits_has_nothing_pending(self):
         """Two credits at a time: each time the gateway has read two
@@ -462,16 +476,118 @@ class TestFlushRule:
             port = await gateway.start()
             feeder = ReplayFeeder("127.0.0.1", port, streams)
             try:
-                return await asyncio.wait_for(feeder.run(), timeout=20)
+                report = await asyncio.wait_for(feeder.run(), timeout=20)
             finally:
                 await gateway.close()
+            return report, gateway.frames
 
-        report = asyncio.run(scenario())
+        report, frames = asyncio.run(scenario())
         assert counted == [(2, 2), (4, 4), (6, 6)]
+        # A credit window is a burst is a frame.
+        assert frames == ["block", "block", "block", "bye"]
         assert report["sent"] == {"a": 6}
         assert report["credits_received"] == {"a": 6}
         assert report["credit_frames"] == 3
         assert report["blocked_waits"] >= 2
+
+
+class TestBlocksOnTheWire:
+    """One frame per burst, not per reading."""
+
+    def test_delayed_shelf_replay_is_blocks_only_and_few_of_them(
+        self, monkeypatch
+    ):
+        """The 300 s shelf recording, delayed and out of order, through
+        a real gateway's credit windows: no ``data`` frame leaves the
+        feeder, every reading arrives once, and the frames that carry
+        them number under a twentieth of the readings."""
+        from repro.pipelines.rfid_shelf import build_shelf_processor
+        from repro.scenarios.shelf import ShelfScenario
+
+        scenario = ShelfScenario(duration=300.0, seed=3)
+        streams = scenario.recorded_streams()
+        readings = sum(len(items) for items in streams.values())
+        carried = []
+        decoder = protocol.FrameDecoder
+
+        class Tap(decoder):
+            """Sees every frame a :class:`FrameReader` serves — the
+            gateway's and, for the credits coming back, the feeder's."""
+
+            def take(self):
+                payload = super().take()
+                if payload is not None:
+                    (frame,) = decoder().feed(protocol.frame_bytes(payload))
+                    carried.append((frame["type"], len(rows_of(frame))))
+                return payload
+
+        monkeypatch.setattr(protocol, "FrameDecoder", Tap)
+
+        async def run():
+            session = build_shelf_processor(
+                scenario, "smooth+arbitrate"
+            ).open_session(
+                until=scenario.duration, tick=scenario.poll_period
+            )
+            gateway = IngestGateway(session, slack=1.5, queue_bound=64)
+            host, port = await gateway.start()
+            feeder = ReplayFeeder(
+                host, port, streams,
+                delay_model=DelayModel(0.375, 1.5, rng=3),
+            )
+            report = await asyncio.wait_for(feeder.run(), timeout=60)
+            await asyncio.wait_for(gateway.run_until_drained(), timeout=60)
+            await gateway.close()
+            return report, gateway.stats()["sources"]
+
+        report, stats = asyncio.run(run())
+        bearing = [(kind, n) for kind, n in carried if n]
+        assert {kind for kind, _n in bearing} == {"block"}
+        assert sum(n for _kind, n in bearing) == readings
+        assert sum(report["sent"].values()) == readings
+        assert sum(s["delivered"] for s in stats.values()) == readings
+        assert len(bearing) < readings / 20
+
+    def test_v2_only_gateway_is_refused_naming_both_versions(self):
+        """A feeder's readings leave as blocks, so it cannot fall back:
+        against a gateway that acknowledges (or only speaks) an older
+        dialect it fails closed, before any reading is sent."""
+        streams = {"a": [tup(0.0, v=0)]}
+
+        async def against(handler):
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            feeder = ReplayFeeder("127.0.0.1", port, streams)
+            try:
+                await asyncio.wait_for(feeder.run(), timeout=20)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return feeder
+
+        frames = []
+
+        async def acks_v2(reader, writer):
+            await read_frame(reader)
+            await write_frame(writer, protocol.hello_ack(None, 2))
+            while (frame := await read_frame(reader)) is not None:
+                frames.append(frame)
+            writer.close()
+
+        async def speaks_v2(reader, writer):
+            hello = await read_frame(reader)
+            await protocol.bail(
+                writer,
+                f"protocol version {hello['version']!r} unsupported; "
+                f"this gateway speaks [1, 2]",
+            )
+            writer.close()
+
+        for handler in (acks_v2, speaks_v2):
+            with pytest.raises(NetError) as refusal:
+                asyncio.run(against(handler))
+            assert "3" in str(refusal.value) and "2" in str(refusal.value)
+        assert frames == []  # nothing was sent on the v2 connection
 
 
 class TestHeartbeat:

@@ -13,14 +13,18 @@ scenario, on both the serial and the sharded reference backends.
 """
 
 import asyncio
+import contextlib
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetError
 from repro.net import protocol
 from repro.net.feeder import ReplayFeeder
 from repro.net.gateway import IngestGateway
+from repro.net.overload import BoundedIngressQueue
 from repro.net.protocol import read_frame, write_frame
 from repro.receptors.network import DelayModel, GilbertElliottChannel
 from repro.streams.telemetry import InMemoryCollector
@@ -96,11 +100,12 @@ class RawFeeder:
         self.writer = writer
 
     @classmethod
-    async def open(cls, host, port, sources):
+    async def open(cls, host, port, sources, version=protocol.PROTOCOL_VERSION):
         reader, writer = await asyncio.open_connection(host, port)
-        await write_frame(writer, protocol.hello(sources))
+        await write_frame(writer, protocol.hello(sources, version))
         ack = await asyncio.wait_for(read_frame(reader), WAIT)
         assert ack["type"] == "hello_ack", ack
+        assert ack["version"] == version
         return cls(reader, writer)
 
     async def _read_until(self, kind):
@@ -115,6 +120,15 @@ class RawFeeder:
         await write_frame(self.writer, frame)
         await self._read_until("credit")
 
+    async def send_rows(self, entries):
+        """:meth:`send` for a whole block: on return every row has
+        been drained (or forwarded) and earned its credit."""
+        await write_frame(self.writer, protocol.block_frame(entries))
+        owed = len(entries)
+        while owed:
+            owed -= (await self._read_until("credit"))["credits"]
+        assert owed == 0
+
     async def send_refused(self, frame):
         """Write a frame the server must refuse; returns the reason
         once the ``error`` frame *and* the hang-up have arrived."""
@@ -128,17 +142,21 @@ class RawFeeder:
         await write_frame(self.writer, protocol.bye(source))
         await self._read_until("bye_ack")
 
-    async def replay(self, streams, on_frame=None, strip=()):
-        """Replay ``streams`` in a feeder's own order, a frame at a
-        time, without the keys in ``strip``; then say bye for each."""
+    async def replay(self, streams, on_frame=None, strip=(), blocks=False):
+        """Replay ``streams`` in a feeder's own order, a reading at a
+        time — each a ``data`` frame without the keys in ``strip``, or
+        (``blocks``) a one-row block; then say bye for each."""
         planner = ReplayFeeder("unused", 0, streams)
         schedule = planner._build_schedule()
         lows = planner._low_marks(schedule)
         for (arrival, source, seq, item), low in zip(schedule, lows):
-            frame = protocol.data_frame(source, seq, arrival, item, low)
-            for key in strip:
-                frame.pop(key, None)
-            await self.send(frame)
+            if blocks:
+                await self.send_rows([(source, seq, arrival, low, item, None)])
+            else:
+                frame = protocol.data_frame(source, seq, arrival, item, low)
+                for key in strip:
+                    frame.pop(key, None)
+                await self.send(frame)
             if on_frame is not None:
                 on_frame(arrival)
         for name in sorted(streams):
@@ -302,7 +320,9 @@ class TestPromises:
             assert all(s["dropped_late"] == 0 for s in stats.values())
 
     @staticmethod
-    async def _sweep_lags(factory, streams, until, tick, strip=()):
+    async def _sweep_lags(
+        factory, streams, until, tick, strip=(), blocks=False
+    ):
         """The freshness oracle: replay in order, slack 0, one frame
         per drain; per tick swept before the byes, the sensor-time
         stamp of the frame whose drain swept it, minus the tick (0 when
@@ -318,7 +338,7 @@ class TestPromises:
                 max(0.0, stamp - swept) for swept in session.swept[len(lags):]
             )
 
-        await feeder.replay(streams, on_frame, strip)
+        await feeder.replay(streams, on_frame, strip, blocks)
         await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
         run = await gateway.close()
         return run, lags, len(session.ticks)
@@ -341,6 +361,62 @@ class TestPromises:
         assert run.output == ref.output
         assert len(lags) == n_ticks - 1
         assert min(lags) == pytest.approx(tick)
+
+    def test_one_row_blocks_sweep_exactly_as_data_frames_do(self):
+        """The freshness counts are the frame's spelling's business
+        not at all: a ``low`` cell acts as the ``low`` key did."""
+        factory, streams, until, tick = shelf_case()
+        ref = factory().run(until=until, tick=tick, sources=streams)
+        run, lags, n_ticks = asyncio.run(
+            self._sweep_lags(factory, streams, until, tick, blocks=True)
+        )
+        assert run.output == ref.output
+        assert lags == [0.0] * (n_ticks - 1)
+
+    def test_a_low_inside_a_block_acts_right_after_its_own_row(self):
+        """Slack far above every arrival, so only promises release: a
+        row's ``low`` must not act before the row itself (it would drop
+        it as late) and does release everything below it — from inside
+        the block, not from its end."""
+
+        class Session:
+            receptor_ids = ("a",)
+            safe_time = float("-inf")
+
+            def __init__(self):
+                self.pushed, self.watermarks = [], []
+
+            def push(self, source, item):
+                self.pushed.append(item.timestamp)
+
+            def advance(self, watermark):
+                self.watermarks.append(watermark)
+                return []
+
+            def close(self):
+                return self
+
+        stamps = [(1.0, None), (1.0, 2.0), (2.0, None), (2.0, 3.0), (3.0, None)]
+
+        async def scenario():
+            session = Session()
+            gateway = IngestGateway(session, slack=100.0)
+            host, port = await gateway.start()
+            feeder = await RawFeeder.open(host, port, ["a"])
+            await feeder.send_rows([
+                ("a", seq, ts, low, StreamTuple(ts, {"v": seq}), None)
+                for seq, (ts, low) in enumerate(stamps)
+            ])
+            held = (list(session.pushed), list(session.watermarks))
+            stats = gateway.stats()["sources"]["a"]
+            feeder.writer.close()
+            await gateway.close()
+            return stats, held
+
+        stats, (pushed, watermarks) = asyncio.run(scenario())
+        assert stats["dropped_late"] == 0
+        assert pushed == [1.0, 1.0, 2.0, 2.0]  # 3.0 is still held
+        assert watermarks == [pytest.approx(3.0)]
 
     @pytest.mark.parametrize("case", [redwood_half_day, home_case])
     def test_a_quiet_source_no_longer_sets_everyone_s_staleness(self, case):
@@ -422,6 +498,137 @@ class TestPromises:
         ]
 
 
+class TestBlockPartitions:
+    """However a schedule is cut into frames, the gateway takes the
+    same readings: a block is framing, not a unit of delivery."""
+
+    CASES = {
+        "shelf": (shelf_case, (0.3, 1.2), 1.2),
+        "redwood": (redwood_half_day, (60.0, 280.0), 280.0),
+    }
+    _baselines = {}
+
+    @classmethod
+    def baseline(cls, name):
+        """``(case, slack, entries, reference output, what the gateway
+        made of the schedule sent as hand-written data frames)`` for a
+        delayed, lossy replay of ``name``."""
+        if name not in cls._baselines:
+            case, delay, slack = cls.CASES[name]
+            factory, streams, until, tick = case()
+            planner = ReplayFeeder(
+                "unused", 0, streams,
+                delay_model=DelayModel(*delay, rng=5),
+                channel=GilbertElliottChannel(
+                    0.1, 0.4, deliver_good=0.95, deliver_bad=0.3, rng=9
+                ),
+            )
+            schedule = planner._build_schedule()
+            assert sum(planner.lost.values()) > 0
+            assert [e[0] for e in schedule] != sorted(
+                item.timestamp for _a, _s, _q, item in schedule
+            )  # delayed for real
+            entries = [
+                (source, seq, arrival, low, item, None)
+                for (arrival, source, seq, item), low in zip(
+                    schedule, planner._low_marks(schedule)
+                )
+            ]
+            survivors = {name: [] for name in streams}
+            for source, _seq, _arrival, _low, item, _trace in sorted(
+                entries, key=lambda entry: entry[:2]
+            ):
+                survivors[source].append(item)
+            ref = factory().run(until=until, tick=tick, sources=survivors)
+            assert ref.output
+            as_data = asyncio.run(cls.feed(
+                (factory, until, tick), slack, sorted(streams),
+                [([entry], True) for entry in entries],
+            ))
+            assert as_data[0] == ref.output
+            cls._baselines[name] = (
+                (factory, until, tick), slack, entries, sorted(streams),
+                as_data,
+            )
+        return cls._baselines[name]
+
+    @staticmethod
+    async def feed(case, slack, sources, parts):
+        """Send ``parts`` — ``(entries, as_data)``: one block each, or
+        (one entry, ``as_data``) a ``data`` frame — each drained before
+        the next leaves. Returns the output, every queue entry in offer
+        order per source, and the stats (less ``max_depth``, which is
+        the size of the largest frame by construction)."""
+        factory, until, tick = case
+        offers = {name: [] for name in sources}
+        offer = BoundedIngressQueue.offer
+
+        def logged(queue, entry):
+            offers[queue.label].append(entry)
+            return offer(queue, entry)
+
+        session = factory().open_session(until=until, tick=tick)
+        # Room for any block: this is about framing, not backpressure.
+        gateway = IngestGateway(session, slack=slack, queue_bound=1 << 14)
+        host, port = await gateway.start()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BoundedIngressQueue, "offer", logged)
+            feeder = await RawFeeder.open(host, port, sources)
+            for entries, as_data in parts:
+                if as_data:
+                    ((source, seq, arrival, low, item, _trace),) = entries
+                    await feeder.send(
+                        protocol.data_frame(source, seq, arrival, item, low)
+                    )
+                else:
+                    await feeder.send_rows(entries)
+            for name in sources:
+                await feeder.bye(name)
+            await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
+        feeder.writer.close()
+        run = await gateway.close()
+        stats = gateway.stats()
+        for source in stats["sources"].values():
+            del source["max_depth"]
+        return run.output, offers, stats
+
+    @staticmethod
+    def cut(entries, cuts, singletons_as_data=False):
+        bounds = [0, *sorted(set(cuts)), len(entries)]
+        return [
+            (entries[a:b], singletons_as_data and b - a == 1)
+            for a, b in zip(bounds, bounds[1:]) if a < b
+        ]
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize(
+        "size", [1, 7, 256, None], ids=["singletons", "7", "256", "one-block"]
+    )
+    def test_fixed_partitions(self, name, size):
+        case, slack, entries, sources, as_data = self.baseline(name)
+        cuts = range(size, len(entries), size) if size else ()
+        assert asyncio.run(self.feed(
+            case, slack, sources, self.cut(entries, cuts)
+        )) == as_data
+
+    @pytest.mark.parametrize("name", CASES)
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_any_partition_leaves_the_same_entries_stats_and_output(
+        self, name, data
+    ):
+        case, slack, entries, sources, as_data = self.baseline(name)
+        cuts = data.draw(st.lists(
+            st.integers(1, len(entries) - 1), max_size=40
+        ), label="cuts")
+        parts = self.cut(
+            entries, cuts, data.draw(st.booleans(), label="data singletons")
+        )
+        assert asyncio.run(
+            self.feed(case, slack, sources, parts)
+        ) == as_data
+
+
 #: Case id → (keys overridden on a good data frame, the field the
 #: refusal must name). ``json.loads`` accepts ``NaN`` and ``Infinity``.
 MALFORMED = {
@@ -486,6 +693,179 @@ class TestMalformedNumbers:
         reason, run = asyncio.run(scenario())
         assert named in reason
         assert run.output == ref.output
+
+
+@contextlib.asynccontextmanager
+async def front_door(front, collector=None):
+    """The 3 s shelf behind a bare gateway, or behind a router over one
+    worker; yields ``(host, port, neighbour, finish)``: ``neighbour()``
+    is everything held about source ``reader0`` (queue, buffer,
+    watermark; at the router its counts and retained history), and
+    ``await finish()`` the output once every source has said bye."""
+    factory, _streams, until, tick = shelf_case(duration=3.0)
+    if front == "gateway":
+        session = factory().open_session(until=until, tick=tick)
+        gateway = IngestGateway(session, slack=0.0, telemetry=collector)
+        host, port = await gateway.start()
+
+        def neighbour():
+            state = gateway._states["reader0"]
+            return (
+                gateway.stats()["sources"]["reader0"], len(state.queue),
+                len(state.reorder), state.reorder.watermark,
+            )
+
+        async def finish():
+            await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
+            return (await gateway.close()).output
+
+        try:
+            yield host, port, neighbour, finish
+        finally:
+            await gateway.close()
+    else:
+        # Imported here: that module imports this one.
+        from tests.test_cluster_equivalence import one_worker_cluster
+
+        async with one_worker_cluster("shelf", 3.0, collector) as (
+            router, host, port
+        ):
+            def neighbour():
+                stats = router.stats()
+                return (
+                    stats["sources"]["reader0"], stats["data_frames"],
+                    stats["retained_frames"],
+                    router._max_arrival.get("reader0"),
+                )
+
+            async def finish():
+                await asyncio.wait_for(router.run_until_complete(), WAIT)
+                return router.result()
+
+            yield host, port, neighbour, finish
+
+
+def _bad_block(source):
+    frame = protocol.block_frame(
+        [("reader1", 0, 0.0, None, StreamTuple(0.0, {"v": 1}), None)]
+    )
+    frame["rows"][0][1] = source
+    return frame
+
+
+#: Case id → the frame a peer sends with a name that is not a name.
+#: A ``hello`` opens its own connection; the rest follow a good
+#: ``hello`` for ``reader1``.
+MALFORMED_NAMES = {
+    "hello-sources-number": {"type": "hello", "version": 3, "sources": 5},
+    "hello-sources-string": {
+        "type": "hello", "version": 3, "sources": "reader1",
+    },
+    "hello-sources-mixed": {
+        "type": "hello", "version": 3, "sources": ["reader1", 5],
+    },
+    "hello-sources-nested": {
+        "type": "hello", "version": 3, "sources": [["reader1"]],
+    },
+    "hello-version-true": {
+        "type": "hello", "version": True, "sources": ["reader1"],
+    },
+    "data-source-list": {
+        **protocol.data_frame("x", 0, 0.0, StreamTuple(0.0, {"v": 1})),
+        "source": [],
+    },
+    "data-source-object": {
+        **protocol.data_frame("x", 0, 0.0, StreamTuple(0.0, {"v": 1})),
+        "source": {},
+    },
+    "block-source-list": _bad_block([]),
+    "block-source-number": _bad_block(5),
+    "heartbeat-sources-number": {"type": "heartbeat", "sources": 5},
+    "heartbeat-sources-string": {"type": "heartbeat", "sources": "reader1"},
+    "bye-source-list": {"type": "bye", "source": []},
+    "bye-source-absent": {"type": "bye"},
+}
+
+
+class TestMalformedNames:
+    """Names that are not names end as malformed numbers do: a typed
+    refusal the peer is told about, at either front door — never a bare
+    ``TypeError`` out of the serve loop, never a neighbour's state."""
+
+    @pytest.mark.parametrize("front", ["gateway", "router"])
+    @pytest.mark.parametrize(
+        "frame", MALFORMED_NAMES.values(), ids=MALFORMED_NAMES
+    )
+    def test_peer_gets_an_error_frame_and_the_neighbour_is_untouched(
+        self, front, frame
+    ):
+        factory, streams, until, tick = shelf_case(duration=3.0)
+        ref = factory().run(until=until, tick=tick, sources=streams)
+        collector = InMemoryCollector()
+
+        async def scenario():
+            async with front_door(front, collector) as (
+                host, port, neighbour, finish
+            ):
+                good = await RawFeeder.open(host, port, ["reader0"])
+                for seq, item in enumerate(streams["reader0"][:5]):
+                    await good.send(protocol.data_frame(
+                        "reader0", seq, item.timestamp, item
+                    ))
+                before = neighbour()
+
+                if frame["type"] == "hello":
+                    reader, writer = await asyncio.open_connection(host, port)
+                    bad = RawFeeder(reader, writer)
+                else:
+                    bad = await RawFeeder.open(host, port, ["reader1"])
+                reason = await bad.send_refused(frame)
+                assert neighbour() == before
+
+                # Both sources carry on: the neighbour on its
+                # connection, the refused one on a fresh one.
+                for seq, item in enumerate(streams["reader0"][5:], start=5):
+                    await good.send(protocol.data_frame(
+                        "reader0", seq, item.timestamp, item
+                    ))
+                await good.bye("reader0")
+                again = await RawFeeder.open(host, port, ["reader1"])
+                await again.replay({"reader1": streams["reader1"]})
+                output = await finish()
+                good.writer.close()
+                return reason, output
+
+        reason, output = asyncio.run(scenario())
+        assert output == ref.output
+        counters = collector.snapshot()["counters"]
+        if frame["type"] != "hello":
+            assert "source" in reason
+        elif frame["version"] is True:
+            assert "True" in reason
+            assert counters[f"{front}.version_mismatch"] == 1
+        else:
+            assert "sources" in reason
+            assert counters[f"{front}.bad_hello"] == 1
+
+    @pytest.mark.parametrize("front", ["gateway", "router"])
+    def test_block_on_a_connection_that_negotiated_v2_is_refused(self, front):
+        """The ack echoed 2, so the peer promised the v2 dialect; a
+        ``data`` frame is served on that connection, a block is not."""
+        _factory, streams, _until, _tick = shelf_case(duration=3.0)
+        first, second = streams["reader1"][:2]
+
+        async def scenario():
+            async with front_door(front) as (host, port, neighbour, _finish):
+                old = await RawFeeder.open(host, port, ["reader1"], version=2)
+                await old.send(protocol.data_frame(
+                    "reader1", 0, first.timestamp, first
+                ))
+                return await old.send_refused(protocol.block_frame([
+                    ("reader1", 1, second.timestamp, None, second, None)
+                ]))
+
+        reason = asyncio.run(scenario())
+        assert "negotiated protocol 2" in reason and "3" in reason
 
 
 class TestBlockPolicyBackpressure:
@@ -570,6 +950,59 @@ class TestDropPolicies:
         assert run.output  # survivors still flow through cleanly
         times = [t.timestamp for t in run.output]
         assert times == sorted(times)
+
+
+    @pytest.mark.parametrize(
+        "policy,kept",
+        [("drop-oldest", range(24, 40)), ("drop-newest", range(16))],
+    )
+    def test_one_block_is_shed_row_by_row(self, policy, kept):
+        """Forty rows in one frame into a queue of sixteen, the drain
+        held: each row is offered on its own, so the policy sheds
+        rows — not the frame, and not nothing."""
+
+        class Session:
+            receptor_ids = ("a",)
+            safe_time = float("-inf")
+
+            def __init__(self):
+                self.pushed = []
+
+            def push(self, source, item):
+                self.pushed.append(item.get("v"))
+
+            def advance(self, watermark):
+                return []
+
+            def close(self):
+                return self
+
+        gate = asyncio.Event()
+
+        async def scenario():
+            session = Session()
+            gateway = IngestGateway(
+                session, slack=0.0, policy=policy, queue_bound=16,
+                throttle=gate.wait,
+            )
+            host, port = await gateway.start()
+            feeder = await RawFeeder.open(host, port, ["a"])
+            await write_frame(feeder.writer, protocol.block_frame([
+                ("a", seq, float(seq), None, StreamTuple(float(seq), {"v": seq}),
+                 None)
+                for seq in range(40)
+            ]))
+            await feeder.bye("a")  # acked: the block has been served
+            gate.set()
+            await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
+            feeder.writer.close()
+            await gateway.close()
+            return session.pushed, gateway.stats()["sources"]["a"]
+
+        pushed, stats = asyncio.run(scenario())
+        assert pushed == list(kept)
+        assert (stats["offered"], stats["delivered"]) == (40, 16)
+        assert stats["dropped_overload"] == 24
 
 
 class TestLivenessEviction:

@@ -90,23 +90,23 @@ class ScriptedStream:
         return self.chunks.pop(0)
 
 
-async def read_all(frames):
+async def read_all(frames, read="read_frame"):
     """Everything ``frames`` (a FrameReader, or its reference
-    :class:`OneAtATime`) serves, and how it ended:
-    ``None`` for a clean EOF, else the error."""
+    :class:`OneAtATime`) serves through its ``read`` method, and how
+    it ended: ``None`` for a clean EOF, else the error."""
     out = []
     try:
         while True:
-            read = await frames.read_frame_raw()
-            if read is None:
+            got = await getattr(frames, read)()
+            if got is None:
                 return out, None
-            out.append(read)
+            out.append(got)
     except ProtocolError as error:
         return out, error
 
 
 class OneAtATime:
-    """The reference reading: the one-shot ``read_frame_raw`` helper,
+    """The reference reading: the one-shot ``read_frame`` helper,
     frame after frame, off a real stream holding ``wire``."""
 
     def __init__(self, wire):
@@ -114,8 +114,8 @@ class OneAtATime:
         self.reader.feed_data(wire)
         self.reader.feed_eof()
 
-    async def read_frame_raw(self):
-        return await protocol.read_frame_raw(self.reader)
+    async def read_frame(self):
+        return await protocol.read_frame(self.reader)
 
 
 def one_at_a_time(wire):
@@ -158,10 +158,13 @@ class TestFrameReader:
         )
         assert error is None
         assert (served, None) == one_at_a_time(wire)
-        assert [frame for frame, _payload in served] == frames
-        assert b"".join(
-            protocol.frame_bytes(payload) for _frame, payload in served
-        ) == wire
+        assert served == frames
+        # The raw read a relaying tier uses hands on the same bytes.
+        payloads, error = asyncio.run(read_all(
+            protocol.FrameReader(ScriptedStream(chunks)), "read_payload"
+        ))
+        assert error is None
+        assert b"".join(map(protocol.frame_bytes, payloads)) == wire
 
     def test_cut_anywhere_raises_frame_truncated(self):
         first, second = protocol.bye("a"), protocol.hello(["a", "b"])
@@ -179,7 +182,7 @@ class TestFrameReader:
                 ))),
                 one_at_a_time(stream),
             ):
-                assert [frame for frame, _payload in served] == [first]
+                assert served == [first]
                 assert isinstance(error, FrameTruncated)
                 assert expected in str(error)
 
@@ -201,7 +204,7 @@ class TestFrameReader:
         served, error = asyncio.run(
             read_all(protocol.FrameReader(ScriptedStream([wire])))
         )
-        assert [frame for frame, _payload in served] == good
+        assert served == good
         assert type(error) is ProtocolError
 
     def test_before_wait_runs_once_per_burst(self):
@@ -401,11 +404,422 @@ class TestDataFields:
             protocol.data_fields(self.frame(record={"v": 1}))
 
 
+def entry(source, seq, arrival, low, item, trace=None):
+    return (source, seq, arrival, low, item, trace)
+
+
+def decode_block(wire):
+    """Rows of the ``block`` frame(s) in ``wire``, as they would be
+    read off a socket, and how many frames carried them."""
+    frames = FrameDecoder().feed(wire)
+    assert all(frame["type"] == "block" for frame in frames)
+    return (
+        [row for frame in frames for row in protocol.block_rows(frame)],
+        len(frames),
+    )
+
+
+def exact(rows):
+    """``rows`` in a form ``==`` compares exactly: ``repr`` tells 1 from
+    1.0 from True, -0.0 from 0.0, and equates NaN with NaN."""
+    return [
+        (source, seq, arrival, low, item.timestamp, item.stream,
+         repr(item.as_dict()), trace)
+        for source, seq, arrival, low, item, trace in rows
+    ]
+
+
+def set_cell(row, column, value):
+    def mutate(frame):
+        frame["rows"][row][column] = value
+    return mutate
+
+
+def set_key(key, value):
+    def mutate(frame):
+        frame[key] = value
+    return mutate
+
+
+BAD_NUMBERS = [
+    "x", [1.0], {"a": 1}, True, None, float("nan"), float("inf"),
+    float("-inf"), 10**400,
+]
+#: Case id → (mutation of a good two-row traced block, what the
+#: refusal must name). Rows: 0 is reader0 (with a low), 1 is mote1.
+MALFORMED_BLOCKS = {
+    "rows-object": (set_key("rows", {"a": 1}), "rows"),
+    "rows-string": (set_key("rows", "abcdefghij"), "rows"),
+    "rows-absent": (lambda frame: frame.pop("rows"), "rows"),
+    "schemas-absent": (lambda frame: frame.pop("schemas"), "schemas"),
+    "schemas-string": (set_key("schemas", "ab"), "schemas"),
+    "schema-not-a-list": (set_key("schemas", ["ab", "cde"]), "schema"),
+    "schema-name-not-a-string": (
+        set_key("schemas", [["tag_id", 1], ["a", "b", "c"]]), "schema"
+    ),
+    "schema-name-repeated": (
+        set_key("schemas", [["count", "count"], ["a", "b", "c"]]),
+        "schema",
+    ),
+    "row-string": (
+        lambda frame: frame["rows"].__setitem__(1, "abcdefghij"), "row 1"
+    ),
+    "row-object": (
+        lambda frame: frame["rows"].__setitem__(1, {"k": 0}), "row 1"
+    ),
+    "row-null": (
+        lambda frame: frame["rows"].__setitem__(1, None), "row 1"
+    ),
+    "row-short": (
+        lambda frame: frame["rows"].__setitem__(1, [0, "mote1", 4]),
+        "row 1",
+    ),
+    "row-wider-than-schema": (
+        lambda frame: frame["rows"][1].append(0), "row 1"
+    ),
+    "row-narrower-than-schema": (
+        lambda frame: frame["rows"][1].pop(), "row 1"
+    ),
+    "k-past-the-schemas": (set_cell(1, 0, 2), "k=2"),
+    "k-negative": (set_cell(1, 0, -1), "k=-1"),
+    "k-true": (set_cell(1, 0, True), "k=True"),
+    "k-float": (set_cell(1, 0, 1.0), "k=1.0"),
+    "source-list": (set_cell(1, 1, []), "source"),
+    "source-number": (set_cell(1, 1, 5), "source"),
+    "stream-null": (set_cell(1, 6, None), "stream"),
+    "seq-float": (set_cell(1, 2, 4.0), "seq"),
+    "seq-string": (set_cell(1, 2, "4"), "seq"),
+    "seq-bool": (set_cell(1, 2, True), "seq"),
+    "seq-null": (set_cell(1, 2, None), "seq"),
+    **{
+        f"{name}-{value!r:.8}": (set_cell(1, column, value), name)
+        for name, column in (("arrival", 3), ("timestamp", 5))
+        for value in BAD_NUMBERS
+    },
+    **{
+        f"low-{value!r:.8}": (set_cell(0, 4, value), "low")
+        for value in BAD_NUMBERS if value is not None
+    },
+    "traces-short": (lambda frame: frame["traces"].pop(), "traces"),
+    "traces-long": (
+        lambda frame: frame["traces"].append([9, 1, 2, 3, 0]), "traces"
+    ),
+    "traces-object": (set_key("traces", {"a": 1}), "traces"),
+    "trace-narrow": (
+        lambda frame: frame["traces"][1].pop(), "trace"
+    ),
+    "trace-cell-float": (
+        lambda frame: frame["traces"][1].__setitem__(2, 1.5), "trace"
+    ),
+    "trace-cell-bool": (
+        lambda frame: frame["traces"][1].__setitem__(4, True), "trace"
+    ),
+    "trace-object": (
+        lambda frame: frame["traces"].__setitem__(1, {"id": 8}), "trace"
+    ),
+}
+
+
+
+class TestBlockFrame:
+    """Protocol 3's ``block``: a burst of readings as positional rows."""
+
+    A = StreamTuple(2.5, {"tag_id": "T1", "count": 3}, stream="rfid")
+    B = StreamTuple(2.5, {"tag_id": "T2", "count": 1}, stream="rfid")
+    MOTE = StreamTuple(
+        2.75, {"mote_id": "m1", "temp": 21.5, "volt": 2.9}, stream="mote"
+    )
+
+    def test_pinned_bytes_one_schema(self):
+        rows = [
+            entry("reader0", 9, 3.25, None, self.A),
+            entry("reader0", 10, 3.25, None, self.B),
+        ]
+        wire = protocol.encode_block(rows)
+        assert wire == (
+            b'\x00\x00\x00\xa8{"rows": [[0, "reader0", 9, 3.25, null, 2.5, '
+            b'"rfid", "T1", 3], [0, "reader0", 10, 3.25, null, 2.5, "rfid", '
+            b'"T2", 1]], "schemas": [["tag_id", "count"]], "type": "block"}'
+        )
+        assert wire == encode_frame(protocol.block_frame(rows))
+        assert decode_block(wire) == (rows, 1)
+
+    def test_pinned_bytes_mixed_schemas(self):
+        # Receptor kinds share a block, each under its own schema,
+        # numbered in order of first use; row order is entry order.
+        rows = [
+            entry("reader0", 9, 3.25, None, self.A),
+            entry("mote1", 4, 3.5, None, self.MOTE),
+            entry("reader0", 10, 3.25, None, self.B),
+        ]
+        wire = protocol.encode_block(rows)
+        assert wire == (
+            b'\x00\x00\x01\x00{"rows": [[0, "reader0", 9, 3.25, null, 2.5, '
+            b'"rfid", "T1", 3], [1, "mote1", 4, 3.5, null, 2.75, "mote", '
+            b'"m1", 21.5, 2.9], [0, "reader0", 10, 3.25, null, 2.5, "rfid", '
+            b'"T2", 1]], "schemas": [["tag_id", "count"], ["mote_id", "temp", '
+            b'"volt"]], "type": "block"}'
+        )
+        assert decode_block(wire) == (rows, 1)
+
+    def test_pinned_bytes_with_low(self):
+        rows = [
+            entry("reader0", 9, 3.25, None, self.A),
+            entry("reader0", 10, 3.25, 2.75, self.B),
+        ]
+        wire = protocol.encode_block(rows)
+        assert wire == (
+            b'\x00\x00\x00\xa8{"rows": [[0, "reader0", 9, 3.25, null, 2.5, '
+            b'"rfid", "T1", 3], [0, "reader0", 10, 3.25, 2.75, 2.5, "rfid", '
+            b'"T2", 1]], "schemas": [["tag_id", "count"]], "type": "block"}'
+        )
+        assert decode_block(wire) == (rows, 1)
+
+    def test_pinned_bytes_with_traces(self):
+        rows = [
+            entry("reader0", 9, 3.25, None, self.A, [7, 100, 110, 120, 0]),
+            entry("reader0", 10, 3.25, 2.75, self.B, [8, 101, 111, 121, 1]),
+        ]
+        wire = protocol.encode_block(rows)
+        assert wire == (
+            b'\x00\x00\x00\xe2{"rows": [[0, "reader0", 9, 3.25, null, 2.5, '
+            b'"rfid", "T1", 3], [0, "reader0", 10, 3.25, 2.75, 2.5, "rfid", '
+            b'"T2", 1]], "schemas": [["tag_id", "count"]], "traces": [[7, 100, '
+            b'110, 120, 0], [8, 101, 111, 121, 1]], "type": "block"}'
+        )
+        assert decode_block(wire) == (rows, 1)
+
+    def test_traces_are_for_every_row_or_none(self):
+        with pytest.raises(ProtocolError, match="one per row"):
+            protocol.block_frame([
+                entry("reader0", 9, 3.25, None, self.A, [7, 100, 110, 120, 0]),
+                entry("reader0", 10, 3.25, None, self.B),
+            ])
+
+    def test_reserved_record_names_are_ordinary_fields_in_a_row(self):
+        # A record would let these fields overwrite the tuple's own
+        # timestamp and stream; a row keeps both in cells of their own.
+        item = StreamTuple(
+            1.0, {"_ts": 5.0, "_stream": "evil", "x": 1}, stream="reader0"
+        )
+        rows, _frames = decode_block(
+            protocol.encode_block([entry("reader0", 0, 1.0, None, item)])
+        )
+        assert rows[0][4] == item
+        assert (rows[0][4].timestamp, rows[0][4].stream) == (1.0, "reader0")
+
+    def test_integers_are_numbers(self):
+        frame = protocol.block_frame([entry("a", 1, 3.25, 2.75, self.A)])
+        frame["rows"][0][3:6] = [3, 2, 2]
+        (row,) = protocol.block_rows(frame)
+        assert row[2:4] == (3.0, 2.0) and row[4].timestamp == 2.0
+        assert [type(cell) for cell in row[2:4]] == [float, float]
+        assert type(row[4].timestamp) is float
+
+    NAMES = st.one_of(
+        st.sampled_from(["_ts", "_stream", "type", "rows"]),
+        st.text(max_size=6),
+    )
+    FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    ENTRIES = st.lists(
+        st.tuples(
+            st.text(max_size=6),                        # source
+            st.integers(0, 2**70),                      # seq
+            FINITE,                                     # arrival
+            st.one_of(st.none(), FINITE),               # low
+            st.builds(
+                StreamTuple,
+                FINITE,
+                st.dictionaries(
+                    NAMES,
+                    st.one_of(
+                        st.integers(-2**70, 2**70),
+                        st.floats(),                    # NaN, ±inf: legal
+                        st.text(max_size=8),
+                        st.booleans(),
+                        st.none(),
+                        st.lists(st.integers(), max_size=3),
+                    ),
+                    max_size=4,
+                ),
+                st.text(max_size=6),
+            ),
+        ),
+        max_size=12,
+    )
+
+    @given(entries=ENTRIES, traced=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_block_reads_back_exactly(self, entries, traced, data):
+        """Unicode names, integers beyond 2**53, non-finite field
+        *values*, empty mappings, fields named like reserved columns,
+        mixed schemas: ``block_rows(block_frame(e)) == e``, over the
+        wire."""
+        rows = [
+            entry(*fields, trace=(
+                data.draw(st.lists(
+                    st.integers(0, 2**62), min_size=5, max_size=5
+                )) if traced else None
+            ))
+            for fields in entries
+        ]
+        decoded, frames = decode_block(protocol.encode_block(rows))
+        assert exact(decoded) == exact(rows)
+        assert frames == 1
+        assert [
+            list(row[4].keys()) for row in decoded
+        ] == [list(row[4].keys()) for row in rows]  # field order too
+
+    def good(self):
+        return protocol.block_frame([
+            entry("reader0", 9, 3.25, 2.75, self.A, [7, 100, 110, 120, 0]),
+            entry("mote1", 4, 3.5, None, self.MOTE, [8, 101, 111, 121, 1]),
+        ])
+
+    @pytest.mark.parametrize(
+        "mutate,named", MALFORMED_BLOCKS.values(), ids=MALFORMED_BLOCKS
+    )
+    def test_malformed_block_is_a_protocol_error(self, mutate, named):
+        frame = self.good()
+        assert len(list(protocol.block_rows(frame))) == 2
+        mutate(frame)
+        # As it would arrive: json.loads accepts NaN, Infinity, 1e400.
+        (decoded,) = FrameDecoder().feed(encode_frame(frame))
+        with pytest.raises(ProtocolError, match=named):
+            list(protocol.block_rows(decoded))
+
+    def test_an_exponent_beyond_a_double_reads_as_infinity_and_is_refused(self):
+        wire = encode_frame(self.good()).replace(b" 3.5,", b" 1e400,")
+        payload = wire[4:]
+        (decoded,) = FrameDecoder().feed(protocol.frame_bytes(payload))
+        assert decoded["rows"][1][3] == float("inf")
+        with pytest.raises(ProtocolError, match="arrival"):
+            list(protocol.block_rows(decoded))
+
+    def test_rows_ahead_of_a_malformed_one_are_served_first(self):
+        frame = self.good()
+        frame["rows"][1][2] = "4"
+        rows = protocol.block_rows(frame)
+        assert next(rows)[:2] == ("reader0", 9)
+        with pytest.raises(ProtocolError, match="row 1"):
+            next(rows)
+
+    def big(self, n, size):
+        return [
+            entry("a", seq, 1.0, None, StreamTuple(1.0, {"blob": "x" * size}))
+            for seq in range(n)
+        ]
+
+    def test_over_cap_block_is_split_in_halves(self):
+        rows = self.big(7, MAX_FRAME_BYTES // 3)
+        with pytest.raises(ProtocolError, match="limit"):
+            encode_frame(protocol.block_frame(rows))
+        wire = protocol.encode_block(rows)
+        decoded, frames = decode_block(wire)
+        assert decoded == rows  # every row, in order
+        assert frames == 4  # 7 → 3 + 4 → (1 + 2) + (2 + 2)
+
+    def test_over_cap_row_fails(self):
+        rows = self.big(3, MAX_FRAME_BYTES)
+        with pytest.raises(ProtocolError, match="limit"):
+            protocol.encode_block(rows)
+
+
+class FakeTransport:
+    """The three things a :class:`FrameWriter` asks of a stream."""
+
+    def __init__(self):
+        self.writes = []
+        self.closed = False
+
+    def write(self, data):
+        self.writes.append(data)
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+
+class TestFrameWriterRows:
+    """Rows wait unsealed, and are sealed by exactly the events of the
+    flush rule — so wire order stays ``add`` / ``add_row`` order."""
+
+    ITEM = StreamTuple(2.5, {"v": 1}, stream="s")
+
+    def rows(self, out, seqs):
+        for seq in seqs:
+            out.add_row("a", seq, 2.5, None, self.ITEM)
+
+    @staticmethod
+    def shape(transport):
+        """Per write: each frame's type, or its row seqs for a block."""
+        return [
+            [
+                [row[1] for row in protocol.block_rows(frame)]
+                if frame["type"] == "block" else frame["type"]
+                for frame in FrameDecoder().feed(data)
+            ]
+            for data in transport.writes
+        ]
+
+    def test_another_frame_seals_the_rows_ahead_of_it(self):
+        transport = FakeTransport()
+        out = protocol.FrameWriter(transport)
+        self.rows(out, [0, 1])
+        out.add(protocol.checkpoint(1))
+        self.rows(out, [2])
+        out.add(protocol.bye("a"))
+        assert transport.writes == []  # nothing leaves before a flush
+        out.flush()
+        assert self.shape(transport) == [[[0, 1], "checkpoint", [2], "bye"]]
+        out.flush()
+        assert len(transport.writes) == 1  # nothing pending: no write
+
+    def test_flush_drain_and_close_each_seal(self):
+        transport = FakeTransport()
+        out = protocol.FrameWriter(transport)
+        self.rows(out, [0])
+        out.flush()
+        self.rows(out, [1, 2])
+        asyncio.run(out.drain())
+        self.rows(out, [3])
+        out.close()
+        assert self.shape(transport) == [[[0]], [[1, 2]], [[3]]]
+        assert transport.closed
+
+    def test_a_block_is_sealed_at_256_rows(self):
+        transport = FakeTransport()
+        out = protocol.FrameWriter(transport)
+        self.rows(out, range(300))
+        out.flush()
+        ((first, second),) = self.shape(transport)
+        assert first == list(range(256)) and second == list(range(256, 300))
+
+    def test_sealed_bytes_count_toward_full(self):
+        out = protocol.FrameWriter(FakeTransport())
+        fat = StreamTuple(2.5, {"blob": "x" * 300}, stream="s")
+        for seq in range(255):
+            out.add_row("a", seq, 2.5, None, fat)
+        assert not out.full  # unsealed rows have no size yet
+        out.add_row("a", 255, 2.5, None, fat)
+        assert out.full  # sealed: 256 rows of 300 bytes pass 64 KiB
+
+    def test_over_cap_row_fails_at_the_seal(self):
+        out = protocol.FrameWriter(FakeTransport())
+        out.add_row(
+            "a", 0, 2.5, None, StreamTuple(2.5, {"blob": "x" * MAX_FRAME_BYTES})
+        )
+        with pytest.raises(ProtocolError, match="limit"):
+            out.flush()
+
+
 class TestClusterDialect:
     """Round-trips and pinned bytes for the protocol-2 cluster frames."""
 
     FRAMES = [
-        protocol.worker_hello("w0"),
+        protocol.worker_hello("w0", version=2),
         protocol.route(3, 12, ["r1", "r0"]),
         protocol.drain(),
         protocol.result(
@@ -415,8 +829,11 @@ class TestClusterDialect:
     ]
 
     def test_protocol_version_is_2_and_v1_stays_supported(self):
-        assert PROTOCOL_VERSION == 2
-        assert protocol.SUPPORTED_VERSIONS == (1, 2)
+        # Version 2 was this build's own until blocks made it 3; like
+        # version 1 it stays a dialect a front door accepts.
+        assert PROTOCOL_VERSION == 3
+        assert protocol.SUPPORTED_VERSIONS == (1, 2, 3)
+        assert protocol.BLOCK_VERSION == 3
 
     def test_every_cluster_frame_roundtrips(self):
         for frame in self.FRAMES:
@@ -457,23 +874,27 @@ class TestClusterDialect:
         assert [encode_frame(f) for f in self.FRAMES] == golden
 
     def test_raw_read_returns_payload_for_verbatim_relay(self):
+        # ``read_payload`` is the raw read left: what the chaos proxy
+        # relays (or cuts, or corrupts) without re-encoding.
         async def scenario():
             server_reader = asyncio.StreamReader()
             frame = protocol.route(0, 0, ["a"])
             server_reader.feed_data(encode_frame(frame))
             server_reader.feed_eof()
-            decoded, payload = await protocol.read_frame_raw(server_reader)
-            assert decoded == frame
-            assert encode_frame(frame) == (
-                len(payload).to_bytes(4, "big") + payload
-            )
-            assert await protocol.read_frame_raw(server_reader) is None
+            frames = protocol.FrameReader(server_reader)
+            payload = await frames.read_payload()
+            assert protocol.frame_bytes(payload) == encode_frame(frame)
+            assert FrameDecoder().feed(protocol.frame_bytes(payload)) == [
+                frame
+            ]
+            assert await frames.read_payload() is None
 
         asyncio.run(asyncio.wait_for(scenario(), 20.0))
 
 
 class TestVersionHandshake:
-    """Compat negotiation: v1 feeders keep working, v3 is refused."""
+    """Compat negotiation: v1 and v2 feeders keep working, v4 is
+    refused."""
 
     WAIT = 20.0
 
@@ -517,29 +938,45 @@ class TestVersionHandshake:
         assert reply["type"] == "hello_ack"
         assert reply["version"] == 2
 
-    def test_future_version_refused_with_supported_list(self):
+    def test_v3_hello_acked_with_v3(self):
         reply = self._handshake(3)
+        assert reply["type"] == "hello_ack"
+        assert reply["version"] == 3
+
+    def test_future_version_refused_with_supported_list(self):
+        reply = self._handshake(4)
         assert reply["type"] == "error"
-        assert "[1, 2]" in reply["reason"]
+        assert "[1, 2, 3]" in reply["reason"]
+
+    def test_boolean_version_is_not_version_one(self):
+        # ``True == 1``: it was accepted as v1 and echoed as ``true``.
+        reply = self._handshake(True)
+        assert reply["type"] == "error"
+        assert "True" in reply["reason"]
 
     def test_worker_requires_exact_v2(self):
+        """A worker takes its router's build and no other — once that
+        was v2; now v2 itself is refused (the router sends blocks)."""
         from repro.net.worker import ClusterWorker
 
-        async def scenario():
+        async def scenario(version):
             worker = ClusterWorker("shelf", duration=6.0, seed=3)
             host, port = await worker.start()
             reader, writer = await asyncio.open_connection(host, port)
             await protocol.write_frame(
-                writer, protocol.worker_hello("w0", version=1)
+                writer, protocol.worker_hello("w0", version=version)
             )
             reply = await protocol.read_frame(reader)
             writer.close()
             await worker.close()
             return reply
 
-        reply = asyncio.run(asyncio.wait_for(scenario(), self.WAIT))
-        assert reply["type"] == "error"
-        assert "requires protocol 2" in reply["reason"]
+        for version in (1, 2):
+            reply = asyncio.run(
+                asyncio.wait_for(scenario(version), self.WAIT)
+            )
+            assert reply["type"] == "error"
+            assert f"requires protocol {PROTOCOL_VERSION}" in reply["reason"]
 
 
 class TestTupleEncoding:
@@ -550,6 +987,16 @@ class TestTupleEncoding:
     def test_missing_timestamp_rejected(self):
         with pytest.raises(ProtocolError):
             record_to_tuple({"v": 1})
+
+    @pytest.mark.parametrize("name", ["_ts", "_stream"])
+    def test_field_named_like_a_reserved_column_is_refused(self, name):
+        # It came back as the tuple's own timestamp or stream — on data
+        # frames, and on result frames for any operator emitting it.
+        item = StreamTuple(1.0, {name: 5.0, "x": 1}, stream="reader0")
+        with pytest.raises(ProtocolError, match="reserves"):
+            tuple_to_record(item)
+        with pytest.raises(ProtocolError, match="reserves"):
+            protocol.data_frame("reader0", 0, 1.0, item)
 
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),

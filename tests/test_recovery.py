@@ -269,7 +269,7 @@ class TestFrameTruncated:
             reader.feed_data(data[: len(data) - 2])
             reader.feed_eof()
             with pytest.raises(FrameTruncated, match="mid-frame"):
-                await protocol.read_frame_raw(reader)
+                await protocol.FrameReader(reader).read_payload()
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
 
@@ -279,7 +279,7 @@ class TestFrameTruncated:
             reader.feed_data(b"\x00\x00\x01")
             reader.feed_eof()
             with pytest.raises(FrameTruncated, match="mid-header"):
-                await protocol.read_frame_raw(reader)
+                await protocol.FrameReader(reader).read_payload()
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
 
@@ -287,7 +287,8 @@ class TestFrameTruncated:
         async def scenario():
             reader = asyncio.StreamReader()
             reader.feed_eof()
-            assert await protocol.read_frame_raw(reader) is None
+            assert await protocol.FrameReader(reader).read_payload() is None
+            assert await protocol.read_frame(reader) is None
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
 
@@ -340,7 +341,7 @@ class TestFeederBackoff:
                 )
                 if index == 0:
                     # First connection: cut a credit frame mid-payload.
-                    await protocol.read_frame_raw(reader)  # the data frame
+                    await protocol.read_frame(reader)  # the reading
                     frame = encode_frame(protocol.credit_frame("s", 1))
                     writer.write(frame[: len(frame) - 4])
                     await writer.drain()

@@ -99,6 +99,23 @@ class TestCsv:
             read_csv(path)
 
 
+class TestReservedColumns:
+    """A field named ``_ts`` or ``_stream`` would come back as the
+    tuple's own timestamp or stream: the writers refuse it instead."""
+
+    EVIL = StreamTuple(1.0, {"_ts": 5.0, "_stream": "evil", "x": 1}, "reader0")
+
+    def test_write_jsonl_refuses(self, tmp_path):
+        with pytest.raises(ReproError, match="reserved"):
+            write_jsonl([sample_trace()[0], self.EVIL], tmp_path / "t.jsonl")
+
+    def test_write_csv_refuses(self, tmp_path):
+        with pytest.raises(ReproError, match="reserved"):
+            write_csv([sample_trace()[0], self.EVIL], tmp_path / "t.csv")
+        with pytest.raises(ReproError, match="reserved"):
+            write_csv([sample_trace()[0]], tmp_path / "t.csv", fields=["_ts"])
+
+
 class TestRecordingRoundTrip:
     def test_save_and_load_recording(self, tmp_path):
         recording = {
