@@ -12,21 +12,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.stages import Stage, StageContext, StageKind
-from repro.errors import OperatorError, PipelineError
+from repro.errors import OperatorError
 from repro.streams.aggregates import AggregateSpec, Mad, Median, Stdev
 from repro.streams.operators import GroupKey, Operator, WindowedGroupByOp
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import BaseWindow, WindowSpec
-
-
-def _resolve_window(window: float | None, ctx: StageContext, who: str) -> float:
-    if window is not None:
-        return float(window)
-    if ctx.temporal_granule is None:
-        raise PipelineError(
-            f"{who} needs an explicit window or a pipeline temporal granule"
-        )
-    return ctx.temporal_granule.window_seconds
 
 
 class _RobustGroupAverage(Operator):
@@ -170,7 +160,7 @@ def sigma_outlier_average(
     """
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "sigma_outlier_average")
+        seconds = ctx.window_seconds(window, "sigma_outlier_average")
         return _RobustGroupAverage(
             WindowSpec.range_by(seconds),
             value_field,
@@ -201,7 +191,7 @@ def mad_outlier_average(
     """
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "mad_outlier_average")
+        seconds = ctx.window_seconds(window, "mad_outlier_average")
         return _RobustGroupAverage(
             WindowSpec.range_by(seconds),
             value_field,
@@ -233,7 +223,7 @@ def spatial_average(
     result_field = output_field or value_field
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "spatial_average")
+        seconds = ctx.window_seconds(window, "spatial_average")
         return WindowedGroupByOp(
             WindowSpec.range_by(seconds),
             keys=[GroupKey(granule_field, lambda t, _f=granule_field: t.get(_f))],
@@ -314,7 +304,7 @@ def k_of_n_vote(
     """
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "k_of_n_vote")
+        seconds = ctx.window_seconds(window, "k_of_n_vote")
         return _VoteWindow(
             WindowSpec.range_by(seconds),
             min_devices,

@@ -8,7 +8,10 @@ for missed readings and detect outliers in a single receptor stream"
 Each builder returns a :class:`~repro.core.stages.Stage` whose window
 defaults to the pipeline's temporal granule (its ``window_seconds``,
 which honours expansion) so that a deployment only states the granule
-once.
+once (:meth:`~repro.core.stages.StageContext.window_seconds`). The
+three windowed builders are the same
+:class:`~repro.streams.operators.WindowedGroupByOp` a continuous query
+compiles to (§3.3: a stage is the same thing written either way).
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.stages import Stage, StageContext, StageKind
-from repro.errors import PipelineError
 from repro.streams.aggregates import AggregateSpec
-from repro.streams.incremental import IncrementalWindowedGroupByOp
 from repro.streams.operators import (
     ChainOp,
     FilterOp,
@@ -29,18 +30,6 @@ from repro.streams.operators import (
 )
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import WindowSpec
-
-
-def _resolve_window(
-    window: float | None, ctx: StageContext, who: str
-) -> float:
-    if window is not None:
-        return float(window)
-    if ctx.temporal_granule is None:
-        raise PipelineError(
-            f"{who} needs an explicit window or a pipeline temporal granule"
-        )
-    return ctx.temporal_granule.window_seconds
 
 
 def _carry_keys(carry: Sequence[str]) -> list[GroupKey]:
@@ -73,14 +62,15 @@ def presence_smoother(
             stream in practice).
         count_field: Output field holding the window read count.
 
-    The count is maintained in O(1) per tuple
-    (:class:`repro.streams.incremental.IncrementalWindowedGroupByOp`);
-    the property tests pin it to the recompute operator.
+    ``count(*)`` is the length of the tag's window, so a slide reads
+    no row: it costs the evictions plus one output per live tag. An
+    out-of-order reading is refused (``WindowError``) as in every other
+    windowed stage.
     """
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "presence_smoother")
-        group = IncrementalWindowedGroupByOp(
+        seconds = ctx.window_seconds(window, "presence_smoother")
+        group = WindowedGroupByOp(
             WindowSpec.range_by(seconds),
             keys=[GroupKey(id_field)] + _carry_keys(carry),
             aggregates=[AggregateSpec("count", output=count_field)],
@@ -126,7 +116,7 @@ def sliding_average(
     result_field = output_field or value_field
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "sliding_average")
+        seconds = ctx.window_seconds(window, "sliding_average")
         return WindowedGroupByOp(
             WindowSpec.range_by(seconds),
             keys=[GroupKey(field) for field in by] + _carry_keys(carry),
@@ -155,7 +145,7 @@ def event_smoother(
     """
 
     def factory(ctx: StageContext) -> Operator:
-        seconds = _resolve_window(window, ctx, "event_smoother")
+        seconds = ctx.window_seconds(window, "event_smoother")
         group = WindowedGroupByOp(
             WindowSpec.range_by(seconds),
             keys=_carry_keys(carry),

@@ -99,6 +99,20 @@ class StageContext:
         self.group = group
         self.receptor_kind = receptor_kind
 
+    def window_seconds(self, window: float | None, who: str) -> float:
+        """A stage's window: ``window`` if given, else the granule's.
+
+        Raises:
+            PipelineError: With neither, naming the stage ``who``.
+        """
+        if window is not None:
+            return float(window)
+        if self.temporal_granule is None:
+            raise PipelineError(
+                f"{who} needs an explicit window or a pipeline temporal granule"
+            )
+        return self.temporal_granule.window_seconds
+
     def __repr__(self):
         bits = [self.kind.value]
         if self.stream_name:

@@ -7,7 +7,7 @@ HiFi / TelegraphCQ ecosystem:
 - :mod:`repro.streams.time` — simulation clock, durations and epochs.
 - :mod:`repro.streams.windows` — CQL-style ``Range By`` / ``Rows`` / ``NOW``
   sliding-window machinery.
-- :mod:`repro.streams.aggregates` — incremental aggregate functions
+- :mod:`repro.streams.aggregates` — aggregate functions
   (``count``, ``count distinct``, ``avg``, ``stdev``, ...) and a registry
   for user-defined aggregates.
 - :mod:`repro.streams.operators` — relational operators over streams
@@ -54,7 +54,6 @@ from repro.streams.operators import (
     UnionOp,
     WindowedGroupByOp,
 )
-from repro.streams.incremental import IncrementalWindowedGroupByOp
 from repro.streams.reorder import ReorderBuffer, reorder_arrivals
 from repro.streams.shard import (
     BACKENDS,
@@ -103,7 +102,6 @@ __all__ = [
     "Fjord",
     "Histogram",
     "InMemoryCollector",
-    "IncrementalWindowedGroupByOp",
     "MISSING",
     "MODES",
     "MapOp",

@@ -12,7 +12,10 @@ RFID polls, 5-minute sensor epochs).
 There is one evaluation, :meth:`AggregateSpec.evaluate`: a fresh
 accumulator is fed every row's argument in window order. An aggregate's
 numerical meaning (a float sum's rounding, which zero ``min`` keeps) is
-therefore its accumulator's and nothing else's.
+therefore its accumulator's and nothing else's. The one value the
+windowed GROUP BY does not ask this module for is ``count(*)``, which
+counts every row and so is the window's length
+(:class:`~repro.streams.operators.WindowedGroupByOp`).
 
 User-defined aggregates (UDAs, paper §3.3) are supported through
 :func:`register_aggregate`.

@@ -313,11 +313,15 @@ def emission_order(groups: Iterable[tuple]) -> list[tuple]:
     Component-wise ``str`` order, not insertion order: the output order
     must be a function of the live key set alone so sharded and cluster
     execution can reproduce it (:mod:`repro.streams.shard`). The
-    group-by operators cache the result and drop it whenever a group is
+    group-by caches the result and drops it whenever a group is
     created or deleted, so a slide over an unchanged key set sorts
     nothing.
     """
     return sorted(groups, key=lambda key: tuple(str(c) for c in key))
+
+
+def _is_count_star(spec: AggregateSpec) -> bool:
+    return spec.name == "count" and spec.argument is None and not spec.distinct
 
 
 class WindowedGroupByOp(Operator):
@@ -325,7 +329,10 @@ class WindowedGroupByOp(Operator):
 
     This single operator covers the paper's Queries 1, 2, 3 and 5: it
     maintains one window per group, slides all windows on each punctuation
-    and emits one result tuple per non-empty group.
+    and emits one result tuple per non-empty group. ``count(*)`` (name
+    ``count``, no argument, not distinct) is the group's ``len(window)``;
+    every other aggregate is :meth:`AggregateSpec.evaluate` over the
+    window's rows, listed once per group and only if one needs them.
 
     Args:
         window: Window specification applied per group.
@@ -361,7 +368,14 @@ class WindowedGroupByOp(Operator):
             raise OperatorError(f"emit_every must be positive, got {emit_every}")
         self._window_spec = window
         self._keys = list(keys)
-        self._aggregates = list(aggregates)
+        #: ``(output field, spec)`` per aggregate, with ``None`` standing
+        #: for ``count(*)`` — every row counts, so it is the group's
+        #: ``len(window)`` and needs no pass over the rows.
+        self._aggregates = [
+            (spec.output, None if _is_count_star(spec) else spec)
+            for spec in aggregates
+        ]
+        self._reads_rows = any(spec is not None for _, spec in self._aggregates)
         self._having = having
         self._emit_every = emit_every
         self._output_stream = output_stream
@@ -408,19 +422,23 @@ class WindowedGroupByOp(Operator):
             order = self._order = emission_order(windows)
         names = [k.name for k in self._keys]
         aggregates = self._aggregates
+        reads_rows = self._reads_rows
         stream = self._output_stream
         from_parts = StreamTuple._from_parts
         stamp = float(now)
         for key in order:
             window = windows[key]
             window.advance(now)
-            contents = window.contents()
-            if not contents:
+            size = len(window)
+            if not size:
                 empty_keys.append(key)
                 continue
+            contents = window.contents() if reads_rows else ()
             values: dict[str, Any] = dict(zip(names, key))
-            for spec in aggregates:
-                values[spec.output] = spec.evaluate(contents)
+            for output, spec in aggregates:
+                values[output] = (
+                    size if spec is None else spec.evaluate(contents)
+                )
             rows.append(from_parts(stamp, values, stream))
         if empty_keys:
             for key in empty_keys:

@@ -14,7 +14,7 @@ from repro.core.operators.merge_ops import sigma_outlier_average
 from repro.core.operators.smooth_ops import presence_smoother
 from repro.core.stages import StageContext, StageKind
 from repro.cql import compile_query
-from repro.errors import SchemaError
+from repro.errors import SchemaError, WindowError
 from repro.streams.operators import run_operator
 from repro.streams.tuples import StreamTuple
 
@@ -37,6 +37,17 @@ class TestMalformedReadingsThroughStages:
         out = run_operator(op, items, [0.0])
         assert [t["tag_id"] for t in out] == ["a"]
         assert out[0]["count"] == 1
+
+    def test_presence_smoother_refuses_an_out_of_order_reading(self):
+        # A reading behind its tag's window is refused, as every other
+        # windowed stage refuses it — not counted in windows (here the
+        # one at t=10) it is not in.
+        op = presence_smoother(window=5.0).make(
+            StageContext(StageKind.SMOOTH)
+        )
+        op.on_batch([tup(9.0, tag_id="a", spatial_granule="g")])
+        with pytest.raises(WindowError):
+            op.on_batch([tup(2.0, tag_id="a", spatial_granule="g")])
 
     def test_arbitrator_skips_rows_missing_identity(self):
         op = MaxCountArbitrator(tie_break="all")

@@ -244,11 +244,11 @@ class TestBatchFastPathAccounting:
             VotingDetector,
         )
         from repro.streams.aggregates import AggregateSpec
-        from repro.streams.incremental import IncrementalWindowedGroupByOp
         from repro.streams.operators import (
             GroupKey,
             MapOp,
             StaticJoinOp,
+            WindowedGroupByOp,
             WindowJoinOp,
         )
         from repro.streams.windows import WindowSpec
@@ -278,7 +278,7 @@ class TestBatchFastPathAccounting:
             # Query 2's operator (per-stream window counts of each v)
             # feeding Query 3's (which stream saw a v the most).
             "g": (
-                IncrementalWindowedGroupByOp(
+                WindowedGroupByOp(
                     WindowSpec.range_by(2.0),
                     keys=[GroupKey("v"), GroupKey("src", lambda t: t.stream)],
                     aggregates=[AggregateSpec("count", output="count")],
@@ -410,7 +410,7 @@ class TestOneDataEntryPoint:
 
     def test_no_operator_overrides_on_tuple_and_all_define_on_batch(self):
         classes = self._operator_classes()
-        assert len(classes) >= 20
+        assert len(classes) >= 19
         for cls in classes:
             assert "on_tuple" not in vars(cls), cls
             assert cls.on_batch is not Operator.on_batch, cls

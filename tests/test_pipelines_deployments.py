@@ -38,6 +38,28 @@ class TestShelfPipeline:
         assert set(counts) == {"shelf0", "shelf1"}
         assert len(counts["shelf0"]) == len(small_shelf.ticks())
 
+    def test_smooth_reads_no_window_rows(self, small_shelf, monkeypatch):
+        """Query 2's ``count(*)`` is each tag window's length: a shelf
+        pass never lists the rows of a Smooth window (the only windows
+        the ``smooth`` configuration has)."""
+        from repro.streams.windows import BaseWindow
+
+        listed = []
+        contents = BaseWindow.contents
+        monkeypatch.setattr(
+            BaseWindow,
+            "contents",
+            lambda window: listed.append(window) or contents(window),
+        )
+        run = build_shelf_processor(small_shelf, "smooth").run(
+            until=small_shelf.duration,
+            tick=small_shelf.poll_period,
+            sources=small_shelf.recorded_streams(),
+            taps=("smooth",),
+        )
+        assert len(run.tap("rfid", "smooth")) > 0
+        assert listed == []
+
     def test_cleaning_improves_on_raw(self, small_shelf):
         raw_error = shelf_error(
             small_shelf, query1_counts(small_shelf, "raw")

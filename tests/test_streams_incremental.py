@@ -1,4 +1,12 @@
-"""Tests: incremental group-by is equivalent to the recompute operator."""
+"""Tests: the windowed GROUP BY against a brute-force oracle.
+
+``WindowedGroupByOp`` reads ``count(*)`` off the window's length and
+evaluates every other aggregate over the window's rows. The oracle keeps
+no window at all: at each punctuation it takes, per group, the delivered
+rows whose timestamp is in ``[now - range, now]`` (the last N for
+``[Rows N]``) and calls ``AggregateSpec.evaluate`` on them. The two must
+agree exactly — same rows, same order, same float bits.
+"""
 
 import pickle
 
@@ -8,8 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import OperatorError
 from repro.streams.aggregates import AggregateSpec
-from repro.streams.incremental import IncrementalWindowedGroupByOp
-from repro.streams.operators import GroupKey, WindowedGroupByOp, run_operator
+from repro.streams.operators import GroupKey, WindowedGroupByOp
 from repro.streams.tuples import StreamTuple
 from repro.streams.windows import WindowSpec
 
@@ -17,37 +24,82 @@ from repro.streams.windows import WindowSpec
 def specs():
     return [
         AggregateSpec("count", output="n"),
+        AggregateSpec("count", field="v", output="c"),
         AggregateSpec(
             "count", argument=lambda t: t["tag"], distinct=True, output="d"
         ),
         AggregateSpec("sum", argument=lambda t: t.get("v"), output="s"),
         AggregateSpec("avg", argument=lambda t: t.get("v"), output="m"),
+        AggregateSpec("max", field="v", output="x"),
     ]
 
 
-def both_ops(window=5.0):
-    shared = dict(
-        keys=[GroupKey("g")],
-        aggregates=specs(),
-    )
-    return (
-        WindowedGroupByOp(WindowSpec.range_by(window), **shared),
-        IncrementalWindowedGroupByOp(WindowSpec.range_by(window), **shared),
-    )
+def component_order(keys):
+    return sorted(keys, key=lambda key: tuple(str(c) for c in key))
+
+
+def in_window(window, rows, now):
+    if window.kind == "rows":
+        return rows[-window.row_count:]
+    return [t for t in rows if t.timestamp >= now - window.range_seconds - 1e-9]
+
+
+def oracle(window, keys, aggregates, items, ticks):
+    """What the group-by must emit, computed from the whole input."""
+    out = []
+    items = sorted(items, key=lambda t: t.timestamp)
+    for now in ticks:
+        groups = {}
+        for item in items:
+            if item.timestamp <= now + 1e-9:
+                key = tuple(k.extractor(item) for k in keys)
+                groups.setdefault(key, []).append(item)
+        for key in component_order(groups):
+            rows = in_window(window, groups[key], now)
+            if rows:
+                values = dict(zip([k.name for k in keys], key))
+                values.update((a.output, a.evaluate(rows)) for a in aggregates)
+                out.append(StreamTuple(now, values))
+    return out
+
+
+def drive(make_op, items, ticks, restore_at=None):
+    """``run_operator``, except that before tick number ``restore_at``
+    the operator is replaced by a fresh one restored from its pickled
+    checkpoint."""
+    op = make_op()
+    out = []
+    pending = sorted(items, key=lambda t: t.timestamp)
+    index = 0
+    for number, tick in enumerate(ticks):
+        if number == restore_at:
+            state = pickle.loads(pickle.dumps(op.checkpoint()))
+            op = make_op()
+            op.restore(state)
+        start = index
+        while index < len(pending) and pending[index].timestamp <= tick + 1e-9:
+            index += 1
+        out.extend(op.on_batch(pending[start:index]))
+        out.extend(op.on_time(tick))
+    return out
 
 
 def normalize(tuples):
-    return sorted(
-        (
-            t.timestamp,
-            t["g"],
-            t["n"],
-            t["d"],
-            None if t["s"] is None else round(t["s"], 9),
-            None if t["m"] is None else round(t["m"], 9),
-        )
-        for t in tuples
-    )
+    return [(t.timestamp, t.stream, list(t.items())) for t in tuples]
+
+
+def assert_exact(window, keys, aggregates, items, ticks, restore_at=None):
+    def make_op():
+        return WindowedGroupByOp(window, keys=keys, aggregates=aggregates)
+
+    emitted = normalize(drive(make_op, items, ticks, restore_at))
+    assert emitted == normalize(oracle(window, keys, aggregates, items, ticks))
+    return emitted
+
+
+WINDOWS = st.sampled_from(
+    [WindowSpec.range_by(7.0), WindowSpec.now(), WindowSpec.rows(3)]
+)
 
 
 class TestEquivalence:
@@ -59,20 +111,25 @@ class TestEquivalence:
             StreamTuple(7.0, {"g": 0, "tag": "c", "v": 4.0}),
         ]
         ticks = [0.0, 1.0, 5.0, 7.0, 20.0]
-        reference, incremental = both_ops()
-        assert normalize(run_operator(reference, items, ticks)) == normalize(
-            run_operator(incremental, items, ticks)
+        emitted = assert_exact(
+            WindowSpec.range_by(5.0), [GroupKey("g")], specs(), items, ticks
         )
+        assert [(ts, dict(values)["n"]) for ts, _, values in emitted] == [
+            (0.0, 1), (1.0, 2), (1.0, 1), (5.0, 2), (5.0, 1), (7.0, 1),
+        ]
 
     def test_null_values_skipped_identically(self):
         items = [
             StreamTuple(0.0, {"g": 0, "tag": "a", "v": None}),
             StreamTuple(0.0, {"g": 0, "tag": "b", "v": 2.0}),
         ]
-        reference, incremental = both_ops()
-        assert normalize(run_operator(reference, items, [0.0])) == normalize(
-            run_operator(incremental, items, [0.0])
+        emitted = assert_exact(
+            WindowSpec.range_by(5.0), [GroupKey("g")], specs(), items, [0.0]
         )
+        # count(*) counts the row whose v is null; count(v) does not.
+        assert dict(emitted[0][2]) == {
+            "g": 0, "n": 2, "c": 1, "d": 2, "s": 2.0, "m": 2.0, "x": 2.0,
+        }
 
     @given(
         st.lists(
@@ -80,94 +137,112 @@ class TestEquivalence:
                 st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
                 st.integers(min_value=0, max_value=2),  # group
                 st.integers(min_value=0, max_value=4),  # tag
-                st.floats(min_value=-50, max_value=50, allow_nan=False),
+                st.none() | st.floats(min_value=-50, max_value=50),
             ),
             min_size=1,
             max_size=60,
-        ).map(lambda rows: sorted(rows, key=lambda r: r[0]))
+        ).map(lambda rows: sorted(rows, key=lambda r: r[0])),
+        WINDOWS,
+        st.none() | st.integers(min_value=0, max_value=4),
     )
     @settings(max_examples=60, deadline=None)
-    def test_property_equivalence(self, rows):
+    def test_property_equivalence(self, rows, window, restore_at):
         items = [
             StreamTuple(ts, {"g": g, "tag": f"t{tag}", "v": v})
             for ts, g, tag, v in rows
         ]
         last = rows[-1][0]
         ticks = sorted({0.0, last / 3, last / 2, last, last + 10.0})
-        reference, incremental = both_ops(window=7.0)
-        assert normalize(
-            run_operator(reference, items, ticks)
-        ) == normalize(run_operator(incremental, items, list(ticks)))
+        assert_exact(
+            window, [GroupKey("g")], specs(), items, ticks, restore_at
+        )
+
+
+#: Readings of one stream: a burst, a gap longer than any window below,
+#: a second burst with a repeated value.
+TRACE = [
+    StreamTuple(ts, {"v": v})
+    for ts, v in [(0.0, 3.0), (0.0, 1.0), (1.0, 3.0), (2.0, 0.5),
+                  (9.0, 2.0), (9.0, 2.0), (10.0, 7.0)]
+]
+TRACE_TICKS = [0.0, 1.0, 2.0, 5.0, 8.0, 9.0, 10.0, 16.0]
 
 
 class TestValidation:
+    """The four ``test_rejects_*`` inputs are what the incremental
+    operator (gone) refused: a window kind or an aggregate it could not
+    maintain. Nothing is left that refuses them; the one operator
+    accepts each and is exact on it."""
+
     def test_rejects_now_window(self):
-        with pytest.raises(OperatorError):
-            IncrementalWindowedGroupByOp(
-                WindowSpec.now(), aggregates=[AggregateSpec("count")]
-            )
+        emitted = assert_exact(
+            WindowSpec.now(), [], [AggregateSpec("count")],
+            TRACE, TRACE_TICKS, restore_at=3,
+        )
+        assert [(ts, dict(values)) for ts, _, values in emitted] == [
+            (0.0, {"count_star": 2}), (1.0, {"count_star": 1}),
+            (2.0, {"count_star": 1}), (9.0, {"count_star": 2}),
+            (10.0, {"count_star": 1}),
+        ]
 
     def test_rejects_row_window(self):
-        with pytest.raises(OperatorError):
-            IncrementalWindowedGroupByOp(
-                WindowSpec.rows(5), aggregates=[AggregateSpec("count")]
-            )
+        emitted = assert_exact(
+            WindowSpec.rows(5), [], [AggregateSpec("count")],
+            TRACE, TRACE_TICKS, restore_at=3,
+        )
+        # A row window never empties: it answers at every punctuation.
+        assert [dict(values)["count_star"] for _, _, values in emitted] == [
+            2, 3, 4, 4, 4, 5, 5, 5,
+        ]
 
     def test_rejects_non_subtractable_aggregate(self):
-        with pytest.raises(OperatorError) as err:
-            IncrementalWindowedGroupByOp(
-                WindowSpec.range_by(5.0),
-                aggregates=[
-                    AggregateSpec("max", argument=lambda t: t["v"])
-                ],
-            )
-        assert "subtractable" in str(err.value)
+        emitted = assert_exact(
+            WindowSpec.range_by(5.0), [],
+            [AggregateSpec("max", argument=lambda t: t["v"])],
+            TRACE, TRACE_TICKS, restore_at=3,
+        )
+        assert [(ts, dict(values)["max_expr"]) for ts, _, values in emitted] == [
+            (0.0, 3.0), (1.0, 3.0), (2.0, 3.0), (5.0, 3.0),
+            (9.0, 2.0), (10.0, 7.0),
+        ]
 
     def test_rejects_distinct_sum(self):
-        with pytest.raises(OperatorError):
-            IncrementalWindowedGroupByOp(
-                WindowSpec.range_by(5.0),
-                aggregates=[
-                    AggregateSpec(
-                        "sum", argument=lambda t: t["v"], distinct=True
-                    )
-                ],
-            )
+        emitted = assert_exact(
+            WindowSpec.range_by(5.0), [],
+            [AggregateSpec("sum", argument=lambda t: t["v"], distinct=True)],
+            TRACE, TRACE_TICKS, restore_at=3,
+        )
+        assert [
+            (ts, dict(values)["sum_distinct_expr"]) for ts, _, values in emitted
+        ] == [
+            (0.0, 4.0), (1.0, 4.0), (2.0, 4.5), (5.0, 4.5),
+            (9.0, 2.0), (10.0, 9.0),
+        ]
 
     def test_requires_keys_or_aggregates(self):
         with pytest.raises(OperatorError):
-            IncrementalWindowedGroupByOp(WindowSpec.range_by(5.0))
+            WindowedGroupByOp(WindowSpec.range_by(5.0))
 
     def test_state_garbage_collected(self):
-        op = IncrementalWindowedGroupByOp(
+        op = WindowedGroupByOp(
             WindowSpec.range_by(1.0),
             keys=[GroupKey("g")],
             aggregates=[AggregateSpec("count", output="n")],
         )
-        run_operator(op, [StreamTuple(0.0, {"g": 0})], [0.0, 10.0])
-        assert op._states == {}
+        drive(lambda: op, [StreamTuple(0.0, {"g": 0})], [0.0, 10.0])
+        assert op._windows == {}
 
 
-def component_order(keys):
-    return sorted(keys, key=lambda key: tuple(str(c) for c in key))
+#: Query 2 over a two-component key whose ``str`` order differs from
+#: its natural order (10 < 2, "b" < 3).
+ORDER_KEYS = [GroupKey("g"), GroupKey("site")]
+ORDER_COUNT = [AggregateSpec("count", output="n")]
 
 
-def order_ops(window=2.0):
-    """Recompute and incremental twins over a two-component key whose
-    ``str`` order differs from its natural order (10 < 2, "b" < 3)."""
-    shared = dict(
-        keys=[GroupKey("g"), GroupKey("site")],
-        aggregates=[AggregateSpec("count", output="n")],
+def order_op(window=2.0):
+    return WindowedGroupByOp(
+        WindowSpec.range_by(window), keys=ORDER_KEYS, aggregates=ORDER_COUNT
     )
-    return (
-        WindowedGroupByOp(WindowSpec.range_by(window), **shared),
-        IncrementalWindowedGroupByOp(WindowSpec.range_by(window), **shared),
-    )
-
-
-def live_keys(op):
-    groups = op._states if hasattr(op, "_states") else op._windows
-    return list(groups)
 
 
 #: One step per punctuation: the readings that arrive before it. Gaps
@@ -184,6 +259,23 @@ STEPS = st.lists(
     min_size=1,
     max_size=25,
 )
+
+
+def brute_force(steps, window=2.0):
+    """Per tick, the oracle's ``(g, site, count)`` rows for ``steps``."""
+    ticks = [float(tick) for tick in range(len(steps))]
+    items = [
+        StreamTuple(now, {"g": g, "site": site})
+        for now, readings in zip(ticks, steps)
+        for g, site in readings
+    ]
+    rows = oracle(
+        WindowSpec.range_by(window), ORDER_KEYS, ORDER_COUNT, items, ticks
+    )
+    return [
+        [(r["g"], r["site"], r["n"]) for r in rows if r.timestamp == now]
+        for now in ticks
+    ]
 
 
 class TestEmissionOrder:
@@ -203,7 +295,7 @@ class TestEmissionOrder:
                 )
             rows = op.on_time(now)
             assert [(r["g"], r["site"]) for r in rows] == component_order(
-                live_keys(op)
+                op._windows
             )
             emitted.append([(r["g"], r["site"], r["n"]) for r in rows])
         return emitted
@@ -211,29 +303,26 @@ class TestEmissionOrder:
     @given(STEPS)
     @settings(max_examples=80, deadline=None)
     def test_order_is_sorted_live_keys_and_twins_agree(self, steps):
-        reference, incremental = order_ops()
-        assert self.drive(reference, steps) == self.drive(incremental, steps)
+        assert self.drive(order_op(), steps) == brute_force(steps)
 
     @given(STEPS, st.integers(min_value=0, max_value=24))
     @settings(max_examples=80, deadline=None)
     def test_restore_mid_sequence_keeps_the_order(self, steps, cut):
         cut = min(cut, len(steps))
-        for original, fresh in zip(order_ops(), order_ops()):
-            expected = self.drive(original, steps[:cut])
-            fresh.restore(pickle.loads(pickle.dumps(original.checkpoint())))
-            expected += self.drive(original, steps[cut:], first_tick=cut)
-            resumed = self.drive(fresh, steps[cut:], first_tick=cut)
-            assert expected[cut:] == resumed
+        original, fresh = order_op(), order_op()
+        self.drive(original, steps[:cut])
+        fresh.restore(pickle.loads(pickle.dumps(original.checkpoint())))
+        resumed = self.drive(fresh, steps[cut:], first_tick=cut)
+        assert resumed == self.drive(original, steps[cut:], first_tick=cut)
+        assert resumed == brute_force(steps)[cut:]
 
     def test_expired_group_reappears_in_sorted_position(self):
-        for op in order_ops(window=1.0):
-            steps = [[(2, "x"), (10, "x")], [], [], [(10, "x")], [(2, "x")]]
-            emitted = self.drive(op, steps)
-            assert emitted[2] == []  # both groups expired
-            assert emitted[4] == [(10, "x", 1), (2, "x", 1)]
+        steps = [[(2, "x"), (10, "x")], [], [], [(10, "x")], [(2, "x")]]
+        emitted = self.drive(order_op(window=1.0), steps)
+        assert emitted[2] == []  # both groups expired
+        assert emitted[4] == [(10, "x", 1), (2, "x", 1)]
 
     def test_checkpoint_holds_only_the_group_state(self):
-        reference, incremental = order_ops()
-        for op, attr in ((reference, "_windows"), (incremental, "_states")):
-            self.drive(op, [[(1, "x")], [(2, "y")]])
-            assert list(op.checkpoint()) == [attr]
+        op = order_op()
+        self.drive(op, [[(1, "x")], [(2, "y")]])
+        assert list(op.checkpoint()) == ["_windows"]
