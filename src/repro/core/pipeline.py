@@ -240,11 +240,11 @@ class ESPStreamSession:
 
     Opened by :meth:`ESPProcessor.open_session`; the network ingestion
     gateway (:mod:`repro.net`) is the canonical driver. Push raw device
-    readings with :meth:`push` (annotation and the stage cascade happen
-    inside the dataflow exactly as in a batch run), advance punctuation
-    time with :meth:`advance` as the ingress watermark moves, then
-    :meth:`close` to flush the remaining ticks and collect the
-    :class:`ESPRun`.
+    readings with :meth:`push_run` or :meth:`push` (annotation and the
+    stage cascade happen inside the dataflow exactly as in a batch run),
+    advance punctuation time with :meth:`advance` as the ingress
+    watermark moves, then :meth:`close` to flush the remaining ticks and
+    collect the :class:`ESPRun`.
 
     The output equals a batch :meth:`ESPProcessor.run` over the same
     readings whenever every reading is pushed before its punctuation
@@ -321,13 +321,33 @@ class ESPStreamSession:
             OperatorError: On timestamp regressions or pushes behind the
                 punctuation cursor (see :meth:`FjordSession.push`).
         """
+        self._session.push(self._source(receptor_id), item, trace=trace)
+
+    def push_run(
+        self,
+        receptor_id: str,
+        items: Sequence[StreamTuple],
+        traces: Any = None,
+    ) -> None:
+        """Feed a run of raw readings from the named receptor, in order
+        (see :meth:`FjordSession.push_run`: a failing run queues
+        nothing). ``traces``, when given, holds one span-correlation
+        entry or ``None`` per reading.
+
+        Raises:
+            PipelineError: For an unknown receptor id.
+            OperatorError: As :meth:`push`, for any reading of the run.
+        """
+        self._session.push_run(self._source(receptor_id), items, traces)
+
+    def _source(self, receptor_id: str) -> str:
         source = self._source_names.get(receptor_id)
         if source is None:
             raise PipelineError(
                 f"unknown receptor {receptor_id!r}; session sources: "
                 f"{self.receptor_ids}"
             )
-        self._session.push(source, item, trace=trace)
+        return source
 
     def advance(self, watermark: float) -> list[float]:
         """Sweep every pending tick strictly below ``watermark``."""

@@ -347,6 +347,7 @@ class ReplayFeeder:
         ``lows`` is the schedule's :meth:`_low_marks`."""
         wall_start = self._clock()
         sim_start = schedule[0][0] if schedule else 0.0
+        credits = self._credits
         for (arrival, source, seq, item), low in zip(schedule, lows):
             if self.rate is not None:
                 target = wall_start + (arrival - sim_start) / self.rate
@@ -356,7 +357,11 @@ class ReplayFeeder:
                     self._count("feeder.pacing_stalls")
                     out.flush()
                     await self._sleep(pause)
-            await self._acquire_credit(source, out)
+            if credits is not None:
+                if credits.get(source, 0) > 0:
+                    credits[source] -= 1  # _acquire_credit, without a wait
+                else:
+                    await self._acquire_credit(source, out)
             out.add_row(source, seq, arrival, low, item)
             self.sent[source] += 1
             self._count(f"feeder.{source}.sent")
@@ -365,8 +370,9 @@ class ReplayFeeder:
         out.flush()
 
     async def _acquire_credit(self, source: str, out: FrameWriter) -> None:
-        if self._credits is None:
-            return
+        """Take one of ``source``'s credits, waiting for a grant while
+        it has none."""
+        assert self._credits is not None
         while self._credits.get(source, 0) <= 0:
             if self._dead:
                 if self._error is not None:

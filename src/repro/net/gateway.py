@@ -67,6 +67,7 @@ class _SourceState:
     __slots__ = (
         "name", "queue", "reorder", "last_seen", "owner",
         "final_requested", "final", "evicted", "space", "traces",
+        "run", "run_traces",
     )
 
     def __init__(
@@ -90,6 +91,11 @@ class _SourceState:
         #: objects, so object identity is the correlation key — no
         #: ReorderBuffer API change needed.
         self.traces: dict[int, IngestTrace] = {}
+        #: What the reorder buffer released during the current drain
+        #: pass, pushed into the session as one run at its end; the
+        #: parallel trace list exists once a released tuple had one.
+        self.run: list[StreamTuple] = []
+        self.run_traces: "list[IngestTrace | None] | None" = None
 
 
 async def accept_hello(
@@ -151,8 +157,11 @@ class IngestGateway:
     Args:
         session: The push-mode pipeline run to feed — anything with the
             :class:`~repro.core.pipeline.ESPStreamSession` surface
-            (``receptor_ids``, ``push``, ``advance``, ``safe_time``,
-            ``close``).
+            (``receptor_ids``, ``push_run``, ``advance``, ``safe_time``,
+            ``close``). If it raises, the gateway fails closed: every
+            connected feeder gets an ``error`` frame naming the failure,
+            new connections are refused with it, and
+            :meth:`run_until_drained` and :meth:`close` re-raise it.
         sources: Receptor ids the gateway expects; defaults to the
             session's. Completion requires every one of them to finish
             (clean ``bye`` or liveness eviction).
@@ -216,6 +225,8 @@ class IngestGateway:
         self._work = asyncio.Event()
         self._drain_lock = asyncio.Lock()
         self._complete = asyncio.Event()
+        #: What the session raised inside a drain, once it has.
+        self._failure: "Exception | None" = None
         self._ever_connected = False
         self._closed = False
         self._started = False
@@ -242,16 +253,28 @@ class IngestGateway:
         return bound_host, bound_port
 
     async def run_until_drained(self) -> None:
-        """Resolve once every expected source is final and drained."""
+        """Resolve once every expected source is final and drained.
+
+        Raises:
+            Exception: Whatever the session raised inside a drain.
+        """
         await self._complete.wait()
+        if self._failure is not None:
+            raise self._failure
 
     async def close(self) -> Any:
         """Stop serving, flush, and return the session's completed run.
 
         Idempotent; safe to call before every source finished (whatever
         arrived is flushed through the pipeline's remaining ticks).
+
+        Raises:
+            Exception: Whatever the session raised inside a drain — after
+                the server is closed; nothing is flushed then.
         """
         if self._closed:
+            if self._failure is not None:
+                raise self._failure
             return self._session.close()
         self._closed = True
         for task in (self._drainer, self._watchdog):
@@ -264,6 +287,8 @@ class IngestGateway:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._failure is not None:
+            raise self._failure
         await self._drain_once()  # leftovers enqueued since the last pass
         return self._session.close()
 
@@ -296,6 +321,9 @@ class IngestGateway:
             reader, writer, self._expected, "gateway", self._count
         )
         if hello is None:
+            return None
+        if self._failure is not None:
+            await protocol.bail(writer, self._failure_reason())
             return None
         names, version = hello
         for name in names:
@@ -456,9 +484,10 @@ class IngestGateway:
         Queue full under the block policy (a well-behaved sender never
         gets here — credits stop it first). Stalling this read loop is
         the enforcement: TCP backpressure reaches a sender that ignores
-        credits.
+        credits. Once the session has failed, nothing drains: the entry
+        is dropped and the read loop goes on.
         """
-        while True:
+        while self._failure is None:
             state.space.clear()
             self._work.set()
             await state.space.wait()
@@ -468,11 +497,33 @@ class IngestGateway:
     # -- draining into the pipeline ------------------------------------------
 
     async def _drain_loop(self) -> None:
-        while True:
-            await self._work.wait()
-            self._work.clear()
-            await self._drain_once()
-            self._check_complete()
+        try:
+            while True:
+                await self._work.wait()
+                self._work.clear()
+                await self._drain_once()
+                self._check_complete()
+        except Exception as error:
+            await self._fail(error)
+
+    async def _fail(self, error: Exception) -> None:
+        """Fail closed: the session raised, so no credit will ever be
+        granted again. Tell every connected feeder why, wake every read
+        loop waiting for room, and let :meth:`run_until_drained` raise."""
+        self._failure = error
+        reason = self._failure_reason()
+        owners = {
+            id(state.owner): state.owner
+            for state in self._states.values() if state.owner is not None
+        }
+        for state in self._states.values():
+            state.space.set()
+        for writer in owners.values():
+            await protocol.bail(writer, reason)
+        self._complete.set()
+
+    def _failure_reason(self) -> str:
+        return f"pipeline session failed: {self._failure!r}"
 
     async def _drain_once(self) -> None:
         async with self._drain_lock:
@@ -493,9 +544,13 @@ class IngestGateway:
             yield
 
     async def _drain_once_locked(self) -> None:
+        """One drain pass: per source, take every queued entry through
+        the reorder buffer and push what it released into the session
+        as one run; then advance punctuation and grant credits."""
         granted: dict[str, int] = {}
         for name in sorted(self._states):
             state = self._states[name]
+            taken = 0
             while len(state.queue):
                 if self._throttle is not None:
                     await self._throttle()
@@ -505,14 +560,18 @@ class IngestGateway:
                     trace.t_queued = clock_ns()
                 self._inject(state, arrival, item, seq, trace)
                 if low is not None:
-                    for released in state.reorder.promise(low):
-                        self._push_released(state, released)
-                granted[name] = granted.get(name, 0) + 1
+                    self._release(state, state.reorder.promise(low))
+                taken += 1
+            if taken:
+                granted[name] = taken
             if state.final_requested and not state.final:
-                for released in state.reorder.flush():
-                    self._push_released(state, released)
+                self._release(state, state.reorder.flush())
                 state.traces.clear()
                 state.final = True
+            if state.run:
+                run, state.run = state.run, []
+                traces, state.run_traces = state.run_traces, None
+                self._session.push_run(name, run, traces)
         self._advance()
         if self.policy == "block":
             await self._grant_credits(granted)
@@ -528,8 +587,7 @@ class IngestGateway:
         if trace is not None:
             state.traces[id(item)] = trace
             dropped_before = state.reorder.dropped
-        for released in state.reorder.push(arrival, item, sequence=seq):
-            self._push_released(state, released)
+        self._release(state, state.reorder.push(arrival, item, sequence=seq))
         if trace is not None and state.reorder.dropped > dropped_before:
             # Only the currently-pushed item can be late-dropped, so the
             # counter diff pins the victim: retire its trace unemitted.
@@ -543,13 +601,26 @@ class IngestGateway:
                     dropped_ns=clock_ns() - late.t_queued,
                 )
 
-    def _push_released(self, state: _SourceState, released: Any) -> None:
-        trace = state.traces.pop(id(released), None)
-        if trace is None:
-            self._session.push(state.name, released)
-        else:
-            trace.t_released = clock_ns()
-            self._session.push(state.name, released, trace=trace)
+    def _release(
+        self, state: _SourceState, released: "list[StreamTuple]"
+    ) -> None:
+        """Add what the reorder buffer just released to the source's
+        run, stamping each traced tuple's release instant."""
+        traces = state.traces
+        if not traces:
+            state.run += released
+            if state.run_traces is not None:
+                state.run_traces += [None] * len(released)
+            return
+        for item in released:
+            trace = traces.pop(id(item), None)
+            if trace is not None:
+                trace.t_released = clock_ns()
+                if state.run_traces is None:
+                    state.run_traces = [None] * len(state.run)
+            if state.run_traces is not None:
+                state.run_traces.append(trace)
+            state.run.append(item)
 
     def _advance(self) -> None:
         watermark = float("inf")

@@ -24,7 +24,7 @@ ticks, so a checkpoint never carries output the router already has.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
@@ -50,7 +50,7 @@ class TickLedger:
     """Session wrapper attributing emissions to punctuation ticks.
 
     Presents the :class:`~repro.core.pipeline.ESPStreamSession` surface
-    the gateway drives (``receptor_ids`` / ``push`` / ``advance`` /
+    the gateway drives (``receptor_ids`` / ``push_run`` / ``advance`` /
     ``safe_time`` / ``close``) but performs every multi-tick sweep as a
     sequence of single-tick sweeps, taking the sink's output after
     each one into :attr:`per_tick`. The sweep *condition* is the Fjord
@@ -92,6 +92,11 @@ class TickLedger:
 
     def push(self, receptor_id: str, item: StreamTuple, trace: Any = None):
         return self._session.push(receptor_id, item, trace=trace)
+
+    def push_run(
+        self, receptor_id: str, items: Sequence[StreamTuple], traces: Any = None
+    ):
+        return self._session.push_run(receptor_id, items, traces)
 
     def advance(self, watermark: float) -> list[float]:
         swept: list[float] = []

@@ -42,7 +42,11 @@ invisible in the output.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import attrgetter, itemgetter, lt, sub
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from repro.errors import OperatorError
 from repro.streams.columnar import ColumnBatch, coalesce, flatten
@@ -116,11 +120,10 @@ class _Node:
         #: (target node name, port on target)
         self.downstream: list[tuple[str, int]] = []
         #: input delivered but not yet processed, as (payload, port);
-        #: a payload is a single tuple (source injection) or whatever an
-        #: upstream kernel returned, whole: a list of tuples (``on_batch``
-        #: and ``on_time`` output) or a ColumnBatch (column-kernel
-        #: output). Payloads are shared with sibling consumers and
-        #: never mutated.
+        #: a payload is a list (a source's run, ``on_batch`` and
+        #: ``on_time`` output), a ColumnBatch (column-kernel output) or a
+        #: single tuple (a sink callback's). Payloads are shared with
+        #: sibling consumers and never mutated.
         self.pending: list[
             tuple["StreamTuple | list[StreamTuple] | ColumnBatch", int]
         ] = []
@@ -287,77 +290,6 @@ class Fjord:
         self._order = order
         return order
 
-    def _checked(
-        self,
-        name: str,
-        items: Iterable[StreamTuple],
-        collector: TelemetryCollector = NULL_COLLECTOR,
-    ) -> Iterator[StreamTuple]:
-        """Yield a source's tuples, rejecting timestamp regressions.
-
-        The executor's injection loop and every windowed operator assume
-        sources are sorted by timestamp; a violation used to be silently
-        accepted and produced quietly wrong windows downstream. The
-        rejection is recorded as a ``source_out_of_order`` trace event
-        before the raise, so post-mortem trace logs carry the failure.
-        """
-        last: float | None = None
-        for item in items:
-            if last is not None and item.timestamp < last - 1e-9:
-                collector.event(
-                    "source_out_of_order",
-                    source=name,
-                    timestamp=item.timestamp,
-                    previous=last,
-                )
-                raise OperatorError(
-                    f"source {name!r} is out of order: timestamp "
-                    f"{item.timestamp:g} arrived after {last:g}"
-                )
-            last = item.timestamp
-            yield item
-
-    def _merged_source(
-        self, collector: TelemetryCollector = NULL_COLLECTOR
-    ) -> Iterator[tuple[StreamTuple, str]]:
-        """Merge all sources into one timestamp-ordered iterator.
-
-        Equal timestamps across sources tie-break on the source *name* —
-        a pure function of the data, never of consumption history — so
-        that restricting every source to a subset (as sharded execution
-        does) cannot reorder the surviving tuples. Within one source,
-        arrival order is preserved (at most one heap entry per source).
-        """
-        heap: list[tuple[float, str, StreamTuple]] = []
-        iterators = {
-            name: self._checked(name, items, collector)
-            for name, items in self._sources.items()
-        }
-        for name in sorted(iterators):
-            first = next(iterators[name], None)
-            if first is not None:
-                heapq.heappush(heap, (first.timestamp, name, first))
-        while heap:
-            _ts, name, item = heapq.heappop(heap)
-            yield item, name
-            nxt = next(iterators[name], None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt.timestamp, name, nxt))
-
-    def _deliver(self, item: StreamTuple, target: str, port: int) -> None:
-        """Queue one injected source tuple (the inject loops' hand-off)."""
-        self._nodes[target].pending.append((item, port))
-
-    def _emit(
-        self,
-        node: _Node,
-        out: "list[StreamTuple] | ColumnBatch",
-    ) -> None:
-        """Hand a kernel's non-empty output, whole, to every consumer."""
-        nodes = self._nodes
-        for target, tport in node.downstream:
-            nodes[target].pending.append((out, tport))
-
     def _drain_node(
         self,
         node: _Node,
@@ -451,7 +383,7 @@ class Fjord:
                 n_out = len(out)
                 if n_out:
                     node.tuples_out += n_out
-                    for target, tport in downstream:  # _emit, inlined
+                    for target, tport in downstream:
                         nodes[target].pending.append((out, tport))
                 start = stop
 
@@ -461,11 +393,9 @@ class Fjord:
         telemetry: TelemetryCollector | None = None,
         mode: "str | None" = None,
     ) -> None:
-        """Execute the dataflow over the given punctuation times.
-
-        All source tuples with timestamp ``<= tick`` are injected before
-        that tick's punctuation sweep. Source tuples later than the final
-        tick are not delivered.
+        """Execute the dataflow over the given punctuation times: all
+        source tuples with timestamp ``<= tick`` are injected before that
+        tick's sweep; tuples later than the final tick are not delivered.
 
         Args:
             ticks: Punctuation times, ascending.
@@ -489,18 +419,11 @@ class Fjord:
         telemetry: TelemetryCollector | None = None,
         mode: "str | None" = None,
     ) -> "FjordSession":
-        """Open an incremental-push execution session over ``ticks``.
-
-        Where :meth:`run` pulls whole source iterables, a session is fed
-        tuple-by-tuple from outside (a network gateway, a live device
-        poller) via :meth:`FjordSession.push` and advances punctuation
-        time only as far as the caller's watermark allows — see
-        :class:`FjordSession` for the exact equivalence guarantee with
-        the pull-based run.
-
-        Sources must already be registered (with empty feeds, typically)
-        so their edges exist; pushes are routed by source name. ``mode``
-        is deprecated and ignored, as on :meth:`run`.
+        """Open a :class:`FjordSession` over ``ticks``, fed from outside
+        (a network gateway, a live poller) instead of by the registered
+        sources' items. Sources must still be registered (with empty
+        feeds, typically) so their edges exist. ``mode`` is deprecated and
+        ignored, as on :meth:`run`.
         """
         _check_mode(mode)
         return FjordSession(self, ticks, resolve_telemetry(telemetry))
@@ -511,50 +434,25 @@ class Fjord:
         telemetry: TelemetryCollector | None = None,
         mode: "str | None" = None,
     ) -> Iterator[float]:
-        """Like :meth:`run`, but yield after each punctuation sweep.
+        """Like :meth:`run`, but yield each punctuation time once its
+        sweep has delivered every emission for that instant to the sinks
+        (how the sharded executor attributes output to ticks).
 
-        Yields the punctuation time just processed, with every emission
-        for that instant already delivered to the sinks — callers can
-        observe (or tag) per-tick output incrementally, which is how the
-        sharded executor attributes each shard's output to its tick.
-
+        This is a :class:`FjordSession` with the registered sources as
+        its queued input — the live path with a recording as its feed.
         When telemetry is enabled, every ``on_batch``/``on_time`` call is
         timed into per-operator histograms, and tick boundaries sample
-        each node's pending-queue depth (the backpressure gauge) plus
-        each source's watermark lag (tick time minus the newest injected
-        timestamp). The no-op collector skips all of it behind one flag
-        check per call site. ``mode`` is deprecated and ignored, as on
-        :meth:`run`.
+        each node's pending-queue depth plus each source's watermark lag
+        (tick time minus the newest injected timestamp); the no-op
+        collector skips all of it behind one flag check per call site.
         """
-        _check_mode(mode)
-        collector = resolve_telemetry(telemetry)
-        enabled = collector.enabled
-        order = self._topological_order()
-        if enabled:
-            self._emit_run_start(order, collector)
-        feed = self._merged_source(collector)
-        lookahead: tuple[StreamTuple, str] | None = next(feed, None)
-        newest: dict[str, float] = {}  # per-source newest injected stamp
-        tick_count = 0
-        for now in ticks:
-            # 1. Inject all due source tuples.
-            while lookahead is not None and lookahead[0].timestamp <= now + 1e-9:
-                item, source = lookahead
-                for target, port in self._source_edges[source]:
-                    self._deliver(item, target, port)
-                if enabled:
-                    collector.count_source(source)
-                    newest[source] = item.timestamp
-                lookahead = next(feed, None)
-            if enabled:
-                self._sample_tick(order, now, newest, collector)
-            self._sweep(order, now, collector, enabled)
-            tick_count += 1
-            yield now
-        if enabled:
-            self._emit_run_stop(order, tick_count, collector)
+        session = self.open_session(ticks, telemetry, mode)
+        session._replay(self._sources)
+        for _now in session.ticks:
+            yield session._step()
+        session.close()
 
-    # -- shared run/session machinery -------------------------------------------
+    # -- machinery a session (and a compiled query's plan) drives ----------------
 
     def _checkpoint_nodes(self) -> dict[str, dict]:
         """Per node, in execution order: the operator's data state (via
@@ -591,35 +489,6 @@ class Fjord:
             node.tuples_out = entry["tuples_out"]
             node.pending[:] = entry["pending"]
 
-    def _emit_run_start(
-        self, order: Sequence[str], collector: TelemetryCollector
-    ) -> None:
-        collector.event(
-            "run_start", nodes=len(order), sources=len(self._sources)
-        )
-        for name in order:
-            collector.event(
-                "operator_start",
-                node=name,
-                op=type(self._nodes[name].op).__name__,
-            )
-
-    def _emit_run_stop(
-        self,
-        order: Sequence[str],
-        tick_count: int,
-        collector: TelemetryCollector,
-    ) -> None:
-        for name in order:
-            node = self._nodes[name]
-            collector.event(
-                "operator_stop",
-                node=name,
-                tuples_in=node.tuples_in,
-                tuples_out=node.tuples_out,
-            )
-        collector.event("run_end", ticks=tick_count)
-
     def _sample_tick(
         self,
         order: Sequence[str],
@@ -652,11 +521,12 @@ class Fjord:
         then slide windows; emissions feed later nodes within the same
         sweep. A final drain pass catches anything a terminal node's
         user callback injected (topological order makes it a no-op
-        otherwise). Punctuation output is delivered as the list
+        otherwise). Punctuation output is delivered, whole, as the list
         ``on_time`` returned — the drain flattens or coalesces mixed
         pending payloads.
         """
         drain = self._drain_node
+        nodes = self._nodes
         if not enabled:
             # Fast path: a passive node (base no-op ``on_time``) with an
             # empty queue contributes nothing to this sweep — skip it
@@ -665,7 +535,7 @@ class Fjord:
             # no-ops; on graphs dominated by stateless stages this turns
             # the per-tick cost from O(nodes) into O(active nodes).
             for name in order:
-                node = self._nodes[name]
+                node = nodes[name]
                 if node.pending:
                     drain(node, collector, now)
                 if node.passive:
@@ -673,14 +543,15 @@ class Fjord:
                 out = node.op.on_time(now)
                 if out:
                     node.tuples_out += len(out)
-                    self._emit(node, out)
+                    for target, tport in node.downstream:
+                        nodes[target].pending.append((out, tport))
             for name in order:
-                node = self._nodes[name]
+                node = nodes[name]
                 if node.pending:
                     drain(node, collector, now)
             return
         for name in order:
-            node = self._nodes[name]
+            node = nodes[name]
             drain(node, collector, now)
             began = clock_ns()
             out = node.op.on_time(now)
@@ -689,9 +560,10 @@ class Fjord:
             )
             if out:
                 node.tuples_out += len(out)
-                self._emit(node, out)
+                for target, tport in node.downstream:
+                    nodes[target].pending.append((out, tport))
         for name in order:
-            drain(self._nodes[name], collector, now)
+            drain(nodes[name], collector, now)
         collector.count_tick()
 
 
@@ -720,33 +592,26 @@ def sweep_end(
 class FjordSession:
     """Incremental-push execution of a Fjord dataflow.
 
-    The pull-based :meth:`Fjord.run` owns its input: it merges whole
-    source iterables and injects each tuple at the first punctuation
-    tick at or after its timestamp. A session inverts that control so a
-    live ingress (the :mod:`repro.net` gateway) can *push* tuples as
-    they arrive off the wire and advance punctuation time only once its
-    reorder buffers promise no earlier tuple can still show up.
+    A live ingress (the :mod:`repro.net` gateway) pushes tuples per
+    source as runs (:meth:`push_run`) and advances punctuation only as
+    far as its reorder buffers allow. At each tick every source's due
+    prefix is injected whole; a node fed by several sources (or ports)
+    gets their runs merged head by head on ``(timestamp, source name)``,
+    push order kept within a source — a pure function of the data, so
+    sharding cannot reorder the survivors. :meth:`Fjord.run` is this
+    session with the registered sources as its queued input.
 
     **Equivalence guarantee.** If (a) every tuple is pushed before the
     session sweeps the first tick at or after its timestamp, (b) pushes
     per source are timestamp-ordered, and (c) equal-timestamp pushes
-    follow original stream order, then the session's sink output is
-    *identical* — tuple for tuple, in order — to ``Fjord.run`` over the
-    same data, because injection order (timestamp, then source name,
-    then per-source push order) and the per-tick sweep are shared with
-    the pull path. Condition (a) is what :meth:`advance`'s watermark
-    contract enforces; a violation raises :class:`OperatorError` rather
-    than silently producing drifted windows.
-
-    Created by :meth:`Fjord.open_session`; drive it with
-    :meth:`push` / :meth:`advance`, then :meth:`close`.
+    follow original stream order, then the sink output is *identical*,
+    tuple for tuple, to ``Fjord.run`` over the same data, however the
+    pushes were cut into runs. :meth:`advance`'s watermark contract
+    enforces (a): a violation raises :class:`OperatorError`.
     """
 
     def __init__(
-        self,
-        fjord: Fjord,
-        ticks: Iterable[float],
-        collector: TelemetryCollector,
+        self, fjord: Fjord, ticks: Iterable[float], collector: TelemetryCollector
     ):
         self._fjord = fjord
         self._collector = collector
@@ -756,30 +621,37 @@ class FjordSession:
         if any(a > b for a, b in zip(self._ticks, self._ticks[1:])):
             raise OperatorError("session ticks must be ascending")
         self._cursor = 0  # index of the next tick to sweep
-        self._heap: list[tuple[float, str, int, StreamTuple]] = []
-        self._push_seq = 0
-        self._last: dict[str, float] = {}  # per-source newest pushed stamp
+        #: Per source, in name order: the merge's tie-break order.
+        self._queues = {name: _SourceQueue(name) for name in sorted(fjord._sources)}
+        edges = fjord._source_edges
+        fan_in = Counter(target for out in edges.values() for target, _port in out)
+        for name, queue in self._queues.items():
+            ports: dict[str, list[int]] = {}
+            for target, port in edges[name]:
+                ports.setdefault(target, []).append(port)
+            for target, target_ports in ports.items():
+                if fan_in[target] == 1:
+                    queue.direct.append((fjord._nodes[target], target_ports[0]))
+                else:
+                    queue.shared.append((target, tuple(target_ports)))
         self._newest: dict[str, float] = {}  # per-source newest injected
-        #: push_seq → IngestTrace for pushes carrying span correlation.
-        self._traces: dict[int, IngestTrace] = {}
-        #: Optional ``sink(trace, done_ns)`` called for every finished
-        #: trace that carries a cluster context (``trace.ctx``). A
-        #: cluster worker's tick ledger hangs its hop-record capture
-        #: here; the attribute is runtime wiring, deliberately outside
-        #: :meth:`checkpoint` state.
+        #: Optional ``sink(trace, done_ns)`` for every finished trace with
+        #: a cluster context (``trace.ctx``): a worker's tick ledger hangs
+        #: its hop records here. Runtime wiring, not :meth:`checkpoint` state.
         self.span_sink: "Callable[[IngestTrace, int], None] | None" = None
         self._closed = False
         if self._enabled:
-            fjord._emit_run_start(self._order, collector)
+            collector.event(
+                "run_start", nodes=len(self._order), sources=len(fjord._sources)
+            )
+            for name in self._order:
+                op = type(fjord._nodes[name].op).__name__
+                collector.event("operator_start", node=name, op=op)
 
     @property
     def safe_time(self) -> float:
-        """The last punctuation time swept (``-inf`` before the first).
-
-        Everything at or before this instant has already been processed;
-        a push with a timestamp at or below it can no longer be injected
-        faithfully and is rejected.
-        """
+        """The last punctuation time swept (``-inf`` before the first):
+        a push at or below it can no longer be injected faithfully."""
         if self._cursor == 0:
             return float("-inf")
         return self._ticks[self._cursor - 1]
@@ -787,7 +659,7 @@ class FjordSession:
     @property
     def pending(self) -> int:
         """Tuples pushed but not yet injected into the dataflow."""
-        return len(self._heap)
+        return sum(len(q.items) - q.head for q in self._queues.values())
 
     @property
     def ticks(self) -> tuple[float, ...]:
@@ -795,82 +667,95 @@ class FjordSession:
         return tuple(self._ticks)
 
     def push(
+        self, source: str, item: StreamTuple, trace: "IngestTrace | None" = None
+    ) -> None:
+        """Queue one tuple from ``source``: :meth:`push_run` of one."""
+        self.push_run(source, (item,), None if trace is None else (trace,))
+
+    def push_run(
         self,
         source: str,
-        item: StreamTuple,
-        trace: "IngestTrace | None" = None,
+        items: Sequence[StreamTuple],
+        traces: "Sequence[IngestTrace | None] | None" = None,
     ) -> None:
-        """Queue one tuple from ``source`` for injection.
+        """Queue a run of tuples from ``source``, in order, for injection.
 
-        Args:
-            source: The registered source name the tuple belongs to.
-            item: The tuple itself.
-            trace: Optional span-correlation state (see
-                :class:`~repro.streams.telemetry.IngestTrace`). When
-                given, the session stamps the injection instant and —
-                once the sweep that consumed the tuple completes —
-                records the ``session``/``sweep`` phase spans, the
-                end-to-end span, and one span-log entry on its
-                collector. ``None`` (the uninstrumented default) costs
-                a single ``is None`` check.
+        Every tuple is checked; a failing run queues nothing. ``traces``
+        holds one :class:`~repro.streams.telemetry.IngestTrace` or
+        ``None`` per tuple: a traced tuple's injection is stamped and its
+        spans are recorded once the sweep that consumed it completes.
 
         Raises:
             OperatorError: If the session is closed, the source is
-                unknown, the source's pushes regress in timestamp, or
-                the tuple lands at or behind :attr:`safe_time` (it
-                arrived after its punctuation tick was already swept —
-                the condition a reorder buffer with adequate slack is
-                there to prevent).
+                unknown, ``traces`` does not match ``items``, a tuple is
+                more than 1 ns older than this source's newest push, or
+                one lands at or behind :attr:`safe_time` (its tick was
+                swept: a reorder buffer's slack is there to prevent it).
         """
         if self._closed:
             raise OperatorError("push on a closed FjordSession")
-        if source not in self._fjord._source_edges:
+        queue = self._queues.get(source)
+        if queue is None:
             raise OperatorError(f"unknown session source {source!r}")
-        last = self._last.get(source)
-        if last is not None and item.timestamp < last - 1e-9:
-            self._collector.event(
-                "source_out_of_order",
-                source=source,
-                timestamp=item.timestamp,
-                previous=last,
-            )
+        if traces is not None and len(traces) != len(items):
             raise OperatorError(
-                f"session source {source!r} is out of order: timestamp "
-                f"{item.timestamp:g} arrived after {last:g}"
+                f"push_run got {len(traces)} traces for {len(items)} tuples"
             )
-        if item.timestamp <= self.safe_time + 1e-9:
-            self._collector.event(
-                "session_late_push",
-                source=source,
-                timestamp=item.timestamp,
-                safe_time=self.safe_time,
-            )
-            raise OperatorError(
-                f"tuple from {source!r} at t={item.timestamp:g} arrived "
-                f"behind the session's punctuation cursor "
-                f"(safe_time={self.safe_time:g}); increase the ingress "
-                f"reorder slack"
-            )
-        heapq.heappush(
-            self._heap, (item.timestamp, source, self._push_seq, item)
-        )
-        if trace is not None:
-            self._traces[self._push_seq] = trace
-        self._push_seq += 1
-        if last is None or item.timestamp > last:
-            self._last[source] = item.timestamp
+        floor = self.safe_time + 1e-9
+        last = queue.last
+        marks: list[float] = []
+        for item in items:
+            stamp = item.timestamp
+            if stamp < last - 1e-9:
+                self._reject(
+                    "source_out_of_order",
+                    f"session source {source!r} is out of order: timestamp "
+                    f"{stamp:g} arrived after {last:g}",
+                    source=source, timestamp=stamp, previous=last,
+                )
+            if stamp <= floor:
+                self._reject(
+                    "session_late_push",
+                    f"tuple from {source!r} at t={stamp:g} arrived behind the "
+                    f"session's punctuation cursor (safe_time="
+                    f"{self.safe_time:g}); increase the ingress reorder slack",
+                    source=source, timestamp=stamp, safe_time=self.safe_time,
+                )
+            if stamp > last:
+                last = stamp
+            marks.append(last)
+        if marks:
+            queue.enqueue(items, marks, traces)
+            queue.last = last
+
+    def _reject(self, kind: str, message: str, **fields: object) -> NoReturn:
+        """Record the failure as a trace event for post-mortems; raise."""
+        self._collector.event(kind, **fields)
+        raise OperatorError(message)
+
+    def _replay(self, sources: Mapping[str, Iterable[StreamTuple]]) -> None:
+        """Queue recordings: a list whole, any other iterable pulled
+        lazily as its ticks come due. A reading more than 1 ns older than
+        the newest before it raises when its predecessor is injected,
+        before that tick's sweep, so whatever was swept stands."""
+        for name, items in sources.items():
+            queue = self._queues[name]
+            if not isinstance(items, list):
+                queue.pull = iter(items)
+                continue
+            marks = list(map(_stamp, items))
+            if sorted(marks) != marks:  # a sorted list is its own marks
+                stamps, marks = marks, list(accumulate(marks, max))
+                late = map(lt, islice(stamps, 1, None), map(sub, marks, repeat(1e-9)))
+                queue.bad = next(compress(count(1), late), None)
+            queue.enqueue(items, marks, None)
 
     def advance(self, watermark: float) -> list[float]:
-        """Sweep every remaining tick strictly below ``watermark``.
-
-        The caller promises that no future :meth:`push` will carry a
-        timestamp more than 1 ns below ``watermark`` (the reorder
-        buffers' :attr:`~repro.streams.reorder.ReorderBuffer.watermark`
-        is exactly that promise); the extra nanosecond of guard margin
-        here absorbs it. Returns the punctuation times swept, in order.
-        Monotonicity is not required — a stale watermark simply sweeps
-        nothing.
-        """
+        """Sweep every remaining tick strictly below ``watermark``;
+        returns the times swept, in order (none for a stale watermark).
+        The caller promises no later push is more than 1 ns below it (a
+        :attr:`~repro.streams.reorder.ReorderBuffer.watermark` is that
+        promise); the extra nanosecond of guard margin absorbs it."""
         if self._closed:
             raise OperatorError("advance on a closed FjordSession")
         swept: list[float] = []
@@ -880,44 +765,57 @@ class FjordSession:
         return swept
 
     def _step(self) -> float:
-        """Inject due tuples and sweep the next tick; returns its time."""
+        """Inject every source's due prefix and sweep the next tick (the
+        one injection routine, pushed or replayed); returns its time."""
         now = self._ticks[self._cursor]
-        fjord = self._fjord
-        enabled = self._enabled
-        heap = self._heap
-        traces = self._traces
+        bound = now + 1e-9
+        fjord, collector, enabled = self._fjord, self._collector, self._enabled
+        shared: "dict[str, list] | None" = None
         injected: "list[IngestTrace] | None" = None
-        while heap and heap[0][0] <= now + 1e-9:
-            _ts, source, seq, item = heapq.heappop(heap)
-            for target, port in fjord._source_edges[source]:
-                fjord._deliver(item, target, port)
+        for queue in self._queues.values():
+            if queue.pull is not None:
+                queue.pull_due(bound)
+            end = bisect_right(queue.marks, bound, queue.head)
+            if end == queue.head:
+                continue
+            bad = queue.bad
+            if bad is not None and end >= bad:
+                stamp, previous = queue.items[bad].timestamp, queue.marks[bad - 1]
+                self._reject(
+                    "source_out_of_order", f"source {queue.name!r} is out of "
+                    f"order: timestamp {stamp:g} arrived after {previous:g}",
+                    source=queue.name, timestamp=stamp, previous=previous,
+                )
+            run, marks, traces = queue.take(end)
+            for node, port in queue.direct:
+                node.pending.append((run, port))
+            for target, ports in queue.shared:
+                shared = shared or {}
+                shared.setdefault(target, []).append((run, marks, ports))
             if enabled:
-                self._collector.count_source(source)
-                self._newest[source] = item.timestamp
-            if traces:
-                trace = traces.pop(seq, None)
-                if trace is not None:
-                    trace.t_injected = clock_ns()
-                    if injected is None:
-                        injected = []
+                collector.count_source(queue.name, len(run))
+                self._newest[queue.name] = run[-1].timestamp
+            if traces is not None:
+                stamp = clock_ns()
+                for trace in filter(None, traces):
+                    trace.t_injected = stamp
+                    injected = injected or []
                     injected.append(trace)
+        for target, parts in (shared or {}).items():
+            _merge_runs(fjord._nodes[target].pending, parts)
         if enabled:
-            fjord._sample_tick(self._order, now, self._newest, self._collector)
-        fjord._sweep(self._order, now, self._collector, enabled)
+            fjord._sample_tick(self._order, now, self._newest, collector)
+        fjord._sweep(self._order, now, collector, enabled)
         if injected is not None:
             self._finish_spans(injected, now)
         self._cursor += 1
         return now
 
     def _finish_spans(self, injected: "list[IngestTrace]", now: float) -> None:
-        """Close the spans of every tuple this sweep consumed.
-
-        Every emission a tuple contributed at its tick happened inside
-        the sweep that just returned, so its ingest-to-emit journey is
-        complete. The four phase durations share boundary stamps and
-        therefore sum to the end-to-end duration exactly — the
-        accounting invariant the span tests pin.
-        """
+        """Close the spans of every tuple this sweep consumed: all it
+        contributed at its tick happened inside the sweep that just
+        returned. The four phases share boundary stamps, so they sum to
+        the end-to-end duration exactly (the invariant span tests pin)."""
         collector = self._collector
         sink = self.span_sink
         done = clock_ns()
@@ -934,76 +832,175 @@ class FjordSession:
             collector.record_span("ingest.sweep", sweep_ns)
             collector.record_span("ingest.e2e", done - trace.t_ingest)
             collector.span(
-                ingest_id=trace.ingest_id,
-                source=trace.source,
-                sim_ts=trace.sim_ts,
-                tick=now,
-                queue_ns=queue_ns,
-                reorder_ns=reorder_ns,
-                session_ns=session_ns,
-                sweep_ns=sweep_ns,
-                e2e_ns=done - trace.t_ingest,
+                ingest_id=trace.ingest_id, source=trace.source,
+                sim_ts=trace.sim_ts, tick=now, queue_ns=queue_ns,
+                reorder_ns=reorder_ns, session_ns=session_ns,
+                sweep_ns=sweep_ns, e2e_ns=done - trace.t_ingest,
             )
 
     def checkpoint(self) -> dict:
-        """Snapshot the session's execution state for later :meth:`restore`.
-
-        Captures the punctuation cursor, the not-yet-injected tuple heap,
-        per-source ordering stamps, span-correlation traces, and — per
-        DAG node — the operator's data state (via
-        :meth:`~repro.streams.operators.Operator.checkpoint`), its flow
-        counters and any pending input. Everything returned is live
-        references: serialize synchronously, before the next push or
-        advance. Configuration (the graph, ticks, lambdas) is *not*
-        captured — restore targets a freshly built identical pipeline.
-        """
+        """Snapshot the cursor, each source's queued run and its traces,
+        per-source ordering stamps and, per node, the operator's state,
+        flow counters and pending input, for :meth:`restore` into a freshly
+        built identical pipeline. Live references: serialize before the
+        next push or advance."""
+        queues = self._queues.items()
         return {
             "cursor": self._cursor,
-            "heap": list(self._heap),
-            "push_seq": self._push_seq,
-            "last": dict(self._last),
+            "queued": {n: q.items[q.head:] for n, q in queues if q.head < len(q.items)},
+            "traces": {n: q.traces[q.head:] for n, q in queues if q.traces},
+            "last": {n: q.last for n, q in queues if q.last > float("-inf")},
             "newest": dict(self._newest),
-            "traces": dict(self._traces),
             "nodes": self._fjord._checkpoint_nodes(),
         }
 
     def restore(self, state: Mapping) -> None:
-        """Install a :meth:`checkpoint` snapshot into this fresh session.
-
-        Must be called before any push or advance, on a session built
-        from the same pipeline with the same tick schedule; execution
-        then continues exactly where the snapshot was taken.
+        """Install a :meth:`checkpoint` snapshot into this fresh session,
+        built from the same pipeline with the same ticks; execution then
+        continues exactly where the snapshot was taken.
 
         Raises:
-            OperatorError: When the snapshot references a node this
-                session's dataflow does not have (a configuration
-                mismatch — the pipelines are not identical).
+            OperatorError: When the session is not fresh, or the
+                snapshot names a node this dataflow does not have (the
+                pipelines are not identical).
         """
         if self._closed:
             raise OperatorError("restore on a closed FjordSession")
-        if self._cursor or self._heap or self._push_seq:
+        if self._cursor or any(q.last > float("-inf") for q in self._queues.values()):
             raise OperatorError("restore needs a fresh session")
         self._fjord._restore_nodes(state["nodes"])
         self._cursor = int(state["cursor"])
-        # A copy of a valid heap list is itself a valid heap: no heapify.
-        self._heap = list(state["heap"])
-        self._push_seq = int(state["push_seq"])
-        self._last = dict(state["last"])
+        for name, items in state["queued"].items():
+            # A queued tuple is newer than every one injected before it,
+            # so running maxima over the queued tuples alone are its marks.
+            marks = list(accumulate(map(_stamp, items), max))
+            self._queues[name].enqueue(items, marks, state["traces"].get(name))
+        for name, last in state["last"].items():
+            self._queues[name].last = last
         self._newest = dict(state["newest"])
-        self._traces = dict(state["traces"])
 
     def close(self) -> None:
-        """Sweep all remaining ticks and end the session.
-
-        Call after the last push (end of stream): at that point every
-        buffered tuple's tick can safely fire. Idempotent.
-        """
+        """Sweep all remaining ticks and end the session; call after the
+        last push (end of stream). Idempotent."""
         if self._closed:
             return
         while self._cursor < len(self._ticks):
             self._step()
         if self._enabled:
-            self._fjord._emit_run_stop(
-                self._order, self._cursor, self._collector
-            )
+            for name in self._order:
+                node = self._fjord._nodes[name]
+                self._collector.event(
+                    "operator_stop", node=name,
+                    tuples_in=node.tuples_in, tuples_out=node.tuples_out,
+                )
+            self._collector.event("run_end", ticks=self._cursor)
         self._closed = True
+
+
+_stamp = attrgetter("timestamp")
+
+
+class _SourceQueue:
+    """One session source's queued tuples: ``items[head:]`` wait.
+
+    ``marks[i]`` is the newest timestamp among ``items[:i + 1]`` and all
+    queued before, so one bisect finds a tick's due prefix even where a
+    tuple sits inside the 1 ns tolerance below an earlier one. A
+    recording may set ``bad`` (its first tuple more than 1 ns older than
+    the newest before it) and ``pull`` (the iterator it is pulled from).
+    """
+
+    __slots__ = (
+        "name", "items", "marks", "traces", "head", "last", "bad", "pull",
+        "direct", "shared",
+    )
+
+    def __init__(self, name: str):
+        self.name = name
+        self.items: list[StreamTuple] = []
+        self.marks: list[float] = []
+        self.traces: "list[IngestTrace | None] | None" = None
+        self.head = 0
+        self.last = float("-inf")  # newest timestamp ever queued
+        self.bad: "int | None" = None
+        self.pull: "Iterator[StreamTuple] | None" = None
+        self.direct: list[tuple[_Node, int]] = []  # nodes only it feeds
+        #: (node name, ports in edge order) for nodes others feed too
+        self.shared: list[tuple[str, tuple[int, ...]]] = []
+
+    def enqueue(
+        self,
+        items: Sequence[StreamTuple],
+        marks: list[float],
+        traces: "Sequence[IngestTrace | None] | None",
+    ) -> None:
+        if traces is not None and self.traces is None:
+            self.traces = [None] * len(self.items)
+        if self.traces is not None:
+            self.traces += [None] * len(items) if traces is None else traces
+        self.items += items
+        self.marks += marks
+
+    def take(self, end: int) -> "tuple[list, list[float], list | None]":
+        """Remove and return ``items[head:end]``, marks and traces."""
+        head, items, marks, traces = self.head, self.items, self.marks, self.traces
+        taken = items[head:end], marks[head:end], traces and traces[head:end]
+        if end == len(items):
+            self.items, self.marks, self.traces, self.head = [], [], None, 0
+        elif 2 * end >= len(items):
+            # Drop the consumed part: a queue that never empties must not grow.
+            del items[:end], marks[:end]
+            if traces is not None:
+                del traces[:end]
+            if self.bad is not None:
+                self.bad -= end
+            self.head = 0
+        else:
+            self.head = end
+        return taken
+
+    def pull_due(self, bound: float) -> None:
+        """Pull a lazily replayed recording until its newest queued
+        tuple lies past ``bound``, it ends, or it goes out of order."""
+        items, marks = self.items, self.marks
+        while self.pull is not None and (
+            self.head == len(items) or items[-1].timestamp <= bound
+        ):
+            item = next(self.pull, None)
+            if item is None:
+                self.pull = None
+                break
+            if item.timestamp < self.last - 1e-9:
+                self.bad, self.pull = len(items), None
+            self.last = max(self.last, item.timestamp)
+            items.append(item)
+            marks.append(self.last)
+
+
+def _merge_runs(
+    pending: list,
+    parts: "list[tuple[list[StreamTuple], list[float], tuple[int, ...]]]",
+) -> None:
+    """Queue at ``pending`` one tick's ``(run, marks, ports)`` from a
+    node's feeding sources, in source-name order.
+
+    Merging the runs head by head on ``(timestamp, source name)`` is a
+    stable sort of their concatenation by mark. Each tuple goes to its
+    source's ports in edge order, as consecutive same-port entries.
+    """
+    run, _marks, ports = parts[0]
+    if len(parts) == 1 and len(ports) == 1:
+        pending.append((run, ports[0]))
+    elif len(ports) == 1 and all(part[2] == ports for part in parts):
+        pairs = chain.from_iterable(zip(m, r) for r, m, _p in parts)
+        merged = sorted(pairs, key=itemgetter(0))
+        pending.append((list(map(itemgetter(1), merged)), ports[0]))
+    else:
+        triples = chain.from_iterable(zip(m, r, repeat(p)) for r, m, p in parts)
+        port: "int | None" = None
+        for _mark, item, item_ports in sorted(triples, key=itemgetter(0)):
+            for item_port in item_ports:
+                if item_port != port:
+                    port, rows = item_port, []
+                    pending.append((rows, port))
+                rows.append(item)

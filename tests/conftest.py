@@ -1,4 +1,5 @@
-"""Shared fixtures: small, fast scenario instances for integration tests.
+"""Shared fixtures: small, fast scenario instances for integration tests,
+and the randomized source traces the differential suites draw from.
 
 The scenarios are imported inside their fixtures: they need numpy, and
 the suites CI runs with numpy uninstalled must still collect.
@@ -6,11 +7,18 @@ the suites CI runs with numpy uninstalled must still collect.
 
 from __future__ import annotations
 
+import random
 from typing import TYPE_CHECKING
 
 import pytest
 
 from repro.streams import fjord as fjord_module
+from repro.streams.tuples import StreamTuple
+
+try:
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is in the test extras
+    st = None
 
 if TYPE_CHECKING:
     from repro.scenarios import (
@@ -84,3 +92,58 @@ def kernel_regime(monkeypatch):
         )
 
     return enter
+
+
+# -- randomized traces ----------------------------------------------------------
+
+KEYS = tuple(f"granule{i}" for i in range(9))
+
+
+def make_trace(
+    rng: random.Random,
+    n_tuples: int,
+    n_sources: int = 2,
+    keys: tuple = KEYS,
+    duplicate_rate: float = 0.4,
+) -> dict[str, list[StreamTuple]]:
+    """Random timestamp-sorted sources ``src0``, ``src1``, ... with
+    frequent duplicate stamps, within a source and across sources."""
+    sources: dict[str, list[StreamTuple]] = {}
+    for s in range(n_sources):
+        now = 0.0
+        items = []
+        for i in range(n_tuples):
+            if rng.random() > duplicate_rate:
+                now += rng.choice((0.25, 0.5, 1.0, 1.75))
+            items.append(
+                StreamTuple(
+                    now,
+                    {
+                        "spatial_granule": rng.choice(keys),
+                        "value": round(rng.uniform(0.0, 50.0), 3),
+                        "seq": i,
+                    },
+                    f"src{s}",
+                )
+            )
+        sources[f"src{s}"] = items
+    return sources
+
+
+if st is not None:
+
+    @st.composite
+    def traces(draw):
+        """A :func:`make_trace` of drawn length, key count and
+        duplicate rate."""
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        n_tuples = draw(st.integers(min_value=0, max_value=60))
+        n_keys = draw(st.integers(min_value=1, max_value=6))
+        duplicate_rate = draw(st.sampled_from((0.0, 0.3, 0.9)))
+        rng = random.Random(seed)
+        return make_trace(
+            rng,
+            n_tuples=n_tuples,
+            keys=tuple(f"k{i}" for i in range(n_keys)),
+            duplicate_rate=duplicate_rate,
+        )

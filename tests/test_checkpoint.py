@@ -114,7 +114,7 @@ class TestSessionCheckpoint:
         state = baseline.checkpoint()
         # Mid-run: pushed tuples still wait for their tick, and a
         # compiled plan's state rides as its nodes' snapshots.
-        assert state["heap"]
+        assert any(state["queued"].values())
         carries_plan = any(
             "nodes" in (entry["state"] or ())
             for entry in state["nodes"].values()
@@ -335,10 +335,15 @@ class TestCheckpointContents:
     #: ``(ts, reading, arguments)`` plus counters). With each group-by
     #: state reduced to ``key -> readings in the window`` the two
     #: commits' states are equal; the pickle went 298,542 -> 291,813 B.
+    #: Re-pinned once more, deliberately, when the session queued its
+    #: not-yet-injected readings per source (``queued``: source -> run)
+    #: instead of on one heap of ``(timestamp, source, seq, reading)``
+    #: with a ``push_seq`` counter: the operators' node states are
+    #: unchanged, and the pickle went 291,813 -> 291,609 B.
     STATE_DIGEST = (
-        "c04f776eaa33d38a5fc2e7f73543440f748e0c63316ddeb808835c9df241f308"
+        "32a493ad36e9080a793359d1eb8f696fb0ac72926585eac47dd407840946b5e6"
     )
-    PICKLE_SIZE = 291813
+    PICKLE_SIZE = 291609
 
     def test_pinned_shelf_session_state_is_unchanged_and_no_larger(self):
         bundle = build_bundle("shelf", 60.0, SEED)

@@ -804,20 +804,10 @@ def assert_column_kernels_match_rows(rows):
 
 
 if HAVE_HYPOTHESIS:
-
-    @st.composite
-    def traces(draw):
-        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-        n_tuples = draw(st.integers(min_value=0, max_value=60))
-        n_keys = draw(st.integers(min_value=1, max_value=6))
-        duplicate_rate = draw(st.sampled_from((0.0, 0.3, 0.9)))
-        rng = random.Random(seed)
-        return make_trace(
-            rng,
-            n_tuples=n_tuples,
-            keys=tuple(f"k{i}" for i in range(n_keys)),
-            duplicate_rate=duplicate_rate,
-        )
+    try:
+        from tests.conftest import traces
+    except ImportError:  # pragma: no cover - direct file invocation
+        from conftest import traces
 
     #: A cell: floats with NaN, infinities and both zeros, ints beyond
     #: float exactness, strings, None.

@@ -44,8 +44,8 @@ class FakeSession:
     def safe_time(self):
         return float("-inf")
 
-    def push(self, source, item):
-        self.pushed.append((source, item))
+    def push_run(self, source, items, traces=None):
+        self.pushed.extend((source, item) for item in items)
 
     def advance(self, watermark):
         self.watermarks.append(watermark)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetError
+from repro.errors import NetError, OperatorError
 from repro.net import protocol
 from repro.net.feeder import ReplayFeeder
 from repro.net.gateway import IngestGateway
@@ -386,8 +386,8 @@ class TestPromises:
             def __init__(self):
                 self.pushed, self.watermarks = [], []
 
-            def push(self, source, item):
-                self.pushed.append(item.timestamp)
+            def push_run(self, source, items, traces=None):
+                self.pushed.extend(item.timestamp for item in items)
 
             def advance(self, watermark):
                 self.watermarks.append(watermark)
@@ -453,8 +453,8 @@ class TestPromises:
             def __init__(self):
                 self.pushed = []
 
-            def push(self, source, item):
-                self.pushed.append((source, item.timestamp))
+            def push_run(self, source, items, traces=None):
+                self.pushed.extend((source, item.timestamp) for item in items)
 
             def advance(self, watermark):
                 return []
@@ -968,8 +968,8 @@ class TestDropPolicies:
             def __init__(self):
                 self.pushed = []
 
-            def push(self, source, item):
-                self.pushed.append(item.get("v"))
+            def push_run(self, source, items, traces=None):
+                self.pushed.extend(item.get("v") for item in items)
 
             def advance(self, watermark):
                 return []
@@ -1222,6 +1222,51 @@ class TestStreamTupleOnTheWire:
             )
         )
         assert run.output == ref.output
+
+
+class TestSessionFailure:
+    def test_a_failing_session_fails_the_feeder_and_the_drain(self):
+        """The session raises inside a drain: the gateway fails closed.
+        The feeder is told why (an ``error`` frame, so it raises rather
+        than waiting for credits forever), ``run_until_drained`` raises
+        the session's error, and ``close`` closes the server, then
+        raises it too."""
+
+        class Session:
+            receptor_ids = ("a",)
+            safe_time = float("-inf")
+
+            def push_run(self, source, items, traces=None):
+                raise OperatorError("the pipeline broke")
+
+            def advance(self, watermark):
+                return []
+
+            def close(self):
+                return self
+
+        bound = 5.0  # seconds, far above a healthy run's few ms
+
+        async def scenario():
+            gateway = IngestGateway(Session(), slack=0.0, queue_bound=4)
+            host, port = await gateway.start()
+            feeder = ReplayFeeder(
+                host, port, {"a": [StreamTuple(float(i), {"v": i})
+                                   for i in range(50)]},
+            )
+            with pytest.raises(NetError, match="gateway error: .*broke"):
+                await asyncio.wait_for(feeder.run(), bound)
+            with pytest.raises(OperatorError, match="broke"):
+                await asyncio.wait_for(gateway.run_until_drained(), bound)
+            # A feeder arriving now is refused with the same reason.
+            late = ReplayFeeder(host, port, {"a": []})
+            with pytest.raises(NetError, match="rejected session: .*broke"):
+                await asyncio.wait_for(late.run(), bound)
+            with pytest.raises(OperatorError, match="broke"):
+                await gateway.close()
+            assert not gateway._server.is_serving()
+
+        asyncio.run(scenario())
 
 
 def test_gateway_requires_expected_sources():

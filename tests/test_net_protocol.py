@@ -256,7 +256,7 @@ class TestFrameSizeGuard:
             receptor_ids = ("reader0",)
             safe_time = float("-inf")
 
-            def push(self, *a, **k):
+            def push_run(self, *a, **k):
                 pass
 
             def advance(self, watermark):
@@ -902,7 +902,7 @@ class TestVersionHandshake:
         receptor_ids = ("reader0",)
         safe_time = float("-inf")
 
-        def push(self, *a, **k):
+        def push_run(self, *a, **k):
             pass
 
         def advance(self, watermark):

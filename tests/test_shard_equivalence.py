@@ -56,37 +56,10 @@ except ImportError:  # pragma: no cover - hypothesis is in the test extras
 
 # -- trace generation ----------------------------------------------------------
 
-KEYS = tuple(f"granule{i}" for i in range(9))
-
-
-def make_trace(
-    rng: random.Random,
-    n_tuples: int,
-    n_sources: int = 2,
-    keys: tuple = KEYS,
-    duplicate_rate: float = 0.4,
-) -> dict[str, list[StreamTuple]]:
-    """Random timestamp-sorted sources with frequent duplicate stamps."""
-    sources: dict[str, list[StreamTuple]] = {}
-    for s in range(n_sources):
-        now = 0.0
-        items = []
-        for i in range(n_tuples):
-            if rng.random() > duplicate_rate:
-                now += rng.choice((0.25, 0.5, 1.0, 1.75))
-            items.append(
-                StreamTuple(
-                    now,
-                    {
-                        "spatial_granule": rng.choice(keys),
-                        "value": round(rng.uniform(0.0, 50.0), 3),
-                        "seq": i,
-                    },
-                    f"src{s}",
-                )
-            )
-        sources[f"src{s}"] = items
-    return sources
+try:
+    from tests.conftest import make_trace
+except ImportError:  # pragma: no cover - direct file invocation
+    from conftest import make_trace
 
 
 def trace_ticks(sources, period: float = 1.0) -> list[float]:
@@ -288,22 +261,10 @@ class TestRandomizedTraces:
 
 
 if HAVE_HYPOTHESIS:
-
-    @st.composite
-    def traces(draw):
-        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-        n_tuples = draw(st.integers(min_value=0, max_value=60))
-        n_keys = draw(st.integers(min_value=1, max_value=6))
-        duplicate_rate = draw(
-            st.sampled_from((0.0, 0.3, 0.9))
-        )
-        rng = random.Random(seed)
-        return make_trace(
-            rng,
-            n_tuples=n_tuples,
-            keys=tuple(f"k{i}" for i in range(n_keys)),
-            duplicate_rate=duplicate_rate,
-        )
+    try:
+        from tests.conftest import traces
+    except ImportError:  # pragma: no cover - direct file invocation
+        from conftest import traces
 
     class TestPropertyBased:
         @settings(

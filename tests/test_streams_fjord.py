@@ -292,6 +292,47 @@ class TestFjordSession:
             fjord.open_session([2.0, 1.0])
 
 
+class TestOrderWithinTheTolerance:
+    """A reading up to 1 ns older than the one before it is in order —
+    both drivers accept it — and it keeps its place in its source's
+    order: replayed and pushed alike."""
+
+    @staticmethod
+    def outputs(sources):
+        """``(Fjord.run's, a session's)`` output values over a union
+        of ``sources``, ticks 0, 1, 2."""
+        seen = []
+        for pushed in (False, True):
+            fjord = Fjord()
+            for name, items in sources.items():
+                fjord.add_source(name, [] if pushed else items)
+            fjord.add_operator("u", UnionOp(), inputs=sorted(sources))
+            sink = fjord.add_sink("out", inputs=["u"])
+            if pushed:
+                session = fjord.open_session([0.0, 1.0, 2.0])
+                for name, items in sources.items():
+                    for item in items:
+                        session.push(name, item)
+                session.close()
+            else:
+                fjord.run([0.0, 1.0, 2.0])
+            seen.append([t["v"] for t in sink.results])
+        return tuple(seen)
+
+    def test_one_source_keeps_push_order(self):
+        sources = {"s": [tup(1.0000000005, "s", v="a"), tup(1.0, "s", v="b")]}
+        assert self.outputs(sources) == (["a", "b"], ["a", "b"])
+
+    def test_a_second_source_merges_head_by_head(self):
+        """``t``'s reading at 1.0 goes first (it is below ``s``'s head,
+        1.0000000005); ``s``'s two follow in their own order."""
+        sources = {
+            "s": [tup(1.0000000005, "s", v="a"), tup(1.0, "s", v="b")],
+            "t": [tup(1.0, "t", v="c")],
+        }
+        assert self.outputs(sources) == (["c", "a", "b"], ["c", "a", "b"])
+
+
 class TestWholeRunDelivery:
     """A kernel's output list is queued whole at every consumer; what
     each consumer sees, the flow counters and the ``batch_drain``
@@ -330,8 +371,8 @@ class TestWholeRunDelivery:
         fjord.add_sink(
             "loop",
             inputs=["agg"],
-            callback=lambda item: fjord._deliver(
-                item.derive(stream="again"), "echo", 0
+            callback=lambda item: fjord._nodes["echo"].pending.append(
+                (item.derive(stream="again"), 0)
             ),
         )
         return fjord, sinks
