@@ -24,7 +24,7 @@ Three workloads:
 
 - **Full shelf pipeline (reported, and gated by a count).** The
   paper's Smooth+Arbitrate pipeline at its native tick hands its
-  annotate/rename/union nodes ≈12-row runs: below the threshold, so a
+  annotate and union nodes ≈20-row runs: below the threshold, so a
   pass must perform zero rows→columns encodes — while the chain
   encodes every long run exactly once. Likewise one redwood and one
   digital-home pass leave ``typedcols.storage_stats()`` empty: their

@@ -29,7 +29,7 @@ from repro.errors import PipelineError
 from repro.receptors.base import Receptor
 from repro.receptors.registry import DeviceRegistry
 from repro.streams import shard as shard_engine
-from repro.streams.columnar import AddFields, SetStream
+from repro.streams.columnar import AddFields
 from repro.streams.fjord import Fjord, _check_mode
 from repro.streams.operators import MapOp, UnionOp
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
@@ -201,8 +201,8 @@ class ESPRun:
             emission order.
         taps: Intermediate streams captured at stage boundaries, keyed
             ``"{receptor_kind}/{tap}"`` where ``tap`` is ``"raw"`` or a
-            stage kind value. Only the taps requested at run time are
-            present.
+            stage kind value (the stream leaving that kind's last stage).
+            Only the taps requested at run time are present.
         stats: Per-node flow counters, name → (tuples in, tuples out).
             For sharded runs the counters are summed across shards, so
             they match the sequential run's counters exactly.
@@ -772,6 +772,8 @@ class ESPProcessor:
         level = "stream"
         if "raw" in taps:
             self._tap(fjord, result, receptor_kind, "raw", streams.values())
+        # One tap per stage kind, on the stream leaving its last stage.
+        last = {s.kind.value: i for i, s in enumerate(pipeline.sequence)}
         for position, stage in enumerate(pipeline.sequence):
             streams, level = self._apply_stage(
                 fjord,
@@ -782,7 +784,7 @@ class ESPProcessor:
                 streams,
                 level,
             )
-            if stage.kind.value in taps:
+            if stage.kind.value in taps and last[stage.kind.value] == position:
                 self._tap(
                     fjord, result, receptor_kind, stage.kind.value,
                     streams.values(),
@@ -841,15 +843,7 @@ class ESPProcessor:
             op = stage.make(context)
             node_name = f"{receptor_kind}:{position}:{stage.kind.value}:{label}"
             fjord.add_operator(node_name, op, inputs=[node])
-            # Re-stamp the stream name so downstream CompiledQuery routing
-            # and Virtualize renames stay predictable.
-            rename = f"{node_name}:rename"
-            fjord.add_operator(
-                rename,
-                MapOp(SetStream(label)),
-                inputs=[node_name],
-            )
-            out[label] = rename
+            out[label] = node_name
         return out, level
 
     def _group_by_name(self, name: str):

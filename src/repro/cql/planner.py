@@ -342,8 +342,8 @@ class CompiledQuery(Operator):
         # lists, borrowed like ``items``: drained before we return.
         runs: list[tuple["list[tuple[str, int]] | None", list[StreamTuple]]]
         if len(edges) == 1:
-            # Single-stream queries accept any input stream: the ESP
-            # processor renames streams as it wires stages together.
+            # Single-stream queries accept any input stream: an ESP
+            # stage sees whatever labels its upstream emitted.
             (only,) = edges.values()
             runs = [(only, items if isinstance(items, list) else list(items))]
         else:

@@ -6,7 +6,7 @@ list — instead of a list of :class:`~repro.streams.tuples.StreamTuple`
 objects. Stateless kernels (filter, map, union relabel) then touch one
 column per operation instead of one object per tuple: the processor
 plumbing alone derives each tuple several times (annotate, then a
-rename and a union relabel per stage).
+union relabel wherever streams merge).
 
 Semantics contract
 ------------------

@@ -73,9 +73,9 @@ MODES = ("row", "columnar", "fused")
 #: ===========  =======  ===================  =================
 #: workload     runs     rows p50 / p99 / max  rows in runs >= 64
 #: ===========  =======  ===================  =================
-#: shelf_mem     31,499   12 /  32 /  34      0.000
-#: redwood_mem   68,638    1 /  15 /  16      0.000
-#: home_mem      95,824    1 /   6 /   6      0.000
+#: shelf_mem     13,999   20 /  33 /  34      0.000
+#: redwood_mem   29,313    1 /  16 /  16      0.000
+#: home_mem      42,703    1 /   6 /   6      0.000
 #: chain_mem      4,914  140 / 161 / 169      1.000
 #: ===========  =======  ===================  =================
 #:

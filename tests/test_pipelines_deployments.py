@@ -1,13 +1,22 @@
 """Integration tests for the three prebuilt deployment pipelines."""
 
+import hashlib
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.granules import TemporalGranule
+from repro.core.operators.point_ops import ghost_filter, whitelist
+from repro.core.pipeline import ESPPipeline, ESPProcessor
 from repro.errors import PipelineError
 from repro.metrics import average_relative_error, detection_accuracy
-from repro.pipelines.digital_home import build_digital_home_processor
+from repro.pipelines.digital_home import (
+    build_declarative_home_processor,
+    build_digital_home_processor,
+)
 from repro.pipelines.rfid_shelf import (
+    ADAPTIVE_CONFIG,
     SHELF_CONFIGS,
     build_shelf_processor,
     count_series,
@@ -17,7 +26,12 @@ from repro.pipelines.sensornet import (
     build_outlier_processor,
     build_redwood_processor,
 )
+from repro.scenarios import OfficeScenario, RedwoodScenario, ShelfScenario
+from repro.streams.columnar import SetStream
+from repro.streams.operators import MapOp
+from repro.streams.traceio import write_jsonl
 from repro.streams.tuples import StreamTuple
+from tests.test_checkpoint import make_bundle
 
 
 def shelf_error(scenario, counts):
@@ -302,3 +316,151 @@ class TestDigitalHome:
         )
         assert run.output
         assert run.output[0]["event"] == "Person-in-room"
+
+
+class TestStageTaps:
+    def test_kind_with_two_stages_is_tapped_after_its_last(self, small_shelf):
+        """``point=[a, b]`` with ``taps=("point",)`` adds one tap, on the
+        stream leaving ``b``; output and flow stats are unchanged."""
+        streams = small_shelf.recorded_streams()
+        tags = sorted({t["tag_id"] for run in streams.values() for t in run})
+
+        def run(**kwargs):
+            processor = ESPProcessor(small_shelf.registry)
+            processor.add_pipeline(ESPPipeline(
+                "rfid", point=[ghost_filter(), whitelist("tag_id", tags[::2])]
+            ))
+            return processor.run(
+                until=small_shelf.duration,
+                tick=small_shelf.poll_period,
+                sources=streams,
+                **kwargs,
+            )
+
+        plain = run()
+        tapped = run(taps=("point",))
+        assert tapped.output == plain.output
+        assert {k: v for k, v in tapped.stats.items()
+                if not k.startswith("tap:")} == plain.stats
+        assert [k for k in tapped.stats if k.startswith("tap:")] == [
+            "tap:rfid/point"
+        ]
+
+        def outs(prefix):
+            return sum(out for name, (_in, out) in plain.stats.items()
+                       if name.startswith(prefix))
+
+        point = tapped.tap("rfid", "point")
+        assert len(point) == outs("rfid:1:point:") < outs("rfid:0:point:")
+        # The kind's output is the second Point's stream under one label.
+        assert [(t.timestamp, t.as_dict()) for t in point] == [
+            (t.timestamp, t.as_dict()) for t in plain.output
+        ]
+
+
+def _processor_nodes(processor, until, tick=None):
+    """The processor-wired nodes of a deployment's graph, name → node."""
+    session = processor.open_session(until=until, tick=tick)
+    return session._fjord._nodes
+
+
+class TestGraphShape:
+    """Streams are labeled where they merge (a raw reading carries its
+    receptor id, scope unions stamp the group or kind, ``kindout:``
+    stamps the kind's output name); no node exists only to relabel."""
+
+    def test_node_counts_and_no_relabel_nodes(self):
+        shelf = ShelfScenario(duration=12.0, seed=3)
+        office = OfficeScenario(duration=150.0, seed=3)
+        graphs = {
+            "shelf": _processor_nodes(
+                build_shelf_processor(shelf, "smooth+arbitrate"),
+                shelf.duration, shelf.poll_period,
+            ),
+            "redwood": _processor_nodes(
+                build_redwood_processor(RedwoodScenario(seed=3)), 3600.0
+            ),
+            "home": _processor_nodes(
+                build_digital_home_processor(office), office.duration, 0.5
+            ),
+            "home_declarative": _processor_nodes(
+                build_declarative_home_processor(office), office.duration, 0.5
+            ),
+        }
+        sizes = {name: len(nodes) for name, nodes in graphs.items()}
+        assert sizes == {
+            "shelf": 10, "redwood": 98, "home": 29, "home_declarative": 27,
+        }
+        for name, nodes in graphs.items():
+            relabels = [
+                node_name for node_name, node in nodes.items()
+                if isinstance(node.op, MapOp)
+                and isinstance(node.op._fn, SetStream)
+            ]
+            assert relabels == [], name
+
+
+def _shelf_config_run(config):
+    scenario = ShelfScenario(duration=40.0, seed=3)
+    return build_shelf_processor(scenario, config).run(
+        until=scenario.duration,
+        tick=scenario.poll_period,
+        sources=scenario.recorded_streams(),
+    )
+
+
+def _shelf_cql_run():
+    bundle = make_bundle("shelf_cql", 40.0)
+    return bundle.processor.run(
+        until=bundle.until, tick=bundle.tick, sources=bundle.streams
+    )
+
+
+def _home_run(builder):
+    scenario = OfficeScenario(duration=150.0, seed=3)
+    return builder(scenario).run(
+        until=scenario.duration, tick=0.5, sources=scenario.recorded_streams()
+    )
+
+
+#: Pipelines no golden trace covers, by how they are run.
+OUTPUT_CASES = {
+    **{
+        config: partial(_shelf_config_run, config)
+        for config in SHELF_CONFIGS + (ADAPTIVE_CONFIG,)
+        if config != "smooth+arbitrate"
+    },
+    "shelf_cql": _shelf_cql_run,
+    "home": partial(_home_run, build_digital_home_processor),
+    "home_declarative": partial(_home_run, build_declarative_home_processor),
+}
+
+#: sha256 of each case's ``write_jsonl`` output, taken while every stage
+#: instance was still followed by a relabel node: labels and tuples
+#: reach the output exactly as they did then.
+OUTPUT_DIGESTS = {
+    "adaptive+arbitrate":
+        "6bd7023038792c05b6191110a364da34941e8caadded3300f63a74da1edd40fd",
+    "arbitrate":
+        "e88f038a4d25882cebd9bc10b1c86d4e4e16f1896d067b026921032bcf9ba823",
+    "arbitrate+smooth":
+        "18e7846661550a35f522929ee0f8a427bdaab2b8f5441a97a102bb7cc86296bb",
+    "home":
+        "a909331d88c033d578c5418b66d9ed0ad20e554be57068f277fe141fea252853",
+    "home_declarative":
+        "f1f486e5075310952af6a8573e95acd2e7207b739c3674ca0a344d8d2d2cd394",
+    "raw":
+        "7001056cc243565f34abeba23ee4f5c4781889d4d680daff9b125946551e6134",
+    "shelf_cql":
+        "38c1f6e1ed29aac43309c0e927c9889913b88ef4ed1642db121cdc5ae2b5dad5",
+    "smooth":
+        "ed5a8909bb30e990a7e00b9a2d1e29a46a38e63bcd980b23378a7c78c28194c1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+def test_output_identity(case, tmp_path):
+    path = tmp_path / "out.jsonl"
+    assert write_jsonl(OUTPUT_CASES[case]().output, path) > 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[case]

@@ -452,7 +452,7 @@ class TestWholeRunDelivery:
         assert len(smoothed) == tapped.stats["tap:rfid/smooth"][0]
         assert len(smoothed) == sum(
             out for name, (_in, out) in plain.stats.items()
-            if name.endswith(":rename") and ":smooth:" in name
+            if name.startswith("rfid:1:smooth:")
         )
 
     @pytest.mark.parametrize("regime", REGIMES)

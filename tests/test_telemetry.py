@@ -625,9 +625,9 @@ class TestColumnarAccounting:
         assert _scrub_wall_clock(row) == _scrub_wall_clock(columnar)
 
     def test_golden_scenario_events_are_mode_blind(self, kernel_regime):
-        """With every run at the shelf pipeline's annotate, rename and
-        union nodes on the column kernel, the golden scenario replays
-        the pinned trace-event log exactly."""
+        """With every run at the shelf pipeline's annotate and union
+        nodes on the column kernel, the golden scenario replays the
+        pinned trace-event log exactly."""
         from repro.streams.traceio import read_trace_events
 
         kernel_regime("columnar")
