@@ -24,8 +24,9 @@ Three workloads:
 
 - **Full shelf pipeline (reported, and gated by a count).** The
   paper's Smooth+Arbitrate pipeline at its native tick hands its
-  annotate and union nodes ≈20-row runs: below the threshold, so a
-  pass must perform zero rows→columns encodes — while the chain
+  annotate nodes and its one union node (``kindout:``) runs of at most
+  25 rows: below the threshold, so a pass must perform zero
+  rows→columns encodes — while the chain
   encodes every long run exactly once. Likewise one redwood and one
   digital-home pass leave ``typedcols.storage_stats()`` empty: their
   window aggregates read rows, so no column is ever built for them.

@@ -25,6 +25,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.granules import TemporalGranule
 from repro.core.stages import Stage, StageContext, StageKind
+from repro.cql.planner import CompiledQuery
 from repro.errors import PipelineError
 from repro.receptors.base import Receptor
 from repro.receptors.registry import DeviceRegistry
@@ -139,7 +140,7 @@ def classify_node(name: str) -> str:
         # The ingestion gateway's per-source queue gauges (depth under
         # operator name "gateway:<source>") roll up as their own row.
         return "gateway"
-    if head == "virtualize" or name == "__merge_kinds__":
+    if head == "virtualize":
         return "virtualize"
     if name == "__output__":
         return "output"
@@ -148,6 +149,9 @@ def classify_node(name: str) -> str:
         if parts[2] in StageKind._value2member_map_:
             return parts[2]
         if parts[2] == "union":
+            # No processor node is named so (its only fan-in node is
+            # ``kindout:``), but hand-wired chains name theirs this way,
+            # e.g. the benchmark's ``rfid:0:union:kind``.
             return "union"
     return "other"
 
@@ -733,7 +737,7 @@ class ESPProcessor:
             )
             kind_outputs.append(kind_output)
         final = self._wire_virtualize(fjord, kind_outputs)
-        sink = fjord.add_sink("__output__", inputs=[final])
+        sink = fjord.add_sink("__output__", inputs=final)
         return fjord, sink
 
     def _wire_kind(
@@ -755,8 +759,8 @@ class ESPProcessor:
             receptor_kind, ESPPipeline(receptor_kind)
         )
         granule = pipeline.temporal_granule
-        # Sources + spatial-granule annotation; streams keyed by a label
-        # that survives union steps.
+        # Sources + spatial-granule annotation; streams keyed by their
+        # scope partition's label (receptor id, group or kind).
         streams: dict[str, str] = {}
         for device in devices:
             source_name = f"src:{device.receptor_id}"
@@ -821,92 +825,69 @@ class ESPProcessor:
         streams: dict[str, str],
         level: str,
     ) -> tuple[dict[str, str], str]:
-        """Apply one stage, widening the scope level if it requires it."""
+        """Apply one stage: one instance per scope partition, fed by
+        every upstream node of its partition (see :meth:`_widen`)."""
         target = stage.kind.scope
         if target == "deployment":
             raise PipelineError("Virtualize cannot appear in a kind pipeline")
         if _SCOPE_RANK[target] > _SCOPE_RANK[level]:
-            streams, level = self._widen(
-                fjord, receptor_kind, position, streams, level, target
-            )
+            partitions = self._widen(receptor_kind, streams, target)
+            level = target
+        else:
+            partitions = {label: [node] for label, node in streams.items()}
+        context = StageContext(
+            stage.kind,
+            temporal_granule=pipeline.temporal_granule,
+            receptor_kind=receptor_kind,
+        )
         out: dict[str, str] = {}
-        for label, node in streams.items():
-            context = StageContext(
-                stage.kind,
-                temporal_granule=pipeline.temporal_granule,
-                stream_name=label if level == "stream" else None,
-                group=(
-                    self._group_by_name(label) if level == "group" else None
-                ),
-                receptor_kind=receptor_kind,
-            )
+        for label, inputs in partitions.items():
             op = stage.make(context)
+            if isinstance(op, CompiledQuery) and len(op.input_streams) > 1:
+                # Labels below Virtualize are receptor ids and whatever
+                # the upstream instances emit, so a query that routes
+                # its input by stream name would silently drop rows.
+                raise PipelineError(
+                    f"stage {stage.name!r} of the {receptor_kind!r} pipeline "
+                    f"reads streams {op.input_streams}; a query over several "
+                    "streams belongs in a Virtualize stage"
+                )
             node_name = f"{receptor_kind}:{position}:{stage.kind.value}:{label}"
-            fjord.add_operator(node_name, op, inputs=[node])
+            fjord.add_operator(node_name, op, inputs=inputs)
             out[label] = node_name
         return out, level
 
-    def _group_by_name(self, name: str):
-        for group in self.registry.groups:
-            if group.name == name:
-                return group
-        return None
-
     def _widen(
-        self,
-        fjord: Fjord,
-        receptor_kind: str,
-        position: int,
-        streams: dict[str, str],
-        level: str,
-        target: str,
-    ) -> tuple[dict[str, str], str]:
-        """Union current streams up to ``target`` scope partitions."""
-        if target == "group":
-            if level != "stream":
-                return streams, level  # already at or above group scope
-            partitions: dict[str, list[str]] = {}
-            for device_id, node in streams.items():
-                group = self.registry.group_of(device_id)
-                partitions.setdefault(group.name, []).append(node)
-            out: dict[str, str] = {}
-            for group_name, nodes in sorted(partitions.items()):
-                union_node = f"{receptor_kind}:{position}:union:{group_name}"
-                fjord.add_operator(
-                    union_node,
-                    UnionOp(output_stream=group_name),
-                    inputs=nodes,
-                )
-                out[group_name] = union_node
-            return out, "group"
-        # target == "kind": merge everything into one partition.
-        union_node = f"{receptor_kind}:{position}:union:kind"
-        fjord.add_operator(
-            union_node,
-            UnionOp(output_stream=receptor_kind),
-            inputs=list(streams.values()),
-        )
-        return {receptor_kind: union_node}, "kind"
+        self, receptor_kind: str, streams: dict[str, str], target: str
+    ) -> dict[str, list[str]]:
+        """The upstream node names of each ``target``-scope partition.
+
+        Widening is wiring: a wider-scope instance takes its partition's
+        nodes as inputs, and its pending input arrives in the order the
+        Fjord sweeps them. Tuples keep their upstream's labels.
+        """
+        if target == "kind":
+            return {receptor_kind: list(streams.values())}
+        partitions: dict[str, list[str]] = {}
+        for device_id, node in streams.items():
+            group = self.registry.group_of(device_id)
+            partitions.setdefault(group.name, []).append(node)
+        return dict(sorted(partitions.items()))
 
     def _tap(self, fjord, result, receptor_kind, tap_name, nodes) -> None:
         key = f"{receptor_kind}/{tap_name}"
         sink = fjord.add_sink(f"tap:{key}", inputs=list(nodes))
         result.taps[key] = sink.results
 
-    def _wire_virtualize(self, fjord: Fjord, kind_outputs: list[str]) -> str:
-        if not self._virtualize:
-            if len(kind_outputs) == 1:
-                return kind_outputs[0]
-            fjord.add_operator(
-                "__merge_kinds__", UnionOp(), inputs=kind_outputs
-            )
-            return "__merge_kinds__"
+    def _wire_virtualize(
+        self, fjord: Fjord, kind_outputs: list[str]
+    ) -> list[str]:
+        """The nodes feeding the sink: the Virtualize chain's last node,
+        else every kind's output (the sink's fan-in merges them)."""
         current = kind_outputs
-        node_name = ""
         for position, stage in enumerate(self._virtualize):
-            context = StageContext(StageKind.VIRTUALIZE)
-            op = stage.make(context)
+            op = stage.make(StageContext(StageKind.VIRTUALIZE))
             node_name = f"virtualize:{position}"
             fjord.add_operator(node_name, op, inputs=current)
             current = [node_name]
-        return node_name
+        return current

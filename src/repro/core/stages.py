@@ -26,7 +26,7 @@ import enum
 from typing import Callable
 
 from repro.cql.planner import CompiledQuery, compile_query
-from repro.core.granules import ProximityGroup, TemporalGranule
+from repro.core.granules import TemporalGranule
 from repro.errors import PipelineError
 from repro.streams.operators import MapOp, Operator
 from repro.streams.tuples import StreamTuple
@@ -78,25 +78,23 @@ class StageContext:
         kind: The stage kind being instantiated.
         temporal_granule: The application's temporal granule (may be
             ``None`` for granule-free stages such as pure Point filters).
-        stream_name: For stream-scoped stages, the receptor stream.
-        group: For group-scoped stages, the proximity group.
-        receptor_kind: For kind-scoped stages, the receptor technology.
+        receptor_kind: The receptor technology whose pipeline the
+            stage belongs to (``None`` for Virtualize).
+
+    One context serves every scope instance of a stage: an instance is
+    told nothing about its partition.
     """
 
-    __slots__ = ("kind", "temporal_granule", "stream_name", "group", "receptor_kind")
+    __slots__ = ("kind", "temporal_granule", "receptor_kind")
 
     def __init__(
         self,
         kind: StageKind,
         temporal_granule: TemporalGranule | None = None,
-        stream_name: str | None = None,
-        group: ProximityGroup | None = None,
         receptor_kind: str | None = None,
     ):
         self.kind = kind
         self.temporal_granule = temporal_granule
-        self.stream_name = stream_name
-        self.group = group
         self.receptor_kind = receptor_kind
 
     def window_seconds(self, window: float | None, who: str) -> float:
@@ -115,10 +113,6 @@ class StageContext:
 
     def __repr__(self):
         bits = [self.kind.value]
-        if self.stream_name:
-            bits.append(f"stream={self.stream_name}")
-        if self.group is not None:
-            bits.append(f"group={self.group.name}")
         if self.receptor_kind:
             bits.append(f"kind={self.receptor_kind}")
         return f"StageContext({', '.join(bits)})"
@@ -161,7 +155,8 @@ class Stage:
         def factory(_ctx: StageContext) -> CompiledQuery:
             return compile_query(query_text)
 
-        return cls(StageKind(kind), factory, name=name or f"query:{kind}")
+        kind = StageKind(kind)
+        return cls(kind, factory, name=name or f"query:{kind.value}")
 
     @classmethod
     def from_function(
@@ -175,7 +170,8 @@ class Stage:
         def factory(_ctx: StageContext) -> Operator:
             return MapOp(fn)
 
-        return cls(StageKind(kind), factory, name=name or f"udf:{kind}")
+        kind = StageKind(kind)
+        return cls(kind, factory, name=name or f"udf:{kind.value}")
 
     @classmethod
     def from_operator(

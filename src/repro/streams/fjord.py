@@ -73,9 +73,9 @@ MODES = ("row", "columnar", "fused")
 #: ===========  =======  ===================  =================
 #: workload     runs     rows p50 / p99 / max  rows in runs >= 64
 #: ===========  =======  ===================  =================
-#: shelf_mem     13,999   20 /  33 /  34      0.000
-#: redwood_mem   29,313    1 /  16 /  16      0.000
-#: home_mem      42,703    1 /   6 /   6      0.000
+#: shelf_mem     10,498    9 /  25 /  25      0.000
+#: redwood_mem   14,244    1 /  16 /  16      0.000
+#: home_mem      29,466    1 /   3 /   4      0.000
 #: chain_mem      4,914  140 / 161 / 169      1.000
 #: ===========  =======  ===================  =================
 #:

@@ -211,8 +211,8 @@ class UnionOp(Operator):
     """Merge any number of input streams into one (bag union).
 
     Optionally re-labels the output stream name so downstream operators see
-    a single logical stream, as the ESP processor does when feeding the
-    union of per-reader Smooth outputs into Arbitrate.
+    a single logical stream, as the ESP processor does at each receptor
+    kind's output (``kindout:<kind>``).
     """
 
     def __init__(self, output_stream: str | None = None):

@@ -88,9 +88,9 @@ class TestProgrammingModels:
             return FilterOp(lambda t: True)
 
         stage = Stage.from_operator(StageKind.SMOOTH, factory)
-        context = StageContext(StageKind.SMOOTH, stream_name="reader0")
+        context = StageContext(StageKind.SMOOTH, receptor_kind="rfid")
         stage.make(context)
-        assert seen["ctx"].stream_name == "reader0"
+        assert seen["ctx"].receptor_kind == "rfid"
 
 
 class TestConvenienceBuilders:

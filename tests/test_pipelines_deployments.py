@@ -8,7 +8,9 @@ import pytest
 
 from repro.core.granules import TemporalGranule
 from repro.core.operators.point_ops import ghost_filter, whitelist
+from repro.core.operators.smooth_ops import presence_smoother
 from repro.core.pipeline import ESPPipeline, ESPProcessor
+from repro.core.stages import Stage, StageKind
 from repro.errors import PipelineError
 from repro.metrics import average_relative_error, detection_accuracy
 from repro.pipelines.digital_home import (
@@ -28,7 +30,8 @@ from repro.pipelines.sensornet import (
 )
 from repro.scenarios import OfficeScenario, RedwoodScenario, ShelfScenario
 from repro.streams.columnar import SetStream
-from repro.streams.operators import MapOp
+from repro.streams.operators import MapOp, UnionOp
+from repro.streams.telemetry import InMemoryCollector
 from repro.streams.traceio import write_jsonl
 from repro.streams.tuples import StreamTuple
 from tests.test_checkpoint import make_bundle
@@ -365,9 +368,11 @@ def _processor_nodes(processor, until, tick=None):
 
 
 class TestGraphShape:
-    """Streams are labeled where they merge (a raw reading carries its
-    receptor id, scope unions stamp the group or kind, ``kindout:``
-    stamps the kind's output name); no node exists only to relabel."""
+    """A raw reading carries its receptor id and ``kindout:`` stamps the
+    kind's output name; no node exists only to relabel. Widening the
+    scope is wiring: a group- or kind-scope instance takes its
+    partition's upstream nodes as inputs, so ``kindout:`` is the only
+    fan-in node the processor adds."""
 
     def test_node_counts_and_no_relabel_nodes(self):
         shelf = ShelfScenario(duration=12.0, seed=3)
@@ -389,7 +394,7 @@ class TestGraphShape:
         }
         sizes = {name: len(nodes) for name, nodes in graphs.items()}
         assert sizes == {
-            "shelf": 10, "redwood": 98, "home": 29, "home_declarative": 27,
+            "shelf": 9, "redwood": 82, "home": 26, "home_declarative": 25,
         }
         for name, nodes in graphs.items():
             relabels = [
@@ -398,6 +403,56 @@ class TestGraphShape:
                 and isinstance(node.op._fn, SetStream)
             ]
             assert relabels == [], name
+            unions = [
+                node_name for node_name, node in nodes.items()
+                if isinstance(node.op, UnionOp)
+            ]
+            assert unions, name
+            assert all(
+                node_name.startswith("kindout:") for node_name in unions
+            ), (name, unions)
+
+    def test_no_virtualize_row_without_a_virtualize_stage(self):
+        """Three kinds with no Virtualize meet at the sink's fan-in: the
+        rollup has no ``virtualize`` row."""
+        office = OfficeScenario(duration=150.0, seed=3)
+        run = ESPProcessor(office.registry).run(
+            until=office.duration, tick=0.5,
+            sources=office.recorded_streams(), telemetry=InMemoryCollector(),
+        )
+        assert list(run.stage_rollup()) == ["ingest", "union", "output"]
+
+
+class TestMultiStreamQueryBelowVirtualize:
+    """A query that routes its input by stream name sees receptor ids
+    below Virtualize, so the processor refuses it at wiring time
+    instead of emitting nothing."""
+
+    QUERY = (
+        "SELECT tag_id, spatial_granule FROM rfid WHERE count > 0 "
+        "UNION SELECT tag_id, spatial_granule FROM other WHERE count > 100"
+    )
+
+    def _processor(self, scenario):
+        processor = ESPProcessor(scenario.registry)
+        processor.add_pipeline(ESPPipeline(
+            "rfid",
+            smooth=presence_smoother(window=2.0),
+            arbitrate=Stage.from_query(StageKind.ARBITRATE, self.QUERY),
+        ))
+        return processor
+
+    def test_run_and_open_session_raise(self):
+        scenario = ShelfScenario(duration=20.0, seed=3)
+        with pytest.raises(PipelineError, match=r"\['other', 'rfid'\]"):
+            self._processor(scenario).run(
+                until=scenario.duration, tick=scenario.poll_period,
+                sources=scenario.recorded_streams(),
+            )
+        with pytest.raises(PipelineError, match="query:arbitrate"):
+            self._processor(scenario).open_session(
+                until=scenario.duration, tick=scenario.poll_period,
+            )
 
 
 def _shelf_config_run(config):
@@ -433,6 +488,9 @@ OUTPUT_CASES = {
     "shelf_cql": _shelf_cql_run,
     "home": partial(_home_run, build_digital_home_processor),
     "home_declarative": partial(_home_run, build_declarative_home_processor),
+    "home_no_pipelines": partial(
+        _home_run, lambda scenario: ESPProcessor(scenario.registry)
+    ),
 }
 
 #: sha256 of each case's ``write_jsonl`` output, taken while every stage
@@ -449,6 +507,10 @@ OUTPUT_DIGESTS = {
         "a909331d88c033d578c5418b66d9ed0ad20e554be57068f277fe141fea252853",
     "home_declarative":
         "f1f486e5075310952af6a8573e95acd2e7207b739c3674ca0a344d8d2d2cd394",
+    # Taken later, while three kinds with no Virtualize still met at a
+    # union node before the sink.
+    "home_no_pipelines":
+        "e1785c09b6ce71f3fe4fb015ba57f888c4deebe24f83996f0a037ff0add4fe9c",
     "raw":
         "7001056cc243565f34abeba23ee4f5c4781889d4d680daff9b125946551e6134",
     "shelf_cql":
