@@ -13,15 +13,18 @@ HiFi / TelegraphCQ ecosystem:
 - :mod:`repro.streams.operators` — relational operators over streams
   (filter, map, windowed group-by, join, union, static-relation join).
 - :mod:`repro.streams.columnar` — the columnar ``ColumnBatch`` encoding
-  (parallel columns, lazy tuple materialization) the column kernels of
-  stateless operators consume, plus vectorizable callables.
-- :mod:`repro.streams.typedcols` — numpy-typed column storage for
-  homogeneous numeric columns (int64/float64, detected at encode time),
-  with the pure-list fallback that keeps every result bit-identical
-  when numpy is absent.
+  (one schema per batch, parallel columns, lazy tuple materialization)
+  the column kernels of filter, map and union consume, plus the
+  vectorizable callables that give a filter or a map its column kernel.
+- :mod:`repro.streams.typedcols` — numpy-typed storage for homogeneous
+  numeric columns (int64/float64, picked at encode time from the cells
+  and the column length), with plain lists wherever numpy does not
+  import or the cells do not qualify; every result is bit-identical
+  either way.
 - :mod:`repro.streams.fjord` — a Fjord-style pipelined executor that pushes
   tuples and time punctuations through an operator DAG, picking each
-  run's kernel (row or column) from the node and the run length.
+  run's kernel (row or column) from the node, the run length and the
+  run's schema.
 - :mod:`repro.streams.shard` — a sharded, batch-pipelined execution engine
   running N independent Fjords (serial or processes backend) with
   a deterministic time-axis merge.
@@ -37,11 +40,8 @@ from repro.streams.aggregates import (
     register_aggregate,
 )
 from repro.streams.columnar import (
-    MISSING,
     AddFields,
     ColumnBatch,
-    ColumnMap,
-    ColumnPredicate,
     FieldCompare,
     SetStream,
 )
@@ -58,7 +58,6 @@ from repro.streams.reorder import ReorderBuffer, reorder_arrivals
 from repro.streams.shard import (
     BACKENDS,
     ShardedRun,
-    partition_batch,
     partition_sources,
     run_sharded,
     set_default_execution,
@@ -73,12 +72,7 @@ from repro.streams.telemetry import (
     set_default_telemetry,
 )
 from repro.streams.time import Duration, SimClock, parse_duration
-from repro.streams.typedcols import (
-    numpy_available,
-    set_typed_columns,
-    storage_stats,
-    typed_columns_enabled,
-)
+from repro.streams.typedcols import numpy_available, storage_stats
 from repro.streams.traceio import (
     read_jsonl,
     read_trace_events,
@@ -94,15 +88,12 @@ __all__ = [
     "AddFields",
     "BACKENDS",
     "ColumnBatch",
-    "ColumnMap",
-    "ColumnPredicate",
     "Duration",
     "FieldCompare",
     "FilterOp",
     "Fjord",
     "Histogram",
     "InMemoryCollector",
-    "MISSING",
     "MODES",
     "MapOp",
     "NowWindow",
@@ -125,7 +116,6 @@ __all__ = [
     "merge_snapshots",
     "numpy_available",
     "parse_duration",
-    "partition_batch",
     "partition_sources",
     "read_jsonl",
     "read_trace_events",
@@ -134,9 +124,7 @@ __all__ = [
     "run_sharded",
     "set_default_execution",
     "set_default_telemetry",
-    "set_typed_columns",
     "storage_stats",
-    "typed_columns_enabled",
     "write_jsonl",
     "write_trace_events",
 ]

@@ -4,9 +4,7 @@ A :class:`ColumnBatch` stores a run of same-port deliveries as parallel
 columns — one list per field, plus a timestamp list and a stream-label
 list — instead of a list of :class:`~repro.streams.tuples.StreamTuple`
 objects. Stateless kernels (filter, map, union relabel) then touch one
-column per operation instead of one object per tuple: the processor
-plumbing alone derives each tuple several times (annotate, then a
-union relabel wherever streams merge).
+column per operation instead of one object per tuple.
 
 Semantics contract
 ------------------
@@ -23,11 +21,11 @@ lists with their parents (``with_columns`` copies only the column dict,
 ``take``/``where`` with an all-rows selection return ``self``). Never
 mutate a column list in place.
 
-Mixed schemas (unions of streams with different fields) are handled
-with the :data:`MISSING` sentinel: a cell holds ``MISSING`` when that
-row's tuple did not carry the field. Always test cells with ``is
-MISSING`` — equality comparisons would invoke arbitrary ``__eq__``
-implementations (e.g. numpy arrays) on real values.
+**One schema per batch.** Every row of a batch carries the same field
+set, so every column has a cell in every row. ``from_tuples`` refuses
+rows whose fields differ and ``concat`` refuses parts whose schemas
+differ (:class:`~repro.errors.OperatorError`); :func:`coalesce` returns
+``None`` for such a run, and the executor hands it to the row kernel.
 
 Typed columns
 -------------
@@ -37,10 +35,10 @@ A column is stored as either a plain Python list or — when
 encode time — a numpy array (``int64``/``float64``). Typed storage is
 a pure acceleration: ``tolist()`` round-trips cells bit-exactly, every
 consumer that needs rows goes through :func:`typedcols.to_list`, and
-all fallback paths (no numpy, mixed dtypes, ``MISSING`` cells, tiny
-batches) keep the list representation, so results are identical with
-and without numpy. Code touching ``columns`` directly must treat a
-column as *list-or-array*: index and ``len()`` freely, but never
+all fallback paths (no numpy, mixed dtypes, tiny batches) keep the
+list representation, so results are identical with and without numpy.
+Code touching ``columns`` directly must treat a column as
+*list-or-array*: index and ``len()`` freely, but never
 ``append``/``extend`` (immutability already forbids that) and never
 compare a whole column with ``==`` (arrays broadcast).
 
@@ -50,9 +48,9 @@ Vectorizable callables
 Row-path callables can opt into columnar execution by exposing:
 
 - ``.columnar(batch) -> ColumnBatch`` on map functions
-  (:class:`AddFields`, :class:`SetStream`, :class:`ColumnMap`), and
+  (:class:`AddFields`, :class:`SetStream`), and
 - ``.mask(batch) -> sequence of truthy`` on predicates
-  (:class:`FieldCompare`, :class:`ColumnPredicate`).
+  (:class:`FieldCompare`).
 
 An operator whose callable lacks the hook has no column kernel and is
 handed rows, so arbitrary lambdas keep working unchanged. A map
@@ -78,35 +76,13 @@ from repro.streams.typedcols import (
 )
 
 __all__ = [
-    "MISSING",
     "ColumnBatch",
     "AddFields",
     "SetStream",
     "FieldCompare",
-    "ColumnMap",
-    "ColumnPredicate",
     "coalesce",
     "flatten",
 ]
-
-
-class _Missing:
-    """Singleton marking an absent cell in a mixed-schema column."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<missing>"
-
-    def __reduce__(self):
-        return (_missing_instance, ())
-
-
-def _missing_instance() -> "_Missing":
-    return MISSING
-
-
-MISSING = _Missing()
 
 
 class ColumnBatch:
@@ -116,13 +92,13 @@ class ColumnBatch:
         timestamps: Per-row event times, non-decreasing within a source.
         streams: Per-row stream labels.
         columns: Mapping of field name to a value list of the same
-            length; absent cells hold :data:`MISSING`.
+            length; every row has a cell in every column.
 
     The constructor takes ownership of the lists it is given — callers
     must not mutate them afterwards.
     """
 
-    __slots__ = ("timestamps", "streams", "_columns", "_tuples", "_dense")
+    __slots__ = ("timestamps", "streams", "_columns", "_tuples")
 
     def __init__(
         self,
@@ -146,9 +122,6 @@ class ColumnBatch:
         self.streams = streams
         self._columns: dict[str, Any] | None = columns
         self._tuples: list[StreamTuple] | None = None
-        #: True when the batch is *known* to contain no MISSING cell;
-        #: False means unknown (a scan may still find it dense).
-        self._dense = False
 
     # -- construction -------------------------------------------------
 
@@ -159,89 +132,89 @@ class ColumnBatch:
 
     @classmethod
     def from_tuples(cls, items: Sequence[StreamTuple]) -> "ColumnBatch":
-        """Wrap a row batch; caches ``items`` for free decoding.
+        """Wrap a row batch of one schema; caches ``items`` for free
+        decoding.
 
+        Raises :class:`OperatorError` when the rows' field sets differ.
         Column construction is deferred until :attr:`columns` is first
         read, so purely row-oriented consumers (a window or sink kernel
         that materializes straight back to tuples) never pay for the
         encoding.
         """
         items = list(items)
-        batch = cls(
-            [t.timestamp for t in items], [t.stream for t in items], {}
+        if items:
+            fields = items[0]._values.keys()
+            if any(t._values.keys() != fields for t in items):
+                raise OperatorError(
+                    "column batch rows differ in their fields; a batch "
+                    "holds one schema"
+                )
+        return cls._lazy(
+            [t.timestamp for t in items], [t.stream for t in items], items
         )
+
+    @classmethod
+    def _lazy(
+        cls,
+        timestamps: list[float],
+        streams: list[str],
+        rows: list[StreamTuple],
+    ) -> "ColumnBatch":
+        """A batch of one-schema ``rows``, encoded when first read."""
+        batch = cls(timestamps, streams, {})
         batch._columns = None
-        batch._tuples = items
+        batch._tuples = rows
         return batch
 
     @classmethod
     def concat(cls, parts: Sequence["ColumnBatch"]) -> "ColumnBatch":
-        """Concatenate batches row-wise, unioning their schemas.
+        """Concatenate batches of one schema row-wise.
 
-        Field order of the result is first-seen order across ``parts``;
-        rows from a part lacking a field get :data:`MISSING` cells.
+        Raises :class:`OperatorError` when the parts' schemas differ.
+        Field order of the result is the first part's.
         """
         parts = [p for p in parts if len(p)]
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
-        if any(p._columns is None for p in parts) and all(
-            p._tuples is not None for p in parts
-        ):
-            # Some part was never encoded and every part carries its
-            # row cache: concatenate the rows and stay lazy.
-            cached_rows: list[StreamTuple] = []
-            all_timestamps: list[float] = []
-            all_streams: list[str] = []
-            for part in parts:
-                cached_rows.extend(part._tuples)  # type: ignore[arg-type]
-                all_timestamps.extend(part.timestamps)
-                all_streams.extend(part.streams)
-            batch = cls(all_timestamps, all_streams, {})
-            batch._columns = None
-            batch._tuples = cached_rows
-            return batch
+        # Each part's field set, read without encoding it.
+        schemas = [
+            p._columns.keys() if p._columns is not None
+            else p._tuples[0]._values.keys()  # type: ignore[index]
+            for p in parts
+        ]
+        if any(schema != schemas[0] for schema in schemas):
+            raise OperatorError(
+                "cannot concatenate column batches of different schemas"
+            )
         timestamps: list[float] = []
         streams: list[str] = []
         for part in parts:
             timestamps.extend(part.timestamps)
             streams.extend(part.streams)
-        # Field order of the union is first-seen order across parts.
-        field_order: list[str] = []
-        seen: set[str] = set()
-        for part in parts:
-            for field in part.columns:
-                if field not in seen:
-                    seen.add(field)
-                    field_order.append(field)
-        columns: dict[str, Any] = {}
-        for field in field_order:
-            srcs = [part.columns.get(field) for part in parts]
-            if all(src is not None for src in srcs):
-                typed = _tc.concat_cells(srcs)
-                if typed is not None:
-                    columns[field] = typed
-                    continue
-            col: list[Any] = []
-            for part, src in zip(parts, srcs):
-                if src is None:
-                    col.extend([MISSING] * len(part))
-                elif isinstance(src, list):
-                    col.extend(src)
-                else:
-                    col.extend(to_list(src))
-            columns[field] = col
-        batch = cls(timestamps, streams, columns)
-        first_schema = parts[0].columns.keys()
-        batch._dense = all(
-            p._dense and p.columns.keys() == first_schema for p in parts
-        )
+        cached: list[StreamTuple] | None = None
         if all(p._tuples is not None for p in parts):
-            cached: list[StreamTuple] = []
+            cached = []
             for part in parts:
                 cached.extend(part._tuples)  # type: ignore[arg-type]
-            batch._tuples = cached
+            if any(p._columns is None for p in parts):
+                # Some part was never encoded: concatenate the rows and
+                # stay lazy.
+                return cls._lazy(timestamps, streams, cached)
+        columns: dict[str, Any] = {}
+        for field in parts[0].columns:
+            srcs = [part.columns[field] for part in parts]
+            typed = _tc.concat_cells(srcs)
+            if typed is not None:
+                columns[field] = typed
+                continue
+            col: list[Any] = []
+            for src in srcs:
+                col.extend(src if isinstance(src, list) else to_list(src))
+            columns[field] = col
+        batch = cls(timestamps, streams, columns)
+        batch._tuples = cached
         return batch
 
     # -- encoding ------------------------------------------------------
@@ -260,43 +233,24 @@ class ColumnBatch:
             cols = self._encode()
         return cols
 
-    def _encode(self) -> dict[str, list[Any]]:
+    def _encode(self) -> dict[str, Any]:
         items = self._tuples
         if items is None:  # pragma: no cover - construction invariant
             raise OperatorError("column batch has neither rows nor columns")
-        n = len(items)
         columns: dict[str, Any] = {}
-        uniform = False
-        if n:
-            keys = items[0]._values.keys()
-            uniform = all(t._values.keys() == keys for t in items)
-            if uniform:
-                # Dense fast path: a uniform schema encodes with one
-                # list comprehension per field. Homogeneous numeric
-                # columns come out typed (numpy-backed) when enabled;
-                # the first-cell sniff keeps obviously non-numeric
-                # columns off the full type scan.
-                for field in keys:
-                    col: Any = [t._values[field] for t in items]
-                    if type(col[0]) in (int, float):
-                        typed = _tc.typed_from_values(col)
-                        if typed is not None:
-                            col = typed
-                    columns[field] = col
-            else:
-                for i, item in enumerate(items):
-                    for field, value in item.items():
-                        col = columns.get(field)
-                        if col is None:
-                            col = columns[field] = [MISSING] * n
-                        col[i] = value
+        if items:
+            # One schema, so one list comprehension per field.
+            # Homogeneous numeric columns come out typed (numpy-backed)
+            # when available; the first-cell sniff keeps obviously
+            # non-numeric columns off the full type scan.
+            for field in items[0]._values:
+                col: Any = [t._values[field] for t in items]
+                if type(col[0]) in (int, float):
+                    typed = _tc.typed_from_values(col)
+                    if typed is not None:
+                        col = typed
+                columns[field] = col
         self._columns = columns
-        if uniform:
-            self._dense = not any(
-                any(v is MISSING for v in col)
-                for col in columns.values()
-                if not is_typed(col)
-            )
         return columns
 
     # -- decoding ------------------------------------------------------
@@ -309,45 +263,24 @@ class ColumnBatch:
         """
         if self._tuples is None:
             names = tuple(self.columns)
-            # Typed columns decode through tolist(): bit-exact native
-            # int/float objects, and tuple rows never see numpy types.
-            cols = [to_list(self.columns[f]) for f in names]
             from_parts = StreamTuple._from_parts
-            dense = self._dense or not any(
-                any(v is MISSING for v in col) for col in cols
-            )
-            if dense and names:
-                # Dense fast path: no MISSING cells, so each row's
-                # values dict is a straight zip over the schema.
+            if names:
+                # Typed columns decode through tolist(): bit-exact
+                # native int/float objects, and tuple rows never see
+                # numpy types.
+                cols = [to_list(self.columns[f]) for f in names]
                 self._tuples = [
                     from_parts(ts, dict(zip(names, row)), stream)
                     for ts, stream, row in zip(
                         self.timestamps, self.streams, zip(*cols)
                     )
                 ]
-            elif not names:
+            else:
                 self._tuples = [
                     from_parts(ts, {}, stream)
                     for ts, stream in zip(self.timestamps, self.streams)
                 ]
-            else:
-                out: list[StreamTuple] = []
-                for i, (ts, stream) in enumerate(
-                    zip(self.timestamps, self.streams)
-                ):
-                    values: dict[str, Any] = {}
-                    for field, col in zip(names, cols):
-                        value = col[i]
-                        if value is not MISSING:
-                            values[field] = value
-                    out.append(from_parts(ts, values, stream))
-                self._tuples = out
         return self._tuples
-
-    @property
-    def is_materialized(self) -> bool:
-        """Whether :meth:`tuples` has already been (or came pre-) built."""
-        return self._tuples is not None
 
     # -- views ---------------------------------------------------------
 
@@ -371,28 +304,25 @@ class ColumnBatch:
             return self
         if not indices:
             return ColumnBatch.empty()
+        timestamps = [self.timestamps[i] for i in indices]
+        streams = [self.streams[i] for i in indices]
+        rows = self._tuples
         if self._columns is None:
             # Never encoded: slice the cached rows and stay lazy.
-            assert self._tuples is not None
-            batch = ColumnBatch(
-                [self.timestamps[i] for i in indices],
-                [self.streams[i] for i in indices],
-                {},
+            assert rows is not None
+            return ColumnBatch._lazy(
+                timestamps, streams, [rows[i] for i in indices]
             )
-            batch._columns = None
-            batch._tuples = [self._tuples[i] for i in indices]
-            return batch
         batch = ColumnBatch(
-            [self.timestamps[i] for i in indices],
-            [self.streams[i] for i in indices],
+            timestamps,
+            streams,
             {
                 field: _tc.take_cells(col, indices)
-                for field, col in self.columns.items()
+                for field, col in self._columns.items()
             },
         )
-        batch._dense = self._dense
-        if self._tuples is not None:
-            batch._tuples = [self._tuples[i] for i in indices]
+        if rows is not None:
+            batch._tuples = [rows[i] for i in indices]
         return batch
 
     def where(self, mask: Sequence[Any]) -> "ColumnBatch":
@@ -419,99 +349,43 @@ class ColumnBatch:
 
     def with_stream(self, stream: str) -> "ColumnBatch":
         """Relabel every row's stream; shares all columns with self."""
+        streams = [stream] * len(self.streams)
         if self._columns is None:
             # Never encoded: relabel the cached rows (sharing their
             # value dicts — tuples are immutable by convention) and
             # stay lazy rather than encoding just to share columns.
             assert self._tuples is not None
-            batch = ColumnBatch(
-                self.timestamps, [stream] * len(self.streams), {}
+            return ColumnBatch._lazy(
+                self.timestamps, streams, relabel(self._tuples, stream)
             )
-            batch._columns = None
-            batch._tuples = relabel(self._tuples, stream)
-            return batch
-        batch = ColumnBatch(
-            self.timestamps, [stream] * len(self.streams), self.columns
-        )
-        batch._dense = self._dense
-        return batch
+        return ColumnBatch(self.timestamps, streams, self._columns)
 
     def with_columns(self, values: Mapping[str, Any]) -> "ColumnBatch":
         """Add or overwrite constant-valued columns; shares the rest."""
-        n = len(self.timestamps)
-        if self._columns is None and not any(
-            v is MISSING for v in values.values()
-        ):
+        if self._columns is None:
             # Never encoded: derive the cached rows directly (the same
             # dict-merge the row path pays) and stay lazy, instead of
             # encoding every existing column just to add constants.
             assert self._tuples is not None
             adds = dict(values)
-            batch = ColumnBatch(self.timestamps, self.streams, {})
-            batch._columns = None
-            batch._tuples = [
-                StreamTuple._from_parts(
-                    t.timestamp, {**t._values, **adds}, t.stream
-                )
-                for t in self._tuples
-            ]
-            return batch
-        columns = dict(self.columns)
+            return ColumnBatch._lazy(
+                self.timestamps,
+                self.streams,
+                [
+                    StreamTuple._from_parts(
+                        t.timestamp, {**t._values, **adds}, t.stream
+                    )
+                    for t in self._tuples
+                ],
+            )
+        n = len(self.timestamps)
+        columns = dict(self._columns)
         for field, value in values.items():
             # Numeric constants are born typed so downstream compares
             # vectorize without a re-encode; everything else (strings,
-            # MISSING, objects) stays a shared list.
+            # objects) stays a shared list.
             columns[field] = _tc.constant_cells(value, n)
-        batch = ColumnBatch(self.timestamps, self.streams, columns)
-        batch._dense = self._dense and not any(
-            v is MISSING for v in values.values()
-        )
-        return batch
-
-    def with_column(self, field: str, column: Sequence[Any]) -> "ColumnBatch":
-        """Add or overwrite one per-row column; shares the rest.
-
-        A typed (numpy) column is adopted as-is; a list of homogeneous
-        native numerics is promoted to typed storage when enabled.
-        """
-        columns = dict(self.columns)
-        if is_typed(column):
-            columns[field] = column
-            batch = ColumnBatch(self.timestamps, self.streams, columns)
-            batch._dense = self._dense
-            return batch
-        new_col: Any = list(column)
-        if new_col and type(new_col[0]) in (int, float):
-            typed = _tc.typed_from_values(new_col)
-            if typed is not None:
-                new_col = typed
-        columns[field] = new_col
-        batch = ColumnBatch(self.timestamps, self.streams, columns)
-        batch._dense = self._dense and (
-            is_typed(new_col) or not any(v is MISSING for v in new_col)
-        )
-        return batch
-
-    # -- invariants ----------------------------------------------------
-
-    def assert_time_ordered(
-        self, source: str = "batch", last: float | None = None
-    ) -> float | None:
-        """Raise :class:`OperatorError` on an out-of-order timestamp.
-
-        Mirrors the row path's source check in ``Fjord`` — including its
-        1e-9 tolerance and message — so columnar ingestion reports the
-        same error for the same input. Returns the final timestamp (or
-        ``last`` when the batch is empty) for chained checks.
-        """
-        for ts in self.timestamps:
-            if last is not None and ts < last - 1e-9:
-                raise OperatorError(
-                    f"source {source!r} is out of order: "
-                    f"timestamp {ts:g} arrived after {last:g}"
-                )
-            last = ts
-        return last
+        return ColumnBatch(self.timestamps, self.streams, columns)
 
     # -- dunder --------------------------------------------------------
 
@@ -561,34 +435,39 @@ def flatten(
 
 def coalesce(
     payloads: Sequence["ColumnBatch | StreamTuple | list[StreamTuple]"],
-) -> ColumnBatch:
-    """Fold a same-port run of pending payloads into one batch.
+) -> "ColumnBatch | None":
+    """Fold a same-port run of pending payloads into one batch, or
+    return ``None`` when the run's rows do not share one schema.
 
     The executor's pending queues hold a mix of per-tuple source
     deliveries, row lists (row-kernel and punctuation output) and
     whole-batch column-kernel outputs; the drain coalesces a run that
-    is long enough for a node's column kernel. Rows between two
-    batches become one lazily encoded batch (the single-pass twin of
-    :func:`flatten`: the source-tuple run of a stateless chain's first
-    node comes through here once per tick).
+    is long enough for a node's column kernel, and hands a run this
+    refuses to the row kernel. Rows between two batches become one
+    lazily encoded batch (the single-pass twin of :func:`flatten`: the
+    source-tuple run of a stateless chain's first node comes through
+    here once per tick).
     """
     if len(payloads) == 1 and isinstance(payloads[0], ColumnBatch):
         return payloads[0]
     parts: list[ColumnBatch] = []
     loose: list[StreamTuple] = []  # fresh: row-list payloads are borrowed
-    for payload in payloads:
-        if isinstance(payload, StreamTuple):  # most runs are source tuples
-            loose.append(payload)
-        elif isinstance(payload, list):
-            loose.extend(payload)
-        else:
-            if loose:
-                parts.append(ColumnBatch.from_tuples(loose))
-                loose = []
-            parts.append(payload)
-    if loose:
-        parts.append(ColumnBatch.from_tuples(loose))
-    return ColumnBatch.concat(parts)
+    try:
+        for payload in payloads:
+            if isinstance(payload, StreamTuple):  # most runs are source tuples
+                loose.append(payload)
+            elif isinstance(payload, list):
+                loose.extend(payload)
+            else:
+                if loose:
+                    parts.append(ColumnBatch.from_tuples(loose))
+                    loose = []
+                parts.append(payload)
+        if loose:
+            parts.append(ColumnBatch.from_tuples(loose))
+        return ColumnBatch.concat(parts)
+    except OperatorError:  # the run's rows differ in their fields
+        return None
 
 
 # -- vectorizable callables -------------------------------------------
@@ -642,8 +521,8 @@ class FieldCompare:
     ``FieldCompare("temp", "<", 50.0)`` row-path raises
     :class:`~repro.errors.SchemaError` on tuples missing the field,
     exactly like ``t["temp"] < 50.0`` would; the mask path falls back
-    to per-row evaluation whenever the column is absent or partial so
-    the error behavior (and its ordering) is identical.
+    to per-row evaluation when the batch has no such column, so the
+    error is identical.
     """
 
     __slots__ = ("field", "op", "value", "_cmp")
@@ -702,52 +581,4 @@ class FieldCompare:
             ):
                 return cmp(col, value)
             return [bool(cmp(v, value)) for v in col.tolist()]
-        if any(v is MISSING for v in col):
-            return [self(item) for item in batch.tuples()]
         return [bool(cmp(v, value)) for v in col]
-
-
-class ColumnMap:
-    """Wrap a row map function with an explicit columnar kernel.
-
-    ``batch_fn`` must produce the batch the row function would have
-    produced tuple-by-tuple — the differential suite checks this for
-    every registered kernel, but custom wrappers carry the obligation
-    themselves.
-    """
-
-    __slots__ = ("_row_fn", "_batch_fn")
-
-    def __init__(
-        self,
-        row_fn: Callable[[StreamTuple], Any],
-        batch_fn: Callable[[ColumnBatch], ColumnBatch],
-    ) -> None:
-        self._row_fn = row_fn
-        self._batch_fn = batch_fn
-
-    def __call__(self, item: StreamTuple) -> Any:
-        return self._row_fn(item)
-
-    def columnar(self, batch: ColumnBatch) -> ColumnBatch:
-        return self._batch_fn(batch)
-
-
-class ColumnPredicate:
-    """Wrap a row predicate with an explicit mask kernel."""
-
-    __slots__ = ("_row_fn", "_mask_fn")
-
-    def __init__(
-        self,
-        row_fn: Callable[[StreamTuple], Any],
-        mask_fn: Callable[[ColumnBatch], Sequence[Any]],
-    ) -> None:
-        self._row_fn = row_fn
-        self._mask_fn = mask_fn
-
-    def __call__(self, item: StreamTuple) -> Any:
-        return self._row_fn(item)
-
-    def mask(self, batch: ColumnBatch) -> Sequence[Any]:
-        return self._mask_fn(batch)

@@ -26,13 +26,13 @@ of same-port entries rather than one Python call per tuple, which is
 where most of the executor's time used to go.
 
 There is one execution path. Operators whose work is per-column (a
-filter with a mask predicate, a map with a columnar function, union,
-chains of those) also carry a column kernel, and the drain picks per
-run — from whether the node has one and how long the run is, see
-:data:`COLUMN_MIN_ROWS` — which of the two kernels to call. A long run
-at such a node is coalesced into a
+filter with a mask predicate, a map with a columnar function, union)
+also carry a column kernel, and the drain picks per run — from whether
+the node has one, how long the run is (see :data:`COLUMN_MIN_ROWS`)
+and whether its rows share one schema — which of the two kernels to
+call. A long one-schema run at such a node is coalesced into a
 :class:`~repro.streams.columnar.ColumnBatch`, whose homogeneous numeric
-columns are numpy-backed when available (:mod:`repro.streams.typedcols`);
+columns are numpy-backed when numpy imports (:mod:`repro.streams.typedcols`);
 the batch flows on as it is through further column kernels and becomes
 rows once, at its first row-only consumer. Both kernels of an operator
 emit the same tuples, so the choice (and the column storage class) is
@@ -307,12 +307,12 @@ class Fjord:
         run that is one :class:`ColumnBatch` already goes to the kernel
         as it is (so a batch flows through consecutive column kernels
         untouched), and any other run of at least
-        :data:`COLUMN_MIN_ROWS` rows is coalesced into a batch for it.
-        Every other run is flattened into one list for :meth:`on_batch`,
-        which is where a batch becomes rows again. Either way the
-        kernel's output is delivered whole, one pending entry per
-        downstream edge (see the borrowing rule on
-        :meth:`Operator.on_batch`).
+        :data:`COLUMN_MIN_ROWS` rows is coalesced into a batch for it
+        when its rows share one schema. Every other run is flattened
+        into one list for :meth:`on_batch`, which is where a batch
+        becomes rows again. Either way the kernel's output is delivered
+        whole, one pending entry per downstream edge (see the borrowing
+        rule on :meth:`Operator.on_batch`).
 
         Output order does not depend on where the runs fall because
         ``on_batch`` is chunking-invariant (see
@@ -356,11 +356,14 @@ class Fjord:
                     payloads = [entry[0] for entry in entries[start:stop]]
                     # Every payload holds a row, so a run of enough
                     # entries (source tuples, mostly) needs no count.
+                    batch = None
                     if column_kernel is not None and (
                         len(payloads) >= COLUMN_MIN_ROWS
                         or _row_count(payloads) >= COLUMN_MIN_ROWS
                     ):
-                        run, kernel = coalesce(payloads), column_kernel
+                        batch = coalesce(payloads)
+                    if batch is not None:
+                        run, kernel = batch, column_kernel
                     else:
                         run = flatten(payloads)
                 n_in = len(run)

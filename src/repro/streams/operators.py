@@ -133,8 +133,8 @@ class Operator:
         :meth:`on_batch` would emit for ``batch.tuples()``: the same
         tuples, in the same order, under the same accounting contract.
         Only operators whose work is per-column have one (a filter
-        with a mask predicate, a map with a columnar function, union,
-        and chains of those); everything stateful consumes rows.
+        with a mask predicate, a map with a columnar function, and
+        union); everything else, stateful or not, consumes rows.
         """
         return None
 
@@ -580,25 +580,6 @@ class ChainOp(Operator):
         if pending is items:
             return list(pending)
         return pending if isinstance(pending, list) else list(pending)
-
-    def column_kernel(self):
-        every = all(stage.column_kernel() for stage in self._stages)
-        return self.on_column_batch if every else None
-
-    def on_column_batch(self, batch: ColumnBatch, port: int = 0) -> ColumnBatch:
-        # Columnar stages short-circuit structurally: a stage that
-        # rejects nothing returns its input batch object (FilterOp via
-        # ``where`` on an all-truthy mask, UnionOp without a relabel),
-        # so an all-pass chain performs zero copies end to end. The
-        # regression test in tests/test_columnar_batch.py pins this
-        # with a counting ColumnBatch subclass.
-        pending = batch
-        for stage in self._stages:
-            if not len(pending):
-                return pending
-            pending = stage.on_column_batch(pending, port)
-            port = 0  # only the first stage sees the original port
-        return pending
 
     def on_time(self, now: float) -> list[StreamTuple]:
         carried: list[StreamTuple] = []

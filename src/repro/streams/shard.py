@@ -43,7 +43,6 @@ import zlib
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import OperatorError
-from repro.streams.columnar import ColumnBatch
 from repro.streams.fjord import Fjord
 from repro.streams.operators import SinkOp
 from repro.streams.telemetry import (
@@ -167,10 +166,6 @@ def partition_sources(
         source name (possibly with an empty slice) so builders can wire
         the same graph regardless of which keys landed where; slices
         preserve the source's tuple order.
-
-    A source given as a :class:`~repro.streams.columnar.ColumnBatch`
-    is partitioned with :func:`partition_batch` and lands in each shard
-    mapping as a ColumnBatch slice (same keys, same order guarantee).
     """
     if shards < 1:
         raise OperatorError(f"shards must be >= 1, got {shards}")
@@ -179,61 +174,14 @@ def partition_sources(
         if callable(key)
         else (lambda source, item, _field=key: item.get(_field))
     )
-    out: list[dict[str, "list[StreamTuple] | ColumnBatch"]] = [
+    out: list[dict[str, list[StreamTuple]]] = [
         {name: [] for name in sources} for _ in range(shards)
     ]
     for name, items in sources.items():
-        if isinstance(items, ColumnBatch):
-            parts = partition_batch(
-                items, lambda item, _name=name: key_fn(_name, item), shards
-            )
-            for index in range(shards):
-                out[index][name] = parts[index]
-            continue
         slices = [out[index][name] for index in range(shards)]
         for item in items:
             slices[shard_of(key_fn(name, item), shards)].append(item)
     return out
-
-
-def partition_batch(
-    batch: ColumnBatch,
-    key: "str | Callable[[StreamTuple], Any]",
-    shards: int,
-) -> list[ColumnBatch]:
-    """Split one ColumnBatch into per-shard row slices.
-
-    Args:
-        batch: The batch to split.
-        key: Shard key — a field name read off each row (absent fields
-            key as ``None``, matching :func:`partition_sources`), or a
-            callable ``key(tuple)``.
-        shards: Number of shards.
-
-    Returns:
-        One batch per shard (possibly empty), rows in original order;
-        row ``i`` lands in shard ``shard_of(key(row_i), shards)``,
-        exactly as :func:`partition_sources` assigns row tuples. With
-        ``shards == 1`` the input batch is returned unsliced.
-
-    Typed (numpy-backed) columns survive partitioning: the per-shard
-    ``take`` slices an array column with one fancy-index per shard, and
-    the slices pickle cleanly across the ``processes`` backend boundary
-    (``MISSING`` and ndarrays are both reduce-safe).
-    """
-    if shards < 1:
-        raise OperatorError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        return [batch]
-    key_fn = (
-        key
-        if callable(key)
-        else (lambda item, _field=key: item.get(_field))
-    )
-    buckets: list[list[int]] = [[] for _ in range(shards)]
-    for index, item in enumerate(batch.tuples()):
-        buckets[shard_of(key_fn(item), shards)].append(index)
-    return [batch.take(indices) for indices in buckets]
 
 
 # -- per-shard execution -------------------------------------------------------

@@ -1,21 +1,20 @@
 """Typed (numpy-backed) column storage for :class:`ColumnBatch`.
 
-PR 5 landed the columnar batch representation on parallel Python
-lists.  This module is the next rung on the tuples/sec ladder: at
-encode time a column whose cells are *homogeneously* ``int`` or
+At encode time a column whose cells are *homogeneously* ``int`` or
 ``float`` is backed by a numpy array (``int64`` / ``float64``), so the
 hot kernels — ``FieldCompare.mask``, batch slicing — run as single
 C-level array operations instead of per-element Python loops.
 
-Lists remain the universal fallback.  A column stays a plain list when
+The storage is picked from what the code can observe, and there is no
+switch. A column stays a plain list when
 
-- numpy is not installed (or ``REPRO_NO_NUMPY=1`` is set),
-- the column is shorter than the ``min_rows`` threshold (tiny batches
-  would pay more in conversion than they win in vectorization),
+- numpy does not import,
+- the column is shorter than :data:`MIN_ROWS` (tiny batches would pay
+  more in conversion than they win in vectorization),
 - the cells mix types (``int`` + ``float``), because decoding must
   return *exactly* the objects that were encoded — ints stay ints,
-- any cell is ``MISSING``/``None``/non-numeric (``bool`` is
-  deliberately not ``int`` here), or
+- any cell is ``None`` or non-numeric (``bool`` is deliberately not
+  ``int`` here), or
 - an ``int`` cell falls outside the exact ``int64`` range.
 
 Every decision is observable via :func:`storage_stats`; detection runs
@@ -23,14 +22,14 @@ only where a batch is encoded for a column kernel, so the counters
 count columns a kernel actually consumed.  The counters
 are module-global and *deliberately not* part of per-run telemetry
 snapshots: snapshots and trace events are pinned byte-identical across
-execution modes and across the numpy/no-numpy CI legs
+both kernels and with and without numpy
 (``tests/test_telemetry.py::TestColumnarAccounting``), and typed
 storage is exactly the kind of environment-dependent detail that must
 not leak into them.
 
 **Exactness contract.** Typed storage is invisible to results:
 ``arr.tolist()`` round-trips ``int64``/``float64`` cells bit-exactly
-(NaN included), so ``row ≡ columnar ≡ fused`` holds with and without
+(NaN included), so both kernels emit the same tuples with and without
 numpy.  Kernels only vectorize operations whose result is identical
 to the sequential Python loop; anything else stays on the loop path.
 Window aggregates never read typed columns: they evaluate one way,
@@ -40,14 +39,10 @@ See ``docs/columnar.md``.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "numpy_available",
-    "typed_columns_enabled",
-    "set_typed_columns",
-    "typed_config",
     "typed_from_values",
     "is_typed",
     "to_list",
@@ -59,20 +54,16 @@ __all__ = [
     "INT64_MIN",
     "INT64_MAX",
     "EXACT_INT_BOUND",
-    "DEFAULT_MIN_ROWS",
+    "MIN_ROWS",
 ]
 
-# numpy is a *performance* dependency, never a correctness one: the CI
-# matrix runs the full suite with numpy uninstalled.  REPRO_NO_NUMPY=1
-# forces the pure-list fallback even when numpy is importable, so the
-# no-numpy code paths stay testable in a normal environment.
-if os.environ.get("REPRO_NO_NUMPY"):
-    np = None
-else:  # pragma: no branch
-    try:
-        import numpy as np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        np = None  # type: ignore[assignment]
+# numpy is a *performance* dependency, never a correctness one: CI runs
+# the simulator-free suites with numpy uninstalled, and the tests reach
+# list storage with numpy installed by patching ``np`` to ``None``.
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+    np = None  # type: ignore[assignment]
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -82,50 +73,17 @@ INT64_MAX = 2**63 - 1
 # vectorized with results bit-identical to the Python loop.
 EXACT_INT_BOUND = 2**53
 
-# Columns shorter than this stay lists: converting a 3-row column to
-# an array costs more than the vectorized kernel saves.
-DEFAULT_MIN_ROWS = 4
-
-_enabled: bool = np is not None
-_min_rows: int = DEFAULT_MIN_ROWS
+#: Columns shorter than this stay lists: converting a 3-row column to
+#: an array costs more than the vectorized kernel saves. Read at call
+#: time, so tests may patch it.
+MIN_ROWS = 4
 
 _stats: dict[str, int] = {}
 
 
 def numpy_available() -> bool:
-    """True when the numpy backend is importable and not disabled."""
+    """True when the numpy backend is importable."""
     return np is not None
-
-
-def typed_columns_enabled() -> bool:
-    """True when encode may back homogeneous numeric columns with arrays."""
-    return _enabled and np is not None
-
-
-def typed_config() -> tuple[bool, int]:
-    """Current ``(enabled, min_rows)`` configuration."""
-    return _enabled, _min_rows
-
-
-def set_typed_columns(
-    enabled: bool | None = None, min_rows: int | None = None
-) -> tuple[bool, int]:
-    """Reconfigure typed storage; returns the *previous* configuration.
-
-    ``enabled=False`` forces the pure-list fallback (what a no-numpy
-    environment gets); ``min_rows`` tunes the conversion threshold.
-    Passing ``None`` leaves a setting unchanged.  Already-encoded
-    batches are unaffected — this only steers future encodes.
-    """
-    global _enabled, _min_rows
-    previous = (_enabled, _min_rows)
-    if enabled is not None:
-        _enabled = bool(enabled)
-    if min_rows is not None:
-        if min_rows < 0:
-            raise ValueError("min_rows must be >= 0")
-        _min_rows = min_rows
-    return previous
 
 
 def _count(key: str, by: int = 1) -> None:
@@ -136,7 +94,7 @@ def storage_stats() -> dict[str, int]:
     """Copy of the module-global storage decision counters.
 
     Keys: ``typed_int`` / ``typed_float`` (columns backed by arrays),
-    ``list_mixed`` / ``list_missing`` / ``list_object`` /
+    ``list_mixed`` / ``list_object`` /
     ``list_overflow`` / ``list_small`` (fallback reasons), and
     ``typed_cells`` / ``list_cells`` (row totals per storage class).
     """
@@ -158,12 +116,12 @@ def typed_from_values(values: Sequence[Any]) -> Any | None:
     Detection is strict so decoding preserves dtypes exactly:
     all-``int`` (within int64, ``bool`` excluded) → ``int64``;
     all-``float`` → ``float64`` (NaN preserved); anything else —
-    mixed int/float, ``MISSING``, ``None``, objects — stays a list.
+    mixed int/float, ``None``, objects — stays a list.
     """
-    if not _enabled or np is None:
+    if np is None:
         return None
     n = len(values)
-    if n < _min_rows:
+    if n < MIN_ROWS:
         _count("list_small")
         _count("list_cells", n)
         return None
@@ -180,27 +138,9 @@ def typed_from_values(values: Sequence[Any]) -> Any | None:
         _count("typed_float")
         _count("typed_cells", n)
         return np.array(values, dtype=np.float64)
-    if kinds <= {int, float}:
-        _count("list_mixed")
-    elif any(type(k).__name__ == "_Missing" for k in _iter_sample(values, kinds)):
-        _count("list_missing")
-    else:
-        _count("list_object")
+    _count("list_mixed" if kinds <= {int, float} else "list_object")
     _count("list_cells", n)
     return None
-
-
-def _iter_sample(values: Sequence[Any], kinds: set) -> Iterator[Any]:
-    # Classify the fallback without another full scan: one exemplar
-    # per cell type is enough to spot the MISSING sentinel.
-    seen = set()
-    for v in values:
-        t = type(v)
-        if t not in seen:
-            seen.add(t)
-            yield v
-        if len(seen) == len(kinds):
-            return
 
 
 def to_list(column: Any) -> list:
@@ -225,9 +165,8 @@ def take_cells(column: Any, indices: Sequence[int]) -> Any:
 def concat_cells(parts: Sequence[Any]) -> Any | None:
     """Concatenate same-field columns from several batches.
 
-    Returns a typed array when every part is typed with one dtype
-    (the common case when all parts saw the same schema), otherwise
-    ``None`` — the caller falls back to list concatenation.
+    Returns a typed array when every part is typed with one dtype,
+    otherwise ``None`` — the caller falls back to list concatenation.
     """
     if np is None or not parts:
         return None
@@ -245,7 +184,7 @@ def constant_cells(value: Any, n: int) -> Any:
     columns added mid-chain (``AddFields``) are born typed and the
     downstream compares vectorize without a re-encode.
     """
-    if _enabled and np is not None and n >= _min_rows and not isinstance(value, bool):
+    if np is not None and n >= MIN_ROWS and not isinstance(value, bool):
         if type(value) is int and INT64_MIN <= value <= INT64_MAX:
             _count("typed_int")
             _count("typed_cells", n)

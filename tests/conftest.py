@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 import pytest
 
 from repro.streams import fjord as fjord_module
+from repro.streams import typedcols
 from repro.streams.tuples import StreamTuple
 
 try:
@@ -90,6 +91,33 @@ def kernel_regime(monkeypatch):
         monkeypatch.setattr(
             fjord_module, "COLUMN_MIN_ROWS", KERNEL_REGIMES[name]
         )
+
+    return enter
+
+
+#: The two column storages, as the ``typedcols`` attributes each sets:
+#: ``typed`` lowers ``MIN_ROWS`` to 1, so even tiny batches get
+#: numpy-backed numeric columns (without numpy the case is list storage
+#: too, which is still the right thing to pin); ``list`` hides numpy
+#: from the storage layer, which then keeps every column a list, as
+#: where numpy does not import.
+COLUMN_STORAGES = {
+    "typed": {"np": typedcols.np, "MIN_ROWS": 1},
+    "list": {"np": None},
+}
+
+
+@pytest.fixture
+def column_storage(monkeypatch):
+    """``column_storage(name)`` picks a column storage for this test.
+
+    The patch is a module attribute, so forked shard workers inherit
+    it; a later call replaces an earlier one.
+    """
+
+    def enter(name: str) -> None:
+        for attribute, value in COLUMN_STORAGES[name].items():
+            monkeypatch.setattr(typedcols, attribute, value)
 
     return enter
 

@@ -1,10 +1,10 @@
 """Unit tests for the columnar batch representation.
 
-Covers the ColumnBatch encoding itself — round-trips, lazy
-materialization, slice views, schema union, out-of-order detection —
-plus the vectorizable callables and the ChainOp zero-copy regression.
-The row-kernel ≡ column-kernel equivalence lives in
-``tests/test_columnar_equivalence.py``.
+Covers the ColumnBatch encoding itself — round-trips, one schema per
+batch, lazy materialization, slice views, coalescing — plus the
+vectorizable callables, the zero-copy regression through consecutive
+column kernels, and ChainOp's row path. The row-kernel ≡ column-kernel
+equivalence lives in ``tests/test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import pytest
 
 from repro.errors import OperatorError, SchemaError
 from repro.streams.columnar import (
-    MISSING,
     AddFields,
     ColumnBatch,
-    ColumnMap,
-    ColumnPredicate,
     FieldCompare,
     SetStream,
     coalesce,
@@ -64,22 +61,24 @@ class TestRoundTrip:
         assert rebuilt.tuples() == rows
         assert rebuilt == encoded
 
-    def test_mixed_schema_round_trip(self):
-        rows = [
+    def test_rows_of_different_fields_are_refused(self):
+        """A batch holds one schema: rows whose field sets differ are
+        refused, whichever row differs. The same fields in another
+        order are one schema, in the first row's column order."""
+        a, b, ab, ba = (
             StreamTuple(0.0, {"a": 1}, "x"),
             StreamTuple(1.0, {"b": 2.5}, "y"),
             StreamTuple(2.0, {"a": 3, "b": 4.5}, "x"),
-        ]
-        batch = ColumnBatch.from_tuples(rows)
-        assert batch.columns["a"][1] is MISSING
-        assert batch.columns["b"][0] is MISSING
-        # Decoded rows must not grow phantom fields.
-        decoded = ColumnBatch(
+            StreamTuple(3.0, {"b": 5.5, "a": 6}, "y"),
+        )
+        for rows in ([a, b], [ab, a], [a, a, ab]):
+            with pytest.raises(OperatorError, match="one schema"):
+                ColumnBatch.from_tuples(rows)
+        batch = ColumnBatch.from_tuples([ab, ba])
+        assert list(batch.columns) == ["a", "b"]
+        assert ColumnBatch(
             batch.timestamps, batch.streams, batch.columns
-        ).tuples()
-        assert decoded == rows
-        assert "b" not in decoded[0]
-        assert "a" not in decoded[1]
+        ).tuples() == [ab, ba]
 
     def test_empty_batch(self):
         batch = ColumnBatch.empty()
@@ -101,16 +100,13 @@ class TestLazyMaterialization:
     def test_from_tuples_caches_input_rows(self):
         rows = make_rows(4)
         batch = ColumnBatch.from_tuples(rows)
-        assert batch.is_materialized
-        assert batch.tuples() is not None
         # The cache is the very list/objects handed in — zero decode cost.
         assert batch.tuples()[0] is rows[0]
 
     def test_column_built_batch_is_lazy(self):
         batch = ColumnBatch([0.0, 1.0], ["s", "s"], {"x": [1, 2]})
-        assert not batch.is_materialized
+        assert batch._tuples is None
         first = batch.tuples()
-        assert batch.is_materialized
         assert batch.tuples() is first  # cached, not rebuilt
 
     def test_with_stream_shares_columns_and_defers(self):
@@ -119,7 +115,7 @@ class TestLazyMaterialization:
         assert batch.columns  # force the encode: sharing is column-level
         relabeled = batch.with_stream("other")
         assert relabeled.columns is batch.columns  # shared, not copied
-        assert not relabeled.is_materialized
+        assert relabeled._tuples is None
         assert [t.stream for t in relabeled.tuples()] == ["other"] * 5
         assert [t.as_dict() for t in relabeled.tuples()] == [
             t.as_dict() for t in rows
@@ -194,13 +190,15 @@ class TestSliceViews:
         with pytest.raises(OperatorError, match="mask"):
             batch.where([True])
 
-    def test_concat_unions_schema(self):
+    def test_concat_refuses_different_schemas(self):
         a = ColumnBatch.from_tuples([StreamTuple(0.0, {"x": 1}, "a")])
         b = ColumnBatch.from_tuples([StreamTuple(1.0, {"y": 2}, "b")])
-        merged = ColumnBatch.concat([a, b])
-        assert merged.columns["x"][1] is MISSING
-        assert merged.columns["y"][0] is MISSING
-        assert merged.tuples() == a.tuples() + b.tuples()
+        with pytest.raises(OperatorError, match="different schemas"):
+            ColumnBatch.concat([a, b])
+        same = ColumnBatch.from_tuples([StreamTuple(2.0, {"x": 3}, "b")])
+        assert ColumnBatch.concat([a, same]).tuples() == (
+            a.tuples() + same.tuples()
+        )
 
     def test_coalesce_mixed_payloads(self):
         rows = make_rows(9)
@@ -222,48 +220,17 @@ class TestSliceViews:
         batch = ColumnBatch.from_tuples(make_rows(3))
         assert coalesce([batch]) is batch
 
-
-# -- out-of-order detection ----------------------------------------------------
-
-
-class TestOutOfOrderDetection:
-    @staticmethod
-    def _row_path_message(items):
-        """The exact error the row executor raises for these source rows."""
-        fjord = Fjord()
-        fjord.add_source("dev0", items)
-        fjord.add_sink("out", inputs=["dev0"])
-        with pytest.raises(OperatorError) as err:
-            fjord.run([10.0])
-        return str(err.value)
-
-    def test_matches_row_path_error(self):
-        items = [
-            StreamTuple(0.0, {"x": 1}),
-            StreamTuple(2.0, {"x": 2}),
-            StreamTuple(1.0, {"x": 3}),
-        ]
-        expected = self._row_path_message(items)
-        batch = ColumnBatch.from_tuples(items)
-        with pytest.raises(OperatorError) as err:
-            batch.assert_time_ordered("dev0")
-        assert str(err.value) == expected
-
-    def test_tolerates_jitter_like_row_path(self):
-        """Sub-nanosecond regressions pass, exactly as in the executor."""
-        items = [StreamTuple(1.0, {}), StreamTuple(1.0 - 1e-10, {})]
-        batch = ColumnBatch.from_tuples(items)
-        assert batch.assert_time_ordered("dev0") == items[-1].timestamp
-
-    def test_chained_checks_carry_last_stamp(self):
-        first = ColumnBatch.from_tuples([StreamTuple(5.0, {})])
-        second = ColumnBatch.from_tuples([StreamTuple(3.0, {})])
-        last = first.assert_time_ordered("dev0")
-        with pytest.raises(OperatorError, match="out of order"):
-            second.assert_time_ordered("dev0", last=last)
-
-    def test_empty_batch_passes_through_last(self):
-        assert ColumnBatch.empty().assert_time_ordered("dev0", last=7.5) == 7.5
+    def test_coalesce_of_two_schemas_is_none(self):
+        """A run whose rows do not share one schema is no batch: two
+        encoded batches, a batch and rows, or loose rows."""
+        rows = make_rows(4)
+        other = [t.derive(values={"extra": 1}) for t in make_rows(4)]
+        left = ColumnBatch.from_tuples(rows)
+        right = ColumnBatch.from_tuples(other)
+        assert left.columns and right.columns  # both encoded
+        assert coalesce([left, right]) is None
+        assert coalesce([left, other[0]]) is None
+        assert coalesce([rows[0], other[1], rows[2]]) is None
 
 
 # -- vectorizable callables ----------------------------------------------------
@@ -305,74 +272,71 @@ class TestVectorizableCallables:
         with pytest.raises(OperatorError, match="unknown comparison"):
             FieldCompare("x", "~", 1)
 
-    def test_column_map_and_predicate_wrappers(self):
-        rows = make_rows(6)
-        batch = ColumnBatch.from_tuples(rows)
-        double = ColumnMap(
-            lambda t: t.derive(values={"value": t["value"] * 2}),
-            lambda b: b.with_column(
-                "value", [v * 2 for v in b.column("value")]
-            ),
-        )
-        assert double.columnar(batch).tuples() == [double(t) for t in rows]
-        keep = ColumnPredicate(
-            lambda t: t["value"] > 10.0,
-            lambda b: [v > 10.0 for v in b.column("value")],
-        )
-        assert list(keep.mask(batch)) == [keep(t) for t in rows]
-
     def test_column_access_errors(self):
         batch = ColumnBatch.from_tuples(make_rows(2))
         with pytest.raises(OperatorError, match="no field"):
             batch.column("nope")
 
 
-# -- ChainOp zero-copy regression ----------------------------------------------
+# -- zero copies through consecutive column kernels ---------------------------
 
 
-class CountingBatch(ColumnBatch):
-    """ColumnBatch subclass counting every new batch object built."""
+class BatchSpy(FilterOp):
+    """A filter logging every batch its column kernel is handed."""
 
-    constructed = 0
+    def __init__(self, predicate):
+        super().__init__(predicate)
+        self.seen = []
 
-    def __init__(self, *args, **kwargs):
-        type(self).constructed += 1
-        super().__init__(*args, **kwargs)
+    def on_column_batch(self, batch, port=0):
+        self.seen.append(batch)
+        return super().on_column_batch(batch, port)
 
 
-def masked(row_fn):
-    """A predicate with a column kernel: the row function, per row."""
-    return ColumnPredicate(row_fn, lambda b: [row_fn(t) for t in b.tuples()])
+class TestConsecutiveColumnKernels:
+    def test_all_pass_nodes_build_no_new_batches(self, monkeypatch):
+        """A batch every stage passes whole flows through consecutive
+        column kernels as the very object it is: filters that reject
+        nothing and a union without a relabel re-wrap nothing."""
+        built = []
+        init = ColumnBatch.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnBatch, "__init__", counting)
+        rows = make_rows(80)  # one run above fjord.COLUMN_MIN_ROWS
+        fjord = Fjord()
+        fjord.add_source("src", rows)
+        gate = BatchSpy(FieldCompare("value", ">=", 0.0))
+        fjord.add_operator("gate", gate, inputs=["src"])
+        fjord.add_operator("union", UnionOp(), inputs=["gate"])
+        keep = BatchSpy(FieldCompare("tag_id", ">=", ""))
+        fjord.add_operator("keep", keep, inputs=["union"])
+        sink = fjord.add_sink("out", inputs=["keep"])
+        fjord.run([100.0])
+        assert len(built) == 1  # the source run, coalesced once
+        assert [id(batch) for batch in gate.seen + keep.seen] == [
+            id(built[0])
+        ] * 2
+        assert sink.results == rows
+
+
+# -- ChainOp's row path --------------------------------------------------------
 
 
 class TestChainOpShortCircuit:
-    def test_all_pass_chain_builds_no_new_batches(self):
-        """A chain whose stages reject nothing must forward the input
-        batch object itself — zero per-stage re-wrapping."""
-        chain = ChainOp(
-            [
-                FilterOp(masked(lambda t: True)),
-                UnionOp(),  # no relabel: identity on batches
-                FilterOp(masked(lambda t: t.timestamp >= 0.0)),
-            ]
-        )
-        CountingBatch.constructed = 0
-        batch = CountingBatch.from_tuples(make_rows(16))
-        assert CountingBatch.constructed == 1  # the input itself
-        out = chain.on_column_batch(batch)
-        assert out is batch
-        assert CountingBatch.constructed == 1  # nothing re-wrapped
-
     def test_rejecting_stage_still_filters(self):
         chain = ChainOp(
             [
-                FilterOp(masked(lambda t: True)),
-                FilterOp(masked(lambda t: t.timestamp < 3.0)),
+                FilterOp(lambda t: True),
+                FilterOp(lambda t: t.timestamp < 3.0),
             ]
         )
         rows = make_rows(8)
-        out = chain.on_column_batch(ColumnBatch.from_tuples(rows))
-        assert out.tuples() == [t for t in rows if t.timestamp < 3.0]
+        out = chain.on_batch(rows)
+        assert out == [t for t in rows if t.timestamp < 3.0]
 
     def test_row_path_skips_upfront_copy(self):
         """The first stage must receive the caller's sequence itself,
@@ -395,7 +359,5 @@ class TestChainOpShortCircuit:
         assert out is not rows  # caller's list is never aliased back
 
     def test_empty_chain_input_short_circuits(self):
-        chain = ChainOp([FilterOp(masked(lambda t: True))])
-        empty = ColumnBatch.empty()
-        assert chain.on_column_batch(empty) is empty
+        chain = ChainOp([FilterOp(lambda t: True)])
         assert chain.on_batch([]) == []

@@ -8,7 +8,8 @@ the sharding harness in ``test_shard_equivalence.py``:
 1. **Kernel level** — every operator, handed a ``ColumnBatch`` payload
    by the drain, emits exactly what its ``on_batch`` emits for the same
    rows: through ``on_column_batch`` when it has a column kernel (for
-   every vectorizable callable), as flattened rows when it has none.
+   every vectorizable callable, the shipped ones and a hand-written
+   map and mask), as flattened rows when it has none.
 2. **Graph level** — a dataflow built from vectorizable callables
    equals the same dataflow with every callable hidden behind a plain
    lambda (no hook, so row kernels by construction) in sink output,
@@ -18,14 +19,15 @@ the sharding harness in ``test_shard_equivalence.py``:
    reaches — sequentially and on every backend × shard count.
 3. **Hand-offs** — the places a run changes representation: a batch
    reaching a row-only node, a fan-out with a consumer of each kind, a
-   run mixing source tuples, a list and a batch, a filter shrinking a
+   run mixing source tuples, a list and a batch, a long run of two
+   schemas (no batch: the row kernel takes it), a filter shrinking a
    batch below the threshold, a checkpoint taken mid-run.
 
 Randomized inputs come from the sharding harness's generators
 (duplicate-heavy timestamps, key skew) and, for the kernels, from
-hypothesis rows with absent fields, NaN and signed zeros; edge cases
-(empty batches, single-tuple batches, mixed-schema unions) are pinned
-explicitly.
+hypothesis rows of one drawn schema with NaN, signed zeros, huge ints,
+strings and ``None``; edge cases (empty batches, single-tuple batches)
+are pinned explicitly.
 """
 
 from __future__ import annotations
@@ -40,11 +42,8 @@ from repro.errors import SchemaError
 from repro.streams import typedcols
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.columnar import (
-    MISSING,
     AddFields,
     ColumnBatch,
-    ColumnMap,
-    ColumnPredicate,
     FieldCompare,
     SetStream,
 )
@@ -93,54 +92,52 @@ except ImportError:  # pragma: no cover - hypothesis is in the test extras
 
 
 @pytest.fixture(params=["typed", "list"])
-def column_storage(request):
-    """Run the differential under both column storage classes.
-
-    ``typed`` lowers ``min_rows`` to 1 so even this suite's tiny
-    batches get numpy-backed numeric columns (a no-op without numpy —
-    the param then covers the fallback twice, which is still the
-    correct behaviour to pin). ``list`` forces the pure-list fallback
-    the no-numpy CI leg gets.
-    """
-    if request.param == "typed":
-        previous = typedcols.set_typed_columns(True, 1)
-    else:
-        previous = typedcols.set_typed_columns(False)
-    yield request.param
-    typedcols.set_typed_columns(*previous)
+def storage(request, column_storage):
+    """Run the differential under both column storages (see
+    ``column_storage`` in conftest.py)."""
+    column_storage(request.param)
+    return request.param
 
 
 # -- kernel-level differential -------------------------------------------------
 
 
-def _stamp_rank(item):
-    return item.derive(values={"rank": item.timestamp})
+class StampRank:
+    """A map function with a hand-written column kernel: each row's
+    timestamp as field ``rank``."""
+
+    def __call__(self, item):
+        return item.derive(values={"rank": item.timestamp})
+
+    def columnar(self, batch):
+        columns = {**batch.columns, "rank": list(batch.timestamps)}
+        return ColumnBatch(batch.timestamps, batch.streams, columns)
 
 
-def _stamp_rank_columns(batch):
-    return batch.with_column("rank", list(batch.timestamps))
+class HasValue:
+    """A predicate with a hand-written mask: ``value`` is present and
+    not ``None``."""
+
+    def __call__(self, item):
+        return item.get("value") is not None
+
+    def mask(self, batch):
+        column = batch.columns.get("value")
+        if column is None:
+            return [False] * len(batch)
+        return [v is not None for v in typedcols.to_list(column)]
 
 
-def _has_value(item):
-    return item.get("value") is not None
-
-
-def _has_value_mask(batch):
-    column = batch.columns.get("value")
-    if column is None:
-        return [False] * len(batch)
-    return [v is not MISSING and v is not None for v in typedcols.to_list(column)]
-
-
-#: The five vectorizable callables, by the operator kind they drive.
+#: The vectorizable callables, by the operator kind they drive: the
+#: shipped ones and a hand-written one of each kind.
 COLUMN_MAPS = {
     "add_fields": lambda: AddFields({"granule": "g0", "lvl": 3}),
     "set_stream": lambda: SetStream("renamed"),
-    "column_map": lambda: ColumnMap(_stamp_rank, _stamp_rank_columns),
+    "column_map": StampRank,
 }
 COLUMN_PREDICATES = {
     "field_compare": lambda: FieldCompare("value", "<", 30.0),
-    "column_predicate": lambda: ColumnPredicate(_has_value, _has_value_mask),
+    "column_predicate": HasValue,
 }
 
 #: name → zero-arg factory building a fresh operator (operators are
@@ -219,8 +216,6 @@ HAVE_COLUMN_KERNEL = {
     "map_column_map",
     "union_plain",
     "union_relabel",
-    "chain",
-    "chain_nested",
 }
 
 
@@ -305,7 +300,7 @@ def assert_kernel_equivalent(name, batches, ticks):
 class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_kernel(self, name, seed, column_storage):
+    def test_kernel(self, name, seed, storage):
         rng = random.Random(seed)
         sources = make_trace(rng, n_tuples=60, n_sources=2)
         assert_kernel_equivalent(
@@ -322,36 +317,6 @@ class TestKernelEquivalence:
         for batches in ([[]], [single], [[], single, []]):
             assert_kernel_equivalent(name, batches, [1.0, 2.0])
 
-    def test_mixed_schema_union_batches(self):
-        """Union over streams with disjoint fields — the MISSING path."""
-        rows_a = [
-            StreamTuple(float(i), {"temp": 20.0 + i}, "motes") for i in range(4)
-        ]
-        rows_b = [
-            StreamTuple(float(i) + 0.25, {"tag_id": f"T{i}"}, "rfid")
-            for i in range(4)
-        ]
-        batches = [rows_a, rows_b, rows_a[:1] + rows_b[:1]]
-        for name in ("union_plain", "union_relabel", "sink"):
-            assert_kernel_equivalent(name, batches, [])
-
-    def test_windowed_group_by_partial_key_column(self):
-        """Rows missing the key field fail the same whether they reach
-        the group-by as rows or inside a batch."""
-        rows = [
-            StreamTuple(0.0, {"spatial_granule": "g", "value": 1.0}),
-            StreamTuple(1.0, {"value": 2.0}),  # key field absent
-        ]
-        row_op, col_op = (
-            KERNELS["windowed_group_by"](),
-            KERNELS["windowed_group_by"](),
-        )
-        with pytest.raises(SchemaError) as row_err:
-            row_op.on_batch(rows)
-        with pytest.raises(SchemaError) as col_err:
-            DrainedNode(col_op).deliver(ColumnBatch.from_tuples(rows))
-        assert str(col_err.value) == str(row_err.value)
-
 
 # -- graph-level differential --------------------------------------------------
 
@@ -366,8 +331,8 @@ def hidden(fn):
 def build_vectorized(sources, wrap=lambda fn: fn):
     """Every vectorizable callable in one dataflow, around a windowed core.
 
-    annotate (AddFields) → point (FieldCompare) → scale (ColumnMap) →
-    keep (ColumnPredicate) → relabel (ChainOp of SetStream + union),
+    annotate (AddFields) → point (FieldCompare) → scale (StampRank) →
+    keep (HasValue) → relabel (a row-only ChainOp of SetStream + union),
     which fans out to a row-only consumer — smooth (windowed group-by)
     → post (AddFields, fed punctuation output) → virtualize (union
     rename) → sink — and to a column consumer, tapmap (SetStream),
@@ -385,11 +350,11 @@ def build_vectorized(sources, wrap=lambda fn: fn):
         inputs=["annot"],
     )
     fjord.add_operator(
-        "scale", MapOp(wrap(ColumnMap(_stamp_rank, _stamp_rank_columns))),
+        "scale", MapOp(wrap(StampRank())),
         inputs=["point"],
     )
     fjord.add_operator(
-        "keep", FilterOp(wrap(ColumnPredicate(_has_value, _has_value_mask))),
+        "keep", FilterOp(wrap(HasValue())),
         inputs=["scale"],
     )
     fjord.add_operator(
@@ -478,7 +443,7 @@ def assert_regimes_equivalent(kernel_regime, sources, ticks):
 
 class TestDataflowEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_five_stage(self, seed, column_storage, kernel_regime):
+    def test_five_stage(self, seed, storage, kernel_regime):
         rng = random.Random(seed)
         sources = make_trace(rng, n_tuples=120)
         assert_regimes_equivalent(
@@ -486,7 +451,7 @@ class TestDataflowEquivalence:
         )
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_stateless(self, seed, column_storage, kernel_regime):
+    def test_stateless(self, seed, storage, kernel_regime):
         """The lambda-only pipelines have one node with a kernel (the
         union) or none: every threshold is the row path, unchanged."""
         rng = random.Random(seed)
@@ -502,7 +467,7 @@ class TestDataflowEquivalence:
 
     @pytest.mark.parametrize("period", [5.0, 80.0])
     def test_shipped_threshold_on_short_and_long_runs(
-        self, period, column_storage, kernel_regime
+        self, period, storage, kernel_regime
     ):
         """Ticks 5 s apart give the annotate node ≈20-row runs (all
         below the shipped threshold), 80 s apart ≈300-row runs (above
@@ -609,8 +574,8 @@ def _rows(n, start=0.0):
     ]
 
 
-class KernelSpy(MapOp):
-    """A map that logs which of its kernels each run reached."""
+class Spying:
+    """Logs which of the operator's kernels each run reached."""
 
     def __init__(self, fn):
         super().__init__(fn)
@@ -623,6 +588,14 @@ class KernelSpy(MapOp):
     def on_column_batch(self, batch, port=0):
         self.calls.append(("batch", len(batch)))
         return super().on_column_batch(batch, port)
+
+
+class KernelSpy(Spying, MapOp):
+    """A map that logs which of its kernels each run reached."""
+
+
+class FilterSpy(Spying, FilterOp):
+    """A filter that logs which of its kernels each run reached."""
 
 
 class TestHandOffs:
@@ -675,6 +648,38 @@ class TestHandOffs:
         )
         assert mixed == row_op.on_batch(rows)
         assert col_op.on_time(1.0) == row_op.on_time(1.0)
+
+    def test_run_of_two_schemas_takes_the_row_kernel(self, kernel_regime):
+        """Two sources of different fields meet at a filter in one run
+        long enough for its column kernel. The rows share no schema, so
+        the run is no batch: the row kernel takes it whole, and the
+        output and counters are the row regime's."""
+        motes = [
+            StreamTuple(0.01 * i, {"value": float(i), "seq": i}, "motes")
+            for i in range(40)
+        ]
+        rfid = [
+            StreamTuple(0.01 * i, {"value": float(i), "tag_id": f"T{i}"}, "rfid")
+            for i in range(40)
+        ]
+
+        def run():
+            fjord = Fjord()
+            fjord.add_source("motes", motes)
+            fjord.add_source("rfid", rfid)
+            spy = FilterSpy(FieldCompare("value", "<", 30.0))
+            fjord.add_operator("f", spy, inputs=["motes", "rfid"])
+            sink = fjord.add_sink("out", inputs=["f"])
+            fjord.run([1.0])
+            return spy.calls, sink.results, fjord.stats()
+
+        kernel_regime("row")
+        _calls, reference, ref_stats = run()
+        kernel_regime("fused")
+        calls, output, stats = run()
+        assert calls == [("rows", 80)]
+        assert len(reference) == 60
+        assert (output, stats) == (reference, ref_stats)
 
     def test_shrunk_batch_stays_a_batch_until_a_row_only_consumer(self):
         """100 rows meet the filter's kernel, 5 survive: the survivors
@@ -778,29 +783,23 @@ def column_operators():
         yield FilterOp(make())
     yield UnionOp()
     yield UnionOp(output_stream="merged")
-    yield ChainOp(
-        [MapOp(make()) for make in COLUMN_MAPS.values()]
-        + [FilterOp(make()) for make in reversed(COLUMN_PREDICATES.values())]
-        + [UnionOp(output_stream="chained")]
-    )
 
 
-def assert_column_kernels_match_rows(rows):
-    for enabled, min_rows in ((True, 1), (False, None)):
-        previous = typedcols.set_typed_columns(enabled, min_rows)
-        try:
-            for op in column_operators():
-                assert op.column_kernel() is not None
-                columnar = outcome(
-                    lambda: op.on_column_batch(
-                        ColumnBatch.from_tuples(rows)
-                    ).tuples()
-                )
-                assert columnar == outcome(lambda: op.on_batch(rows)), (
-                    type(op).__name__, enabled,
-                )
-        finally:
-            typedcols.set_typed_columns(*previous)
+def assert_column_kernels_match_rows(rows, column_storage):
+    """``rows`` share one schema; every column kernel over them, on
+    either storage, ends as its row kernel does."""
+    for name in ("typed", "list"):
+        column_storage(name)
+        for op in column_operators():
+            assert op.column_kernel() is not None
+            columnar = outcome(
+                lambda: op.on_column_batch(
+                    ColumnBatch.from_tuples(rows)
+                ).tuples()
+            )
+            assert columnar == outcome(lambda: op.on_batch(rows)), (
+                type(op).__name__, name,
+            )
 
 
 if HAVE_HYPOTHESIS:
@@ -819,19 +818,24 @@ if HAVE_HYPOTHESIS:
         st.none(),
     )
 
-    #: Rows whose fields come and go (absent cells are MISSING once
-    #: encoded) over two streams.
-    mixed_rows = st.lists(
-        st.builds(
+    @st.composite
+    def hostile_rows(draw):
+        """Up to 12 rows over two streams, all carrying one drawn field
+        set (possibly empty), each cell drawn from ``cells``."""
+        fields = draw(
+            st.lists(
+                st.sampled_from(("value", "seq", "tag_id")),
+                unique=True,
+                max_size=3,
+            )
+        )
+        row = st.builds(
             StreamTuple,
             st.floats(min_value=0.0, max_value=100.0),
-            st.dictionaries(
-                st.sampled_from(("value", "seq", "tag_id")), cells, max_size=3
-            ),
+            st.fixed_dictionaries({field: cells for field in fields}),
             st.sampled_from(("motes", "rfid")),
-        ),
-        max_size=12,
-    )
+        )
+        return draw(st.lists(row, max_size=12))
 
     class TestPropertyBased:
         @settings(
@@ -883,10 +887,14 @@ if HAVE_HYPOTHESIS:
                 name, batches_from(sources), trace_ticks(sources)
             )
 
-        @settings(max_examples=150, deadline=None)
-        @given(rows=mixed_rows)
-        def test_column_kernels_on_hostile_rows(self, rows):
-            assert_column_kernels_match_rows(rows)
+        @settings(
+            max_examples=150,
+            deadline=None,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
+        @given(rows=hostile_rows())
+        def test_column_kernels_on_hostile_rows(self, rows, column_storage):
+            assert_column_kernels_match_rows(rows, column_storage)
 
 else:  # pragma: no cover - exercised only without hypothesis installed
 
@@ -929,19 +937,20 @@ else:  # pragma: no cover - exercised only without hypothesis installed
             )
 
         @pytest.mark.parametrize("seed", range(40))
-        def test_column_kernels_on_hostile_rows(self, seed):
+        def test_column_kernels_on_hostile_rows(self, seed, column_storage):
             rng = random.Random(seed)
             pool = (0.0, -0.0, math.nan, 30.0, 7, 2**63 + 1, "x", None)
+            fields = [
+                field
+                for field in ("value", "seq", "tag_id")
+                if rng.random() < 0.6
+            ]
             rows = [
                 StreamTuple(
                     float(i),
-                    {
-                        field: rng.choice(pool)
-                        for field in ("value", "seq", "tag_id")
-                        if rng.random() < 0.6
-                    },
+                    {field: rng.choice(pool) for field in fields},
                     rng.choice(("motes", "rfid")),
                 )
                 for i in range(rng.randrange(0, 12))
             ]
-            assert_column_kernels_match_rows(rows)
+            assert_column_kernels_match_rows(rows, column_storage)

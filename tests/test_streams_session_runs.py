@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import OperatorError
-from repro.streams import typedcols
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.fjord import Fjord
 from repro.streams.operators import (
@@ -232,9 +231,9 @@ class TestLongMergedRuns:
     """Two sources' due runs reach a union as one merged payload, so a
     tick with 64 or more rows between them meets the column kernel."""
 
-    @pytest.mark.parametrize("typed", [True, False], ids=["typed", "list"])
+    @pytest.mark.parametrize("storage", ["typed", "list"])
     def test_merged_run_takes_the_column_kernel_on_either_storage(
-        self, typed, kernel_regime
+        self, storage, kernel_regime, column_storage
     ):
         sources = {
             name: [
@@ -251,13 +250,10 @@ class TestLongMergedRuns:
         kernel_regime("row")
         reference = replayed(sources, ticks)
         kernel_regime("fused")
-        previous = typedcols.set_typed_columns(typed, 1)
-        try:
-            fjord, sinks = build(sources)
-            collector = InMemoryCollector()
-            fjord.run(ticks, telemetry=collector)
-        finally:
-            typedcols.set_typed_columns(*previous)
+        column_storage(storage)
+        fjord, sinks = build(sources)
+        collector = InMemoryCollector()
+        fjord.run(ticks, telemetry=collector)
         assert fjord._nodes["union"].op.column_runs == [80, 80]
         assert observed(fjord, sinks, collector) == reference
 

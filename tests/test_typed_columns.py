@@ -6,8 +6,10 @@ columns become arrays, which stay lists and why) or an exactness
 property (decode returns the same native objects, masks and reductions
 match the sequential loop bit for bit). The whole module runs on the
 no-numpy CI leg too — there the typed path is inert and the assertions
-collapse onto the list fallback, which is precisely the behaviour the
-leg exists to prove.
+collapse onto list storage, which is precisely the behaviour the leg
+exists to prove. With numpy installed, list storage is reached through
+the ``column_storage`` fixture (conftest.py), which hides numpy from
+the storage layer.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import pytest
 
 from repro.streams import typedcols
 from repro.streams.aggregates import AggregateSpec, get_aggregate
-from repro.streams.columnar import MISSING, ColumnBatch, FieldCompare
-from repro.streams.shard import partition_batch
+from repro.streams.columnar import ColumnBatch, FieldCompare
 from repro.streams.tuples import StreamTuple
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -41,16 +42,13 @@ needs_numpy = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def eager_typed_columns():
-    """Typed storage on with min_rows=1, so tiny fixtures get arrays.
+def eager_typed_columns(column_storage):
+    """Typed storage with ``MIN_ROWS`` at 1, so tiny fixtures get arrays.
 
-    Without numpy this is a no-op (``typed_columns_enabled`` stays
-    False) and every test below exercises the pure-list fallback.
+    Without numpy every test below exercises list storage instead.
     """
-    previous = typedcols.set_typed_columns(True, 1)
+    column_storage("typed")
     typedcols.reset_storage_stats()
-    yield
-    typedcols.set_typed_columns(*previous)
 
 
 def rows_of(field, values, t0=0.0):
@@ -101,22 +99,6 @@ class TestDetection:
         assert decoded == [True, False, True, True]
         assert all(type(v) is bool for v in decoded)
 
-    def test_missing_bearing_column_stays_list(self):
-        """A union over disjoint schemas leaves MISSING holes."""
-        rows = [
-            StreamTuple(0.0, {"temp": 20.0}, "motes"),
-            StreamTuple(0.5, {"tag": "T1"}, "rfid"),
-            StreamTuple(1.0, {"temp": 21.0}, "motes"),
-            StreamTuple(1.5, {"temp": 22.0}, "motes"),
-        ]
-        batch = ColumnBatch.from_tuples(rows)
-        col = batch.column("temp")
-        assert isinstance(col, list)
-        assert col[1] is MISSING
-        decoded = batch.tuples()
-        assert "temp" not in decoded[1]
-        assert decoded[0]["temp"] == 20.0
-
     def test_none_stays_list(self):
         batch = batch_of("v", [1, None, 3, 4])
         assert isinstance(batch.column("v"), list)
@@ -131,20 +113,15 @@ class TestDetection:
         assert decoded == [1, 2, big, -(2**70)]
 
     @needs_numpy
-    def test_min_rows_threshold(self):
-        previous = typedcols.set_typed_columns(min_rows=4)
-        try:
-            assert isinstance(batch_of("v", [1, 2, 3]).column("v"), list)
-            assert typedcols.is_typed(batch_of("v", [1, 2, 3, 4]).column("v"))
-        finally:
-            typedcols.set_typed_columns(*previous)
+    def test_min_rows_threshold(self, monkeypatch):
+        monkeypatch.setattr(typedcols, "MIN_ROWS", 4)
+        assert isinstance(batch_of("v", [1, 2, 3]).column("v"), list)
+        assert typedcols.is_typed(batch_of("v", [1, 2, 3, 4]).column("v"))
 
-    def test_disabled_stays_list(self):
-        previous = typedcols.set_typed_columns(False)
-        try:
-            assert isinstance(batch_of("v", [1, 2, 3, 4]).column("v"), list)
-        finally:
-            typedcols.set_typed_columns(*previous)
+    def test_disabled_stays_list(self, column_storage):
+        """Where numpy does not import, every column is a list."""
+        column_storage("list")
+        assert isinstance(batch_of("v", [1, 2, 3, 4]).column("v"), list)
 
     @needs_numpy
     def test_storage_stats_counters(self):
@@ -198,14 +175,6 @@ class TestRoundTrip:
         assert typedcols.is_typed(batch.column("v"))
         clone = pickle.loads(pickle.dumps(batch))
         assert clone.tuples() == batch.tuples()
-
-    def test_partition_batch_preserves_values(self):
-        rows = rows_of("v", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        batch = ColumnBatch.from_tuples(rows)
-        parts = partition_batch(batch, "seq", 3)
-        assert sorted(
-            (t for p in parts for t in p.tuples()), key=lambda t: t.timestamp
-        ) == rows
 
 
 # -- mask equivalence ----------------------------------------------------------
@@ -317,7 +286,7 @@ class TestAggregateEquivalence:
 # -- property sweep ------------------------------------------------------------
 
 
-def assert_typed_equals_list(values):
+def assert_typed_equals_list(values, column_storage):
     """One trace, both storage classes: masks and decoded rows agree.
 
     (Window aggregates are not part of the sweep: they evaluate one
@@ -330,18 +299,14 @@ def assert_typed_equals_list(values):
         FieldCompare("v", "==", 1),
     ]
 
+    column_storage("typed")
     typed_batch = ColumnBatch.from_tuples(rows)
     typed_masks = [[bool(m) for m in p.mask(typed_batch)] for p in preds]
 
-    previous = typedcols.set_typed_columns(False)
-    try:
-        list_batch = ColumnBatch.from_tuples(rows)
-        assert all(
-            isinstance(col, list) for col in list_batch.columns.values()
-        )
-        list_masks = [list(p.mask(list_batch)) for p in preds]
-    finally:
-        typedcols.set_typed_columns(*previous)
+    column_storage("list")
+    list_batch = ColumnBatch.from_tuples(rows)
+    assert all(isinstance(col, list) for col in list_batch.columns.values())
+    list_masks = [list(p.mask(list_batch)) for p in preds]
 
     assert typed_masks == list_masks
     assert typed_batch.tuples() == list_batch.tuples()
@@ -365,16 +330,20 @@ if HAVE_HYPOTHESIS:
     )
 
     class TestPropertyBased:
-        @settings(max_examples=60, deadline=None)
+        @settings(
+            max_examples=60,
+            deadline=None,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
         @given(values=numeric_columns)
-        def test_typed_equals_list(self, values):
-            assert_typed_equals_list(values)
+        def test_typed_equals_list(self, values, column_storage):
+            assert_typed_equals_list(values, column_storage)
 
 else:  # pragma: no cover - exercised only without hypothesis installed
 
     class TestPropertyBased:
         @pytest.mark.parametrize("seed", range(60))
-        def test_typed_equals_list(self, seed):
+        def test_typed_equals_list(self, seed, column_storage):
             rng = random.Random(seed)
             n = rng.randrange(0, 40)
             kind = rng.choice(("int", "float", "mixed"))
@@ -388,4 +357,4 @@ else:  # pragma: no cover - exercised only without hypothesis installed
                             (math.nan, math.inf, -0.0, rng.uniform(-9, 9))
                         )
                     )
-            assert_typed_equals_list(values)
+            assert_typed_equals_list(values, column_storage)
