@@ -4,138 +4,105 @@ Merge "uses the application's spatial granule to correct for missed
 readings and remove outliers spatially ... filling in missed readings and
 eliminating non-correlated errors in individual devices" (§3.2). The
 operators here run once per proximity group, over the union of the
-group's receptor streams.
+group's receptor streams. Each is a
+:class:`~repro.streams.operators.WindowedGroupByOp` keyed on the
+granule (§3.3: a Merge is a windowed GROUP BY over the spatial
+granule), so an instance fed several granules reports each on its own.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
+from typing import Any
 
 from repro.core.stages import Stage, StageContext, StageKind
 from repro.errors import OperatorError
-from repro.streams.aggregates import AggregateSpec, Mad, Median, Stdev
+from repro.streams.aggregates import Aggregate, AggregateSpec, Mad, Median, Stdev
 from repro.streams.operators import GroupKey, Operator, WindowedGroupByOp
-from repro.streams.tuples import StreamTuple
-from repro.streams.windows import BaseWindow, WindowSpec
+from repro.streams.windows import WindowSpec
 
 
-class _RobustGroupAverage(Operator):
-    """Windowed per-granule average with robust outlier rejection.
+def _granule_key(field: str) -> GroupKey:
+    # .get(): a reading without the granule field groups under None
+    # rather than aborting the stage.
+    return GroupKey(field, lambda t, _f=field: t.get(_f))
 
-    The shared engine behind :func:`sigma_outlier_average` (the paper's
-    Query 5: discard readings more than *k* standard deviations from the
-    window mean, average the rest) and :func:`mad_outlier_average` (the
-    median/MAD ablation from DESIGN.md).
 
-    Args:
-        window: Window spec applied per spatial granule.
-        value_field: Quantity to clean.
-        granule_field: Grouping field (constant per Merge instance, but
-            grouped anyway so the operator is reusable standalone).
-        k: Rejection radius in deviation units; ``None`` disables
-            rejection (plain spatial average).
-        robust: Use median/MAD instead of mean/stdev for the rejection
-            band.
-        min_survivors: Emit nothing when fewer readings survive rejection.
-        output_field: Output value field; defaults to ``value_field``.
-        count_field: Output field with the surviving reading count.
+class _BandMean(Aggregate):
+    """Mean of the values inside the window's rejection band.
+
+    The band is centred on the mean with a radius of ``k`` sample
+    standard deviations or, ``robust``, on the median with a radius of
+    ``k`` MADs (the raw MAD: the paper's technique is deliberately
+    simple). Fewer than two values have no band, so they all survive.
+    ``None`` values are skipped like every aggregate's NULL.
     """
 
-    def __init__(
-        self,
-        window: WindowSpec,
-        value_field: str,
-        granule_field: str = "spatial_granule",
-        k: float | None = 1.0,
-        robust: bool = False,
-        min_survivors: int = 1,
-        output_field: str | None = None,
-        count_field: str = "readings",
-    ):
-        if k is not None and k <= 0:
-            raise OperatorError(f"rejection radius k must be positive, got {k}")
-        if min_survivors < 1:
-            raise OperatorError("min_survivors must be >= 1")
-        self._window_spec = window
-        self._value_field = value_field
-        self._granule_field = granule_field
+    def __init__(self, k: float, robust: bool):
         self._k = k
         self._robust = robust
-        self._min_survivors = int(min_survivors)
-        self._output_field = output_field or value_field
-        self._count_field = count_field
-        self._windows: dict[object, BaseWindow] = {}
+        self._values: list[float] = []
 
-    STATE_ATTRS = ("_windows",)
+    def add(self, value: Any) -> None:
+        if value is not None:
+            self._values.append(float(value))
 
-    def on_batch(
-        self, items: Sequence[StreamTuple], port: int = 0
-    ) -> list[StreamTuple]:
-        windows = self._windows
-        value_field, granule_field = self._value_field, self._granule_field
-        for item in items:
-            if value_field not in item:
-                continue
-            key = item.get(granule_field)
-            window = windows.get(key)
-            if window is None:
-                window = self._window_spec.make_window()
-                windows[key] = window
-            window.insert(item)
-        return []
-
-    def _band(self, values: list[float]) -> tuple[float, float]:
-        """(center, radius) of the acceptance band for these values."""
+    def survivors(self) -> list[float]:
+        values = self._values
+        if len(values) < 2:
+            return values
         if self._robust:
-            center = Median.over(values)
-            spread = Mad.over(values)
-            # MAD of a normal sample underestimates sigma by ~1.4826; keep
-            # the raw MAD (the paper's technique is deliberately simple)
-            # but guard the degenerate all-identical case.
+            center, spread = Median.over(values), Mad.over(values)
         else:
-            center = sum(values) / len(values)
-            spread = Stdev.over(values)
-        return float(center), float(spread if spread is not None else 0.0)
+            center, spread = sum(values) / len(values), Stdev.over(values)
+        radius = self._k * spread
+        return [
+            value for value in values if abs(value - center) <= radius + 1e-12
+        ]
 
-    def on_time(self, now: float) -> list[StreamTuple]:
-        out: list[StreamTuple] = []
-        empty: list[object] = []
-        for key, window in sorted(
-            self._windows.items(), key=lambda kv: str(kv[0])
-        ):
-            window.advance(now)
-            readings = [
-                float(item[self._value_field]) for item in window.contents()
-            ]
-            if not readings:
-                empty.append(key)
-                continue
-            survivors = readings
-            if self._k is not None and len(readings) > 1:
-                center, spread = self._band(readings)
-                radius = self._k * spread
-                survivors = [
-                    value
-                    for value in readings
-                    if abs(value - center) <= radius + 1e-12
-                ]
-                if len(survivors) < self._min_survivors:
-                    continue
-            if not survivors:
-                continue
-            out.append(
-                StreamTuple(
-                    now,
-                    {
-                        self._granule_field: key,
-                        self._output_field: sum(survivors) / len(survivors),
-                        self._count_field: len(survivors),
-                    },
-                )
-            )
-        for key in empty:
-            del self._windows[key]
-        return out
+    def result(self) -> float | None:
+        survivors = self.survivors()
+        return sum(survivors) / len(survivors) if survivors else None
+
+
+class _BandCount(_BandMean):
+    """How many values survive :class:`_BandMean`'s rejection band."""
+
+    def result(self) -> int:
+        return len(self.survivors())
+
+
+def _band_average(
+    seconds: float,
+    value_field: str,
+    granule_field: str,
+    k: float,
+    robust: bool,
+    min_survivors: int,
+    output_field: str | None,
+) -> Operator:
+    """Per-granule windowed average of the readings inside the band."""
+    if k <= 0:
+        raise OperatorError(f"rejection radius k must be positive, got {k}")
+    if min_survivors < 1:
+        raise OperatorError("min_survivors must be >= 1")
+    return WindowedGroupByOp(
+        WindowSpec.range_by(seconds),
+        keys=[_granule_key(granule_field)],
+        aggregates=[
+            AggregateSpec(
+                partial(_BandMean, k, robust),
+                field=value_field,
+                output=output_field or value_field,
+            ),
+            AggregateSpec(
+                partial(_BandCount, k, robust),
+                field=value_field,
+                output="readings",
+            ),
+        ],
+        having=lambda row, _rows: row["readings"] >= min_survivors,
+    )
 
 
 def sigma_outlier_average(
@@ -161,11 +128,11 @@ def sigma_outlier_average(
 
     def factory(ctx: StageContext) -> Operator:
         seconds = ctx.window_seconds(window, "sigma_outlier_average")
-        return _RobustGroupAverage(
-            WindowSpec.range_by(seconds),
+        return _band_average(
+            seconds,
             value_field,
-            granule_field=granule_field,
-            k=k,
+            granule_field,
+            k,
             robust=False,
             min_survivors=min_survivors,
             output_field=output_field,
@@ -192,11 +159,11 @@ def mad_outlier_average(
 
     def factory(ctx: StageContext) -> Operator:
         seconds = ctx.window_seconds(window, "mad_outlier_average")
-        return _RobustGroupAverage(
-            WindowSpec.range_by(seconds),
+        return _band_average(
+            seconds,
             value_field,
-            granule_field=granule_field,
-            k=k,
+            granule_field,
+            k,
             robust=True,
             min_survivors=min_survivors,
             output_field=output_field,
@@ -226,7 +193,7 @@ def spatial_average(
         seconds = ctx.window_seconds(window, "spatial_average")
         return WindowedGroupByOp(
             WindowSpec.range_by(seconds),
-            keys=[GroupKey(granule_field, lambda t, _f=granule_field: t.get(_f))],
+            keys=[_granule_key(granule_field)],
             aggregates=[
                 AggregateSpec("avg", field=value_field, output=result_field),
                 AggregateSpec("count", output=count_field),
@@ -234,58 +201,6 @@ def spatial_average(
         )
 
     return Stage(StageKind.MERGE, factory, name=name or "spatial_average")
-
-
-class _VoteWindow(Operator):
-    """K-of-N distinct-device vote within a window (X10 Merge, §6.1)."""
-
-    def __init__(
-        self,
-        window: WindowSpec,
-        min_devices: int,
-        device_field: str,
-        granule_field: str,
-        output_value: str,
-    ):
-        if min_devices < 1:
-            raise OperatorError("min_devices must be >= 1")
-        self._window = window.make_window()
-        self._min_devices = int(min_devices)
-        self._device_field = device_field
-        self._granule_field = granule_field
-        self._output_value = output_value
-        self._granule: object = None
-
-    STATE_ATTRS = ("_window", "_granule")
-
-    def on_batch(
-        self, items: Sequence[StreamTuple], port: int = 0
-    ) -> list[StreamTuple]:
-        if self._granule is None and items:
-            self._granule = items[0].get(self._granule_field)
-        insert = self._window.insert
-        for item in items:
-            insert(item)
-        return []
-
-    def on_time(self, now: float) -> list[StreamTuple]:
-        self._window.advance(now)
-        devices = {
-            item.get(self._device_field) for item in self._window.contents()
-        }
-        devices.discard(None)
-        if len(devices) < self._min_devices:
-            return []
-        return [
-            StreamTuple(
-                now,
-                {
-                    self._granule_field: self._granule,
-                    "value": self._output_value,
-                    "votes": len(devices),
-                },
-            )
-        ]
 
 
 def k_of_n_vote(
@@ -304,13 +219,21 @@ def k_of_n_vote(
     """
 
     def factory(ctx: StageContext) -> Operator:
+        if min_devices < 1:
+            raise OperatorError("min_devices must be >= 1")
         seconds = ctx.window_seconds(window, "k_of_n_vote")
-        return _VoteWindow(
+        return WindowedGroupByOp(
             WindowSpec.range_by(seconds),
-            min_devices,
-            device_field,
-            granule_field,
-            output_value,
+            keys=[
+                _granule_key(granule_field),
+                GroupKey("value", lambda t: output_value),
+            ],
+            aggregates=[
+                AggregateSpec(
+                    "count", field=device_field, distinct=True, output="votes"
+                )
+            ],
+            having=lambda row, _rows: row["votes"] >= min_devices,
         )
 
     return Stage(StageKind.MERGE, factory, name=name or "k_of_n_vote")

@@ -24,7 +24,6 @@ from repro.streams.operators import (
     ChainOp,
     FilterOp,
     GroupKey,
-    MapOp,
     Operator,
     WindowedGroupByOp,
 )
@@ -148,17 +147,16 @@ def event_smoother(
         seconds = ctx.window_seconds(window, "event_smoother")
         group = WindowedGroupByOp(
             WindowSpec.range_by(seconds),
-            keys=_carry_keys(carry),
+            # A constant key stamps the event value on every output.
+            keys=_carry_keys(carry)
+            + [GroupKey(value_field, lambda t: on_value)],
             aggregates=[AggregateSpec("count", output=count_field)],
         )
-
-        def stamp(item: StreamTuple) -> StreamTuple:
-            return item.derive(values={value_field: on_value})
 
         def is_on(item: StreamTuple) -> bool:
             # Only the configured event value enters the smoothing window.
             return item.get(value_field) == on_value
 
-        return ChainOp([FilterOp(is_on), group, MapOp(stamp)])
+        return ChainOp([FilterOp(is_on), group])
 
     return Stage(StageKind.SMOOTH, factory, name=name or "event_smoother")

@@ -45,6 +45,7 @@ from repro.streams.operators import (
     SinkOp,
     UnionOp,
     WindowedGroupByOp,
+    WindowJoinOp,
     run_operator,
 )
 from repro.streams.telemetry import NULL_COLLECTOR
@@ -996,68 +997,31 @@ class _OuterCombineOp(Operator):
         ]
 
 
-class _InstantJoinOp(Operator):
-    """Binary windowed join evaluated at each punctuation (paper Query 5).
+def _qualified_merge(
+    left_binding: str, right_binding: str
+) -> Callable[[StreamTuple, StreamTuple], dict[str, Any]]:
+    """A join's combine: every field under ``binding.field``, and bare.
 
-    Port 0 carries the left input buffered in ``left_window``; port 1 the
-    right input in ``right_window``. At each punctuation the cross product
-    of window contents is filtered by the WHERE predicate evaluated over
-    the combined row.
+    A bare name both sides carry is the left side's; a left field that
+    is already qualified (an inner join's output) is kept as it is.
     """
 
-    def __init__(
-        self,
-        left_window: WindowSpec,
-        right_window: WindowSpec,
-        left_binding: str,
-        right_binding: str,
-        predicate: Callable[[StreamTuple], Any] | None,
-        output_stream: str = "",
-    ):
-        self._left = left_window.make_window()
-        self._right = right_window.make_window()
-        self._left_binding = left_binding
-        self._right_binding = right_binding
-        self._predicate = predicate
-        self._output_stream = output_stream
-
-    STATE_ATTRS = ("_left", "_right")
-
-    def on_batch(
-        self, items: Sequence[StreamTuple], port: int = 0
-    ) -> list[StreamTuple]:
-        insert = (self._left if port == 0 else self._right).insert
-        for item in items:
-            insert(item)
-        return []
-
-    def _combine(
-        self, now: float, lhs: StreamTuple, rhs: StreamTuple
-    ) -> StreamTuple:
+    def combine(lhs: StreamTuple, rhs: StreamTuple) -> dict[str, Any]:
         merged: dict[str, Any] = {}
-        left_fields = set(lhs.keys())
+        left_fields = lhs.keys()
         for field, value in rhs.items():
-            merged[f"{self._right_binding}.{field}"] = value
+            merged[f"{right_binding}.{field}"] = value
             if field not in left_fields:
                 merged[field] = value
         for field, value in lhs.items():
             if "." in field:
-                merged[field] = value  # already qualified by an inner join
+                merged[field] = value
             else:
-                merged[f"{self._left_binding}.{field}"] = value
-                merged[field] = value  # left side wins bare-name conflicts
-        return StreamTuple(now, merged, self._output_stream)
+                merged[f"{left_binding}.{field}"] = value
+                merged[field] = value
+        return merged
 
-    def on_time(self, now: float) -> list[StreamTuple]:
-        self._left.advance(now)
-        self._right.advance(now)
-        out: list[StreamTuple] = []
-        for lhs in self._left:
-            for rhs in self._right:
-                combined = self._combine(now, lhs, rhs)
-                if self._predicate is None or _as_bool(self._predicate(combined)):
-                    out.append(combined)
-        return out
+    return combine
 
 
 def _plan_join(
@@ -1149,12 +1113,11 @@ def _plan_inner_joins(
     ):
         is_last = position == len(planned) - 2
         join_index = builder.add(
-            _InstantJoinOp(
+            WindowJoinOp(
                 left_window,
                 right_window,
-                left_binding,
-                right_binding,
                 predicate=where_fn if is_last else None,
+                combine=_qualified_merge(left_binding, right_binding),
             ),
             upstream=[(left_node, 0), (right_node, 1)],
         )

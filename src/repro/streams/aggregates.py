@@ -329,13 +329,16 @@ class AggregateSpec:
     """A bound aggregate call as it appears in a query plan.
 
     Args:
-        name: Registered aggregate name (``"count"``, ``"avg"``, ...).
+        name: Registered aggregate name (``"count"``, ``"avg"``, ...),
+            or an aggregate factory like the registry holds (a callable
+            returning a fresh :class:`Aggregate`), so a parametrised
+            aggregate needs no global name.
         argument: Callable extracting the input value from a tuple, or
             ``None`` for ``count(*)`` semantics (every row counts).
         distinct: Whether the call is over distinct argument values.
         output: Field name for the result in the output tuple.
         field: Plain-field shorthand for ``argument``: the input value
-            is ``row.get(field)`` (absent → ``None``, skipped SQL-style,
+            is the row's ``field`` (absent → ``None``, skipped SQL-style,
             exactly like the ``lambda t: t.get(f)`` idiom it replaces)
             and the default output name carries the field. Mutually
             exclusive with ``argument``.
@@ -349,11 +352,11 @@ class AggregateSpec:
         2
     """
 
-    __slots__ = ("name", "argument", "distinct", "output", "field")
+    __slots__ = ("name", "factory", "argument", "distinct", "output", "field")
 
     def __init__(
         self,
-        name: str,
+        name: str | Callable[[], Aggregate],
         argument: Callable[[Any], Any] | None = None,
         distinct: bool = False,
         output: str | None = None,
@@ -363,6 +366,11 @@ class AggregateSpec:
             raise AggregateError(
                 "AggregateSpec takes either argument= or field=, not both"
             )
+        if isinstance(name, str):
+            self.factory: Callable[[], Aggregate] | None = None
+        else:
+            self.factory = name
+            name = getattr(name, "__name__", type(name).__name__)
         self.name = name.lower()
         self.field = field
         if field is not None:
@@ -386,11 +394,18 @@ class AggregateSpec:
         row's argument in window order, so the result's meaning
         (float rounding included) is the accumulator's alone.
         """
-        agg = get_aggregate(self.name, distinct=self.distinct)
+        if self.factory is None:
+            agg = get_aggregate(self.name, distinct=self.distinct)
+        elif self.distinct:
+            agg = _DistinctWrapper(self.factory())
+        else:
+            agg = self.factory()
         field = self.field
         if field is not None:
+            # ``StreamTuple.get`` inlined: this loop is the windowed
+            # GROUP BY's per-row cost.
             for row in rows:
-                agg.add(row.get(field))
+                agg.add(row._values.get(field))
             return agg.result()
         for row in rows:
             agg.add(1 if self.argument is None else self.argument(row))

@@ -453,31 +453,37 @@ class WindowJoinOp(Operator):
     """Join two windowed streams, evaluated at each punctuation.
 
     Implements CQL's relation-at-time-t join semantics: at each punctuation
-    the operator forms the cross product of the two windows' contents,
-    keeps pairs passing ``predicate`` and emits one combined tuple per pair
-    (right fields merged under left fields).
+    the operator pairs every row of the left window with every row of
+    the right window, combines each pair into one joined row and keeps
+    the joined rows passing ``predicate`` — the plan of a multi-source
+    ``FROM`` with its ``WHERE`` (paper Query 5).
 
     Args:
         left: Window spec for input port 0.
         right: Window spec for input port 1.
-        predicate: Callable over ``(left_tuple, right_tuple)``.
-        combine: Optional callable producing the output tuple from a
-            matching pair; the default merges field dicts (left wins).
+        predicate: Callable over the joined row; truthy keeps it.
+            ``None`` keeps every pair.
+        combine: Callable over ``(left_tuple, right_tuple)`` returning
+            the joined row's fields; the default merges the two rows'
+            fields, left winning on a shared name.
         output_stream: Stream name for emitted tuples.
+
+    Joined rows are timestamped at the punctuation time.
     """
 
     def __init__(
         self,
         left: WindowSpec,
         right: WindowSpec,
-        predicate: Callable[[StreamTuple, StreamTuple], bool],
-        combine: Callable[[StreamTuple, StreamTuple], StreamTuple] | None = None,
+        predicate: Callable[[StreamTuple], Any] | None = None,
+        combine: Callable[[StreamTuple, StreamTuple], Mapping[str, Any]]
+        | None = None,
         output_stream: str = "",
     ):
         self._left = left.make_window()
         self._right = right.make_window()
         self._predicate = predicate
-        self._combine = combine
+        self._combine = combine or _merge_fields
         self._output_stream = output_stream
 
     STATE_ATTRS = ("_left", "_right")
@@ -495,17 +501,20 @@ class WindowJoinOp(Operator):
     def on_time(self, now: float) -> list[StreamTuple]:
         self._left.advance(now)
         self._right.advance(now)
+        predicate, combine = self._predicate, self._combine
         out: list[StreamTuple] = []
         for lhs in self._left:
             for rhs in self._right:
-                if not self._predicate(lhs, rhs):
-                    continue
-                if self._combine is not None:
-                    out.append(self._combine(lhs, rhs))
-                else:
-                    merged = {**rhs.as_dict(), **lhs.as_dict()}
-                    out.append(StreamTuple(now, merged, self._output_stream))
+                row = StreamTuple(now, combine(lhs, rhs), self._output_stream)
+                if predicate is None or predicate(row):
+                    out.append(row)
         return out
+
+
+def _merge_fields(lhs: StreamTuple, rhs: StreamTuple) -> dict[str, Any]:
+    merged = rhs.as_dict()
+    merged.update(lhs.items())
+    return merged
 
 
 class SinkOp(Operator):

@@ -131,6 +131,24 @@ class TestSigmaOutlierAverage:
         out = drive(op, items, [0.0])
         assert out[0]["readings"] == 1
 
+    @pytest.mark.parametrize("stage", [sigma_outlier_average, mad_outlier_average])
+    def test_null_values_are_skipped(self, stage):
+        # A NULL reading is skipped like every aggregate's NULL, and a
+        # granule with nothing but NULLs reports nothing.
+        op = stage(window=10.0).make(ctx())
+        items = [
+            tup(0.0, spatial_granule="a", temp=v) for v in (None, 20.0, 21.0)
+        ] + [tup(1.0, spatial_granule="b", temp=None)]
+        out = drive(op, items, [0.0, 1.0])
+        assert [(t.timestamp, t.as_dict()) for t in out] == [
+            (0.0, {"spatial_granule": "a", "temp": 20.5, "readings": 2}),
+            (1.0, {"spatial_granule": "a", "temp": 20.5, "readings": 2}),
+        ]
+
+    def test_min_survivors_counts_an_unbanded_reading(self):
+        op = self.stage_op(min_survivors=2)
+        assert drive(op, [tup(0.0, spatial_granule="a", temp=20.0)], [0.0]) == []
+
 
 class TestMadOutlierAverage:
     def test_resists_masking_better_than_sigma(self):
@@ -196,6 +214,20 @@ class TestKofNVote:
     def test_invalid_min_devices(self):
         with pytest.raises(OperatorError):
             k_of_n_vote(min_devices=0, window=5.0).make(ctx())
+
+    def test_each_granule_votes_separately(self):
+        # One kitchen detector cannot lend its vote to the office, and
+        # the office's detection carries the office's label.
+        op = k_of_n_vote(min_devices=2, window=10.0).make(ctx())
+        items = [
+            tup(0.0, sensor_id="k1", spatial_granule="kitchen", value="ON"),
+            tup(1.0, sensor_id="o1", spatial_granule="office", value="ON"),
+            tup(1.0, sensor_id="o2", spatial_granule="office", value="ON"),
+        ]
+        out = drive(op, items, [1.0])
+        assert [t.as_dict() for t in out] == [
+            {"spatial_granule": "office", "value": "ON", "votes": 2}
+        ]
 
 
 class TestMaxCountArbitrator:

@@ -30,7 +30,7 @@ class TestExplain:
             "SELECT l.v AS x FROM a l [Range By 'NOW'], "
             "b r [Range By 'NOW'] WHERE l.k = r.k"
         ).explain()
-        assert "_InstantJoinOp" in plan
+        assert "WindowJoinOp" in plan
         assert "'a'" in plan and "'b'" in plan
 
     def test_outer_combine_plan(self):
@@ -124,11 +124,7 @@ class TestFlowCountersMultiOperatorDag:
         )
         fjord.add_operator(
             "join",
-            WindowJoinOp(
-                WindowSpec.range_by(10.0),
-                WindowSpec.range_by(10.0),
-                predicate=lambda lhs, rhs: True,
-            ),
+            WindowJoinOp(WindowSpec.range_by(10.0), WindowSpec.range_by(10.0)),
             inputs=[("f_left", 0), ("f_right", 1)],
         )
         fjord.add_operator(
@@ -238,7 +234,8 @@ class TestBatchFastPathAccounting:
             HorvitzThompsonCounter,
         )
         from repro.core.operators.arbitrate_ops import MaxCountArbitrator
-        from repro.core.operators.merge_ops import _VoteWindow
+        from repro.core.operators.merge_ops import k_of_n_vote
+        from repro.core.stages import StageContext, StageKind
         from repro.core.operators.virtualize_ops import (
             CorrelationModelCleaner,
             VotingDetector,
@@ -299,7 +296,12 @@ class TestBatchFastPathAccounting:
                 ["j"],
             ),
             "vote": (
-                _VoteWindow(WindowSpec.range_by(2.0), 2, "v", "label", "ON"),
+                k_of_n_vote(
+                    min_devices=2,
+                    window=2.0,
+                    device_field="v",
+                    granule_field="label",
+                ).make(StageContext(StageKind.MERGE)),
                 ["j"],
             ),
             "detect": (
@@ -316,7 +318,10 @@ class TestBatchFastPathAccounting:
                 WindowJoinOp(
                     WindowSpec.range_by(0.5),
                     WindowSpec.range_by(0.5),
-                    predicate=lambda lhs, rhs: lhs["v"] == rhs["v"],
+                    predicate=lambda row: row["v"] == row["rv"],
+                    combine=lambda lhs, rhs: {
+                        **rhs.as_dict(), **lhs.as_dict(), "rv": rhs["v"]
+                    },
                 ),
                 [("f", 0), ("m", 1)],
             ),
@@ -410,7 +415,7 @@ class TestOneDataEntryPoint:
 
     def test_no_operator_overrides_on_tuple_and_all_define_on_batch(self):
         classes = self._operator_classes()
-        assert len(classes) >= 19
+        assert len(classes) >= 16
         for cls in classes:
             assert "on_tuple" not in vars(cls), cls
             assert cls.on_batch is not Operator.on_batch, cls

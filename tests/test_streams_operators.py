@@ -190,7 +190,10 @@ class TestWindowJoin:
         op = WindowJoinOp(
             WindowSpec.range_by(5.0),
             WindowSpec.range_by(5.0),
-            predicate=lambda lhs, rhs: lhs["k"] == rhs["k"],
+            predicate=lambda row: row["k"] == row["rk"],
+            combine=lambda lhs, rhs: {
+                **rhs.as_dict(), **lhs.as_dict(), "rk": rhs["k"]
+            },
         )
         op.on_tuple(tup(0.0, k=1, left="L"), port=0)
         op.on_tuple(tup(0.0, k=1, right="R"), port=1)
@@ -200,19 +203,13 @@ class TestWindowJoin:
         assert out[0]["left"] == "L" and out[0]["right"] == "R"
 
     def test_left_fields_win_on_conflict(self):
-        op = WindowJoinOp(
-            WindowSpec.now(),
-            WindowSpec.now(),
-            predicate=lambda lhs, rhs: True,
-        )
+        op = WindowJoinOp(WindowSpec.now(), WindowSpec.now())
         op.on_tuple(tup(0.0, v="left"), port=0)
         op.on_tuple(tup(0.0, v="right"), port=1)
         assert op.on_time(0.0)[0]["v"] == "left"
 
     def test_invalid_port(self):
-        op = WindowJoinOp(
-            WindowSpec.now(), WindowSpec.now(), predicate=lambda lhs, rhs: True
-        )
+        op = WindowJoinOp(WindowSpec.now(), WindowSpec.now())
         with pytest.raises(OperatorError):
             op.on_tuple(tup(0.0), port=2)
 
@@ -220,14 +217,28 @@ class TestWindowJoin:
         op = WindowJoinOp(
             WindowSpec.now(),
             WindowSpec.now(),
-            predicate=lambda lhs, rhs: True,
-            combine=lambda lhs, rhs: StreamTuple(
-                lhs.timestamp, {"sum": lhs["v"] + rhs["v"]}
-            ),
+            combine=lambda lhs, rhs: {"sum": lhs["v"] + rhs["v"]},
+            output_stream="joined",
         )
+        op.on_tuple(tup(1.0, v=1), port=0)
+        op.on_tuple(tup(1.0, v=2), port=1)
+        (row,) = op.on_time(1.0)
+        assert row.as_dict() == {"sum": 3}
+        assert (row.timestamp, row.stream) == (1.0, "joined")
+
+    def test_predicate_sees_the_joined_row(self):
+        seen = []
+        op = WindowJoinOp(
+            WindowSpec.now(),
+            WindowSpec.now(),
+            predicate=lambda row: seen.append(row.as_dict()) or row["v"] > 1,
+            combine=lambda lhs, rhs: {"v": lhs["v"] + rhs["v"]},
+        )
+        op.on_tuple(tup(0.0, v=0), port=0)
         op.on_tuple(tup(0.0, v=1), port=0)
-        op.on_tuple(tup(0.0, v=2), port=1)
-        assert op.on_time(0.0)[0]["sum"] == 3
+        op.on_tuple(tup(0.0, v=1), port=1)
+        assert [row["v"] for row in op.on_time(0.0)] == [2]
+        assert seen == [{"v": 1}, {"v": 2}]
 
 
 class TestChainAndSink:
