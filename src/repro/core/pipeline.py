@@ -14,9 +14,13 @@ The processor performs the plumbing the paper attributes to ESP itself:
   stages in a Fjord-style manner (§3.3);
 - it annotates every reading with its spatial granule, "corresponding to
   each proximity group" (§4, footnote 2);
-- it instantiates stream-scoped stages once per receptor, group-scoped
-  stages once per proximity group, kind-scoped stages once per receptor
-  technology, and Virtualize once.
+- it runs stream-scoped stages per receptor, group-scoped stages per
+  proximity group, kind-scoped stages once per receptor technology, and
+  Virtualize once. A granule is a key, not a copy of the operator
+  (§3.3): a windowed or filtering stage below kind scope is one *keyed*
+  node whose state is partitioned by receptor id or proximity group
+  (see :meth:`ESPProcessor._keyed_ops`); any other stage below kind
+  scope is one instance per partition.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from repro.receptors.registry import DeviceRegistry
 from repro.streams import shard as shard_engine
 from repro.streams.columnar import AddFields
 from repro.streams.fjord import Fjord, _check_mode
-from repro.streams.operators import MapOp, UnionOp
+from repro.streams.operators import (
+    ChainOp,
+    FilterOp,
+    MapOp,
+    Operator,
+    UnionOp,
+    WindowedGroupByOp,
+)
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -110,6 +121,26 @@ def _as_stage_list(arg: "Stage | Sequence[Stage] | None") -> list[Stage]:
     if isinstance(arg, Stage):
         return [arg]
     return list(arg)
+
+
+def _scope_after(level: str, stage: Stage) -> str:
+    """The scope ``stage`` runs at behind ``level``: its own scope, or
+    ``level`` when that is already wider (scopes only widen)."""
+    target = stage.kind.scope
+    if target == "deployment":
+        raise PipelineError("Virtualize cannot appear in a kind pipeline")
+    return target if _SCOPE_RANK[target] > _SCOPE_RANK[level] else level
+
+
+def _group_by_of(op: Operator) -> "WindowedGroupByOp | None":
+    """The group-by a keyed node partitions: ``op`` itself, or the last
+    operator of a chain whose others are filters (a filter cannot
+    relabel a row)."""
+    if isinstance(op, ChainOp):
+        *head, op = op.stages
+        if not all(isinstance(stage, FilterOp) for stage in head):
+            return None
+    return op if isinstance(op, WindowedGroupByOp) else None
 
 
 #: Rollup keys for nodes the processor itself wires around the stages.
@@ -758,9 +789,8 @@ class ESPProcessor:
         pipeline = self._pipelines.get(
             receptor_kind, ESPPipeline(receptor_kind)
         )
-        granule = pipeline.temporal_granule
-        # Sources + spatial-granule annotation; streams keyed by their
-        # scope partition's label (receptor id, group or kind).
+        # Sources + annotation; streams keyed by their scope partition's
+        # label (receptor id, group or kind).
         streams: dict[str, str] = {}
         for device in devices:
             source_name = f"src:{device.receptor_id}"
@@ -776,18 +806,20 @@ class ESPProcessor:
         level = "stream"
         if "raw" in taps:
             self._tap(fjord, result, receptor_kind, "raw", streams.values())
+        keyed = self._keyed_ops(receptor_kind, pipeline)
         # One tap per stage kind, on the stream leaving its last stage.
         last = {s.kind.value: i for i, s in enumerate(pipeline.sequence)}
         for position, stage in enumerate(pipeline.sequence):
-            streams, level = self._apply_stage(
-                fjord,
-                receptor_kind,
-                pipeline,
-                stage,
-                position,
-                streams,
-                level,
-            )
+            if position < len(keyed):
+                streams, level = self._keyed_stage(
+                    fjord, receptor_kind, devices, stage, keyed[position],
+                    position, streams, level,
+                )
+            else:
+                streams, level = self._apply_stage(
+                    fjord, receptor_kind, pipeline, stage, position,
+                    streams, level,
+                )
             if stage.kind.value in taps and last[stage.kind.value] == position:
                 self._tap(
                     fjord, result, receptor_kind, stage.kind.value,
@@ -805,15 +837,102 @@ class ESPProcessor:
 
     def _annotator(self, device: Receptor):
         group = self.registry.group_of(device.receptor_id)
-        # AddFields has a column kernel: on a long run the two
-        # annotation fields become shared constant columns instead of a
-        # per-tuple dict copy.
+        # The stream label is the receptor id from the registry, never
+        # the one the feed sent: keyed nodes partition by it. AddFields
+        # has a column kernel: on a long run the two annotation fields
+        # become shared constant columns instead of a per-tuple dict copy.
         return AddFields(
             {
                 "spatial_granule": group.granule.name,
                 "proximity_group": group.name,
-            }
+            },
+            stream=device.receptor_id,
         )
+
+    def _make(
+        self, receptor_kind: str, pipeline: ESPPipeline, stage: Stage
+    ) -> Operator:
+        """A fresh operator for ``stage`` of ``receptor_kind``'s pipeline.
+
+        Raises:
+            PipelineError: For a query over several streams.
+        """
+        op = stage.make(
+            StageContext(
+                stage.kind,
+                temporal_granule=pipeline.temporal_granule,
+                receptor_kind=receptor_kind,
+            )
+        )
+        if isinstance(op, CompiledQuery) and len(op.input_streams) > 1:
+            # Labels below Virtualize are receptor ids, groups and
+            # whatever the upstream stages emit, so a query that routes
+            # its input by stream name would silently drop rows.
+            raise PipelineError(
+                f"stage {stage.name!r} of the {receptor_kind!r} pipeline "
+                f"reads streams {op.input_streams}; a query over several "
+                "streams belongs in a Virtualize stage"
+            )
+        return op
+
+    def _keyed_ops(
+        self, receptor_kind: str, pipeline: ESPPipeline
+    ) -> list[Operator]:
+        """The operators of the keyed nodes: one per stage that runs
+        below kind scope if every such stage is keyable, else none.
+
+        Those stages are a prefix of the sequence, since scopes only
+        widen. All or none: a per-partition instance must never receive
+        pooled input, and a keyed node reads its partition off labels
+        that a per-partition instance (a query, an adaptive cleaner)
+        does not keep.
+        """
+        ops: list[Operator] = []
+        level = "stream"
+        for stage in pipeline.sequence:
+            level = _scope_after(level, stage)
+            if level == "kind":
+                break
+            op = self._make(receptor_kind, pipeline, stage)
+            # A group-by is keyed by partition; a filter is stateless
+            # and keeps labels.
+            if not isinstance(op, FilterOp) and _group_by_of(op) is None:
+                return []
+            ops.append(op)
+        return ops
+
+    def _keyed_stage(
+        self,
+        fjord: Fjord,
+        receptor_kind: str,
+        devices: list[Receptor],
+        stage: Stage,
+        op: Operator,
+        position: int,
+        streams: dict[str, str],
+        level: str,
+    ) -> tuple[dict[str, str], str]:
+        """Apply one stage as a single keyed node fed by every upstream
+        node. A group-by's state is partitioned by the scope key: its
+        label -> partition table is built here, from the registry, and
+        maps the labels arriving at ``level`` (receptor ids, or groups)
+        to the partitions at the stage's scope. A filter keeps labels."""
+        target = _scope_after(level, stage)
+        group_by = _group_by_of(op)
+        if group_by is not None:
+
+            def label(device: Receptor, scope: str) -> str:
+                if scope == "stream":
+                    return device.receptor_id
+                return self.registry.group_of(device.receptor_id).name
+
+            group_by.partition_by(
+                {label(device, level): label(device, target) for device in devices},
+                owner=f"stage {stage.name!r} of the {receptor_kind!r} pipeline",
+            )
+        node_name = f"{receptor_kind}:{position}:{stage.kind.value}:{target}"
+        fjord.add_operator(node_name, op, inputs=list(streams.values()))
+        return {target: node_name}, target
 
     def _apply_stage(
         self,
@@ -827,35 +946,18 @@ class ESPProcessor:
     ) -> tuple[dict[str, str], str]:
         """Apply one stage: one instance per scope partition, fed by
         every upstream node of its partition (see :meth:`_widen`)."""
-        target = stage.kind.scope
-        if target == "deployment":
-            raise PipelineError("Virtualize cannot appear in a kind pipeline")
-        if _SCOPE_RANK[target] > _SCOPE_RANK[level]:
+        target = _scope_after(level, stage)
+        if target != level:
             partitions = self._widen(receptor_kind, streams, target)
-            level = target
         else:
             partitions = {label: [node] for label, node in streams.items()}
-        context = StageContext(
-            stage.kind,
-            temporal_granule=pipeline.temporal_granule,
-            receptor_kind=receptor_kind,
-        )
         out: dict[str, str] = {}
         for label, inputs in partitions.items():
-            op = stage.make(context)
-            if isinstance(op, CompiledQuery) and len(op.input_streams) > 1:
-                # Labels below Virtualize are receptor ids and whatever
-                # the upstream instances emit, so a query that routes
-                # its input by stream name would silently drop rows.
-                raise PipelineError(
-                    f"stage {stage.name!r} of the {receptor_kind!r} pipeline "
-                    f"reads streams {op.input_streams}; a query over several "
-                    "streams belongs in a Virtualize stage"
-                )
+            op = self._make(receptor_kind, pipeline, stage)
             node_name = f"{receptor_kind}:{position}:{stage.kind.value}:{label}"
             fjord.add_operator(node_name, op, inputs=inputs)
             out[label] = node_name
-        return out, level
+        return out, target
 
     def _widen(
         self, receptor_kind: str, streams: dict[str, str], target: str

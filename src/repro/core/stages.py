@@ -4,10 +4,12 @@ A :class:`Stage` is a *description*: which of the five logical cleaning
 tasks it implements (:class:`StageKind`) plus a factory that materializes
 a fresh stream operator each time the processor instantiates the stage.
 Fresh instantiation matters because the same stage definition is applied
-independently to many scopes — Point and Smooth run once per receptor
-stream, Merge once per proximity group, Arbitrate once per receptor kind,
-Virtualize once per deployment — and each instance carries its own window
-state.
+independently to many scopes — Point and Smooth run per receptor stream,
+Merge per proximity group, Arbitrate once per receptor kind, Virtualize
+once per deployment — and each partition has its own window state:
+either its own instance, or its own keys in the one instance the
+processor keys by partition (a windowed group-by or a filter, see
+:mod:`repro.core.pipeline`).
 
 Stages can be programmed three ways, in the paper's order of increasing
 flexibility (§3.3):

@@ -474,22 +474,27 @@ def coalesce(
 
 
 class AddFields:
-    """Map function adding (or overwriting) constant fields per tuple.
+    """Map function adding (or overwriting) constant fields per tuple,
+    and relabelling its stream when ``stream`` is given.
 
-    Row path: ``t.derive(values=...)`` per tuple. Columnar path: one
-    shared constant column per field, O(fields) per batch.
+    Row path: ``t.derive(values=..., stream=...)`` per tuple. Columnar
+    path: one shared constant column per field, O(fields) per batch.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "stream")
 
-    def __init__(self, values: Mapping[str, Any]) -> None:
+    def __init__(
+        self, values: Mapping[str, Any], stream: str | None = None
+    ) -> None:
         self.values = dict(values)
+        self.stream = stream
 
     def __call__(self, item: StreamTuple) -> StreamTuple:
-        return item.derive(values=self.values)
+        return item.derive(values=self.values, stream=self.stream)
 
     def columnar(self, batch: ColumnBatch) -> ColumnBatch:
-        return batch.with_columns(self.values)
+        batch = batch.with_columns(self.values)
+        return batch if self.stream is None else batch.with_stream(self.stream)
 
 
 class SetStream:

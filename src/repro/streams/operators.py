@@ -24,9 +24,11 @@ driven by punctuations rather than by a global per-window barrier.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.errors import OperatorError
+from repro.errors import OperatorError, PipelineError
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.columnar import ColumnBatch
 from repro.streams.tuples import StreamTuple, relabel
@@ -351,6 +353,11 @@ class WindowedGroupByOp(Operator):
     Emitted tuples carry the key component fields plus one field per
     aggregate (named by ``AggregateSpec.output``), timestamped at the
     punctuation time.
+
+    :meth:`partition_by` turns one operator into a whole stage's keyed
+    node: every group is then keyed by its row's partition first, so one
+    window table and one ``on_time`` serve every receptor (or proximity
+    group) the stage used to need an instance for.
     """
 
     def __init__(
@@ -384,8 +391,30 @@ class WindowedGroupByOp(Operator):
         #: rebuilt by :meth:`on_time` after the key set changed (``None``),
         #: never checkpointed.
         self._order: list[tuple] | None = None
+        #: Stream label -> partition, set by :meth:`partition_by`.
+        self._labels: dict[str, str] | None = None
+        self._owner = ""
 
     STATE_ATTRS = ("_windows",)
+
+    def partition_by(self, labels: Mapping[str, str], owner: str) -> None:
+        """Key every group by the partition its row's stream label maps to.
+
+        The partition (a receptor id, or a proximity group after a
+        widening) is a hidden leading key component: it orders emission
+        first, it is each emitted row's stream label instead of
+        ``output_stream``, HAVING sees only the rows of the partition
+        being filtered, and it is never a field. So the output is the
+        concatenation, in partition order, of what one operator per
+        partition would emit, each relabelled with its partition.
+        Configuration, not state: call it before the first row.
+
+        Raises (from :meth:`on_batch`):
+            PipelineError: For a row whose label ``labels`` does not
+                map, naming ``owner`` (the stage).
+        """
+        self._labels = dict(labels)
+        self._owner = owner
 
     def restore(self, state: "Mapping[str, Any] | None") -> None:
         super().restore(state)
@@ -396,8 +425,18 @@ class WindowedGroupByOp(Operator):
     ) -> list[StreamTuple]:
         extractors = [k.extractor for k in self._keys]
         windows = self._windows
+        labels = self._labels
         for item in items:
-            key = tuple(extract(item) for extract in extractors)
+            if labels is None:
+                key = tuple(extract(item) for extract in extractors)
+            else:
+                partition = labels.get(item.stream)
+                if partition is None:
+                    raise PipelineError(
+                        f"{self._owner} got a row labelled {item.stream!r}, "
+                        f"which is none of its partitions {sorted(labels)}"
+                    )
+                key = (partition, *[extract(item) for extract in extractors])
             window = windows.get(key)
             if window is None:
                 window = self._window_spec.make_window()
@@ -424,6 +463,9 @@ class WindowedGroupByOp(Operator):
         aggregates = self._aggregates
         reads_rows = self._reads_rows
         stream = self._output_stream
+        # Fields start after the hidden partition (a whole-tuple slice
+        # is the tuple itself).
+        skip = 0 if self._labels is None else 1
         from_parts = StreamTuple._from_parts
         stamp = float(now)
         for key in order:
@@ -434,18 +476,27 @@ class WindowedGroupByOp(Operator):
                 empty_keys.append(key)
                 continue
             contents = window.contents() if reads_rows else ()
-            values: dict[str, Any] = dict(zip(names, key))
+            values: dict[str, Any] = dict(zip(names, key[skip:]))
             for output, spec in aggregates:
                 values[output] = (
                     size if spec is None else spec.evaluate(contents)
                 )
-            rows.append(from_parts(stamp, values, stream))
+            rows.append(from_parts(stamp, values, key[0] if skip else stream))
         if empty_keys:
             for key in empty_keys:
                 del windows[key]
             self._order = None
-        if self._having is not None:
-            rows = [row for row in rows if self._having(row, rows)]
+        having = self._having
+        if having is not None:
+            if skip:
+                # A partition's rows are adjacent: it is the leading key.
+                kept: list[StreamTuple] = []
+                for _label, run in groupby(rows, key=attrgetter("stream")):
+                    block = list(run)
+                    kept += [row for row in block if having(row, block)]
+                rows = kept
+            else:
+                rows = [row for row in rows if having(row, rows)]
         return rows
 
 
@@ -558,6 +609,11 @@ class ChainOp(Operator):
         if not stages:
             raise OperatorError("ChainOp needs at least one stage")
         self._stages = list(stages)
+
+    @property
+    def stages(self) -> tuple[Operator, ...]:
+        """The chained operators, in order."""
+        return tuple(self._stages)
 
     def checkpoint(self) -> "dict[str, Any] | None":
         states = [stage.checkpoint() for stage in self._stages]

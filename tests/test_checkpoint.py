@@ -348,11 +348,17 @@ class TestCheckpointContents:
     #: wiring (the Arbitrate instance takes both Smooth instances as
     #: inputs): the state is the previous one with the stateless, empty
     #: ``rfid:2:union:kind`` entry dropped from ``nodes``, and the
-    #: pickle went 291,351 -> 291,310 B.
+    #: pickle went 291,351 -> 291,310 B. Re-pinned once more,
+    #: deliberately, when each Point and Smooth stage became one keyed
+    #: node: the state is the previous one with the two readers' point
+    #: entries folded into ``rfid:0:point:stream`` and their smooth
+    #: entries into ``rfid:1:smooth:stream``, whose windows are keyed
+    #: ``(reader,) + key`` (counters summed, no window changed), and
+    #: the pickle went 291,310 -> 291,261 B.
     STATE_DIGEST = (
-        "5df194946a4a07b93b6e0a61928e38c9eb96518668466820fdd553e87b8034ef"
+        "6f71a607c6d75b375cfd5d516babcbe3afe4d2562a5d3319dd9b5cabf742166e"
     )
-    PICKLE_SIZE = 291310
+    PICKLE_SIZE = 291261
 
     def test_pinned_shelf_session_state_is_unchanged_and_no_larger(self):
         bundle = build_bundle("shelf", 60.0, SEED)

@@ -6,6 +6,10 @@ files checked in under ``tests/golden/``. Any change to pipeline
 semantics, operator numerics, emission order or serialization shows up
 here as a diff against a reviewable artifact.
 
+The report ``python -m repro run all --fast`` prints is pinned the same
+way, in ``tests/golden/run_all_fast.json``: every fast-scale experiment
+number.
+
 Regenerate (after an *intentional* semantic change) with::
 
     PYTHONPATH=src python tests/test_golden_traces.py --regenerate
@@ -130,12 +134,39 @@ class TestGoldenTraces:
         )
 
 
+RUN_ALL_FAST = GOLDEN_DIR / "run_all_fast.json"
+
+
+def _run_all_fast() -> str:
+    """What ``python -m repro run all --fast`` prints."""
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["run", "all", "--fast"]) == 0
+    return out.getvalue()
+
+
+def test_run_all_fast_matches_golden():
+    """A change that moves any fast-scale experiment number shows here
+    (CI also diffs a fresh CLI run, plain and sharded, against it)."""
+    assert _run_all_fast() == RUN_ALL_FAST.read_text(encoding="utf-8"), (
+        "`repro run all --fast` drifted from the golden report; if the "
+        "change is intentional, regenerate and review the diff"
+    )
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case, run in CASES.items():
         path = GOLDEN_DIR / f"{case}.jsonl"
         count = write_jsonl(run().output, path)
         print(f"wrote {count} tuples to {path}")
+    RUN_ALL_FAST.write_text(_run_all_fast(), encoding="utf-8")
+    print(f"wrote {RUN_ALL_FAST}")
 
 
 if __name__ == "__main__":

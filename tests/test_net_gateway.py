@@ -246,6 +246,27 @@ class TestLoopbackDifferential:
         )
         assert all(s["dropped_late"] == 0 for s in stats.values())
 
+    @pytest.mark.parametrize("case", [shelf_case, redwood_case])
+    def test_a_row_naming_another_receptor_changes_nothing(self, case):
+        """A block row's stream cell is whatever the feeder sent. The
+        keyed stages partition by the source the gateway queued the row
+        under (the processor stamps the receptor id on it), so a feeder
+        that labels every row with another receptor's id gets the honest
+        run's output, byte for byte."""
+        factory, streams, until, tick = case()
+        honest = factory().run(until=until, tick=tick, sources=streams)
+        names = sorted(streams)
+        other = dict(zip(names, names[1:] + names[:1]))
+        spoofed = {
+            name: [item.derive(stream=other[name]) for item in items]
+            for name, items in streams.items()
+        }
+        run, _gateway, _report = asyncio.run(
+            loopback(factory, spoofed, until, tick, slack=0.0)
+        )
+        assert run.output == honest.output
+        assert run.output  # non-vacuous
+
     def test_matches_with_network_delay_and_reordering(self):
         """Delayed, reordered arrivals with slack >= max delay: still
         byte-identical — the reorder buffer plus watermark gating is

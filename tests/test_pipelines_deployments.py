@@ -372,7 +372,11 @@ class TestGraphShape:
     kind's output name; no node exists only to relabel. Widening the
     scope is wiring: a group- or kind-scope instance takes its
     partition's upstream nodes as inputs, so ``kindout:`` is the only
-    fan-in node the processor adds."""
+    fan-in node the processor adds. A stage below kind scope whose
+    operator is a group-by (alone or behind filters) or a filter is one
+    keyed node, ``{kind}:{position}:{stage}:{stream|group}``, when every
+    stage below kind scope is; otherwise each is one instance per
+    partition."""
 
     def test_node_counts_and_no_relabel_nodes(self):
         shelf = ShelfScenario(duration=12.0, seed=3)
@@ -394,7 +398,7 @@ class TestGraphShape:
         }
         sizes = {name: len(nodes) for name, nodes in graphs.items()}
         assert sizes == {
-            "shelf": 9, "redwood": 82, "home": 26, "home_declarative": 25,
+            "shelf": 7, "redwood": 36, "home": 20, "home_declarative": 19,
         }
         for name, nodes in graphs.items():
             relabels = [
@@ -411,6 +415,115 @@ class TestGraphShape:
             assert all(
                 node_name.startswith("kindout:") for node_name in unions
             ), (name, unions)
+
+    def test_keyed_graph_does_not_grow_with_the_deployment(self):
+        """Only the per-source ``annot:`` nodes scale with the motes."""
+
+        def shape(scenario):
+            nodes = _processor_nodes(build_redwood_processor(scenario), 3600.0)
+            return sorted(name for name in nodes if not name.startswith("annot:"))
+
+        small = RedwoodScenario(n_groups=2, seed=3)
+        full = RedwoodScenario(seed=3)
+        assert len(full.registry.devices) > len(small.registry.devices)
+        assert shape(small) == shape(full) == [
+            "__output__", "kindout:mote", "mote:0:smooth:stream",
+            "mote:1:merge:group",
+        ]
+
+    @pytest.mark.parametrize(
+        "config, stage_nodes",
+        [
+            # The adaptive Smooth keeps per-source state a key cannot
+            # split, so the Point ahead of it keeps its instances too.
+            (ADAPTIVE_CONFIG, [
+                "rfid:0:point:reader0", "rfid:0:point:reader1",
+                "rfid:1:smooth:reader0", "rfid:1:smooth:reader1",
+                "rfid:2:arbitrate:rfid",
+            ]),
+            # Arbitrate widens to the kind: the Point ahead of it is the
+            # only stage below kind scope, and it is keyed.
+            ("arbitrate+smooth", [
+                "rfid:0:point:stream", "rfid:1:arbitrate:rfid",
+                "rfid:2:smooth:rfid",
+            ]),
+        ],
+    )
+    def test_stages_ahead_of_a_per_partition_stage(self, config, stage_nodes):
+        """Both configurations' output digests are pinned, unchanged, in
+        ``OUTPUT_DIGESTS``."""
+        shelf = ShelfScenario(duration=12.0, seed=3)
+        nodes = _processor_nodes(
+            build_shelf_processor(shelf, config), shelf.duration,
+            shelf.poll_period,
+        )
+        assert sorted(
+            name for name in nodes if name.startswith("rfid:")
+        ) == stage_nodes
+
+    def test_stage_rollup_tuple_totals(self):
+        """Keying merges instances, not work: every stage kind takes in
+        and emits the tuples the per-instance graph did (pinned before
+        the stages were keyed)."""
+        shelf = ShelfScenario(duration=40.0, seed=3)
+        redwood = RedwoodScenario(duration=0.25 * 86400.0, n_groups=2, seed=3)
+        office = OfficeScenario(duration=150.0, seed=3)
+        runs = {
+            "shelf": build_shelf_processor(shelf, "smooth+arbitrate").run(
+                until=shelf.duration, tick=shelf.poll_period,
+                sources=shelf.recorded_streams(),
+                telemetry=InMemoryCollector(),
+            ),
+            "redwood": build_redwood_processor(redwood).run(
+                until=redwood.duration, sources=redwood.recorded_streams(),
+                telemetry=InMemoryCollector(),
+            ),
+            "home": build_digital_home_processor(office).run(
+                until=office.duration, tick=0.5,
+                sources=office.recorded_streams(),
+                telemetry=InMemoryCollector(),
+            ),
+        }
+        totals = {
+            name: {
+                stage: (row["tuples_in"], row["tuples_out"])
+                for stage, row in run.stage_rollup().items()
+            }
+            for name, run in runs.items()
+        }
+        assert totals == {
+            "shelf": {
+                "ingest": (2901, 2901), "point": (2901, 2899),
+                "smooth": (2899, 5752), "arbitrate": (5752, 5001),
+                "union": (5001, 5001), "output": (5001, 0),
+            },
+            "redwood": {
+                "ingest": (144, 144), "smooth": (144, 232),
+                "merge": (232, 143), "union": (143, 143), "output": (143, 0),
+            },
+            "home": {
+                "ingest": (1258, 1258), "point": (725, 696),
+                "smooth": (1229, 2596), "merge": (1425, 493),
+                "arbitrate": (1171, 197), "virtualize": (690, 196),
+                "union": (690, 690), "output": (196, 0),
+            },
+        }
+
+    def test_keyed_node_refuses_an_unknown_label(self):
+        """A keyed node reads its partition off the row's label; a label
+        the wiring did not map fails closed, naming the stage."""
+        shelf = ShelfScenario(duration=12.0, seed=3)
+        nodes = _processor_nodes(
+            build_shelf_processor(shelf, "smooth"), shelf.duration,
+            shelf.poll_period,
+        )
+        smooth = nodes["rfid:1:smooth:stream"].op
+        reading = StreamTuple(
+            0.0, {"tag_id": "s0_00", "spatial_granule": "shelf0"}, "reader0"
+        )
+        assert smooth.on_batch([reading]) == []
+        with pytest.raises(PipelineError, match="presence_smoother"):
+            smooth.on_batch([reading.derive(stream="reader7")])
 
     def test_no_virtualize_row_without_a_virtualize_stage(self):
         """Three kinds with no Virtualize meet at the sink's fan-in: the

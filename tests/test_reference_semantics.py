@@ -20,6 +20,16 @@ The stage operators are driven by ``run_operator`` and compared with
 ``==``: same rows, same order, same float bits. Values are drawn from a
 few dyadic numbers, so a survivor's distance from the band edge is either
 zero or far wider than any rounding of σ.
+
+The Smooth stages and the spatial-average Merge run through
+:class:`ESPProcessor` over drawn deployments: receptors share spatial
+granules, proximity groups share granules, and receptor ids sort in
+another order than they were registered. The reference knows only the
+paper's scopes: Smooth runs over one receptor's stream (§3.2), Merge
+over one proximity group's streams, each a windowed GROUP BY whose
+groups are emitted in ``str`` order, partitions in ``str`` order of
+their names; a window holds its rows in arrival order and an average
+adds them in that order.
 """
 
 import statistics
@@ -27,13 +37,23 @@ import statistics
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.granules import SpatialGranule
 from repro.core.operators.merge_ops import (
     k_of_n_vote,
     mad_outlier_average,
     sigma_outlier_average,
+    spatial_average,
 )
+from repro.core.operators.smooth_ops import (
+    event_smoother,
+    presence_smoother,
+    sliding_average,
+)
+from repro.core.pipeline import ESPPipeline, ESPProcessor
 from repro.core.stages import StageContext, StageKind
 from repro.cql import compile_query
+from repro.receptors.base import Receptor, ReceptorKind
+from repro.receptors.registry import DeviceRegistry
 from repro.streams.operators import run_operator
 from repro.streams.tuples import StreamTuple
 
@@ -45,11 +65,11 @@ STEPS = (0.0, 0.25, 0.5, 1.0, 12.0)
 
 
 @st.composite
-def readings(draw, fields):
+def readings(draw, fields, steps=STEPS):
     """Time-ordered readings; ``fields`` maps a field to its strategy."""
     now, rows = 0.0, []
     for _ in range(draw(st.integers(0, 30))):
-        now += draw(st.sampled_from(STEPS))
+        now += draw(st.sampled_from(steps))
         rows.append(StreamTuple(now, {f: draw(s) for f, s in fields.items()}))
     return rows
 
@@ -220,3 +240,266 @@ def test_cql_join_matches_the_nested_loop(
         StreamTuple(tick, {"lv": lhs["v"], "rv": rhs["v"]})
         for tick, lhs, rhs in pairs
     ]
+
+
+# -- Smooth and Merge through the processor -----------------------------------
+
+#: Receptor ids; ``str`` order is not registration order.
+RECEPTOR_IDS = ("r2", "r10", "b", "a1")
+TICK = 0.5
+
+
+class Recorded(Receptor):
+    """A receptor whose readings come from a recording."""
+
+    def poll(self, now):
+        return []
+
+
+@st.composite
+def deployments(draw, kind, fields, steps=STEPS):
+    """1-4 receptors of ``kind`` in 1-3 proximity groups over 1-2
+    granules, each with drawn readings, and an ``until`` past them all."""
+    registry = DeviceRegistry()
+    n_granules = draw(st.integers(1, 2))
+    groups = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
+    for name in groups:
+        granule = f"g{draw(st.integers(0, n_granules - 1))}"
+        registry.add_group(name, SpatialGranule(granule), kind.value)
+    ids = draw(st.permutations(RECEPTOR_IDS))[: draw(st.integers(1, 4))]
+    recordings = {}
+    for receptor_id in ids:
+        group = draw(st.sampled_from(groups))
+        registry.assign(Recorded(receptor_id, kind, TICK), group)
+        recordings[receptor_id] = draw(readings(fields, steps))
+    stamps = [row.timestamp for rows in recordings.values() for row in rows]
+    last = max(stamps, default=0.0)
+    until = TICK * -(-last // TICK) + draw(st.sampled_from((0.0, TICK, 12.0)))
+    return registry, recordings, until
+
+
+def run_stages(kind, deployment, *stages):
+    registry, recordings, until = deployment
+    processor = ESPProcessor(registry)
+    processor.add_pipeline(ESPPipeline(kind.value, sequence=list(stages)))
+    return processor.run(until=until, tick=TICK, sources=recordings).output
+
+
+def annotated(registry, recordings):
+    """Each receptor's readings as the stages see them: with its
+    group's granule and name."""
+    out = {}
+    for receptor_id, rows in recordings.items():
+        group = registry.group_of(receptor_id)
+        extra = {"spatial_granule": group.granule.name, "proximity_group": group.name}
+        out[receptor_id] = [row.derive(values=extra) for row in rows]
+    return out
+
+
+def grouped_windows(inputs, tick, window, key):
+    """Per partition in ``str`` order, the live rows of ``inputs``
+    (partition -> rows in arrival order) grouped by ``key``, groups in
+    ``str`` order: ``(partition, key, rows)``."""
+    for partition in sorted(inputs):
+        groups = {}
+        for row in inputs[partition]:
+            if tick - window <= row.timestamp <= tick:
+                groups.setdefault(key(row), []).append(row)
+        for group in sorted(groups, key=lambda k: tuple(map(str, k))):
+            yield partition, group, groups[group]
+
+
+def mean(rows, field):
+    values = [row[field] for row in rows if row[field] is not None]
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else None
+
+
+def keyed_reference(inputs, ticks, window, key, fields):
+    """``{tick: [(partition, values)]}``: every group of every partition
+    recomputed per tick from its live rows."""
+    return {
+        tick: [
+            (partition, fields(group, rows))
+            for partition, group, rows in grouped_windows(inputs, tick, window, key)
+        ]
+        for tick in ticks
+    }
+
+
+def merge_inputs(registry, smoothed):
+    """Each proximity group's input: its receptors' Smooth rows, tick by
+    tick, receptors in ``str`` order (the order they are emitted in)."""
+    inputs = {}
+    for tick, emitted in smoothed.items():
+        for receptor_id, values in emitted:
+            group = registry.group_of(receptor_id).name
+            inputs.setdefault(group, []).append(StreamTuple(tick, values))
+    return inputs
+
+
+def flatten(emitted, stream):
+    return [
+        StreamTuple(tick, values, stream)
+        for tick in sorted(emitted)
+        for _partition, values in emitted[tick]
+    ]
+
+
+def ticks_through(until):
+    return [i * TICK for i in range(int(round(until / TICK)) + 1)]
+
+
+def sliding_fields(group, rows):
+    mote_id, granule = group
+    return {
+        "mote_id": mote_id, "spatial_granule": granule,
+        "temp": mean(rows, "temp"), "readings": len(rows),
+    }
+
+
+def spatial_fields(group, rows):
+    return {
+        "spatial_granule": group[0], "temp": mean(rows, "temp"),
+        "readings": len(rows),
+    }
+
+
+def sliding_key(row):
+    return (row["mote_id"], row["spatial_granule"])
+
+
+def granule_key(row):
+    return (row["spatial_granule"],)
+
+
+MOTE_FIELDS = {
+    "mote_id": st.sampled_from(("m0", "m1", None)),
+    "temp": st.sampled_from(VALUES),
+}
+
+
+@settings(deadline=None)
+@given(
+    deployment=deployments(
+        ReceptorKind.RFID, {"tag_id": st.sampled_from(("t0", "t1", "t2", None))}
+    ),
+    window=st.sampled_from(WINDOWS),
+)
+def test_presence_smoother_matches_the_reference(deployment, window):
+    registry, recordings, until = deployment
+    inputs = {
+        receptor_id: [row for row in rows if row["tag_id"] is not None]
+        for receptor_id, rows in annotated(registry, recordings).items()
+    }
+    expected = keyed_reference(
+        inputs, ticks_through(until), window,
+        key=lambda row: (row["tag_id"], row["spatial_granule"]),
+        fields=lambda group, rows: {
+            "tag_id": group[0], "spatial_granule": group[1], "count": len(rows),
+        },
+    )
+    assert run_stages(
+        ReceptorKind.RFID, deployment, presence_smoother(window=window)
+    ) == flatten(expected, "rfid")
+
+
+@settings(deadline=None)
+@given(
+    deployment=deployments(
+        ReceptorKind.X10,
+        {
+            "sensor_id": st.sampled_from(("s0", "s1", None)),
+            "value": st.sampled_from(("ON", "OFF", None)),
+        },
+    ),
+    window=st.sampled_from(WINDOWS),
+)
+def test_event_smoother_matches_the_reference(deployment, window):
+    registry, recordings, until = deployment
+    inputs = {
+        receptor_id: [row for row in rows if row["value"] == "ON"]
+        for receptor_id, rows in annotated(registry, recordings).items()
+    }
+    expected = keyed_reference(
+        inputs, ticks_through(until), window,
+        key=lambda row: (row["spatial_granule"], row["sensor_id"], "ON"),
+        fields=lambda group, rows: {
+            "spatial_granule": group[0], "sensor_id": group[1],
+            "value": "ON", "events": len(rows),
+        },
+    )
+    assert run_stages(
+        ReceptorKind.X10, deployment, event_smoother(window=window)
+    ) == flatten(expected, "x10")
+
+
+@settings(deadline=None)
+@given(
+    deployment=deployments(ReceptorKind.MOTE, MOTE_FIELDS),
+    window=st.sampled_from(WINDOWS),
+)
+def test_sliding_average_matches_the_reference(deployment, window):
+    registry, recordings, until = deployment
+    expected = keyed_reference(
+        annotated(registry, recordings), ticks_through(until), window,
+        key=sliding_key, fields=sliding_fields,
+    )
+    assert run_stages(
+        ReceptorKind.MOTE, deployment, sliding_average(window=window)
+    ) == flatten(expected, "mote")
+
+
+@settings(deadline=None)
+@given(
+    deployment=deployments(ReceptorKind.MOTE, MOTE_FIELDS),
+    smooth_window=st.sampled_from(WINDOWS),
+    merge_window=st.sampled_from(WINDOWS),
+)
+def test_sliding_then_spatial_average_matches_the_reference(
+    deployment, smooth_window, merge_window
+):
+    """The redwood pipeline: Merge averages its group's Smooth rows."""
+    registry, recordings, until = deployment
+    ticks = ticks_through(until)
+    smoothed = keyed_reference(
+        annotated(registry, recordings), ticks, smooth_window,
+        key=sliding_key, fields=sliding_fields,
+    )
+    expected = keyed_reference(
+        merge_inputs(registry, smoothed), ticks, merge_window,
+        key=granule_key, fields=spatial_fields,
+    )
+    assert run_stages(
+        ReceptorKind.MOTE, deployment,
+        sliding_average(window=smooth_window),
+        spatial_average(window=merge_window),
+    ) == flatten(expected, "mote")
+
+
+@settings(deadline=None)
+@given(
+    # On the tick grid, so a group's readings of one tick share a
+    # timestamp and arrive receptor by receptor in str order.
+    deployment=deployments(
+        ReceptorKind.MOTE, MOTE_FIELDS, steps=(0.0, TICK, 2 * TICK, 12.0)
+    ),
+    window=st.sampled_from(WINDOWS),
+)
+def test_spatial_average_matches_the_reference(deployment, window):
+    registry, recordings, until = deployment
+    inputs = {}
+    for receptor_id, rows in sorted(annotated(registry, recordings).items()):
+        group = registry.group_of(receptor_id).name
+        inputs.setdefault(group, []).extend(rows)
+    for rows in inputs.values():
+        rows.sort(key=lambda row: row.timestamp)  # stable: receptor order kept
+    expected = keyed_reference(
+        inputs, ticks_through(until), window,
+        key=granule_key, fields=spatial_fields,
+    )
+    assert run_stages(
+        ReceptorKind.MOTE, deployment, spatial_average(window=window)
+    ) == flatten(expected, "mote")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import OperatorError
+from repro.errors import OperatorError, PipelineError
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.operators import (
     ChainOp,
@@ -183,6 +183,61 @@ class TestWindowedGroupBy:
         op = self.build(output_stream="cleaned")
         out = run_operator(op, [tup(0.0, shelf=0, tag_id="a")], [0.0])
         assert out[0].stream == "cleaned"
+
+
+class TestPartitionBy:
+    """One group-by keyed by partition emits what one group-by per
+    partition would, partitions in ``str`` order, each row labelled
+    with its partition."""
+
+    LABELS = {"r2": "r2", "r10": "r10", "x": "r2"}
+    ITEMS = [
+        tup(0.0, "r2", shelf=0, tag_id="a"),
+        tup(0.0, "x", shelf=0, tag_id="b"),
+        tup(0.0, "r10", shelf=0, tag_id="a"),
+        tup(0.0, "r10", shelf=1, tag_id="c"),
+    ]
+
+    def build(self, **kwargs):
+        return TestWindowedGroupBy().build(output_stream="cleaned", **kwargs)
+
+    def partitioned(self, **kwargs):
+        op = self.build(**kwargs)
+        op.partition_by(self.LABELS, owner="stage 'smooth'")
+        return run_operator(op, self.ITEMS, [0.0])
+
+    def per_partition(self, **kwargs):
+        out = []
+        for partition in sorted(set(self.LABELS.values())):
+            items = [t for t in self.ITEMS if self.LABELS[t.stream] == partition]
+            out += [
+                row.derive(stream=partition)
+                for row in run_operator(self.build(**kwargs), items, [0.0])
+            ]
+        return out
+
+    def test_equals_one_operator_per_partition(self):
+        out = self.partitioned()
+        assert out == self.per_partition()
+        assert [(t.stream, t["shelf"], t["n"]) for t in out] == [
+            ("r10", 0, 1), ("r10", 1, 1), ("r2", 0, 2),
+        ]
+
+    def test_having_sees_only_its_partition(self):
+        kwargs = dict(
+            having=lambda row, rows: row["n"] >= max(r["n"] for r in rows)
+        )
+        out = self.partitioned(**kwargs)
+        assert out == self.per_partition(**kwargs)
+        assert [(t.stream, t["shelf"]) for t in out] == [
+            ("r10", 0), ("r10", 1), ("r2", 0),
+        ]
+
+    def test_unknown_label_fails_closed(self):
+        op = self.build()
+        op.partition_by(self.LABELS, owner="stage 'smooth'")
+        with pytest.raises(PipelineError, match="stage 'smooth'.*'r7'"):
+            op.on_batch([tup(0.0, "r7", shelf=0, tag_id="a")])
 
 
 class TestWindowJoin:
