@@ -5,11 +5,12 @@ observes that "when composing many applications, entire pipelines for
 processing low-level data can be reused as input to application-level
 cleaning" (§7). This module provides that composition: several edge
 deployments (each a full :class:`~repro.core.pipeline.ESPProcessor`)
-feed a parent level that runs further declarative processing over the
-union of their cleaned streams.
+feed a parent level that runs a continuous query over their cleaned
+streams.
 
 The parent sees each site's stream under the site's name, so a parent
-CQL query can reference sites individually or aggregate across them.
+query over several streams references sites individually, and a query
+over one stream reads every site's stream.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.core.pipeline import ESPProcessor
+from repro.cql.planner import CompiledQuery
 from repro.errors import PipelineError
-from repro.streams.operators import Operator, run_operator
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -81,7 +82,7 @@ class EdgeSite:
 
 def hierarchical_run(
     sites: Sequence[EdgeSite],
-    parent: Operator,
+    parent: CompiledQuery,
     until: float,
     tick: float,
     parent_tick: float | None = None,
@@ -89,13 +90,13 @@ def hierarchical_run(
     backend: str | None = None,
     telemetry: TelemetryCollector | None = None,
 ) -> list[StreamTuple]:
-    """Run edge sites, then the parent operator over their union.
+    """Run edge sites, then the parent query over their streams.
 
     Args:
         sites: The edge deployments.
-        parent: Any stream operator — typically a
-            :class:`~repro.cql.planner.CompiledQuery` over the site
-            streams, or an ESP stage operator.
+        parent: A compiled query, evaluated with
+            :meth:`~repro.cql.planner.CompiledQuery.run` over one stream
+            per site, named by the site.
         until: Simulation horizon for the edges.
         tick: Edge punctuation period.
         parent_tick: Parent punctuation period; defaults to ``tick``.
@@ -118,18 +119,16 @@ def hierarchical_run(
     if len(set(names)) != len(names):
         raise PipelineError(f"duplicate site names: {names}")
     collector = resolve_telemetry(telemetry)
-    merged: list[StreamTuple] = []
+    streams: dict[str, list[StreamTuple]] = {}
     for site in sites:
         cleaned = site.run(
             until, tick, shards=shards, backend=backend, telemetry=collector
         )
         if collector.enabled:
             collector.event("site_run", site=site.name, tuples=len(cleaned))
-        merged.extend(cleaned)
+        streams[site.name] = cleaned
     step = parent_tick if parent_tick is not None else tick
     if step <= 0:
         raise PipelineError(f"parent tick must be positive, got {step}")
     ticks = int(round(until / step))
-    return run_operator(
-        parent, merged, [index * step for index in range(ticks + 1)]
-    )
+    return parent.run(streams, [index * step for index in range(ticks + 1)])

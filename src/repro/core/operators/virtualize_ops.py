@@ -53,6 +53,8 @@ class VotingDetector(Operator):
                 f"threshold {threshold} outside 1..{len(votes)}"
             )
         self._votes = dict(votes)
+        #: the streams that vote: the processor checks a kind emits each
+        self.input_streams = sorted(votes)
         self._threshold = int(threshold)
         self._event = event
         self._seen: dict[str, bool] = {name: False for name in votes}

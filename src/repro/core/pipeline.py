@@ -132,6 +132,49 @@ def _scope_after(level: str, stage: Stage) -> str:
     return target if _SCOPE_RANK[target] > _SCOPE_RANK[level] else level
 
 
+def _add_stage(
+    fjord: Fjord,
+    name: str,
+    op: "Operator | CompiledQuery",
+    inputs: list[str],
+    streams: "Mapping[str, list[str]] | None",
+    owner: str,
+) -> str:
+    """Add one stage instance fed by ``inputs``; returns the node carrying
+    its output. A query adds its plan's nodes, ``name/0000`` onwards
+    (:meth:`CompiledQuery.wire`); any other operator is the node ``name``.
+
+    ``streams`` maps each stream name to the inputs carrying it where
+    the names are known (behind ``kindout:``), else is ``None``. An
+    operator that routes rows by stream name names them in
+    ``input_streams`` (a ``VotingDetector`` its votes; a query over one
+    stream reads every input instead). It fails closed with a
+    :class:`PipelineError` on a name its input does not carry, as SQL
+    rejects an unknown table, or on any name where none is known.
+    """
+    routed = getattr(op, "input_streams", [])
+    if isinstance(op, CompiledQuery) and len(routed) == 1:
+        routed = []
+    if streams is None:
+        if routed and isinstance(op, CompiledQuery):
+            raise PipelineError(
+                f"{owner} reads streams {routed}, but the stream names of "
+                "its input are not known when the graph is wired; a query "
+                "over several streams belongs in the first Virtualize stage"
+            )
+    else:
+        for stream in routed:
+            if stream not in streams:
+                raise PipelineError(
+                    f"{owner} reads stream {stream!r}, which no receptor "
+                    f"kind emits; the kinds emit {sorted(streams)}"
+                )
+    if isinstance(op, CompiledQuery):
+        return op.wire(fjord, name, {"": inputs} if streams is None else streams)
+    fjord.add_operator(name, op, inputs=inputs)
+    return name
+
+
 def _group_by_of(op: Operator) -> "WindowedGroupByOp | None":
     """The group-by a keyed node partitions: ``op`` itself, or the last
     operator of a chain whose others are filters (a filter cannot
@@ -752,7 +795,8 @@ class ESPProcessor:
         """Wire the full deployment into a fresh Fjord; returns (fjord, sink)."""
         devices = self.registry.devices
         fjord = Fjord()
-        kind_outputs: list[str] = []
+        #: each kind's output node -> the stream name it stamps
+        kind_outputs: dict[str, str] = {}
         for receptor_kind in sorted(
             {device.kind.value for device in devices}
         ):
@@ -766,7 +810,7 @@ class ESPProcessor:
                 result,
                 sources,
             )
-            kind_outputs.append(kind_output)
+            kind_outputs[kind_output] = self._kind_stream(receptor_kind)
         final = self._wire_virtualize(fjord, kind_outputs)
         sink = fjord.add_sink("__output__", inputs=final)
         return fjord, sink
@@ -826,14 +870,17 @@ class ESPProcessor:
                     streams.values(),
                 )
         # Collapse whatever level we ended at into one kind-level stream.
-        kind_stream = self._kind_stream_names.get(receptor_kind, receptor_kind)
         union_node = f"kindout:{receptor_kind}"
         fjord.add_operator(
             union_node,
-            UnionOp(output_stream=kind_stream),
+            UnionOp(output_stream=self._kind_stream(receptor_kind)),
             inputs=list(streams.values()),
         )
         return union_node
+
+    def _kind_stream(self, receptor_kind: str) -> str:
+        """The stream name a kind's cleaned output carries."""
+        return self._kind_stream_names.get(receptor_kind, receptor_kind)
 
     def _annotator(self, device: Receptor):
         group = self.registry.group_of(device.receptor_id)
@@ -851,29 +898,15 @@ class ESPProcessor:
 
     def _make(
         self, receptor_kind: str, pipeline: ESPPipeline, stage: Stage
-    ) -> Operator:
-        """A fresh operator for ``stage`` of ``receptor_kind``'s pipeline.
-
-        Raises:
-            PipelineError: For a query over several streams.
-        """
-        op = stage.make(
+    ) -> "Operator | CompiledQuery":
+        """A fresh operator for ``stage`` of ``receptor_kind``'s pipeline."""
+        return stage.make(
             StageContext(
                 stage.kind,
                 temporal_granule=pipeline.temporal_granule,
                 receptor_kind=receptor_kind,
             )
         )
-        if isinstance(op, CompiledQuery) and len(op.input_streams) > 1:
-            # Labels below Virtualize are receptor ids, groups and
-            # whatever the upstream stages emit, so a query that routes
-            # its input by stream name would silently drop rows.
-            raise PipelineError(
-                f"stage {stage.name!r} of the {receptor_kind!r} pipeline "
-                f"reads streams {op.input_streams}; a query over several "
-                "streams belongs in a Virtualize stage"
-            )
-        return op
 
     def _keyed_ops(
         self, receptor_kind: str, pipeline: ESPPipeline
@@ -896,7 +929,9 @@ class ESPProcessor:
             op = self._make(receptor_kind, pipeline, stage)
             # A group-by is keyed by partition; a filter is stateless
             # and keeps labels.
-            if not isinstance(op, FilterOp) and _group_by_of(op) is None:
+            if isinstance(op, CompiledQuery) or (
+                not isinstance(op, FilterOp) and _group_by_of(op) is None
+            ):
                 return []
             ops.append(op)
         return ops
@@ -955,8 +990,11 @@ class ESPProcessor:
         for label, inputs in partitions.items():
             op = self._make(receptor_kind, pipeline, stage)
             node_name = f"{receptor_kind}:{position}:{stage.kind.value}:{label}"
-            fjord.add_operator(node_name, op, inputs=inputs)
-            out[label] = node_name
+            # Labels below Virtualize name receptors and groups.
+            out[label] = _add_stage(
+                fjord, node_name, op, inputs, None,
+                f"stage {stage.name!r} of the {receptor_kind!r} pipeline",
+            )
         return out, target
 
     def _widen(
@@ -982,14 +1020,21 @@ class ESPProcessor:
         result.taps[key] = sink.results
 
     def _wire_virtualize(
-        self, fjord: Fjord, kind_outputs: list[str]
+        self, fjord: Fjord, kind_outputs: Mapping[str, str]
     ) -> list[str]:
         """The nodes feeding the sink: the Virtualize chain's last node,
-        else every kind's output (the sink's fan-in merges them)."""
-        current = kind_outputs
+        else every kind's output (the sink's fan-in merges them).
+        ``kind_outputs`` maps each ``kindout:`` node to the stream name
+        it stamps: only the first stage's input names are known."""
+        current = list(kind_outputs)
+        streams: "dict[str, list[str]] | None" = {}
+        for node, stream in kind_outputs.items():
+            streams.setdefault(stream, []).append(node)
         for position, stage in enumerate(self._virtualize):
             op = stage.make(StageContext(StageKind.VIRTUALIZE))
-            node_name = f"virtualize:{position}"
-            fjord.add_operator(node_name, op, inputs=current)
-            current = [node_name]
+            node = _add_stage(
+                fjord, f"virtualize:{position}", op, current, streams,
+                f"Virtualize stage {stage.name!r}",
+            )
+            current, streams = [node], None
         return current

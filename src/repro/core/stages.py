@@ -120,8 +120,8 @@ class StageContext:
         return f"StageContext({', '.join(bits)})"
 
 
-#: A stage factory builds a fresh operator for one scope instance.
-StageFactory = Callable[[StageContext], Operator]
+#: A stage factory builds a fresh operator or query for one scope instance.
+StageFactory = Callable[[StageContext], "Operator | CompiledQuery"]
 
 
 class Stage:
@@ -184,18 +184,17 @@ class Stage:
 
     # -- instantiation ------------------------------------------------------------
 
-    def make(self, context: StageContext) -> Operator:
-        """Build a fresh operator for one scope instance.
+    def make(self, context: StageContext) -> "Operator | CompiledQuery":
+        """Build a fresh operator or query for one scope instance.
 
         Raises:
-            PipelineError: If the factory returns something that is not a
-                stream operator.
+            PipelineError: If the factory returns anything else.
         """
         op = self._factory(context)
-        if not isinstance(op, Operator):
+        if not isinstance(op, (Operator, CompiledQuery)):
             raise PipelineError(
                 f"stage {self.name!r} factory returned {type(op).__name__}, "
-                "expected a streams Operator"
+                "expected a streams Operator or a CompiledQuery"
             )
         return op
 

@@ -17,8 +17,8 @@ queries need, compiled onto :mod:`repro.streams` operators:
 Entry points:
 
 - :func:`parse` — CQL text to AST.
-- :func:`compile_query` — CQL text to a :class:`repro.cql.planner.CompiledQuery`
-  operator, pluggable anywhere in an ESP pipeline or a Fjord DAG.
+- :func:`compile_query` — CQL text to a :class:`repro.cql.planner.CompiledQuery`,
+  a plan whose operators wire into an ESP pipeline's or any Fjord's DAG.
 """
 
 from repro.cql.functions import get_function, register_function

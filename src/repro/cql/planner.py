@@ -1,9 +1,10 @@
 """Query planner: compiles a CQL AST onto :mod:`repro.streams` operators.
 
-The compiled artifact is a :class:`CompiledQuery` — itself a stream
-:class:`~repro.streams.operators.Operator` — so a declarative query can be
-dropped anywhere an ESP stage or a Fjord node is expected (the paper's
-"stages may be implemented by declarative continuous queries", §3.3).
+The compiled artifact is a :class:`CompiledQuery`: a plan, the list of
+its operators with their upstream edges. It wires into a host Fjord as
+ordinary nodes, so a declarative query can stand wherever an ESP stage
+is expected (the paper's "stages may be implemented by declarative
+continuous queries", §3.3).
 
 Supported plan shapes, in the order the planner tries them:
 
@@ -29,6 +30,7 @@ subset (continuous queries have no final order).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.cql import ast
@@ -42,11 +44,9 @@ from repro.streams.operators import (
     GroupKey,
     MapOp,
     Operator,
-    SinkOp,
     UnionOp,
     WindowedGroupByOp,
     WindowJoinOp,
-    run_operator,
 )
 from repro.streams.telemetry import NULL_COLLECTOR
 from repro.streams.tuples import StreamTuple
@@ -275,136 +275,98 @@ def _compile_binary(
 # ---------------------------------------------------------------------------
 
 
-class CompiledQuery(Operator):
-    """An executable continuous query, usable as a stream operator.
+#: One upstream edge of a plan node: an earlier node's plan index or an
+#: input stream's name, and the input port on the node's operator.
+PlanEdge = tuple[int | str, int]
 
-    The plan is a nested :class:`~repro.streams.fjord.Fjord` whose
-    sources are the streams the query reads and whose last node is a
-    sink; this operator feeds it and hands on what reaches the sink.
-    Input tuples are routed to the plan's sources by their ``stream``
-    attribute; punctuations sweep the plan exactly as the Fjord executor
-    sweeps any dataflow. Use :meth:`run` for one-shot evaluation over
-    in-memory streams, or plug the instance into a pipeline/Fjord for
-    online use. Plan nodes are not reported to telemetry: the
-    surrounding executor accounts this operator as one node.
 
-    **Delivery order.** A compiled plan emits exactly what the same
-    operators hand-wired into a Fjord emit. Each run of input is queued
-    whole at the nodes subscribed to its stream and the plan is drained
-    node by node, so two stateless branches that both reach the output
-    (``SELECT ... FROM s WHERE a UNION SELECT ... FROM s WHERE b``)
-    emit branch by branch within a run — all of the first branch's
-    rows for the run, then all of the second's — not interleaved tuple
-    by tuple. That is the one plan shape whose output order shows how
-    the input was cut into runs, as it would for any Fjord with a
-    fan-out that rejoins; every single-route plan is chunking-invariant
-    (see :meth:`Operator.on_batch
-    <repro.streams.operators.Operator.on_batch>`).
+class CompiledQuery:
+    """An executable continuous query: a plan of stream operators.
+
+    The plan lists its nodes in execution order, each an operator with
+    its upstream edges (see :data:`PlanEdge`); every node comes after
+    its inputs, and the last one is the output. :meth:`wire` adds the
+    operators to a host :class:`~repro.streams.fjord.Fjord` as ordinary
+    nodes, drained, swept and checkpointed like any other (so two
+    stateless branches over one stream that rejoin emit branch by
+    branch within a run, see ``docs/architecture.md`` §2); :meth:`run`
+    evaluates the plan over in-memory streams in a Fjord of its own.
 
     Attributes:
+        plan: The nodes, as ``(operator, upstream edges)`` pairs.
         text: Original query text, when compiled from text.
-        input_streams: The stream names this query subscribes to.
     """
 
-    def __init__(self, fjord: Fjord, sink: SinkOp, text: str | None = None):
-        self._fjord = fjord
-        self._sink = sink
-        #: plan node names in execution (= plan index) order
-        self._order = fjord._topological_order()
+    def __init__(
+        self,
+        plan: Sequence[tuple[Operator, Sequence[PlanEdge]]],
+        text: str | None = None,
+    ):
+        self.plan = [(op, list(edges)) for op, edges in plan]
         self.text = text
 
     @property
     def input_streams(self) -> list[str]:
         """Names of the streams this query reads."""
-        return sorted(self._fjord._sources)
+        edges = (ref for _op, edges in self.plan for ref, _port in edges)
+        return sorted({ref for ref in edges if isinstance(ref, str)})
 
-    # -- Operator protocol ------------------------------------------------------
+    def wire(
+        self, fjord: Fjord, name: str, feeds: Mapping[str, Sequence[str]]
+    ) -> str:
+        """Add the plan's operators to ``fjord`` as nodes ``name/0000``,
+        ``name/0001``, …; returns the output node's name.
 
-    def checkpoint(self) -> "dict[str, Any] | None":
-        nodes = self._fjord._checkpoint_nodes()
-        # The sink (last in order) is emptied before every return.
-        stateless = all(
-            nodes[name]["state"] is None and not nodes[name]["pending"]
-            for name in self._order[:-1]
-        )
-        return None if stateless else {"nodes": nodes}
+        Args:
+            fjord: The host dataflow.
+            name: Prefix of the plan's node names.
+            feeds: Stream name → the host nodes (or sources) carrying
+                it. A query over one stream reads every feed, whatever
+                its key: its input is whatever its upstream emitted.
 
-    def restore(self, state: "Mapping[str, Any] | None") -> None:
-        if state is not None:
-            self._fjord._restore_nodes(state["nodes"])
-
-    def on_batch(
-        self, items: Sequence[StreamTuple], port: int = 0
-    ) -> list[StreamTuple]:
-        fjord = self._fjord
-        edges = fjord._source_edges
-        nodes = fjord._nodes
-        # (routes of the stream, sub-run) pairs; queued payloads are
-        # lists, borrowed like ``items``: drained before we return.
-        runs: list[tuple["list[tuple[str, int]] | None", list[StreamTuple]]]
-        if len(edges) == 1:
-            # Single-stream queries accept any input stream: an ESP
-            # stage sees whatever labels its upstream emitted.
-            (only,) = edges.values()
-            runs = [(only, items if isinstance(items, list) else list(items))]
-        else:
-            runs = []
-            for item in items:  # maximal same-stream sub-runs, in order
-                routes = edges.get(item.stream)
-                if runs and runs[-1][0] is routes:
-                    runs[-1][1].append(item)
+        Raises:
+            PlanError: When a query over several streams has no feed
+                for one of them.
+        """
+        streams = self.input_streams
+        if len(streams) == 1:
+            feeds = {streams[0]: [node for nodes in feeds.values() for node in nodes]}
+        for stream in streams:
+            if stream not in feeds:
+                raise PlanError(f"{self!r} has no feed for stream {stream!r}")
+        names = [f"{name}/{index:04d}" for index in range(len(self.plan))]
+        for node, (op, edges) in zip(names, self.plan):
+            inputs: list[tuple[str, int]] = []
+            for ref, port in edges:
+                if isinstance(ref, int):
+                    inputs.append((names[ref], port))
                 else:
-                    runs.append((routes, [item]))
-        for routes, run in runs:
-            for target, tport in routes or ():
-                nodes[target].pending.append((run, tport))
-        for name in self._order:
-            node = nodes[name]
-            if node.pending:
-                fjord._drain_node(node)
-        return self._take()
-
-    def on_time(self, now: float) -> list[StreamTuple]:
-        self._fjord._sweep(self._order, now, NULL_COLLECTOR, False)
-        return self._take()
-
-    def _take(self) -> list[StreamTuple]:
-        """Everything that reached the sink since the last take."""
-        out, self._sink.results = self._sink.results, []
-        return out
-
-    # -- convenience ----------------------------------------------------------------
+                    inputs.extend((feed, port) for feed in feeds[ref])
+            fjord.add_operator(node, op, inputs=inputs)
+        return names[-1]
 
     def explain(self) -> str:
         """A human-readable description of the compiled plan.
 
-        One line per plan node, in execution order, with the stream
+        One line per plan node, in execution order, with its stream
         subscriptions and the output node marked — the streaming
         analogue of SQL EXPLAIN.
 
         Example output for ``SELECT * FROM s WHERE v > 1``::
 
             plan for: SELECT * FROM s WHERE v > 1
-              [0] FilterOp <- stream 's'
-              [1] SinkOp  -> output
+              [0] FilterOp <- stream 's'  -> output
         """
-        subscriptions: dict[str, list[str]] = {}
-        for stream, routes in self._fjord._source_edges.items():
-            for target, _port in routes:
-                subscriptions.setdefault(target, []).append(stream)
         label = (self.text or "<ast>").strip().replace("\n", " ")
         lines = [f"plan for: {label}"]
-        for index, name in enumerate(self._order):
-            op = self._fjord._nodes[name].op
-            parts = [f"  [{index}] {type(op).__name__}"]
-            if name in subscriptions:
-                streams = ", ".join(
-                    f"{stream!r}" for stream in sorted(set(subscriptions[name]))
-                )
-                parts.append(f" <- stream {streams}")
-            if op is self._sink:
-                parts.append("  -> output")
-            lines.append("".join(parts))
+        for index, (op, edges) in enumerate(self.plan):
+            line = f"  [{index}] {type(op).__name__}"
+            streams = sorted({repr(ref) for ref, _ in edges if isinstance(ref, str)})
+            if streams:
+                line += " <- stream " + ", ".join(streams)
+            if index == len(self.plan) - 1:
+                line += "  -> output"
+            lines.append(line)
         return "\n".join(lines)
 
     def run(
@@ -412,21 +374,34 @@ class CompiledQuery(Operator):
         sources: Mapping[str, Iterable[StreamTuple]],
         ticks: Iterable[float],
     ) -> list[StreamTuple]:
-        """Evaluate the query over in-memory streams.
+        """Evaluate the query over in-memory streams, in a Fjord of its
+        own with one source per stream it reads. A query over one stream
+        reads every source in ``sources``; one over several reads each
+        stream's source and ignores the rest.
 
         Args:
-            sources: Stream name to timestamp-sorted tuples. Tuples are
-                re-labelled with the source's stream name so routing works
-                regardless of how they were constructed.
+            sources: Stream name to tuples. Tuples are re-labelled with
+                their stream name, and each source is sorted by
+                timestamp, ties kept in the order of ``sources``.
             ticks: Punctuation times, ascending.
 
         Returns:
             All output tuples, in emission order.
         """
-        merged: list[StreamTuple] = []
+        streams = self.input_streams
+        rows: dict[str, list[StreamTuple]] = {stream: [] for stream in streams}
         for name, items in sources.items():
-            merged.extend(t.derive(stream=name) for t in items)
-        return run_operator(self, merged, ticks)
+            target = streams[0] if len(streams) == 1 else name
+            if target in rows:
+                rows[target].extend(t.derive(stream=name) for t in items)
+        fjord = Fjord()
+        for stream, items in rows.items():
+            items.sort(key=attrgetter("timestamp"))
+            fjord.add_source(stream, items)
+        output = self.wire(fjord, "plan", {stream: [stream] for stream in streams})
+        sink = fjord.add_sink("plan/output", inputs=[output])
+        fjord.run(ticks, telemetry=NULL_COLLECTOR)
+        return sink.results
 
     def __repr__(self) -> str:
         label = self.text.strip().split("\n")[0] if self.text else "<ast>"
@@ -439,29 +414,16 @@ class CompiledQuery(Operator):
 
 
 class _Builder:
-    """Accumulates one query's plan as a Fjord.
-
-    Operator nodes are named by their zero-padded plan index, so the
-    Fjord's lexicographic topological order is plan order (every node
-    is added after its inputs); sources are named by the stream they
-    stand for.
-    """
+    """Accumulates one query's plan: nodes in the order they are added,
+    each after its inputs, so plan order is an execution order."""
 
     def __init__(self):
-        self.fjord = Fjord()
+        self.plan: list[tuple[Operator, list[PlanEdge]]] = []
 
-    def add(self, op: Operator, upstream: Sequence[tuple[str, int]]) -> str:
-        """Add an operator fed by ``upstream`` (node or stream name,
-        input port on ``op``); returns the new node's name."""
-        name = f"{len(self.fjord._nodes):04d}"
-        self.fjord.add_operator(name, op, inputs=upstream)
-        return name
-
-    def subscribe(self, stream: str) -> str:
-        """The source node standing for ``stream`` (added on first use)."""
-        if stream not in self.fjord._sources:
-            self.fjord.add_source(stream, ())
-        return stream
+    def add(self, op: Operator, upstream: Sequence[PlanEdge]) -> int:
+        """Add an operator fed by ``upstream``; returns its plan index."""
+        self.plan.append((op, list(upstream)))
+        return len(self.plan) - 1
 
 
 class _StreamifyOp(Operator):
@@ -524,15 +486,18 @@ def compile_query(
     tree = parse(query) if isinstance(query, str) else query
     builder = _Builder()
     output = _plan_select(tree, builder, output_stream)
-    sink = SinkOp()
-    builder.add(sink, upstream=[(output, 0)])
-    return CompiledQuery(builder.fjord, sink, text=text)
+    if output != len(builder.plan) - 1:
+        # The output is the last node; a query that passes a stream on
+        # unchanged (``SELECT * FROM s``) is one identity node.
+        builder.add(UnionOp(), upstream=[(output, 0)])
+    return CompiledQuery(builder.plan, text=text)
 
 
 def _plan_select(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> str:
-    """Plan a select (with union chain); returns the output node's name."""
+) -> int | str:
+    """Plan a select (with union chain); returns its output: a plan
+    index, or the name of a stream it passes on unchanged."""
     if select.union_with is None:
         return _plan_single_select(select, builder, output_stream)
     branch_outputs = []
@@ -548,7 +513,7 @@ def _plan_select(
 
 def _plan_single_select(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> str:
+) -> int | str:
     if not select.sources:
         raise PlanError("FROM clause is required")
     if len(select.sources) == 1:
@@ -567,7 +532,7 @@ def _plan_single_select(
 
 def _plan_one_source(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> str:
+) -> int | str:
     source = select.sources[0]
     scope = Scope([_binding_of(source)])
     upstream, window = _plan_source_input(source, builder)
@@ -586,10 +551,10 @@ def _plan_one_source(
 
 def _plan_source_input(
     source: "ast.StreamRef | ast.SubquerySource", builder: _Builder
-) -> tuple[str, WindowSpec | None]:
+) -> tuple[int | str, WindowSpec | None]:
     """Plan a FROM source; returns (node feeding its tuples, its window)."""
     if isinstance(source, ast.StreamRef):
-        return builder.subscribe(source.name), source.window
+        return source.name, source.window
     # Derived table: plan the subquery; its rows are instant-valid.
     sub_output = _plan_select(source.select, builder, output_stream="")
     return sub_output, WindowSpec.now()
@@ -606,9 +571,9 @@ def _plan_stateless(
     select: ast.Select,
     builder: _Builder,
     scope: Scope,
-    upstream: str,
+    upstream: int | str,
     output_stream: str,
-) -> str:
+) -> int | str:
     index = upstream
     if select.having is not None:
         raise PlanError("HAVING requires GROUP BY or aggregates")
@@ -699,11 +664,11 @@ def _plan_aggregation(
     select: ast.Select,
     builder: _Builder,
     scope: Scope,
-    upstream: str,
+    upstream: int | str,
     window: WindowSpec,
     aggregate_calls: list[ast.FuncCall],
     output_stream: str,
-) -> str:
+) -> int:
     index = upstream
     if select.where is not None:
         predicate = compile_expr(select.where, scope)
@@ -900,10 +865,10 @@ def _extract_correlation(
 def _plan_post_projection(
     select: ast.Select,
     builder: _Builder,
-    group_index: str,
+    group_index: int,
     agg_fields: Mapping[ast.FuncCall, str],
     output_stream: str,
-) -> str:
+) -> int:
     """Project grouped rows onto the SELECT list."""
     if select.star:
         return group_index
@@ -1026,7 +991,7 @@ def _qualified_merge(
 
 def _plan_join(
     select: ast.Select, builder: _Builder, output_stream: str
-) -> str:
+) -> int | str:
     bindings = []
     for source in select.sources:
         binding = source.binding
@@ -1091,14 +1056,14 @@ def _plan_inner_joins(
     builder: _Builder,
     bindings: list[str],
     where_fn: Callable[[StreamTuple], Any] | None,
-) -> str:
+) -> int:
     """Left-fold the FROM sources through binary instant joins.
 
     The full WHERE predicate is evaluated on the final join's combined
     rows (earlier joins emit unfiltered combinations; at the paper's data
     rates the quadratic instant is tiny).
     """
-    planned: list[tuple[str, WindowSpec, str]] = []
+    planned: list[tuple[int | str, WindowSpec, str]] = []
     for binding, source in zip(bindings, select.sources):
         node, window = _plan_source_input(source, builder)
         if window is None:
@@ -1124,4 +1089,4 @@ def _plan_inner_joins(
         left_node = join_index
         left_window = WindowSpec.now()
         left_binding = "__join__"
-    return left_node
+    return join_index  # a multi-source FROM has at least one join

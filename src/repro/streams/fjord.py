@@ -455,42 +455,7 @@ class Fjord:
             yield session._step()
         session.close()
 
-    # -- machinery a session (and a compiled query's plan) drives ----------------
-
-    def _checkpoint_nodes(self) -> dict[str, dict]:
-        """Per node, in execution order: the operator's data state (via
-        :meth:`~repro.streams.operators.Operator.checkpoint`), its flow
-        counters and any pending input — live references."""
-        nodes: dict[str, dict] = {}
-        for name in self._topological_order():
-            node = self._nodes[name]
-            nodes[name] = {
-                "state": node.op.checkpoint(),
-                "tuples_in": node.tuples_in,
-                "tuples_out": node.tuples_out,
-                "pending": list(node.pending),
-            }
-        return nodes
-
-    def _restore_nodes(self, nodes: Mapping[str, Mapping]) -> None:
-        """Install a :meth:`_checkpoint_nodes` snapshot.
-
-        Raises:
-            OperatorError: When the snapshot references a node this
-                dataflow does not have (a configuration mismatch — the
-                pipelines are not identical).
-        """
-        for name, entry in nodes.items():
-            node = self._nodes.get(name)
-            if node is None:
-                raise OperatorError(
-                    f"checkpoint names unknown node {name!r}; the restored "
-                    f"pipeline does not match the one checkpointed"
-                )
-            node.op.restore(entry["state"])
-            node.tuples_in = entry["tuples_in"]
-            node.tuples_out = entry["tuples_out"]
-            node.pending[:] = entry["pending"]
+    # -- machinery a session drives ------------------------------------------------
 
     def _sample_tick(
         self,
@@ -848,13 +813,22 @@ class FjordSession:
         built identical pipeline. Live references: serialize before the
         next push or advance."""
         queues = self._queues.items()
+        nodes: dict[str, dict] = {}
+        for name in self._order:  # in execution order
+            node = self._fjord._nodes[name]
+            nodes[name] = {
+                "state": node.op.checkpoint(),
+                "tuples_in": node.tuples_in,
+                "tuples_out": node.tuples_out,
+                "pending": list(node.pending),
+            }
         return {
             "cursor": self._cursor,
             "queued": {n: q.items[q.head:] for n, q in queues if q.head < len(q.items)},
             "traces": {n: q.traces[q.head:] for n, q in queues if q.traces},
             "last": {n: q.last for n, q in queues if q.last > float("-inf")},
             "newest": dict(self._newest),
-            "nodes": self._fjord._checkpoint_nodes(),
+            "nodes": nodes,
         }
 
     def restore(self, state: Mapping) -> None:
@@ -871,7 +845,18 @@ class FjordSession:
             raise OperatorError("restore on a closed FjordSession")
         if self._cursor or any(q.last > float("-inf") for q in self._queues.values()):
             raise OperatorError("restore needs a fresh session")
-        self._fjord._restore_nodes(state["nodes"])
+        nodes = self._fjord._nodes
+        for name, entry in state["nodes"].items():
+            node = nodes.get(name)
+            if node is None:
+                raise OperatorError(
+                    f"checkpoint names unknown node {name!r}; the restored "
+                    f"pipeline does not match the one checkpointed"
+                )
+            node.op.restore(entry["state"])
+            node.tuples_in = entry["tuples_in"]
+            node.tuples_out = entry["tuples_out"]
+            node.pending[:] = entry["pending"]
         self._cursor = int(state["cursor"])
         for name, items in state["queued"].items():
             # A queued tuple is newer than every one injected before it,

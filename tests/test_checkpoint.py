@@ -35,8 +35,8 @@ SEED = 3
 #: redwood is source-sharded mote calibration; between them every
 #: stateful operator family holds a checkpointable mid-window state.
 #: shelf_cql swaps the shelf pipeline for a declarative Smooth (paper
-#: Query 2 as text), so the state to carry sits inside a CompiledQuery's
-#: plan nodes rather than in a top-level operator; home is the
+#: Query 2 as text), so the state to carry sits in the query's plan
+#: nodes, which are session nodes like any other; home is the
 #: declarative digital home, whose Virtualize is paper Query 6 compiled
 #: over three streams (an outer combine of three windowed subqueries).
 CASES = [
@@ -113,13 +113,10 @@ class TestSessionCheckpoint:
         drive(baseline, schedule, 0, cut)
         state = baseline.checkpoint()
         # Mid-run: pushed tuples still wait for their tick, and a
-        # compiled plan's state rides as its nodes' snapshots.
+        # compiled plan's nodes are session nodes (``stage/0000``...).
         assert any(state["queued"].values())
-        carries_plan = any(
-            "nodes" in (entry["state"] or ())
-            for entry in state["nodes"].values()
-        )
-        assert carries_plan == (name in CQL_CASES)
+        plan_nodes = [node for node in state["nodes"] if "/" in node]
+        assert bool(plan_nodes) == (name in CQL_CASES)
         blob, size = encode_state(state)
         assert blob is not None and 0 < size <= STATE_BLOB_BUDGET
 

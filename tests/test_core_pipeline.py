@@ -275,6 +275,91 @@ class TestVirtualize:
         assert run.output and run.output[0]["event"] == "both-agree"
 
 
+def two_kind_processor():
+    """One RFID reader and one noise mote in the same granule."""
+    registry = build_rfid_registry(1)
+    registry.add_group("motes", SpatialGranule("shelf0"), receptor_kind="mote")
+    registry.assign(
+        Mote("m1", field=lambda now: 600.0, quantity="noise",
+             sample_period=1.0, noise_std=0.0, rng=0),
+        "motes",
+    )
+    return ESPProcessor(registry)
+
+
+def vote_query(rfid_stream, mote_stream):
+    """Paper Query 6's shape over two streams."""
+    return Stage.from_query(
+        StageKind.VIRTUALIZE,
+        f"SELECT 'both' AS event "
+        f"FROM (SELECT 1 AS c FROM {rfid_stream} [Range By 'NOW']) r, "
+        f"(SELECT 1 AS c FROM {mote_stream} [Range By 'NOW']) m "
+        f"WHERE coalesce(r.c, 0) + coalesce(m.c, 0) >= 2",
+        name="vote",
+    )
+
+
+STREAM_NAMES = {"rfid": "rfid_in", "mote": "mote_in"}
+
+
+class TestVirtualizeStreamsFailClosed:
+    """A Virtualize stage that routes rows by stream name names only
+    streams a kind emits, as SQL rejects an unknown table: a name
+    nothing carries would silently never match."""
+
+    def test_query_reads_the_streams_the_kinds_emit(self):
+        processor = two_kind_processor()
+        processor.set_virtualize(
+            vote_query("rfid_in", "mote_in"), stream_names=STREAM_NAMES
+        )
+        run = processor.run(until=2.0, tick=1.0)
+        assert [t["event"] for t in run.output] == ["both"] * 3
+
+    def test_misspelt_stream_in_a_query_raises(self):
+        processor = two_kind_processor()
+        processor.set_virtualize(
+            vote_query("rfid_in", "mote_inn"), stream_names=STREAM_NAMES
+        )
+        with pytest.raises(
+            PipelineError,
+            match=r"'vote' reads stream 'mote_inn'.*\['mote_in', 'rfid_in'\]",
+        ):
+            processor.run(until=2.0, tick=1.0)
+
+    def test_query_without_stream_names_raises(self):
+        processor = two_kind_processor()
+        processor.set_virtualize(vote_query("rfid_in", "mote_in"))
+        with pytest.raises(
+            PipelineError, match=r"'mote_in'.*\['mote', 'rfid'\]"
+        ):
+            processor.run(until=2.0, tick=1.0)
+
+    def test_voting_detector_on_a_stream_no_kind_emits_raises(self):
+        processor = two_kind_processor()
+        processor.set_virtualize(
+            voting_detector(
+                votes={"rfid_in": None, "mote_in": None}, threshold=2
+            ),
+            stream_names={"rfid": "rfid_in", "mote": "motes_in"},
+        )
+        with pytest.raises(
+            PipelineError, match=r"reads stream 'mote_in'.*'motes_in'"
+        ):
+            processor.open_session(until=2.0, tick=1.0)
+
+    def test_query_over_several_streams_behind_virtualize_raises(self):
+        processor = two_kind_processor()
+        processor.set_virtualize(
+            [
+                Stage.from_query(StageKind.VIRTUALIZE, "SELECT * FROM rfid_in"),
+                vote_query("rfid_in", "mote_in"),
+            ],
+            stream_names=STREAM_NAMES,
+        )
+        with pytest.raises(PipelineError, match="'vote'.*not known"):
+            processor.run(until=2.0, tick=1.0)
+
+
 class TestStreamSession:
     """Push-mode (``open_session``) equivalence with the batch run."""
 

@@ -39,8 +39,8 @@ class TestStageKind:
 class TestProgrammingModels:
     def test_from_query(self):
         stage = Stage.from_query(StageKind.POINT, "SELECT * FROM s WHERE v > 1")
-        op = stage.make(StageContext(StageKind.POINT))
-        out = op.on_tuple(StreamTuple(0.0, {"v": 2}, "s"))
+        query = stage.make(StageContext(StageKind.POINT))
+        out = query.run({"s": [StreamTuple(0.0, {"v": 2}, "s")]}, [0.0])
         assert len(out) == 1
 
     def test_from_query_validates_syntax_eagerly(self):
@@ -56,9 +56,9 @@ class TestProgrammingModels:
         )
         ctx = StageContext(StageKind.SMOOTH)
         first, second = stage.make(ctx), stage.make(ctx)
-        first.on_tuple(StreamTuple(0.0, {"v": 1}, "s"))
-        assert first.on_time(0.0)[0]["c"] == 1
-        assert second.on_time(0.0) == []  # no shared window state
+        out = first.run({"s": [StreamTuple(0.0, {"v": 1}, "s")]}, [0.0])
+        assert out[0]["c"] == 1
+        assert second.run({"s": []}, [0.0]) == []  # no shared window state
 
     def test_from_function(self):
         stage = Stage.from_function(

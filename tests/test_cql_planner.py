@@ -5,6 +5,7 @@ import pytest
 from repro.cql import compile_query
 from repro.errors import PlanError
 from repro.streams.fjord import Fjord
+from repro.streams.operators import UnionOp
 from repro.streams.tuples import StreamTuple
 from tests.test_cql_paper_queries import ALL_QUERIES
 
@@ -271,7 +272,7 @@ class TestPlanErrors:
         assert "SELECT" in repr(compile_query("SELECT * FROM s"))
 
 
-# -- compiled plan ≡ the same operators hand-wired in a Fjord -------------------
+# -- a compiled plan's nodes are host Fjord nodes ------------------------------
 
 DIFFERENTIAL_QUERIES = {
     **ALL_QUERIES,
@@ -309,27 +310,31 @@ def _rows(seed):
     ]
 
 
-def _hand_wired(plan: Fjord, sources) -> Fjord:
-    """A top-level Fjord over real sources holding ``plan``'s operators,
-    wired edge for edge as the planner wired them."""
-    inputs = {name: [] for name in plan._nodes}
-    for stream, edges in plan._source_edges.items():
-        for target, port in edges:
-            inputs[target].append((stream, port))
-    for name in plan._topological_order():
-        for target, port in plan._nodes[name].downstream:
-            inputs[target].append((name, port))
+def _hosted(compiled, sources, via_nodes):
+    """``compiled`` wired into a host Fjord as stage ``q``, each stream
+    fed straight by its source or, with ``via_nodes``, through an
+    identity node of the host; returns the host and its sink."""
     fjord = Fjord()
-    for stream in plan._sources:
-        fjord.add_source(stream, sources[stream])
-    for name in plan._topological_order():
-        fjord.add_operator(name, plan._nodes[name].op, inputs=inputs[name])
-    return fjord
+    feeds = {}
+    for stream, items in sources.items():
+        fjord.add_source(stream, items)
+        feeds[stream] = [stream]
+        if via_nodes:
+            fjord.add_operator(f"feed:{stream}", UnionOp(), inputs=[stream])
+            feeds[stream] = [f"feed:{stream}"]
+    sink = fjord.add_sink("out", inputs=[compiled.wire(fjord, "q", feeds)])
+    return fjord, sink
+
+
+def _plan_stats(fjord):
+    return {name: flow for name, flow in fjord.stats().items() if name.startswith("q/")}
 
 
 class TestCompiledPlanIsAFjord:
-    """The delivery-order contract: a compiled plan, driven as one
-    operator, emits what its operators emit hand-wired into a Fjord."""
+    """The delivery-order contract: a compiled plan's operators are
+    nodes of the host Fjord, and they emit what they emit in a Fjord of
+    their own (:meth:`CompiledQuery.run`), whatever host nodes feed
+    them."""
 
     TICKS = [0.5 * i for i in range(24)]
 
@@ -342,35 +347,59 @@ class TestCompiledPlanIsAFjord:
             for seed, stream in enumerate(compiled.input_streams)
         }
         got = compiled.run(sources, self.TICKS)
-        fjord = _hand_wired(compile_query(text)._fjord, sources)
-        fjord.run(self.TICKS)
-        sink = fjord._nodes[fjord._topological_order()[-1]].op
-        assert got and got == sink.results
-        assert compiled._fjord.stats() == fjord.stats()
+        direct, direct_sink = _hosted(compile_query(text), sources, False)
+        hosted, hosted_sink = _hosted(compile_query(text), sources, True)
+        direct.run(self.TICKS)
+        hosted.run(self.TICKS)
+        assert got and got == direct_sink.results == hosted_sink.results
+        assert len(_plan_stats(direct)) == len(compiled.plan)
+        assert _plan_stats(direct) == _plan_stats(hosted)
 
     def test_same_stream_branches_emit_branch_by_branch_per_run(self):
-        query = compile_query(DIFFERENTIAL_QUERIES["union_one_stream"])
+        text = DIFFERENTIAL_QUERIES["union_one_stream"]
         run = [tup(0.0, v=1), tup(0.0, v=5), tup(0.0, v=9)]
-        out = query.on_batch(run)
+        out = compile_query(text).run({"s": run}, [0.0])
         assert [(t["v"], t["side"]) for t in out] == [
             (5, "hi"), (9, "hi"), (1, "lo"), (5, "lo"),
         ]
-        # ... so the cut into runs shows, as it does in any Fjord.
-        out = [t for item in run for t in query.on_batch([item])]
+        # ... so the cut into runs (here: one tick per tuple) shows, as
+        # it does in any Fjord.
+        spread = [tup(0.1 * i, v=item["v"]) for i, item in enumerate(run)]
+        out = compile_query(text).run({"s": spread}, [0.0, 0.1, 0.2])
         assert [(t["v"], t["side"]) for t in out] == [
             (1, "lo"), (5, "hi"), (5, "lo"), (9, "hi"),
         ]
 
+    def _session(self, text, stream):
+        fjord = Fjord()
+        fjord.add_source(stream, [])
+        output = compile_query(text).wire(fjord, "q", {stream: [stream]})
+        sink = fjord.add_sink("out", inputs=[output])
+        return fjord, fjord.open_session(self.TICKS), sink
+
     def test_checkpoint_is_the_plan_nodes_state(self):
         import pickle
 
-        assert compile_query("SELECT v FROM s WHERE v > 3").checkpoint() is None
-        text = DIFFERENTIAL_QUERIES["query5"]
         rows = [t.derive(stream="merge_input") for t in _rows(0)]
-        baseline, resumed = compile_query(text), compile_query(text)
-        baseline.on_batch(rows[:60])
-        resumed.restore(pickle.loads(pickle.dumps(baseline.checkpoint())))
-        for query in (baseline, resumed):
-            query.on_batch(rows[60:])
-        assert baseline.on_time(10.0) == resumed.on_time(10.0) != []
-        assert baseline._fjord.stats() == resumed._fjord.stats()
+        stateless, session, _sink = self._session(
+            "SELECT v FROM s WHERE v > 3", "s"
+        )
+        session.push_run("s", rows[:60])
+        session.advance(rows[59].timestamp)
+        nodes = session.checkpoint()["nodes"]
+        plan_nodes = _plan_stats(stateless)
+        assert [nodes[name]["state"] for name in plan_nodes] == [None] * 2
+
+        text = DIFFERENTIAL_QUERIES["query5"]
+        baseline, session, sink = self._session(text, "merge_input")
+        session.push_run("merge_input", rows[:60])
+        session.advance(rows[59].timestamp)
+        state = session.checkpoint()
+        assert any(state["nodes"][name]["state"] for name in _plan_stats(baseline))
+        resumed, resumed_session, resumed_sink = self._session(text, "merge_input")
+        resumed_session.restore(pickle.loads(pickle.dumps(state)))
+        for open_session in (session, resumed_session):
+            open_session.push_run("merge_input", rows[60:])
+            open_session.close()
+        assert sink.results == resumed_sink.results != []
+        assert _plan_stats(baseline) == _plan_stats(resumed)

@@ -100,9 +100,10 @@ class TestSmallEdges:
             "SELECT l.v AS x FROM a l [Range By 'NOW'], b r [Range By 'NOW'] "
             "WHERE l.k = r.k"
         )
-        # A tuple from a stream the query never mentions is dropped.
-        out = query.on_tuple(StreamTuple(0.0, {"k": 1, "v": 2}, "mystery"))
-        assert out == []
+        # A stream the query never mentions is not read.
+        row = StreamTuple(0.0, {"k": 1, "v": 2})
+        out = query.run({"a": [row], "b": [row], "mystery": [row] * 3}, [0.0])
+        assert [t["x"] for t in out] == [2]
 
     def test_first_time_helper_none(self):
         import numpy as np

@@ -1,7 +1,9 @@
 """Tests for observability surfaces: EXPLAIN, describe(), flow stats."""
 
+import ast
+import pathlib
 
-from repro.cql import compile_query
+from repro.cql import CompiledQuery, compile_query
 from repro.streams.fjord import Fjord
 from repro.streams.operators import FilterOp, Operator, UnionOp
 from repro.streams.tuples import StreamTuple
@@ -47,7 +49,7 @@ class TestExplain:
         node_lines = [
             line for line in plan.splitlines() if line.startswith("  [")
         ]
-        assert len(node_lines) == len(query._fjord.stats())
+        assert len(node_lines) == len(query.plan)
 
 
 class TestFjordStats:
@@ -325,25 +327,30 @@ class TestBatchFastPathAccounting:
                 ),
                 [("f", 0), ("m", 1)],
             ),
-            # Compiled plans with one route from each stream to the
-            # output, covering the planner's own operators.
+            # The two streams apart, for the queries over both.
+            "fa": (FilterOp(lambda t: t.stream == "a"), ["f"]),
+            "fb": (FilterOp(lambda t: t.stream == "b"), ["f"]),
+        }
+        # Compiled plans with one route from each stream to the output,
+        # covering the planner's own operators: name -> (query, feeds).
+        queries = {
             "q_select": (
                 compile_query("SELECT v, v * 2 AS d FROM s WHERE v > 5"),
-                ["f"],
+                {"s": ["f"]},
             ),
             "q_istream": (
                 compile_query(
                     "SELECT ISTREAM v, count(*) AS n "
                     "FROM s [Range By '2 sec'] GROUP BY v"
                 ),
-                ["f"],
+                {"s": ["f"]},
             ),
             "q_join": (
                 compile_query(
                     "SELECT l.v AS x FROM a l [Range By '1 sec'], "
                     "b r [Range By '1 sec'] WHERE l.v = r.v"
                 ),
-                ["f"],
+                {"a": ["fa"], "b": ["fb"]},
             ),
             "q_outer": (
                 compile_query(
@@ -352,16 +359,23 @@ class TestBatchFastPathAccounting:
                     "(SELECT count(*) AS c FROM b [Range By 'NOW']) q "
                     "WHERE coalesce(p.c, 0) + coalesce(q.c, 0) >= 2"
                 ),
-                ["f"],
+                {"a": ["fa"], "b": ["fb"]},
             ),
         }
         for name, (op, inputs) in graph.items():
             fjord.add_operator(
                 name, _TupleAtATime(op) if wrap else op, inputs=inputs
             )
+        outputs = list(graph)
+        for name, (query, feeds) in queries.items():
+            if wrap:
+                query = CompiledQuery(
+                    [(_TupleAtATime(op), edges) for op, edges in query.plan]
+                )
+            outputs.append(query.wire(fjord, name, feeds))
         union = UnionOp(output_stream="merged")
         fjord.add_operator(
-            "u", _TupleAtATime(union) if wrap else union, inputs=list(graph)
+            "u", _TupleAtATime(union) if wrap else union, inputs=outputs
         )
         sink = fjord.add_sink("out", inputs=["u"])
         return fjord, sink
@@ -415,7 +429,66 @@ class TestOneDataEntryPoint:
 
     def test_no_operator_overrides_on_tuple_and_all_define_on_batch(self):
         classes = self._operator_classes()
-        assert len(classes) >= 16
+        assert len(classes) >= 15
         for cls in classes:
             assert "on_tuple" not in vars(cls), cls
             assert cls.on_batch is not Operator.on_batch, cls
+
+
+class TestFjordInternalsStayInFjord:
+    """Structure: no module under ``repro`` but ``streams/fjord.py``
+    reads a private member of :class:`Fjord` or :class:`FjordSession`
+    — a compiled plan, the processor and the network layer reach the
+    executor through its public surface only."""
+
+    def _private_members(self, tree):
+        """The private names the two classes define: their methods and
+        the attributes their methods set or read on ``self``."""
+        names = set()
+        for cls in tree.body:
+            if not (
+                isinstance(cls, ast.ClassDef)
+                and cls.name in ("Fjord", "FjordSession")
+            ):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    name = node.attr
+                else:
+                    continue
+                if name.startswith("_") and not name.endswith("__"):
+                    names.add(name)
+        return names
+
+    def test_no_module_reads_fjord_private_members(self):
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        fjord_py = root / "streams" / "fjord.py"
+        private = self._private_members(ast.parse(fjord_py.read_text()))
+        assert {"_nodes", "_sources", "_source_edges", "_drain_node",
+                "_sweep", "_topological_order", "_queues"} <= private
+        reads = []
+        for path in sorted(root.rglob("*.py")):
+            if path == fjord_py:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in private
+                    and not (
+                        isinstance(node.value, ast.Name)
+                        and node.value.id in ("self", "cls")
+                    )
+                ):
+                    reads.append(
+                        f"{path.relative_to(root)}:{node.lineno} "
+                        f"{ast.unparse(node)}"
+                    )
+        assert reads == []

@@ -397,8 +397,10 @@ class TestGraphShape:
             ),
         }
         sizes = {name: len(nodes) for name, nodes in graphs.items()}
+        # A query stage is its plan's nodes: the declarative home's
+        # Query 6 is nine, ``virtualize:0/0000`` onwards.
         assert sizes == {
-            "shelf": 7, "redwood": 36, "home": 20, "home_declarative": 19,
+            "shelf": 7, "redwood": 36, "home": 20, "home_declarative": 27,
         }
         for name, nodes in graphs.items():
             relabels = [
@@ -508,6 +510,28 @@ class TestGraphShape:
                 "union": (690, 690), "output": (196, 0),
             },
         }
+
+    def test_query_plan_nodes_roll_up_under_their_stage(self):
+        """A query stage is its plan's nodes: the declarative home's
+        Query 6 shows in telemetry as ordinary operators, named
+        ``virtualize:0/0000`` onwards, and rolls up under
+        ``virtualize``."""
+        office = OfficeScenario(duration=150.0, seed=3)
+        run = build_declarative_home_processor(office).run(
+            until=office.duration, tick=0.5,
+            sources=office.recorded_streams(),
+            telemetry=InMemoryCollector(),
+        )
+        operators = run.telemetry["operators"]
+        plan = sorted(name for name in operators if name.startswith("virtualize"))
+        assert plan == [f"virtualize:0/{index:04d}" for index in range(9)]
+        rollup = run.stage_rollup()
+        for field in ("tuples_in", "tuples_out", "batches", "punctuations"):
+            assert rollup["virtualize"][field] == sum(
+                operators[name][field] for name in plan
+            )
+        assert operators[plan[-1]]["tuples_out"] == len(run.output) == 196
+        assert rollup["output"]["tuples_in"] == 196
 
     def test_keyed_node_refuses_an_unknown_label(self):
         """A keyed node reads its partition off the row's label; a label

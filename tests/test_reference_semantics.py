@@ -1,4 +1,4 @@
-"""Tests: the Merge stages and the windowed join against their definitions.
+"""Tests: Merge, Smooth, query stages and the join against definitions.
 
 The reference keeps no window, no accumulator and no state between
 ticks. At each punctuation it takes the delivered rows whose timestamp
@@ -16,10 +16,11 @@ the definition alone:
 - the windowed join (CQL's relation-at-time-t join): a nested loop over
   the two windows' rows, the WHERE evaluated on each pair.
 
-The stage operators are driven by ``run_operator`` and compared with
-``==``: same rows, same order, same float bits. Values are drawn from a
-few dyadic numbers, so a survivor's distance from the band edge is either
-zero or far wider than any rounding of σ.
+The Merge operators are driven by ``run_operator`` and the join query
+by :meth:`CompiledQuery.run`, compared with ``==``: same rows, same
+order, same float bits. Values are drawn from a few dyadic numbers, so a
+survivor's distance from the band edge is either zero or far wider than
+any rounding of σ.
 
 The Smooth stages and the spatial-average Merge run through
 :class:`ESPProcessor` over drawn deployments: receptors share spatial
@@ -30,7 +31,19 @@ over one proximity group's streams, each a windowed GROUP BY whose
 groups are emitted in ``str`` order, partitions in ``str`` order of
 their names; a window holds its rows in arrival order and an average
 adds them in that order.
+
+Query stages run through the processor too, as their plans' nodes in
+the deployment's graph: paper Query 2 as a Smooth stage (the shelf's
+declarative Smooth, which keeps NULL tag ids), and the digital home's
+Virtualize as paper Query 6 or as the toolkit ``VotingDetector``. The
+Virtualize references read the rows delivered at a tick — those with a
+timestamp in ``(tick - TICK, tick]`` — except where Query 6 aggregates:
+its RFID subquery counts the distinct tag ids read at exactly the tick
+(its ``NOW`` window), while a subquery without aggregates is evaluated
+per delivered row.
 """
+
+import math
 
 import statistics
 
@@ -49,9 +62,14 @@ from repro.core.operators.smooth_ops import (
     presence_smoother,
     sliding_average,
 )
+from repro.core.operators.virtualize_ops import voting_detector
 from repro.core.pipeline import ESPPipeline, ESPProcessor
-from repro.core.stages import StageContext, StageKind
+from repro.core.stages import Stage, StageContext, StageKind
 from repro.cql import compile_query
+from repro.pipelines.digital_home import (
+    _PERSON_DETECTOR_QUERY,
+    VIRTUALIZE_STREAMS,
+)
 from repro.receptors.base import Receptor, ReceptorKind
 from repro.receptors.registry import DeviceRegistry
 from repro.streams.operators import run_operator
@@ -225,9 +243,6 @@ def test_cql_join_matches_the_nested_loop(
         f"FROM a l [Range By '{left_window:g} sec'], "
         f"b r [Range By '{right_window:g} sec'] WHERE l.k = r.k"
     )
-    stamped = [row.derive(stream="a") for row in left] + [
-        row.derive(stream="b") for row in right
-    ]
     pairs = join_reference(
         left,
         right,
@@ -236,7 +251,7 @@ def test_cql_join_matches_the_nested_loop(
         right_window,
         where=lambda lhs, rhs: lhs["k"] is not None and lhs["k"] == rhs["k"],
     )
-    assert run_operator(query, stamped, ticks) == [
+    assert query.run({"a": left, "b": right}, ticks) == [
         StreamTuple(tick, {"lv": lhs["v"], "rv": rhs["v"]})
         for tick, lhs, rhs in pairs
     ]
@@ -503,3 +518,158 @@ def test_spatial_average_matches_the_reference(deployment, window):
     assert run_stages(
         ReceptorKind.MOTE, deployment, spatial_average(window=window)
     ) == flatten(expected, "mote")
+
+
+# -- query stages through the processor -----------------------------------------
+
+
+def query2(window):
+    """Paper Query 2 as a Smooth stage: per-reader tag counts."""
+    return Stage.from_query(
+        StageKind.SMOOTH,
+        f"SELECT spatial_granule, tag_id, count(*) AS reads "
+        f"FROM rfid_input [Range By '{window:g} sec'] "
+        f"GROUP BY spatial_granule, tag_id",
+    )
+
+
+@settings(deadline=None)
+@given(
+    deployment=deployments(
+        ReceptorKind.RFID, {"tag_id": st.sampled_from(("t0", "t1", "t2", None))}
+    ),
+    window=st.sampled_from(WINDOWS),
+)
+def test_query2_smooth_stage_matches_the_reference(deployment, window):
+    registry, recordings, until = deployment
+    expected = keyed_reference(
+        annotated(registry, recordings), ticks_through(until), window,
+        key=lambda row: (row["spatial_granule"], row["tag_id"]),
+        fields=lambda group, rows: {
+            "spatial_granule": group[0], "tag_id": group[1], "reads": len(rows),
+        },
+    )
+    assert run_stages(
+        ReceptorKind.RFID, deployment, query2(window)
+    ) == flatten(expected, "rfid")
+
+
+HOME_FIELDS = {
+    ReceptorKind.MOTE: {"noise": st.sampled_from((None, 400.0, 525.0, 600.0))},
+    ReceptorKind.RFID: {"tag_id": st.sampled_from(("t0", "t1", "t2", None))},
+    ReceptorKind.X10: {"value": st.sampled_from(("ON", "OFF", None))},
+}
+
+
+@st.composite
+def home_deployments(draw, steps=STEPS):
+    """1-2 receptors of each kind, each kind in a proximity group of its
+    own, and an ``until`` past every reading."""
+    registry = DeviceRegistry()
+    recordings = {}
+    for kind, fields in HOME_FIELDS.items():
+        registry.add_group(kind.value, SpatialGranule("room"), kind.value)
+        for index in range(draw(st.integers(1, 2))):
+            receptor_id = f"{kind.value}{index}"
+            registry.assign(Recorded(receptor_id, kind, TICK), kind.value)
+            recordings[receptor_id] = draw(readings(fields, steps))
+    stamps = [row.timestamp for rows in recordings.values() for row in rows]
+    last = max(stamps, default=0.0)
+    until = TICK * -(-last // TICK) + draw(st.sampled_from((0.0, TICK)))
+    return registry, recordings, until
+
+
+def run_virtualize(deployment, stage):
+    registry, recordings, until = deployment
+    processor = ESPProcessor(registry)
+    processor.set_virtualize(stage, stream_names=VIRTUALIZE_STREAMS)
+    return processor.run(until=until, tick=TICK, sources=recordings).output
+
+
+def delivered(recordings, kind, tick):
+    """The readings of ``kind`` the sweep at ``tick`` delivers."""
+    return [
+        row
+        for receptor_id, rows in recordings.items()
+        if receptor_id.startswith(kind.value)
+        for row in rows
+        if tick - TICK < row.timestamp <= tick
+    ]
+
+
+def query6_reference(recordings, ticks):
+    """Per tick, the cross product of the subqueries' rows over the
+    sides that have any, when at least two do (each side's ``cnt`` is
+    1, and a missing side's is ``coalesce``'d to 0)."""
+    out = []
+    for tick in ticks:
+        tags = {
+            row["tag_id"]
+            for row in delivered(recordings, ReceptorKind.RFID, tick)
+            if row.timestamp == tick
+        }
+        sides = [
+            sum(
+                1 for row in delivered(recordings, ReceptorKind.MOTE, tick)
+                if row["noise"] is not None and row["noise"] > 525
+            ),
+            1 if len(tags - {None}) > 1 else 0,
+            sum(
+                1 for row in delivered(recordings, ReceptorKind.X10, tick)
+                if row["value"] == "ON"
+            ),
+        ]
+        populated = [rows for rows in sides if rows]
+        if len(populated) >= 2:
+            row = StreamTuple(tick, {"event": "Person-in-room"})
+            out += [row] * math.prod(populated)
+    return out
+
+
+@settings(deadline=None)
+@given(
+    # On the tick grid: a kind's output carries a tick's rows receptor
+    # by receptor, not in timestamp order, and the RFID subquery's
+    # window raises WindowError on a row older than the one before it.
+    deployment=home_deployments(steps=(0.0, TICK, 2 * TICK, 12.0)),
+)
+def test_query6_virtualize_matches_the_reference(deployment):
+    _registry, recordings, until = deployment
+    stage = Stage.from_query(StageKind.VIRTUALIZE, _PERSON_DETECTOR_QUERY)
+    assert run_virtualize(deployment, stage) == query6_reference(
+        recordings, ticks_through(until)
+    )
+
+
+#: Per kind: the stream it votes on and its vote predicate.
+VOTES = {
+    ReceptorKind.MOTE: lambda row: (row["noise"] or 0) > 525,
+    ReceptorKind.RFID: lambda row: row["tag_id"] is not None,
+    ReceptorKind.X10: lambda row: row["value"] == "ON",
+}
+
+
+@settings(deadline=None)
+@given(deployment=home_deployments(), threshold=st.integers(1, 3))
+def test_voting_detector_matches_the_reference(deployment, threshold):
+    _registry, recordings, until = deployment
+    stage = voting_detector(
+        votes={VIRTUALIZE_STREAMS[kind.value]: vote for kind, vote in VOTES.items()},
+        threshold=threshold,
+    )
+    expected = []
+    for tick in ticks_through(until):
+        fired = {
+            f"vote_{VIRTUALIZE_STREAMS[kind.value]}": any(
+                map(vote, delivered(recordings, kind, tick))
+            )
+            for kind, vote in VOTES.items()
+        }
+        votes = sum(fired.values())
+        if votes >= threshold:
+            expected.append(
+                StreamTuple(
+                    tick, {"event": "Person-in-room", "votes": votes, **fired}
+                )
+            )
+    assert run_virtualize(deployment, stage) == expected
