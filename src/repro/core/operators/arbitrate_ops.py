@@ -42,7 +42,10 @@ class MaxCountArbitrator(Operator):
         count_field: Per-granule evidence count (e.g. the window count the
             Smooth stage emits); missing counts default to 1 so the
             operator also runs over raw, un-smoothed streams (the paper's
-            Arbitrate-only configuration in Figure 5).
+            Arbitrate-only configuration in Figure 5). A NULL count is
+            skipped, as every aggregate skips NULL: a granule whose
+            claims are all NULL does not compete, and an ID with no
+            counted claim is not emitted.
         tie_break: One of ``"all"``, ``"weakest"``, ``"first"``.
         strength: Granule-name → antenna strength, required for
             ``"weakest"``.
@@ -91,6 +94,8 @@ class MaxCountArbitrator(Operator):
             if identifier is None or granule is None:
                 continue
             count = values.get(count_field, 1)
+            if count is None:
+                continue
             by_granule = claims.setdefault(identifier, {})
             by_granule[granule] = by_granule.get(granule, 0) + count
         self._pending = []
@@ -99,20 +104,27 @@ class MaxCountArbitrator(Operator):
         stamp = float(now)
         for identifier in sorted(claims, key=str):
             by_granule = claims[identifier]
-            best = max(by_granule.values())
-            winners = sorted(
-                (g for g, c in by_granule.items() if c == best), key=str
-            )
-            if len(winners) > 1:
-                winners = self._break_tie(winners)
+            if len(by_granule) == 1:
+                # Uncontested: no maximum to find and no tie to break.
+                winners = by_granule
+            else:
+                best = max(by_granule.values())
+                winners = sorted(
+                    (g for g, c in by_granule.items() if c == best), key=str
+                )
+                if len(winners) > 1:
+                    winners = self._break_tie(winners)
             for granule in winners:
+                count = by_granule[granule]
+                if count != count:
+                    continue  # NaN equals no maximum, not even its own
                 out.append(
                     from_parts(
                         stamp,
                         {
                             granule_field: granule,
                             id_field: identifier,
-                            count_field: by_granule[granule],
+                            count_field: count,
                         },
                         "",
                     )

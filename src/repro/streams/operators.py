@@ -24,6 +24,7 @@ driven by punctuations rather than by a global per-window barrier.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -309,17 +310,23 @@ class GroupKey:
         return f"GroupKey({self.name})"
 
 
+def _emission_key(key: tuple) -> tuple:
+    return tuple(str(c) for c in key)
+
+
 def emission_order(groups: Iterable[tuple]) -> list[tuple]:
     """Group keys in the order a windowed group-by emits them.
 
     Component-wise ``str`` order, not insertion order: the output order
     must be a function of the live key set alone so sharded and cluster
-    execution can reproduce it (:mod:`repro.streams.shard`). The
-    group-by caches the result and drops it whenever a group is
-    created or deleted, so a slide over an unchanged key set sorts
-    nothing.
+    execution can reproduce it (:mod:`repro.streams.shard`). Keys whose
+    ``str`` forms collide (``1`` and ``"1"``) keep their order in
+    ``groups``. The group-by sorts once, on its first punctuation or
+    after :meth:`~WindowedGroupByOp.restore`, and from then on keeps the
+    order itself: a new group is bisected in after its equals, and
+    emptied groups are filtered out.
     """
-    return sorted(groups, key=lambda key: tuple(str(c) for c in key))
+    return sorted(groups, key=_emission_key)
 
 
 def _is_count_star(spec: AggregateSpec) -> bool:
@@ -387,9 +394,10 @@ class WindowedGroupByOp(Operator):
         self._emit_every = emit_every
         self._output_stream = output_stream
         self._windows: dict[tuple, BaseWindow] = {}
-        #: Live keys in emission order — derived from ``_windows``,
-        #: rebuilt by :meth:`on_time` after the key set changed (``None``),
-        #: never checkpointed.
+        #: Live keys in emission order, ``emission_order(_windows)``:
+        #: built by :meth:`on_time` when ``None`` (before the first
+        #: punctuation and after :meth:`restore`), then kept in step
+        #: with ``_windows``; never checkpointed.
         self._order: list[tuple] | None = None
         #: Stream label -> partition, set by :meth:`partition_by`.
         self._labels: dict[str, str] | None = None
@@ -425,6 +433,7 @@ class WindowedGroupByOp(Operator):
     ) -> list[StreamTuple]:
         extractors = [k.extractor for k in self._keys]
         windows = self._windows
+        order = self._order
         labels = self._labels
         for item in items:
             if labels is None:
@@ -441,7 +450,10 @@ class WindowedGroupByOp(Operator):
             if window is None:
                 window = self._window_spec.make_window()
                 windows[key] = window
-                self._order = None
+                if order is not None:
+                    # After keys with equal ``str`` forms, as a stable
+                    # sort of ``windows`` (newest last) places it.
+                    insort(order, key, key=_emission_key)
             window.insert(item)
         return []
 
@@ -470,8 +482,7 @@ class WindowedGroupByOp(Operator):
         stamp = float(now)
         for key in order:
             window = windows[key]
-            window.advance(now)
-            size = len(window)
+            size = window.advance(now)
             if not size:
                 empty_keys.append(key)
                 continue
@@ -485,7 +496,7 @@ class WindowedGroupByOp(Operator):
         if empty_keys:
             for key in empty_keys:
                 del windows[key]
-            self._order = None
+            self._order = [key for key in order if key in windows]
         having = self._having
         if having is not None:
             if skip:

@@ -124,8 +124,9 @@ class WindowSpec:
 class BaseWindow:
     """Common behaviour for stateful windows.
 
-    Subclasses implement the eviction policy. Insertion order must be
-    non-decreasing in timestamp; the executor guarantees this.
+    Each kind implements :meth:`insert` and, if time evicts, :meth:`advance`.
+    Insertion order must be non-decreasing in timestamp; the executor
+    guarantees this.
     """
 
     def __init__(self):
@@ -133,19 +134,20 @@ class BaseWindow:
         self._last_ts = float("-inf")
 
     def insert(self, item: StreamTuple) -> None:
-        """Insert a tuple. Timestamps must be non-decreasing."""
-        if item.timestamp < self._last_ts - 1e-9:
-            raise WindowError(
-                f"out-of-order insert: {item.timestamp} after {self._last_ts}"
-            )
-        self._last_ts = max(self._last_ts, item.timestamp)
-        self._buffer.append(item)
-        self._evict_on_insert()
+        """Insert a tuple and evict what it expires.
 
-    def advance(self, now: float) -> None:
-        """Advance the window's notion of current time, evicting tuples."""
-        self._last_ts = max(self._last_ts, now)
-        self._evict_before(now)
+        Raises:
+            WindowError: For a timestamp more than ``1e-9`` older than
+                the window's clock.
+        """
+        raise NotImplementedError
+
+    def advance(self, now: float) -> int:
+        """Move the window's clock to ``now``, evict what expired, and
+        return the window's length."""
+        if now > self._last_ts:
+            self._last_ts = now
+        return len(self._buffer)
 
     def contents(self) -> list[StreamTuple]:
         """Current window contents, oldest first."""
@@ -157,13 +159,9 @@ class BaseWindow:
     def __iter__(self) -> Iterator[StreamTuple]:
         return iter(self._buffer)
 
-    # -- subclass hooks --------------------------------------------------------
 
-    def _evict_on_insert(self) -> None:
-        """Eviction triggered by an insert (row windows)."""
-
-    def _evict_before(self, now: float) -> None:
-        """Eviction triggered by time advancing (time windows)."""
+def _out_of_order(timestamp: float, last: float) -> WindowError:
+    return WindowError(f"out-of-order insert: {timestamp} after {last}")
 
 
 class SlidingWindow(BaseWindow):
@@ -181,9 +179,11 @@ class SlidingWindow(BaseWindow):
         >>> w.insert(StreamTuple(0.0, {"x": 1}))
         >>> w.insert(StreamTuple(3.0, {"x": 2}))
         >>> w.advance(5.0)
+        2
         >>> [t["x"] for t in w]
         [1, 2]
         >>> w.advance(5.1)
+        1
         >>> [t["x"] for t in w]
         [2]
     """
@@ -196,18 +196,35 @@ class SlidingWindow(BaseWindow):
         super().__init__()
         self.range_seconds = float(range_seconds)
 
-    def _evict_before(self, now: float) -> None:
+    def insert(self, item: StreamTuple) -> None:
+        timestamp = item.timestamp
+        last = self._last_ts
+        if timestamp < last - 1e-9:
+            raise _out_of_order(timestamp, last)
+        if timestamp > last:
+            self._last_ts = last = timestamp
+        buffer = self._buffer
+        buffer.append(item)
+        # The cutoff is at most ``last - 1e-9``, which the order check
+        # put at or below ``timestamp``: the new tuple stays, so the
+        # buffer never runs empty here.
+        cutoff = last - self.range_seconds - 1e-9
+        while buffer[0].timestamp < cutoff:
+            buffer.popleft()
+
+    def advance(self, now: float) -> int:
         # CQL Range semantics: at time t the window covers [t - range, t],
         # inclusive at both ends; evict only strictly older tuples.
-        cutoff = now - self.range_seconds
-        while self._buffer and self._buffer[0].timestamp < cutoff - 1e-9:
-            self._buffer.popleft()
+        if now > self._last_ts:
+            self._last_ts = now
+        buffer = self._buffer
+        cutoff = now - self.range_seconds - 1e-9
+        while buffer and buffer[0].timestamp < cutoff:
+            buffer.popleft()
+        return len(buffer)
 
-    def _evict_on_insert(self) -> None:
-        self._evict_before(self._last_ts)
 
-
-class NowWindow(BaseWindow):
+class NowWindow(SlidingWindow):
     """The zero-width ``[Range By 'NOW']`` window.
 
     Contains only tuples whose timestamp equals the current time. Used by
@@ -215,16 +232,18 @@ class NowWindow(BaseWindow):
     compare the streams' contents "at each time step".
     """
 
-    def _evict_before(self, now: float) -> None:
-        while self._buffer and self._buffer[0].timestamp < now - 1e-9:
-            self._buffer.popleft()
+    #: A class attribute, so a NOW window's state is its buffer and clock.
+    range_seconds = 0.0
 
-    def _evict_on_insert(self) -> None:
-        self._evict_before(self._last_ts)
+    def __init__(self):
+        BaseWindow.__init__(self)
 
 
 class RowWindow(BaseWindow):
-    """Count-based ``[Rows N]`` window holding the most recent N tuples."""
+    """Count-based ``[Rows N]`` window holding the most recent N tuples.
+
+    Time does not evict: :meth:`advance` only moves the clock.
+    """
 
     def __init__(self, count: int):
         if count <= 0:
@@ -232,6 +251,14 @@ class RowWindow(BaseWindow):
         super().__init__()
         self.count = int(count)
 
-    def _evict_on_insert(self) -> None:
-        while len(self._buffer) > self.count:
-            self._buffer.popleft()
+    def insert(self, item: StreamTuple) -> None:
+        timestamp = item.timestamp
+        last = self._last_ts
+        if timestamp < last - 1e-9:
+            raise _out_of_order(timestamp, last)
+        if timestamp > last:
+            self._last_ts = timestamp
+        buffer = self._buffer
+        buffer.append(item)
+        while len(buffer) > self.count:
+            buffer.popleft()

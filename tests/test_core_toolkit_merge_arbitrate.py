@@ -273,6 +273,24 @@ class TestMaxCountArbitrator:
         assert [t["spatial_granule"] for t in out] == ["g0"]
         assert out[0]["count"] == 2
 
+    def test_null_counts_are_skipped(self):
+        # A NULL count competes with nothing; a missing one counts once.
+        op = MaxCountArbitrator(tie_break="all")
+        rows = [
+            tup(0.0, spatial_granule="s1", tag_id="a", count=None),
+            tup(0.0, spatial_granule="s2", tag_id="a"),
+            tup(0.0, spatial_granule="s1", tag_id="b", count=None),
+            tup(0.0, spatial_granule="s1", tag_id="c", count=None),
+            tup(0.0, spatial_granule="s2", tag_id="c", count=None),
+            tup(0.0, spatial_granule="s1", tag_id="d", count=None),
+            tup(0.0, spatial_granule="s1", tag_id="d", count=2),
+            tup(0.0, spatial_granule="s2", tag_id="d", count=2),
+        ]
+        out = drive(op, rows, [0.0])
+        assert [
+            (t["spatial_granule"], t["tag_id"], t["count"]) for t in out
+        ] == [("s2", "a", 1), ("s1", "d", 2), ("s2", "d", 2)]
+
     def test_state_clears_between_instants(self):
         op = MaxCountArbitrator(tie_break="all")
         drive(op, self.rows({("g0", "a"): 5}), [0.0])

@@ -41,6 +41,14 @@ timestamp in ``(tick - TICK, tick]`` — except where Query 6 aggregates:
 its RFID subquery counts the distinct tag ids read at exactly the tick
 (its ``NOW`` window), while a subquery without aggregates is evaluated
 per delivered row.
+
+Arbitrate runs through the processor behind the presence Smooth (the
+shelf pipeline) or over the raw readings (the shelf's ``arbitrate``
+configuration). Its reference is paper Query 3 over the rows it got at
+a tick, recomputed: per tag, each granule's summed count (NULL counts
+skipped, a missing one counting once), the granules whose total is
+``>= ALL`` the tag's totals winning, cut to one by the tie rule of
+§4.3.1 where the policy asks.
 """
 
 import math
@@ -51,6 +59,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.granules import SpatialGranule
+from repro.core.operators.arbitrate_ops import max_count_arbitrate
 from repro.core.operators.merge_ops import (
     k_of_n_vote,
     mad_outlier_average,
@@ -272,11 +281,12 @@ class Recorded(Receptor):
 
 
 @st.composite
-def deployments(draw, kind, fields, steps=STEPS):
-    """1-4 receptors of ``kind`` in 1-3 proximity groups over 1-2
-    granules, each with drawn readings, and an ``until`` past them all."""
+def deployments(draw, kind, fields, steps=STEPS, granules=2):
+    """1-4 receptors of ``kind`` in 1-3 proximity groups over 1 to
+    ``granules`` granules, each with drawn readings, and an ``until``
+    past them all."""
     registry = DeviceRegistry()
-    n_granules = draw(st.integers(1, 2))
+    n_granules = draw(st.integers(1, granules))
     groups = [f"p{i}" for i in range(draw(st.integers(1, 3)))]
     for name in groups:
         granule = f"g{draw(st.integers(0, n_granules - 1))}"
@@ -673,3 +683,133 @@ def test_voting_detector_matches_the_reference(deployment, threshold):
                 )
             )
     assert run_virtualize(deployment, stage) == expected
+
+
+# -- Arbitrate through the processor ---------------------------------------------
+
+#: Drawn for a reading's ``count`` field: absent, NULL or 1-3.
+MISSING = object()
+SHELF_FIELDS = {
+    "tag_id": st.sampled_from(("t0", "t1", "t2", None)),
+    "count": st.sampled_from((MISSING, None, 1, 2, 3)),
+    # The granule a raw Arbitrate reads: the processor stamps
+    # ``spatial_granule`` from the registry, so it is never NULL.
+    "zone": st.sampled_from(("g0", "g1", "g2", None)),
+}
+#: Antenna strengths; a granule missing from the map ranks strongest.
+STRENGTHS = st.dictionaries(
+    st.sampled_from(("g0", "g1", "g2")),
+    st.sampled_from((0.5, 0.6, 1.0)),
+    min_size=1,
+)
+
+
+@st.composite
+def shelf_deployments(draw):
+    """1-4 readers over 1-3 granules reading a few shared tags."""
+    registry, recordings, until = draw(
+        deployments(ReceptorKind.RFID, SHELF_FIELDS, granules=3)
+    )
+    recordings = {
+        receptor_id: [
+            StreamTuple(
+                row.timestamp,
+                {f: v for f, v in row.items() if v is not MISSING},
+            )
+            for row in rows
+        ]
+        for receptor_id, rows in recordings.items()
+    }
+    return registry, recordings, until
+
+
+def query3(claims, granule_field, tie_break, strength):
+    """Paper Query 3 over one tick's ``claims``, tags in ``str`` order,
+    then the §4.3.1 tie rule: ``first`` keeps the granule first in
+    ``str`` order, ``weakest`` the one with the lowest strength."""
+    totals = {}
+    for row in claims:
+        tag, granule = row.get("tag_id"), row.get(granule_field)
+        count = row.get("count", 1)
+        if tag is not None and granule is not None and count is not None:
+            by_granule = totals.setdefault(tag, {})
+            by_granule[granule] = by_granule.get(granule, 0) + count
+    out = []
+    for tag in sorted(totals, key=str):
+        by_granule = totals[tag]
+        winners = sorted(
+            (
+                granule
+                for granule, count in by_granule.items()
+                if all(count >= other for other in by_granule.values())
+            ),
+            key=str,
+        )
+        if tie_break == "first":
+            winners = winners[:1]
+        elif tie_break == "weakest":
+            winners = sorted(
+                winners, key=lambda g: (strength.get(g, math.inf), str(g))
+            )[:1]
+        out += [
+            {granule_field: g, "tag_id": tag, "count": by_granule[g]}
+            for g in winners
+        ]
+    return out
+
+
+@settings(deadline=None)
+@given(
+    deployment=shelf_deployments(),
+    smooth=st.booleans(),
+    window=st.sampled_from(WINDOWS),
+    strength=STRENGTHS,
+)
+def test_max_count_arbitrate_matches_the_reference(
+    deployment, smooth, window, strength
+):
+    registry, recordings, until = deployment
+    inputs = annotated(registry, recordings)
+    ticks = ticks_through(until)
+    if smooth:
+        # What the presence Smooth emits: a count per (tag, granule)
+        # window of each reader.
+        granule_field = "spatial_granule"
+        read = {
+            receptor_id: [row for row in rows if row["tag_id"] is not None]
+            for receptor_id, rows in inputs.items()
+        }
+        claims = {
+            tick: [
+                {"tag_id": group[0], "spatial_granule": group[1], "count": len(rows)}
+                for _reader, group, rows in grouped_windows(
+                    read, tick, window,
+                    key=lambda row: (row["tag_id"], row["spatial_granule"]),
+                )
+            ]
+            for tick in ticks
+        }
+    else:
+        granule_field = "zone"
+        claims = {
+            tick: [
+                row
+                for rows in inputs.values()
+                for row in rows
+                if tick - TICK < row.timestamp <= tick
+            ]
+            for tick in ticks
+        }
+    for tie_break in ("all", "weakest", "first"):
+        arbitrate = max_count_arbitrate(
+            granule_field=granule_field, tie_break=tie_break, strength=strength
+        )
+        stages = [arbitrate]
+        if smooth:
+            stages.insert(0, presence_smoother(window=window))
+        expected = [
+            StreamTuple(tick, values, "rfid")
+            for tick in ticks
+            for values in query3(claims[tick], granule_field, tie_break, strength)
+        ]
+        assert run_stages(ReceptorKind.RFID, deployment, *stages) == expected

@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.operators.smooth_ops import presence_smoother
+from repro.core.stages import StageContext, StageKind
 from repro.errors import OperatorError
+from repro.streams import operators
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.operators import GroupKey, WindowedGroupByOp
 from repro.streams.tuples import StreamTuple
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import BaseWindow, WindowSpec
 
 
 def specs():
@@ -326,3 +329,92 @@ class TestEmissionOrder:
         op = order_op()
         self.drive(op, [[(1, "x")], [(2, "y")]])
         assert list(op.checkpoint()) == ["_windows"]
+
+
+#: Keys whose ``str`` forms collide (``1`` and ``"1"``) sort as equals,
+#: so their order is the order their groups were created in.
+TWIN_STEPS = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["r1", "r2", "r3"]),
+            st.sampled_from([1, "1", 2, "2", 10, "b"]),
+        ),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def twin_op(partitioned):
+    op = WindowedGroupByOp(
+        WindowSpec.range_by(2.0), keys=[GroupKey("g")], aggregates=ORDER_COUNT
+    )
+    if partitioned:
+        op.partition_by({"r1": "p1", "r2": "p2", "r3": "p1"}, "smooth")
+    return op
+
+
+class TestMaintainedOrder:
+    """The group-by keeps its emission order by bisecting new keys in
+    and filtering emptied ones out; a restored operator sorts afresh
+    with ``emission_order``. The two must agree at every tick."""
+
+    @given(TWIN_STEPS, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_maintained_order_equals_a_restored_twin_every_tick(
+        self, steps, partitioned
+    ):
+        op = twin_op(partitioned)
+        for tick, readings in enumerate(steps):
+            now = float(tick)
+            op.on_batch(
+                [StreamTuple(now, {"g": g}, label) for label, g in readings]
+            )
+            twin = twin_op(partitioned)
+            twin.restore(pickle.loads(pickle.dumps(op.checkpoint())))
+            assert normalize(op.on_time(now)) == normalize(twin.on_time(now))
+
+    def test_a_keyed_slide_makes_one_window_call_per_key_and_sorts_once(
+        self, monkeypatch
+    ):
+        chain = presence_smoother(window=2.0).make(
+            StageContext(StageKind.SMOOTH)
+        )
+        group = chain.stages[-1]
+        group.partition_by({"r1": "r1", "r2": "r2"}, "rfid:1:smooth:stream")
+        calls = {"len": 0, "emission_order": 0}
+        sliding = [False]
+        window_len, emission_order = BaseWindow.__len__, operators.emission_order
+
+        def counted_len(window):
+            calls["len"] += sliding[0]
+            return window_len(window)
+
+        def counted_order(groups):
+            calls["emission_order"] += 1
+            return emission_order(groups)
+
+        monkeypatch.setattr(BaseWindow, "__len__", counted_len)
+        monkeypatch.setattr(operators, "emission_order", counted_order)
+        emitted = []
+        for tick in range(20):
+            now = float(tick)
+            # r1 reads t0 every tick and one of t1-t3 in turn; r2 reads
+            # t9 only early and late, so its group expires and returns.
+            readings = [("r1", "t0"), ("r1", f"t{1 + tick % 3}")]
+            if tick < 5 or tick >= 15:
+                readings.append(("r2", "t9"))
+            chain.on_batch(
+                [
+                    StreamTuple(now, {"tag_id": tag, "spatial_granule": "g"}, label)
+                    for label, tag in readings
+                ]
+            )
+            sliding[0] = True
+            emitted.append([row["tag_id"] for row in chain.on_time(now)])
+            sliding[0] = False
+        assert emitted[4] == ["t0", "t1", "t2", "t3", "t9"]
+        assert emitted[10] == ["t0", "t1", "t2", "t3"]
+        assert emitted[19] == ["t0", "t1", "t2", "t3", "t9"]
+        assert calls == {"len": 0, "emission_order": 1}

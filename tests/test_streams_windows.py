@@ -1,6 +1,8 @@
 """Unit tests for the CQL window machinery."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import WindowError
 from repro.streams.tuples import StreamTuple
@@ -145,3 +147,61 @@ class TestRowWindow:
     def test_invalid_count(self):
         with pytest.raises(WindowError):
             RowWindow(0)
+
+
+KINDS = {
+    "range": lambda: SlidingWindow(1.5),
+    "now": NowWindow,
+    "rows": lambda: RowWindow(3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_advance_returns_the_length(kind):
+    window = KINDS[kind]()
+    assert window.advance(0.0) == 0
+    for ts in (1.0, 1.0, 2.0):
+        window.insert(tup(ts))
+    for now in (2.0, 2.5, 3.5, 3.5, 10.0):
+        assert window.advance(now) == len(window)
+
+
+def definition(kind, inserted, clock):
+    """What a window of ``kind`` holds: the inserted tuples still in
+    range of the clock (the newest of every insert and advance)."""
+    if kind == "rows":
+        return inserted[-3:]
+    width = 1.5 if kind == "range" else 0.0
+    return [t for t in inserted if t.timestamp >= clock - width - 1e-9]
+
+
+#: Inserts and advances on a dyadic grid, so every comparison is exact;
+#: an insert older than the clock must be refused.
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "advance"]),
+        st.integers(0, 24).map(lambda quarters: quarters / 4),
+    ),
+    max_size=40,
+)
+
+
+@given(kind=st.sampled_from(sorted(KINDS)), steps=STEPS)
+def test_contents_follow_the_definition(kind, steps):
+    window = KINDS[kind]()
+    inserted, clock = [], float("-inf")
+    for number, (op, ts) in enumerate(steps):
+        if op == "advance":
+            clock = max(clock, ts)
+            assert window.advance(ts) == len(definition(kind, inserted, clock))
+        elif ts < clock:
+            with pytest.raises(WindowError) as refused:
+                window.insert(tup(ts, n=number))
+            assert str(refused.value) == (
+                f"out-of-order insert: {ts} after {clock}"
+            )
+        else:
+            clock = ts
+            inserted.append(tup(ts, n=number))
+            window.insert(inserted[-1])
+        assert window.contents() == definition(kind, inserted, clock)
