@@ -73,12 +73,21 @@ route       router →   assigns the epoch: monotonically increasing
 drain       router →   finalize now: treat every routed source as byed,
                        flush reorder buffers, sweep all remaining
                        punctuation ticks, then report results
-result      worker →   cleaned output for one punctuation ``tick``
-                       index of ``epoch``: a list of ``records``
-                       (:func:`tuple_to_record`); ticks with no output
-                       are simply never sent — unless tracing is live,
-                       in which case a tick's completed hop-``spans``
-                       ride the same frame (possibly with no records)
+result_block worker →  cleaned output for many punctuation ticks of
+                       ``epoch`` (protocol ≥ 4; what every worker
+                       sends): ``ticks``, one ``[index, rows]`` array
+                       per listed tick — ``[index, rows, spans]`` when
+                       the frame carries ``spans`` — then ``schemas``
+                       and ``rows`` as in a ``block`` (layout below),
+                       and, while tracing is live, ``spans``: the
+                       listed ticks' completed hop records, in tick
+                       order. Ticks with neither output nor spans are
+                       never listed
+result      worker →   the protocol-2/3 spelling: cleaned output for
+                       one ``tick`` index of ``epoch`` as a list of
+                       ``records`` (:func:`tuple_to_record`), plus the
+                       tick's hop-``spans`` while tracing. No worker of
+                       this build sends one, and a router refuses it
 result_end  worker →   epoch complete: total ``ticks`` swept, the
                        worker gateway's ``stats`` and (when
                        instrumented) its ``telemetry`` snapshot
@@ -91,6 +100,15 @@ resume      router →   after a ``route`` with ``resume: true``: restore
                        this ``state`` before processing data (``null``
                        state = start fresh, expect full replay)
 =========== ========== =================================================
+
+A ``result_block`` row is ``[k, timestamp, stream, *values]``: a
+``block`` row without the ingest columns, so no field name is reserved
+here either. Its rows belong to the listed ticks in order — the first
+tick's ``rows`` count of them, then the next tick's — and its spans
+likewise by the ``spans`` counts. A frame is sealed at a fixed row count,
+so one tick's rows may continue in the next frame, which lists the tick
+again; a receiver appends. :func:`result_block_ticks` validates the whole
+frame with :func:`block_rows`' rules before it returns any of it.
 
 Wire times are *simulation-axis* seconds: the feeder stamps each data
 frame with the arrival time its delay model produced, and the gateway
@@ -117,13 +135,14 @@ from repro.streams.tuples import StreamTuple
 
 #: Protocol revision spoken by this build. Version 2 added the cluster
 #: dialect (worker_hello/route/drain/result frames), version 3 the
-#: ``block`` frame; every v1/v2 frame is unchanged, so v1 and v2 feeders
-#: still work.
-PROTOCOL_VERSION = 3
+#: ``block`` frame, version 4 the ``result_block`` frame workers return
+#: their output on; no feeder frame changed, so v1–v3 feeders still
+#: work.
+PROTOCOL_VERSION = 4
 
 #: Protocol revisions a server accepts in a ``hello``; the ``hello_ack``
 #: echoes the client's version so both sides speak the older dialect.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: First revision whose connections may carry ``block`` frames.
 BLOCK_VERSION = 3
@@ -562,7 +581,8 @@ def data_frame(
 
 
 def _finite(where: str, source: Any, key: str, value: Any) -> float:
-    """``value`` as a float, if it is a finite JSON number."""
+    """``value`` as a float, if it is a finite JSON number (``source``
+    names the reading in the error; ``None`` for a result row)."""
     kind = type(value)
     if kind is float:
         if isfinite(value):
@@ -572,9 +592,10 @@ def _finite(where: str, source: Any, key: str, value: Any) -> float:
             return float(value)
         except OverflowError:
             pass
+    if source is not None:
+        where = f"{where} for source {source!r:.40}"
     raise ProtocolError(
-        f"{where} for source {source!r:.40} carries "
-        f"{key}={value!r:.40}; expected a finite number"
+        f"{where} carries {key}={value!r:.40}; expected a finite number"
     )
 
 
@@ -702,6 +723,35 @@ def encode_block(entries: "Sequence[tuple]") -> bytes:
 _TRACE_CELLS = [int] * 5
 
 
+def _schemas_and_rows(
+    frame: Mapping[str, Any], kind: str
+) -> "tuple[list, list]":
+    """A ``block`` or ``result_block`` frame's ``schemas`` and ``rows``,
+    once both are lists and every schema a list of distinct field names.
+
+    Raises:
+        ProtocolError: Otherwise.
+    """
+    schemas = frame.get("schemas")
+    rows = frame.get("rows")
+    if type(schemas) is not list or type(rows) is not list:
+        raise ProtocolError(
+            f"{kind} frame needs 'schemas' and 'rows' lists, got "
+            f"{schemas!r:.40} and {rows!r:.40}"
+        )
+    for schema in schemas:
+        if (
+            type(schema) is not list
+            or any(type(name) is not str for name in schema)
+            or len(set(schema)) != len(schema)
+        ):
+            raise ProtocolError(
+                f"{kind} schema {schema!r:.60} is not a list of distinct "
+                f"field names"
+            )
+    return schemas, rows
+
+
 def block_rows(frame: Mapping[str, Any]) -> "Iterator[tuple]":
     """Validate a received ``block`` frame row by row; yields the
     entries :func:`block_frame` took — ``(source, seq, arrival, low,
@@ -719,24 +769,8 @@ def block_rows(frame: Mapping[str, Any]) -> "Iterator[tuple]":
     Raises:
         ProtocolError: On the first violation, naming the row.
     """
-    schemas = frame.get("schemas")
-    rows = frame.get("rows")
+    schemas, rows = _schemas_and_rows(frame, "block")
     traces = frame.get("traces")
-    if type(schemas) is not list or type(rows) is not list:
-        raise ProtocolError(
-            f"block frame needs 'schemas' and 'rows' lists, got "
-            f"{schemas!r:.40} and {rows!r:.40}"
-        )
-    for schema in schemas:
-        if (
-            type(schema) is not list
-            or any(type(name) is not str for name in schema)
-            or len(set(schema)) != len(schema)
-        ):
-            raise ProtocolError(
-                f"block schema {schema!r:.60} is not a list of distinct "
-                f"field names"
-            )
     if traces is None:
         traces = repeat(None)
     elif type(traces) is not list or len(traces) != len(rows):
@@ -931,18 +965,15 @@ def result(
     records: Iterable[Mapping[str, Any]],
     spans: "Iterable[list] | None" = None,
 ) -> dict:
-    """Cleaned output for one punctuation tick index of ``epoch``.
+    """Cleaned output for one punctuation tick index of ``epoch``: the
+    protocol-2/3 spelling, which no worker of this build sends (workers
+    send :func:`encode_result_block` frames).
 
     ``spans`` carries the tick's completed hop-span records when the
-    cluster trace context is live (see ``traces`` on ``block``
-    frames): positional arrays ``[ingest_id, source, sim_ts, recv,
-    acq, fwd, wrecv, queued, released, done, replayed]`` — the trace
-    context's router stamps, then the worker-clock stamps, all integer
-    nanoseconds, with ``replayed`` as 0/1 (positional rather than
-    keyed to keep the per-tuple wire cost inside the traced cluster's
-    overhead budget). The key is omitted entirely when there are none,
-    so the golden wire bytes of an untraced ``result`` are unchanged
-    from protocol v2.
+    cluster trace context is live (layout on
+    :func:`encode_result_block`). The key is omitted entirely when
+    there are none, so the golden wire bytes of an untraced ``result``
+    are unchanged from protocol v2.
     """
     frame = {
         "type": "result",
@@ -953,6 +984,187 @@ def result(
     if spans:
         frame["spans"] = list(spans)
     return frame
+
+
+#: Cells of a hop-span record (layout on :func:`encode_result_block`).
+_HOP_CELLS = 11
+
+
+def _result_block(epoch: int, ticks: "Sequence[tuple]") -> dict:
+    """The ``result_block`` frame of ``ticks`` (:func:`encode_result_block`)."""
+    traced = any(spans for _, _, spans in ticks)
+    index: dict[tuple, int] = {}
+    listed: list[list[int]] = []
+    rows: list[list] = []
+    hops: list[list] = []
+    for tick, items, spans in ticks:
+        for item in items:
+            # Read in place, as block_frame does.
+            values = item._values
+            schema = tuple(values)
+            k = index.get(schema)
+            if k is None:
+                k = index[schema] = len(index)
+            rows.append([k, item.timestamp, item.stream, *values.values()])
+        if traced:
+            listed.append([tick, len(items), len(spans)])
+            hops.extend(spans)
+        else:
+            listed.append([tick, len(items)])
+    frame = {
+        "type": "result_block",
+        "epoch": int(epoch),
+        "ticks": listed,
+        "schemas": [list(schema) for schema in index],
+        "rows": rows,
+    }
+    if traced:
+        frame["spans"] = hops
+    return frame
+
+
+def encode_result_block(epoch: int, ticks: "Sequence[tuple]") -> bytes:
+    """Serialize cleaned output of ``epoch`` as one ``result_block``
+    frame — or, when that would exceed :data:`MAX_FRAME_BYTES`, as the
+    frames of its two halves, in order (as :func:`encode_block` splits;
+    a tick cut in two is listed in both).
+
+    ``ticks`` are ``(index, items, spans)`` in tick order: a tick index,
+    the tuples that tick emitted, and the hop records it completed
+    (empty when untraced). Each tuple becomes the row ``[k, timestamp,
+    stream, *values]`` under ``schemas[k]``, its own field order. A hop
+    record is the positional array ``[ingest_id, source, sim_ts, recv,
+    acq, fwd, wrecv, queued, released, done, replayed]`` — the trace
+    context's router stamps, then the worker-clock stamps, all integer
+    nanoseconds, with ``replayed`` as 0/1 (positional rather than keyed
+    to keep the per-tuple wire cost inside the traced cluster's overhead
+    budget).
+
+    Raises:
+        ProtocolError: When a single row or hop record exceeds the limit.
+    """
+    payload = _dumps(_result_block(epoch, ticks))
+    if len(payload) <= MAX_FRAME_BYTES:
+        return frame_bytes(payload)
+    if len(ticks) > 1:
+        half = len(ticks) // 2
+        return encode_result_block(epoch, ticks[:half]) + encode_result_block(
+            epoch, ticks[half:]
+        )
+    tick, items, spans = ticks[0]
+    size = max(len(items), len(spans))
+    if size <= 1:
+        raise ProtocolError(
+            f"result row of {len(payload)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    half = size // 2
+    return encode_result_block(
+        epoch, [(tick, items[:half], spans[:half])]
+    ) + encode_result_block(epoch, [(tick, items[half:], spans[half:])])
+
+
+def result_block_ticks(
+    frame: Mapping[str, Any],
+) -> "list[tuple[int, list[StreamTuple], list[list]]]":
+    """Validate a received ``result_block`` frame whole; returns the
+    ``(index, items, spans)`` ticks :func:`encode_result_block` took.
+
+    Rows follow :func:`block_rows`' rules: ``k`` must index
+    ``schemas``, a row be as wide as its schema, schema names be
+    distinct strings, the timestamp a finite number and the stream a
+    string. ``ticks`` must hold arrays of non-negative integers —
+    ``[index, rows]``, or ``[index, rows, spans]`` when the frame
+    carries ``spans`` — whose counts add up to exactly the frame's rows
+    and spans, and a span must be an array of eleven hop cells.
+    Nothing is returned until the whole frame has passed, so a refused
+    frame changes nothing at its receiver.
+
+    Raises:
+        ProtocolError: On the first violation, naming the row or tick.
+    """
+    schemas, rows = _schemas_and_rows(frame, "result_block")
+    ticks = frame.get("ticks")
+    spans = frame.get("spans")
+    if type(frame.get("epoch")) is not int or type(ticks) is not list or (
+        spans is not None and type(spans) is not list
+    ):
+        raise ProtocolError(
+            f"result_block frame needs an integer 'epoch' and a 'ticks' "
+            f"list, got {frame.get('epoch')!r:.40} and {ticks!r:.40}"
+        )
+    width = 2 if spans is None else 3
+    for position, entry in enumerate(ticks):
+        if (
+            type(entry) is not list
+            or len(entry) != width
+            or any(type(cell) is not int or cell < 0 for cell in entry)
+        ):
+            raise ProtocolError(
+                f"result_block tick entry {position} is {entry!r:.60}; "
+                f"expected {width} non-negative integers"
+            )
+    listed = sum(entry[1] for entry in ticks)
+    if listed != len(rows):
+        raise ProtocolError(
+            f"result_block ticks {[entry[0] for entry in ticks]!r:.60} "
+            f"list {listed} rows; the frame carries {len(rows)}"
+        )
+    if spans is not None:
+        listed = sum(entry[2] for entry in ticks)
+        if listed != len(spans):
+            raise ProtocolError(
+                f"result_block ticks {[entry[0] for entry in ticks]!r:.60} "
+                f"list {listed} spans; the frame carries {len(spans)}"
+            )
+        for position, span in enumerate(spans):
+            if type(span) is not list or len(span) != _HOP_CELLS:
+                raise ProtocolError(
+                    f"result_block span {position} is {span!r:.60}; "
+                    f"expected an array of {_HOP_CELLS} hop cells"
+                )
+    count = len(schemas)
+    from_parts = StreamTuple._from_parts
+    items: list[StreamTuple] = []
+    for index, row in enumerate(rows):
+        if type(row) is not list or len(row) < 3:
+            raise ProtocolError(
+                f"result_block row {index} is not a list of at least 3 "
+                f"cells: {row!r:.60}"
+            )
+        k, timestamp, stream, *cells = row
+        if type(k) is not int or not 0 <= k < count:
+            raise ProtocolError(
+                f"result_block row {index} carries k={k!r:.40}; expected "
+                f"an index into {count} schemas"
+            )
+        if type(timestamp) is not float or not isfinite(timestamp):
+            timestamp = _finite(
+                f"result_block row {index}", None, "timestamp", timestamp
+            )
+        if type(stream) is not str:
+            raise ProtocolError(
+                f"result_block row {index} names stream {stream!r:.40}; "
+                f"expected a string"
+            )
+        schema = schemas[k]
+        if len(cells) != len(schema):
+            raise ProtocolError(
+                f"result_block row {index} carries {len(cells)} values "
+                f"under a schema of {len(schema)}"
+            )
+        items.append(from_parts(timestamp, dict(zip(schema, cells)), stream))
+    decoded = []
+    offset = hop = 0
+    for entry in ticks:
+        tick, n = entry[0], entry[1]
+        tick_spans: list[list] = []
+        if spans is not None:
+            tick_spans = spans[hop:hop + entry[2]]
+            hop += entry[2]
+        decoded.append((tick, items[offset:offset + n], tick_spans))
+        offset += n
+    return decoded
 
 
 def result_end(
@@ -983,7 +1195,7 @@ def checkpoint(checkpoint_id: int) -> dict:
     readings the router sent before this frame, so the positions the
     router recorded at send time name the first reading *not* covered
     by the snapshot. The worker quiesces (drains its ingress queues into
-    the session), ships ``result`` frames for any newly swept ticks,
+    the session), ships ``result_block`` frames for any newly swept ticks,
     then answers with :func:`checkpoint_ack`.
     """
     return {"type": "checkpoint", "id": int(checkpoint_id)}

@@ -70,9 +70,10 @@ gets replayed; the differential fault suite pins this.
 **One link lifecycle.** Epoch open, rebalance, resume and failover all
 bring a worker link to life the same way: *open* (``_connect_link``) →
 *seed from checkpoint* → *replay past the cut* (``_replay``) → *live*.
-Every reading, replayed or live, goes out through ``_forward``,
-which is what keeps the invariant the cut depends on: ``link.positions``
-counts every reading written on the link, replayed or live. Positions,
+Every reading, replayed or live, goes out through ``_place`` (behind
+``_forward``'s credit wait, or a credit already in hand), which is what
+keeps the invariant the cut depends on: ``link.positions`` counts every
+reading written on the link, replayed or live. Positions,
 ``checkpoint_interval``, ``data_frames`` and ``retained_frames`` all
 count readings (the names date from one frame per reading); how rows
 fall into blocks changes none of them.
@@ -187,7 +188,8 @@ class _WorkerLink:
         self.acked: set[str] = set()
         self.per_tick: dict[int, list[StreamTuple]] = {}
         #: Tick → positional hop-span records shipped back on
-        #: ``result`` frames (layout on :func:`repro.net.protocol.result`),
+        #: ``result_block`` frames (layout on
+        #: :func:`repro.net.protocol.encode_result_block`),
         #: each with its router-arrival instant (``merge``) appended as
         #: a twelfth element. Mirrored into checkpoints alongside
         #: :attr:`per_tick` and committed to the collector only at
@@ -220,6 +222,17 @@ class _WorkerLink:
         ) = None
         self.on_failure: "Callable[[_WorkerLink], None] | None" = None
 
+    def take_credit(self, source: str) -> bool:
+        """Take one worker credit for ``source`` if the live link has
+        one in hand; ``False`` (nothing taken) otherwise."""
+        if self.dead:
+            return False
+        credits = self.credits.get(source, 0)
+        if credits <= 0:
+            return False
+        self.credits[source] = credits - 1
+        return True
+
     async def acquire(
         self, source: str, before_wait: Callable[[], None]
     ) -> None:
@@ -235,8 +248,7 @@ class _WorkerLink:
         """
         if self.dead:
             raise _LinkDead(self.label)
-        if self.credits.get(source, 0) > 0:
-            self.credits[source] -= 1
+        if self.take_credit(source):
             return
         self.out.flush()
         before_wait()
@@ -269,20 +281,18 @@ class _WorkerLink:
                         self.granted.notify_all()
                 elif kind == "bye_ack":
                     self.acked.add(frame.get("source"))
-                elif kind == "result":
-                    tick = int(frame.get("tick", 0))
-                    bucket = self.per_tick.setdefault(tick, [])
-                    bucket.extend(
-                        protocol.record_to_tuple(record)
-                        for record in frame.get("records") or []
-                    )
-                    spans = frame.get("spans")
-                    if spans:
-                        merge = time.perf_counter_ns()
-                        hops = self.span_buckets.setdefault(tick, [])
-                        for record in spans:
-                            record.append(merge)
-                            hops.append(record)
+                elif kind == "result_block":
+                    # Decoded whole before any of it lands: a refused
+                    # frame leaves the buckets as they were.
+                    ticks = protocol.result_block_ticks(frame)
+                    merge = time.perf_counter_ns() if "spans" in frame else 0
+                    for tick, items, spans in ticks:
+                        self.per_tick.setdefault(tick, []).extend(items)
+                        if spans:
+                            hops = self.span_buckets.setdefault(tick, [])
+                            for record in spans:
+                                record.append(merge)
+                                hops.append(record)
                 elif kind == "checkpoint_ack":
                     if self.on_checkpoint_ack is not None:
                         self.on_checkpoint_ack(self, frame)
@@ -354,7 +364,7 @@ class ClusterRouter:
             epoch snapshot under its worker label. Also switches on
             cluster tracing: the router stamps a trace context beside
             every forwarded row, workers ship completed hop records
-            back on ``result`` frames, and epoch close commits the
+            back on ``result_block`` frames, and epoch close commits the
             per-worker span set (``router.queue`` … ``cluster.e2e``)
             plus one ``cluster_span`` log entry per delivered tuple.
         clock: Wall-clock source (injectable for tests).
@@ -740,8 +750,9 @@ class ClusterRouter:
 
     #: The cluster hop phases in path order: ``(span name, span-log
     #: field, minuend index, subtrahend index)`` into the positional
-    #: hop record (layout on :func:`repro.net.protocol.result`; index
-    #: 11 is the router-stamped ``merge`` arrival). Consecutive phases
+    #: hop record (layout on
+    #: :func:`repro.net.protocol.encode_result_block`; index 11 is the
+    #: router-stamped ``merge`` arrival). Consecutive phases
     #: share their boundary stamps, so the integer-ns durations sum
     #: *exactly* to ``cluster.e2e`` — same-clock-domain phases are true
     #: durations; the two marked cross-domain (router clock → worker
@@ -976,9 +987,28 @@ class ClusterRouter:
     async def _forward(
         self, link: _WorkerLink, frame: _RetainedFrame, replayed: bool
     ) -> None:
-        """Write one retained reading on ``link``, as the next row of
-        its pending block — the only place a reading reaches a worker,
-        live or replayed.
+        """Take a worker credit for one retained reading (waiting for
+        one if need be), then :meth:`_place` it on ``link`` — the only
+        place a reading reaches a worker, live or replayed, other than
+        :meth:`_route_rows` placing a reading whose credit was in hand.
+
+        Raises:
+            _LinkDead: The link is (or while blocked on a credit
+                became) dead; nothing was written or counted.
+            ConnectionError, RuntimeError: Draining an over-long burst
+                found the connection gone.
+        """
+        await link.acquire(frame.source, self._flush)
+        self._place(link, frame, replayed)
+        if link.out.full:
+            self._flush()
+            await link.out.drain()
+
+    def _place(
+        self, link: _WorkerLink, frame: _RetainedFrame, replayed: bool
+    ) -> None:
+        """Write one retained reading, its worker credit taken, on
+        ``link`` as the next row of its pending block.
 
         Invariant: ``link.positions`` counts every reading written on
         the link, replayed or live. The count moves in the same
@@ -996,14 +1026,7 @@ class ClusterRouter:
         record whose commit the epoch-ownership rule dedupes, and
         failover latency lands attributably in their ``router.queue``
         phase.
-
-        Raises:
-            _LinkDead: The link is (or while blocked on a credit
-                became) dead; nothing was written or counted.
-            ConnectionError, RuntimeError: Draining an over-long burst
-                found the connection gone.
         """
-        await link.acquire(frame.source, self._flush)
         link.positions[frame.source] = (
             link.positions.get(frame.source, 0) + 1
         )
@@ -1021,9 +1044,6 @@ class ClusterRouter:
             frame.source, frame.seq, frame.arrival, frame.low, frame.item,
             trace,
         )
-        if link.out.full:
-            self._flush()
-            await link.out.drain()
 
     def _flush(self) -> None:
         """The flush rule: a task calls this before it awaits anything
@@ -1367,43 +1387,71 @@ class ClusterRouter:
         them: a reading the worker would refuse is refused here, to
         the feeder).
 
+        A block is routed in one pass. The gate is passed and the
+        in-flight hold taken once, and the hold is let go around any
+        gate wait (a freeze waits for the hold, so keeping it across
+        the wait would deadlock). Each distinct key's owner is looked
+        up once, in a table local to the call and rebuilt after a gate
+        wait, because a rebalance swaps the ring. A worker credit in
+        hand is taken without a suspension point; only a link with no
+        credit left for the source, or a dead one, goes through
+        :meth:`_forward`. What a reading counts stays per reading.
+
         Raises:
             ProtocolError: A malformed row, or one for a source this
                 connection does not own or has byed; the rows ahead of
                 it are retained and forwarded.
         """
-        for source, seq, arrival, low, item, _trace in rows:
-            if source not in names:
-                raise ProtocolError(
-                    f"reading for source {source!r} not declared "
-                    f"in this connection's hello"
-                )
-            if source in self._final:
-                raise ProtocolError(
-                    f"reading for source {source!r} after its bye"
-                )
-            key = str(self._key_fn(source, item))
-            ingest_id = recv = 0
-            if self._tracing:
-                # The receive stamp precedes the gate wait so a
-                # frozen rebalance gate shows up in router.queue.
-                recv = time.perf_counter_ns()
-                self._trace_seq += 1
-                ingest_id = self._trace_seq
-            await self._pass_gate()
-            self._inflight += 1
-            self._idle.clear()
-            try:
+        gate = self._gate
+        owners: dict[str, _WorkerLink] = {}
+        held = False
+        try:
+            for source, seq, arrival, low, item, _trace in rows:
+                if source not in names:
+                    raise ProtocolError(
+                        f"reading for source {source!r} not declared "
+                        f"in this connection's hello"
+                    )
+                if source in self._final:
+                    raise ProtocolError(
+                        f"reading for source {source!r} after its bye"
+                    )
+                key = str(self._key_fn(source, item))
+                ingest_id = recv = 0
+                if self._tracing:
+                    # The receive stamp precedes the gate wait so a
+                    # frozen rebalance gate shows up in router.queue.
+                    recv = time.perf_counter_ns()
+                    self._trace_seq += 1
+                    ingest_id = self._trace_seq
+                if not gate.is_set():
+                    if held:
+                        held = False
+                        self._release_inflight()
+                    await self._pass_gate()
+                    owners.clear()
+                if not held:
+                    held = True
+                    self._inflight += 1
+                    self._idle.clear()
                 retained = _RetainedFrame(
                     arrival, seq, source, key, low, item, ingest_id, recv
                 )
                 self._history[source].append(retained)
                 previous = self._max_arrival.get(source, float("-inf"))
                 self._max_arrival[source] = max(previous, arrival)
-                assert self._ring is not None
-                link = self._links[self._ring.owner(key)]
+                link = owners.get(key)
+                if link is None:
+                    assert self._ring is not None
+                    link = owners[key] = self._links[self._ring.owner(key)]
                 try:
-                    await self._forward(link, retained, replayed=False)
+                    if link.take_credit(source):
+                        self._place(link, retained, replayed=False)
+                        if link.out.full:
+                            self._flush()
+                            await link.out.drain()
+                    else:
+                        await self._forward(link, retained, replayed=False)
                 except _LinkDead:
                     # Already retained; recovery's replay delivers
                     # it. Skip; the feeder's credit is owed below.
@@ -1411,15 +1459,16 @@ class ClusterRouter:
                 except (ConnectionError, RuntimeError):
                     self._on_link_failure(link)
                     self._bump("forwards_skipped_dead")
-            finally:
+                self._maybe_checkpoint(link)
+                self.data_frames += 1
+                self._offered[source] = self._offered.get(source, 0) + 1
+                if self._frame_waiters:
+                    for event in self._frame_waiters:
+                        event.set()
+                self._owed[source] = self._owed.get(source, 0) + 1
+        finally:
+            if held:
                 self._release_inflight()
-            self._maybe_checkpoint(link)
-            self.data_frames += 1
-            self._offered[source] = self._offered.get(source, 0) + 1
-            if self._frame_waiters:
-                for event in self._frame_waiters:
-                    event.set()
-            self._owed[source] = self._owed.get(source, 0) + 1
 
     async def _pass_gate(self) -> None:
         """Wait out a rebalance freeze, flushing first (:meth:`_flush`)."""

@@ -9,8 +9,9 @@ a standalone gateway — the worker literally wraps today's
 :class:`~repro.net.gateway.IngestGateway` over a fresh
 :class:`~repro.core.pipeline.ESPStreamSession`. When every routed
 source is final (clean byes, or the router's ``drain`` during a
-rebalance), the worker streams its cleaned output back as per-tick
-``result`` frames and a closing ``result_end``.
+rebalance), the worker streams its cleaned output back as
+``result_block`` frames — many ticks of positional rows per frame — and
+a closing ``result_end``.
 
 **Per-tick attribution.** The egress merge needs each worker's output
 *per punctuation tick* (the unit :func:`repro.streams.shard.merge_outputs`
@@ -24,15 +25,15 @@ ticks, so a checkpoint never carries output the router already has.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
 from repro.net.gateway import IngestGateway
 from repro.net.ops import ops_plane
 from repro.net.protocol import (
+    BURST_BYTES,
     FrameReader,
-    FrameWriter,
     read_frame,
     write_frame,
 )
@@ -41,8 +42,10 @@ from repro.streams.fjord import sweep_end
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
-#: Records per ``result`` frame; keeps every frame far below the
-#: 1 MiB payload cap whatever the record width.
+#: Rows (and hop records) after which a ``result_block`` frame is
+#: sealed; keeps frames far below the 1 MiB payload cap whatever the row
+#: width (a wider frame still splits, as
+#: :func:`~repro.net.protocol.encode_result_block` says).
 RESULT_CHUNK = 256
 
 
@@ -68,7 +71,7 @@ class TickLedger:
         #: strictly parallel to :attr:`per_tick`. Populated only when
         #: the router stamped a trace context on the rows it forwarded;
         #: each record is the positional array documented on
-        #: :func:`repro.net.protocol.result`.
+        #: :func:`repro.net.protocol.encode_result_block`.
         self.spans_per_tick: list[list[list]] = []
         #: Ticks whose results have already been shipped to the router
         #: (see :func:`ship_ticks`) — result shipping is incremental so
@@ -115,9 +118,9 @@ class TickLedger:
         """Session callback: one cluster-traced tuple finished its sweep.
 
         Flattens the router's trace context plus the worker-clock
-        stamps into the positional hop record that ships back on this
-        tick's ``result`` frame (layout documented on
-        :func:`repro.net.protocol.result`). Raw integer-ns stamps
+        stamps into the positional hop record that ships back with this
+        tick's results (layout documented on
+        :func:`repro.net.protocol.encode_result_block`). Raw integer-ns stamps
         travel, not durations — the router computes phases at arrival,
         when it can add its own merge stamp — and the positional form
         keeps the per-tuple wire and capture cost inside the traced
@@ -192,37 +195,68 @@ class TickLedger:
 async def ship_ticks(
     writer: asyncio.StreamWriter, epoch: int, ledger: TickLedger
 ) -> int:
-    """Ship the ledger's not-yet-reported tick buckets as ``result``
-    frames; returns how many ticks were shipped.
+    """Ship the ledger's not-yet-reported tick buckets as
+    ``result_block`` frames; returns how many ticks were shipped.
 
-    Chunked at :data:`RESULT_CHUNK` records per frame, and the frames
-    of one call reach the socket as one burst. Advances
+    Many ticks share a frame, which is sealed at :data:`RESULT_CHUNK`
+    rows (a tick may continue in the next), and the frames of one call
+    reach the socket a burst at a time: one write per
+    :data:`~repro.net.protocol.BURST_BYTES`, as a ``FrameWriter``
+    writes (a write per frame cost ≈ 1 MB more peak memory in the
+    two-worker shelf cluster benchmark on a 2-vCPU host). Advances
     ``ledger.reported`` so shipping is incremental: mid-epoch
     checkpoints ship their delta, and the final drain ships only what
     no checkpoint already delivered.
     """
-    out = FrameWriter(writer)
     start = ledger.reported
+    burst: list[bytes] = []
+    size = 0
+    for ticks in _sealed_ticks(ledger, start):
+        data = protocol.encode_result_block(epoch, ticks)
+        burst.append(data)
+        size += len(data)
+        if size > BURST_BYTES:
+            writer.write(b"".join(burst))
+            burst.clear()
+            size = 0
+            await writer.drain()
+    if burst:
+        writer.write(b"".join(burst))
+    await writer.drain()
+    ledger.reported = len(ledger.per_tick)
+    return ledger.reported - start
+
+
+def _sealed_ticks(
+    ledger: TickLedger, start: int
+) -> "Iterator[list[tuple]]":
+    """The ledger's ticks from ``start`` on, as the ``(index, items,
+    spans)`` lists of successive frames, each sealed at
+    :data:`RESULT_CHUNK` rows or hop records.
+
+    Rows and hop records of a tick are cut in lockstep; a tick whose
+    tuples were all filtered away still ships its spans, and a tick
+    with neither is not listed.
+    """
+    sealed: list[tuple] = []
+    fill = 0
     for index in range(start, len(ledger.per_tick)):
         bucket = ledger.per_tick[index]
         spans = ledger.spans_per_tick[index]
+        size = max(len(bucket), len(spans))
         offset = 0
-        # Records and spans chunk in lockstep; a tick whose tuples were
-        # all filtered away still ships its spans (records empty), and
-        # an untraced tick with no output still ships nothing at all.
-        while offset < len(bucket) or offset < len(spans):
-            records = [
-                protocol.tuple_to_record(item)
-                for item in bucket[offset:offset + RESULT_CHUNK]
-            ]
-            chunk = spans[offset:offset + RESULT_CHUNK]
-            out.add(protocol.result(epoch, index, records, chunk))
-            if out.full:
-                await out.drain()
-            offset += RESULT_CHUNK
-    await out.drain()
-    ledger.reported = len(ledger.per_tick)
-    return ledger.reported - start
+        while offset < size:
+            take = min(RESULT_CHUNK - fill, size - offset)
+            end = offset + take
+            sealed.append((index, bucket[offset:end], spans[offset:end]))
+            fill += take
+            offset = end
+            if fill == RESULT_CHUNK:
+                yield sealed
+                sealed = []
+                fill = 0
+    if sealed:
+        yield sealed
 
 
 class WorkerGateway(IngestGateway):
@@ -238,8 +272,8 @@ class WorkerGateway(IngestGateway):
     (:mod:`repro.net.recovery`).
 
     Args:
-        epoch: The epoch this gateway serves (stamped on ``result`` and
-            ``checkpoint_ack`` frames).
+        epoch: The epoch this gateway serves (stamped on
+            ``result_block`` and ``checkpoint_ack`` frames).
         label: This worker's label for the epoch.
     """
 

@@ -586,7 +586,7 @@ class TestBlocksOnTheWire:
         for handler in (acks_v2, speaks_v2):
             with pytest.raises(NetError) as refusal:
                 asyncio.run(against(handler))
-            assert "3" in str(refusal.value) and "2" in str(refusal.value)
+            assert "4" in str(refusal.value) and "2" in str(refusal.value)
         assert frames == []  # nothing was sent on the v2 connection
 
 

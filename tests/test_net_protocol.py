@@ -829,10 +829,11 @@ class TestClusterDialect:
     ]
 
     def test_protocol_version_is_2_and_v1_stays_supported(self):
-        # Version 2 was this build's own until blocks made it 3; like
-        # version 1 it stays a dialect a front door accepts.
-        assert PROTOCOL_VERSION == 3
-        assert protocol.SUPPORTED_VERSIONS == (1, 2, 3)
+        # Version 2 was this build's own until blocks made it 3, and
+        # result blocks 4; like version 1 it stays a dialect a front
+        # door accepts.
+        assert PROTOCOL_VERSION == 4
+        assert protocol.SUPPORTED_VERSIONS == (1, 2, 3, 4)
         assert protocol.BLOCK_VERSION == 3
 
     def test_every_cluster_frame_roundtrips(self):
@@ -893,7 +894,7 @@ class TestClusterDialect:
 
 
 class TestVersionHandshake:
-    """Compat negotiation: v1 and v2 feeders keep working, v4 is
+    """Compat negotiation: v1 and v2 feeders keep working, v5 is
     refused."""
 
     WAIT = 20.0
@@ -944,9 +945,9 @@ class TestVersionHandshake:
         assert reply["version"] == 3
 
     def test_future_version_refused_with_supported_list(self):
-        reply = self._handshake(4)
+        reply = self._handshake(5)
         assert reply["type"] == "error"
-        assert "[1, 2, 3]" in reply["reason"]
+        assert "[1, 2, 3, 4]" in reply["reason"]
 
     def test_boolean_version_is_not_version_one(self):
         # ``True == 1``: it was accepted as v1 and echoed as ``true``.
