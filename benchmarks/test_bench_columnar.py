@@ -23,11 +23,11 @@ Three workloads:
   list storage; both run the identical operator graph).
 
 - **Full shelf pipeline (reported, and gated by a count).** The
-  paper's Smooth+Arbitrate pipeline at its native tick hands its
-  annotate nodes and its one union node (``kindout:``) runs of at most
-  25 rows: below the threshold, so a pass must perform zero
-  rows→columns encodes — while the chain
-  encodes every long run exactly once. Likewise one redwood and one
+  paper's Smooth+Arbitrate pipeline at its native tick hands its one
+  column-kernel node, the union ``kindout:``, runs of at most 25 rows
+  (its sources are annotated at injection, by no node): below the
+  threshold, so a pass must perform zero rows→columns encodes — while
+  the chain encodes every long run exactly once. Likewise one redwood and one
   digital-home pass leave ``typedcols.storage_stats()`` empty: their
   window aggregates read rows, so no column is ever built for them.
   Counts, not clocks: they repeat exactly on any host.

@@ -39,7 +39,6 @@ from repro.streams.fjord import Fjord, _check_mode
 from repro.streams.operators import (
     ChainOp,
     FilterOp,
-    MapOp,
     Operator,
     UnionOp,
     WindowedGroupByOp,
@@ -187,12 +186,12 @@ def _group_by_of(op: Operator) -> "WindowedGroupByOp | None":
 
 
 #: Rollup keys for nodes the processor itself wires around the stages.
-_PLUMBING_STAGES = {"annot": "ingest", "kindout": "union", "tap": "output"}
+_PLUMBING_STAGES = {"kindout": "union", "tap": "output"}
 
 #: Presentation order of rollup rows: the network edge, the ESP
 #: cascade, then plumbing.
 _ROLLUP_ORDER = (
-    "gateway", "ingest", "point", "smooth", "merge", "arbitrate",
+    "gateway", "point", "smooth", "merge", "arbitrate",
     "virtualize", "union", "output", "other",
 )
 
@@ -201,8 +200,8 @@ def classify_node(name: str) -> str:
     """Map a processor-wired DAG node name to its pipeline-stage label.
 
     The processor's node-naming scheme encodes the stage kind
-    (``{kind}:{position}:{stage}:{label}``, with ``annot:``/``kindout:``
-    /``virtualize:``/``tap:`` prefixes for its own plumbing); this is
+    (``{kind}:{position}:{stage}:{label}``, with ``kindout:``/
+    ``virtualize:``/``tap:`` prefixes for its own plumbing); this is
     the inverse, used to roll per-operator telemetry up to the paper's
     Point/Smooth/Merge/Arbitrate/Virtualize vocabulary. Unknown names
     (hand-wired Fjords) classify as ``"other"``.
@@ -318,8 +317,8 @@ class ESPStreamSession:
 
     Opened by :meth:`ESPProcessor.open_session`; the network ingestion
     gateway (:mod:`repro.net`) is the canonical driver. Push raw device
-    readings with :meth:`push_run` or :meth:`push` (annotation and the
-    stage cascade happen inside the dataflow exactly as in a batch run),
+    readings with :meth:`push_run` or :meth:`push` (the session annotates
+    and cleans them as it injects them, exactly as in a batch run),
     advance punctuation time with :meth:`advance` as the ingress
     watermark moves, then :meth:`close` to flush the remaining ticks and
     collect the :class:`ESPRun`.
@@ -833,8 +832,8 @@ class ESPProcessor:
         pipeline = self._pipelines.get(
             receptor_kind, ESPPipeline(receptor_kind)
         )
-        # Sources + annotation; streams keyed by their scope partition's
-        # label (receptor id, group or kind).
+        # Sources, annotated as the session injects them; streams keyed
+        # by their scope partition's label (receptor id, group or kind).
         streams: dict[str, str] = {}
         for device in devices:
             source_name = f"src:{device.receptor_id}"
@@ -842,11 +841,8 @@ class ESPProcessor:
                 feed = list(sources[device.receptor_id])
             else:
                 feed = device.stream(until, start=start)
-            fjord.add_source(source_name, feed)
-            annotate = self._annotator(device)
-            node = f"annot:{device.receptor_id}"
-            fjord.add_operator(node, MapOp(annotate), inputs=[source_name])
-            streams[device.receptor_id] = node
+            fjord.add_source(source_name, feed, self._annotator(device))
+            streams[device.receptor_id] = source_name
         level = "stream"
         if "raw" in taps:
             self._tap(fjord, result, receptor_kind, "raw", streams.values())
@@ -885,9 +881,7 @@ class ESPProcessor:
     def _annotator(self, device: Receptor):
         group = self.registry.group_of(device.receptor_id)
         # The stream label is the receptor id from the registry, never
-        # the one the feed sent: keyed nodes partition by it. AddFields
-        # has a column kernel: on a long run the two annotation fields
-        # become shared constant columns instead of a per-tuple dict copy.
+        # the one the feed sent: keyed nodes partition by it.
         return AddFields(
             {
                 "spatial_granule": group.granule.name,

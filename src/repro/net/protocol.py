@@ -609,7 +609,8 @@ def data_fields(
     ``block``'s rows: ``seq`` must be an integer, ``arrival``, ``low``
     and the record's timestamp column finite numbers (``json.loads``
     accepts ``NaN`` and ``Infinity``, and a non-finite stamp would
-    poison a watermark), and ``record`` an object. An absent
+    poison a watermark), ``record`` an object and its stream column,
+    when present, a string (an absent one is ``""``). An absent
     ``arrival`` (a v1-style frame) defaults to the record's timestamp,
     an absent ``seq`` to 0; an absent or ``null`` ``low`` is no promise
     (``None``).
@@ -627,6 +628,12 @@ def data_fields(
     timestamp = _finite(
         "data frame", source, TIMESTAMP_COLUMN, record.get(TIMESTAMP_COLUMN)
     )
+    stream = record.get(STREAM_COLUMN, "")
+    if type(stream) is not str:
+        raise ProtocolError(
+            f"data frame for source {source!r:.40} carries "
+            f"{STREAM_COLUMN}={stream!r:.40}; expected a string"
+        )
     seq = frame.get("seq", 0)
     if type(seq) is not int:
         raise ProtocolError(

@@ -158,15 +158,20 @@ class Fjord:
     def __init__(self):
         self._nodes: dict[str, _Node] = {}
         self._sources: dict[str, Iterable[StreamTuple]] = {}
+        self._annotations: dict[str, Callable | None] = {}
         self._source_edges: dict[str, list[tuple[str, int]]] = {}
         self._order: list[str] | None = None
 
     # -- graph construction ----------------------------------------------------
 
-    def add_source(self, name: str, items: Iterable[StreamTuple]) -> None:
-        """Register a named source of timestamp-sorted tuples."""
+    def add_source(
+        self, name: str, items: Iterable[StreamTuple], annotate: Callable | None = None
+    ) -> None:
+        """Register a named source of timestamp-sorted tuples, mapped
+        through ``annotate`` (when given) as a session injects them."""
         self._check_fresh_name(name)
         self._sources[name] = items
+        self._annotations[name] = annotate
         self._source_edges[name] = []
         self._order = None
 
@@ -594,6 +599,7 @@ class FjordSession:
         edges = fjord._source_edges
         fan_in = Counter(target for out in edges.values() for target, _port in out)
         for name, queue in self._queues.items():
+            queue.annotate = fjord._annotations[name]
             ports: dict[str, list[int]] = {}
             for target, port in edges[name]:
                 ports.setdefault(target, []).append(port)
@@ -733,8 +739,8 @@ class FjordSession:
         return swept
 
     def _step(self) -> float:
-        """Inject every source's due prefix and sweep the next tick (the
-        one injection routine, pushed or replayed); returns its time."""
+        """Inject every source's due prefix, annotated, and sweep the next
+        tick (the one injection routine, pushed or replayed); returns its time."""
         now = self._ticks[self._cursor]
         bound = now + 1e-9
         fjord, collector, enabled = self._fjord, self._collector, self._enabled
@@ -755,6 +761,8 @@ class FjordSession:
                     source=queue.name, timestamp=stamp, previous=previous,
                 )
             run, marks, traces = queue.take(end)
+            if queue.annotate is not None:
+                run = list(map(queue.annotate, run))
             for node, port in queue.direct:
                 node.pending.append((run, port))
             for target, ports in queue.shared:
@@ -900,7 +908,7 @@ class _SourceQueue:
 
     __slots__ = (
         "name", "items", "marks", "traces", "head", "last", "bad", "pull",
-        "direct", "shared",
+        "direct", "shared", "annotate",
     )
 
     def __init__(self, name: str):
@@ -915,6 +923,7 @@ class _SourceQueue:
         self.direct: list[tuple[_Node, int]] = []  # nodes only it feeds
         #: (node name, ports in edge order) for nodes others feed too
         self.shared: list[tuple[str, tuple[int, ...]]] = []
+        self.annotate: Callable | None = None  # maps tuples as they are taken
 
     def enqueue(
         self,

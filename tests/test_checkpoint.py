@@ -351,11 +351,16 @@ class TestCheckpointContents:
     #: entries folded into ``rfid:0:point:stream`` and their smooth
     #: entries into ``rfid:1:smooth:stream``, whose windows are keyed
     #: ``(reader,) + key`` (counters summed, no window changed), and
-    #: the pickle went 291,310 -> 291,261 B.
+    #: the pickle went 291,310 -> 291,261 B. Re-pinned once more,
+    #: deliberately, when a source's annotation moved from its
+    #: ``annot:`` node into the session's injection
+    #: (``scripts/repin_source_annotation.py`` asserts it): the state is
+    #: the previous one with its two ``annot:`` entries dropped from
+    #: ``nodes``, and the pickle went 291,261 -> 291,187 B.
     STATE_DIGEST = (
-        "6f71a607c6d75b375cfd5d516babcbe3afe4d2562a5d3319dd9b5cabf742166e"
+        "b2840a7e674499bebdf7da5f3f35fd301b5cfbcb69d7e7d4e6bae125474b93bc"
     )
-    PICKLE_SIZE = 291261
+    PICKLE_SIZE = 291187
 
     def test_pinned_shelf_session_state_is_unchanged_and_no_larger(self):
         bundle = build_bundle("shelf", 60.0, SEED)

@@ -249,10 +249,11 @@ class TestLoopbackDifferential:
     @pytest.mark.parametrize("case", [shelf_case, redwood_case])
     def test_a_row_naming_another_receptor_changes_nothing(self, case):
         """A block row's stream cell is whatever the feeder sent. The
-        keyed stages partition by the source the gateway queued the row
-        under (the processor stamps the receptor id on it), so a feeder
-        that labels every row with another receptor's id gets the honest
-        run's output, byte for byte."""
+        keyed stages partition by the source the row is queued under
+        (the session stamps that source's receptor id on it as it
+        injects it), so readings that label every row with another
+        receptor's id give the honest run's output, byte for byte: over
+        the gateway, as a batch recording and sharded."""
         factory, streams, until, tick = case()
         honest = factory().run(until=until, tick=tick, sources=streams)
         names = sorted(streams)
@@ -261,11 +262,20 @@ class TestLoopbackDifferential:
             name: [item.derive(stream=other[name]) for item in items]
             for name, items in streams.items()
         }
-        run, _gateway, _report = asyncio.run(
-            loopback(factory, spoofed, until, tick, slack=0.0)
-        )
-        assert run.output == honest.output
-        assert run.output  # non-vacuous
+        shard_key = "tag_id" if case is shelf_case else "spatial_granule"
+        runs = {
+            "gateway": asyncio.run(
+                loopback(factory, spoofed, until, tick, slack=0.0)
+            )[0],
+            "batch": factory().run(until=until, tick=tick, sources=spoofed),
+            "sharded": factory().run(
+                until=until, tick=tick, sources=spoofed,
+                shards=2, backend="serial", shard_key=shard_key,
+            ),
+        }
+        for path, run in runs.items():
+            assert run.output == honest.output, path
+        assert honest.output  # non-vacuous
 
     def test_matches_with_network_delay_and_reordering(self):
         """Delayed, reordered arrivals with slack >= max delay: still

@@ -351,8 +351,10 @@ class TestDataFields:
     def test_defaults_of_a_v1_style_frame(self):
         frame = self.frame()
         del frame["arrival"], frame["seq"], frame["low"]
-        seq, arrival, low, _record = protocol.data_fields(frame)
+        del frame["record"]["_stream"]
+        seq, arrival, low, record = protocol.data_fields(frame)
         assert (seq, arrival, low) == (0, 2.5, None)  # arrival = its _ts
+        assert record_to_tuple(record).stream == ""
 
     def test_integers_are_numbers(self):
         _seq, arrival, low, _record = protocol.data_fields(
@@ -402,6 +404,20 @@ class TestDataFields:
     def test_record_without_a_timestamp_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="_ts"):
             protocol.data_fields(self.frame(record={"v": 1}))
+
+    @pytest.mark.parametrize("stream", [5, None, 1.5, ["rfid"]], ids=repr)
+    def test_non_string_stream_is_a_protocol_error(self, stream):
+        """As a ``block`` row's stream cell: a label is never made up
+        by ``str()``, and the error names the source."""
+        frame = {
+            "type": "data", "source": "a", "seq": 0, "arrival": 1.0,
+            "record": {"_ts": 1.0, "_stream": stream, "x": 1},
+        }
+        with pytest.raises(ProtocolError, match="_stream.*expected a string"):
+            protocol.data_fields(frame)
+        with pytest.raises(ProtocolError, match="'a'"):
+            protocol.data_row(frame)
+
 
 
 def entry(source, seq, arrival, low, item, trace=None):

@@ -400,7 +400,7 @@ class TestGraphShape:
         # A query stage is its plan's nodes: the declarative home's
         # Query 6 is nine, ``virtualize:0/0000`` onwards.
         assert sizes == {
-            "shelf": 7, "redwood": 36, "home": 20, "home_declarative": 27,
+            "shelf": 5, "redwood": 4, "home": 12, "home_declarative": 19,
         }
         for name, nodes in graphs.items():
             relabels = [
@@ -419,11 +419,12 @@ class TestGraphShape:
             ), (name, unions)
 
     def test_keyed_graph_does_not_grow_with_the_deployment(self):
-        """Only the per-source ``annot:`` nodes scale with the motes."""
+        """No node scales with the motes: each source is annotated as it
+        is injected and feeds the first stage node directly."""
 
         def shape(scenario):
             nodes = _processor_nodes(build_redwood_processor(scenario), 3600.0)
-            return sorted(name for name in nodes if not name.startswith("annot:"))
+            return sorted(nodes)
 
         small = RedwoodScenario(n_groups=2, seed=3)
         full = RedwoodScenario(seed=3)
@@ -495,16 +496,16 @@ class TestGraphShape:
         }
         assert totals == {
             "shelf": {
-                "ingest": (2901, 2901), "point": (2901, 2899),
+                "point": (2901, 2899),
                 "smooth": (2899, 5752), "arbitrate": (5752, 5001),
                 "union": (5001, 5001), "output": (5001, 0),
             },
             "redwood": {
-                "ingest": (144, 144), "smooth": (144, 232),
+                "smooth": (144, 232),
                 "merge": (232, 143), "union": (143, 143), "output": (143, 0),
             },
             "home": {
-                "ingest": (1258, 1258), "point": (725, 696),
+                "point": (725, 696),
                 "smooth": (1229, 2596), "merge": (1425, 493),
                 "arbitrate": (1171, 197), "virtualize": (690, 196),
                 "union": (690, 690), "output": (196, 0),
@@ -557,7 +558,7 @@ class TestGraphShape:
             until=office.duration, tick=0.5,
             sources=office.recorded_streams(), telemetry=InMemoryCollector(),
         )
-        assert list(run.stage_rollup()) == ["ingest", "union", "output"]
+        assert list(run.stage_rollup()) == ["union", "output"]
 
 
 class TestMultiStreamQueryBelowVirtualize:

@@ -11,8 +11,9 @@ source, by two sources on one port, by two sources on two ports, and by
 one source on two ports; under the row and the column kernels; with
 both column storages. A failing run queues nothing.
 
-Only ``repro.streams`` is imported: no simulator, so the suite also
-runs where numpy is not installed.
+No simulator is imported (a processor's receptors here are bare
+registry entries fed recordings), so the suite also runs where numpy is
+not installed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.granules import SpatialGranule
+from repro.core.pipeline import ESPProcessor
 from repro.errors import OperatorError
+from repro.receptors.base import Receptor, ReceptorKind
+from repro.receptors.registry import DeviceRegistry
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.fjord import Fjord
 from repro.streams.operators import (
@@ -325,3 +330,61 @@ class TestFailingRunQueuesNothing:
         untouched.close()
         assert canon(sink.results) == canon(untouched_sink.results)
         assert [t["v"] for t in sink.results] == ["a", "b"]
+
+
+class TestSourcesMeetInSessionOrder:
+    """A processor's sources feed its first node straight from the
+    session: where they meet, a tick's rows arrive merged on
+    ``(timestamp, source name)``, and a source's name is ``src:`` and
+    its receptor id. A shelf recording with one reader shifted off the
+    tick grid keeps each tick's rows and reorders them within it."""
+
+    def test_raw_rows_merge_on_timestamp_then_receptor(self):
+        registry = DeviceRegistry()
+        for index in range(2):
+            group = registry.add_group(
+                f"shelf{index}_readers", SpatialGranule(f"shelf{index}"),
+                receptor_kind="rfid",
+            )
+            registry.assign(
+                Receptor(f"reader{index}", ReceptorKind.RFID, 1.0), group.name
+            )
+
+        def poll(reader, stamp, tags):
+            # The feed's own label is not the receptor's: it is replaced.
+            return [
+                StreamTuple(stamp, {"tag_id": tag, "reader_id": reader}, "feed")
+                for tag in tags
+            ]
+
+        # reader0 polls on the 1 s grid; reader1 a quarter second early,
+        # so its rows come due at the same tick with smaller stamps.
+        recording = {
+            "reader0": [
+                row for k in range(6) for row in poll("reader0", float(k), ["a", "b"])
+            ],
+            "reader1": [
+                row for k in range(1, 6)
+                for row in poll("reader1", k - 0.25, ["c", "a"])
+            ],
+        }
+        run = ESPProcessor(registry).run(
+            until=5.0, sources=recording, taps=["raw"]
+        )
+        out = [
+            (row.timestamp, row.stream, row["tag_id"], row["spatial_granule"],
+             row["proximity_group"])
+            for row in run.tap("rfid", "raw")
+        ]
+        expected = [
+            (row.timestamp, reader, row["tag_id"], f"shelf{reader[-1]}",
+             f"shelf{reader[-1]}_readers")
+            for reader, rows in recording.items() for row in rows
+        ]
+        # Each 1 s tick keeps its rows, ordered by timestamp, then
+        # receptor id, each receptor's rows in poll order (a stable sort).
+        assert out == sorted(expected, key=lambda row: row[:2])
+        assert out[2:4] == [
+            (0.75, "reader1", "c", "shelf1", "shelf1_readers"),
+            (0.75, "reader1", "a", "shelf1", "shelf1_readers"),
+        ]

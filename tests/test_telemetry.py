@@ -625,10 +625,9 @@ class TestColumnarAccounting:
         assert _scrub_wall_clock(row) == _scrub_wall_clock(columnar)
 
     def test_golden_scenario_events_are_mode_blind(self, kernel_regime):
-        """With every run at the shelf pipeline's annotate and
-        ``kindout:`` nodes (its only column-kernel nodes) on the column
-        kernel, the golden scenario replays the pinned trace-event log
-        exactly."""
+        """With every run at the shelf pipeline's ``kindout:`` node (its
+        only column-kernel node) on the column kernel, the golden
+        scenario replays the pinned trace-event log exactly."""
         from repro.streams.traceio import read_trace_events
 
         kernel_regime("columnar")
