@@ -757,9 +757,13 @@ class ESPProcessor:
         :class:`~repro.streams.tuples.StreamTuple` readings and decoded
         wire records work. The callable names the field it stands for
         in a ``shard_key`` attribute, which the sharded engine's
-        ``shard_partition`` event records.
+        ``shard_partition`` event records, and says in a
+        ``source_level`` attribute whether the key is a property of the
+        device (one key per source, so a router can place whole
+        sources) rather than of each reading.
         """
-        if shard_key in ("spatial_granule", "proximity_group"):
+        source_level = shard_key in ("spatial_granule", "proximity_group")
+        if source_level:
             # Raw readings are not annotated yet; the registry knows each
             # device's group, and a device's whole stream shares one key.
             names: dict[str, str] = {}
@@ -781,6 +785,7 @@ class ESPProcessor:
         # setattr, not assignment: type checkers reject new attributes
         # on a plain function.
         setattr(key_fn, "shard_key", shard_key)
+        setattr(key_fn, "source_level", source_level)
         return key_fn
 
     def _build_dataflow(

@@ -12,12 +12,36 @@ stream so that different pipeline configurations can be evaluated on the
 - :mod:`repro.scenarios.redwood` — the Sonoma redwood micro-climate
   deployment (§5.2).
 - :mod:`repro.scenarios.office` — the digital-home person detector (§6).
+
+The names below import their module on first use, so importing one
+scenario module (the office's constants, say) does not pull in the
+others' random streams — the simulators need numpy, a reader of
+registry constants does not.
 """
 
-from repro.scenarios.intel_lab import IntelLabScenario
-from repro.scenarios.office import OfficeScenario
-from repro.scenarios.redwood import RedwoodScenario
-from repro.scenarios.shelf import ShelfScenario
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.scenarios.intel_lab import IntelLabScenario
+    from repro.scenarios.office import OfficeScenario
+    from repro.scenarios.redwood import RedwoodScenario
+    from repro.scenarios.shelf import ShelfScenario
+
+_MODULES = {
+    "IntelLabScenario": "repro.scenarios.intel_lab",
+    "OfficeScenario": "repro.scenarios.office",
+    "RedwoodScenario": "repro.scenarios.redwood",
+    "ShelfScenario": "repro.scenarios.shelf",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "IntelLabScenario",

@@ -31,10 +31,6 @@ from repro.receptors.rfid import DetectionField, RFIDReader, TagPlacement
 from repro.receptors.x10 import X10MotionDetector
 from repro.streams.tuples import StreamTuple
 
-#: Sound level (arbitrary ADC units) used by the paper's Query 6 threshold.
-NOISE_THRESHOLD = 525.0
-
-
 class OfficeScenario:
     """The instrumented office with a walking, talking occupant.
 

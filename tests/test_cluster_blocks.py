@@ -29,13 +29,15 @@ from repro.net import protocol, ring
 from repro.net import worker as worker_module
 from repro.net.feeder import ReplayFeeder
 from repro.net.protocol import MAX_FRAME_BYTES, FrameDecoder, encode_frame
-from repro.net.router import ClusterRouter, _WorkerLink
+from repro.net.router import ClusterRouter
+from repro.net.router_core import RouterCore
 from repro.net.service import ScenarioBundle
 from repro.net.worker import RESULT_CHUNK, ClusterWorker, ship_ticks
 from repro.scenarios.shelf import ShelfScenario
 from repro.streams.tuples import StreamTuple
 
 from tests.test_cluster_equivalence import cluster_run, in_memory_output
+from tests.test_router_core import Cluster
 
 WAIT = 30.0
 
@@ -254,22 +256,17 @@ class TestResultBlockFailsClosed:
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_RESULTS))
     def test_a_refused_frame_leaves_the_link_as_it_was(self, name):
-        """The router's link takes a good frame, then refuses a bad one
-        whose first tick is sound: nothing of the bad frame lands."""
+        """The router core's link takes a good frame, then refuses a bad
+        one whose first tick is sound: nothing of the bad frame lands."""
         mutate, named = MALFORMED_RESULTS[name]
         bad = good_frame()
         bad["epoch"] = 1
         mutate(bad)
 
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame(good_frame()) + encode_frame(bad))
-            reader.feed_eof()
-            link = _WorkerLink("w0", "127.0.0.1", 0, reader, Tap())
-            await asyncio.wait_for(link.read_loop(), WAIT)
-            return link
-
-        link = asyncio.run(scenario())
+        cluster = Cluster()
+        link = cluster.link("w0")
+        cluster.apply(cluster.core.worker_frame(link, good_frame()))
+        cluster.apply(cluster.core.worker_frame(link, bad))
         expected = {
             tick: items
             for tick, items, _ in protocol.result_block_ticks(good_frame())
@@ -277,27 +274,24 @@ class TestResultBlockFailsClosed:
         assert link.per_tick == expected
         assert link.dead
         with pytest.raises(ProtocolError, match=named):
-            link.end.result()
+            raise link.error
 
     def test_a_protocol_3_result_frame_is_refused(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame(protocol.result(0, 1, [])))
-            reader.feed_eof()
-            link = _WorkerLink("w0", "127.0.0.1", 0, reader, Tap())
-            await asyncio.wait_for(link.read_loop(), WAIT)
-            return link
-
-        link = asyncio.run(scenario())
+        cluster = Cluster()
+        link = cluster.link("w0")
+        cluster.apply(
+            cluster.core.worker_frame(link, protocol.result(0, 1, []))
+        )
         assert link.per_tick == {}
         with pytest.raises(ProtocolError, match="unexpected frame 'result'"):
-            link.end.result()
+            raise link.error
 
 
 class TestCallShapes:
-    """A 12 s shelf cluster of two untraced workers: the router hashes
-    each distinct key once per block, and a worker ships its rows in
-    full frames, not one frame per tick."""
+    """A 12 s shelf cluster of two untraced workers: the router core
+    hashes each distinct key once per ``_route_rows`` call (one per
+    block, plus one for a block resumed after a credit wait), and a
+    worker ships its rows in full frames, not one frame per tick."""
 
     def test_one_hash_per_key_per_block_and_full_result_frames(
         self, monkeypatch
@@ -305,8 +299,12 @@ class TestCallShapes:
         counts = {"hashes": 0, "keys": 0, "readings": 0}
         ships = []
         real_hash = ring._hash
-        real_route = ClusterRouter._route_rows
+        real_route = RouterCore._route_rows
         real_ship = worker_module.ship_ticks
+        #: Keys of the rows the current ``_route_rows`` call took; a
+        #: block whose reading waits on a credit resumes in a later call.
+        keys = set()
+        counted = set()
 
         def counting_hash(value):
             # _hash ← HashRing.owner ← the caller being counted.
@@ -314,14 +312,21 @@ class TestCallShapes:
                 counts["hashes"] += 1
             return real_hash(value)
 
-        async def route(self, names, rows):
-            rows = list(rows)
-            counts["keys"] += len({
-                str(self._key_fn(source, item))
-                for source, _, _, _, item, _ in rows
-            })
-            counts["readings"] += len(rows)
-            await real_route(self, names, rows)
+        def count(core, rows):
+            for row in rows:
+                counts["readings"] += 1
+                keys.add(str(core._key_fn(row[0], row[4])))
+                yield row
+
+        def route(self, feeder, rows):
+            if id(rows) not in counted:
+                rows = count(self, rows)
+                counted.add(id(rows))
+            keys.clear()
+            try:
+                real_route(self, feeder, rows)
+            finally:
+                counts["keys"] += len(keys)
 
         async def ship(writer, epoch, ledger):
             rows = sum(len(b) for b in ledger.per_tick[ledger.reported:])
@@ -331,7 +336,7 @@ class TestCallShapes:
             return done
 
         monkeypatch.setattr(ring, "_hash", counting_hash)
-        monkeypatch.setattr(ClusterRouter, "_route_rows", route)
+        monkeypatch.setattr(RouterCore, "_route_rows", route)
         monkeypatch.setattr(worker_module, "ship_ticks", ship)
         output, router = asyncio.run(cluster_run("shelf", 2, 12.0))
 

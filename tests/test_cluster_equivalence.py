@@ -294,7 +294,7 @@ class TestRouterFrontDoor:
                 retained = [
                     (frame.arrival, item.timestamp)
                     for name, items in bundle.streams.items()
-                    for frame, item in zip(router._history[name], items)
+                    for frame, item in zip(router.core.history[name], items)
                 ]
                 return router.result(), retained
 

@@ -766,7 +766,7 @@ async def front_door(front, collector=None):
                 return (
                     stats["sources"]["reader0"], stats["data_frames"],
                     stats["retained_frames"],
-                    router._max_arrival.get("reader0"),
+                    router.core.max_arrival.get("reader0"),
                 )
 
             async def finish():

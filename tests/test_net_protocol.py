@@ -207,18 +207,27 @@ class TestFrameReader:
         assert served == good
         assert type(error) is ProtocolError
 
-    def test_before_wait_runs_once_per_burst(self):
+    def test_decoder_frames_serve_one_chunk_at_a_time(self):
+        """What a burst is to a serve loop that reads the socket itself
+        (the router shell): the frames one chunk completes, and an
+        error only once the frames ahead of it are served."""
         wire = b"".join(
             encode_frame(protocol.bye(f"s{i}")) for i in range(5)
         )
-        waits = []
-        frames = protocol.FrameReader(
-            ScriptedStream([wire[:40], wire[40:]]),
-            before_wait=lambda: waits.append(len(waits)),
-        )
-        served, error = asyncio.run(read_all(frames))
-        assert len(served) == 5 and error is None
-        assert len(waits) == 3  # two chunks and the EOF, not five frames
+        decoder = FrameDecoder()
+        bursts = [
+            list(decoder.frames(wire[:40])), list(decoder.frames(wire[40:]))
+        ]
+        assert [len(burst) for burst in bursts] == [1, 4]
+        assert [f for burst in bursts for f in burst] == [
+            protocol.bye(f"s{i}") for i in range(5)
+        ]
+        served = []
+        bad = encode_frame(protocol.drain()) + protocol.frame_bytes(b"\xff")
+        with pytest.raises(ProtocolError):
+            for frame in decoder.frames(bad):
+                served.append(frame)
+        assert served == [protocol.drain()]
 
 
 class TestFrameSizeGuard:
