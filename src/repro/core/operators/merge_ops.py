@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.core.stages import Stage, StageContext, StageKind
 from repro.errors import OperatorError
-from repro.streams.aggregates import Aggregate, AggregateSpec, Mad, Median, Stdev
+from repro.streams.aggregates import Aggregate, AggregateSpec, Avg, Mad, Median, Stdev
 from repro.streams.operators import GroupKey, Operator, WindowedGroupByOp
 from repro.streams.windows import WindowSpec
 
@@ -35,7 +35,9 @@ class _BandMean(Aggregate):
     standard deviations or, ``robust``, on the median with a radius of
     ``k`` MADs (the raw MAD: the paper's technique is deliberately
     simple). Fewer than two values have no band, so they all survive.
-    ``None`` values are skipped like every aggregate's NULL.
+    ``None`` values are skipped like every aggregate's NULL. Means are
+    :class:`Avg`'s left-to-right sum, the same bytes on every Python
+    (builtin ``sum`` of floats is compensated from 3.12).
     """
 
     def __init__(self, k: float, robust: bool):
@@ -54,15 +56,14 @@ class _BandMean(Aggregate):
         if self._robust:
             center, spread = Median.over(values), Mad.over(values)
         else:
-            center, spread = sum(values) / len(values), Stdev.over(values)
+            center, spread = Avg.over(values), Stdev.over(values)
         radius = self._k * spread
         return [
             value for value in values if abs(value - center) <= radius + 1e-12
         ]
 
     def result(self) -> float | None:
-        survivors = self.survivors()
-        return sum(survivors) / len(survivors) if survivors else None
+        return Avg.over(self.survivors())
 
 
 class _BandCount(_BandMean):

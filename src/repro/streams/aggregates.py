@@ -1,20 +1,27 @@
 """Aggregate functions over window contents.
 
 Aggregates follow a simple accumulate-then-finalize protocol
-(:class:`Aggregate`): one instance is created per evaluation, values are
-fed with :meth:`Aggregate.add`, and :meth:`Aggregate.result` produces the
-final value. Windowed operators re-evaluate their aggregates each time the
-window slides, which keeps every aggregate trivially correct under
-eviction (no retraction logic to get wrong) at O(window) cost per slide —
-the right trade-off at the data rates of the paper's deployments (5 Hz
-RFID polls, 5-minute sensor epochs).
+(:class:`Aggregate`): values are fed with :meth:`Aggregate.add`, and
+:meth:`Aggregate.result` produces the final value. Windowed operators
+re-evaluate their aggregates each time the window slides, which keeps
+every aggregate trivially correct under eviction (no retraction logic to
+get wrong) at O(window) cost per slide — the right trade-off at the data
+rates of the paper's deployments (5 Hz RFID polls, 5-minute sensor
+epochs).
 
-There is one evaluation, :meth:`AggregateSpec.evaluate`: a fresh
-accumulator is fed every row's argument in window order. An aggregate's
-numerical meaning (a float sum's rounding, which zero ``min`` keeps) is
-therefore its accumulator's and nothing else's. The one value the
-windowed GROUP BY does not ask this module for is ``count(*)``, which
-counts every row and so is the window's length
+There is one evaluation, :meth:`AggregateSpec.evaluate`, and it calls
+the spec's :meth:`~AggregateSpec.kernel`: a callable over the window's
+rows in window order. The specs the paper's Smooth and Merge stages run
+per window — ``sum``, ``avg`` / ``mean`` and ``count(distinct)`` —
+compile once to a loop that does its accumulator's arithmetic in its
+accumulator's order: the same ``float()`` coercions and the same
+left-to-right ``total += value`` from ``0.0`` (never builtin ``sum``,
+which is compensated from Python 3.12), so an aggregate's numerical
+meaning is its accumulator's and nothing else's. Every other spec (any
+other name, a builtin name re-registered to another class, an aggregate
+factory) is a fresh accumulator fed every row's argument. The one value
+the windowed GROUP BY does not ask this module for is ``count(*)``,
+which counts every row and so is the window's length
 (:class:`~repro.streams.operators.WindowedGroupByOp`).
 
 User-defined aggregates (UDAs, paper §3.3) are supported through
@@ -24,9 +31,17 @@ User-defined aggregates (UDAs, paper §3.3) are supported through
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.errors import AggregateError
+
+#: An aggregate spec's evaluation: the rows of one window -> the value.
+Kernel = Callable[[Iterable[Any]], Any]
+#: A row -> its aggregate argument.
+_Read = Callable[[Any], Any]
+#: A kernel factory: ``(field, read) -> kernel``, exactly one given.
+_Make = Callable[[str | None, _Read | None], Kernel]
 
 
 class Aggregate:
@@ -275,13 +290,20 @@ def aggregate_names() -> frozenset[str]:
     return frozenset(_REGISTRY)
 
 
+#: Bumped by :func:`register_aggregate`: a spec compiled under an older
+#: generation compiles again on its next :meth:`AggregateSpec.kernel`.
+_generation = 0
+
+
 def register_aggregate(name: str, factory: Callable[[], Aggregate]) -> None:
     """Register a user-defined aggregate under ``name`` (case-insensitive).
 
     The factory must return a fresh :class:`Aggregate` per call. Registering
     an existing name replaces it, which lets deployments specialize builtins.
     """
+    global _generation
     _REGISTRY[name.lower()] = factory
+    _generation += 1
 
 
 def get_aggregate(name: str, distinct: bool = False) -> Aggregate:
@@ -352,7 +374,10 @@ class AggregateSpec:
         2
     """
 
-    __slots__ = ("name", "factory", "argument", "distinct", "output", "field")
+    __slots__ = (
+        "name", "factory", "argument", "distinct", "output", "field",
+        "_kernel", "_generation",
+    )
 
     def __init__(
         self,
@@ -378,6 +403,10 @@ class AggregateSpec:
         self.argument = argument
         self.distinct = distinct
         self.output = output or self._default_output()
+        #: The compiled builtin kernel (``None``: the accumulator path),
+        #: valid while ``_generation`` is the registry's.
+        self._kernel: Kernel | None = None
+        self._generation = -1
 
     def _default_output(self) -> str:
         if self.field is not None:
@@ -388,12 +417,44 @@ class AggregateSpec:
         return f"{self.name}_{prefix}{arg}".replace("*", "star")
 
     def evaluate(self, rows: Iterable[Any]) -> Any:
-        """Evaluate this aggregate over an iterable of tuples.
+        """Evaluate this aggregate over an iterable of tuples: its
+        :meth:`kernel` over the rows, in window order."""
+        return self.kernel()(rows)
 
-        One way, whatever the spec: a fresh accumulator is fed every
-        row's argument in window order, so the result's meaning
-        (float rounding included) is the accumulator's alone.
+    def kernel(self) -> Kernel:
+        """This spec's evaluation, ``kernel(rows) -> value``.
+
+        ``sum``, ``avg`` / ``mean`` and ``count(distinct)``, while the
+        registry holds the builtin class under the name, are compiled
+        once (again after :func:`register_aggregate`) to a loop with
+        their accumulator's arithmetic; anything else is a fresh
+        accumulator per call. A caller evaluating many windows fetches
+        the kernel once and calls it per window.
         """
+        if self._generation != _generation:
+            self._kernel = self._compile()
+            self._generation = _generation
+        return self._kernel or self._accumulate
+
+    @property
+    def compiled(self) -> bool:
+        """Whether :meth:`kernel` is a compiled builtin, not an accumulator."""
+        self.kernel()
+        return self._kernel is not None
+
+    def _compile(self) -> Kernel | None:
+        entry = _KERNELS.get((self.name, self.distinct))
+        if (
+            self.factory is not None
+            or entry is None
+            or _REGISTRY.get(self.name) is not entry[0]
+        ):
+            return None
+        if self.field is not None:
+            return entry[1](self.field, None)
+        return entry[1](None, self.argument or _one)
+
+    def _accumulate(self, rows: Iterable[Any]) -> Any:
         if self.factory is None:
             agg = get_aggregate(self.name, distinct=self.distinct)
         elif self.distinct:
@@ -402,8 +463,8 @@ class AggregateSpec:
             agg = self.factory()
         field = self.field
         if field is not None:
-            # ``StreamTuple.get`` inlined: this loop is the windowed
-            # GROUP BY's per-row cost.
+            # ``StreamTuple.get`` inlined: this loop is the per-row cost
+            # of a factory aggregate (the σ/MAD band) in a GROUP BY.
             for row in rows:
                 agg.add(row._values.get(field))
             return agg.result()
@@ -427,3 +488,56 @@ def _field_argument(field: str) -> Callable[[Any], Any]:
         return row.get(field)
 
     return argument
+
+
+# Compiled builtin kernels: the specs the paper's Smooth and Merge
+# stages evaluate per window (the windowed averages, the k-of-n vote).
+# A factory takes where each row's argument comes from — ``key``, a
+# field read inline as ``row._values.get(key)``, or else ``read(row)`` —
+# and returns a kernel doing its accumulator's steps in its accumulator's
+# order, so both give the same value, of the same type, and raise the
+# same exception type. Every other spec keeps its accumulator.
+
+
+def _one(row: Any) -> int:
+    """``count(*)``'s argument: every row counts."""
+    return 1
+
+
+def _count_distinct(key: str | None, read: _Read | None) -> Kernel:
+    def kernel(rows: Iterable[Any]) -> int:
+        seen = {
+            row._values.get(key) if read is None else read(row) for row in rows
+        }
+        seen.discard(None)
+        return len(seen)
+
+    return kernel
+
+
+def _sum(key: str | None, read: _Read | None, mean: bool = False) -> Kernel:
+    """``sum``, or ``avg`` when ``mean``: the same left-to-right total."""
+
+    def kernel(rows: Iterable[Any]) -> float | None:
+        total = 0.0
+        n = 0
+        for row in rows:
+            value = row._values.get(key) if read is None else read(row)
+            if value is not None:
+                total += float(value)
+                n += 1
+        if not n:
+            return None
+        return total / n if mean else total
+
+    return kernel
+
+
+#: The ``(name, distinct)`` pairs a spec compiles: the class the registry
+#: must still hold under the name, and the kernel factory.
+_KERNELS: dict[tuple[str, bool], tuple[Callable[[], Aggregate], _Make]] = {
+    ("count", True): (Count, _count_distinct),
+    ("sum", False): (Sum, _sum),
+    ("avg", False): (Avg, partial(_sum, mean=True)),
+    ("mean", False): (Avg, partial(_sum, mean=True)),
+}

@@ -340,7 +340,7 @@ class WindowedGroupByOp(Operator):
     maintains one window per group, slides all windows on each punctuation
     and emits one result tuple per non-empty group. ``count(*)`` (name
     ``count``, no argument, not distinct) is the group's ``len(window)``;
-    every other aggregate is :meth:`AggregateSpec.evaluate` over the
+    every other aggregate is its :meth:`AggregateSpec.kernel` over the
     window's rows, listed once per group and only if one needs them.
 
     Args:
@@ -472,7 +472,11 @@ class WindowedGroupByOp(Operator):
         if order is None:
             order = self._order = emission_order(windows)
         names = [k.name for k in self._keys]
-        aggregates = self._aggregates
+        # Fetched once per call, not per key: a fetch checks the registry.
+        aggregates = [
+            (output, None if spec is None else spec.kernel())
+            for output, spec in self._aggregates
+        ]
         reads_rows = self._reads_rows
         stream = self._output_stream
         # Fields start after the hidden partition (a whole-tuple slice
@@ -488,10 +492,8 @@ class WindowedGroupByOp(Operator):
                 continue
             contents = window.contents() if reads_rows else ()
             values: dict[str, Any] = dict(zip(names, key[skip:]))
-            for output, spec in aggregates:
-                values[output] = (
-                    size if spec is None else spec.evaluate(contents)
-                )
+            for output, kernel in aggregates:
+                values[output] = size if kernel is None else kernel(contents)
             rows.append(from_parts(stamp, values, key[0] if skip else stream))
         if empty_keys:
             for key in empty_keys:

@@ -33,7 +33,8 @@ not leak into them.
 numpy.  Kernels only vectorize operations whose result is identical
 to the sequential Python loop; anything else stays on the loop path.
 Window aggregates never read typed columns: they evaluate one way,
-over rows (:meth:`repro.streams.aggregates.AggregateSpec.evaluate`).
+over rows, through each spec's compiled kernel
+(:meth:`repro.streams.aggregates.AggregateSpec.kernel`).
 See ``docs/columnar.md``.
 """
 

@@ -149,6 +149,19 @@ class TestSigmaOutlierAverage:
         op = self.stage_op(min_survivors=2)
         assert drive(op, [tup(0.0, spatial_granule="a", temp=20.0)], [0.0]) == []
 
+    @pytest.mark.parametrize("stage", [sigma_outlier_average, mad_outlier_average])
+    def test_band_mean_sums_left_to_right(self, stage):
+        # Every value survives a band this wide. Left to right,
+        # 1e16 + 1.0 rounds back to 1e16, so the mean is 0.0 on every
+        # Python; a compensated sum (builtin ``sum`` from 3.12) gives 1/3.
+        op = stage(window=10.0, k=10.0).make(ctx())
+        items = [
+            tup(0.0, spatial_granule="a", temp=v) for v in (1e16, 1.0, -1e16)
+        ]
+        out = drive(op, items, [0.0])
+        assert out[0]["readings"] == 3
+        assert out[0]["temp"] == 0.0
+
 
 class TestMadOutlierAverage:
     def test_resists_masking_better_than_sigma(self):

@@ -29,8 +29,10 @@ from repro.pipelines.sensornet import (
     build_redwood_processor,
 )
 from repro.scenarios import OfficeScenario, RedwoodScenario, ShelfScenario
+from repro.streams import aggregates
+from repro.streams.aggregates import AggregateSpec
 from repro.streams.columnar import SetStream
-from repro.streams.operators import MapOp, UnionOp
+from repro.streams.operators import MapOp, UnionOp, _is_count_star
 from repro.streams.telemetry import InMemoryCollector
 from repro.streams.traceio import write_jsonl
 from repro.streams.tuples import StreamTuple
@@ -559,6 +561,58 @@ class TestGraphShape:
             sources=office.recorded_streams(), telemetry=InMemoryCollector(),
         )
         assert list(run.stage_rollup()) == ["union", "output"]
+
+
+class TestCompiledAggregates:
+    """The home and redwood pipelines evaluate every aggregate through a
+    compiled kernel: each spec they build reports one (``count(*)`` is
+    the window's length, never evaluated), and a pass looks no aggregate
+    up in the registry. A slip back to the accumulator path
+    would otherwise show only in the benchmark."""
+
+    @pytest.mark.parametrize(
+        "deployment", ["home", "home_declarative", "redwood"]
+    )
+    def test_no_registry_lookup(
+        self, deployment, small_office, small_redwood, monkeypatch
+    ):
+        specs = []
+        init = AggregateSpec.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            specs.append(self)
+
+        lookups = []
+        get_aggregate = aggregates.get_aggregate
+
+        def counting_get_aggregate(*args, **kwargs):
+            lookups.append(args)
+            return get_aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(AggregateSpec, "__init__", recording_init)
+        monkeypatch.setattr(aggregates, "get_aggregate", counting_get_aggregate)
+        if deployment == "redwood":
+            scenario = small_redwood
+            processor = build_redwood_processor(scenario)
+            until, tick = 6 * 3600.0, scenario.epoch
+        else:
+            scenario = small_office
+            builder = (
+                build_digital_home_processor
+                if deployment == "home"
+                else build_declarative_home_processor
+            )
+            processor = builder(scenario)
+            until, tick = 120.0, 0.5
+        run = processor.run(
+            until=until, tick=tick, sources=scenario.recorded_streams()
+        )
+        assert run.output
+        evaluated = [spec for spec in specs if not _is_count_star(spec)]
+        assert evaluated
+        assert [spec for spec in evaluated if not spec.compiled] == []
+        assert lookups == []
 
 
 class TestMultiStreamQueryBelowVirtualize:
