@@ -8,6 +8,8 @@ group's receptor streams. Each is a
 :class:`~repro.streams.operators.WindowedGroupByOp` keyed on the
 granule (§3.3: a Merge is a windowed GROUP BY over the spatial
 granule), so an instance fed several granules reports each on its own.
+The granule key is optional: a reading without the granule field groups
+under ``None`` rather than aborting the stage.
 """
 
 from __future__ import annotations
@@ -20,12 +22,6 @@ from repro.errors import OperatorError
 from repro.streams.aggregates import Aggregate, AggregateSpec, Avg, Mad, Median, Stdev
 from repro.streams.operators import GroupKey, Operator, WindowedGroupByOp
 from repro.streams.windows import WindowSpec
-
-
-def _granule_key(field: str) -> GroupKey:
-    # .get(): a reading without the granule field groups under None
-    # rather than aborting the stage.
-    return GroupKey(field, lambda t, _f=field: t.get(_f))
 
 
 class _BandMean(Aggregate):
@@ -89,7 +85,7 @@ def _band_average(
         raise OperatorError("min_survivors must be >= 1")
     return WindowedGroupByOp(
         WindowSpec.range_by(seconds),
-        keys=[_granule_key(granule_field)],
+        keys=[GroupKey(granule_field, optional=True)],
         aggregates=[
             AggregateSpec(
                 partial(_BandMean, k, robust),
@@ -194,7 +190,7 @@ def spatial_average(
         seconds = ctx.window_seconds(window, "spatial_average")
         return WindowedGroupByOp(
             WindowSpec.range_by(seconds),
-            keys=[_granule_key(granule_field)],
+            keys=[GroupKey(granule_field, optional=True)],
             aggregates=[
                 AggregateSpec("avg", field=value_field, output=result_field),
                 AggregateSpec("count", output=count_field),
@@ -226,8 +222,8 @@ def k_of_n_vote(
         return WindowedGroupByOp(
             WindowSpec.range_by(seconds),
             keys=[
-                _granule_key(granule_field),
-                GroupKey("value", lambda t: output_value),
+                GroupKey(granule_field, optional=True),
+                GroupKey("value", value=output_value),
             ],
             aggregates=[
                 AggregateSpec(

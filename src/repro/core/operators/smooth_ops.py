@@ -32,11 +32,9 @@ from repro.streams.windows import WindowSpec
 
 
 def _carry_keys(carry: Sequence[str]) -> list[GroupKey]:
-    # Carried fields group on .get() so a missing field doesn't abort the
+    # Carried fields are optional so a missing field doesn't abort the
     # stage; constant-per-stream fields (spatial_granule etc.) ride along.
-    return [
-        GroupKey(field, (lambda t, _f=field: t.get(_f))) for field in carry
-    ]
+    return [GroupKey(field, optional=True) for field in carry]
 
 
 def presence_smoother(
@@ -148,8 +146,7 @@ def event_smoother(
         group = WindowedGroupByOp(
             WindowSpec.range_by(seconds),
             # A constant key stamps the event value on every output.
-            keys=_carry_keys(carry)
-            + [GroupKey(value_field, lambda t: on_value)],
+            keys=_carry_keys(carry) + [GroupKey(value_field, value=on_value)],
             aggregates=[AggregateSpec("count", output=count_field)],
         )
 

@@ -85,15 +85,13 @@ class Scope:
         Missing fields evaluate to ``None`` (SQL NULL), which lets WHERE
         predicates over outer-combined rows behave sensibly.
         """
-        name = ref.name
-        qualifier = ref.qualifier if ref.qualifier in self.bindings else None
-        if qualifier and self.qualified_fields:
+        name = self.field(ref)
+        if name != ref.name:
             # Strict: a qualified reference reads only its own source's
             # field. Falling back to a bare name here would silently read
             # another source's column on outer-combined rows where this
             # source is absent (SQL NULL is the correct answer).
-            dotted = f"{qualifier}.{name}"
-            return lambda t: t.get(dotted)
+            return lambda t: t.get(name)
 
         def read_bare(t: StreamTuple) -> Any:
             value = t.get(name, _MISSING)
@@ -107,6 +105,14 @@ class Scope:
             return None
 
         return read_bare
+
+    def field(self, ref: ast.ColumnRef) -> str:
+        """The field :meth:`resolve`'s closure reads: it returns
+        ``row[field]`` whenever the row has that field."""
+        qualifier = ref.qualifier if ref.qualifier in self.bindings else None
+        if qualifier and self.qualified_fields:
+            return f"{qualifier}.{ref.name}"
+        return ref.name
 
 
 def _as_bool(value: Any) -> bool:
@@ -688,7 +694,10 @@ def _plan_aggregation(
         if isinstance(expr, ast.ColumnRef) and expr.name not in grouped_names:
             group_refs.append(expr)
             grouped_names.add(expr.name)
-    keys = [GroupKey(ref.name, scope.resolve(ref)) for ref in group_refs]
+    keys = [
+        GroupKey(ref.name, scope.resolve(ref), field=scope.field(ref))
+        for ref in group_refs
+    ]
     # Aggregates: stable output field per unique call.
     agg_fields: dict[ast.FuncCall, str] = {}
     specs: list[AggregateSpec] = []

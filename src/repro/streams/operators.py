@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import OperatorError, PipelineError
@@ -291,23 +291,92 @@ class StaticJoinOp(Operator):
         return out
 
 
-class GroupKey:
-    """A named component of a grouping key.
+#: ``GroupKey(value=...)`` not given: the component is no constant.
+_NO_VALUE: Any = object()
 
-    Args:
+
+class GroupKey:
+    """A named component of a grouping key, declaring what it reads.
+
+    The declared forms, which :class:`WindowedGroupByOp` reads with one
+    compiled getter per operator:
+
+    - ``GroupKey(name)``: the field ``name``, strictly (a row without it
+      raises :class:`~repro.errors.SchemaError`); ``field=`` reads
+      another field under the output name ``name``;
+    - ``GroupKey(name, optional=True)``: the field, ``None`` where absent;
+    - ``GroupKey(name, value=v)``: the constant ``v``;
+    - ``GroupKey(name, extractor, field=f)``: ``extractor``, declared to
+      return ``row[f]`` whenever the row has ``f`` (a CQL column
+      reference); it alone decides a row without ``f``.
+
+    ``GroupKey(name, extractor)`` with no ``field`` is opaque: the
+    group-by calls the extractor on every row.
+
+    Attributes:
         name: Output field name for this key component.
-        extractor: Callable producing the component from a tuple; defaults
-            to reading the field called ``name``.
+        extractor: The component's meaning, ``row -> value``: what the
+            group-by calls for a row lacking a declared field, and for
+            every row when a component is opaque.
+        field: The field the component reads, or ``None``.
+        constant: Whether the component is the constant ``value``.
     """
 
-    __slots__ = ("name", "extractor")
+    __slots__ = (
+        "name", "extractor", "field", "optional", "constant", "value", "_given"
+    )
 
-    def __init__(self, name: str, extractor: Extractor | None = None):
+    def __init__(
+        self,
+        name: str,
+        extractor: Extractor | None = None,
+        *,
+        field: str | None = None,
+        optional: bool = False,
+        value: Any = _NO_VALUE,
+    ):
+        self.constant = value is not _NO_VALUE
+        self._given = extractor is not None
+        if self.constant:
+            if extractor is not None or field is not None or optional:
+                raise OperatorError(
+                    f"GroupKey {name!r}: a constant reads no field"
+                )
+            extractor = lambda t: value  # noqa: E731
+        elif extractor is None:
+            field = name if field is None else field
+            if optional:
+                extractor = lambda t: t.get(field)  # noqa: E731
+            else:
+                extractor = lambda t: t[field]  # noqa: E731
+        elif optional:
+            raise OperatorError(
+                f"GroupKey {name!r}: an extractor decides rows without "
+                "the field, so it cannot be optional"
+            )
         self.name = name
-        self.extractor = extractor or (lambda t, _n=name: t[_n])
+        self.extractor = extractor
+        self.field = field
+        self.optional = optional
+        self.value = value if self.constant else None
+
+    @property
+    def opaque(self) -> bool:
+        """Whether only the extractor says what this component reads."""
+        return self.field is None and not self.constant
 
     def __repr__(self) -> str:
-        return f"GroupKey({self.name})"
+        if self.constant:
+            return f"GroupKey({self.name}={self.value!r})"
+        parts = [self.name]
+        if self.field is not None and (self._given or self.field != self.name):
+            parts.append(f"field={self.field!r}")
+        if self.optional:
+            parts.append("optional")
+        if self._given:
+            reader = getattr(self.extractor, "__name__", None)
+            parts.append(f"extractor={reader or type(self.extractor).__name__}")
+        return f"GroupKey({', '.join(parts)})"
 
 
 def _emission_key(key: tuple) -> tuple:
@@ -333,6 +402,44 @@ def _is_count_star(spec: AggregateSpec) -> bool:
     return spec.name == "count" and spec.argument is None and not spec.distinct
 
 
+def _compile_key(keys: Sequence[GroupKey]) -> "Callable[[dict], tuple] | None":
+    """One read of a row's value dict into its key, or ``None`` when a
+    component is opaque.
+
+    The declared fields are one ``itemgetter``; the constants follow
+    them and, unless they already trail, one more ``itemgetter`` puts
+    every component back at its declared position. A row lacking a
+    field raises ``KeyError``, and its key is then read through the
+    extractors (:func:`_extract_key`), which own the semantics of an
+    absent field.
+    """
+    if any(key.opaque for key in keys):
+        return None
+    fields = [key.field for key in keys if not key.constant]
+    constants = tuple(key.value for key in keys if key.constant)
+    if not fields:
+        return lambda values: constants
+    read = itemgetter(*fields)
+    if len(fields) == 1:
+        one = read
+        read = lambda values: (one(values),)  # noqa: E731
+    if constants:
+        head = read
+        read = lambda values: head(values) + constants  # noqa: E731
+        # Where each declared component sits in ``fields + constants``.
+        placed = sorted(range(len(keys)), key=lambda i: keys[i].constant)
+        positions = [placed.index(i) for i in range(len(keys))]
+        if positions != sorted(positions):
+            arrange = itemgetter(*positions)
+            joined = read
+            read = lambda values: arrange(joined(values))  # noqa: E731
+    return read
+
+
+def _extract_key(extractors: Sequence[Extractor], item: StreamTuple) -> tuple:
+    return tuple([extract(item) for extract in extractors])
+
+
 class WindowedGroupByOp(Operator):
     """Windowed GROUP BY with aggregates and an optional HAVING filter.
 
@@ -340,8 +447,14 @@ class WindowedGroupByOp(Operator):
     maintains one window per group, slides all windows on each punctuation
     and emits one result tuple per non-empty group. ``count(*)`` (name
     ``count``, no argument, not distinct) is the group's ``len(window)``;
-    every other aggregate is its :meth:`AggregateSpec.kernel` over the
-    window's rows, listed once per group and only if one needs them.
+    every other aggregate is its :meth:`AggregateSpec.kernel` iterating
+    the window itself, no copy of it.
+
+    A row's key is read by one getter compiled from the keys'
+    declarations (:class:`GroupKey`) when the operator is built; a row
+    lacking a declared field, and every row when a component is opaque,
+    is read through the extractors instead. A group's key fields are a
+    dict built the first time the group emits and copied per emission.
 
     Args:
         window: Window specification applied per group.
@@ -382,6 +495,9 @@ class WindowedGroupByOp(Operator):
             raise OperatorError(f"emit_every must be positive, got {emit_every}")
         self._window_spec = window
         self._keys = list(keys)
+        self._names = [k.name for k in self._keys]
+        self._read_key = _compile_key(self._keys)
+        self._extractors = [k.extractor for k in self._keys]
         #: ``(output field, spec)`` per aggregate, with ``None`` standing
         #: for ``count(*)`` — every row counts, so it is the group's
         #: ``len(window)`` and needs no pass over the rows.
@@ -389,7 +505,6 @@ class WindowedGroupByOp(Operator):
             (spec.output, None if _is_count_star(spec) else spec)
             for spec in aggregates
         ]
-        self._reads_rows = any(spec is not None for _, spec in self._aggregates)
         self._having = having
         self._emit_every = emit_every
         self._output_stream = output_stream
@@ -399,8 +514,12 @@ class WindowedGroupByOp(Operator):
         #: punctuation and after :meth:`restore`), then kept in step
         #: with ``_windows``; never checkpointed.
         self._order: list[tuple] | None = None
-        #: Stream label -> partition, set by :meth:`partition_by`.
-        self._labels: dict[str, str] | None = None
+        #: Live key -> its key fields as a dict, built at the group's
+        #: first emission and dropped with the group: a function of the
+        #: key, so never checkpointed.
+        self._heads: dict[tuple, dict[str, Any]] = {}
+        #: Stream label -> ``(partition,)``, set by :meth:`partition_by`.
+        self._prefixes: dict[str, tuple[str]] | None = None
         self._owner = ""
 
     STATE_ATTRS = ("_windows",)
@@ -421,31 +540,40 @@ class WindowedGroupByOp(Operator):
             PipelineError: For a row whose label ``labels`` does not
                 map, naming ``owner`` (the stage).
         """
-        self._labels = dict(labels)
+        self._prefixes = {label: (part,) for label, part in labels.items()}
         self._owner = owner
 
     def restore(self, state: "Mapping[str, Any] | None") -> None:
         super().restore(state)
         self._order = None
+        self._heads.clear()
 
     def on_batch(
         self, items: Sequence[StreamTuple], port: int = 0
     ) -> list[StreamTuple]:
-        extractors = [k.extractor for k in self._keys]
+        read = self._read_key
+        extractors = self._extractors
         windows = self._windows
         order = self._order
-        labels = self._labels
+        prefixes = self._prefixes
         for item in items:
-            if labels is None:
-                key = tuple(extract(item) for extract in extractors)
-            else:
-                partition = labels.get(item.stream)
-                if partition is None:
+            if prefixes is not None:
+                prefix = prefixes.get(item.stream)
+                if prefix is None:
                     raise PipelineError(
                         f"{self._owner} got a row labelled {item.stream!r}, "
-                        f"which is none of its partitions {sorted(labels)}"
+                        f"which is none of its partitions {sorted(prefixes)}"
                     )
-                key = (partition, *[extract(item) for extract in extractors])
+            if read is None:
+                key = _extract_key(extractors, item)
+            else:
+                try:
+                    key = read(item._values)
+                except KeyError:
+                    # A declared field is absent: the extractors decide.
+                    key = _extract_key(extractors, item)
+            if prefixes is not None:
+                key = prefix + key
             window = windows.get(key)
             if window is None:
                 window = self._window_spec.make_window()
@@ -471,17 +599,16 @@ class WindowedGroupByOp(Operator):
         order = self._order
         if order is None:
             order = self._order = emission_order(windows)
-        names = [k.name for k in self._keys]
         # Fetched once per call, not per key: a fetch checks the registry.
         aggregates = [
             (output, None if spec is None else spec.kernel())
             for output, spec in self._aggregates
         ]
-        reads_rows = self._reads_rows
+        heads = self._heads
         stream = self._output_stream
         # Fields start after the hidden partition (a whole-tuple slice
         # is the tuple itself).
-        skip = 0 if self._labels is None else 1
+        skip = 0 if self._prefixes is None else 1
         from_parts = StreamTuple._from_parts
         stamp = float(now)
         for key in order:
@@ -490,14 +617,17 @@ class WindowedGroupByOp(Operator):
             if not size:
                 empty_keys.append(key)
                 continue
-            contents = window.contents() if reads_rows else ()
-            values: dict[str, Any] = dict(zip(names, key[skip:]))
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = dict(zip(self._names, key[skip:]))
+            values = head.copy()
             for output, kernel in aggregates:
-                values[output] = size if kernel is None else kernel(contents)
+                values[output] = size if kernel is None else kernel(window)
             rows.append(from_parts(stamp, values, key[0] if skip else stream))
         if empty_keys:
             for key in empty_keys:
                 del windows[key]
+                heads.pop(key, None)
             self._order = [key for key in order if key in windows]
         having = self._having
         if having is not None:

@@ -1,13 +1,16 @@
 """Unit tests for the query planner: stateless, aggregation and HAVING."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cql import compile_query
 from repro.errors import PlanError
 from repro.streams.fjord import Fjord
-from repro.streams.operators import UnionOp
+from repro.streams.operators import UnionOp, WindowedGroupByOp
 from repro.streams.tuples import StreamTuple
 from tests.test_cql_paper_queries import ALL_QUERIES
+from tests.test_streams_operators import key_of, key_rows, opaque, outcome
 
 
 def tup(ts, stream="s", **fields):
@@ -403,3 +406,55 @@ class TestCompiledPlanIsAFjord:
             open_session.close()
         assert sink.results == resumed_sink.results != []
         assert _plan_stats(baseline) == _plan_stats(resumed)
+
+
+#: GROUP BY shapes the planner compiles: bare references, a qualifier
+#: the scope ignores, and qualified references over join rows.
+GROUP_BY_QUERIES = {
+    "bare": "SELECT g, count(*) AS c FROM s [Range By '5 sec'] GROUP BY g",
+    "two bare": (
+        "SELECT g, h, count(*) AS c FROM s [Range By '5 sec'] GROUP BY g, h"
+    ),
+    "implicit": "SELECT h, count(*) AS c FROM s [Range By '5 sec']",
+    "unbound qualifier": (
+        "SELECT x.g, count(*) AS c FROM s [Range By '5 sec'] GROUP BY x.g"
+    ),
+    "qualified": (
+        "SELECT a.g, count(*) AS c FROM a [Range By 'NOW'], "
+        "b [Range By 'NOW'] WHERE a.h = b.h GROUP BY a.g"
+    ),
+}
+
+
+def _planned_keys(text):
+    (keys,) = [
+        op._keys for op, _edges in compile_query(text).plan
+        if isinstance(op, WindowedGroupByOp)
+    ]
+    return keys
+
+
+class TestDeclaredGroupKeys:
+    """Each GROUP BY column reference declares the field its resolver
+    reads, and a row's compiled key is the resolvers' key: a missing
+    field, a ``*.name`` fallback (one hit or two) and a NULL alike."""
+
+    @pytest.mark.parametrize("shape", sorted(GROUP_BY_QUERIES))
+    def test_every_reference_declares_a_field(self, shape):
+        keys = _planned_keys(GROUP_BY_QUERIES[shape])
+        assert keys and not any(key.opaque for key in keys)
+
+    def test_qualified_reference_reads_its_dotted_field(self):
+        (key,) = _planned_keys(GROUP_BY_QUERIES["qualified"])
+        assert (key.name, key.field) == ("g", "a.g")
+
+    @given(
+        shape=st.sampled_from(sorted(GROUP_BY_QUERIES)),
+        values=key_rows(("g", "h", "a.g", "b.g", "x.g")),
+    )
+    def test_compiled_key_is_the_resolvers_key(self, shape, values):
+        keys = _planned_keys(GROUP_BY_QUERIES[shape])
+        row = StreamTuple(0.0, values, "s")
+        assert outcome(lambda: key_of(keys, row)) == outcome(
+            lambda: key_of(opaque(keys), row)
+        )

@@ -8,9 +8,19 @@ import pytest
 
 from repro.core.granules import TemporalGranule
 from repro.core.operators.point_ops import ghost_filter, whitelist
-from repro.core.operators.smooth_ops import presence_smoother
+from repro.core.operators.merge_ops import (
+    k_of_n_vote,
+    mad_outlier_average,
+    sigma_outlier_average,
+    spatial_average,
+)
+from repro.core.operators.smooth_ops import (
+    event_smoother,
+    presence_smoother,
+    sliding_average,
+)
 from repro.core.pipeline import ESPPipeline, ESPProcessor
-from repro.core.stages import Stage, StageKind
+from repro.core.stages import Stage, StageContext, StageKind
 from repro.errors import PipelineError
 from repro.metrics import average_relative_error, detection_accuracy
 from repro.pipelines.digital_home import (
@@ -32,10 +42,17 @@ from repro.scenarios import OfficeScenario, RedwoodScenario, ShelfScenario
 from repro.streams import aggregates
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.columnar import SetStream
-from repro.streams.operators import MapOp, UnionOp, _is_count_star
+from repro.streams.operators import (
+    ChainOp,
+    MapOp,
+    UnionOp,
+    WindowedGroupByOp,
+    _is_count_star,
+)
 from repro.streams.telemetry import InMemoryCollector
 from repro.streams.traceio import write_jsonl
 from repro.streams.tuples import StreamTuple
+from repro.streams.windows import BaseWindow
 from tests.test_checkpoint import make_bundle
 
 
@@ -613,6 +630,77 @@ class TestCompiledAggregates:
         assert evaluated
         assert [spec for spec in evaluated if not spec.compiled] == []
         assert lookups == []
+
+
+class TestKeyCallShapes:
+    """The windowed GROUP BY reads keys and windows without
+    interpreting them: no key extractor runs for a row carrying every
+    field its keys declare, no window is copied for its kernels, and
+    the toolkit's Smooth and Merge stages declare every key component.
+    A slip back would otherwise show only in the benchmark."""
+
+    @pytest.mark.parametrize("deployment", ["home", "redwood"])
+    def test_no_extractor_and_no_window_copy(
+        self, deployment, small_office, small_redwood, monkeypatch
+    ):
+        keys_built, extracted, copies = [], [], []
+        init = WindowedGroupByOp.__init__
+
+        def spying_init(self, window, keys=(), *args, **kwargs):
+            fields = [key.field for key in keys if not key.constant]
+            for key in keys:
+                def spy(row, _extract=key.extractor):
+                    if all(field in row for field in fields):
+                        extracted.append(row)
+                    return _extract(row)
+
+                key.extractor = spy
+            keys_built.extend(keys)
+            init(self, window, keys, *args, **kwargs)
+
+        contents = BaseWindow.contents
+
+        def counting_contents(self):
+            copies.append(self)
+            return contents(self)
+
+        monkeypatch.setattr(WindowedGroupByOp, "__init__", spying_init)
+        monkeypatch.setattr(BaseWindow, "contents", counting_contents)
+        if deployment == "redwood":
+            scenario = small_redwood
+            processor = build_redwood_processor(scenario)
+            until, tick = 6 * 3600.0, scenario.epoch
+        else:
+            scenario = small_office
+            processor = build_digital_home_processor(scenario)
+            until, tick = 120.0, 0.5
+        run = processor.run(
+            until=until, tick=tick, sources=scenario.recorded_streams()
+        )
+        assert run.output
+        assert keys_built
+        assert [key for key in keys_built if key.opaque] == []
+        assert extracted == []
+        assert copies == []
+
+    @pytest.mark.parametrize(
+        "builder, kind",
+        [
+            (presence_smoother, StageKind.SMOOTH),
+            (sliding_average, StageKind.SMOOTH),
+            (event_smoother, StageKind.SMOOTH),
+            (spatial_average, StageKind.MERGE),
+            (sigma_outlier_average, StageKind.MERGE),
+            (mad_outlier_average, StageKind.MERGE),
+            (k_of_n_vote, StageKind.MERGE),
+        ],
+    )
+    def test_toolkit_declares_every_key(self, builder, kind):
+        op = builder(window=5.0).make(StageContext(kind))
+        stages = op.stages if isinstance(op, ChainOp) else (op,)
+        (group,) = [s for s in stages if isinstance(s, WindowedGroupByOp)]
+        assert group._keys
+        assert [key for key in group._keys if key.opaque] == []
 
 
 class TestMultiStreamQueryBelowVirtualize:

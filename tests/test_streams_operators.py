@@ -1,8 +1,10 @@
 """Unit tests for the relational stream operators."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import OperatorError, PipelineError
+from repro.errors import OperatorError, PipelineError, SchemaError
 from repro.streams.aggregates import AggregateSpec
 from repro.streams.operators import (
     ChainOp,
@@ -18,7 +20,7 @@ from repro.streams.operators import (
     run_operator,
 )
 from repro.streams.tuples import StreamTuple
-from repro.streams.windows import WindowSpec
+from repro.streams.windows import BaseWindow, WindowSpec
 
 
 def tup(ts, stream="s", **fields):
@@ -238,6 +240,194 @@ class TestPartitionBy:
         op.partition_by(self.LABELS, owner="stage 'smooth'")
         with pytest.raises(PipelineError, match="stage 'smooth'.*'r7'"):
             op.on_batch([tup(0.0, "r7", shelf=0, tag_id="a")])
+
+
+def outcome(fn):
+    """``("ok", value)``, or ``("raise", type, message)``."""
+    try:
+        return ("ok", fn())
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("raise", type(exc), str(exc))
+
+
+KEY_LABELS = {"r1": "p1", "r2": "p2"}
+
+
+def count_by(keys, partitioned=False, window=5.0):
+    op = WindowedGroupByOp(
+        WindowSpec.range_by(window),
+        keys=keys,
+        aggregates=[
+            AggregateSpec("count", output="n"),
+            AggregateSpec("count", field="a", distinct=True, output="d"),
+        ],
+    )
+    if partitioned:
+        op.partition_by(KEY_LABELS, owner="stage 'smooth'")
+    return op
+
+
+def key_of(keys, row, partitioned=False):
+    """The key a group-by over ``keys`` files ``row`` under."""
+    op = count_by(keys, partitioned)
+    op.on_batch([row])
+    return list(op._windows)
+
+
+def opaque(keys):
+    """``keys`` read through their extractors alone."""
+    return [GroupKey(key.name, key.extractor) for key in keys]
+
+
+#: Every key shape the toolkit and the planner build, and then some.
+KEY_SHAPES = {
+    "strict": [GroupKey("a")],
+    "strict, renamed": [GroupKey("out", field="a")],
+    "optional": [GroupKey("a", optional=True)],
+    "constant": [GroupKey("value", value="ON")],
+    "strict + optional": [GroupKey("a"), GroupKey("b", optional=True)],
+    "optional + constant": [
+        GroupKey("a", optional=True), GroupKey("value", value="ON")
+    ],
+    "mixed, constant inside": [
+        GroupKey("b", optional=True), GroupKey("c", value=1), GroupKey("a")
+    ],
+    "constant first": [GroupKey("c", value=None), GroupKey("a")],
+    "declared extractor": [
+        GroupKey("a", lambda t: t.get("a", "dflt"), field="a"),
+        GroupKey("b", optional=True),
+    ],
+}
+
+NAN = float("nan")
+ABSENT = object()
+CELLS = st.sampled_from([ABSENT, None, NAN, 1, 1.0, True, "x", [1]])
+
+
+@st.composite
+def key_rows(draw, fields=("a", "b", "c")):
+    values = {}
+    for field in fields:
+        cell = draw(CELLS)
+        if cell is not ABSENT:
+            values[field] = cell
+    return values
+
+
+class TestDeclaredKeys:
+    """A group-by reads its key with one getter compiled from the keys'
+    declarations; the extractors only decide rows lacking a declared
+    field. Either way the key, the groups and every emitted row are
+    those of the same keys read through their extractors alone."""
+
+    @given(
+        shape=st.sampled_from(sorted(KEY_SHAPES)),
+        partitioned=st.booleans(),
+        stream=st.sampled_from(sorted(KEY_LABELS)),
+        values=key_rows(),
+    )
+    def test_compiled_key_is_the_extractors_key(
+        self, shape, partitioned, stream, values
+    ):
+        keys = KEY_SHAPES[shape]
+        row = StreamTuple(0.0, values, stream)
+        got = outcome(lambda: key_of(keys, row, partitioned))
+        want = outcome(lambda: key_of(opaque(keys), row, partitioned))
+        assert got == want
+        if got[0] == "ok" and all(
+            key.constant or key.field in values for key in keys
+        ):
+            # No extractor decided it: the compiled read alone did.
+            prefix = (KEY_LABELS[stream],) if partitioned else ()
+            assert got[1] == [
+                prefix + tuple(key.extractor(row) for key in keys)
+            ]
+
+    @given(
+        shape=st.sampled_from(sorted(KEY_SHAPES)),
+        partitioned=st.booleans(),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 6), st.sampled_from(sorted(KEY_LABELS)), key_rows()
+            ),
+            max_size=12,
+        ),
+    )
+    def test_group_by_emits_what_opaque_keys_emit(
+        self, shape, partitioned, rows
+    ):
+        keys = KEY_SHAPES[shape]
+        items = [
+            StreamTuple(float(ts), values, stream)
+            for ts, stream, values in sorted(rows, key=lambda r: r[0])
+        ]
+        ticks = [float(t) for t in range(9)]
+
+        def run(keys):
+            return run_operator(count_by(keys, partitioned, 2.0), items, ticks)
+
+        assert outcome(lambda: run(keys)) == outcome(lambda: run(opaque(keys)))
+
+    def test_missing_strict_field_names_the_field(self):
+        op = count_by([GroupKey("b", optional=True), GroupKey("a")])
+        with pytest.raises(SchemaError, match="no field 'a'"):
+            op.on_batch([tup(0.0, b=1)])
+
+    def test_heads_are_no_state(self):
+        op = count_by([GroupKey("a")])
+        run_operator(op, [tup(0.0, a=1), tup(4.0, a=2)], [0.0, 4.0])
+        assert list(op._heads) == [(1,), (2,)]
+        assert set(op.checkpoint()) == {"_windows"}
+        # An emptied group's head goes with it; a restore clears them.
+        assert [t["a"] for t in op.on_time(5.5)] == [2]
+        assert list(op._heads) == [(2,)]
+        op.restore({"_windows": dict(op._windows)})
+        assert op._heads == {}
+        assert [t["a"] for t in op.on_time(6.0)] == [2]
+        assert list(op._heads) == [(2,)]
+
+    def test_kernels_read_the_window_in_place(self, monkeypatch):
+        def copy(self):
+            raise AssertionError("window copied")
+
+        monkeypatch.setattr(BaseWindow, "contents", copy)
+        op = WindowedGroupByOp(
+            WindowSpec.range_by(5.0),
+            keys=[GroupKey("a")],
+            aggregates=[AggregateSpec("avg", field="v", output="m")],
+        )
+        out = run_operator(op, [tup(0.0, a=1, v=1.0), tup(0.0, a=1, v=3.0)], [0.0])
+        assert [t["m"] for t in out] == [2.0]
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            (GroupKey("tag_id"), "GroupKey(tag_id)"),
+            (
+                GroupKey("spatial_granule", optional=True),
+                "GroupKey(spatial_granule, optional)",
+            ),
+            (GroupKey("value", value="ON"), "GroupKey(value='ON')"),
+            (GroupKey("out", field="a"), "GroupKey(out, field='a')"),
+            (
+                GroupKey("g", len, field="a.g"),
+                "GroupKey(g, field='a.g', extractor=len)",
+            ),
+            (GroupKey("bucket", lambda t: 0), "GroupKey(bucket, extractor=<lambda>)"),
+        ],
+    )
+    def test_repr_says_what_a_key_reads(self, key, text):
+        assert repr(key) == text
+
+    def test_declared_forms(self):
+        assert GroupKey("a").field == "a" and not GroupKey("a").opaque
+        assert GroupKey("v", value=None).constant
+        assert GroupKey("v", value=None).field is None
+        assert GroupKey("b", lambda t: 0).opaque
+        with pytest.raises(OperatorError, match="constant"):
+            GroupKey("v", value=1, optional=True)
+        with pytest.raises(OperatorError, match="optional"):
+            GroupKey("v", lambda t: 0, optional=True)
 
 
 class TestWindowJoin:
