@@ -51,9 +51,10 @@ block, each under its own schema, and no field name is reserved (a
 are a ``data`` frame's; ``low`` is the sender's promise that every later
 reading of ``source`` carries a timestamp ≥ ``low`` (``null`` when there
 is nothing new to promise), and it takes effect right after its own row.
-Rows are validated one by one with the rules of :func:`data_fields`
-(:func:`block_rows`); flow control, sequence numbers and every counter
-stay per reading — a block is framing, not a unit of delivery.
+Rows are validated one by one with the cell rules a ``data`` frame's
+fields pass (:func:`block_rows`); flow control, sequence numbers and
+every counter stay per reading — a block is framing, not a unit of
+delivery.
 
 Version 2 adds the cluster dialect spoken between the front-tier router
 and its workers (:mod:`repro.net.router` / :mod:`repro.net.worker`). A
@@ -394,10 +395,10 @@ class FrameReader:
 
 class Outbox:
     """One peer's outbound frames, encoded in wire order, not written:
-    the sans-I/O half of :class:`FrameWriter` (the router core writes
-    into these). Readings (:meth:`add_row`) wait as rows and are sealed
-    into one ``block`` frame by :meth:`take`, by an :meth:`add` of
-    another frame, and at :data:`BLOCK_ROWS` rows."""
+    the sans-I/O half of :class:`FrameWriter` (the router and gateway
+    cores write into these). Readings (:meth:`add_row`) wait as rows and
+    are sealed into one ``block`` frame by :meth:`take`, by an
+    :meth:`add` of another frame, and at :data:`BLOCK_ROWS` rows."""
 
     __slots__ = ("_pending", "_size", "_rows")
 
@@ -408,8 +409,13 @@ class Outbox:
 
     def add(self, frame: Mapping[str, Any]) -> None:
         """Encode ``frame`` and give it the next place in wire order."""
+        self.write(encode_frame(frame))
+
+    def write(self, data: bytes) -> None:
+        """Give already-encoded frames the next place in wire order."""
         self._seal()
-        self._add(encode_frame(frame))
+        self._pending.append(data)
+        self._size += len(data)
 
     def add_row(
         self,
@@ -435,16 +441,31 @@ class Outbox:
     def _seal(self) -> None:
         if self._rows:
             rows, self._rows = self._rows, []
-            self._add(encode_block(rows))
-
-    def _add(self, data: bytes) -> None:
-        self._pending.append(data)
-        self._size += len(data)
+            self.write(encode_block(rows))
 
     @property
     def full(self) -> bool:
         """Sealed bytes have passed :data:`BURST_BYTES`."""
         return self._size > BURST_BYTES
+
+    def bursts(self) -> Iterator[bytes]:
+        """Every pending frame in wire order, joined into byte strings of
+        at most :data:`BURST_BYTES` (a larger frame alone, uncopied); the
+        outbox empties."""
+        self._seal()
+        pending, self._pending = self._pending, []
+        self._size = 0
+        burst: list[bytes] = []
+        size = 0
+        for data in pending:
+            if burst and size + len(data) > BURST_BYTES:
+                yield b"".join(burst)
+                burst = []
+                size = 0
+            burst.append(data)
+            size += len(data)
+        if burst:
+            yield b"".join(burst)
 
     def take(self) -> bytes:
         """Every pending frame as one byte string; the outbox empties."""
@@ -602,24 +623,50 @@ def _finite(where: str, source: Any, key: str, value: Any) -> float:
     )
 
 
+def _reading_cells(
+    where: str,
+    source: Any,
+    seq: Any,
+    arrival: Any,
+    low: Any,
+    timestamp: Any,
+    stream: Any,
+    columns: "tuple[str, str]" = ("timestamp", "stream"),
+) -> "tuple[float, float | None, float]":
+    """The one set of rules a received reading's cells pass, in a
+    ``block`` row or a ``data`` frame: ``stream`` a string, ``seq`` an
+    integer, ``timestamp``, ``arrival`` and ``low`` (unless ``None``)
+    finite numbers (``json.loads`` accepts ``NaN``, and a non-finite
+    stamp would poison a watermark). Returns ``(arrival, low,
+    timestamp)`` as floats, or raises a ``ProtocolError`` naming the
+    first bad cell (``columns`` names the timestamp and stream)."""
+    if type(stream) is not str:
+        raise ProtocolError(
+            f"{where} for source {source!r:.40} carries "
+            f"{columns[1]}={stream!r:.40}; expected a string"
+        )
+    if type(seq) is not int:
+        raise ProtocolError(
+            f"{where} for source {source!r:.40} carries seq={seq!r:.40}; "
+            f"expected an integer"
+        )
+    timestamp = _finite(where, source, columns[0], timestamp)
+    arrival = _finite(where, source, "arrival", arrival)
+    if low is not None:
+        low = _finite(where, source, "low", low)
+    return arrival, low, timestamp
+
+
 def data_fields(
     frame: Mapping[str, Any],
 ) -> "tuple[int, float, float | None, dict[str, Any]]":
     """Validate a received ``data`` frame; ``(seq, arrival, low, record)``.
 
-    The rules a front door (gateway or router) reads a peer's numbers
-    by, here for the ``data`` spelling and in :func:`block_rows` for a
-    ``block``'s rows: ``seq`` must be an integer, ``arrival``, ``low``
-    and the record's timestamp column finite numbers (``json.loads``
-    accepts ``NaN`` and ``Infinity``, and a non-finite stamp would
-    poison a watermark), ``record`` an object and its stream column,
-    when present, a string (an absent one is ``""``). An absent
-    ``arrival`` (a v1-style frame) defaults to the record's timestamp,
-    an absent ``seq`` to 0; an absent or ``null`` ``low`` is no promise
-    (``None``).
-
-    Raises:
-        ProtocolError: On any wrong-shaped or non-finite field.
+    ``record`` must be an object; its timestamp and stream and the
+    frame's ``seq``, ``arrival`` and ``low`` pass a ``block`` row's cell
+    rules (:func:`_reading_cells`). Absent, the stream is ``""``,
+    ``arrival`` the timestamp (a v1-style frame), ``seq`` 0, and ``low``
+    no promise. Raises ``ProtocolError`` on any bad field.
     """
     source = frame.get("source")
     record = frame.get("record")
@@ -628,27 +675,13 @@ def data_fields(
             f"data frame for source {source!r:.40} carries a "
             f"record that is not an object: {record!r:.40}"
         )
-    timestamp = _finite(
-        "data frame", source, TIMESTAMP_COLUMN, record.get(TIMESTAMP_COLUMN)
-    )
-    stream = record.get(STREAM_COLUMN, "")
-    if type(stream) is not str:
-        raise ProtocolError(
-            f"data frame for source {source!r:.40} carries "
-            f"{STREAM_COLUMN}={stream!r:.40}; expected a string"
-        )
     seq = frame.get("seq", 0)
-    if type(seq) is not int:
-        raise ProtocolError(
-            f"data frame for source {source!r:.40} carries "
-            f"seq={seq!r:.40}; expected an integer"
-        )
-    arrival = _finite(
-        "data frame", source, "arrival", frame.get("arrival", timestamp)
+    timestamp = record.get(TIMESTAMP_COLUMN)
+    arrival, low, _timestamp = _reading_cells(
+        "data frame", source, seq, frame.get("arrival", timestamp),
+        frame.get("low"), timestamp, record.get(STREAM_COLUMN, ""),
+        (TIMESTAMP_COLUMN, STREAM_COLUMN),
     )
-    low = frame.get("low")
-    if low is not None:
-        low = _finite("data frame", source, "low", low)
     return seq, arrival, low, record
 
 
@@ -767,9 +800,8 @@ def block_rows(frame: Mapping[str, Any]) -> "Iterator[tuple]":
     entries :func:`block_frame` took — ``(source, seq, arrival, low,
     item, trace)`` — as each row passes.
 
-    The rules are :func:`data_fields`' own: ``seq`` an integer,
-    ``arrival`` / ``timestamp`` / ``low`` finite numbers (``low`` may be
-    ``null``), ``source`` and ``stream`` strings; beyond them ``k`` must
+    Each row's cells pass :func:`_reading_cells`, as a ``data``
+    frame's do, and ``source`` must be a string; beyond them ``k`` must
     index ``schemas``, a row be as wide as its schema, schema names be
     distinct strings, and ``traces`` (when present) hold one array of
     five integers per row. Field *values* are the reading's own and are
@@ -797,34 +829,31 @@ def block_rows(frame: Mapping[str, Any]) -> "Iterator[tuple]":
                 f"{row!r:.60}"
             )
         k, source, seq, arrival, low, timestamp, stream, *cells = row
-        if type(source) is not str or type(stream) is not str:
+        if type(source) is not str:
             raise ProtocolError(
-                f"block row {index} names source {source!r:.40} and "
-                f"stream {stream!r:.40}; expected strings"
+                f"block row {index} names source {source!r:.40}; "
+                f"expected a string"
             )
         if type(k) is not int or not 0 <= k < count:
             raise ProtocolError(
                 f"block row {index} for source {source!r:.40} carries "
                 f"k={k!r:.40}; expected an index into {count} schemas"
             )
-        if type(seq) is not int:
-            raise ProtocolError(
-                f"block row {index} for source {source!r:.40} carries "
-                f"seq={seq!r:.40}; expected an integer"
-            )
         if not (
-            type(arrival) is float
+            type(stream) is str
+            and type(seq) is int
+            and type(arrival) is float
             and type(timestamp) is float
             and isfinite(arrival)
             and isfinite(timestamp)
             and (low is None or (type(low) is float and isfinite(low)))
         ):
-            # Integers are numbers too; anything else names its field.
-            where = f"block row {index}"
-            arrival = _finite(where, source, "arrival", arrival)
-            timestamp = _finite(where, source, "timestamp", timestamp)
-            if low is not None:
-                low = _finite(where, source, "low", low)
+            # The common case inline; anything else (integer stamps
+            # included) goes through the rules that name its cell.
+            arrival, low, timestamp = _reading_cells(
+                f"block row {index}", source, seq, arrival, low,
+                timestamp, stream,
+            )
         schema = schemas[k]
         if len(cells) != len(schema):
             raise ProtocolError(

@@ -12,10 +12,11 @@ This module is the asyncio *shell* around the synchronous
 :class:`~repro.net.router_core.RouterCore`, which takes every decision.
 The shell turns sockets and the supervisor into core events, carries
 out the actions that come back, and holds no router state across an
-``await``. A serve loop hands the core every frame one socket read
-completes, then flushes (the flush rule) before it reads again; a
-feeder's loop reads again only once the core has served all it has, so
-a feeder the core cannot place meets TCP backpressure.
+``await``. Its serve loops are the shared :class:`~repro.net.shell.
+Shell`'s: each hands the core every frame one socket read completes,
+then flushes (the flush rule) before it reads again; a feeder's loop
+reads again only once the core has served all it has, so a feeder the
+core cannot place meets TCP backpressure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import time
 from typing import Any, Callable
 
 from repro.errors import NetError, ProtocolError
-from repro.net.protocol import BURST_BYTES, FrameDecoder, read_frame
+from repro.net.protocol import read_frame
 from repro.net.recovery import WorkerSupervisor
 from repro.net.router_core import Feeder, RouterCore, Settled
 from repro.net.router_epochs import (
@@ -36,6 +37,7 @@ from repro.net.router_epochs import (
     RunDone,
 )
 from repro.net.service import ScenarioBundle
+from repro.net.shell import Shell
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
 from repro.streams.tuples import StreamTuple
 
@@ -104,11 +106,10 @@ class ClusterRouter:
         self._supervisor = supervisor
         self._server: "asyncio.base_events.Server | None" = None
         self._started = False
-        #: Core peer → its writer, and each link's read loop.
-        self._writers: dict[Any, asyncio.StreamWriter] = {}
+        self._shell = Shell(self.core)
+        #: Each link's read loop.
         self._readers: dict[Link, asyncio.Task] = {}
         self._tasks: set[asyncio.Task] = set()
-        self._waiters: list[tuple[Callable[[], bool], asyncio.Future]] = []
 
     @property
     def data_frames(self) -> int:
@@ -167,7 +168,7 @@ class ClusterRouter:
         """
         self._apply(self.core.finish())
         core = self.core
-        await self._until(lambda: core.finished or core.fatal is not None)
+        await self._shell.until(lambda: core.finished or core.fatal is not None)
         if core.fatal is not None:
             raise core.fatal
 
@@ -184,12 +185,7 @@ class ClusterRouter:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-        for _predicate, future in self._waiters:
-            if not future.done():
-                future.set_exception(NetError("router closed"))
+        self._shell.close("router closed")
         if server is not None:
             await server.wait_closed()
 
@@ -225,7 +221,7 @@ class ClusterRouter:
 
     def _apply(self, actions: list, burst: bool = False) -> None:
         """Carry out ``actions``; then, unless a socket read's burst goes
-        on, flush (:meth:`_flush`)."""
+        on, flush."""
         for action in actions:
             kind = type(action)
             if kind is OpenLink:
@@ -243,22 +239,7 @@ class ClusterRouter:
             else:
                 assert kind is RunDone  # observed through the core's state
         if not burst:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Write what the core has pending, and wake whoever waits."""
-        for predicate, future in self._waiters:
-            if not future.done() and predicate():
-                future.set_result(None)
-        for peer, data, close in self.core.flush():
-            writer = self._writers.get(peer)
-            if writer is None:
-                continue
-            if data:
-                writer.write(data)
-            if close:
-                del self._writers[peer]
-                writer.close()
+            self._shell.flush()
 
     def _spawn(self, coroutine: Any) -> None:
         task = asyncio.ensure_future(coroutine)
@@ -269,17 +250,6 @@ class ClusterRouter:
         ticket = asyncio.get_running_loop().create_future()
         self._apply(submit(ticket))
         await ticket
-
-    async def _until(self, predicate: Callable[[], bool]) -> None:
-        if predicate():
-            return
-        future = asyncio.get_running_loop().create_future()
-        waiter = (predicate, future)
-        self._waiters.append(waiter)
-        try:
-            await future
-        finally:
-            self._waiters.remove(waiter)
 
     async def _open(self, link: Link, handshake: bytes) -> None:
         try:
@@ -295,33 +265,18 @@ class ClusterRouter:
             writer.close()
             self._apply(self.core.link_failed(link, error))
             return
-        self._writers[link] = writer
+        self._shell.writers[link] = writer
         self._readers[link] = asyncio.ensure_future(
             self._read_link(link, reader)
         )
         self._apply(self.core.link_opened(link, ack))
 
-    async def _read(
-        self, reader: asyncio.StreamReader, event: Callable[[dict], list],
-        ready: Callable[[], bool] = lambda: True,
-    ) -> None:
-        """Hand ``event`` every frame one socket read completes, then
-        flush, and read on once ``ready()``: a peer the core has not
-        caught up with meets TCP backpressure, not an unbounded queue."""
-        decoder = FrameDecoder()
-        while data := await reader.read(BURST_BYTES):
-            for frame in decoder.frames(data):
-                self._apply(event(frame), burst=True)
-            self._flush()
-            await self._until(ready)
-        decoder.eof()
-
     async def _read_link(self, link: Link, reader: asyncio.StreamReader) -> None:
         error: "Exception | None" = None
         try:
-            await self._read(
-                reader, lambda frame: self.core.worker_frame(link, frame)
-            )
+            await self._shell.read(reader, lambda frame: self._apply(
+                self.core.worker_frame(link, frame), burst=True
+            ))
         except asyncio.CancelledError:
             raise
         except Exception as failure:
@@ -332,7 +287,7 @@ class ClusterRouter:
         task = self._readers.pop(link, None)
         if task is not None and task is not asyncio.current_task():
             task.cancel()
-        writer = self._writers.pop(link, None)
+        writer = self._shell.writers.pop(link, None)
         if writer is not None:
             writer.close()
 
@@ -351,17 +306,16 @@ class ClusterRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         feeder: Feeder = self.core.feeder_opened()
-        self._writers[feeder] = writer
+        self._shell.writers[feeder] = writer
         reason = ""
         try:
             hello = await read_frame(reader)
             if hello is None:
                 return
             self._apply(self.core.feeder_hello(feeder, hello))
-            await self._read(
-                reader, lambda frame: self.core.feeder_frame(feeder, frame),
-                feeder.served,
-            )  # EOF: the sources stay open for a reconnect
+            await self._shell.read(reader, lambda frame: self._apply(
+                self.core.feeder_frame(feeder, frame), burst=True
+            ), feeder.served)  # EOF: the sources stay open for a reconnect
         except ProtocolError as error:
             reason = str(error)
         except (ConnectionError, asyncio.IncompleteReadError, NetError):
@@ -375,11 +329,11 @@ class ClusterRouter:
         """Resolve once ``self.recovery[key] >= n`` (test affordance)."""
         if key not in self.recovery:
             raise NetError(f"unknown recovery counter {key!r}")
-        await self._until(lambda: self.recovery[key] >= n)
+        await self._shell.until(lambda: self.recovery[key] >= n)
 
     async def wait_for_data_frames(self, n: int) -> None:
         """Resolve once ``n`` readings have been forwarded (tests)."""
-        await self._until(lambda: self.core.data_frames >= n)
+        await self._shell.until(lambda: self.core.data_frames >= n)
 
     def stats(self) -> dict[str, Any]:
         """Routing accounting, ops-plane compatible (JSON-friendly)."""

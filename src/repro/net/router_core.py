@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import NetError, ProtocolError
 from repro.net import protocol
-from repro.net.gateway import check_hello
+from repro.net.gateway_core import check_hello
 from repro.net.protocol import Outbox
 from repro.net.recovery import CheckpointStore, FailureDetector, WorkerCheckpoint
 from repro.net import router_epochs as epochs

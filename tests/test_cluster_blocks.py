@@ -25,14 +25,19 @@ from repro.core.operators.point_ops import convert_field, ghost_filter
 from repro.core.operators.smooth_ops import presence_smoother
 from repro.core.pipeline import ESPPipeline, ESPProcessor
 from repro.errors import ProtocolError
-from repro.net import protocol, ring
-from repro.net import worker as worker_module
+from repro.net import gateway_core, protocol, ring
 from repro.net.feeder import ReplayFeeder
-from repro.net.protocol import MAX_FRAME_BYTES, FrameDecoder, encode_frame
+from repro.net.gateway_core import RESULT_CHUNK, write_ticks
+from repro.net.protocol import (
+    MAX_FRAME_BYTES,
+    FrameDecoder,
+    Outbox,
+    encode_frame,
+)
 from repro.net.router import ClusterRouter
 from repro.net.router_core import RouterCore
 from repro.net.service import ScenarioBundle
-from repro.net.worker import RESULT_CHUNK, ClusterWorker, ship_ticks
+from repro.net.worker import ClusterWorker
 from repro.scenarios.shelf import ShelfScenario
 from repro.streams.tuples import StreamTuple
 
@@ -40,23 +45,6 @@ from tests.test_cluster_equivalence import cluster_run, in_memory_output
 from tests.test_router_core import Cluster
 
 WAIT = 30.0
-
-
-class Tap:
-    """A stream writer that keeps what it is given."""
-
-    def __init__(self, inner=None):
-        self.inner = inner
-        self.data = bytearray()
-
-    def write(self, data):
-        self.data.extend(data)
-        if self.inner is not None:
-            self.inner.write(data)
-
-    async def drain(self):
-        if self.inner is not None:
-            await self.inner.drain()
 
 
 def result_frames(data):
@@ -67,14 +55,14 @@ def result_frames(data):
 
 
 def shipped(per_tick, spans_per_tick):
-    """``ship_ticks`` over a ledger holding these buckets: its frames."""
+    """``write_ticks`` over a ledger holding these buckets: its frames."""
     ledger = SimpleNamespace(
         per_tick=per_tick, spans_per_tick=spans_per_tick, reported=0
     )
-    tap = Tap()
-    count = asyncio.run(ship_ticks(tap, 5, ledger))
+    out = Outbox()
+    count = write_ticks(out, 5, ledger)
     assert count == len(per_tick) == ledger.reported
-    return FrameDecoder().feed(bytes(tap.data))
+    return FrameDecoder().feed(out.take())
 
 
 def gathered(frames):
@@ -300,7 +288,7 @@ class TestCallShapes:
         ships = []
         real_hash = ring._hash
         real_route = RouterCore._route_rows
-        real_ship = worker_module.ship_ticks
+        real_write = gateway_core.write_ticks
         #: Keys of the rows the current ``_route_rows`` call took; a
         #: block whose reading waits on a credit resumes in a later call.
         keys = set()
@@ -328,16 +316,18 @@ class TestCallShapes:
             finally:
                 counts["keys"] += len(keys)
 
-        async def ship(writer, epoch, ledger):
+        def write(out, epoch, ledger):
             rows = sum(len(b) for b in ledger.per_tick[ledger.reported:])
-            tap = Tap(writer)
-            done = await real_ship(tap, epoch, ledger)
-            ships.append((rows, len(result_frames(tap.data))))
+            tap = Outbox()
+            done = real_write(tap, epoch, ledger)
+            data = tap.take()
+            ships.append((rows, len(result_frames(data))))
+            out.write(data)
             return done
 
         monkeypatch.setattr(ring, "_hash", counting_hash)
         monkeypatch.setattr(RouterCore, "_route_rows", route)
-        monkeypatch.setattr(worker_module, "ship_ticks", ship)
+        monkeypatch.setattr(gateway_core, "write_ticks", write)
         output, router = asyncio.run(cluster_run("shelf", 2, 12.0))
 
         assert output == in_memory_output("shelf", 12.0)

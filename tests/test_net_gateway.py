@@ -191,7 +191,6 @@ async def loopback(
     queue_bound=64,
     delay_model=None,
     telemetry=None,
-    throttle=None,
     feeder_kwargs=None,
     feeder_class=ReplayFeeder,
 ):
@@ -205,7 +204,6 @@ async def loopback(
         policy=policy,
         queue_bound=queue_bound,
         telemetry=telemetry,
-        throttle=throttle,
     )
     host, port = await gateway.start()
     feeder = feeder_class(
@@ -698,14 +696,14 @@ class TestMalformedNumbers:
                     "reader0", seq, item.timestamp, item
                 ))
             before = gateway.stats()["sources"]["reader0"]
-            mark = gateway._states["reader0"].reorder.watermark
+            mark = gateway.core.states["reader0"].reorder.watermark
 
             bad = await RawFeeder.open(host, port, ["reader1"])
             frame = protocol.data_frame("reader1", 0, first.timestamp, first)
             reason = await bad.send_refused({**frame, **overrides})
 
             assert gateway.stats()["sources"]["reader0"] == before
-            assert gateway._states["reader0"].reorder.watermark == mark
+            assert gateway.core.states["reader0"].reorder.watermark == mark
             assert gateway.stats()["sources"]["reader1"]["offered"] == 0
             # Both sources carry on: the neighbour on its connection,
             # the refused one on a fresh one.
@@ -740,7 +738,7 @@ async def front_door(front, collector=None):
         host, port = await gateway.start()
 
         def neighbour():
-            state = gateway._states["reader0"]
+            state = gateway.core.states["reader0"]
             return (
                 gateway.stats()["sources"]["reader0"], len(state.queue),
                 len(state.reorder), state.reorder.watermark,
@@ -901,23 +899,18 @@ class TestMalformedNames:
 
 class TestBlockPolicyBackpressure:
     def test_overdriven_feeder_is_credit_gated(self):
-        """A feeder running far faster than the drain (it replays
-        full-tilt while every drained item costs an extra event-loop
-        yield) must be held back by credit frames: the bounded queue
-        never exceeds its cap, nothing is dropped, and the output is
-        still exact."""
+        """A feeder replaying full-tilt into queues of eight must be held
+        back by credit frames: the bounded queue never exceeds its cap,
+        nothing is dropped, and the output is still exact. (Held drains
+        are driven socket-free in ``tests/test_gateway_core.py``.)"""
         factory, streams, until, tick = shelf_case(duration=8.0)
         ref = factory().run(until=until, tick=tick, sources=streams)
-
-        async def throttle():
-            await asyncio.sleep(0)
 
         bound = 8
         run, gateway, report = asyncio.run(
             loopback(
                 factory, streams, until, tick,
                 slack=0.0, policy="block", queue_bound=bound,
-                throttle=throttle,
             )
         )
         assert report["credit_frames"] > 0  # backpressure frames emitted
@@ -933,16 +926,13 @@ class TestBlockPolicyBackpressure:
 class TestDropPolicies:
     @pytest.mark.parametrize("policy", ["drop-oldest", "drop-newest"])
     def test_drops_exactly_accounted(self, policy):
-        """With the drain gated until the feeder finishes, the bounded
-        queue must shed; every shed tuple shows up in both the queue
-        counters and the telemetry counters, and
-        offered == delivered + dropped holds per source."""
+        """A creditless feeder's blocks of up to 256 rows into queues of
+        sixteen, drained once per socket read: the bounded queue must
+        shed; every shed tuple shows up in both the queue counters and
+        the telemetry counters, and offered == delivered + dropped holds
+        per source."""
         factory, streams, until, tick = shelf_case(duration=6.0)
         collector = InMemoryCollector()
-        gate = asyncio.Event()
-
-        async def throttle():
-            await gate.wait()
 
         async def scenario():
             session = factory().open_session(
@@ -950,12 +940,11 @@ class TestDropPolicies:
             )
             gateway = IngestGateway(
                 session, slack=0.0, policy=policy, queue_bound=16,
-                telemetry=collector, throttle=throttle,
+                telemetry=collector,
             )
             host, port = await gateway.start()
             feeder = ReplayFeeder(host, port, streams)
             report = await asyncio.wait_for(feeder.run(), timeout=WAIT)
-            gate.set()  # now let the pipeline drain what survived
             await asyncio.wait_for(
                 gateway.run_until_drained(), timeout=WAIT
             )
@@ -988,9 +977,9 @@ class TestDropPolicies:
         [("drop-oldest", range(24, 40)), ("drop-newest", range(16))],
     )
     def test_one_block_is_shed_row_by_row(self, policy, kept):
-        """Forty rows in one frame into a queue of sixteen, the drain
-        held: each row is offered on its own, so the policy sheds
-        rows — not the frame, and not nothing."""
+        """Forty rows in one frame into a queue of sixteen, drained
+        only after the frame: each row is offered on its own, so the
+        policy sheds rows — not the frame, and not nothing."""
 
         class Session:
             receptor_ids = ("a",)
@@ -1008,13 +997,10 @@ class TestDropPolicies:
             def close(self):
                 return self
 
-        gate = asyncio.Event()
-
         async def scenario():
             session = Session()
             gateway = IngestGateway(
                 session, slack=0.0, policy=policy, queue_bound=16,
-                throttle=gate.wait,
             )
             host, port = await gateway.start()
             feeder = await RawFeeder.open(host, port, ["a"])
@@ -1024,7 +1010,6 @@ class TestDropPolicies:
                 for seq in range(40)
             ]))
             await feeder.bye("a")  # acked: the block has been served
-            gate.set()
             await asyncio.wait_for(gateway.run_until_drained(), timeout=WAIT)
             feeder.writer.close()
             await gateway.close()

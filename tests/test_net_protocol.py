@@ -429,6 +429,53 @@ class TestDataFields:
 
 
 
+#: Cells a reading may not carry, as ``(timestamp, stream)``: each is
+#: what ``record_to_tuple`` would coerce (a number stream, a string or
+#: boolean stamp) or pass through (NaN).
+BAD_READING_CELLS = {
+    "stream-number": (2.5, 5),
+    "timestamp-string": ("2.5", "rfid"),
+    "timestamp-true": (True, "rfid"),
+    "timestamp-nan": (float("nan"), "rfid"),
+}
+
+
+def spelled(spelling, timestamp, stream):
+    """One reading of source ``a`` as a ``data`` frame or a one-row
+    ``block``, decoded as it would arrive (``json.loads`` takes NaN)."""
+    if spelling == "data":
+        frame = {
+            "type": "data", "source": "a", "seq": 0, "arrival": 3.0,
+            "record": {"_ts": timestamp, "_stream": stream, "v": 1},
+        }
+    else:
+        frame = {
+            "type": "block", "schemas": [["v"]],
+            "rows": [[0, "a", 0, 3.0, None, timestamp, stream, 1]],
+        }
+    (decoded,) = FrameDecoder().feed(encode_frame(frame))
+    return decoded
+
+
+@pytest.mark.parametrize("spelling", ["data", "block"])
+class TestOneSetOfReadingRules:
+    """A ``data`` frame fails closed exactly like a ``block`` row: both
+    spellings go through the same cell checks."""
+
+    @pytest.mark.parametrize(
+        "cells", BAD_READING_CELLS.values(), ids=BAD_READING_CELLS
+    )
+    def test_a_bad_cell_is_refused(self, spelling, cells):
+        with pytest.raises(ProtocolError, match="source 'a'"):
+            list(protocol.frame_rows(spelled(spelling, *cells), 4))
+
+    def test_a_good_reading_is_the_same_row(self, spelling):
+        (row,) = protocol.frame_rows(spelled(spelling, 2, "rfid"), 4)
+        assert row == ("a", 0, 3.0, None, StreamTuple(2.0, {"v": 1}, "rfid"),
+                       None)
+        assert type(row[4].timestamp) is float
+
+
 def entry(source, seq, arrival, low, item, trace=None):
     return (source, seq, arrival, low, item, trace)
 
