@@ -1,7 +1,7 @@
 """Deterministic fault injection for the cluster's wire links.
 
 :class:`ChaosProxy` is a TCP proxy that reads the stream through the
-protocol's own :class:`~repro.net.protocol.FrameReader` and counts
+protocol's own :class:`~repro.net.protocol.FrameDecoder` and counts
 *readings* at frame boundaries — a ``block`` frame advances the count by
 the rows it carries, any other frame by one — so faults land at
 scripted, reproducible points in the stream rather than at arbitrary
@@ -49,8 +49,9 @@ from typing import Any
 
 from repro.errors import NetError, ProtocolError
 from repro.net.protocol import (
+    BURST_BYTES,
     HEADER_BYTES,
-    FrameReader,
+    FrameDecoder,
     frame_bytes,
     write_raw_frame,
 )
@@ -224,11 +225,15 @@ class ChaosProxy:
     ) -> None:
         frames = 0
         delay = 0.0
-        upstream = FrameReader(reader)
+        upstream = FrameDecoder()
         while True:
             try:
-                payload = await upstream.read_payload()
-            except (ProtocolError, ConnectionError, OSError):
+                while (payload := upstream.take()) is None:
+                    data = await reader.read(BURST_BYTES)
+                    if not data:
+                        break
+                    upstream.extend(data)
+            except (ProtocolError, OSError):
                 payload = None
             if payload is None:
                 # EOF, reset or a cut frame upstream: propagate the

@@ -35,7 +35,9 @@ serves one cluster worker epoch over a :class:`TickLedger`: ``drain``
 finalises every routed source, ``checkpoint`` drains, writes the
 unreported ticks, snapshots and acks in one step, and completion writes
 the remaining ticks and ``result_end``. An epoch routed no source is the
-same core with none; it ends at its ``drain``.
+same core with none; it ends at its ``drain``. :func:`open_epoch`
+checks the frames that open an epoch and builds (and, resumed, restores)
+its core.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from repro.errors import NetError, ProtocolError
 from repro.net import protocol
 from repro.net.overload import BLOCKED, BoundedIngressQueue, OVERLOAD_POLICIES
 from repro.net.protocol import Outbox
-from repro.net.recovery import encode_state
+from repro.net.recovery import decode_state, encode_state
 from repro.streams.fjord import sweep_end
 from repro.streams.reorder import ReorderBuffer
 from repro.streams.telemetry import (
@@ -770,6 +772,89 @@ class GatewayCore:
             "slack": self.slack,
             "sources": sources,
         }
+
+
+def open_epoch(
+    frames: Sequence[dict],
+    expected: Sequence[str],
+    open_session: Callable[..., Any],
+    *,
+    label: str,
+    slack: float,
+    queue_bound: int,
+    rollup: TelemetryCollector,
+) -> "tuple[GatewayCore, Conn] | None":
+    """A cluster worker's epoch opening, no I/O. ``frames`` are those the
+    router has opened the connection with so far: ``worker_hello``,
+    ``route`` and, when the route asks, ``resume``. Once all have come,
+    returns the epoch's core — over a fresh session from
+    ``open_session(telemetry=…)``, restored when resumed; over none when
+    routed no source — and its connection; ``None`` while one is due.
+    ``expected`` are the sources this worker serves, ``label`` its
+    default label, ``rollup`` its collector (counting
+    ``worker.version_mismatch`` and ``worker.resumed_from_checkpoint``).
+
+    Raises:
+        ProtocolError: The refusal the router is to be told.
+    """
+    hello = _expect(frames[0], "worker_hello")
+    if hello.get("version") != protocol.PROTOCOL_VERSION:
+        # Router and workers are one deployment: the router sends this
+        # build's frames (blocks included), so a worker cannot fall back
+        # the way the feeder path does.
+        if rollup.enabled:
+            rollup.count("worker.version_mismatch")
+        raise ProtocolError(
+            f"cluster dialect requires protocol {protocol.PROTOCOL_VERSION}, "
+            f"got {hello.get('version')!r}"
+        )
+    if len(frames) < 2:
+        return None
+    route = _expect(frames[1], "route")
+    sources = sorted(route.get("sources") or [])
+    unknown = [name for name in sources if name not in expected]
+    if unknown:
+        raise ProtocolError(
+            f"unroutable sources {unknown!r}; this worker serves "
+            f"{list(expected)!r}"
+        )
+    epoch = int(route.get("epoch", 0))
+    state = None
+    if route.get("resume"):
+        if len(frames) < 3:
+            return None
+        resume = _expect(frames[2], "resume")
+        if int(resume.get("epoch", -1)) != epoch:
+            raise ProtocolError(
+                f"resume epoch {resume.get('epoch')!r} does not match "
+                f"route epoch {epoch}"
+            )
+        state = resume.get("state")
+    ledger = collector = None
+    if sources:
+        collector = rollup.spawn()
+        ledger = TickLedger(open_session(telemetry=collector))
+    core = GatewayCore(
+        ledger, sources, slack=slack, policy="block",
+        queue_bound=queue_bound, telemetry=collector,
+        worker=WorkerRole(epoch, str(hello.get("worker") or label), rollup),
+    )
+    if ledger is not None and state is not None:
+        # Restore into the freshly built identical pipeline before any
+        # data: configuration never crosses the wire, only the
+        # operators' data state does.
+        decoded = decode_state(state)
+        ledger.restore(decoded["ledger"])
+        core.restore(decoded["gateway"])
+        if rollup.enabled:
+            rollup.count("worker.resumed_from_checkpoint")
+    return core, core.attach(sources)
+
+
+def _expect(frame: dict, kind: str) -> dict:
+    if frame.get("type") != kind:
+        raise ProtocolError(f"expected {kind}, got {frame.get('type')!r}")
+    return frame
 
 
 class TickLedger:

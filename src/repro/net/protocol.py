@@ -195,9 +195,9 @@ class FrameDecoder:
     Feed arbitrary chunks (TCP segments split frames wherever they
     like); complete frames come back in order. State between calls is
     the undecoded remainder. This class is the one place the header,
-    length-cap and truncation rules live: :class:`FrameReader` (hence
-    every serve loop, the one-shot :func:`read_frame` helpers and the
-    chaos proxy) reads through it.
+    length-cap and truncation rules live: every serve loop
+    (:class:`~repro.net.shell.Shell`), the one-shot :func:`read_frame`
+    helper and the chaos proxy read through it.
 
     The length prefix is checked against ``max_frame_bytes`` *before*
     any payload is buffered, so a hostile prefix (say ``0xFFFFFFFF``)
@@ -332,73 +332,13 @@ def _parse_payload(payload: bytes) -> dict[str, Any]:
     return frame
 
 
-class FrameReader:
-    """Frames off an :class:`asyncio.StreamReader`, a burst at a time.
-
-    Each socket read asks for up to ``chunk`` bytes, and every frame
-    those bytes complete is served from memory before the socket is
-    awaited again. A parse error surfaces at the frame that carries
-    it: the frames ahead of it in the same chunk are served first.
-
-    Args:
-        reader: The connection's stream.
-        max_frame_bytes: Per-frame payload cap.
-        chunk: Bytes asked of the socket per read. ``None`` asks only
-            for what the frame in progress still lacks, leaving every
-            later byte in ``reader`` — what the one-shot
-            :func:`read_frame` helper needs.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        chunk: "int | None" = BURST_BYTES,
-    ) -> None:
-        self._reader = reader
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._chunk = chunk
-
-    async def read_payload(self) -> "bytes | None":
-        """The next frame's raw JSON payload; ``None`` on clean EOF.
-
-        Raises:
-            FrameTruncated: EOF or reset inside a frame.
-            ProtocolError: Oversized length prefix.
-        """
-        decoder = self._decoder
-        while True:
-            payload = decoder.take()
-            if payload is not None:
-                return payload
-            try:
-                data = await self._reader.read(self._chunk or decoder.missing)
-            except ConnectionResetError as error:
-                raise FrameTruncated(
-                    f"connection reset mid-stream: {error}"
-                ) from None
-            if not data:
-                decoder.eof()
-                return None
-            decoder.extend(data)
-
-    async def read_frame(self) -> "dict[str, Any] | None":
-        """The next frame, parsed; ``None`` on clean EOF.
-
-        Raises:
-            ProtocolError: As :meth:`read_payload`, or a payload that
-                is not a JSON object with a ``type``.
-        """
-        payload = await self.read_payload()
-        return None if payload is None else _parse_payload(payload)
-
-
 class Outbox:
-    """One peer's outbound frames, encoded in wire order, not written:
-    the sans-I/O half of :class:`FrameWriter` (the router and gateway
-    cores write into these). Readings (:meth:`add_row`) wait as rows and
-    are sealed into one ``block`` frame by :meth:`take`, by an
-    :meth:`add` of another frame, and at :data:`BLOCK_ROWS` rows."""
+    """One peer's outbound frames, encoded in wire order, not written
+    (every core writes into these, and its shell writes what
+    :meth:`bursts` returns). Readings (:meth:`add_row`) wait as rows and
+    are sealed into one ``block`` frame by :meth:`take` or
+    :meth:`bursts`, by an :meth:`add` of another frame, and at
+    :data:`BLOCK_ROWS` rows."""
 
     __slots__ = ("_pending", "_size", "_rows")
 
@@ -478,54 +418,34 @@ class Outbox:
         return data
 
 
-class FrameWriter(Outbox):
-    """An :class:`Outbox` on a connection, written a burst at a time:
-    one ``write`` (one ``send`` syscall) per burst, not per frame.
-
-    **The flush rule** every user follows: pending bytes are written
-    before the task awaits anything that can suspend it, before
-    :meth:`close`, and — with a ``drain``, so transport flow control
-    still bites — once they pass :data:`BURST_BYTES` (:attr:`full`).
-    The pending list is then empty whenever another task runs.
-    """
-
-    __slots__ = ("_writer",)
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        super().__init__()
-        self._writer = writer
-
-    def flush(self) -> None:
-        """Hand every pending frame to the transport in one write."""
-        data = self.take()
-        if data:
-            self._writer.write(data)
-
-    async def drain(self) -> None:
-        """:meth:`flush`, then wait out the transport's flow control."""
-        self.flush()
-        await self._writer.drain()
-
-    def close(self) -> None:
-        """Flush what is pending, then close the connection."""
-        self.flush()
-        self._writer.close()
-
-
 async def read_frame(
     reader: asyncio.StreamReader, max_frame_bytes: int = MAX_FRAME_BYTES
 ) -> "dict[str, Any] | None":
     """Read one frame from ``reader``; ``None`` on clean EOF.
 
-    Consumes exactly the frame's bytes: what follows stays in
-    ``reader`` for the next call, or for the :class:`FrameReader` a
-    serve loop opens after its handshake.
+    Consumes exactly the frame's bytes (it asks the stream only for
+    what :attr:`FrameDecoder.missing` says): what follows stays in
+    ``reader`` for the next call, or for the serve loop that reads on
+    after a handshake.
 
     Raises:
-        ProtocolError: On a truncated frame, oversized length, or
-            undecodable payload.
+        FrameTruncated: EOF or a reset inside the frame.
+        ProtocolError: An oversized length prefix (before its payload
+            is read) or an undecodable payload.
     """
-    return await FrameReader(reader, max_frame_bytes, chunk=None).read_frame()
+    decoder = FrameDecoder(max_frame_bytes)
+    while (payload := decoder.take()) is None:
+        try:
+            data = await reader.read(decoder.missing)
+        except ConnectionResetError as error:
+            raise FrameTruncated(
+                f"connection reset mid-stream: {error}"
+            ) from None
+        if not data:
+            decoder.eof()
+            return None
+        decoder.extend(data)
+    return _parse_payload(payload)
 
 
 async def write_frame(
@@ -535,7 +455,7 @@ async def write_frame(
 
     One-shot and immediate: the frame is in the transport when the
     call returns, so a peer may write and close at once. Loops that
-    send many frames per burst use a :class:`FrameWriter` instead.
+    send many frames per burst write a core's :class:`Outbox` instead.
     """
     writer.write(encode_frame(frame))
     await writer.drain()

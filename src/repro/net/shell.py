@@ -1,10 +1,10 @@
 """The asyncio half every sans-I/O core shares: it only moves bytes.
 
-A :class:`Shell` wraps one router or gateway core: its :meth:`~Shell.
-read` loop hands the core every frame one socket read completes, then
-flushes — wakes whoever waits on the core's state and writes what the
-core's ``flush`` returns — before it reads again. It holds no core
-state across an ``await``."""
+A :class:`Shell` wraps one router, gateway or feeder core: its
+:meth:`~Shell.read` loop hands the core every frame one socket read
+completes, then flushes — wakes whoever waits on the core's state and
+writes what the core's ``flush`` returns — before it reads again. It
+holds no core state across an ``await``."""
 
 from __future__ import annotations
 

@@ -2,18 +2,21 @@
 
 A :class:`ClusterWorker` serves epochs. Each epoch is one TCP connection
 from the router (:mod:`repro.net.router`): ``worker_hello`` + ``route``
-(+ ``resume``) open it, then the ordinary data-plane frames flow as into
-a standalone gateway, credits included. The epoch is a
-:class:`~repro.net.gateway_core.GatewayCore` in its worker role over a
-:class:`~repro.net.gateway_core.TickLedger` and a fresh session; it
-answers ``drain`` and ``checkpoint``, and once every routed source is
-final writes the cleaned output back as ``result_block`` frames and a
-closing ``result_end``. This module is its asyncio shell.
+(+ ``resume``) open it — checked, and the epoch built, by the
+synchronous :func:`~repro.net.gateway_core.open_epoch` — then the
+ordinary data-plane frames flow as into a standalone gateway, credits
+included. The epoch is a :class:`~repro.net.gateway_core.GatewayCore`
+in its worker role over a :class:`~repro.net.gateway_core.TickLedger`
+and a fresh session; it answers ``drain`` and ``checkpoint``, and once
+every routed source is final writes the cleaned output back as
+``result_block`` frames and a closing ``result_end``. This module is its
+asyncio shell: it only reads and writes.
 """
 
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import NetError, ProtocolError
@@ -22,11 +25,10 @@ from repro.net.gateway_core import (
     RESULT_CHUNK,
     GatewayCore,
     TickLedger,
-    WorkerRole,
+    open_epoch,
 )
 from repro.net.ops import ops_plane
 from repro.net.protocol import read_frame
-from repro.net.recovery import decode_state
 from repro.net.service import ScenarioBundle, build_bundle
 from repro.net.shell import Shell
 from repro.streams.telemetry import TelemetryCollector, resolve_telemetry
@@ -73,6 +75,10 @@ class ClusterWorker:
         self.label = label
         self._collector = resolve_telemetry(telemetry)
         self._expected = tuple(sorted(self._bundle.streams))
+        self._open_session = partial(
+            self._bundle.processor.open_session,
+            until=self._bundle.until, tick=self._bundle.tick,
+        )
         self._server: "asyncio.base_events.Server | None" = None
         self._current: "GatewayCore | None" = None
         self._epochs_served = 0
@@ -146,15 +152,26 @@ class ClusterWorker:
         ignores frames until the router closes the link. An epoch whose
         link dies first is discarded: the router's retained history
         makes the next one whole."""
+        frames: list[dict] = []
+        opened = None
         try:
-            opened = await self._open_epoch(reader, writer)
+            while opened is None:
+                frame = await read_frame(reader)
+                if frame is None:
+                    return False  # the router hung up first
+                frames.append(frame)
+                opened = open_epoch(
+                    frames, self._expected, self._open_session,
+                    label=self.label, slack=self.slack,
+                    queue_bound=self.queue_bound, rollup=self._collector,
+                )
+        except ProtocolError as error:
+            await protocol.bail(writer, str(error))
+            return False
         except ConnectionError:
             return False
-        if opened is None:
-            return False
-        core = self._epoch_core(*opened)
+        core, conn = opened
         shell = Shell(core)
-        conn = core.attach(opened[2])
         shell.writers[conn] = writer
         self._current = core
         reason = ""
@@ -175,86 +192,6 @@ class ClusterWorker:
             if self._current is core:
                 self._current = None
         return core.complete
-
-    def _epoch_core(
-        self, epoch: int, label: str, sources: list[str], resume: "dict | None"
-    ) -> GatewayCore:
-        """The epoch's core over a fresh session (restored when resumed),
-        or over none when routed no source (more workers than keys)."""
-        ledger = collector = None
-        if sources:
-            collector = self._collector.spawn()
-            ledger = TickLedger(self._bundle.processor.open_session(
-                until=self._bundle.until,
-                tick=self._bundle.tick,
-                telemetry=collector,
-            ))
-        core = GatewayCore(
-            ledger, sources, slack=self.slack, policy="block",
-            queue_bound=self.queue_bound, telemetry=collector,
-            worker=WorkerRole(epoch, label, self._collector),
-        )
-        if ledger is not None and resume and resume.get("state") is not None:
-            # Restore into the freshly built identical pipeline before
-            # any data: configuration never crosses the wire, only the
-            # operators' data state does.
-            state = decode_state(resume["state"])
-            ledger.restore(state["ledger"])
-            core.restore(state["gateway"])
-            if self._collector.enabled:
-                self._collector.count("worker.resumed_from_checkpoint")
-        return core
-
-    async def _open_epoch(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> "tuple[int, str, list[str], dict | None] | None":
-        """The frames that open an epoch as ``(epoch, label, sources,
-        resume)``, or ``None`` once refused (the router is told why).
-        Raises ``ConnectionError`` if the router hangs up first."""
-
-        async def expect(kind: str) -> dict:
-            frame = await read_frame(reader)
-            if frame is None:
-                raise ConnectionResetError(f"router hung up before {kind}")
-            if frame.get("type") != kind:
-                raise ProtocolError(
-                    f"expected {kind}, got {frame.get('type')!r}"
-                )
-            return frame
-
-        try:
-            hello = await expect("worker_hello")
-            if hello.get("version") != protocol.PROTOCOL_VERSION:
-                # Router and workers are one deployment: the router sends
-                # this build's frames (blocks included), so a worker
-                # cannot fall back the way the feeder path does.
-                if self._collector.enabled:
-                    self._collector.count("worker.version_mismatch")
-                raise ProtocolError(
-                    f"cluster dialect requires protocol "
-                    f"{protocol.PROTOCOL_VERSION}, got "
-                    f"{hello.get('version')!r}"
-                )
-            route = await expect("route")
-            sources = sorted(route.get("sources") or [])
-            unknown = [name for name in sources if name not in self._expected]
-            if unknown:
-                raise ProtocolError(
-                    f"unroutable sources {unknown!r}; this worker serves "
-                    f"{list(self._expected)!r}"
-                )
-            epoch = int(route.get("epoch", 0))
-            resume = await expect("resume") if route.get("resume") else None
-            if resume is not None and int(resume.get("epoch", -1)) != epoch:
-                raise ProtocolError(
-                    f"resume epoch {resume.get('epoch')!r} does not match "
-                    f"route epoch {epoch}"
-                )
-        except ProtocolError as error:
-            await protocol.bail(writer, str(error))
-            return None
-        label = str(hello.get("worker") or self.label)
-        return epoch, label, sources, resume
 
     # -- ops plane -------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from repro.errors import NetError
 from repro.net import protocol
 from repro.net.faults import ChaosProxy, FaultEvent, chaos_run
 from repro.net.feeder import ReplayFeeder
+from repro.net.feeder_core import low_marks
 from repro.net.ops import format_top
 from repro.net.protocol import read_frame, write_frame
 from repro.net.router import ClusterRouter
@@ -345,11 +346,11 @@ class TestCheckpointCutInsideABlock:
         reference = in_memory_output("shelf", 6.0)
         bundle = build_bundle("shelf", 6.0, SEED)
         planner = ReplayFeeder("unused", 0, bundle.streams)
-        schedule = planner._build_schedule()
+        schedule = planner.core.plan()
         entries = [
             (source, seq, arrival, low, item, None)
             for (arrival, source, seq, item), low in zip(
-                schedule, planner._low_marks(schedule)
+                schedule, low_marks(schedule)
             )
         ]
         head, tail = entries[:50], entries[50:]

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetError
+from repro.errors import NetError, ProtocolError
 from repro.net import protocol
 from repro.net.feeder import ReplayFeeder
+from repro.net.feeder_core import low_marks
 from repro.net.gateway import IngestGateway
 from repro.net.protocol import read_frame, write_frame
 from repro.receptors.network import DelayModel, GilbertElliottChannel
@@ -78,7 +79,7 @@ class TestSchedule:
 
     def test_no_impairments_is_identity_order(self):
         feeder = ReplayFeeder("h", 1, self._streams(5))
-        schedule = feeder._build_schedule()
+        schedule = feeder.core.plan()
         assert [(a, s, q) for a, s, q, _ in schedule] == [
             (float(i), "a", i) for i in range(5)
         ]
@@ -88,7 +89,7 @@ class TestSchedule:
             "h", 1, self._streams(30),
             delay_model=DelayModel(mean_delay=2.0, max_delay=8.0, rng=7),
         )
-        schedule = feeder._build_schedule()
+        schedule = feeder.core.plan()
         arrivals = [a for a, _s, _q, _i in schedule]
         assert arrivals == sorted(arrivals)
         assert sorted(q for _a, _s, q, _i in schedule) == list(range(30))
@@ -102,7 +103,7 @@ class TestSchedule:
             0.3, 0.3, deliver_good=0.9, deliver_bad=0.1, rng=11
         )
         feeder = ReplayFeeder("h", 1, self._streams(60), channel=channel)
-        schedule = feeder._build_schedule()
+        schedule = feeder.core.plan()
         assert feeder.lost["a"] > 0  # the channel really dropped some
         assert len(schedule) + feeder.lost["a"] == 60
         survivors = [q for _a, _s, q, _i in schedule]
@@ -131,7 +132,7 @@ class TestLowMarks:
         feeder = ReplayFeeder(
             "h", 1, {"a": [tup(ts, v=i) for i, ts in enumerate(polls)]}
         )
-        lows = feeder._low_marks(feeder._build_schedule())
+        lows = low_marks(feeder.core.plan())
         assert lows == [None, None, 1.0, None, None, 3.0, None, None]
 
     @given(
@@ -168,8 +169,8 @@ class TestLowMarks:
                 if lossy else None
             ),
         )
-        schedule = feeder._build_schedule()
-        lows = feeder._low_marks(schedule)
+        schedule = feeder.core.plan()
+        lows = low_marks(schedule)
         assert len(lows) == len(schedule)
         for name in streams:
             own = [
@@ -304,6 +305,119 @@ class TestReconnect:
         assert report["sent"]["a"] >= 6  # at-least-once may resend
 
 
+    @pytest.mark.parametrize("acks", [False, True])
+    def test_a_gateway_that_closes_every_session_is_given_up(self, acks):
+        """A session counts as having reached the gateway only once a
+        credit or bye_ack arrives: a gateway that accepts (and maybe
+        acks the hello) and closes is ``max_attempts`` failures in a
+        row, each followed by a backoff sleep."""
+        connections = []
+
+        async def handle(reader, writer):
+            connections.append(True)
+            try:
+                await read_frame(reader)
+                if acks:
+                    await write_frame(writer, protocol.hello_ack({"a": 4}))
+            finally:
+                writer.close()
+
+        async def scenario():
+            fake = FakeTime()
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            feeder = ReplayFeeder(
+                "127.0.0.1", port, {"a": [tup(0.0, v=0)]},
+                max_attempts=3, sleep=fake.sleep,
+            )
+            try:
+                with pytest.raises(NetError, match="after 3 attempts"):
+                    await asyncio.wait_for(feeder.run(), timeout=5)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return fake.sleeps, feeder.report()
+
+        sleeps, report = asyncio.run(scenario())
+        assert sleeps == [0.05, 0.1]
+        assert len(connections) == 3
+        assert report["reconnects"] == 3
+        assert report["reconnect_backoff_ms"] == 100.0
+
+
+class TestFailsClosed:
+    """A gateway frame the feeder cannot act on ends the replay as a
+    ``ProtocolError``: no reconnect, no replay, and the frame changes
+    nothing (credits and acknowledgements stay as they were)."""
+
+    STREAMS = {"a": [tup(float(i), v=i) for i in range(4)]}
+
+    def refused(self, gateway):
+        async def scenario():
+            port = await gateway.start()
+            feeder = ReplayFeeder(
+                "127.0.0.1", port, self.STREAMS, sleep=FakeTime().sleep
+            )
+            try:
+                with pytest.raises(ProtocolError) as refusal:
+                    await asyncio.wait_for(feeder.run(), timeout=5)
+            finally:
+                await gateway.close()
+            return feeder.report(), str(refusal.value)
+
+        report, reason = asyncio.run(scenario())
+        assert gateway.connections == 1  # no replay
+        assert report["reconnects"] == 0
+        return report, reason
+
+    @staticmethod
+    def answers(frame):
+        """``on_data``: write ``frame`` after the first reading."""
+
+        async def on_data(gateway, writer):
+            if len(gateway.received) == 1:
+                await write_frame(writer, frame)
+
+        return on_data
+
+    @pytest.mark.parametrize("count", ["lots", True, -1, 1.5, None])
+    def test_a_credit_that_is_not_a_count(self, count):
+        frame = {"type": "credit", "source": "a", "credits": count}
+        report, reason = self.refused(
+            ScriptedGateway({"a": 1}, self.answers(frame))
+        )
+        assert "non-negative integer" in reason
+        assert report["sent"] == {"a": 1}
+        assert report["credit_frames"] == 0
+        assert report["credits_received"] == {"a": 0}
+
+    @pytest.mark.parametrize("source", ["zz", ["a"], None])
+    @pytest.mark.parametrize("kind", ["credit", "bye_ack"])
+    def test_a_frame_for_a_source_it_does_not_feed(self, kind, source):
+        frame = {"type": kind, "source": source, "credits": 5}
+        report, reason = self.refused(
+            ScriptedGateway({"a": 1}, self.answers(frame))
+        )
+        assert f"for source {source!r}" in reason
+        assert report["credits_received"] == {"a": 0}
+        assert report["credit_frames"] == 0
+
+    @pytest.mark.parametrize(
+        "credits",
+        [[1, 2], "lots", {"zz": 1}, {"a": "lots"}, {"a": -1}, {"a": True}],
+    )
+    def test_a_hello_ack_whose_credits_are_not_counts_per_source(
+        self, credits
+    ):
+        ack = {
+            "type": "hello_ack", "version": protocol.PROTOCOL_VERSION,
+            "credits": credits,
+        }
+        report, reason = self.refused(ScriptedGateway(None, ack=ack))
+        assert "hello_ack credits" in reason
+        assert report["sent"] == {"a": 0}
+
+
 class TestPacing:
     def test_rate_multiplier_paces_sends(self):
         """rate=2.0 over arrivals [0, 1, 3] must pause 0.5 s then
@@ -358,14 +472,17 @@ class TestPacing:
 
 class ScriptedGateway:
     """A gateway stand-in: acks the hello with ``credits`` (echoing
-    ``version``, or the hello's own), records readings and the types
-    of the frames that carried them, acks byes; ``on_data(gateway,
-    writer)`` runs after each reading."""
+    ``version``, or the hello's own; or sends ``ack`` as it is),
+    records readings and the types of the frames that carried them,
+    acks byes; ``on_data(gateway, writer)`` runs after each reading.
+    ``connections`` counts the sessions it served."""
 
-    def __init__(self, credits, on_data=None, version=None):
+    def __init__(self, credits, on_data=None, version=None, ack=None):
         self.credits = credits
         self.on_data = on_data
         self.version = version
+        self.ack = ack
+        self.connections = 0
         self.received = []
         self.frames = []
         self._arrived = asyncio.Event()
@@ -387,9 +504,10 @@ class ScriptedGateway:
             await asyncio.wait_for(self._arrived.wait(), timeout=5)
 
     async def _handle(self, reader, writer):
+        self.connections += 1
         try:
             hello = await read_frame(reader)
-            await write_frame(writer, protocol.hello_ack(
+            await write_frame(writer, self.ack or protocol.hello_ack(
                 self.credits, self.version or hello["version"]
             ))
             while True:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import NetError, OperatorError
 from repro.net import protocol
 from repro.net.feeder import ReplayFeeder
+from repro.net.feeder_core import low_marks
 from repro.net.gateway import IngestGateway
 from repro.net.overload import BoundedIngressQueue
 from repro.net.protocol import read_frame, write_frame
@@ -81,9 +82,10 @@ class SilentFeeder(ReplayFeeder):
     The frames it sends are also what a gateway that predates the key
     makes of a declaring feeder's (it would read past the key)."""
 
-    @staticmethod
-    def _low_marks(schedule):
-        return [None] * len(schedule)
+    async def run(self):
+        self.core.plan()
+        self.core.lows = [None] * len(self.core.lows)
+        return await super().run()
 
 
 class RawFeeder:
@@ -147,8 +149,8 @@ class RawFeeder:
         time — each a ``data`` frame without the keys in ``strip``, or
         (``blocks``) a one-row block; then say bye for each."""
         planner = ReplayFeeder("unused", 0, streams)
-        schedule = planner._build_schedule()
-        lows = planner._low_marks(schedule)
+        schedule = planner.core.plan()
+        lows = low_marks(schedule)
         for (arrival, source, seq, item), low in zip(schedule, lows):
             if blocks:
                 await self.send_rows([(source, seq, arrival, low, item, None)])
@@ -329,7 +331,7 @@ class TestPromises:
         )
         survivors = {name: [] for name in streams}
         for _arrival, name, _seq, item in sorted(
-            planner._build_schedule(), key=lambda entry: entry[1:3]
+            planner.core.plan(), key=lambda entry: entry[1:3]
         ):
             survivors[name].append(item)
         assert sum(planner.lost.values()) > 0  # the channel really lost
@@ -552,7 +554,7 @@ class TestBlockPartitions:
                     0.1, 0.4, deliver_good=0.95, deliver_bad=0.3, rng=9
                 ),
             )
-            schedule = planner._build_schedule()
+            schedule = planner.core.plan()
             assert sum(planner.lost.values()) > 0
             assert [e[0] for e in schedule] != sorted(
                 item.timestamp for _a, _s, _q, item in schedule
@@ -560,7 +562,7 @@ class TestBlockPartitions:
             entries = [
                 (source, seq, arrival, low, item, None)
                 for (arrival, source, seq, item), low in zip(
-                    schedule, planner._low_marks(schedule)
+                    schedule, low_marks(schedule)
                 )
             ]
             survivors = {name: [] for name in streams}

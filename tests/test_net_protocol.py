@@ -75,8 +75,9 @@ class TestFraming:
 
 
 class ScriptedStream:
-    """The one method :class:`FrameReader` asks of a stream: ``read``
-    hands out the scripted chunks in turn, then EOF."""
+    """The one method :func:`protocol.read_frame` asks of a stream:
+    ``read`` hands out the scripted chunks in turn (an exception is
+    raised), then EOF."""
 
     def __init__(self, chunks):
         self.chunks = list(chunks)
@@ -86,43 +87,46 @@ class ScriptedStream:
         self.reads += 1
         if not self.chunks:
             return b""
+        if isinstance(self.chunks[0], Exception):
+            raise self.chunks.pop(0)
         assert len(self.chunks[0]) <= n
         return self.chunks.pop(0)
 
 
-async def read_all(frames, read="read_frame"):
-    """Everything ``frames`` (a FrameReader, or its reference
-    :class:`OneAtATime`) serves through its ``read`` method, and how
-    it ended: ``None`` for a clean EOF, else the error."""
-    out = []
-    try:
-        while True:
-            got = await getattr(frames, read)()
-            if got is None:
-                return out, None
-            out.append(got)
-    except ProtocolError as error:
-        return out, error
-
-
-class OneAtATime:
-    """The reference reading: the one-shot ``read_frame`` helper,
-    frame after frame, off a real stream holding ``wire``."""
-
-    def __init__(self, wire):
-        self.reader = asyncio.StreamReader()
-        self.reader.feed_data(wire)
-        self.reader.feed_eof()
-
-    async def read_frame(self):
-        return await protocol.read_frame(self.reader)
-
-
 def one_at_a_time(wire):
+    """The reference reading: the one-shot ``read_frame`` helper, frame
+    after frame, off a real stream holding ``wire``; returns what it
+    served and how it ended (``None`` for a clean EOF, else the
+    error)."""
+
     async def scenario():
-        return await read_all(OneAtATime(wire))
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        out = []
+        try:
+            while (frame := await protocol.read_frame(reader)) is not None:
+                out.append(frame)
+        except ProtocolError as error:
+            return out, error
+        return out, None
 
     return asyncio.run(scenario())
+
+
+def burst_read(chunks):
+    """What a shell's read loop serves off ``chunks`` (one socket read
+    each): a decoder's ``frames`` per chunk, then ``eof``; returns the
+    frames and how it ended, as :func:`one_at_a_time`."""
+    decoder = FrameDecoder()
+    out = []
+    try:
+        for chunk in chunks:
+            out.extend(decoder.frames(chunk))
+        decoder.eof()
+    except ProtocolError as error:
+        return out, error
+    return out, None
 
 
 FRAMES = st.lists(
@@ -139,8 +143,10 @@ FRAMES = st.lists(
 
 
 class TestFrameReader:
-    """Burst reading: any chunking of the stream serves the frames
-    one-at-a-time reading serves, and ends the way it ends."""
+    """Burst reading (a decoder fed one socket read at a time, as every
+    serve loop and the chaos proxy read): any chunking of the stream
+    serves the frames one-at-a-time reading (``read_frame``) serves,
+    and ends the way it ends."""
 
     @given(frames=FRAMES, data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -153,17 +159,18 @@ class TestFrameReader:
             wire[a:b] for a, b in zip([0] + cuts, cuts + [len(wire)])
             if a < b
         ]
-        served, error = asyncio.run(
-            read_all(protocol.FrameReader(ScriptedStream(chunks)))
-        )
+        served, error = burst_read(chunks)
         assert error is None
         assert (served, None) == one_at_a_time(wire)
         assert served == frames
-        # The raw read a relaying tier uses hands on the same bytes.
-        payloads, error = asyncio.run(read_all(
-            protocol.FrameReader(ScriptedStream(chunks)), "read_payload"
-        ))
-        assert error is None
+        # The raw read a relaying tier uses (``take``: the chaos proxy)
+        # hands on the same bytes.
+        decoder, payloads = FrameDecoder(), []
+        for chunk in chunks:
+            decoder.extend(chunk)
+            while (payload := decoder.take()) is not None:
+                payloads.append(payload)
+        assert len(decoder) == 0
         assert b"".join(map(protocol.frame_bytes, payloads)) == wire
 
     def test_cut_anywhere_raises_frame_truncated(self):
@@ -177,9 +184,7 @@ class TestFrameReader:
             )
             stream = head + wire[:cut]
             for served, error in (
-                asyncio.run(read_all(protocol.FrameReader(
-                    ScriptedStream([stream[:7], stream[7:]])
-                ))),
+                burst_read([stream[:7], stream[7:]]),
                 one_at_a_time(stream),
             ):
                 assert served == [first]
@@ -189,23 +194,27 @@ class TestFrameReader:
     def test_oversized_prefix_refused_before_its_payload_is_read(self):
         header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         stream = ScriptedStream([header, b"x" * 1024, b"x" * 1024])
-        served, error = asyncio.run(
-            read_all(protocol.FrameReader(stream))
-        )
-        assert served == []
-        assert type(error) is ProtocolError and "limit" in str(error)
+        with pytest.raises(ProtocolError, match="limit") as refusal:
+            asyncio.run(protocol.read_frame(stream))
+        assert type(refusal.value) is ProtocolError
         assert stream.reads == 1  # the header alone decided it
+        served, error = burst_read([header])
+        assert served == [] and type(error) is ProtocolError
 
     def test_corrupt_frame_is_served_after_the_good_ones_before_it(self):
         good = [protocol.bye("a"), protocol.drain(), protocol.bye("b")]
         garbage = b"\xff\xfe not json"
         wire = b"".join(encode_frame(frame) for frame in good)
         wire += protocol.frame_bytes(garbage) + encode_frame(protocol.drain())
-        served, error = asyncio.run(
-            read_all(protocol.FrameReader(ScriptedStream([wire])))
-        )
-        assert served == good
-        assert type(error) is ProtocolError
+        for served, error in (burst_read([wire]), one_at_a_time(wire)):
+            assert served == good
+            assert type(error) is ProtocolError
+
+    def test_a_reset_inside_a_frame_is_frame_truncated(self):
+        wire = encode_frame(protocol.bye("a"))
+        stream = ScriptedStream([wire[:4], ConnectionResetError("gone")])
+        with pytest.raises(FrameTruncated, match="reset mid-stream"):
+            asyncio.run(protocol.read_frame(stream))
 
     def test_decoder_frames_serve_one_chunk_at_a_time(self):
         """What a burst is to a serve loop that reads the socket itself
@@ -797,26 +806,10 @@ class TestBlockFrame:
             protocol.encode_block(rows)
 
 
-class FakeTransport:
-    """The three things a :class:`FrameWriter` asks of a stream."""
-
-    def __init__(self):
-        self.writes = []
-        self.closed = False
-
-    def write(self, data):
-        self.writes.append(data)
-
-    async def drain(self):
-        pass
-
-    def close(self):
-        self.closed = True
-
-
 class TestFrameWriterRows:
-    """Rows wait unsealed, and are sealed by exactly the events of the
-    flush rule — so wire order stays ``add`` / ``add_row`` order."""
+    """Rows wait unsealed in an :class:`~repro.net.protocol.Outbox`, and
+    are sealed by exactly the events of the flush rule — so wire order
+    stays ``add`` / ``add_row`` order."""
 
     ITEM = StreamTuple(2.5, {"v": 1}, stream="s")
 
@@ -825,7 +818,7 @@ class TestFrameWriterRows:
             out.add_row("a", seq, 2.5, None, self.ITEM)
 
     @staticmethod
-    def shape(transport):
+    def shape(writes):
         """Per write: each frame's type, or its row seqs for a block."""
         return [
             [
@@ -833,44 +826,38 @@ class TestFrameWriterRows:
                 if frame["type"] == "block" else frame["type"]
                 for frame in FrameDecoder().feed(data)
             ]
-            for data in transport.writes
+            for data in writes
         ]
 
     def test_another_frame_seals_the_rows_ahead_of_it(self):
-        transport = FakeTransport()
-        out = protocol.FrameWriter(transport)
+        out = protocol.Outbox()
         self.rows(out, [0, 1])
         out.add(protocol.checkpoint(1))
         self.rows(out, [2])
         out.add(protocol.bye("a"))
-        assert transport.writes == []  # nothing leaves before a flush
-        out.flush()
-        assert self.shape(transport) == [[[0, 1], "checkpoint", [2], "bye"]]
-        out.flush()
-        assert len(transport.writes) == 1  # nothing pending: no write
+        assert self.shape([out.take()]) == [[[0, 1], "checkpoint", [2], "bye"]]
+        assert out.take() == b""  # nothing pending: nothing to write
 
     def test_flush_drain_and_close_each_seal(self):
-        transport = FakeTransport()
-        out = protocol.FrameWriter(transport)
+        # A shell's flush takes the outbox a burst at a time (``bursts``),
+        # a one-shot writer all at once (``take``): either seals.
+        out = protocol.Outbox()
         self.rows(out, [0])
-        out.flush()
+        writes = [out.take()]
         self.rows(out, [1, 2])
-        asyncio.run(out.drain())
+        writes += out.bursts()
         self.rows(out, [3])
-        out.close()
-        assert self.shape(transport) == [[[0]], [[1, 2]], [[3]]]
-        assert transport.closed
+        writes.append(out.take())
+        assert self.shape(writes) == [[[0]], [[1, 2]], [[3]]]
 
     def test_a_block_is_sealed_at_256_rows(self):
-        transport = FakeTransport()
-        out = protocol.FrameWriter(transport)
+        out = protocol.Outbox()
         self.rows(out, range(300))
-        out.flush()
-        ((first, second),) = self.shape(transport)
+        ((first, second),) = self.shape([out.take()])
         assert first == list(range(256)) and second == list(range(256, 300))
 
     def test_sealed_bytes_count_toward_full(self):
-        out = protocol.FrameWriter(FakeTransport())
+        out = protocol.Outbox()
         fat = StreamTuple(2.5, {"blob": "x" * 300}, stream="s")
         for seq in range(255):
             out.add_row("a", seq, 2.5, None, fat)
@@ -879,12 +866,12 @@ class TestFrameWriterRows:
         assert out.full  # sealed: 256 rows of 300 bytes pass 64 KiB
 
     def test_over_cap_row_fails_at_the_seal(self):
-        out = protocol.FrameWriter(FakeTransport())
+        out = protocol.Outbox()
         out.add_row(
             "a", 0, 2.5, None, StreamTuple(2.5, {"blob": "x" * MAX_FRAME_BYTES})
         )
         with pytest.raises(ProtocolError, match="limit"):
-            out.flush()
+            out.take()
 
 
 class TestClusterDialect:
@@ -947,22 +934,15 @@ class TestClusterDialect:
         assert [encode_frame(f) for f in self.FRAMES] == golden
 
     def test_raw_read_returns_payload_for_verbatim_relay(self):
-        # ``read_payload`` is the raw read left: what the chaos proxy
-        # relays (or cuts, or corrupts) without re-encoding.
-        async def scenario():
-            server_reader = asyncio.StreamReader()
-            frame = protocol.route(0, 0, ["a"])
-            server_reader.feed_data(encode_frame(frame))
-            server_reader.feed_eof()
-            frames = protocol.FrameReader(server_reader)
-            payload = await frames.read_payload()
-            assert protocol.frame_bytes(payload) == encode_frame(frame)
-            assert FrameDecoder().feed(protocol.frame_bytes(payload)) == [
-                frame
-            ]
-            assert await frames.read_payload() is None
-
-        asyncio.run(asyncio.wait_for(scenario(), 20.0))
+        # ``take`` is the raw read: what the chaos proxy relays (or cuts,
+        # or corrupts) without re-encoding.
+        frame = protocol.route(0, 0, ["a"])
+        decoder = FrameDecoder()
+        decoder.extend(encode_frame(frame))
+        payload = decoder.take()
+        assert protocol.frame_bytes(payload) == encode_frame(frame)
+        assert FrameDecoder().feed(protocol.frame_bytes(payload)) == [frame]
+        assert decoder.take() is None and len(decoder) == 0
 
 
 class TestVersionHandshake:

@@ -269,7 +269,7 @@ class TestFrameTruncated:
             reader.feed_data(data[: len(data) - 2])
             reader.feed_eof()
             with pytest.raises(FrameTruncated, match="mid-frame"):
-                await protocol.FrameReader(reader).read_payload()
+                await protocol.read_frame(reader)
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
 
@@ -279,7 +279,7 @@ class TestFrameTruncated:
             reader.feed_data(b"\x00\x00\x01")
             reader.feed_eof()
             with pytest.raises(FrameTruncated, match="mid-header"):
-                await protocol.FrameReader(reader).read_payload()
+                await protocol.read_frame(reader)
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
 
@@ -287,8 +287,8 @@ class TestFrameTruncated:
         async def scenario():
             reader = asyncio.StreamReader()
             reader.feed_eof()
-            assert await protocol.FrameReader(reader).read_payload() is None
             assert await protocol.read_frame(reader) is None
+            assert await protocol.read_frame(reader) is None  # and again
 
         asyncio.run(asyncio.wait_for(scenario(), WAIT))
 

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import gateway_core, protocol, router_core, router_epochs
+from repro.net import (
+    feeder_core,
+    gateway_core,
+    protocol,
+    router_core,
+    router_epochs,
+)
 from repro.net.protocol import FrameDecoder
 from repro.net.router_core import RouterCore, Settled
 from repro.net.router_epochs import CloseLink, OpenLink, RunDone
@@ -435,7 +441,9 @@ class TestInterleavings:
         assert len(cluster.frames(cluster.feeder, "bye_ack")) == 2
 
 
-@pytest.mark.parametrize("module", [router_core, router_epochs, gateway_core])
+@pytest.mark.parametrize(
+    "module", [router_core, router_epochs, gateway_core, feeder_core]
+)
 def test_the_core_imports_no_asyncio(module):
     tree = ast.parse(open(module.__file__).read())
     imported = {
